@@ -22,7 +22,6 @@ from .verify import (
     CheckResult,
     RunConfig,
     boolean_check,
-    register_expr_builder,
     run_identity_exact_else_modular,
 )
 
@@ -323,5 +322,3 @@ def nonvanishing_pair_checks() -> list:
     ]
     return checks
 
-
-register_expr_builder("nakamoto-composed", nakamoto_composed_expr)

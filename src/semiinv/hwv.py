@@ -1,25 +1,47 @@
-"""Weight vectors, unipotent fixedness, and highest-weight corrections.
+"""Weight vectors, highest-weight certificates, and highest-weight corrections.
 
 A polynomial in the 27 triple coordinates is a weight vector of weight alpha
-iff it is multihomogeneous of multidegree alpha; fixedness under the two
-elementary upper transvections certifies a highest weight vector, and
-fixedness under all four elementary transvections certifies SL3-invariance
-(they generate a Zariski-dense subgroup of SL3, and the stabilizer of a
-polynomial is closed).
+iff it is multihomogeneous of multidegree alpha.  Fixedness under the
+elementary transvections is certified with Lie-algebra derivations instead of
+group substitution, over the coefficient ring of F (ZZ for the generators):
+
+* The right action of I + t*E_ij adds t*A_i to A_j, and by Taylor expansion
+  F(T.(I + t*E_ij)) = sum_k t^k/k! * D_ij^k F, where D_ij = sum_ab x{i}_ab
+  d/dx{j}_ab.  D_ij is nilpotent on polynomials, so this is a polynomial in t.
+* If F is fixed by I + E_ij, it is fixed by (I + E_ij)^n = I + n*E_ij for
+  every integer n, so F(T.(I + t*E_ij)) - F is a polynomial in t with
+  infinitely many roots.  In characteristic 0 it vanishes, and its t-linear
+  coefficient D_ij F is 0.  Conversely D_ij F = 0 kills every term of the
+  expansion.  So fixedness by I + E_ij is equivalent to D_ij F = 0.
+* X -> D_X respects brackets up to sign, so the X with D_X F = 0 form a Lie
+  subalgebra.  E12 and E23 generate the strictly upper triangular matrices
+  (E13 = [E12, E23]), and E12, E23, E21, E32 generate sl3.  Killed by a
+  generating set means killed by every D_ij with i != j, hence fixed by every
+  root subgroup I + t*E_ij, and these generate the unipotent upper
+  triangulars and SL3 respectively.
+
+The same argument with row and column operations on each A_r certifies
+invariance under SL3 x SL3 acting by (g, h).A = g A h^-1.
 
 The correction coefficients attached to h and q are recomputed here from
-scratch by exact rational elimination on the fixedness equations, which the
-test suite compares against the pinned tables used to build H and Q.
+scratch by exact elimination on the derivation equations, which the test suite
+compares against the pinned tables used to build H and Q.  For each candidate
+beta the derivation equations hold iff the transvections fix the corrected
+polynomial, so the solution set is that of the fixedness equations.  Group
+substitution (generators.act_on_function) remains in diagonal_action_weight,
+in the verification of the induced f-span action, and in the tests as an
+independent oracle.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from . import generators as gen
 from . import linalg
-from .poly import QQ, Polynomial
+from .poly import QQ, ZZ, Polynomial, PolyError
 
 InconsistentSystem = linalg.InconsistentSystem
 UnderdeterminedSystem = linalg.UnderdeterminedSystem
@@ -60,21 +82,77 @@ def diagonal_action_weight(F: Polynomial) -> tuple | None:
     return None
 
 
-def is_fixed_by(F: Polynomial, g: Sequence[Sequence]) -> bool:
-    return gen.act_on_function(g, F) == F
+# -- Lie-algebra derivations ----------------------------------------------------
+
+# E12, E23, E21, E32 generate sl3 as a Lie algebra; E12, E23 generate the
+# strictly upper triangular part, and E13 = [E12, E23].
+UPPER_ROOTS = ((1, 2), (2, 3))
+SL3_ROOTS = ((1, 2), (2, 3), (2, 1), (3, 2))
+
+
+def block_derivation(i: int, j: int) -> tuple:
+    """(src, dst) pairs of D_ij = sum_ab x{i}_ab d/dx{j}_ab, the t-derivative
+    at 0 of F(T.(I + t*E_ij)): the right action adds t*A_i to A_j."""
+    return tuple(
+        (f"x{i}_{a}{b}", f"x{j}_{a}{b}") for a in (1, 2, 3) for b in (1, 2, 3)
+    )
+
+
+def row_derivation(i: int, j: int) -> tuple:
+    """Left E_ij on every component: A_r -> (I + t*E_ij) A_r adds t * row j
+    to row i."""
+    return tuple(
+        (f"x{r}_{j}{b}", f"x{r}_{i}{b}") for r in (1, 2, 3) for b in (1, 2, 3)
+    )
+
+
+def column_derivation(i: int, j: int) -> tuple:
+    """Right E_ij on every component: A_r -> A_r (I + t*E_ij) adds t * column
+    i to column j."""
+    return tuple(
+        (f"x{r}_{a}{i}", f"x{r}_{a}{j}") for r in (1, 2, 3) for a in (1, 2, 3)
+    )
+
+
+def _killed_by(F: Polynomial, derivations) -> bool:
+    """True iff every derivation, given by its (src, dst) pairs, kills F.
+    The fixedness equivalence needs characteristic 0, so GF(p) is refused."""
+    if F.ring.is_gf:
+        raise PolyError("derivation certificates need characteristic 0")
+    if F.ring == QQ:
+        # D(c*F) = c*D(F): clear denominators so every derivation runs in ints
+        den = lcm(*(c.denominator for c in F.terms.values()))
+        F = Polynomial(
+            ZZ, F.vars, {k: (c * den).numerator for k, c in F.terms.items()}, F.maxexp
+        )
+    return all(F.polarize(d).is_zero() for d in derivations)
 
 
 def is_fixed_by_unipotents(F: Polynomial) -> bool:
-    """Fixedness under I+E12 and I+E23; these generate a group Zariski dense
-    in the unipotent upper triangulars, so this certifies a highest weight
-    vector when F is also a weight vector."""
-    return is_fixed_by(F, gen.U12) and is_fixed_by(F, gen.U23)
+    """Highest-weight certificate: D12 F = D23 F = 0.
+
+    Then D13 F = 0 too, since D13 = [D12, D23] up to sign, so F is fixed by
+    every root subgroup I + t*E_ij with i < j; these generate the unipotent
+    upper triangulars.  Together with being a weight vector this makes F a
+    highest weight vector."""
+    return _killed_by(F, [block_derivation(i, j) for i, j in UPPER_ROOTS])
 
 
 def sl3_invariance_certificate(F: Polynomial) -> bool:
-    """Fixedness under all four elementary transvections; they generate a
-    Zariski-dense subgroup of SL3, so fixedness certifies SL3-invariance."""
-    return all(is_fixed_by(F, g) for g in gen.ELEMENTARY_TRANSVECTIONS.values())
+    """SL3-invariance certificate: D12, D23, D21 and D32 kill F.
+
+    These four generate sl3, so every D_ij (i != j) kills F, F is fixed by
+    every root subgroup I + t*E_ij, and the root subgroups generate SL3."""
+    return _killed_by(F, [block_derivation(i, j) for i, j in SL3_ROOTS])
+
+
+def sl3_sl3_invariance_certificate(F: Polynomial) -> bool:
+    """Invariance under (g, h).A = g A h^-1 on every component: the row and
+    column derivations of E12, E23, E21, E32 all kill F (same argument as
+    sl3_invariance_certificate, once for each factor)."""
+    derivations = [row_derivation(i, j) for i, j in SL3_ROOTS]
+    derivations += [column_derivation(i, j) for i, j in SL3_ROOTS]
+    return _killed_by(F, derivations)
 
 
 # -- certificates for polynomials given in the f-variables ---------------------
@@ -118,11 +196,11 @@ def sl3_certificate_for_f_polynomial(p_f: Polynomial) -> bool:
 # -- exact recomputation of the correction coefficients -------------------------
 
 
-def _difference_rows(base: Polynomial, basis: list, g) -> list:
-    """Linear equations on the basis coefficients from g-fixedness of
-    base + sum(beta_i * basis_i), one row per monomial."""
-    d_base = gen.act_on_function(g, base) - base
-    d_basis = [gen.act_on_function(g, m) - m for m in basis]
+def _derivation_rows(base: Polynomial, basis: list, pairs) -> list:
+    """Linear equations on the basis coefficients from D(base + sum(beta_i *
+    basis_i)) = 0 for one derivation D, one row per monomial."""
+    d_base = base.polarize(pairs)
+    d_basis = [m.polarize(pairs) for m in basis]
     keys = set(d_base.terms)
     for d in d_basis:
         keys.update(d.terms)
@@ -139,13 +217,14 @@ def _difference_rows(base: Polynomial, basis: list, g) -> list:
 
 def solve_hwv_correction(base: Polynomial, basis: Sequence[Polynomial]) -> list:
     """Solve for the unique rational coefficients beta with base + sum(beta_i
-    * basis_i) fixed by both elementary upper transvections.
+    * basis_i) fixed by both elementary upper transvections, i.e. killed by
+    D12 and D23.  The rows are integer when the inputs are.
 
     Raises InconsistentSystem when no correction in the span works and
     UnderdeterminedSystem when several do.
     """
-    base = base.convert(gen.TRIPLE_VARS).to_ring(QQ)
-    basis = [m.convert(gen.TRIPLE_VARS).to_ring(QQ) for m in basis]
+    base = base.convert(gen.TRIPLE_VARS)
+    basis = [m.convert(gen.TRIPLE_VARS) for m in basis]
     md = base.multidegree(gen.BLOCK_NAMES)
     if md is None:
         raise linalg.LinAlgError("base is not multihomogeneous")
@@ -153,8 +232,8 @@ def solve_hwv_correction(base: Polynomial, basis: Sequence[Polynomial]) -> list:
         if m.multidegree(gen.BLOCK_NAMES) != md:
             raise linalg.LinAlgError("basis element of different multidegree")
     rows = []
-    for g in (gen.U12, gen.U23):
-        rows.extend(_difference_rows(base, list(basis), g))
+    for i, j in UPPER_ROOTS:
+        rows.extend(_derivation_rows(base, basis, block_derivation(i, j)))
     if not basis:
         # no unknowns: the system is consistent iff every row is 0 = 0
         for _, rhs in rows:

@@ -2,14 +2,15 @@
 
 Systems here have at most a dozen unknowns but can have tens of thousands of
 equations (one per monomial of a polynomial identity), most of them repeated
-up to scale.  Rows are therefore normalized and deduplicated before
-elimination, and everything runs in Fractions; no floating point anywhere.
+up to scale.  Rows are therefore normalized to coprime integers and
+deduplicated before elimination, which runs in Fractions; no floating point
+anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -26,24 +27,21 @@ class UnderdeterminedSystem(LinAlgError):
 
 
 def _normalize_row(coeffs: Sequence, rhs) -> tuple | None:
-    """Scale to coprime integers with positive leading entry; None for 0 = 0."""
-    row = [Fraction(c) for c in coeffs] + [Fraction(rhs)]
-    den = 1
-    for c in row:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    """Scale to coprime integers with positive leading entry; None for 0 = 0.
+
+    Integer rows take a gcd and never touch Fractions; a row with a rational
+    entry is first cleared of denominators."""
+    row = [*coeffs, rhs]
+    if not all(isinstance(c, int) for c in row):
+        fracs = [Fraction(c) for c in row]
+        den = lcm(*(c.denominator for c in fracs))
+        row = [int(c * den) for c in fracs]
+    g = gcd(*row)
     if g == 0:
         return None
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-u for u in ints]
-            break
-    return tuple(ints)
+    if next(v for v in row if v) < 0:
+        g = -g
+    return tuple(v // g for v in row)
 
 
 def solve_unique(rows: Iterable[tuple], nunknowns: int) -> list:
@@ -55,7 +53,8 @@ def solve_unique(rows: Iterable[tuple], nunknowns: int) -> list:
     """
     seen = set()
     unique = []
-    for coeffs, rhs in rows:
+    # exact repeats are dropped before the (costlier) normalization
+    for coeffs, rhs in dict.fromkeys((tuple(c), r) for c, r in rows):
         norm = _normalize_row(coeffs, rhs)
         if norm is None or norm in seen:
             continue

@@ -504,6 +504,34 @@ class Polynomial:
         out = {k & inv: c for k, c in self.terms.items() if k & mask == required}
         return Polynomial(self.ring, self.vars, out, self.maxexp)
 
+    def polarize(self, pairs: Iterable[tuple]) -> "Polynomial":
+        """The derivation sum(src * d/d dst) over (src, dst) name pairs.
+
+        Each term x^e contributes e_dst * x^e * src / dst per pair, so the
+        cost is linear in the term count and no coefficient leaves the ring.
+        """
+        if self.maxexp >= _MAX_EXP:
+            raise PolyError("polarization exceeds the per-variable exponent bound 255")
+        moves = []
+        for src, dst in pairs:
+            sh = self.vars.shift(dst)
+            moves.append((sh, (1 << self.vars.shift(src)) - (1 << sh)))
+        out: dict = {}
+        get = out.get
+        for k, c in self.terms.items():
+            for sh, delta in moves:
+                e = (k >> sh) & _FIELD_MASK
+                if e:
+                    kk = k + delta
+                    c0 = get(kk)
+                    out[kk] = c * e if c0 is None else c0 + c * e
+        if self.ring.is_gf:
+            p = self.ring.p
+            out = {k: c for k, c in ((k, c % p) for k, c in out.items()) if c}
+        else:
+            out = {k: c for k, c in out.items() if c}
+        return Polynomial(self.ring, self.vars, out, self.maxexp + 1)
+
     def substitute(self, bindings: Mapping[str, object], budget: int | None = None) -> "Polynomial":
         """Exact simultaneous substitution of variables by polynomials or scalars.
 

@@ -23,7 +23,6 @@ from .verify import (
     CheckResult,
     RunConfig,
     boolean_check,
-    register_expr_builder,
     run_identity,
 )
 
@@ -196,17 +195,11 @@ def theorem1_expr(s4: Polynomial | None = None, t6: Polynomial | None = None) ->
 
 
 def verify_main_relation(cfg: RunConfig, relation: Polynomial | None = None) -> CheckResult:
-    expr = main_relation_expr(relation)
-    key = "main-relation" if relation is None else None
-    return run_identity("main-relation", expr, cfg, builder_key=key)
+    return run_identity("main-relation", main_relation_expr(relation), cfg)
 
 
 def verify_theorem1(cfg: RunConfig) -> CheckResult:
-    return run_identity("theorem1", theorem1_expr(), cfg, builder_key="theorem1")
-
-
-register_expr_builder("main-relation", main_relation_expr)
-register_expr_builder("theorem1", theorem1_expr)
+    return run_identity("theorem1", theorem1_expr(), cfg)
 
 
 # -- exact special-triple evaluations -------------------------------------------

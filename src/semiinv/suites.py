@@ -110,6 +110,15 @@ def hwv_suite(cfg: RunConfig) -> list:
             lambda: not hwv.is_fixed_by_unipotents(table.h),
         )
     )
+    checks.append(
+        boolean_check(
+            "f1..f10, h and q are SL3 x SL3-invariant (row and column derivations)",
+            lambda: all(
+                hwv.sl3_sl3_invariance_certificate(p)
+                for p in table.f + (table.h, table.q)
+            ),
+        )
+    )
     return checks
 
 

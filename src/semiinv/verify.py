@@ -13,7 +13,6 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from .evalmod import DEFAULT_PRIMES, Expr, check_prime, sample_point
@@ -95,23 +94,19 @@ def boolean_check(name: str, fn: Callable[[], bool], mode: str = "exact", **deta
 
 # -- modular identity runs ----------------------------------------------------
 
-_BUILDERS: dict = {}
+# the expression a worker process evaluates; set only inside pool workers, by
+# the pool initializer, from the expression the caller passed
+_WORKER_EXPR: Expr | None = None
 
 
-def register_expr_builder(key: str, fn: Callable[[], Expr]):
-    """Register a zero-argument Expr builder so worker processes can
-    reconstruct the expression by name."""
-    _BUILDERS[key] = fn
-
-
-@lru_cache(maxsize=None)
-def _built_expr(key: str) -> Expr:
-    return _BUILDERS[key]()
+def _init_worker(expr: Expr):
+    global _WORKER_EXPR
+    _WORKER_EXPR = expr
 
 
 def _trial_chunk(args):
-    key, prime, start, stop, seed = args
-    expr = _built_expr(key)
+    prime, start, stop, seed = args
+    expr = _WORKER_EXPR
     names = expr.leaf_vars().names
     failures = []
     for trial in range(start, stop):
@@ -122,36 +117,36 @@ def _trial_chunk(args):
     return prime, start, failures
 
 
-def run_identity_modular(
-    name: str,
-    expr: Expr | None,
-    cfg: RunConfig,
-    builder_key: str | None = None,
-) -> CheckResult:
+def run_identity_modular(name: str, expr: Expr, cfg: RunConfig) -> CheckResult:
     """Evaluate the expression at cfg.trials points per prime; PASS iff every
-    evaluation is zero.  Reports the Schwartz-Zippel failure bound per prime."""
+    evaluation is zero.  Reports the Schwartz-Zippel failure bound per prime,
+    or None for a prime p <= degree, where d/p >= 1 bounds nothing.
+
+    With cfg.jobs > 1 the trials fan out over worker processes; each worker
+    receives exactly the expression passed here, whatever the start method."""
     t0 = time.perf_counter()
-    if builder_key is not None and (expr is None or cfg.jobs > 1):
-        # build through the registry so forked workers inherit the cache
-        expr = _built_expr(builder_key)
     names = expr.leaf_vars().names
     degree = expr.degree_bound()
     bounds = {}
     for p in cfg.primes:
         check_prime(p, allow_small_char=cfg.allow_small_char)
         bounds[str(p)] = (
-            None if degree == 0 else round(cfg.trials * math.log10(degree / p), 2)
+            None
+            if degree == 0 or p <= degree
+            else round(cfg.trials * math.log10(degree / p), 2)
         )
     failures = []
 
-    if cfg.jobs > 1 and builder_key is not None:
+    if cfg.jobs > 1:
         chunk = max(1, -(-cfg.trials // cfg.jobs))
         tasks = [
-            (builder_key, p, s, min(s + chunk, cfg.trials), cfg.seed)
+            (p, s, min(s + chunk, cfg.trials), cfg.seed)
             for p in cfg.primes
             for s in range(0, cfg.trials, chunk)
         ]
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(
+            max_workers=cfg.jobs, initializer=_init_worker, initargs=(expr,)
+        ) as pool:
             raw = list(pool.map(_trial_chunk, tasks))
         raw.sort(key=lambda r: (r[0], r[1]))
         for prime, _, chunk_failures in raw:
@@ -183,6 +178,13 @@ def run_identity_modular(
         "evaluations": cfg.trials * len(cfg.primes),
         "nonzero_evaluations": len(failures),
     }
+    notes = []
+    small = [str(p) for p in cfg.primes if degree and p <= degree]
+    if small:
+        notes.append(
+            f"primes {', '.join(small)} do not exceed the degree bound {degree}: "
+            "spot-checks of an identity over ZZ that bound nothing"
+        )
     return CheckResult(
         name,
         not failures,
@@ -190,6 +192,7 @@ def run_identity_modular(
         time.perf_counter() - t0,
         details,
         counterexample,
+        notes,
     )
 
 
@@ -203,15 +206,8 @@ def run_identity_exact(name: str, expr: Expr, cfg: RunConfig) -> CheckResult:
     )
 
 
-def run_identity(
-    name: str,
-    expr: Expr | None,
-    cfg: RunConfig,
-    builder_key: str | None = None,
-) -> CheckResult:
+def run_identity(name: str, expr: Expr, cfg: RunConfig) -> CheckResult:
     if cfg.mode == "exact":
-        if expr is None:
-            expr = _built_expr(builder_key)
         try:
             return run_identity_exact(name, expr, cfg)
         except BudgetExceeded as exc:
@@ -219,7 +215,7 @@ def run_identity(
                 f"{name}: exact expansion exceeded the term budget "
                 f"({cfg.budget}); rerun with a larger --budget or --mode modular"
             ) from exc
-    return run_identity_modular(name, expr, cfg, builder_key)
+    return run_identity_modular(name, expr, cfg)
 
 
 def run_identity_exact_else_modular(

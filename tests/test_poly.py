@@ -237,3 +237,30 @@ def test_add_matches_naive_oracle(p, q):
     got = oracles.from_package(p + q)
     want = oracles.naive_add(oracles.from_package(p), oracles.from_package(q))
     assert got == want
+
+
+def test_polarize_examples():
+    x, y, z = (Polynomial.variable(ZZ, VS, n) for n in ("x", "y", "z"))
+    F = x.mul(x).mul(y) * 3 + z
+    # z*d/dx + x*d/dy
+    assert F.polarize([("z", "x"), ("x", "y")]) == x.mul(y).mul(z) * 6 + x.mul(x).mul(x) * 3
+    assert F.polarize([]).is_zero()
+    # the Euler operator x*d/dx multiplies each term by its x-degree
+    assert F.polarize([("x", "x")]) == x.mul(x).mul(y) * 6
+    # over GF(7) the factor e = 7 vanishes
+    x7 = Polynomial.variable(GF(7), VS, "x") ** 7
+    assert x7.polarize([("y", "x")]).is_zero()
+    with pytest.raises(VariableMismatch):
+        F.polarize([("w", "x")])
+
+
+@given(packaged_polys(), packaged_polys())
+@settings(max_examples=200)
+def test_polarize_is_a_derivation(p, q):
+    """Leibniz rule, and agreement with the t-linear part of x -> x + t*y."""
+    D = [("y", "x"), ("z", "y")]
+    assert p.mul(q).polarize(D) == p.polarize(D).mul(q) + p.mul(q.polarize(D))
+    t = Polynomial.variable(ZZ, VariableSet(("x", "y", "z", "t")), "t")
+    v = {n: Polynomial.variable(ZZ, t.vars, n) for n in ("x", "y", "z")}
+    shifted = p.substitute({"x": v["x"] + t.mul(v["y"]), "y": v["y"] + t.mul(v["z"]), "z": v["z"]})
+    assert shifted.coefficient_of({"t": 1}, ("t",)) == p.polarize(D).convert(t.vars)

@@ -1,3 +1,6 @@
+import math
+import multiprocessing
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -144,3 +147,48 @@ def test_exact_mode_small_budget_aborts():
         rel.verify_main_relation(
             RunConfig(mode="exact", budget=1000, primes=(5,), trials=1)
         )
+
+
+def test_small_primes_report_no_failure_bound():
+    """d/p >= 1 for p <= d, so Schwartz-Zippel bounds nothing there."""
+    cfg = RunConfig(trials=2, primes=(2147483647, 5, 7, 19), seed=0)
+    result = rel.verify_main_relation(cfg)
+    assert result.passed
+    bounds = result.details["log10_failure_bound_per_prime"]
+    assert bounds["5"] is None and bounds["7"] is None
+    assert bounds["19"] == round(2 * math.log10(18 / 19), 2) < 0
+    assert bounds["2147483647"] == round(2 * math.log10(18 / 2147483647), 2)
+    assert result.notes == [
+        "primes 5, 7 do not exceed the degree bound 18: "
+        "spot-checks of an identity over ZZ that bound nothing"
+    ]
+    large = rel.verify_main_relation(RunConfig(trials=2, primes=(2147483647,), seed=0))
+    assert large.notes == []
+
+
+START_METHODS = [m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()]
+
+
+@pytest.mark.parametrize("method", START_METHODS)
+def test_parallel_run_evaluates_the_expression_it_is_given(monkeypatch, method):
+    """Regression: after a genuine parallel run, a run whose relation was
+    replaced must evaluate the replacement, not an expression cached by the
+    first run, with any start method of the worker processes."""
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(method, force=True)
+    try:
+        cfg = RunConfig(trials=3, primes=(2147483647,), seed=0, jobs=2)
+        assert rel.verify_main_relation(cfg).passed
+        mutated = rel.defining_relation() + Polynomial.monomial(
+            ZZ, rel.ABSTRACT12, {"h": 3}, 1
+        )
+        monkeypatch.setattr(rel, "defining_relation", lambda: mutated)
+        rebuilt = rel.verify_main_relation(cfg)
+        passed = rel.verify_main_relation(cfg, relation=mutated)
+        serial = rel.verify_main_relation(replace(cfg, jobs=1))
+    finally:
+        multiprocessing.set_start_method(previous, force=True)
+    assert not serial.passed
+    for result in (rebuilt, passed):
+        assert not result.passed
+        assert result.counterexample == serial.counterexample
