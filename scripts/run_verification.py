@@ -18,11 +18,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", type=Path, default=Path("verification_report.json"))
     args = parser.parse_args()
 
-    cfg = RunConfig(trials=args.trials, seed=args.seed, jobs=args.jobs).validated()
+    cfg = RunConfig(trials=args.trials, seed=args.seed).validated()
     results = run_suite("all", cfg)
     report = build_report("all", results, cfg)
     print(render_text(report))

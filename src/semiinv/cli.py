@@ -80,7 +80,6 @@ def _config_from(args) -> RunConfig:
         trials=args.trials,
         primes=primes,
         seed=args.seed,
-        jobs=args.jobs,
         budget=args.budget,
         allow_small_char=args.allow_small_char,
     ).validated()
@@ -150,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the main-relation suite additionally spot-checks 5 and 7)",
     )
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--budget", type=int, default=None,
                           help="term cap for exact expansions")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")

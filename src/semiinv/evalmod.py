@@ -7,8 +7,10 @@ most d/p (Schwartz-Zippel), so N independent points bound the chance of a
 missed nonzero identity by (d/p)^N per prime.
 
 Points are drawn from a counter-based SHA-256 stream keyed by
-(seed, prime, trial), so serial and parallel runs sample identical points and
-any trial can be reproduced in isolation.
+(seed, prime, trial), so a point does not depend on the batch it is evaluated
+in and any trial can be reproduced in isolation.  A point's values may be ints
+or equal-length int64 arrays; an array holds one value per trial of a batch,
+and numpy broadcasting carries the batch through the whole DAG.
 """
 
 from __future__ import annotations
@@ -110,32 +112,38 @@ def _coeffs_mod(comp, prime: int) -> np.ndarray:
     return arr
 
 
-def poly_eval_mod(p: Polynomial, point: Mapping[str, int], prime: int) -> int:
+def poly_eval_mod(p: Polynomial, point: Mapping[str, int], prime: int):
     """Value of p at the point over Z_p; coefficients are reduced mod p
-    (rational coefficients via modular inverse of the denominator)."""
+    (rational coefficients via modular inverse of the denominator).
+
+    A value of the point may be an int or an int64 array of shape (B,), one
+    entry per trial of a batch; the result is then an int64 array of shape
+    (B,), else an int.  Every entry lies in [0, p) with p < 2**31, so each
+    product of two entries is below 2**62, and the sum over the terms (at most
+    2**32 of them, each below 2**31) stays below 2**63: nothing overflows
+    int64 before its reduction."""
     if p.ring.is_gf and p.ring.p != prime:
         raise PolyError(f"polynomial lives over GF({p.ring.p}), cannot evaluate mod {prime}")
     comp = _compiled(p)
     if not len(comp["nums"]):
         return 0
-    coeffs = _coeffs_mod(comp, prime)
-    acc = coeffs.copy()
+    # acc has the terms on its last axis and the batch, if any, in front
+    acc = _coeffs_mod(comp, prime)
     exps = comp["exps"]
     for i in comp["used"]:
         name = p.vars.names[i]
         if name not in point:
             raise PolyError(f"missing binding for {name!r}")
-        v = point[name] % prime
+        v = np.asarray(point[name] % prime, dtype=np.int64)
         col = exps[:, i]
         maxdeg = int(col.max())
-        table = np.empty(maxdeg + 1, dtype=np.int64)
-        table[0] = 1
-        acc_v = 1
+        table = np.empty(v.shape + (maxdeg + 1,), dtype=np.int64)
+        table[..., 0] = 1
         for e in range(1, maxdeg + 1):
-            acc_v = acc_v * v % prime
-            table[e] = acc_v
-        acc = acc * table[col] % prime
-    return int(acc.sum() % prime)
+            table[..., e] = table[..., e - 1] * v % prime
+        acc = acc * table[..., col] % prime
+    total = acc.sum(axis=-1) % prime
+    return int(total) if total.ndim == 0 else total
 
 
 # -- expression DAG ----------------------------------------------------------
@@ -143,9 +151,10 @@ def poly_eval_mod(p: Polynomial, point: Mapping[str, int], prime: int) -> int:
 
 class Expr:
     """A node of an identity-expression DAG; evaluated bottom-up with
-    memoization, never expanded symbolically unless expand() is called."""
+    memoization, never expanded symbolically unless expand() is called.
+    eval_mod returns an int, or an int64 array for a batch of points."""
 
-    def eval_mod(self, point: Mapping[str, int], prime: int, memo: dict | None = None) -> int:
+    def eval_mod(self, point: Mapping[str, int], prime: int, memo: dict | None = None):
         raise NotImplementedError
 
     def degree_bound(self) -> int:

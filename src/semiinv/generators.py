@@ -103,13 +103,6 @@ def generic_triple() -> MatrixTriple:
     return MatrixTriple(*mats)
 
 
-def generic_pair_triple() -> MatrixTriple:
-    """(A, B, I): the generic triple specialized so the third matrix is the identity."""
-    g = generic_triple()
-    ident = PolyMatrix.identity(ZZ, TRIPLE_VARS, 3)
-    return MatrixTriple(g.a1, g.a2, ident)
-
-
 SKEW_PARAM_NAMES = ("x1", "y1", "z1", "x2", "y2", "z2", "x3", "y3", "z3")
 SKEW_VARS = VariableSet(SKEW_PARAM_NAMES)
 

@@ -88,9 +88,6 @@ class PolyMatrix:
             return PolyMatrix([[e.mul(c) if e.terms else e for e in r] for r in self.rows])
         return PolyMatrix([[e * c for e in r] for r in self.rows])
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix([[self.rows[j][i] for j in range(self.n)] for i in range(self.n)])
-
     def trace(self) -> Polynomial:
         acc = Polynomial.zero(self.ring, self.vars)
         for i in range(self.n):

@@ -11,7 +11,7 @@ bounded by 255; every object built in this project has total degree <= 54, and
 products guard the bound through a conservative per-polynomial exponent cap.
 
 Polynomials are immutable after construction and every operation is pure, so
-values can be shared freely across threads and forked worker processes.
+values can be shared freely.
 """
 
 from __future__ import annotations

@@ -7,6 +7,8 @@ suite catch it.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from . import conjinv, generators as gen, hwv, relations
 from .evalmod import SMALL_CHAR_PRIMES
 from .linalg import rank
@@ -126,15 +128,7 @@ def main_relation_suite(cfg: RunConfig) -> list:
     if cfg.mode == "modular" and cfg.primes == RunConfig().primes:
         # the relation holds over the integers, so spot-check small
         # characteristics on top of the default large primes
-        cfg = RunConfig(
-            mode=cfg.mode,
-            trials=cfg.trials,
-            primes=cfg.primes + SMALL_CHAR_PRIMES,
-            seed=cfg.seed,
-            jobs=cfg.jobs,
-            budget=cfg.budget,
-            allow_small_char=cfg.allow_small_char,
-        )
+        cfg = replace(cfg, primes=cfg.primes + SMALL_CHAR_PRIMES)
     return [relations.verify_main_relation(cfg)]
 
 

@@ -25,10 +25,6 @@ class ParseError(PolyError):
         self.column = column
 
 
-def to_text(p: Polynomial) -> str:
-    return p.text()
-
-
 _TOKEN_CHARS = set("+-*/^")
 
 

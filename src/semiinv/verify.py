@@ -2,18 +2,19 @@
 
 A check either expands an expression DAG exactly to the zero polynomial or
 evaluates it at pseudo-random points over a list of prime fields.  Modular
-runs are reproducible from (seed, primes, trials) and fan out across worker
-processes when jobs > 1; results are reduced deterministically, so reports do
-not depend on scheduling.
+runs are reproducible from (seed, primes, trials); each prime's trials are
+evaluated in one process, in batches of BATCH_TRIALS points per pass through
+the DAG, and a trial's point and value do not depend on its batch.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .evalmod import DEFAULT_PRIMES, Expr, check_prime, sample_point
 from .poly import BudgetExceeded, PolyError
@@ -31,17 +32,19 @@ class RunConfig:
     trials: int = 100
     primes: tuple = DEFAULT_PRIMES
     seed: int = 0
-    jobs: int = 1
+    jobs: int = 1  # runs are in-process; kept, pinned to 1, for callers and reports
     budget: int | None = None
     allow_small_char: bool = False
+
+    def __post_init__(self):
+        if self.jobs != 1:
+            raise VerifyUsageError("jobs must be 1: runs evaluate in one process")
 
     def validated(self) -> "RunConfig":
         if self.mode not in ("exact", "modular"):
             raise VerifyUsageError(f"unknown mode {self.mode!r}")
         if self.trials < 1:
             raise VerifyUsageError("trials must be >= 1")
-        if self.jobs < 1:
-            raise VerifyUsageError("jobs must be >= 1")
         try:
             for p in self.primes:
                 check_prime(p, allow_small_char=self.allow_small_char)
@@ -94,27 +97,9 @@ def boolean_check(name: str, fn: Callable[[], bool], mode: str = "exact", **deta
 
 # -- modular identity runs ----------------------------------------------------
 
-# the expression a worker process evaluates; set only inside pool workers, by
-# the pool initializer, from the expression the caller passed
-_WORKER_EXPR: Expr | None = None
-
-
-def _init_worker(expr: Expr):
-    global _WORKER_EXPR
-    _WORKER_EXPR = expr
-
-
-def _trial_chunk(args):
-    prime, start, stop, seed = args
-    expr = _WORKER_EXPR
-    names = expr.leaf_vars().names
-    failures = []
-    for trial in range(start, stop):
-        point = sample_point(names, seed, prime, trial)
-        value = expr.eval_mod(point, prime, {})
-        if value:
-            failures.append((trial, value, point))
-    return prime, start, failures
+# trials per pass through the DAG; larger batches buy little speed for a
+# peak memory that grows with the batch
+BATCH_TRIALS = 8
 
 
 def run_identity_modular(name: str, expr: Expr, cfg: RunConfig) -> CheckResult:
@@ -122,8 +107,8 @@ def run_identity_modular(name: str, expr: Expr, cfg: RunConfig) -> CheckResult:
     evaluation is zero.  Reports the Schwartz-Zippel failure bound per prime,
     or None for a prime p <= degree, where d/p >= 1 bounds nothing.
 
-    With cfg.jobs > 1 the trials fan out over worker processes; each worker
-    receives exactly the expression passed here, whatever the start method."""
+    The points of a batch are drawn one by one with sample_point and stacked
+    into int64 arrays, so one eval_mod call evaluates the whole batch."""
     t0 = time.perf_counter()
     names = expr.leaf_vars().names
     degree = expr.degree_bound()
@@ -136,28 +121,19 @@ def run_identity_modular(name: str, expr: Expr, cfg: RunConfig) -> CheckResult:
             else round(cfg.trials * math.log10(degree / p), 2)
         )
     failures = []
-
-    if cfg.jobs > 1:
-        chunk = max(1, -(-cfg.trials // cfg.jobs))
-        tasks = [
-            (p, s, min(s + chunk, cfg.trials), cfg.seed)
-            for p in cfg.primes
-            for s in range(0, cfg.trials, chunk)
-        ]
-        with ProcessPoolExecutor(
-            max_workers=cfg.jobs, initializer=_init_worker, initargs=(expr,)
-        ) as pool:
-            raw = list(pool.map(_trial_chunk, tasks))
-        raw.sort(key=lambda r: (r[0], r[1]))
-        for prime, _, chunk_failures in raw:
-            failures.extend((prime, t, v, pt) for t, v, pt in chunk_failures)
-    else:
-        for prime in cfg.primes:
-            for trial in range(cfg.trials):
-                point = sample_point(names, cfg.seed, prime, trial)
-                value = expr.eval_mod(point, prime, {})
-                if value:
-                    failures.append((prime, trial, value, point))
+    for prime in cfg.primes:
+        for start in range(0, cfg.trials, BATCH_TRIALS):
+            trials = range(start, min(start + BATCH_TRIALS, cfg.trials))
+            points = [sample_point(names, cfg.seed, prime, t) for t in trials]
+            batch = {
+                n: np.array([pt[n] for pt in points], dtype=np.int64) for n in names
+            }
+            values = np.broadcast_to(expr.eval_mod(batch, prime, {}), len(points))
+            failures.extend(
+                (prime, t, int(v), pt)
+                for t, v, pt in zip(trials, values, points)
+                if v
+            )
 
     failures.sort(key=lambda f: (f[0], f[1]))
     counterexample = None
@@ -227,15 +203,9 @@ def run_identity_exact_else_modular(
     """Try the exact expansion under a budget; on overflow fall back to the
     modular protocol and record the fallback."""
     try:
-        result = run_identity_exact(name, expr, RunConfig(
-            mode="exact",
-            trials=cfg.trials,
-            primes=cfg.primes,
-            seed=cfg.seed,
-            budget=attempt_budget,
-            allow_small_char=cfg.allow_small_char,
-        ))
-        return result
+        return run_identity_exact(
+            name, expr, replace(cfg, mode="exact", budget=attempt_budget)
+        )
     except BudgetExceeded:
         result = run_identity_modular(name, expr, cfg)
         result.notes.append(

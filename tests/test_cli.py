@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from semiinv import cli, conjinv, relations
 from semiinv.poly import ZZ, Polynomial
 
@@ -118,15 +120,11 @@ def test_json_report_deterministic_modulo_timing(capsys):
     assert r1["passed"] is True
 
 
-def test_jobs_do_not_change_the_report(capsys):
-    base = ("verify", "main-relation", "--trials", "6", "--primes", "2147483587,5")
-    _, serial, _ = run_cli(capsys, *base, "--format", "json")
-    _, parallel, _ = run_cli(capsys, *base, "--jobs", "3", "--format", "json")
-    a = _strip_timing(json.loads(serial))
-    b = _strip_timing(json.loads(parallel))
-    a["config"].pop("jobs")
-    b["config"].pop("jobs")
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+def test_jobs_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "main-relation", "--trials", "2", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_negative_control_corrupted_relation_via_cli(capsys, monkeypatch):

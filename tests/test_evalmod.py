@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from semiinv import evalmod, generators as gen
+import numpy as np
+
+from semiinv import evalmod, generators as gen, relations as rel
 from semiinv.evalmod import (
     DEFAULT_PRIMES,
     Leaf,
@@ -167,3 +169,31 @@ def test_block_determinant_extract_vs_evaluate_10_points():
         assert v1 == coeff
         # path 3: exact integer evaluation reduced mod p
         assert v1 == q27.evaluate(point) % prime
+
+
+@pytest.mark.parametrize("prime", [2147483647, 5, 7])
+def test_batch_evaluation_equals_per_point(prime):
+    """One evaluation of a batch of points gives, trial by trial, the value
+    of the per-point evaluation: for the leaves q and Q and for theorem 1's
+    PolyAt, whose outer polynomial has the rational coefficient 27/4."""
+    table = gen.generator_table()
+    points = [sample_point(gen.TRIPLE_NAMES, 5, prime, t) for t in range(6)]
+    batch = {
+        n: np.array([pt[n] for pt in points], dtype=np.int64)
+        for n in gen.TRIPLE_NAMES
+    }
+    theorem1 = rel.theorem1_expr()
+    assert any(
+        isinstance(c, Fraction) and c.denominator == 4
+        for c in theorem1.outer.terms.values()
+    )
+    for evaluate in (
+        lambda pt: poly_eval_mod(table.q, pt, prime),
+        lambda pt: poly_eval_mod(table.Q, pt, prime),
+        lambda pt: theorem1.eval_mod(pt, prime, {}),
+    ):
+        values = evaluate(batch)
+        assert values.shape == (len(points),)
+        expected = [evaluate(pt) for pt in points]
+        assert all(type(v) is int for v in expected)
+        assert values.tolist() == expected

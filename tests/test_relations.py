@@ -1,13 +1,18 @@
 import math
 import multiprocessing
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from semiinv import generators as gen, relations as rel
+from semiinv.evalmod import sample_point
 from semiinv.poly import QQ, ZZ, Polynomial
-from semiinv.verify import RunConfig
+from semiinv.verify import (
+    BATCH_TRIALS,
+    RunConfig,
+    VerifyUsageError,
+    run_identity_modular,
+)
 
 SMALL = RunConfig(trials=8, primes=(2147483647, 2147483629, 5, 7), seed=0)
 
@@ -141,8 +146,6 @@ def test_negative_control_mutated_relation():
 
 
 def test_exact_mode_small_budget_aborts():
-    from semiinv.verify import VerifyUsageError
-
     with pytest.raises(VerifyUsageError):
         rel.verify_main_relation(
             RunConfig(mode="exact", budget=1000, primes=(5,), trials=1)
@@ -166,29 +169,73 @@ def test_small_primes_report_no_failure_bound():
     assert large.notes == []
 
 
+def _mutated_relation():
+    return rel.defining_relation() + Polynomial.monomial(
+        ZZ, rel.ABSTRACT12, {"h": 3}, 1
+    )
+
+
 START_METHODS = [m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()]
 
 
 @pytest.mark.parametrize("method", START_METHODS)
 def test_parallel_run_evaluates_the_expression_it_is_given(monkeypatch, method):
-    """Regression: after a genuine parallel run, a run whose relation was
-    replaced must evaluate the replacement, not an expression cached by the
-    first run, with any start method of the worker processes."""
+    """Regression: after a genuine run, a run whose relation was replaced must
+    evaluate the replacement, whether it is passed or rebuilt by the
+    monkeypatched provider, not an expression cached by the first run. The
+    start method of worker processes must not matter, because the engine
+    runs every trial in this process and starts no worker at all."""
+
+    def no_worker(self):
+        raise AssertionError("the modular engine started a worker process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_worker)
     previous = multiprocessing.get_start_method(allow_none=True)
     multiprocessing.set_start_method(method, force=True)
     try:
-        cfg = RunConfig(trials=3, primes=(2147483647,), seed=0, jobs=2)
+        cfg = RunConfig(trials=3, primes=(2147483647,), seed=0)
         assert rel.verify_main_relation(cfg).passed
-        mutated = rel.defining_relation() + Polynomial.monomial(
-            ZZ, rel.ABSTRACT12, {"h": 3}, 1
-        )
+        mutated = _mutated_relation()
+        passed = rel.verify_main_relation(cfg, relation=mutated)
         monkeypatch.setattr(rel, "defining_relation", lambda: mutated)
         rebuilt = rel.verify_main_relation(cfg)
-        passed = rel.verify_main_relation(cfg, relation=mutated)
-        serial = rel.verify_main_relation(replace(cfg, jobs=1))
     finally:
         multiprocessing.set_start_method(previous, force=True)
-    assert not serial.passed
-    for result in (rebuilt, passed):
-        assert not result.passed
-        assert result.counterexample == serial.counterexample
+    assert not rebuilt.passed and not passed.passed
+    assert rebuilt.counterexample == passed.counterexample
+    ce = passed.counterexample
+    fresh = rel.main_relation_expr(mutated).eval_mod(ce["point"], ce["prime"], {})
+    assert fresh == ce["value"] != 0
+
+
+def test_batched_run_matches_a_per_point_loop():
+    """13 trials are one full batch and a partial one; the report equals a
+    reference loop of sample_point and scalar eval_mod, point by point."""
+    assert 13 % BATCH_TRIALS
+    cfg = RunConfig(trials=13, primes=(2147483647, 5, 7), seed=4)
+    expr = rel.main_relation_expr(_mutated_relation())
+    names = expr.leaf_vars().names
+    failures = []
+    for prime in cfg.primes:
+        for trial in range(cfg.trials):
+            point = sample_point(names, cfg.seed, prime, trial)
+            value = expr.eval_mod(point, prime, {})
+            if value:
+                failures.append((prime, trial, value, point))
+    assert failures
+    result = run_identity_modular("mutated", expr, cfg)
+    assert not result.passed
+    assert result.details["evaluations"] == 13 * 3
+    assert result.details["nonzero_evaluations"] == len(failures)
+    prime, trial, value, point = min(failures, key=lambda f: (f[0], f[1]))
+    assert result.counterexample == {
+        "prime": prime, "trial": trial, "value": value, "point": point,
+    }
+    assert type(result.counterexample["value"]) is int
+
+
+def test_jobs_other_than_one_are_refused():
+    assert RunConfig(jobs=1).validated().to_json()["jobs"] == 1
+    for jobs in (0, 2):
+        with pytest.raises(VerifyUsageError):
+            RunConfig(jobs=jobs)
