@@ -7,12 +7,11 @@ invariants of matrix pairs, with every identity machine-verified either by
 exact expansion or by randomized evaluation over prime fields.
 """
 
-from .poly import GF, QQ, ZZ, BudgetExceeded, Polynomial, PolyError, Ring, VariableSet
+from .poly import QQ, ZZ, BudgetExceeded, Polynomial, PolyError, Ring, VariableSet
 from .matrix import PolyMatrix, block_matrix
 from .verify import CheckResult, RunConfig
 
 __all__ = [
-    "GF",
     "QQ",
     "ZZ",
     "BudgetExceeded",

@@ -4,7 +4,9 @@ Identities too large to expand symbolically are checked by evaluating both
 sides at random points over prime fields.  A nonzero polynomial of total
 degree d vanishes at a uniformly random point of Z_p^n with probability at
 most d/p (Schwartz-Zippel), so N independent points bound the chance of a
-missed nonzero identity by (d/p)^N per prime.
+missed nonzero identity by (d/p)^N per prime.  This kernel is the only
+modular arithmetic in the package: polynomials carry ZZ or QQ coefficients,
+which are reduced mod p here.
 
 Points are drawn from a counter-based SHA-256 stream keyed by
 (seed, prime, trial), so a point does not depend on the batch it is evaluated
@@ -21,12 +23,41 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .poly import Polynomial, PolyError, VariableSet, _FIELD_MASK, _is_prime_u32
+from .poly import Polynomial, PolyError, VariableSet, _FIELD_MASK
 
 DEFAULT_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563)
 SMALL_CHAR_PRIMES = (5, 7)
 
 _PRIME_LIMIT = 2**31
+
+
+class DenominatorNotInvertible(PolyError):
+    """A rational coefficient has no value mod the prime: p divides its
+    denominator."""
+
+
+def _is_prime_u32(n: int) -> bool:
+    # deterministic Miller-Rabin; bases {2,3,5,7} suffice below 3215031751
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def check_prime(p: int, allow_small_char: bool = False) -> int:
@@ -105,7 +136,9 @@ def _coeffs_mod(comp, prime: int) -> np.ndarray:
                 vals.append(num % prime)
             else:
                 if den % prime == 0:
-                    raise PolyError(f"denominator {den} not invertible mod {prime}")
+                    raise DenominatorNotInvertible(
+                        f"denominator {den} not invertible mod {prime}"
+                    )
                 vals.append(num * pow(den, -1, prime) % prime)
         arr = np.array(vals, dtype=np.int64)
         comp["coeffs_mod"][prime] = arr
@@ -122,8 +155,6 @@ def poly_eval_mod(p: Polynomial, point: Mapping[str, int], prime: int):
     product of two entries is below 2**62, and the sum over the terms (at most
     2**32 of them, each below 2**31) stays below 2**63: nothing overflows
     int64 before its reduction."""
-    if p.ring.is_gf and p.ring.p != prime:
-        raise PolyError(f"polynomial lives over GF({p.ring.p}), cannot evaluate mod {prime}")
     comp = _compiled(p)
     if not len(comp["nums"]):
         return 0

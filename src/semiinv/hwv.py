@@ -3,7 +3,9 @@
 A polynomial in the 27 triple coordinates is a weight vector of weight alpha
 iff it is multihomogeneous of multidegree alpha.  Fixedness under the
 elementary transvections is certified with Lie-algebra derivations instead of
-group substitution, over the coefficient ring of F (ZZ for the generators):
+group substitution, over the coefficient ring of F (ZZ for the generators;
+QQ for the corrected H and Q, whose denominators are cleared first).  Both
+rings have characteristic 0, which the argument below needs:
 
 * The right action of I + t*E_ij adds t*A_i to A_j, and by Taylor expansion
   F(T.(I + t*E_ij)) = sum_k t^k/k! * D_ij^k F, where D_ij = sum_ab x{i}_ab
@@ -41,7 +43,7 @@ from typing import Sequence
 
 from . import generators as gen
 from . import linalg
-from .poly import QQ, ZZ, Polynomial, PolyError
+from .poly import QQ, ZZ, Polynomial
 
 InconsistentSystem = linalg.InconsistentSystem
 UnderdeterminedSystem = linalg.UnderdeterminedSystem
@@ -116,9 +118,8 @@ def column_derivation(i: int, j: int) -> tuple:
 
 def _killed_by(F: Polynomial, derivations) -> bool:
     """True iff every derivation, given by its (src, dst) pairs, kills F.
-    The fixedness equivalence needs characteristic 0, so GF(p) is refused."""
-    if F.ring.is_gf:
-        raise PolyError("derivation certificates need characteristic 0")
+    The fixedness equivalence needs characteristic 0, which always holds:
+    ZZ and QQ are the only coefficient rings."""
     if F.ring == QQ:
         # D(c*F) = c*D(F): clear denominators so every derivation runs in ints
         den = lcm(*(c.denominator for c in F.terms.values()))

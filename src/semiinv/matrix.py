@@ -110,8 +110,6 @@ class PolyMatrix:
         if n > _DET_DIM_LIMIT:
             raise PolyError(f"determinant supports n <= {_DET_DIM_LIMIT}, got {n}")
         ring, vs = self.ring, self.vars
-        is_gf = ring.is_gf
-        p = ring.p
         # states: column subset (bitmask) -> raw term dict for the minor of
         # the first popcount(mask) rows on those columns
         states = {0: {0: ring.normalize(1)}}
@@ -135,15 +133,9 @@ class PolyMatrix:
                             cc = sign * c1 * c2
                             c0 = get(kk)
                             acc[kk] = cc if c0 is None else c0 + cc
-            if is_gf:
-                states = {
-                    m: {k: c for k, c in ((k, c % p) for k, c in t.items()) if c}
-                    for m, t in new_states.items()
-                }
-            else:
-                states = {
-                    m: {k: c for k, c in t.items() if c} for m, t in new_states.items()
-                }
+            states = {
+                m: {k: c for k, c in t.items() if c} for m, t in new_states.items()
+            }
         final = states.get((1 << n) - 1, {})
         return Polynomial(ring, vs, final)
 

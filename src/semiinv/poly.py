@@ -1,7 +1,8 @@
 """Exact sparse multivariate polynomial arithmetic.
 
-Coefficients are Python ints (ring ZZ), fractions.Fraction (ring QQ), or
-residues in [0, p) for an odd prime p < 2**31 (ring GF(p)).  A monomial is an
+Coefficients are Python ints (ring ZZ) or fractions.Fraction (ring QQ); there
+is no other ring, so the layer works in characteristic 0 and modular
+arithmetic lives only in the evaluation kernel of `evalmod`.  A monomial is an
 exponent vector over a fixed, ordered variable set; internally it is packed
 into a single integer at 8 bits per variable.  Packed keys compare
 lexicographically exactly like the exponent vectors they encode, so the
@@ -42,42 +43,14 @@ class BudgetExceeded(PolyError):
     """An exact expansion grew past the configured term budget."""
 
 
-def _is_prime_u32(n: int) -> bool:
-    # deterministic Miller-Rabin; bases {2,3,5,7} suffice below 3215031751
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 class Ring:
-    """Coefficient ring tag: ZZ, QQ, or GF(p) for an odd prime p < 2**31."""
+    """Coefficient ring tag: ZZ or QQ.  These are the only rings, so every
+    polynomial lives in characteristic 0."""
 
-    __slots__ = ("kind", "p")
+    __slots__ = ("kind",)
 
-    def __init__(self, kind: str, p: int = 0):
+    def __init__(self, kind: str):
         self.kind = kind
-        self.p = p
-
-    @property
-    def is_gf(self) -> bool:
-        return self.kind == "GF"
 
     def normalize(self, c) -> Coeff:
         """Coerce a scalar into this ring, or raise RingMismatch."""
@@ -89,54 +62,27 @@ class Ring:
                     return c.numerator
                 raise RingMismatch(f"non-integer coefficient {c} in ZZ")
             raise RingMismatch(f"bad coefficient {c!r} for ZZ")
-        if self.kind == "QQ":
-            if isinstance(c, (int, Fraction)):
-                return Fraction(c)
-            raise RingMismatch(f"bad coefficient {c!r} for QQ")
-        if isinstance(c, int):
-            return c % self.p
-        if isinstance(c, Fraction):
-            if c.denominator % self.p == 0:
-                raise RingMismatch(f"denominator of {c} not invertible mod {self.p}")
-            return c.numerator * pow(c.denominator, -1, self.p) % self.p
-        raise RingMismatch(f"bad coefficient {c!r} for GF({self.p})")
+        if isinstance(c, (int, Fraction)):
+            return Fraction(c)
+        raise RingMismatch(f"bad coefficient {c!r} for QQ")
 
     def __eq__(self, other):
-        return isinstance(other, Ring) and self.kind == other.kind and self.p == other.p
+        return isinstance(other, Ring) and self.kind == other.kind
 
     def __hash__(self):
-        return hash((self.kind, self.p))
+        return hash(self.kind)
 
     def __repr__(self):
-        return f"GF({self.p})" if self.is_gf else self.kind
+        return self.kind
 
 
 ZZ = Ring("ZZ")
 QQ = Ring("QQ")
 
-_GF_CACHE: dict = {}
-
-
-def GF(p: int) -> Ring:
-    """The prime field Z_p; p must be an odd prime below 2**31."""
-    r = _GF_CACHE.get(p)
-    if r is None:
-        if p == 2 or p >= 2**31 or not _is_prime_u32(p):
-            raise PolyError(f"GF requires an odd prime < 2**31, got {p}")
-        r = _GF_CACHE[p] = Ring("GF", p)
-    return r
-
 
 def unify_rings(a: Ring, b: Ring) -> Ring:
-    """The smallest ring both coefficient sets coerce into."""
-    if a == b:
-        return a
-    kinds = {a.kind, b.kind}
-    if kinds == {"ZZ", "QQ"}:
-        return QQ
-    if "GF" in kinds and kinds != {"GF"}:
-        return a if a.is_gf else b
-    raise RingMismatch(f"cannot mix {a} and {b}")
+    """The smallest ring both coefficient sets coerce into: ZZ embeds in QQ."""
+    return a if a == b else QQ
 
 
 class VariableSet:
@@ -356,8 +302,6 @@ class Polynomial:
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
-        is_gf = self.ring.is_gf
-        p = self.ring.p
         out = dict(a)
         for k, c in b.items():
             c0 = out.get(k)
@@ -365,8 +309,6 @@ class Polynomial:
                 out[k] = c
                 continue
             c0 = c0 + c
-            if is_gf:
-                c0 %= p
             if c0:
                 out[k] = c0
             else:
@@ -376,9 +318,6 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        if self.ring.is_gf:
-            p = self.ring.p
-            return Polynomial(self.ring, self.vars, {k: (p - c) % p for k, c in self.terms.items()}, self.maxexp)
         return Polynomial(self.ring, self.vars, {k: -c for k, c in self.terms.items()}, self.maxexp)
 
     def __sub__(self, other):
@@ -394,9 +333,6 @@ class Polynomial:
             c = self.ring.normalize(other)
             if not c:
                 return Polynomial.zero(self.ring, self.vars)
-            if self.ring.is_gf:
-                p = self.ring.p
-                return Polynomial(self.ring, self.vars, {k: v * c % p for k, v in self.terms.items()}, self.maxexp)
             return Polynomial(self.ring, self.vars, {k: v * c for k, v in self.terms.items()}, self.maxexp)
         return self.mul(other)
 
@@ -421,11 +357,7 @@ class Polynomial:
                 out[k] = c1 * c2 if c0 is None else c0 + c1 * c2
             if budget is not None and len(out) > budget:
                 raise BudgetExceeded(f"product grew past {budget} terms")
-        if self.ring.is_gf:
-            p = self.ring.p
-            out = {k: c for k, c in ((k, c % p) for k, c in out.items()) if c}
-        else:
-            out = {k: c for k, c in out.items() if c}
+        out = {k: c for k, c in out.items() if c}
         return Polynomial(self.ring, self.vars, out, self.maxexp + other.maxexp)
 
     def __pow__(self, n: int):
@@ -525,11 +457,7 @@ class Polynomial:
                     kk = k + delta
                     c0 = get(kk)
                     out[kk] = c * e if c0 is None else c0 + c * e
-        if self.ring.is_gf:
-            p = self.ring.p
-            out = {k: c for k, c in ((k, c % p) for k, c in out.items()) if c}
-        else:
-            out = {k: c for k, c in out.items() if c}
+        out = {k: c for k, c in out.items() if c}
         return Polynomial(self.ring, self.vars, out, self.maxexp + 1)
 
     def substitute(self, bindings: Mapping[str, object], budget: int | None = None) -> "Polynomial":
@@ -581,13 +509,9 @@ class Polynomial:
 
         out: dict = {}
         maxexp_out = 0
-        is_gf = ring.is_gf
-        p_mod = ring.p
         for k, c in self.terms.items():
             if isinstance(c, int) and ring.kind == "QQ":
                 c = Fraction(c)
-            elif is_gf:
-                c = ring.normalize(c)
             residual = 0
             res_max = 0
             for sh_old, sh_new in passthrough:
@@ -603,20 +527,16 @@ class Polynomial:
                     continue
                 if name in scalar_bindings:
                     c = c * scalar_bindings[name] ** e
-                    if is_gf:
-                        c %= p_mod
                 else:
                     q = power(name, e)
                     factor = q if factor is None else factor.mul(q, budget=budget)
-            if is_gf:
-                c %= p_mod
             if not c:
                 continue
             if factor is None:
                 c0 = out.get(residual)
                 c0 = c if c0 is None else c0 + c
-                if (c0 % p_mod if is_gf else c0):
-                    out[residual] = c0 % p_mod if is_gf else c0
+                if c0:
+                    out[residual] = c0
                 else:
                     out.pop(residual, None)
                 if res_max > maxexp_out:
@@ -632,8 +552,6 @@ class Polynomial:
                     cc = c * c2
                     c0 = get(kk)
                     cc = cc if c0 is None else c0 + cc
-                    if is_gf:
-                        cc %= p_mod
                     if cc:
                         out[kk] = cc
                     else:
@@ -662,8 +580,6 @@ class Polynomial:
                 kk >>= _FIELD_BITS
                 i -= 1
             total = total + v
-        if self.ring.is_gf:
-            total %= self.ring.p
         return total
 
     # -- rendering -----------------------------------------------------------

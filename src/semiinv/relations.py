@@ -136,11 +136,6 @@ def f_leaves(table=None) -> dict:
     return {f"f{n}": Leaf(table.f[n - 1]) for n in range(1, 11)}
 
 
-def compose_with_f(p_f: Polynomial, table=None) -> Expr:
-    """An f-ring polynomial as an expression over the 27 triple coordinates."""
-    return PolyAt(p_f, f_leaves(table))
-
-
 def evaluate_f_form_on_triple(p_f: Polynomial, T) -> Polynomial:
     """Compose an f-ring polynomial with the pencil coefficients of a
     concrete triple; exact, in the triple's own variables."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .poly import GF, QQ, ZZ, Polynomial, PolyError, Ring, VariableSet
+from .poly import QQ, ZZ, Polynomial, PolyError, Ring, VariableSet
 
 
 class ParseError(PolyError):
@@ -176,8 +176,6 @@ def _ring_from_tag(tag: str) -> Ring:
         return ZZ
     if tag == "QQ":
         return QQ
-    if tag.startswith("GF(") and tag.endswith(")"):
-        return GF(int(tag[3:-1]))
     raise PolyError(f"unknown ring tag {tag!r}")
 
 

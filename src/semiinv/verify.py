@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .evalmod import DEFAULT_PRIMES, Expr, check_prime, sample_point
+from .evalmod import DEFAULT_PRIMES, DenominatorNotInvertible, Expr, check_prime, sample_point
 from .poly import BudgetExceeded, PolyError
 
 REPORT_SCHEMA = "semiinv-report/1"
@@ -45,6 +45,9 @@ class RunConfig:
             raise VerifyUsageError(f"unknown mode {self.mode!r}")
         if self.trials < 1:
             raise VerifyUsageError("trials must be >= 1")
+        if len(set(self.primes)) != len(self.primes):
+            # points are keyed by (seed, prime, trial): a repeat re-evaluates them
+            raise VerifyUsageError(f"repeated prime in {list(self.primes)}")
         try:
             for p in self.primes:
                 check_prime(p, allow_small_char=self.allow_small_char)
@@ -128,7 +131,11 @@ def run_identity_modular(name: str, expr: Expr, cfg: RunConfig) -> CheckResult:
             batch = {
                 n: np.array([pt[n] for pt in points], dtype=np.int64) for n in names
             }
-            values = np.broadcast_to(expr.eval_mod(batch, prime, {}), len(points))
+            try:
+                values = expr.eval_mod(batch, prime, {})
+            except DenominatorNotInvertible as exc:
+                raise VerifyUsageError(f"{name}: {exc}") from None
+            values = np.broadcast_to(values, len(points))
             failures.extend(
                 (prime, t, int(v), pt)
                 for t, v, pt in zip(trials, values, points)
@@ -201,11 +208,13 @@ def run_identity_exact_else_modular(
     attempt_budget: int,
 ) -> CheckResult:
     """Try the exact expansion under a budget; on overflow fall back to the
-    modular protocol and record the fallback."""
+    modular protocol and record the fallback.  An exact-mode run never falls
+    back: its overflow is a usage error, as in run_identity."""
+    exact_cfg = replace(cfg, mode="exact", budget=attempt_budget)
+    if cfg.mode == "exact":
+        return run_identity(name, expr, exact_cfg)
     try:
-        return run_identity_exact(
-            name, expr, replace(cfg, mode="exact", budget=attempt_budget)
-        )
+        return run_identity_exact(name, expr, exact_cfg)
     except BudgetExceeded:
         result = run_identity_modular(name, expr, cfg)
         result.notes.append(

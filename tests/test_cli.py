@@ -97,6 +97,36 @@ def test_verify_characteristic_three_gate(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("suite", ["theorem1", "all"])
+def test_verify_characteristic_three_with_a_denominator_three_exits_2(capsys, suite):
+    """Theorem 1's identity has a coefficient with denominator 3, so it has
+    no value mod 3: a usage error naming the identity and the prime."""
+    code, out, err = run_cli(
+        capsys, "verify", suite, "--primes", "3", "--allow-small-char", "--trials", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: theorem1: denominator 3 not invertible mod 3\n"
+
+
+def test_verify_repeated_prime_exits_2(capsys):
+    code, _, err = run_cli(
+        capsys, "verify", "theorem1", "--primes", "2147483647,2147483647", "--trials", "3"
+    )
+    assert code == 2
+    assert "repeated prime" in err
+
+
+def test_verify_exact_nakamoto_over_budget_exits_2(capsys):
+    """An exact run never falls back to modular evaluation."""
+    code, out, err = run_cli(
+        capsys, "verify", "nakamoto", "--mode", "exact", "--budget", "1000"
+    )
+    assert code == 2
+    assert out == ""
+    assert "exceeded the term budget (1000)" in err
+
+
 def test_verify_main_relation_small(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "main-relation", "--trials", "4", "--seed", "1",

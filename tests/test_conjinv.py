@@ -5,7 +5,7 @@ import pytest
 
 from semiinv import conjinv as cj, generators as gen, relations as rel
 from semiinv.poly import ZZ, Polynomial
-from semiinv.verify import RunConfig
+from semiinv.verify import RunConfig, VerifyUsageError
 
 import oracles
 
@@ -228,6 +228,12 @@ def test_composed_relation_modular_fallback():
     assert result.passed
     assert result.mode == "modular"
     assert result.notes
+
+
+def test_composed_relation_exact_mode_does_not_fall_back():
+    cfg = RunConfig(mode="exact", trials=6, primes=(2147483629,), budget=10_000)
+    with pytest.raises(VerifyUsageError, match="exceeded the term budget"):
+        cj.verify_nakamoto_composed(cfg)
 
 
 def test_composed_relation_at_identity_pair(gens18):

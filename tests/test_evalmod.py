@@ -16,7 +16,7 @@ from semiinv.evalmod import (
     sample_point,
 )
 from semiinv.matrix import block_matrix
-from semiinv.poly import GF, QQ, ZZ, Polynomial, PolyError, VariableSet
+from semiinv.poly import QQ, ZZ, Polynomial, PolyError, VariableSet
 
 import oracles
 
@@ -131,12 +131,14 @@ def test_unbound_abstract_variable_rejected():
 
 def test_block_determinant_extract_vs_evaluate_10_points():
     """Extract-then-evaluate equals evaluate-then-extract for the 9x9 block
-    determinant, cross-checked against the exact integer path."""
+    determinant, cross-checked against the exact integer path.  The blocks
+    hold the point's residues as integers; only the extracted coefficient is
+    reduced mod p."""
     prime = 2147483629
     table = gen.generator_table()
     q27 = table.q
     tvars = VariableSet(gen.T_NAMES)
-    ring = GF(prime)
+    ring = ZZ
     for trial in range(10):
         point = sample_point(gen.TRIPLE_NAMES, seed=99, prime=prime, trial=trial)
         # path 1: evaluate the stored 27-variable polynomial
@@ -166,7 +168,7 @@ def test_block_determinant_extract_vs_evaluate_10_points():
         coeff = det.coefficient(
             {"t1": 2, "t2": 1, "t3": 2, "t4": 1, "t5": 2, "t6": 1}
         )
-        assert v1 == coeff
+        assert v1 == coeff % prime
         # path 3: exact integer evaluation reduced mod p
         assert v1 == q27.evaluate(point) % prime
 

@@ -1,12 +1,13 @@
 import math
 import multiprocessing
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from semiinv import generators as gen, relations as rel
 from semiinv.evalmod import sample_point
-from semiinv.poly import QQ, ZZ, Polynomial
+from semiinv.poly import QQ, ZZ, Polynomial, PolyError
 from semiinv.verify import (
     BATCH_TRIALS,
     RunConfig,
@@ -232,6 +233,27 @@ def test_batched_run_matches_a_per_point_loop():
         "prime": prime, "trial": trial, "value": value, "point": point,
     }
     assert type(result.counterexample["value"]) is int
+
+
+def test_repeated_primes_are_refused():
+    """Points are keyed by (seed, prime, trial): a repeated prime would count
+    the same evaluations twice."""
+    with pytest.raises(VerifyUsageError, match="repeated prime"):
+        RunConfig(primes=(2147483647, 5, 2147483647)).validated()
+
+
+def test_only_a_non_invertible_denominator_becomes_a_usage_error(monkeypatch):
+    cfg = RunConfig(trials=1, primes=(3,), allow_small_char=True)
+    with pytest.raises(VerifyUsageError, match="^theorem1: denominator 3 not invertible mod 3$"):
+        rel.verify_theorem1(cfg)
+    expr = rel.theorem1_expr()
+
+    def broken(*args):
+        raise PolyError("some other failure")
+
+    monkeypatch.setattr(expr, "eval_mod", broken)
+    with pytest.raises(PolyError, match="some other failure"):
+        run_identity_modular("theorem1", expr, replace(cfg, primes=(2147483647,)))
 
 
 def test_jobs_other_than_one_are_refused():

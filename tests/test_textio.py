@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from semiinv import textio
-from semiinv.poly import QQ, ZZ, Polynomial, VariableSet
+from semiinv.poly import QQ, ZZ, Polynomial, PolyError, VariableSet
 from semiinv.textio import ParseError
 
 VS = VariableSet(("x", "y"))
@@ -53,6 +53,13 @@ def test_json_roundtrip():
     x = Polynomial.variable(QQ, VS, "x")
     p = x ** 3 * Fraction(-7, 2) + 5
     assert textio.from_json(textio.to_json(p)) == p
+
+
+def test_json_rejects_a_prime_field_ring_tag():
+    """ZZ and QQ are the only coefficient rings."""
+    text = '{"ring":"GF(7)","terms":[{"c":"1","e":[1,0]}],"variables":["x","y"]}'
+    with pytest.raises(PolyError, match="unknown ring tag"):
+        textio.from_json(text)
 
 
 def test_parse_error_reports_position():
