@@ -112,15 +112,14 @@ def cmd_derive_st(args) -> int:
 
 
 def cmd_solve_hwv(args) -> int:
-    beta_h = hwv.solve_h_correction()
-    beta_q = hwv.solve_q_correction()
-    print("H correction on [f2*f9, f3*f8, f4*f6, f5^2]:")
-    print("  " + " ".join(str(Fraction(b)) for b in beta_h))
-    print(
-        "Q correction on [h*f5, f1*f7*f10, f1*f8*f9, f7*f3*f6, f10*f2*f4, "
-        "f5*f4*f6, f2*f6*f8, f4*f3*f9]:"
+    solved = (
+        ("H", gen.H_CORRECTIONS, hwv.solve_h_correction()),
+        ("Q", gen.Q_CORRECTIONS, hwv.solve_q_correction()),
     )
-    print("  " + " ".join(str(Fraction(b)) for b in beta_q))
+    for name, corrections, beta in solved:
+        labels = ", ".join(gen.correction_label(keys) for _, keys in corrections)
+        print(f"{name} correction on [{labels}]:")
+        print("  " + " ".join(str(Fraction(b)) for b in beta))
     return 0
 
 

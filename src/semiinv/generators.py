@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -46,7 +46,10 @@ F_NAMES = tuple(f"f{i}" for i in range(1, 11))
 F_VARS = VariableSet(F_NAMES)
 
 # Correction coefficients making H = h + sum(c * f_i * f_j) and
-# Q = q + sum(c * prod) highest weight vectors; "h" marks an h-factor.
+# Q = q + sum(c * prod) highest weight vectors.  A factor key is n for f_n and
+# "h" for h.  These two tables are the only place the correction monomials are
+# written: H and Q, the bases the corrections are solved in, the abstract
+# forms in the 12-variable ring and the printed labels all come from them.
 H_CORRECTIONS = (
     (Fraction(-1, 3), (2, 9)),
     (Fraction(-1, 3), (3, 8)),
@@ -57,12 +60,51 @@ Q_CORRECTIONS = (
     (Fraction(-1, 2), ("h", 5)),
     (Fraction(3, 2), (1, 7, 10)),
     (Fraction(-1, 2), (1, 8, 9)),
-    (Fraction(-1, 2), (3, 6, 7)),
-    (Fraction(-1, 2), (2, 4, 10)),
-    (Fraction(-1, 2), (4, 5, 6)),
+    (Fraction(-1, 2), (7, 3, 6)),
+    (Fraction(-1, 2), (10, 2, 4)),
+    (Fraction(-1, 2), (5, 4, 6)),
     (Fraction(1, 2), (2, 6, 8)),
-    (Fraction(1, 2), (3, 4, 9)),
+    (Fraction(1, 2), (4, 3, 9)),
 )
+
+
+def correction_factors(f: Sequence[Polynomial], h: Polynomial) -> dict:
+    """Factor key -> polynomial: n -> f[n - 1] and "h" -> h."""
+    return {**dict(enumerate(f, start=1)), "h": h}
+
+
+def correction_label(keys: Sequence) -> str:
+    """A correction monomial as printed: (1, 2, 2) -> "f1*f2^2" and
+    ("h", 3) -> "h*f3"."""
+    names = [k if k == "h" else f"f{k}" for k in keys]
+    return "*".join(
+        name if names.count(name) == 1 else f"{name}^{names.count(name)}"
+        for name in dict.fromkeys(names)
+    )
+
+
+def correction_products(table, factors: Mapping):
+    """Yield the monomials of a correction table, one per entry, multiplied
+    out in the ring of the factor polynomials; one at a time, so a combination
+    never holds them all."""
+    for _, keys in table:
+        yield reduce(Polynomial.mul, [factors[k] for k in keys])
+
+
+def combine_correction(base: Polynomial, factors: Mapping, table, coeffs=None) -> Polynomial:
+    """base + sum(c * product) over the entries of a correction table, in QQ.
+    coeffs, when given, replaces the table's coefficients (a solved
+    correction)."""
+    if coeffs is None:
+        coeffs = [c for c, _ in table]
+    acc = base.to_ring(QQ)
+    for c, prod in zip(coeffs, correction_products(table, factors), strict=True):
+        acc = acc + prod.to_ring(QQ) * c
+    return acc
+
+
+# the name the benchmark workloads call, with int keys and a table of H's shape
+combine_h_correction = combine_correction
 
 
 @dataclass(frozen=True)
@@ -232,41 +274,9 @@ def q_poly(T: MatrixTriple) -> Polynomial:
     )
 
 
-def combine_h_correction(h, f_by_num: Mapping[int, Polynomial], coeffs=H_CORRECTIONS):
-    """h plus the quadratic f-correction; exact rational arithmetic."""
-    acc = h.to_ring(QQ)
-    for c, (i, j) in coeffs:
-        acc = acc + f_by_num[i].to_ring(QQ).mul(f_by_num[j].to_ring(QQ)) * c
-    return acc
-
-
-def combine_q_correction(q, h, f_by_num: Mapping[int, Polynomial], coeffs=Q_CORRECTIONS):
-    """q plus the cubic correction (one term carries an h-factor)."""
-    acc = q.to_ring(QQ)
-    for c, factors in coeffs:
-        prod = None
-        for fct in factors:
-            p = h.to_ring(QQ) if fct == "h" else f_by_num[fct].to_ring(QQ)
-            prod = p if prod is None else prod.mul(p)
-        acc = acc + prod * c
-    return acc
-
-
-def H_poly(T: MatrixTriple) -> Polynomial:
-    fs = f_all(T)
-    f_by_num = {n + 1: fs[ijk] for n, ijk in enumerate(F_INDEX)}
-    return combine_h_correction(h_poly(T), f_by_num)
-
-
-def Q_poly(T: MatrixTriple) -> Polynomial:
-    fs = f_all(T)
-    f_by_num = {n + 1: fs[ijk] for n, ijk in enumerate(F_INDEX)}
-    return combine_q_correction(q_poly(T), h_poly(T), f_by_num)
-
-
 @dataclass(frozen=True)
 class GeneratorTable:
-    """The named invariants of the generic triple as explicit polynomials."""
+    """The named invariants of a triple as explicit polynomials."""
 
     f_by_ijk: dict
     f: tuple  # f1..f10 in the fixed numbering
@@ -274,9 +284,6 @@ class GeneratorTable:
     q: Polynomial
     H: Polynomial
     Q: Polynomial
-
-    def f_num(self, n: int) -> Polynomial:
-        return self.f[n - 1]
 
     def by_name(self) -> dict:
         out = {}
@@ -291,26 +298,27 @@ class GeneratorTable:
         return out
 
 
-def _build_generator_table() -> GeneratorTable:
-    T = generic_triple()
+def generators_of(T: MatrixTriple) -> GeneratorTable:
+    """The named invariants of a triple, H and Q included, in its variables."""
     fs = f_all(T)
     f_list = tuple(fs[ijk] for ijk in F_INDEX)
-    f_by_num = {n + 1: f_list[n] for n in range(10)}
     h = h_poly(T)
     q = q_poly(T)
+    factors = correction_factors(f_list, h)
     return GeneratorTable(
         f_by_ijk=fs,
         f=f_list,
         h=h,
         q=q,
-        H=combine_h_correction(h, f_by_num),
-        Q=combine_q_correction(q, h, f_by_num),
+        H=combine_correction(h, factors, H_CORRECTIONS),
+        Q=combine_correction(q, factors, Q_CORRECTIONS),
     )
 
 
 @lru_cache(maxsize=1)
 def generator_table() -> GeneratorTable:
-    return _build_generator_table()
+    """generators_of the generic triple, built once."""
+    return generators_of(generic_triple())
 
 
 # -- the right GL3 action -----------------------------------------------------
@@ -348,40 +356,17 @@ def act_on_triple(g: Sequence[Sequence], T: MatrixTriple) -> MatrixTriple:
     return MatrixTriple(*comps)
 
 
-def action_substitution(g: Sequence[Sequence], vars: VariableSet, ring: Ring) -> dict:
-    """Variable bindings realizing F -> g.F on the 27 coordinate functions:
-    x{c}_{ij} maps to sum_r g[r][c] * x{r}_{ij}."""
-    bindings = {}
-    for c in (1, 2, 3):
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                acc = Polynomial.zero(ring, vars)
-                for r in (1, 2, 3):
-                    coeff = g[r - 1][c - 1]
-                    if isinstance(coeff, Polynomial):
-                        term = coeff.convert(vars).to_ring(ring).mul(
-                            Polynomial.variable(ring, vars, f"x{r}_{i}{j}")
-                        )
-                    else:
-                        if not coeff:
-                            continue
-                        term = Polynomial.variable(ring, vars, f"x{r}_{i}{j}") * coeff
-                    acc = acc + term
-                bindings[f"x{c}_{i}{j}"] = acc
-    return bindings
-
-
 def act_on_function(g: Sequence[Sequence], F: Polynomial, vars: VariableSet | None = None) -> Polynomial:
-    """g.F maps a triple T to F(T.g); computed by exact substitution."""
+    """g.F maps a triple T to F(T.g); computed by substituting the entries of
+    the generic triple acted on by g."""
     target = vars if vars is not None else F.vars
-    ring = F.ring
-    for row in g:
-        for e in row:
-            if isinstance(e, Polynomial):
-                ring = unify_rings(ring, e.ring)
-            elif isinstance(e, Fraction) and e.denominator != 1:
-                ring = unify_rings(ring, QQ)
-    bindings = action_substitution(g, target, ring)
+    generic = MatrixTriple(*(_lift(m, target) for m in generic_triple().components()))
+    acted = act_on_triple(g, generic)
+    bindings = {
+        name: m.rows[k // 3][k % 3]
+        for names, m in zip(BLOCK_NAMES, acted.components())
+        for k, name in enumerate(names)
+    }
     Fc = F if F.vars == target else F.convert(target)
     return Fc.substitute(bindings)
 

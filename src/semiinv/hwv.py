@@ -26,10 +26,11 @@ The same argument with row and column operations on each A_r certifies
 invariance under SL3 x SL3 acting by (g, h).A = g A h^-1.
 
 The correction coefficients attached to h and q are recomputed here from
-scratch by exact elimination on the derivation equations, which the test suite
-compares against the pinned tables used to build H and Q.  For each candidate
-beta the derivation equations hold iff the transvections fix the corrected
-polynomial, so the solution set is that of the fixedness equations.  Group
+scratch by exact elimination on the derivation equations, in the bases of
+products that generators.H_CORRECTIONS and Q_CORRECTIONS list, and the test
+suite compares them against the coefficients of those tables.  For each
+candidate beta the derivation equations hold iff the transvections fix the
+corrected polynomial, so the solution set is that of the fixedness equations.  Group
 substitution (generators.act_on_function) remains in diagonal_action_weight,
 in the verification of the induced f-span action, and in the tests as an
 independent oracle.
@@ -245,36 +246,28 @@ def solve_hwv_correction(base: Polynomial, basis: Sequence[Polynomial]) -> list:
 
 
 def h_correction_basis(table=None) -> list:
+    """The products of gen.H_CORRECTIONS over a generator table, in ZZ."""
     table = table or gen.generator_table()
-    f = table.f_num
-    return [f(2).mul(f(9)), f(3).mul(f(8)), f(4).mul(f(6)), f(5).mul(f(5))]
+    return list(gen.correction_products(gen.H_CORRECTIONS, gen.correction_factors(table.f, table.h)))
 
 
 def q_correction_basis(table=None) -> list:
+    """The products of gen.Q_CORRECTIONS over a generator table, in ZZ."""
     table = table or gen.generator_table()
-    f = table.f_num
-    return [
-        table.h.mul(f(5)),
-        f(1).mul(f(7)).mul(f(10)),
-        f(1).mul(f(8)).mul(f(9)),
-        f(7).mul(f(3)).mul(f(6)),
-        f(10).mul(f(2)).mul(f(4)),
-        f(5).mul(f(4)).mul(f(6)),
-        f(2).mul(f(6)).mul(f(8)),
-        f(4).mul(f(3)).mul(f(9)),
-    ]
+    return list(gen.correction_products(gen.Q_CORRECTIONS, gen.correction_factors(table.f, table.h)))
 
 
 @lru_cache(maxsize=1)
 def solve_h_correction() -> list:
-    """Coefficients on [f2*f9, f3*f8, f4*f6, f5^2] making h highest weight."""
+    """Coefficients on the products of gen.H_CORRECTIONS making h highest
+    weight."""
     table = gen.generator_table()
     return solve_hwv_correction(table.h, h_correction_basis(table))
 
 
 @lru_cache(maxsize=1)
 def solve_q_correction() -> list:
-    """Coefficients on [h*f5, f1*f7*f10, f1*f8*f9, f7*f3*f6, f10*f2*f4,
-    f5*f4*f6, f2*f6*f8, f4*f3*f9] making q highest weight."""
+    """Coefficients on the products of gen.Q_CORRECTIONS making q highest
+    weight."""
     table = gen.generator_table()
     return solve_hwv_correction(table.q, q_correction_basis(table))

@@ -74,31 +74,22 @@ def weighted_degrees(p: Polynomial, weights: dict) -> set:
 # -- abstract highest-weight forms --------------------------------------------
 
 
-def _fvar12(n: int) -> Polynomial:
-    return Polynomial.variable(QQ, ABSTRACT12, f"f{n}")
+def _var12(name: str) -> Polynomial:
+    return Polynomial.variable(QQ, ABSTRACT12, name)
+
+
+# the correction factors as variables of the 12-variable ring
+_FACTORS12 = gen.correction_factors([_var12(n) for n in gen.F_NAMES], _var12("h"))
 
 
 @lru_cache(maxsize=1)
 def abstract_H() -> Polynomial:
-    h = Polynomial.variable(QQ, ABSTRACT12, "h")
-    acc = h
-    for c, (i, j) in gen.H_CORRECTIONS:
-        acc = acc + _fvar12(i).mul(_fvar12(j)) * c
-    return acc
+    return gen.combine_correction(_var12("h"), _FACTORS12, gen.H_CORRECTIONS)
 
 
 @lru_cache(maxsize=1)
 def abstract_Q() -> Polynomial:
-    q = Polynomial.variable(QQ, ABSTRACT12, "q")
-    h = Polynomial.variable(QQ, ABSTRACT12, "h")
-    acc = q
-    for c, factors in gen.Q_CORRECTIONS:
-        prod = None
-        for fct in factors:
-            p = h if fct == "h" else _fvar12(fct)
-            prod = p if prod is None else prod.mul(p)
-        acc = acc + prod * c
-    return acc
+    return gen.combine_correction(_var12("q"), _FACTORS12, gen.Q_CORRECTIONS)
 
 
 # -- derivation of the quartic and sextic invariants ---------------------------
@@ -118,9 +109,7 @@ def derive_st() -> tuple:
     f_only = ABSTRACT12_NAMES[2:]
     s4_12 = E.coefficient_of({"h": 1}, ("q", "h")) * Fraction(1, 27)
     e0 = E.coefficient_of({}, ("q", "h"))
-    c0 = (abstract_H() - Polynomial.variable(QQ, ABSTRACT12, "h")).coefficient_of(
-        {}, ("q", "h")
-    )
+    c0 = (abstract_H() - _var12("h")).coefficient_of({}, ("q", "h"))
     t6_12 = (e0 - c0.mul(s4_12) * 27) * Fraction(-4, 27)
     s4 = s4_12.convert(gen.F_VARS)
     t6 = t6_12.convert(gen.F_VARS)
@@ -236,10 +225,10 @@ def special_triple_checks() -> list:
     a_var = Polynomial.variable(QQ, gen.WEIERSTRASS_VARS, "a")
     b_var = Polynomial.variable(QQ, gen.WEIERSTRASS_VARS, "b")
     checks.append(
-        boolean_check("weierstrass: H = -b", lambda: gen.H_poly(w) == -b_var)
+        boolean_check("weierstrass: H = -b", lambda: gen.generators_of(w).H == -b_var)
     )
     checks.append(
-        boolean_check("weierstrass: Q = -a", lambda: gen.Q_poly(w) == -a_var)
+        boolean_check("weierstrass: Q = -a", lambda: gen.generators_of(w).Q == -a_var)
     )
     s4, t6 = derive_st()
     checks.append(

@@ -49,7 +49,7 @@ def generators_suite(cfg: RunConfig) -> list:
 
 def hwv_suite(cfg: RunConfig) -> list:
     table = gen.generator_table()
-    f_map = {n + 1: table.f[n] for n in range(10)}
+    factors = gen.correction_factors(table.f, table.h)
     checks = []
 
     beta_h = hwv.solve_h_correction()
@@ -61,9 +61,7 @@ def hwv_suite(cfg: RunConfig) -> list:
             solved=[str(b) for b in beta_h],
         )
     )
-    solved_h = gen.combine_h_correction(
-        table.h, f_map, tuple((b, pair) for b, (_, pair) in zip(beta_h, gen.H_CORRECTIONS))
-    )
+    solved_h = gen.combine_correction(table.h, factors, gen.H_CORRECTIONS, beta_h)
     checks.append(
         boolean_check(
             "solved H is fixed by both upper transvections",
@@ -80,10 +78,7 @@ def hwv_suite(cfg: RunConfig) -> list:
             solved=[str(b) for b in beta_q],
         )
     )
-    solved_q = gen.combine_q_correction(
-        table.q, table.h, f_map,
-        tuple((b, fs) for b, (_, fs) in zip(beta_q, gen.Q_CORRECTIONS)),
-    )
+    solved_q = gen.combine_correction(table.q, factors, gen.Q_CORRECTIONS, beta_q)
     checks.append(
         boolean_check(
             "solved Q is fixed by both upper transvections",

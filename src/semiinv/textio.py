@@ -171,12 +171,16 @@ def _ring_tag(ring: Ring) -> str:
     return repr(ring)
 
 
+class JSONFormatError(PolyError):
+    """A JSON document that is not a polynomial in the JSON format."""
+
+
 def _ring_from_tag(tag: str) -> Ring:
     if tag == "ZZ":
         return ZZ
     if tag == "QQ":
         return QQ
-    raise PolyError(f"unknown ring tag {tag!r}")
+    raise JSONFormatError(f"unknown ring tag {tag!r}")
 
 
 def to_json_obj(p: Polynomial) -> dict:
@@ -193,16 +197,43 @@ def to_json(p: Polynomial) -> str:
     return json.dumps(to_json_obj(p), separators=(",", ":"), sort_keys=True)
 
 
+def _json_coefficient(c) -> int | Fraction:
+    if isinstance(c, str):
+        try:
+            return Fraction(c) if "/" in c else int(c)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise JSONFormatError(f"bad coefficient {c!r}")
+
+
 def from_json_obj(obj: dict) -> Polynomial:
+    """Read the JSON format; raises JSONFormatError on a malformed document,
+    including two terms with the same exponent vector."""
+    if not isinstance(obj, dict):
+        raise JSONFormatError(f"expected a JSON object, got {type(obj).__name__}")
+    missing = [key for key in ("ring", "variables", "terms") if key not in obj]
+    if missing:
+        raise JSONFormatError(f"missing key {missing[0]!r}")
     ring = _ring_from_tag(obj["ring"])
+    if not isinstance(obj["variables"], list) or not isinstance(obj["terms"], list):
+        raise JSONFormatError("'variables' and 'terms' must be lists")
     vars = VariableSet(obj["variables"])
     terms = {}
     for t in obj["terms"]:
-        c = t["c"]
-        coeff = Fraction(c) if "/" in c else int(c)
-        terms[tuple(t["e"])] = coeff
+        if not isinstance(t, dict) or set(t) != {"c", "e"}:
+            raise JSONFormatError(f"a term must be an object with keys 'c' and 'e': {t!r}")
+        e = t["e"]
+        if not isinstance(e, list) or any(type(x) is not int for x in e):
+            raise JSONFormatError(f"bad exponent vector {e!r}")
+        if tuple(e) in terms:
+            raise JSONFormatError(f"repeated exponent vector {e}")
+        terms[tuple(e)] = _json_coefficient(t["c"])
     return Polynomial.from_terms(ring, vars, terms)
 
 
 def from_json(text: str) -> Polynomial:
-    return from_json_obj(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise JSONFormatError(f"not JSON: {exc}") from None
+    return from_json_obj(obj)

@@ -39,6 +39,10 @@ class RunConfig:
     def __post_init__(self):
         if self.jobs != 1:
             raise VerifyUsageError("jobs must be 1: runs evaluate in one process")
+        if not self.primes:
+            # with no prime a modular identity makes no evaluation and passes,
+            # so no config, validated or not, may have one
+            raise VerifyUsageError("the prime list is empty")
 
     def validated(self) -> "RunConfig":
         if self.mode not in ("exact", "modular"):

@@ -117,6 +117,14 @@ def test_verify_repeated_prime_exits_2(capsys):
     assert "repeated prime" in err
 
 
+def test_verify_empty_prime_list_exits_2(capsys):
+    """No prime means no evaluation, which must not read as a PASS."""
+    code, out, err = run_cli(capsys, "verify", "main-relation", "--primes", ",")
+    assert code == 2
+    assert out == ""
+    assert err == "error: the prime list is empty\n"
+
+
 def test_verify_exact_nakamoto_over_budget_exits_2(capsys):
     """An exact run never falls back to modular evaluation."""
     code, out, err = run_cli(
@@ -191,5 +199,10 @@ def test_derive_st_output(capsys):
 def test_solve_hwv_output(capsys):
     code, out, _ = run_cli(capsys, "solve-hwv")
     assert code == 0
-    assert "-1/3 -1/3 2/3 1/12" in out
-    assert "-1/2 3/2 -1/2 -1/2 -1/2 -1/2 1/2 1/2" in out
+    assert out == (
+        "H correction on [f2*f9, f3*f8, f4*f6, f5^2]:\n"
+        "  -1/3 -1/3 2/3 1/12\n"
+        "Q correction on [h*f5, f1*f7*f10, f1*f8*f9, f7*f3*f6, f10*f2*f4, "
+        "f5*f4*f6, f2*f6*f8, f4*f3*f9]:\n"
+        "  -1/2 3/2 -1/2 -1/2 -1/2 -1/2 1/2 1/2\n"
+    )

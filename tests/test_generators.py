@@ -149,8 +149,9 @@ def test_skew_identity_parameters():
     point = {"x1": 1, "y1": 0, "z1": 0, "x2": 0, "y2": 1, "z2": 0, "x3": 0, "y3": 0, "z3": 1}
     assert gen.h_poly(skew).evaluate(point) == 1
     assert gen.q_poly(skew).evaluate(point) == 1
-    assert gen.H_poly(skew).evaluate(point) == 1
-    assert gen.Q_poly(skew).evaluate(point) == 1
+    skew_gens = gen.generators_of(skew)
+    assert skew_gens.H.evaluate(point) == 1
+    assert skew_gens.Q.evaluate(point) == 1
 
 
 def test_weierstrass_pencil():
@@ -164,14 +165,15 @@ def test_weierstrass_H_Q_values():
     w = gen.weierstrass_triple()
     a = Polynomial.variable(QQ, gen.WEIERSTRASS_VARS, "a")
     b = Polynomial.variable(QQ, gen.WEIERSTRASS_VARS, "b")
-    assert gen.H_poly(w) == -b
-    assert gen.Q_poly(w) == -a
+    w_gens = gen.generators_of(w)
+    assert w_gens.H == -b
+    assert w_gens.Q == -a
 
 
 def test_H_on_identity_triple_is_zero():
     # h = -3 and the multinomial f-values give -3 -3 -3 + 6 + 3 = 0
     T = gen.scalar_triple(I3, I3, I3)
-    assert gen.H_poly(T).is_zero()
+    assert gen.generators_of(T).H.is_zero()
 
 
 # -- the group action --------------------------------------------------------------

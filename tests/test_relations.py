@@ -106,8 +106,9 @@ def test_theorem1_weierstrass_arithmetic():
     s4, t6 = rel.derive_st()
     w = gen.weierstrass_triple()
     point = {"a": 1, "b": 1}
-    Q = gen.Q_poly(w).evaluate(point)
-    H = gen.H_poly(w).evaluate(point)
+    w_gens = gen.generators_of(w)
+    Q = w_gens.Q.evaluate(point)
+    H = w_gens.H.evaluate(point)
     S = rel.evaluate_f_form_on_triple(s4, w).evaluate(point)
     T = rel.evaluate_f_form_on_triple(t6, w).evaluate(point)
     assert Q * Q == 1
@@ -119,8 +120,9 @@ def test_exact_and_modular_agree_on_theorem1_for_weierstrass_family():
     enough to expand exactly; both verdicts agree."""
     s4, t6 = rel.derive_st()
     w = gen.weierstrass_triple()
-    Q = gen.Q_poly(w)
-    H = gen.H_poly(w)
+    w_gens = gen.generators_of(w)
+    Q = w_gens.Q
+    H = w_gens.H
     S = rel.evaluate_f_form_on_triple(s4, w)
     T = rel.evaluate_f_form_on_triple(t6, w)
     lhs = Q.mul(Q) - H ** 3 - H.mul(S) * 27 + T * Fraction(27, 4)
@@ -240,6 +242,17 @@ def test_repeated_primes_are_refused():
     the same evaluations twice."""
     with pytest.raises(VerifyUsageError, match="repeated prime"):
         RunConfig(primes=(2147483647, 5, 2147483647)).validated()
+
+
+def test_an_empty_prime_list_is_refused():
+    """With no prime a modular run makes no evaluation, so even a mutated
+    relation would pass, validated or not."""
+    with pytest.raises(VerifyUsageError, match="prime list is empty"):
+        rel.verify_main_relation(RunConfig(primes=()).validated(), relation=_mutated_relation())
+    with pytest.raises(VerifyUsageError, match="prime list is empty"):
+        rel.verify_main_relation(RunConfig(primes=()), relation=_mutated_relation())
+    with pytest.raises(VerifyUsageError, match="prime list is empty"):
+        replace(SMALL, primes=())
 
 
 def test_only_a_non_invertible_denominator_becomes_a_usage_error(monkeypatch):

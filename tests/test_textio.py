@@ -62,6 +62,37 @@ def test_json_rejects_a_prime_field_ring_tag():
         textio.from_json(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # two terms with one exponent vector: the last must not silently win
+        '{"ring":"ZZ","terms":[{"c":"1","e":[1,0]},{"c":"-1","e":[1,0]}],"variables":["x","y"]}',
+        '{"ring":"ZZ","variables":["x","y"]}',
+        '{"terms":[],"variables":["x","y"]}',
+        '[{"c":"1","e":[1,0]}]',
+        '"x"',
+        '{"ring":"ZZ","terms":[{"c":"one","e":[1,0]}],"variables":["x","y"]}',
+        '{"ring":"QQ","terms":[{"c":"1/0","e":[1,0]}],"variables":["x","y"]}',
+        '{"ring":"ZZ","terms":[{"c":1,"e":[1,0]}],"variables":["x","y"]}',
+        '{"ring":"ZZ","terms":[{"c":"1"}],"variables":["x","y"]}',
+        '{"ring":"ZZ","terms":[{"c":"1","e":["1",0]}],"variables":["x","y"]}',
+        '{"ring":"ZZ","terms":[{"c":"1","e":[1]}],"variables":["x","y"]}',
+        '{"ring":"ZZ","terms":{},"variables":["x","y"]}',
+        '{"ring":"ZZ","terms":[],"variables":3}',
+        '{"ring":"ZZ",',
+    ],
+    ids=[
+        "repeated-exponent-vector", "missing-terms", "missing-ring", "not-an-object",
+        "a-string", "non-numeric-c", "zero-denominator", "c-not-a-string", "missing-e",
+        "string-exponent", "short-exponent-vector", "terms-not-a-list",
+        "variables-not-a-list", "not-json",
+    ],
+)
+def test_json_rejects_malformed_input(text):
+    with pytest.raises(PolyError):
+        textio.from_json(text)
+
+
 def test_parse_error_reports_position():
     with pytest.raises(ParseError) as err:
         textio.parse_text("x + $", VS, ZZ)
