@@ -73,8 +73,6 @@ def _parse_primes(text: str) -> tuple:
 
 def _config_from(args) -> RunConfig:
     primes = DEFAULT_PRIMES if args.primes is None else _parse_primes(args.primes)
-    if not 0 <= args.seed < 2**64:
-        raise VerifyUsageError("seed must fit in 64 bits")
     return RunConfig(
         mode=args.mode,
         trials=args.trials,

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from . import generators as gen
 from . import textio
-from .evalmod import Expr, Leaf, PolyAt
+from .evalmod import Composition
 from .matrix import PolyMatrix
 from .poly import ZZ, Polynomial, VariableSet
 from .verify import (
@@ -254,10 +254,9 @@ def nakamoto_structural_check(
     )
 
 
-def nakamoto_composed_expr(trace_relation: Polynomial | None = None) -> Expr:
+def nakamoto_composed_expr(trace_relation: Polynomial | None = None) -> Composition:
     nak = trace_relation if trace_relation is not None else nakamoto_polynomial()
-    gens18 = trace_generators()
-    return PolyAt(nak, {name: Leaf(gens18[name]) for name in TRACE_NAMES})
+    return Composition(nak, trace_generators())
 
 
 # exact composition is attempted under this intermediate-term budget before

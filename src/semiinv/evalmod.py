@@ -1,4 +1,4 @@
-"""Modular evaluation of polynomials and expression DAGs for identity testing.
+"""Modular evaluation of polynomials and of compositions for identity testing.
 
 Identities too large to expand symbolically are checked by evaluating both
 sides at random points over prime fields.  A nonzero polynomial of total
@@ -12,7 +12,8 @@ Points are drawn from a counter-based SHA-256 stream keyed by
 (seed, prime, trial), so a point does not depend on the batch it is evaluated
 in and any trial can be reproduced in isolation.  A point's values may be ints
 or equal-length int64 arrays; an array holds one value per trial of a batch,
-and numpy broadcasting carries the batch through the whole DAG.
+and numpy broadcasting carries the batch through the leaves and the outer
+polynomial of a composition.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .poly import Polynomial, PolyError, VariableSet, _FIELD_MASK
+from .poly import Polynomial, PolyError, VariableMismatch, VariableSet, _FIELD_MASK
 
 DEFAULT_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563)
 SMALL_CHAR_PRIMES = (5, 7)
@@ -177,109 +178,41 @@ def poly_eval_mod(p: Polynomial, point: Mapping[str, int], prime: int):
     return int(total) if total.ndim == 0 else total
 
 
-# -- expression DAG ----------------------------------------------------------
+# -- identities: an outer polynomial at named leaf polynomials ---------------
 
 
-class Expr:
-    """A node of an identity-expression DAG; evaluated bottom-up with
-    memoization, never expanded symbolically unless expand() is called.
-    eval_mod returns an int, or an int64 array for a batch of points."""
+class Composition:
+    """An identity outer(leaves): a polynomial over abstract names, each name
+    bound to a leaf polynomial over the one variable set all leaves share.
+    Modular evaluation evaluates every leaf once and the outer polynomial at
+    their values, so the composite is never expanded unless expand() is
+    called.  eval_mod returns an int, or an int64 array for a batch of points."""
 
-    def eval_mod(self, point: Mapping[str, int], prime: int, memo: dict | None = None):
-        raise NotImplementedError
+    def __init__(self, outer: Polynomial, leaves: Mapping[str, Polynomial]):
+        for name in outer.vars.names:
+            if outer.max_exponent(name) and name not in leaves:
+                raise PolyError(f"unbound abstract variable {name!r}")
+        sets = {leaf.vars for leaf in leaves.values()}
+        if len(sets) > 1:
+            raise VariableMismatch("leaves use different variable sets")
+        self.outer = outer
+        self.leaves = dict(leaves)
+        self.vars = sets.pop() if sets else VariableSet(())
+
+    def eval_mod(self, point: Mapping[str, int], prime: int):
+        values = {
+            name: poly_eval_mod(leaf, point, prime) for name, leaf in self.leaves.items()
+        }
+        return poly_eval_mod(self.outer, values, prime)
 
     def degree_bound(self) -> int:
-        raise NotImplementedError
+        """Max over the outer terms of sum(exponent * leaf total degree)."""
+        degrees = [
+            self.leaves[name].total_degree() if name in self.leaves else 0
+            for name in self.outer.vars.names
+        ]
+        terms = self.outer.sorted_terms()
+        return max((sum(e * d for e, d in zip(exps, degrees)) for exps, _ in terms), default=0)
 
     def expand(self, budget: int | None = None) -> Polynomial:
-        raise NotImplementedError
-
-    def leaf_vars(self) -> VariableSet:
-        raise NotImplementedError
-
-
-class Leaf(Expr):
-    """A stored polynomial over the base variable set."""
-
-    __slots__ = ("poly",)
-
-    def __init__(self, poly: Polynomial):
-        self.poly = poly
-
-    def eval_mod(self, point, prime, memo=None):
-        if memo is None:
-            memo = {}
-        key = id(self)
-        if key not in memo:
-            memo[key] = poly_eval_mod(self.poly, point, prime)
-        return memo[key]
-
-    def degree_bound(self):
-        return self.poly.total_degree()
-
-    def expand(self, budget=None):
-        return self.poly
-
-    def leaf_vars(self):
-        return self.poly.vars
-
-
-class PolyAt(Expr):
-    """An outer polynomial over abstract variables, each bound to a
-    sub-expression; the workhorse for relations among named generators."""
-
-    __slots__ = ("outer", "bindings")
-
-    def __init__(self, outer: Polynomial, bindings: Mapping[str, Expr]):
-        for name in outer.vars.names:
-            if outer.max_exponent(name) and name not in bindings:
-                raise PolyError(f"unbound abstract variable {name!r}")
-        self.outer = outer
-        self.bindings = dict(bindings)
-
-    def eval_mod(self, point, prime, memo=None):
-        if memo is None:
-            memo = {}
-        key = id(self)
-        if key in memo:
-            return memo[key]
-        inner = {
-            name: expr.eval_mod(point, prime, memo)
-            for name, expr in self.bindings.items()
-        }
-        value = poly_eval_mod(self.outer, inner, prime)
-        memo[key] = value
-        return value
-
-    def degree_bound(self):
-        bounds = {name: expr.degree_bound() for name, expr in self.bindings.items()}
-        best = 0
-        for exps, _ in self.outer.sorted_terms():
-            d = sum(
-                e * bounds.get(name, 0)
-                for name, e in zip(self.outer.vars.names, exps)
-            )
-            if d > best:
-                best = d
-        return best
-
-    def expand(self, budget=None):
-        expanded = {
-            name: expr.expand(budget) for name, expr in self.bindings.items()
-        }
-        return self.outer.substitute(expanded, budget=budget)
-
-    def leaf_vars(self):
-        for expr in self.bindings.values():
-            return expr.leaf_vars()
-        return self.outer.vars
-
-
-def evaluate_mod(obj, point: Mapping[str, int], prime: int, allow_small_char: bool = False) -> int:
-    """Evaluate a Polynomial or Expr at a fully bound point over Z_p."""
-    check_prime(prime, allow_small_char=allow_small_char)
-    if isinstance(obj, Polynomial):
-        return poly_eval_mod(obj, point, prime)
-    if isinstance(obj, Expr):
-        return obj.eval_mod(point, prime, {})
-    raise PolyError(f"cannot evaluate {type(obj).__name__}")
+        return self.outer.substitute(self.leaves, budget=budget)

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from . import generators as gen
 from . import textio
-from .evalmod import Expr, Leaf, PolyAt
+from .evalmod import Composition
 from .poly import QQ, ZZ, Polynomial, PolyError, VariableSet
 from .verify import (
     CheckResult,
@@ -120,11 +120,6 @@ def derive_st() -> tuple:
     return s4, t6
 
 
-def f_leaves(table=None) -> dict:
-    table = table or gen.generator_table()
-    return {f"f{n}": Leaf(table.f[n - 1]) for n in range(1, 11)}
-
-
 def evaluate_f_form_on_triple(p_f: Polynomial, T) -> Polynomial:
     """Compose an f-ring polynomial with the pencil coefficients of a
     concrete triple; exact, in the triple's own variables."""
@@ -138,43 +133,31 @@ def evaluate_f_form_on_triple(p_f: Polynomial, T) -> Polynomial:
 # -- the two big identities -----------------------------------------------------
 
 
-def main_relation_expr(relation: Polynomial | None = None) -> Expr:
+def main_relation_expr(relation: Polynomial | None = None) -> Composition:
     """relation(q, h, f1..f10) with the actual generator polynomials bound in."""
     table = gen.generator_table()
-    rel = relation if relation is not None else defining_relation()
-    bindings = dict(f_leaves(table))
-    bindings["q"] = Leaf(table.q)
-    bindings["h"] = Leaf(table.h)
-    return PolyAt(rel, bindings)
+    return Composition(
+        relation if relation is not None else defining_relation(),
+        dict(zip(gen.F_NAMES, table.f), q=table.q, h=table.h),
+    )
 
 
-THEOREM1_VARS = VariableSet(("Q", "H", "S", "T"))
+THEOREM1_VARS = VariableSet(("Q", "H") + gen.F_NAMES)
 
 
-@lru_cache(maxsize=1)
-def _theorem1_outer() -> Polynomial:
-    Qv = Polynomial.variable(QQ, THEOREM1_VARS, "Q")
-    Hv = Polynomial.variable(QQ, THEOREM1_VARS, "H")
-    Sv = Polynomial.variable(QQ, THEOREM1_VARS, "S")
-    Tv = Polynomial.variable(QQ, THEOREM1_VARS, "T")
-    return Qv.mul(Qv) - Hv ** 3 - Hv.mul(Sv) * 27 + Tv * Fraction(27, 4)
-
-
-def theorem1_expr(s4: Polynomial | None = None, t6: Polynomial | None = None) -> Expr:
-    """Q^2 - H^3 - 27*H*S + (27/4)*T over the 27 coordinates; exercised through
-    the rational-arithmetic path and the f-ring composition of S and T."""
+def theorem1_expr(s4: Polynomial | None = None, t6: Polynomial | None = None) -> Composition:
+    """Q^2 - H^3 - 27*H*S + (27/4)*T over the 27 coordinates.  The f-ring
+    invariants S and T are composed exactly into one rational outer
+    polynomial over (Q, H, f1..f10), whose leaves are the generator
+    polynomials; every outer term has weighted degree 18, the degree bound."""
     table = gen.generator_table()
     if s4 is None or t6 is None:
         s4, t6 = derive_st()
-    leaves = f_leaves(table)
-    return PolyAt(
-        _theorem1_outer(),
-        {
-            "Q": Leaf(table.Q),
-            "H": Leaf(table.H),
-            "S": PolyAt(s4, leaves),
-            "T": PolyAt(t6, leaves),
-        },
+    Qv, Hv = (Polynomial.variable(QQ, THEOREM1_VARS, name) for name in ("Q", "H"))
+    S, T = (p.to_ring(QQ).convert(THEOREM1_VARS) for p in (s4, t6))
+    return Composition(
+        Qv.mul(Qv) - Hv ** 3 - Hv.mul(S) * 27 + T * Fraction(27, 4),
+        dict(zip(gen.F_NAMES, table.f), Q=table.Q, H=table.H),
     )
 
 

@@ -1,10 +1,12 @@
 """Identity-verification runners, configuration, and machine-readable reports.
 
-A check either expands an expression DAG exactly to the zero polynomial or
-evaluates it at pseudo-random points over a list of prime fields.  Modular
-runs are reproducible from (seed, primes, trials); each prime's trials are
-evaluated in one process, in batches of BATCH_TRIALS points per pass through
-the DAG, and a trial's point and value do not depend on its batch.
+A check takes an identity as an evalmod.Composition, an outer polynomial at
+named leaf polynomials.  It either expands the identity exactly to the zero
+polynomial or evaluates it at pseudo-random points over a list of prime
+fields.  Modular runs are reproducible from (seed, primes, trials); each
+prime's trials are evaluated in one process, in batches of BATCH_TRIALS points
+per evaluation of the composition, and a trial's point and value do not
+depend on its batch.  A RunConfig validates itself when it is constructed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .evalmod import DEFAULT_PRIMES, DenominatorNotInvertible, Expr, check_prime, sample_point
+from .evalmod import (
+    DEFAULT_PRIMES,
+    Composition,
+    DenominatorNotInvertible,
+    check_prime,
+    sample_point,
+)
 from .poly import BudgetExceeded, PolyError
 
 REPORT_SCHEMA = "semiinv-report/1"
@@ -37,14 +45,14 @@ class RunConfig:
     allow_small_char: bool = False
 
     def __post_init__(self):
+        # every check runs at construction: a config that could skip one could
+        # pass a false identity (no evaluations with trials < 1 or no prime)
+        if not 0 <= self.seed < 2**64:
+            raise VerifyUsageError("seed must fit in 64 bits")
         if self.jobs != 1:
             raise VerifyUsageError("jobs must be 1: runs evaluate in one process")
         if not self.primes:
-            # with no prime a modular identity makes no evaluation and passes,
-            # so no config, validated or not, may have one
             raise VerifyUsageError("the prime list is empty")
-
-    def validated(self) -> "RunConfig":
         if self.mode not in ("exact", "modular"):
             raise VerifyUsageError(f"unknown mode {self.mode!r}")
         if self.trials < 1:
@@ -57,6 +65,9 @@ class RunConfig:
                 check_prime(p, allow_small_char=self.allow_small_char)
         except PolyError as exc:
             raise VerifyUsageError(str(exc)) from None
+
+    def validated(self) -> "RunConfig":
+        """The config itself: construction has validated it."""
         return self
 
     def to_json(self) -> dict:
@@ -104,12 +115,12 @@ def boolean_check(name: str, fn: Callable[[], bool], mode: str = "exact", **deta
 
 # -- modular identity runs ----------------------------------------------------
 
-# trials per pass through the DAG; larger batches buy little speed for a
+# trials per evaluation of a composition; larger batches buy little speed for a
 # peak memory that grows with the batch
 BATCH_TRIALS = 8
 
 
-def run_identity_modular(name: str, expr: Expr, cfg: RunConfig) -> CheckResult:
+def run_identity_modular(name: str, expr: Composition, cfg: RunConfig) -> CheckResult:
     """Evaluate the expression at cfg.trials points per prime; PASS iff every
     evaluation is zero.  Reports the Schwartz-Zippel failure bound per prime,
     or None for a prime p <= degree, where d/p >= 1 bounds nothing.
@@ -117,11 +128,10 @@ def run_identity_modular(name: str, expr: Expr, cfg: RunConfig) -> CheckResult:
     The points of a batch are drawn one by one with sample_point and stacked
     into int64 arrays, so one eval_mod call evaluates the whole batch."""
     t0 = time.perf_counter()
-    names = expr.leaf_vars().names
+    names = expr.vars.names
     degree = expr.degree_bound()
     bounds = {}
     for p in cfg.primes:
-        check_prime(p, allow_small_char=cfg.allow_small_char)
         bounds[str(p)] = (
             None
             if degree == 0 or p <= degree
@@ -136,7 +146,7 @@ def run_identity_modular(name: str, expr: Expr, cfg: RunConfig) -> CheckResult:
                 n: np.array([pt[n] for pt in points], dtype=np.int64) for n in names
             }
             try:
-                values = expr.eval_mod(batch, prime, {})
+                values = expr.eval_mod(batch, prime)
             except DenominatorNotInvertible as exc:
                 raise VerifyUsageError(f"{name}: {exc}") from None
             values = np.broadcast_to(values, len(points))
@@ -183,7 +193,7 @@ def run_identity_modular(name: str, expr: Expr, cfg: RunConfig) -> CheckResult:
     )
 
 
-def run_identity_exact(name: str, expr: Expr, cfg: RunConfig) -> CheckResult:
+def run_identity_exact(name: str, expr: Composition, cfg: RunConfig) -> CheckResult:
     """Fully expand the expression; PASS iff the result is the zero polynomial."""
     t0 = time.perf_counter()
     expanded = expr.expand(cfg.budget)
@@ -193,7 +203,7 @@ def run_identity_exact(name: str, expr: Expr, cfg: RunConfig) -> CheckResult:
     )
 
 
-def run_identity(name: str, expr: Expr, cfg: RunConfig) -> CheckResult:
+def run_identity(name: str, expr: Composition, cfg: RunConfig) -> CheckResult:
     if cfg.mode == "exact":
         try:
             return run_identity_exact(name, expr, cfg)
@@ -207,7 +217,7 @@ def run_identity(name: str, expr: Expr, cfg: RunConfig) -> CheckResult:
 
 def run_identity_exact_else_modular(
     name: str,
-    expr: Expr,
+    expr: Composition,
     cfg: RunConfig,
     attempt_budget: int,
 ) -> CheckResult:

@@ -8,15 +8,13 @@ import numpy as np
 from semiinv import evalmod, generators as gen, relations as rel
 from semiinv.evalmod import (
     DEFAULT_PRIMES,
-    Leaf,
-    PolyAt,
+    Composition,
     check_prime,
-    evaluate_mod,
     poly_eval_mod,
     sample_point,
 )
 from semiinv.matrix import block_matrix
-from semiinv.poly import QQ, ZZ, Polynomial, PolyError, VariableSet
+from semiinv.poly import QQ, ZZ, Polynomial, PolyError, VariableMismatch, VariableSet
 
 import oracles
 
@@ -51,8 +49,6 @@ def test_prime_validation():
     check_prime(3, allow_small_char=True)
     with pytest.raises(PolyError):
         check_prime(2**31 + 11)
-    with pytest.raises(PolyError):
-        evaluate_mod(Polynomial.zero(ZZ, VS), {}, 9)
 
 
 def test_default_primes_are_the_five_largest_below_2_31():
@@ -96,13 +92,13 @@ def test_sample_point_determinism_and_range():
     assert all(0 <= v < 101 for v in a.values())
 
 
-def test_dag_memoizes_shared_leaves():
+def test_composition_binds_one_leaf_to_two_names():
     x = Polynomial.variable(ZZ, VS, "x")
-    leaf = Leaf(x ** 2 + 1)
+    leaf = x ** 2 + 1
     outer_vars = VariableSet(("u", "v"))
     u = Polynomial.variable(ZZ, outer_vars, "u")
     v = Polynomial.variable(ZZ, outer_vars, "v")
-    expr = PolyAt(u * v - u - v, {"u": leaf, "v": leaf})
+    expr = Composition(u * v - u - v, {"u": leaf, "v": leaf})
     # u*v - u - v at u = v = s evaluates to s^2 - 2s
     point = {"x": 3, "y": 0, "z": 0}
     s = 10
@@ -110,23 +106,41 @@ def test_dag_memoizes_shared_leaves():
     assert expr.degree_bound() == 4
 
 
-def test_dag_expand_matches_eval():
+def test_composition_expand_matches_eval():
     x = Polynomial.variable(ZZ, VS, "x")
     y = Polynomial.variable(ZZ, VS, "y")
     outer_vars = VariableSet(("u", "v"))
     u = Polynomial.variable(ZZ, outer_vars, "u")
     v = Polynomial.variable(ZZ, outer_vars, "v")
-    expr = PolyAt(u ** 2 - v, {"u": Leaf(x + y), "v": Leaf(x ** 2 + 2 * x * y + y ** 2)})
+    expr = Composition(u ** 2 - v, {"u": x + y, "v": x ** 2 + 2 * x * y + y ** 2})
     assert expr.expand().is_zero()
+    point = {"x": 3, "y": 4, "z": 5}
+    assert expr.eval_mod(point, 97) == 0
+    mutant = Composition(u ** 2 - v, {"u": x + y, "v": x ** 2 + y ** 2})
+    assert mutant.expand() == 2 * x * y
+    assert mutant.eval_mod(point, 97) == 24
 
 
 def test_unbound_abstract_variable_rejected():
     outer_vars = VariableSet(("u", "v"))
     u = Polynomial.variable(ZZ, outer_vars, "u")
     x = Polynomial.variable(ZZ, VS, "x")
-    with pytest.raises(PolyError):
-        PolyAt(u, {})
-    PolyAt(u, {"u": Leaf(x)})  # v unused, binding not required
+    with pytest.raises(PolyError, match="unbound abstract variable 'u'"):
+        Composition(u, {})
+    Composition(u, {"u": x})  # v unused, binding not required
+
+
+def test_leaves_over_two_variable_sets_rejected():
+    """Every leaf is evaluated at one point over one variable set; a leaf
+    over another set is refused when the composition is built."""
+    outer_vars = VariableSet(("u", "v"))
+    u = Polynomial.variable(ZZ, outer_vars, "u")
+    v = Polynomial.variable(ZZ, outer_vars, "v")
+    x = Polynomial.variable(ZZ, VS, "x")
+    w = Polynomial.variable(ZZ, VariableSet(("x", "w")), "w")
+    with pytest.raises(VariableMismatch, match="different variable sets"):
+        Composition(u * v, {"u": x, "v": w})
+    assert Composition(u * v, {"u": x, "v": x ** 2}).vars == VS
 
 
 def test_block_determinant_extract_vs_evaluate_10_points():
@@ -177,7 +191,7 @@ def test_block_determinant_extract_vs_evaluate_10_points():
 def test_batch_evaluation_equals_per_point(prime):
     """One evaluation of a batch of points gives, trial by trial, the value
     of the per-point evaluation: for the leaves q and Q and for theorem 1's
-    PolyAt, whose outer polynomial has the rational coefficient 27/4."""
+    composition, whose outer polynomial has coefficients with denominator 4."""
     table = gen.generator_table()
     points = [sample_point(gen.TRIPLE_NAMES, 5, prime, t) for t in range(6)]
     batch = {
@@ -192,7 +206,7 @@ def test_batch_evaluation_equals_per_point(prime):
     for evaluate in (
         lambda pt: poly_eval_mod(table.q, pt, prime),
         lambda pt: poly_eval_mod(table.Q, pt, prime),
-        lambda pt: theorem1.eval_mod(pt, prime, {}),
+        lambda pt: theorem1.eval_mod(pt, prime),
     ):
         values = evaluate(batch)
         assert values.shape == (len(points),)

@@ -15,6 +15,8 @@ from semiinv.verify import (
     run_identity_modular,
 )
 
+import oracles
+
 SMALL = RunConfig(trials=8, primes=(2147483647, 2147483629, 5, 7), seed=0)
 
 
@@ -145,7 +147,33 @@ def test_negative_control_mutated_relation():
     point = result.counterexample["point"]
     prime = result.counterexample["prime"]
     expr = rel.main_relation_expr(mutated)
-    assert expr.eval_mod(point, prime, {}) == result.counterexample["value"] != 0
+    assert expr.eval_mod(point, prime) == result.counterexample["value"] != 0
+
+
+@pytest.mark.parametrize("prime", [2147483647, 5, 7])
+def test_theorem1_composition_matches_an_independent_evaluation(prime):
+    """The composed outer polynomial of theorem 1 takes the value of
+    Q^2 - H^3 - 27*H*S + (27/4)*T, with Q, H and f1..f10 evaluated term by
+    term by the oracle and S, T evaluated at those f-values.  With T
+    replaced by T + f5^6 the values differ by (27/4)*f5^6, nonzero at some
+    of the points."""
+    table = gen.generator_table()
+    s4, t6 = rel.derive_st()
+    f5 = Polynomial.variable(t6.ring, t6.vars, "f5")
+    expr = rel.theorem1_expr(s4, t6)
+    wrong = rel.theorem1_expr(s4, t6 + f5 ** 6)
+    c = 27 * pow(4, -1, prime)
+    wrong_values = []
+    for trial in range(6):
+        point = sample_point(gen.TRIPLE_NAMES, 5, prime, trial)
+        Q, H = (oracles.naive_eval_mod(p, point, prime) for p in (table.Q, table.H))
+        fs = {n: oracles.naive_eval_mod(f, point, prime) for n, f in zip(gen.F_NAMES, table.f)}
+        S, T = (oracles.naive_eval_mod(p, fs, prime) for p in (s4, t6))
+        expected = (Q * Q - H ** 3 - 27 * H * S + c * T) % prime
+        assert expr.eval_mod(point, prime) == expected
+        wrong_values.append(wrong.eval_mod(point, prime))
+        assert wrong_values[-1] == (expected + c * fs["f5"] ** 6) % prime
+    assert any(wrong_values)
 
 
 def test_exact_mode_small_budget_aborts():
@@ -207,7 +235,7 @@ def test_parallel_run_evaluates_the_expression_it_is_given(monkeypatch, method):
     assert not rebuilt.passed and not passed.passed
     assert rebuilt.counterexample == passed.counterexample
     ce = passed.counterexample
-    fresh = rel.main_relation_expr(mutated).eval_mod(ce["point"], ce["prime"], {})
+    fresh = rel.main_relation_expr(mutated).eval_mod(ce["point"], ce["prime"])
     assert fresh == ce["value"] != 0
 
 
@@ -217,12 +245,12 @@ def test_batched_run_matches_a_per_point_loop():
     assert 13 % BATCH_TRIALS
     cfg = RunConfig(trials=13, primes=(2147483647, 5, 7), seed=4)
     expr = rel.main_relation_expr(_mutated_relation())
-    names = expr.leaf_vars().names
+    names = expr.vars.names
     failures = []
     for prime in cfg.primes:
         for trial in range(cfg.trials):
             point = sample_point(names, cfg.seed, prime, trial)
-            value = expr.eval_mod(point, prime, {})
+            value = expr.eval_mod(point, prime)
             if value:
                 failures.append((prime, trial, value, point))
     assert failures
@@ -235,6 +263,26 @@ def test_batched_run_matches_a_per_point_loop():
         "prime": prime, "trial": trial, "value": value, "point": point,
     }
     assert type(result.counterexample["value"]) is int
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        pytest.param({"trials": 0}, "trials must be >= 1", id="trials=0"),
+        pytest.param({"trials": -3}, "trials must be >= 1", id="trials=-3"),
+        pytest.param({"mode": "Exact"}, "unknown mode 'Exact'", id="mode=Exact"),
+        pytest.param({"seed": -1}, "seed must fit in 64 bits", id="seed=-1"),
+        pytest.param({"seed": 2**64}, "seed must fit in 64 bits", id="seed=2**64"),
+    ],
+)
+def test_a_bad_config_is_refused_without_validated(kwargs, message):
+    """A config that would have skipped validated() could pass a mutated
+    relation: with no trials it makes no evaluation, and a bad mode or seed
+    would run something other than what was asked."""
+    with pytest.raises(VerifyUsageError, match=f"^{message}$"):
+        rel.verify_main_relation(RunConfig(**kwargs), relation=_mutated_relation())
+    with pytest.raises(VerifyUsageError, match=f"^{message}$"):
+        replace(SMALL, **kwargs)
 
 
 def test_repeated_primes_are_refused():
