@@ -1,8 +1,9 @@
 """Command-line front end: emit generators and relations, run verification
 suites, and produce machine-readable reports.
 
-Exit codes: 0 all checks passed, 1 an identity was violated, 2 usage error
-(including exact runs that overflow their term budget).
+Exit codes: 0 all checks passed, 1 an identity was violated or a slice
+proof's gate failed, 2 usage error (including a budget below 1 and exact runs
+that overflow their term budget).
 """
 
 from __future__ import annotations

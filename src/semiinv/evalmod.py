@@ -207,12 +207,43 @@ class Composition:
 
     def degree_bound(self) -> int:
         """Max over the outer terms of sum(exponent * leaf total degree)."""
-        degrees = [
-            self.leaves[name].total_degree() if name in self.leaves else 0
-            for name in self.outer.vars.names
-        ]
-        terms = self.outer.sorted_terms()
-        return max((sum(e * d for e, d in zip(exps, degrees)) for exps, _ in terms), default=0)
+        degrees = {name: (leaf.total_degree(),) for name, leaf in self.leaves.items()}
+        return max((sum(v) for v in self.term_degrees(degrees)), default=0)
+
+    def term_degrees(self, leaf_degrees: Mapping[str, Sequence[int]]) -> set:
+        """The degree vector of every outer term: the sum over the leaves of
+        exponent * leaf_degrees[leaf].  With leaf multidegrees in blocks of
+        variables, one vector means the composite is multihomogeneous."""
+        width = len(next(iter(leaf_degrees.values()), ()))
+        names = self.outer.vars.names
+        out = set()
+        for exps, _ in self.outer.sorted_terms():
+            vec = [0] * width
+            for name, e in zip(names, exps):
+                if e:
+                    for b, d in enumerate(leaf_degrees[name]):
+                        vec[b] += e * d
+            out.add(tuple(vec))
+        return out
 
     def expand(self, budget: int | None = None) -> Polynomial:
         return self.outer.substitute(self.leaves, budget=budget)
+
+    def restrict(self, bindings: Mapping[str, int]) -> "Composition":
+        """The same outer polynomial at this composition's own leaves with
+        some variables fixed to scalars: each leaf becomes
+        leaf.substitute(bindings) over the variables left unbound, so the
+        result's vars are this composition's vars minus the bound names.
+
+        Restriction commutes with composition (substitution is a ring
+        homomorphism), so the restricted composite is the composite
+        restricted.  Whether a zero restriction proves the identity is the
+        caller's argument: see verify.run_slice_proof."""
+        slice_vars = VariableSet(n for n in self.vars.names if n not in bindings)
+        return Composition(
+            self.outer,
+            {
+                name: leaf.substitute(bindings).convert(slice_vars)
+                for name, leaf in self.leaves.items()
+            },
+        )

@@ -23,7 +23,9 @@ rings have characteristic 0, which the argument below needs:
   triangulars and SL3 respectively.
 
 The same argument with row and column operations on each A_r certifies
-invariance under SL3 x SL3 acting by (g, h).A = g A h^-1.
+invariance under SL3 x SL3 acting by (g, h).A = g A h^-1, and with the row
+minus the column operation on the components of a pair, invariance under
+simultaneous conjugation.
 
 The correction coefficients attached to h and q are recomputed here from
 scratch by exact elimination on the derivation equations, in the bases of
@@ -101,32 +103,38 @@ def block_derivation(i: int, j: int) -> tuple:
     )
 
 
-def row_derivation(i: int, j: int) -> tuple:
-    """Left E_ij on every component: A_r -> (I + t*E_ij) A_r adds t * row j
-    to row i."""
+def row_derivation(i: int, j: int, components=(1, 2, 3)) -> tuple:
+    """Left E_ij on each of the components: A_r -> (I + t*E_ij) A_r adds
+    t * row j to row i."""
     return tuple(
-        (f"x{r}_{j}{b}", f"x{r}_{i}{b}") for r in (1, 2, 3) for b in (1, 2, 3)
+        (f"x{r}_{j}{b}", f"x{r}_{i}{b}") for r in components for b in (1, 2, 3)
     )
 
 
-def column_derivation(i: int, j: int) -> tuple:
-    """Right E_ij on every component: A_r -> A_r (I + t*E_ij) adds t * column
-    i to column j."""
+def column_derivation(i: int, j: int, components=(1, 2, 3)) -> tuple:
+    """Right E_ij on each of the components: A_r -> A_r (I + t*E_ij) adds
+    t * column i to column j."""
     return tuple(
-        (f"x{r}_{a}{i}", f"x{r}_{a}{j}") for r in (1, 2, 3) for a in (1, 2, 3)
+        (f"x{r}_{a}{i}", f"x{r}_{a}{j}") for r in components for a in (1, 2, 3)
+    )
+
+
+def _integral(F: Polynomial) -> Polynomial:
+    """F over ZZ, denominators cleared: D(c*F) = c*D(F), so a derivation
+    kills F iff it kills its integral multiple, and every derivation runs in
+    ints.  The fixedness equivalences need characteristic 0, which always
+    holds: ZZ and QQ are the only coefficient rings."""
+    if F.ring != QQ:
+        return F
+    den = lcm(*(c.denominator for c in F.terms.values()))
+    return Polynomial(
+        ZZ, F.vars, {k: (c * den).numerator for k, c in F.terms.items()}, F.maxexp
     )
 
 
 def _killed_by(F: Polynomial, derivations) -> bool:
-    """True iff every derivation, given by its (src, dst) pairs, kills F.
-    The fixedness equivalence needs characteristic 0, which always holds:
-    ZZ and QQ are the only coefficient rings."""
-    if F.ring == QQ:
-        # D(c*F) = c*D(F): clear denominators so every derivation runs in ints
-        den = lcm(*(c.denominator for c in F.terms.values()))
-        F = Polynomial(
-            ZZ, F.vars, {k: (c * den).numerator for k, c in F.terms.items()}, F.maxexp
-        )
+    """True iff every derivation, given by its (src, dst) pairs, kills F."""
+    F = _integral(F)
     return all(F.polarize(d).is_zero() for d in derivations)
 
 
@@ -155,6 +163,25 @@ def sl3_sl3_invariance_certificate(F: Polynomial) -> bool:
     derivations = [row_derivation(i, j) for i, j in SL3_ROOTS]
     derivations += [column_derivation(i, j) for i, j in SL3_ROOTS]
     return _killed_by(F, derivations)
+
+
+def conjugation_invariance_certificate(F: Polynomial, components=(1, 2)) -> bool:
+    """Invariance under simultaneous conjugation A_r -> g A_r g^-1 of the
+    components: row_derivation(i, j) - column_derivation(i, j) kills F for
+    E12, E23, E21, E32.
+
+    The t-derivative at 0 of (I + t*E_ij) A (I + t*E_ij)^-1 = (I + t*E_ij) A
+    (I - t*E_ij) is E_ij A - A E_ij, whose derivation on F is the row minus
+    the column derivation.  As in sl3_invariance_certificate these four
+    generate sl3, so F is fixed by every root subgroup and invariant under
+    SL3.  Scalars conjugate trivially and GL3 = scalars * SL3 over an
+    algebraically closed field, so F is invariant under GL3 conjugation."""
+    F = _integral(F)
+    return all(
+        F.polarize(row_derivation(i, j, components))
+        == F.polarize(column_derivation(i, j, components))
+        for i, j in SL3_ROOTS
+    )
 
 
 # -- certificates for polynomials given in the f-variables ---------------------

@@ -16,14 +16,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import generators as gen
-from . import textio
+from . import hwv, textio
 from .evalmod import Composition
 from .poly import QQ, ZZ, Polynomial, PolyError, VariableSet
 from .verify import (
     CheckResult,
     RunConfig,
+    Slice,
     boolean_check,
     run_identity,
+    run_slice_proof,
 )
 
 ABSTRACT12_NAMES = ("q", "h") + gen.F_NAMES
@@ -161,12 +163,49 @@ def theorem1_expr(s4: Polynomial | None = None, t6: Polynomial | None = None) ->
     )
 
 
+# The slice (A1, A2, A3) = (I, diag(x2_11, x2_22, x2_33), A3), in 12 of the 27
+# coordinates.  Soundness, for F a polynomial in SL3 x SL3-invariant leaves
+# whose outer terms share one block multidegree (d1, d2, d3):
+# * F is a composite of invariants, so F(g A h^-1) = F(A) for (g, h) in
+#   SL3 x SL3 acting on every component.
+# * On the dense set where A1 is invertible and A1^-1 A2 has distinct
+#   eigenvalues, some (g, h) moves (A1, A2, A3) to (mu*I, mu*D, C') with
+#   mu^3 = det A1 and D diagonal: first g A1 h^-1 = mu*I, then a simultaneous
+#   conjugation, which fixes mu*I, diagonalizes the second component.
+# * Multihomogeneity gives F(mu*I, mu*D, C') = mu^(d1 + d2) F(I, D, C').
+# * So F vanishes on that Zariski-dense set when it vanishes on the slice, and
+#   a polynomial that vanishes on a dense set in characteristic 0 is 0.
+TRIPLE_SLICE = Slice(
+    bindings={
+        **{f"x1_{i}{j}": int(i == j) for i in (1, 2, 3) for j in (1, 2, 3)},
+        **{f"x2_{i}{j}": 0 for i in (1, 2, 3) for j in (1, 2, 3) if i != j},
+    },
+    text="x1_ij = delta_ij, x2_ij = 0 for i != j: (A1, A2, A3) = (I, diag(x2_11, x2_22, x2_33), A3)",
+    certificate="SL3 x SL3: row and column derivations of E12, E23, E21, E32",
+    certify=hwv.sl3_sl3_invariance_certificate,
+    blocks=gen.BLOCK_NAMES,
+)
+
+
+def _run_triple_identity(name: str, expr: Composition, cfg: RunConfig) -> CheckResult:
+    """Exact mode proves the identity on TRIPLE_SLICE (run_slice_proof, gated
+    on the leaves' SL3 x SL3 certificates and the composite's block
+    multihomogeneity); modular mode evaluates it in all 27 coordinates."""
+    if cfg.mode == "exact":
+        return run_slice_proof(name, expr, cfg, TRIPLE_SLICE, run_identity)
+    return run_identity(name, expr, cfg)
+
+
 def verify_main_relation(cfg: RunConfig, relation: Polynomial | None = None) -> CheckResult:
-    return run_identity("main-relation", main_relation_expr(relation), cfg)
+    """The defining relation vanishes at the twelve generators: modular in all
+    27 coordinates by default, an exact slice proof in exact mode."""
+    return _run_triple_identity("main-relation", main_relation_expr(relation), cfg)
 
 
 def verify_theorem1(cfg: RunConfig) -> CheckResult:
-    return run_identity("theorem1", theorem1_expr(), cfg)
+    """Q^2 - H^3 - 27*H*S + (27/4)*T vanishes: modular in all 27 coordinates by
+    default, an exact slice proof in exact mode."""
+    return _run_triple_identity("theorem1", theorem1_expr(), cfg)
 
 
 # -- exact special-triple evaluations -------------------------------------------

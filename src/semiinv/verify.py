@@ -3,10 +3,12 @@
 A check takes an identity as an evalmod.Composition, an outer polynomial at
 named leaf polynomials.  It either expands the identity exactly to the zero
 polynomial or evaluates it at pseudo-random points over a list of prime
-fields.  Modular runs are reproducible from (seed, primes, trials); each
-prime's trials are evaluated in one process, in batches of BATCH_TRIALS points
-per evaluation of the composition, and a trial's point and value do not
-depend on its batch.  A RunConfig validates itself when it is constructed.
+fields.  run_slice_proof does either on a slice of the variables, after an
+exact gate certifies that the identity is invariant.  Modular runs are
+reproducible from (seed, primes, trials); each prime's trials are evaluated
+in one process, in batches of BATCH_TRIALS points per evaluation of the
+composition, and a trial's point and value do not depend on its batch.  A
+RunConfig validates itself when it is constructed.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .evalmod import (
     check_prime,
     sample_point,
 )
-from .poly import BudgetExceeded, PolyError
+from .poly import BudgetExceeded, Polynomial, PolyError
 
 REPORT_SCHEMA = "semiinv-report/1"
 
@@ -57,6 +59,9 @@ class RunConfig:
             raise VerifyUsageError(f"unknown mode {self.mode!r}")
         if self.trials < 1:
             raise VerifyUsageError("trials must be >= 1")
+        if self.budget is not None and self.budget < 1:
+            # no expansion fits in fewer than one term
+            raise VerifyUsageError("budget must be >= 1")
         if len(set(self.primes)) != len(self.primes):
             # points are keyed by (seed, prime, trial): a repeat re-evaluates them
             raise VerifyUsageError(f"repeated prime in {list(self.primes)}")
@@ -235,6 +240,76 @@ def run_identity_exact_else_modular(
             f"exact expansion exceeded the {attempt_budget}-term budget; fell back to modular"
         )
         return result
+
+
+# -- exact proofs on a slice ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Slice:
+    """Variables fixed to scalars, on which an invariant identity vanishes iff
+    it vanishes everywhere, and the leaf certificate that makes the identity
+    invariant.  The density argument tying the two together is written at
+    each slice's definition (conjinv.PAIR_SLICE, relations.TRIPLE_SLICE)."""
+
+    bindings: Mapping[str, int]
+    text: str  # the bindings in words, for the report
+    certificate: str  # the group action certify checks, for the report
+    certify: Callable[[Polynomial], bool]
+    # blocks of variables in which the composite must be multihomogeneous,
+    # when the density argument rescales blocks; None when it does not
+    blocks: tuple | None = None
+
+
+def run_slice_proof(
+    name: str,
+    expr: Composition,
+    cfg: RunConfig,
+    slc: Slice,
+    run: Callable[[str, Composition, RunConfig], CheckResult],
+) -> CheckResult:
+    """Prove expr == 0 from its restriction to a slice.
+
+    The gate comes first and is exact: every leaf of expr must pass
+    slc.certify, so the composite of invariants is invariant, and with
+    slc.blocks every outer term must have the same block multidegree, computed
+    from the leaf multidegrees.  A failed gate is a FAIL whose notes name the
+    leaf, never a PASS and never a fallback.  Then run(name, ...) checks
+    expr.restrict(slc.bindings), which uses the leaves of expr as given, in
+    the variables the slice leaves free.  The report records the slice, the
+    number of its variables and the certificate with the leaves it
+    certified."""
+    t0 = time.perf_counter()
+    failed = [leaf for leaf, poly in expr.leaves.items() if not slc.certify(poly)]
+    details = {
+        "slice": slc.text,
+        "slice_variables": sum(n not in slc.bindings for n in expr.vars.names),
+        "certificate": slc.certificate,
+        "certified_leaves": len(expr.leaves) - len(failed),
+    }
+    notes = [f"leaf {leaf!r} fails the certificate of {slc.certificate}" for leaf in failed]
+    if not failed and slc.blocks is not None:
+        degrees = {leaf: poly.multidegree(slc.blocks) for leaf, poly in expr.leaves.items()}
+        notes = [
+            f"leaf {leaf!r} is not multihomogeneous in the blocks"
+            for leaf, d in degrees.items()
+            if d is None
+        ]
+        if not notes:
+            multidegrees = sorted(expr.term_degrees(degrees))
+            if len(multidegrees) == 1:
+                details["block_multidegree"] = list(multidegrees[0])
+            else:
+                notes.append(
+                    f"outer terms have {len(multidegrees)} block multidegrees: "
+                    + ", ".join(str(list(m)) for m in multidegrees)
+                )
+    if notes:
+        return CheckResult(name, False, "exact", time.perf_counter() - t0, details, None, notes)
+    result = run(name, expr.restrict(slc.bindings), cfg)
+    result.details = {**details, **result.details}
+    result.elapsed_s = time.perf_counter() - t0
+    return result
 
 
 # -- reports -------------------------------------------------------------------

@@ -11,6 +11,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from semiinv import conjinv
+from semiinv.verify import RunConfig
+
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 
 
@@ -59,3 +62,23 @@ def test_every_package_name_the_workloads_use_exists():
         if not hasattr(modules[node.value.id], node.attr)
     ]
     assert not missing
+
+
+def test_the_traced_layers_of_the_exact_trace_relation_record_calls():
+    """The coverage guard predicts calls to these names on the workloads that
+    run verify_nakamoto_composed; a refactor that routes around one would
+    otherwise show only as exit 3 on a traced benchmark run."""
+    tracer = _load("tracing").Tracer("t")
+    tracer.install()
+    try:
+        assert conjinv.verify_nakamoto_composed(RunConfig(mode="exact")).passed
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    for name in (
+        "verify.exact_else_modular",
+        "verify.run_identity_exact",
+        "poly.substitute",
+        "conjinv.trace_generators",
+    ):
+        assert summary[name][0] > 0, name

@@ -4,6 +4,7 @@ import pytest
 
 from semiinv import cli, conjinv, relations
 from semiinv.poly import ZZ, Polynomial
+from semiinv.verify import RunConfig, VerifyUsageError
 
 
 def run_cli(capsys, *argv):
@@ -135,6 +136,20 @@ def test_verify_exact_nakamoto_over_budget_exits_2(capsys):
     assert "exceeded the term budget (1000)" in err
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_a_budget_below_one_is_refused(capsys, budget):
+    """No expansion fits under such a budget: it used to abort the exact
+    attempt at once and report a fallback to modular."""
+    with pytest.raises(VerifyUsageError, match="^budget must be >= 1$"):
+        RunConfig(budget=budget, trials=1)
+    code, out, err = run_cli(
+        capsys, "verify", "nakamoto", "--budget", str(budget), "--trials", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: budget must be >= 1\n"
+
+
 def test_verify_main_relation_small(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "main-relation", "--trials", "4", "--seed", "1",
@@ -145,17 +160,20 @@ def test_verify_main_relation_small(capsys):
 
 
 def test_json_report_deterministic_modulo_timing(capsys):
-    args = (
-        "verify", "main-relation", "--trials", "3", "--format", "json",
-        "--primes", "2147483629,7",
+    runs = (
+        ("main-relation", "--trials", "3", "--primes", "2147483629,7"),
+        ("nakamoto", "--seed", "0"),
+        ("nakamoto", "--seed", "1"),
     )
-    _, out1, _ = run_cli(capsys, *args)
-    _, out2, _ = run_cli(capsys, *args)
-    r1 = _strip_timing(json.loads(out1))
-    r2 = _strip_timing(json.loads(out2))
-    assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
-    assert r1["schema"] == "semiinv-report/1"
-    assert r1["passed"] is True
+    for run in runs:
+        args = ("verify", *run, "--format", "json")
+        _, out1, _ = run_cli(capsys, *args)
+        _, out2, _ = run_cli(capsys, *args)
+        r1 = _strip_timing(json.loads(out1))
+        r2 = _strip_timing(json.loads(out2))
+        assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+        assert r1["schema"] == "semiinv-report/1"
+        assert r1["passed"] is True
 
 
 def test_jobs_option_is_gone(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from semiinv import conjinv as cj, generators as gen, relations as rel
+from semiinv import conjinv as cj, generators as gen, hwv, relations as rel
 from semiinv.poly import ZZ, Polynomial
 from semiinv.verify import RunConfig, VerifyUsageError
 
@@ -217,21 +217,64 @@ def test_structural_rewrite_reports_symmetric_difference():
 
 
 def test_composed_relation_vanishes_exactly():
+    """The oracle for the slice proof: the full expansion in all 18 entries."""
+    expanded = cj.nakamoto_composed_expr().expand()
+    assert expanded.is_zero()
+    assert expanded.vars == cj.PAIR_VARS
+
+
+def test_composed_relation_is_proved_on_the_slice():
     result = cj.verify_nakamoto_composed(RunConfig(trials=4, primes=(2147483647,)))
     assert result.passed
     assert result.mode == "exact"
+    assert result.details["slice"] == (
+        "x1_ij = 0 for i != j: A = diag(x1_11, x1_22, x1_33), B generic"
+    )
+    assert result.details["slice_variables"] == 12
+    assert result.details["certified_leaves"] == 11
+    assert result.details["expanded_terms"] == 0
+
+
+def test_every_trace_generator_passes_the_conjugation_certificate(gens18):
+    assert all(hwv.conjugation_invariance_certificate(p) for p in gens18.values())
+    # a product of two entries of one matrix is not invariant
+    x = Polynomial.variable(ZZ, cj.PAIR_VARS, "x1_12")
+    assert not hwv.conjugation_invariance_certificate(x.mul(x))
+
+
+def test_a_leaf_that_is_not_conjugation_invariant_fails_the_gate(monkeypatch, gens18):
+    """The gate runs on the generators the provider returns, and a failed gate
+    is a FAIL that names the leaf in every mode, never a fallback."""
+    bad = dict(gens18)
+    x12 = Polynomial.variable(ZZ, cj.PAIR_VARS, "x1_12")
+    y21 = Polynomial.variable(ZZ, cj.PAIR_VARS, "x2_21")
+    bad["k"] = gens18["k"] + x12.mul(y21)
+    monkeypatch.setattr(cj, "trace_generators", lambda: bad)
+    for mode in ("modular", "exact"):
+        result = cj.verify_nakamoto_composed(RunConfig(mode=mode, trials=2))
+        assert not result.passed
+        assert result.mode == "exact"
+        assert result.notes == [
+            "leaf 'k' fails the certificate of " + cj.PAIR_SLICE.certificate
+        ]
+        assert result.details["certified_leaves"] == 10
+        assert "expanded_terms" not in result.details
 
 
 def test_composed_relation_modular_fallback():
-    cfg = RunConfig(trials=6, primes=(2147483629, 5), seed=2, budget=10_000)
+    cfg = RunConfig(trials=6, primes=(2147483629, 5), seed=2, budget=1000)
     result = cj.verify_nakamoto_composed(cfg)
     assert result.passed
     assert result.mode == "modular"
-    assert result.notes
+    assert result.notes[-1] == (
+        "exact expansion exceeded the 1000-term budget; fell back to modular"
+    )
+    assert result.details["slice_variables"] == 12
+    assert result.details["evaluations"] == 12
 
 
 def test_composed_relation_exact_mode_does_not_fall_back():
-    cfg = RunConfig(mode="exact", trials=6, primes=(2147483629,), budget=10_000)
+    cfg = RunConfig(mode="exact", trials=6, primes=(2147483629,), budget=1000)
     with pytest.raises(VerifyUsageError, match="exceeded the term budget"):
         cj.verify_nakamoto_composed(cfg)
 
@@ -243,11 +286,21 @@ def test_composed_relation_at_identity_pair(gens18):
 
 
 def test_negative_control_mutated_trace_relation():
+    """An outer mutant is still invariant, so it stays nonzero on the slice."""
     nak = cj.nakamoto_polynomial()
-    mutated = nak - Polynomial.monomial(ZZ, cj.TRACE_VARS, {"r": 2}, 2)
     cfg = RunConfig(trials=4, primes=(2147483647,), seed=0)
-    result = cj.verify_nakamoto_composed(cfg, trace_relation=mutated)
-    assert not result.passed
+    mutants = (
+        ({"r": 2}, -2, 358),
+        ({"k": 3}, -2, 164),
+        ({"r": 1, "k": 1, "t1": 1, "t2": 1}, 1, 1347),
+    )
+    for term, coefficient, left in mutants:
+        mutated = nak + Polynomial.monomial(ZZ, cj.TRACE_VARS, term, coefficient)
+        result = cj.verify_nakamoto_composed(cfg, trace_relation=mutated)
+        assert not result.passed
+        assert result.mode == "exact"
+        assert result.details["certified_leaves"] == 11
+        assert result.details["expanded_terms"] == left
 
 
 # -- the distinguished pair -----------------------------------------------------------

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from semiinv import generators as gen, relations as rel
-from semiinv.evalmod import sample_point
-from semiinv.poly import QQ, ZZ, Polynomial, PolyError
+from semiinv.evalmod import Composition, sample_point
+from semiinv.poly import QQ, ZZ, Polynomial, PolyError, VariableSet
 from semiinv.verify import (
     BATCH_TRIALS,
     RunConfig,
@@ -181,6 +181,96 @@ def test_exact_mode_small_budget_aborts():
         rel.verify_main_relation(
             RunConfig(mode="exact", budget=1000, primes=(5,), trials=1)
         )
+
+
+# -- exact mode: slice proofs ---------------------------------------------------
+
+EXACT = RunConfig(mode="exact")
+
+
+@pytest.mark.parametrize("verify", [rel.verify_main_relation, rel.verify_theorem1])
+def test_exact_mode_is_a_slice_proof(verify):
+    result = verify(EXACT)
+    assert result.passed and result.mode == "exact"
+    assert result.details["slice"] == rel.TRIPLE_SLICE.text
+    assert result.details["slice_variables"] == 12
+    assert result.details["certified_leaves"] == 12
+    assert result.details["block_multidegree"] == [6, 6, 6]
+    assert result.details["expanded_terms"] == 0
+
+
+def test_restriction_uses_the_leaves_it_is_given():
+    """Each restricted leaf is the given leaf restricted, for a passed
+    relation and for a composition with a replaced leaf alike."""
+    bindings = rel.TRIPLE_SLICE.bindings
+    free = VariableSet(n for n in gen.TRIPLE_NAMES if n not in bindings)
+    assert len(free) == 12
+    expr = rel.main_relation_expr(_mutated_relation())
+    f5 = expr.leaves["f5"]
+    other = Composition(expr.outer, dict(expr.leaves, h=expr.leaves["h"] + f5.mul(f5)))
+    for composition in (expr, other):
+        restricted = composition.restrict(bindings)
+        assert restricted.vars == free
+        assert restricted.outer is composition.outer
+        for name, leaf in composition.leaves.items():
+            assert restricted.leaves[name] == leaf.substitute(bindings).convert(free)
+    assert other.restrict(bindings).leaves["h"] != expr.restrict(bindings).leaves["h"]
+
+
+def test_exact_mode_catches_a_mutated_relation():
+    """h^2*f2*f9 keeps the block multidegree (6, 6, 6), so only the slice
+    expansion can see it."""
+    mutated = rel.defining_relation() + Polynomial.monomial(
+        ZZ, rel.ABSTRACT12, {"h": 2, "f2": 1, "f9": 1}, 1
+    )
+    result = rel.verify_main_relation(EXACT, relation=mutated)
+    assert not result.passed
+    assert result.details["certified_leaves"] == 12
+    assert result.details["expanded_terms"] == 324
+
+
+def test_exact_mode_catches_a_mutated_sextic(monkeypatch):
+    s4, t6 = rel.derive_st()
+    f5 = Polynomial.variable(t6.ring, t6.vars, "f5")
+    monkeypatch.setattr(rel, "derive_st", lambda: (s4, t6 + f5 ** 6))
+    result = rel.verify_theorem1(EXACT)
+    assert not result.passed
+    assert result.details["block_multidegree"] == [6, 6, 6]
+    assert result.details["expanded_terms"] > 0
+
+
+def test_exact_mode_gate_names_a_leaf_that_is_not_invariant(monkeypatch):
+    """x1_11^2*x2_11^2*x3_11^2 has h's multidegree (2, 2, 2) but is not
+    SL3 x SL3-invariant: the gate FAILs and names h before any expansion."""
+    table = gen.generator_table()
+    x = {n: Polynomial.variable(ZZ, gen.TRIPLE_VARS, n) for n in ("x1_11", "x2_11", "x3_11")}
+    wrong = table.h + (x["x1_11"] * x["x2_11"] * x["x3_11"]) ** 2
+    assert wrong.multidegree(gen.BLOCK_NAMES) == (2, 2, 2)
+    monkeypatch.setattr(gen, "generator_table", lambda: replace(table, h=wrong))
+    result = rel.verify_main_relation(EXACT)
+    assert not result.passed and result.mode == "exact"
+    assert result.notes == ["leaf 'h' fails the certificate of " + rel.TRIPLE_SLICE.certificate]
+    assert result.details["certified_leaves"] == 11
+    assert "expanded_terms" not in result.details
+
+
+def test_exact_mode_gate_refuses_a_composite_that_is_not_multihomogeneous(monkeypatch):
+    """Every leaf is invariant, but an outer term of another block multidegree,
+    or a leaf of mixed multidegree, breaks the rescaling to the slice: FAIL
+    without expanding."""
+    mutated = rel.defining_relation() + Polynomial.variable(ZZ, rel.ABSTRACT12, "h")
+    result = rel.verify_main_relation(EXACT, relation=mutated)
+    assert not result.passed
+    assert result.notes == ["outer terms have 2 block multidegrees: [2, 2, 2], [6, 6, 6]"]
+    assert "expanded_terms" not in result.details
+
+    table = gen.generator_table()
+    mixed = table.f[0] + table.f[6]  # f300 + f030 is invariant
+    monkeypatch.setattr(gen, "generator_table", lambda: replace(table, f=(mixed,) + table.f[1:]))
+    result = rel.verify_main_relation(EXACT)
+    assert not result.passed
+    assert result.details["certified_leaves"] == 12
+    assert result.notes == ["leaf 'f1' is not multihomogeneous in the blocks"]
 
 
 def test_small_primes_report_no_failure_bound():
