@@ -81,7 +81,7 @@ def _config_from(args) -> RunConfig:
         seed=args.seed,
         budget=args.budget,
         allow_small_char=args.allow_small_char,
-    ).validated()
+    )
 
 
 def cmd_verify(args) -> int:

@@ -34,12 +34,13 @@ from .verify import (
 
 PAIR_NAMES = gen.TRIPLE_NAMES[:18]
 PAIR_VARS = VariableSet(PAIR_NAMES)
-PAIR_BLOCKS = (PAIR_NAMES[:9], PAIR_NAMES[9:])
+# the bidegree of each entry in (A-entries, B-entries): x1_ij (1, 0), x2_ij (0, 1)
+PAIR_WEIGHTS = {name: gen.BLOCK_WEIGHTS[name][:2] for name in PAIR_NAMES}
 
 TRACE_NAMES = ("t1", "s1", "d1", "t2", "s2", "d2", "z", "w1", "w2", "k", "r")
 TRACE_VARS = VariableSet(TRACE_NAMES)
 
-# bidegrees in (A-entries, B-entries)
+# bidegrees of the trace generators under PAIR_WEIGHTS
 TRACE_BIDEGREES = {
     "t1": (1, 0),
     "s1": (2, 0),
@@ -215,15 +216,6 @@ def nakamoto_polynomial() -> Polynomial:
     """The single defining relation among the eleven trace generators
     (Nakamoto's relation), over ZZ in the abstract trace ring."""
     return textio.parse_text(_TRACE_RELATION_TEXT, TRACE_VARS, ZZ)
-
-
-def trace_bidegree_of_term(exps) -> tuple:
-    da = db = 0
-    for name, e in zip(TRACE_NAMES, exps):
-        wa, wb = TRACE_BIDEGREES[name]
-        da += wa * e
-        db += wb * e
-    return (da, db)
 
 
 def rewrite_relation_through_phi(relation: Polynomial | None = None) -> Polynomial:

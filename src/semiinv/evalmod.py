@@ -207,24 +207,12 @@ class Composition:
 
     def degree_bound(self) -> int:
         """Max over the outer terms of sum(exponent * leaf total degree)."""
-        degrees = {name: (leaf.total_degree(),) for name, leaf in self.leaves.items()}
-        return max((sum(v) for v in self.term_degrees(degrees)), default=0)
-
-    def term_degrees(self, leaf_degrees: Mapping[str, Sequence[int]]) -> set:
-        """The degree vector of every outer term: the sum over the leaves of
-        exponent * leaf_degrees[leaf].  With leaf multidegrees in blocks of
-        variables, one vector means the composite is multihomogeneous."""
-        width = len(next(iter(leaf_degrees.values()), ()))
-        names = self.outer.vars.names
-        out = set()
-        for exps, _ in self.outer.sorted_terms():
-            vec = [0] * width
-            for name, e in zip(names, exps):
-                if e:
-                    for b, d in enumerate(leaf_degrees[name]):
-                        vec[b] += e * d
-            out.add(tuple(vec))
-        return out
+        weights = {
+            name: (leaf.total_degree(),)
+            for name, leaf in self.leaves.items()
+            if name in self.outer.vars
+        }
+        return max((sum(d) for d in self.outer.degrees(weights)), default=0)
 
     def expand(self, budget: int | None = None) -> Polynomial:
         return self.outer.substitute(self.leaves, budget=budget)

@@ -1,11 +1,16 @@
 """The generating invariants of 3x3 matrix triples and the GL3 action.
 
 The ten cubic generators are the coefficients of det(t1*A1 + t2*A2 + t3*A3);
-h and q are designated t-coefficients of 6x6 and 9x9 block determinants.  H
-and Q are the rational corrections of h and q that are fixed by the unipotent
-upper-triangular subgroup (highest weight vectors of weights (2,2,2) and
-(3,3,3)).  Everything is built exactly, as polynomials in the 27 coordinate
-functions of the generic triple.
+h and q are the t1 and t1^2 coefficients of 6x6 and 9x9 block determinants
+in which only one block carries the grading variable t1 (see h_poly and
+q_poly for why one variable suffices).  H and Q are the rational corrections
+of h and q that are fixed by the unipotent upper-triangular subgroup (highest
+weight vectors of weights (2,2,2) and (3,3,3)).  Everything is built exactly,
+as polynomials in the 27 coordinate functions of the generic triple.
+
+Gradings are data next to the names they weigh, for Polynomial.degrees:
+BLOCK_WEIGHTS gives the degree in the entries of (A1, A2, A3), and F_WEIGHTS
+gives f_n the exponent triple (i, j, k) it is the coefficient of.
 """
 
 from __future__ import annotations
@@ -25,8 +30,13 @@ TRIPLE_NAMES = tuple(
 )
 TRIPLE_VARS = VariableSet(TRIPLE_NAMES)
 BLOCK_NAMES = tuple(TRIPLE_NAMES[9 * r : 9 * r + 9] for r in range(3))
+BLOCK_WEIGHTS = {
+    name: tuple(int(b == r) for b in range(3))
+    for r, names in enumerate(BLOCK_NAMES)
+    for name in names
+}
 
-T_NAMES = ("t1", "t2", "t3", "t4", "t5", "t6")
+T_NAMES = ("t1", "t2", "t3")
 
 # f-numbering: the ten exponent triples (i, j, k) with i+j+k = 3, in the
 # order that defines f1..f10.
@@ -44,6 +54,7 @@ F_INDEX = (
 )
 F_NAMES = tuple(f"f{i}" for i in range(1, 11))
 F_VARS = VariableSet(F_NAMES)
+F_WEIGHTS = dict(zip(F_NAMES, F_INDEX))
 
 # Correction coefficients making H = h + sum(c * f_i * f_j) and
 # Q = q + sum(c * prod) highest weight vectors.  A factor key is n for f_n and
@@ -207,10 +218,10 @@ def _lift(m: PolyMatrix, vars: VariableSet) -> PolyMatrix:
 
 
 def pencil_determinant(T: MatrixTriple) -> Polynomial:
-    """det(t1*A1 + t2*A2 + t3*A3) over the triple's variables extended by t1..t6."""
+    """det(t1*A1 + t2*A2 + t3*A3) over the triple's variables extended by T_NAMES."""
     w = _pencil_vars(T.vars)
     acc = None
-    for t_name, m in zip(("t1", "t2", "t3"), T.components()):
+    for t_name, m in zip(T_NAMES, T.components()):
         part = _lift(m, w).scale(Polynomial.variable(m.ring, w, t_name))
         acc = part if acc is None else acc + part
     return acc.determinant()
@@ -230,48 +241,49 @@ def f_all(T: MatrixTriple) -> dict:
 
 
 def h_poly(T: MatrixTriple) -> Polynomial:
-    """Coefficient of t1^2 t2^2 t3^2 in the 6x6 block determinant
-    [[t2*A2, t1*A1], [t1*A1, t3*A3]]."""
+    """Coefficient of t1 in the 6x6 block determinant [[A2, t1*A1], [A1, A3]].
+
+    A Leibniz term takes one entry from each row and each column.  Every
+    block row and block column has 3 of them, so if a term takes a entries
+    from the A2 block, it takes 3 - a from each A1 block and a from the A3
+    block: its t1 exponent 3 - a fixes all four counts.  So the t1 coefficient
+    is the sum of the terms with a = 2, which is the coefficient of
+    t1^2 t2^2 t3^2 in [[t2*A2, t1*A1], [t1*A1, t3*A3]], the definition of
+    h."""
     w = _pencil_vars(T.vars)
-    ring = T.ring
-
-    def tv(name):
-        return Polynomial.variable(ring, w, name)
-
     a1 = _lift(T.a1, w)
-    a2 = _lift(T.a2, w)
-    a3 = _lift(T.a3, w)
     m = block_matrix(
         [
-            [a2.scale(tv("t2")), a1.scale(tv("t1"))],
-            [a1.scale(tv("t1")), a3.scale(tv("t3"))],
+            [_lift(T.a2, w), a1.scale(Polynomial.variable(T.ring, w, "t1"))],
+            [a1, _lift(T.a3, w)],
         ]
     )
-    return _extract_t(m.determinant(), {"t1": 2, "t2": 2, "t3": 2}, T.vars)
+    return _extract_t(m.determinant(), {"t1": 1}, T.vars)
 
 
 def q_poly(T: MatrixTriple) -> Polynomial:
-    """Coefficient of t1^2 t2 t3^2 t4 t5^2 t6 in the 9x9 block determinant
-    [[0, t1*A1, t2*A2], [t4*A1, 0, t3*A3], [t5*A2, t6*A3, 0]]."""
+    """Coefficient of t1^2 in the 9x9 block determinant
+    [[0, t1*A1, A2], [A1, 0, A3], [A2, A3, 0]].
+
+    As in h_poly, every block row and block column has 3 rows or columns.  A
+    Leibniz term that takes a entries from the t1*A1 block (block (1, 2)) then
+    takes 3 - a from blocks (1, 3), (2, 1) and (3, 2), and a from blocks
+    (2, 3) and (3, 1).  So the t1^2 coefficient is the sum of the terms with
+    a = 2, which is the coefficient of t1^2 t2 t3^2 t4 t5^2 t6 in
+    [[0, t1*A1, t2*A2], [t4*A1, 0, t3*A3], [t5*A2, t6*A3, 0]], the
+    definition of q."""
     w = _pencil_vars(T.vars)
-    ring = T.ring
-
-    def tv(name):
-        return Polynomial.variable(ring, w, name)
-
     a1 = _lift(T.a1, w)
     a2 = _lift(T.a2, w)
     a3 = _lift(T.a3, w)
     m = block_matrix(
         [
-            [None, a1.scale(tv("t1")), a2.scale(tv("t2"))],
-            [a1.scale(tv("t4")), None, a3.scale(tv("t3"))],
-            [a2.scale(tv("t5")), a3.scale(tv("t6")), None],
+            [None, a1.scale(Polynomial.variable(T.ring, w, "t1")), a2],
+            [a1, None, a3],
+            [a2, a3, None],
         ]
     )
-    return _extract_t(
-        m.determinant(), {"t1": 2, "t2": 1, "t3": 2, "t4": 1, "t5": 2, "t6": 1}, T.vars
-    )
+    return _extract_t(m.determinant(), {"t1": 2}, T.vars)
 
 
 @dataclass(frozen=True)
@@ -397,7 +409,7 @@ def group_element_determinant(g: Sequence[Sequence]) -> Fraction:
 
 # -- the induced linear action on the span of the ten f's ---------------------
 
-_T3_VARS = VariableSet(("t1", "t2", "t3"))
+_T3_VARS = VariableSet(T_NAMES)
 
 
 def f_action_matrix(g: Sequence[Sequence]) -> list:
@@ -504,20 +516,3 @@ def cubic_action_substitution(g: Sequence[Sequence]) -> dict:
         out[cname] = acc
     return out
 
-
-def f_weight(p_f: Polynomial) -> tuple | None:
-    """Multidegree of an f-ring polynomial under the weights of the f's;
-    None if the terms disagree."""
-    result = None
-    for exps, _ in p_f.sorted_terms():
-        vec = [0, 0, 0]
-        for (i, j, k), e in zip(F_INDEX, exps):
-            vec[0] += i * e
-            vec[1] += j * e
-            vec[2] += k * e
-        vec = tuple(vec)
-        if result is None:
-            result = vec
-        elif result != vec:
-            return None
-    return result

@@ -1,7 +1,8 @@
 """Weight vectors, highest-weight certificates, and highest-weight corrections.
 
 A polynomial in the 27 triple coordinates is a weight vector of weight alpha
-iff it is multihomogeneous of multidegree alpha.  Fixedness under the
+iff it is multihomogeneous of multidegree alpha, its one degree vector under
+generators.BLOCK_WEIGHTS; multidegree reads it.  Fixedness under the
 elementary transvections is certified with Lie-algebra derivations instead of
 group substitution, over the coefficient ring of F (ZZ for the generators;
 QQ for the corrected H and Q, whose denominators are cleared first).  Both
@@ -53,16 +54,11 @@ UnderdeterminedSystem = linalg.UnderdeterminedSystem
 
 
 def multidegree(F: Polynomial) -> tuple | None:
-    """Degree vector in the entries of (A1, A2, A3); None when mixed."""
-    return F.convert(gen.TRIPLE_VARS).multidegree(gen.BLOCK_NAMES)
-
-
-def is_weight_vector(F: Polynomial, alpha: Sequence[int]) -> bool:
-    """True iff the diagonal torus scales F by z1^a1 z2^a2 z3^a3, i.e. F is
-    multihomogeneous of multidegree alpha."""
-    if F.is_zero():
-        return False
-    return multidegree(F) == tuple(alpha)
+    """Degree vector in the entries of (A1, A2, A3), the weight under the
+    diagonal torus; None when the terms disagree or F is 0.  F's variables
+    must include the 27 triple coordinates."""
+    degrees = F.degrees(gen.BLOCK_WEIGHTS)
+    return degrees.pop() if len(degrees) == 1 else None
 
 
 def diagonal_action_weight(F: Polynomial) -> tuple | None:
@@ -76,9 +72,10 @@ def diagonal_action_weight(F: Polynomial) -> tuple | None:
     for i in range(3):
         diag[i][i] = Polynomial.variable(ring, zvars, f"z{i+1}")
     acted = gen.act_on_function(diag, F, vars=zvars)
-    alpha = acted.multidegree((("z1",), ("z2",), ("z3",)))
-    if alpha is None:
+    alphas = acted.degrees({"z1": (1, 0, 0), "z2": (0, 1, 0), "z3": (0, 0, 1)})
+    if len(alphas) != 1:
         return None
+    alpha = alphas.pop()
     scale = Polynomial.monomial(
         ring, zvars, {"z1": alpha[0], "z2": alpha[1], "z3": alpha[2]}
     )
@@ -254,11 +251,11 @@ def solve_hwv_correction(base: Polynomial, basis: Sequence[Polynomial]) -> list:
     """
     base = base.convert(gen.TRIPLE_VARS)
     basis = [m.convert(gen.TRIPLE_VARS) for m in basis]
-    md = base.multidegree(gen.BLOCK_NAMES)
+    md = multidegree(base)
     if md is None:
         raise linalg.LinAlgError("base is not multihomogeneous")
     for m in basis:
-        if m.multidegree(gen.BLOCK_NAMES) != md:
+        if multidegree(m) != md:
             raise linalg.LinAlgError("basis element of different multidegree")
     rows = []
     for i, j in UPPER_ROOTS:

@@ -249,28 +249,25 @@ class Polynomial:
         unpack = self.vars.unpack
         return max((sum(unpack(k)) for k in self.terms), default=0)
 
-    def degree_in(self, names: Iterable[str]) -> int:
-        shifts = [self.vars.shift(n) for n in names]
-        best = 0
-        for k in self.terms:
-            d = sum((k >> sh) & _FIELD_MASK for sh in shifts)
-            if d > best:
-                best = d
-        return best
-
-    def multidegree(self, groups: Sequence[Iterable[str]]):
-        """Per-group degree vector; None if terms are not multihomogeneous."""
-        shift_groups = [[self.vars.shift(n) for n in g] for g in groups]
-        result = None
-        for k in self.terms:
-            vec = tuple(
-                sum((k >> sh) & _FIELD_MASK for sh in shs) for shs in shift_groups
-            )
-            if result is None:
-                result = vec
-            elif result != vec:
-                return None
-        return result
+    def degrees(self, weights: Mapping[str, Sequence[int]]) -> set:
+        """The set of weighted degree vectors of the terms: a term x^e has
+        degree sum(e[name] * weights[name]).  Weights are keyed by variable
+        name and share one length; an unlisted variable weighs 0, and a
+        weighted name that is not one of the variables raises
+        VariableMismatch.  One vector means the polynomial is homogeneous
+        under the grading; the zero polynomial has none."""
+        if len({len(w) for w in weights.values()}) > 1:
+            raise PolyError("weight vectors of different lengths")
+        shifts = [self.vars.shift(name) for name in weights]
+        # per component, the (shift, weight) pairs of the names that weigh in it
+        columns = [
+            [(sh, w) for sh, w in zip(shifts, ws) if w]
+            for ws in zip(*weights.values())
+        ]
+        return {
+            tuple(sum(((k >> sh) & _FIELD_MASK) * w for sh, w in col) for col in columns)
+            for k in self.terms
+        }
 
     def max_exponent(self, name: str) -> int:
         sh = self.vars.shift(name)

@@ -32,7 +32,7 @@ ABSTRACT12_NAMES = ("q", "h") + gen.F_NAMES
 ABSTRACT12 = VariableSet(ABSTRACT12_NAMES)
 
 # weighted degree of the relation: q, h, f each count 9, 6, 3
-RELATION_WEIGHTS = {"q": 9, "h": 6, **{name: 3 for name in gen.F_NAMES}}
+RELATION_WEIGHTS = {"q": (9,), "h": (6,), **{name: (3,) for name in gen.F_NAMES}}
 
 # The quadratic relation among the generators, transcribed once and locked by
 # the digest below; every term has weighted degree 18.
@@ -68,11 +68,6 @@ def relation_digest(p: Polynomial) -> str:
     return hashlib.sha256(p.text().encode()).hexdigest()
 
 
-def weighted_degrees(p: Polynomial, weights: dict) -> set:
-    ws = [weights.get(name, 0) for name in p.vars.names]
-    return {sum(w * e for w, e in zip(ws, exps)) for exps, _ in p.sorted_terms()}
-
-
 # -- abstract highest-weight forms --------------------------------------------
 
 
@@ -104,9 +99,10 @@ def derive_st() -> tuple:
     constraints fail, which would indicate a transcription error."""
     relation = defining_relation().to_ring(QQ)
     E = abstract_Q().mul(abstract_Q()) - abstract_H() ** 3 - relation
-    if E.degree_in(("q",)) != 0:
+    q_h_degrees = E.degrees({"q": (1, 0), "h": (0, 1)})
+    if any(dq for dq, _ in q_h_degrees):
         raise PolyError("derivation failed: residual q-dependence")
-    if E.degree_in(("h",)) > 1:
+    if any(dh > 1 for _, dh in q_h_degrees):
         raise PolyError("derivation failed: residual h-degree above 1")
     f_only = ABSTRACT12_NAMES[2:]
     s4_12 = E.coefficient_of({"h": 1}, ("q", "h")) * Fraction(1, 27)
@@ -115,9 +111,9 @@ def derive_st() -> tuple:
     t6_12 = (e0 - c0.mul(s4_12) * 27) * Fraction(-4, 27)
     s4 = s4_12.convert(gen.F_VARS)
     t6 = t6_12.convert(gen.F_VARS)
-    if s4.total_degree() != 4 or gen.f_weight(s4) != (4, 4, 4):
+    if s4.total_degree() != 4 or s4.degrees(gen.F_WEIGHTS) != {(4, 4, 4)}:
         raise PolyError("quartic invariant is not multihomogeneous of weight (4,4,4)")
-    if t6.total_degree() != 6 or gen.f_weight(t6) != (6, 6, 6):
+    if t6.total_degree() != 6 or t6.degrees(gen.F_WEIGHTS) != {(6, 6, 6)}:
         raise PolyError("sextic invariant is not multihomogeneous of weight (6,6,6)")
     return s4, t6
 
@@ -183,7 +179,7 @@ TRIPLE_SLICE = Slice(
     text="x1_ij = delta_ij, x2_ij = 0 for i != j: (A1, A2, A3) = (I, diag(x2_11, x2_22, x2_33), A3)",
     certificate="SL3 x SL3: row and column derivations of E12, E23, E21, E32",
     certify=hwv.sl3_sl3_invariance_certificate,
-    blocks=gen.BLOCK_NAMES,
+    weights=gen.BLOCK_WEIGHTS,
 )
 
 
@@ -289,7 +285,7 @@ def derive_st_checks() -> list:
     checks.append(
         boolean_check(
             "relation: every term has weighted degree 18",
-            lambda: weighted_degrees(relation, RELATION_WEIGHTS) == {18},
+            lambda: relation.degrees(RELATION_WEIGHTS) == {(18,)},
         )
     )
 
@@ -298,8 +294,8 @@ def derive_st_checks() -> list:
         return (
             s4.total_degree() == 4
             and t6.total_degree() == 6
-            and gen.f_weight(s4) == (4, 4, 4)
-            and gen.f_weight(t6) == (6, 6, 6)
+            and s4.degrees(gen.F_WEIGHTS) == {(4, 4, 4)}
+            and t6.degrees(gen.F_WEIGHTS) == {(6, 6, 6)}
         )
 
     checks.append(

@@ -157,10 +157,7 @@ def nakamoto_suite(cfg: RunConfig) -> list:
         ),
         boolean_check(
             "trace relation terms all have bidegree (6,6)",
-            lambda: {
-                conjinv.trace_bidegree_of_term(e) for e, _ in relation.sorted_terms()
-            }
-            == {(6, 6)},
+            lambda: relation.degrees(conjinv.TRACE_BIDEGREES) == {(6, 6)},
         ),
         conjinv.nakamoto_structural_check(),
         conjinv.verify_nakamoto_composed(cfg),

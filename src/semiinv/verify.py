@@ -248,17 +248,18 @@ def run_identity_exact_else_modular(
 @dataclass(frozen=True)
 class Slice:
     """Variables fixed to scalars, on which an invariant identity vanishes iff
-    it vanishes everywhere, and the leaf certificate that makes the identity
-    invariant.  The density argument tying the two together is written at
+    it vanishes everywhere; the leaf certificate that makes the identity
+    invariant; and, when the density argument rescales blocks of variables,
+    the grading of those blocks (weights by variable name, as
+    Polynomial.degrees takes them) in which the identity must be
+    homogeneous.  The density argument tying these together is written at
     each slice's definition (conjinv.PAIR_SLICE, relations.TRIPLE_SLICE)."""
 
     bindings: Mapping[str, int]
     text: str  # the bindings in words, for the report
     certificate: str  # the group action certify checks, for the report
     certify: Callable[[Polynomial], bool]
-    # blocks of variables in which the composite must be multihomogeneous,
-    # when the density argument rescales blocks; None when it does not
-    blocks: tuple | None = None
+    weights: Mapping[str, Sequence[int]] | None = None  # None: no rescaling
 
 
 def run_slice_proof(
@@ -272,8 +273,9 @@ def run_slice_proof(
 
     The gate comes first and is exact: every leaf of expr must pass
     slc.certify, so the composite of invariants is invariant, and with
-    slc.blocks every outer term must have the same block multidegree, computed
-    from the leaf multidegrees.  A failed gate is a FAIL whose notes name the
+    slc.weights every leaf must have one block multidegree under them and
+    every outer term the same block multidegree, computed from the leaf
+    multidegrees.  A failed gate is a FAIL whose notes name the
     leaf, never a PASS and never a fallback.  Then run(name, ...) checks
     expr.restrict(slc.bindings), which uses the leaves of expr as given, in
     the variables the slice leaves free.  The report records the slice, the
@@ -288,15 +290,19 @@ def run_slice_proof(
         "certified_leaves": len(expr.leaves) - len(failed),
     }
     notes = [f"leaf {leaf!r} fails the certificate of {slc.certificate}" for leaf in failed]
-    if not failed and slc.blocks is not None:
-        degrees = {leaf: poly.multidegree(slc.blocks) for leaf, poly in expr.leaves.items()}
+    if not failed and slc.weights is not None:
+        degrees = {leaf: poly.degrees(slc.weights) for leaf, poly in expr.leaves.items()}
         notes = [
             f"leaf {leaf!r} is not multihomogeneous in the blocks"
             for leaf, d in degrees.items()
-            if d is None
+            if len(d) != 1
         ]
         if not notes:
-            multidegrees = sorted(expr.term_degrees(degrees))
+            multidegrees = sorted(
+                expr.outer.degrees(
+                    {leaf: d.pop() for leaf, d in degrees.items() if leaf in expr.outer.vars}
+                )
+            )
             if len(multidegrees) == 1:
                 details["block_multidegree"] = list(multidegrees[0])
             else:

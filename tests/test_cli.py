@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +69,22 @@ def test_emit_tracegens_lists_all_eleven(capsys):
     assert len(lines) == 11
     assert lines[0].startswith("t1 = ")
     assert lines[-1].startswith("r = ")
+
+
+def test_emissions_and_solve_hwv_match_pinned_digests(capsys):
+    """Every emission, in text and in JSON, and the solve-hwv output hash to
+    the SHA-256 digests in emission_digests.json, keyed by the command line.
+    A change that means to alter an output must update the file with it."""
+    pinned = json.loads((Path(__file__).parent / "emission_digests.json").read_text())
+    argvs = [("solve-hwv",)]
+    for name in cli.emission_names():
+        argvs += [("emit", name), ("emit", name, "--format", "json")]
+    got = {}
+    for argv in argvs:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        got[" ".join(argv)] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == pinned
 
 
 def test_emit_unknown_name_exits_2(capsys):

@@ -144,14 +144,15 @@ def test_leaves_over_two_variable_sets_rejected():
 
 
 def test_block_determinant_extract_vs_evaluate_10_points():
-    """Extract-then-evaluate equals evaluate-then-extract for the 9x9 block
-    determinant, cross-checked against the exact integer path.  The blocks
-    hold the point's residues as integers; only the extracted coefficient is
-    reduced mod p."""
+    """Extract-then-evaluate equals evaluate-then-extract for the 6x6 and 9x9
+    block determinants, cross-checked against the exact integer path.  The
+    blocks hold the point's residues as integers and one t per block, as in
+    the definitions of h and q (the package reads both off the single
+    variable t1); only the extracted coefficient is reduced mod p."""
     prime = 2147483629
     table = gen.generator_table()
     q27 = table.q
-    tvars = VariableSet(gen.T_NAMES)
+    tvars = VariableSet(("t1", "t2", "t3", "t4", "t5", "t6"))
     ring = ZZ
     for trial in range(10):
         point = sample_point(gen.TRIPLE_NAMES, seed=99, prime=prime, trial=trial)
@@ -185,6 +186,15 @@ def test_block_determinant_extract_vs_evaluate_10_points():
         assert v1 == coeff % prime
         # path 3: exact integer evaluation reduced mod p
         assert v1 == q27.evaluate(point) % prime
+        # the same for h and its 6x6 block determinant in t1, t2, t3
+        h_block = block_matrix(
+            [
+                [tscale(a2, "t2"), tscale(a1, "t1")],
+                [tscale(a1, "t1"), tscale(a3, "t3")],
+            ]
+        )
+        h_coeff = h_block.determinant().coefficient({"t1": 2, "t2": 2, "t3": 2})
+        assert poly_eval_mod(table.h, point, prime) == h_coeff % prime
 
 
 @pytest.mark.parametrize("prime", [2147483647, 5, 7])

@@ -77,8 +77,9 @@ def test_f_via_rowexpansion_oracle(table):
 
 
 def test_h_on_identity_triple_is_minus_three():
-    # commuting blocks give det = (t2*t3 - t1^2)^3; its t1^2 t2^2 t3^2
-    # coefficient is -3
+    # commuting blocks give det([[I, t1*I], [I, I]]) = (1 - t1)^3, whose t1
+    # coefficient is -3 (and (t2*t3 - t1^2)^3 in the definition's three
+    # variables, whose t1^2 t2^2 t3^2 coefficient is -3)
     T = gen.scalar_triple(I3, I3, I3)
     assert as_const(gen.h_poly(T)) == -3
 
@@ -103,18 +104,19 @@ def test_h_identity_triple_rowexpansion_oracle():
 
 
 def test_q_on_identity_triple_is_three():
-    # commuting blocks give det = (t1*t3*t5 + t2*t4*t6)^3
+    # commuting blocks give det([[0, t1*I, I], [I, 0, I], [I, I, 0]]) =
+    # (t1 + 1)^3, whose t1^2 coefficient is 3
     T = gen.scalar_triple(I3, I3, I3)
     assert as_const(gen.q_poly(T)) == 3
 
 
 def test_h_q_multidegrees(table):
-    assert table.h.multidegree(gen.BLOCK_NAMES) == (2, 2, 2)
-    assert table.q.multidegree(gen.BLOCK_NAMES) == (3, 3, 3)
-    assert table.H.multidegree(gen.BLOCK_NAMES) == (2, 2, 2)
-    assert table.Q.multidegree(gen.BLOCK_NAMES) == (3, 3, 3)
+    assert table.h.degrees(gen.BLOCK_WEIGHTS) == {(2, 2, 2)}
+    assert table.q.degrees(gen.BLOCK_WEIGHTS) == {(3, 3, 3)}
+    assert table.H.degrees(gen.BLOCK_WEIGHTS) == {(2, 2, 2)}
+    assert table.Q.degrees(gen.BLOCK_WEIGHTS) == {(3, 3, 3)}
     for n, ijk in enumerate(gen.F_INDEX):
-        assert table.f[n].multidegree(gen.BLOCK_NAMES) == ijk
+        assert table.f[n].degrees(gen.BLOCK_WEIGHTS) == {ijk}
 
 
 def test_f_span_rank_ten(table):

@@ -21,10 +21,11 @@ def _wrong_h(table):
 
 
 def test_weight_vector_examples(table):
-    assert hwv.is_weight_vector(table.f_by_ijk[(2, 1, 0)], (2, 1, 0))
-    assert hwv.is_weight_vector(table.H, (2, 2, 2))
-    assert not hwv.is_weight_vector(table.f_by_ijk[(2, 1, 0)], (1, 1, 1))
-    assert not hwv.is_weight_vector(table.H.__class__.zero(table.H.ring, table.H.vars), (0, 0, 0))
+    assert hwv.multidegree(table.f_by_ijk[(2, 1, 0)]) == (2, 1, 0)
+    assert hwv.multidegree(table.H) == (2, 2, 2)
+    assert hwv.multidegree(table.f_by_ijk[(2, 1, 0)]) != (1, 1, 1)
+    assert hwv.multidegree(table.f[0] + table.f[6]) is None
+    assert hwv.multidegree(Polynomial.zero(table.H.ring, table.H.vars)) is None
 
 
 def test_weight_routes_agree_for_every_generator(table):

@@ -139,13 +139,19 @@ def test_graded_lex_order():
     assert p.text() == "y^3 + x^2 + x*y + y + 7"
 
 
-def test_multidegree_and_degree_in():
+def test_degrees_examples():
     x, y, z = var("x"), var("y"), var("z")
     p = x ** 2 * y * z + x * x * y * z
-    assert p.multidegree((("x",), ("y",), ("z",))) == (2, 1, 1)
-    assert p.degree_in(("x", "y")) == 3
+    one_each = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
+    assert p.degrees(one_each) == {(2, 1, 1)}
+    assert p.degrees({"x": (1,), "y": (1,)}) == {(3,)}
     q = x + y ** 2
-    assert q.multidegree((("x",), ("y",), ("z",))) is None
+    assert q.degrees(one_each) == {(1, 0, 0), (0, 2, 0)}
+    assert Polynomial.zero(ZZ, VS).degrees(one_each) == set()
+    with pytest.raises(VariableMismatch):
+        p.degrees({"w": (1,)})
+    with pytest.raises(PolyError):
+        p.degrees({"x": (1,), "y": (1, 0)})
 
 
 def test_convert_roundtrip_and_missing_variable():
@@ -230,6 +236,32 @@ def test_polarize_examples():
     assert F.polarize([("x", "x")]) == x.mul(x).mul(y) * 6
     with pytest.raises(VariableMismatch):
         F.polarize([("w", "x")])
+
+
+@given(
+    packaged_polys(),
+    st.dictionaries(
+        st.sampled_from(VS.names),
+        st.tuples(st.integers(-3, 5), st.integers(-3, 5)),
+    ),
+    st.sampled_from(("w", "t1")),
+)
+@settings(max_examples=300)
+def test_degrees_matches_a_per_term_sum(p, weights, unknown):
+    """degrees is the set of per-term sums of exponent * weight over the
+    naive terms, an unlisted variable weighing 0; a weighted name that is
+    not one of the variables raises."""
+    width = 2 if weights else 0  # no weights, no components
+    want = {
+        tuple(
+            sum(e * weights.get(name, (0, 0))[i] for name, e in zip(VS.names, exps))
+            for i in range(width)
+        )
+        for exps in oracles.from_package(p)
+    }
+    assert p.degrees(weights) == want
+    with pytest.raises(VariableMismatch):
+        p.degrees({**weights, unknown: (1, 1)})
 
 
 @given(packaged_polys(), packaged_polys())

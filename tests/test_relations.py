@@ -38,7 +38,7 @@ def test_relation_named_coefficients():
 
 def test_relation_weighted_degree_18():
     A = rel.defining_relation()
-    assert rel.weighted_degrees(A, rel.RELATION_WEIGHTS) == {18}
+    assert A.degrees(rel.RELATION_WEIGHTS) == {(18,)}
 
 
 def test_relation_at_skew_identity_point():
@@ -62,16 +62,24 @@ def test_derivation_structure():
         - rel.abstract_H() ** 3
         - rel.defining_relation().to_ring(QQ)
     )
-    assert E.degree_in(("q",)) == 0
-    assert E.degree_in(("h",)) <= 1
+    q_h_degrees = E.degrees({"q": (1, 0), "h": (0, 1)})
+    assert {dq for dq, _ in q_h_degrees} == {0}
+    assert max(dh for _, dh in q_h_degrees) <= 1
 
 
 def test_derived_invariants_structure():
     s4, t6 = rel.derive_st()
     assert s4.total_degree() == 4
     assert t6.total_degree() == 6
-    assert gen.f_weight(s4) == (4, 4, 4)
-    assert gen.f_weight(t6) == (6, 6, 6)
+    assert s4.degrees(gen.F_WEIGHTS) == {(4, 4, 4)}
+    assert t6.degrees(gen.F_WEIGHTS) == {(6, 6, 6)}
+
+
+def test_f_grading_is_keyed_by_name():
+    """f10 is the t3^3 coefficient of the pencil, wherever it sits among the
+    variables: in the 12-variable ring it comes last, after q and h."""
+    f10 = Polynomial.variable(ZZ, rel.ABSTRACT12, "f10")
+    assert f10.degrees(gen.F_WEIGHTS) == {(0, 0, 3)}
 
 
 def test_derived_invariants_on_weierstrass():
@@ -245,7 +253,7 @@ def test_exact_mode_gate_names_a_leaf_that_is_not_invariant(monkeypatch):
     table = gen.generator_table()
     x = {n: Polynomial.variable(ZZ, gen.TRIPLE_VARS, n) for n in ("x1_11", "x2_11", "x3_11")}
     wrong = table.h + (x["x1_11"] * x["x2_11"] * x["x3_11"]) ** 2
-    assert wrong.multidegree(gen.BLOCK_NAMES) == (2, 2, 2)
+    assert wrong.degrees(gen.BLOCK_WEIGHTS) == {(2, 2, 2)}
     monkeypatch.setattr(gen, "generator_table", lambda: replace(table, h=wrong))
     result = rel.verify_main_relation(EXACT)
     assert not result.passed and result.mode == "exact"
