@@ -57,12 +57,10 @@ TRACE_BIDEGREES = {
 
 
 def phi(F: Polynomial) -> Polynomial:
-    """Specialize the third matrix to the identity: x3_ij -> delta_ij."""
-    F = F.convert(gen.TRIPLE_VARS) if F.vars != gen.TRIPLE_VARS else F
-    bindings = {
-        f"x3_{i}{j}": (1 if i == j else 0) for i in (1, 2, 3) for j in (1, 2, 3)
-    }
-    return F.substitute(bindings).convert(PAIR_VARS)
+    """Specialize the third matrix to the identity, x3_ij -> delta_ij: a
+    polynomial in the 27 triple coordinates becomes one in the 18 entries of
+    the pair (A1, A2)."""
+    return F.restrict({f"x3_{i}{j}": int(i == j) for i in (1, 2, 3) for j in (1, 2, 3)})
 
 
 def generic_pair() -> tuple:
@@ -76,16 +74,12 @@ def generic_pair() -> tuple:
 
 
 def char_coefficients(m: PolyMatrix) -> tuple:
-    """(t, s, d) with det(z*I + M) = z^3 + t*z^2 + s*z + d."""
-    w = m.vars.extend(("_z",))
-    zvar = Polynomial.variable(m.ring, w, "_z")
-    lifted = m.map_entries(lambda e: e.convert(w))
-    shifted = lifted + PolyMatrix.identity(m.ring, w, 3).scale(zvar)
-    det = shifted.determinant()
-    out = []
-    for e in (2, 1, 0):
-        out.append(det.coefficient_of({"_z": e}, ("_z",)).convert(m.vars))
-    return tuple(out)
+    """(t, s, d) with det(z*I + M) = z^3 + t*z^2 + s*z + d.  They are the
+    t1^2*t2, t1*t2^2 and t2^3 coefficients of the pencil determinant of the
+    triple (I, M, 0), since det(t1*I + t2*M) = t2^3 * det((t1/t2)*I + M)."""
+    identity = PolyMatrix.identity(m.ring, m.vars, 3)
+    f = gen.f_all(gen.MatrixTriple(identity, m, PolyMatrix.zero(m.ring, m.vars, 3)))
+    return f[(2, 1, 0)], f[(1, 2, 0)], f[(0, 3, 0)]
 
 
 @lru_cache(maxsize=1)

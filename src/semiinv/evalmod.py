@@ -184,14 +184,19 @@ def poly_eval_mod(p: Polynomial, point: Mapping[str, int], prime: int):
 class Composition:
     """An identity outer(leaves): a polynomial over abstract names, each name
     bound to a leaf polynomial over the one variable set all leaves share.
-    Modular evaluation evaluates every leaf once and the outer polynomial at
-    their values, so the composite is never expanded unless expand() is
-    called.  eval_mod returns an int, or an int64 array for a batch of points."""
+    Every used name needs a leaf and every leaf is a name of outer, so exact
+    expansion and modular evaluation read the same identity.  Modular
+    evaluation evaluates every leaf once and the outer polynomial at their
+    values, so the composite is never expanded unless expand() is called.
+    eval_mod returns an int, or an int64 array for a batch of points."""
 
     def __init__(self, outer: Polynomial, leaves: Mapping[str, Polynomial]):
         for name in outer.vars.names:
             if outer.max_exponent(name) and name not in leaves:
                 raise PolyError(f"unbound abstract variable {name!r}")
+        for name in leaves:
+            if name not in outer.vars:
+                raise VariableMismatch(f"leaf {name!r} is not a variable of the outer polynomial")
         sets = {leaf.vars for leaf in leaves.values()}
         if len(sets) > 1:
             raise VariableMismatch("leaves use different variable sets")
@@ -207,31 +212,20 @@ class Composition:
 
     def degree_bound(self) -> int:
         """Max over the outer terms of sum(exponent * leaf total degree)."""
-        weights = {
-            name: (leaf.total_degree(),)
-            for name, leaf in self.leaves.items()
-            if name in self.outer.vars
-        }
+        weights = {name: (leaf.total_degree(),) for name, leaf in self.leaves.items()}
         return max((sum(d) for d in self.outer.degrees(weights)), default=0)
 
     def expand(self, budget: int | None = None) -> Polynomial:
         return self.outer.substitute(self.leaves, budget=budget)
 
     def restrict(self, bindings: Mapping[str, int]) -> "Composition":
-        """The same outer polynomial at this composition's own leaves with
-        some variables fixed to scalars: each leaf becomes
-        leaf.substitute(bindings) over the variables left unbound, so the
-        result's vars are this composition's vars minus the bound names.
+        """The same outer polynomial at this composition's own leaves, each
+        restricted: leaf.restrict(bindings), over the variables left free.
 
         Restriction commutes with composition (substitution is a ring
         homomorphism), so the restricted composite is the composite
         restricted.  Whether a zero restriction proves the identity is the
         caller's argument: see verify.run_slice_proof."""
-        slice_vars = VariableSet(n for n in self.vars.names if n not in bindings)
         return Composition(
-            self.outer,
-            {
-                name: leaf.substitute(bindings).convert(slice_vars)
-                for name, leaf in self.leaves.items()
-            },
+            self.outer, {name: leaf.restrict(bindings) for name, leaf in self.leaves.items()}
         )

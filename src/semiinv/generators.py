@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Mapping, Sequence
 
-from . import linalg
 from .matrix import PolyMatrix, block_matrix
 from .poly import QQ, ZZ, Polynomial, PolyError, Ring, VariableSet, unify_rings
 
@@ -196,16 +195,6 @@ def weierstrass_triple() -> MatrixTriple:
     return MatrixTriple(m1, m2, m3)
 
 
-def scalar_triple(a1, a2, a3, vars: VariableSet | None = None) -> MatrixTriple:
-    """Build a triple from plain 3x3 arrays of scalars."""
-    vs = vars if vars is not None else VariableSet(("u",))
-    return MatrixTriple(
-        PolyMatrix.from_scalars(ZZ, vs, a1),
-        PolyMatrix.from_scalars(ZZ, vs, a2),
-        PolyMatrix.from_scalars(ZZ, vs, a3),
-    )
-
-
 # -- pencil machinery ---------------------------------------------------------
 
 
@@ -227,15 +216,11 @@ def pencil_determinant(T: MatrixTriple) -> Polynomial:
     return acc.determinant()
 
 
-def _extract_t(p: Polynomial, exps: Mapping[str, int], target: VariableSet) -> Polynomial:
-    return p.coefficient_of(exps, T_NAMES).convert(target)
-
-
 def f_all(T: MatrixTriple) -> dict:
     """All ten pencil coefficients, keyed by the exponent triple (i, j, k)."""
     det = pencil_determinant(T)
     return {
-        (i, j, k): _extract_t(det, {"t1": i, "t2": j, "t3": k}, T.vars)
+        (i, j, k): det.coefficient_of({"t1": i, "t2": j, "t3": k}, T_NAMES)
         for (i, j, k) in F_INDEX
     }
 
@@ -258,7 +243,7 @@ def h_poly(T: MatrixTriple) -> Polynomial:
             [a1, _lift(T.a3, w)],
         ]
     )
-    return _extract_t(m.determinant(), {"t1": 1}, T.vars)
+    return m.determinant().coefficient_of({"t1": 1}, T_NAMES)
 
 
 def q_poly(T: MatrixTriple) -> Polynomial:
@@ -283,7 +268,7 @@ def q_poly(T: MatrixTriple) -> Polynomial:
             [a2, a3, None],
         ]
     )
-    return _extract_t(m.determinant(), {"t1": 2}, T.vars)
+    return m.determinant().coefficient_of({"t1": 2}, T_NAMES)
 
 
 @dataclass(frozen=True)
@@ -338,7 +323,7 @@ def generator_table() -> GeneratorTable:
 
 def _entry_poly(e, ring: Ring, vars: VariableSet) -> Polynomial:
     if isinstance(e, Polynomial):
-        return e.convert(vars) if e.vars != vars else e
+        return e.convert(vars)
     return Polynomial.constant(ring, vars, e)
 
 
@@ -379,8 +364,7 @@ def act_on_function(g: Sequence[Sequence], F: Polynomial, vars: VariableSet | No
         for names, m in zip(BLOCK_NAMES, acted.components())
         for k, name in enumerate(names)
     }
-    Fc = F if F.vars == target else F.convert(target)
-    return Fc.substitute(bindings)
+    return F.convert(target).substitute(bindings)
 
 
 def transvection(i: int, j: int) -> list:
@@ -395,16 +379,6 @@ U23 = transvection(2, 3)
 U21 = transvection(2, 1)
 U32 = transvection(3, 2)
 ELEMENTARY_TRANSVECTIONS = {"u12": U12, "u23": U23, "u21": U21, "u32": U32}
-
-
-def group_element_determinant(g: Sequence[Sequence]) -> Fraction:
-    """Determinant of a scalar 3x3 group element (for SL3 membership asserts)."""
-    m = [[Fraction(e) for e in row] for row in g]
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
 
 
 # -- the induced linear action on the span of the ten f's ---------------------
@@ -448,27 +422,6 @@ def f_span_substitution(g: Sequence[Sequence], ring: Ring = QQ) -> dict:
     return out
 
 
-def decompose_in_f_span(F: Polynomial) -> list:
-    """Exact coordinates of F in the basis f1..f10; raises
-    linalg.InconsistentSystem if F is outside the span."""
-    table = generator_table()
-    fs = [p.to_ring(QQ) for p in table.f]
-    target = F.convert(TRIPLE_VARS).to_ring(QQ)
-    keys = set()
-    for p in fs:
-        keys.update(p.terms)
-    keys.update(target.terms)
-    rows = []
-    for key in sorted(keys):
-        rows.append(
-            (
-                tuple(p.terms.get(key, 0) for p in fs),
-                target.terms.get(key, 0),
-            )
-        )
-    return linalg.solve_unique(rows, 10)
-
-
 # -- classical cubic invariants through the coefficient dictionary ------------
 
 CUBIC_NAMES = ("a", "a2", "a3", "b", "b1", "b3", "c", "c1", "c2", "m")
@@ -498,21 +451,3 @@ def cubic_invariants_from_f_forms(s4_f: Polynomial, t6_f: Polynomial) -> tuple:
         for fname, (cname, scale) in _CUBIC_OF_F.items()
     }
     return s4_f.to_ring(QQ).substitute(bindings), t6_f.to_ring(QQ).substitute(bindings)
-
-
-def cubic_action_substitution(g: Sequence[Sequence]) -> dict:
-    """The unipotent action transported to the cubic-coefficient variables."""
-    mat = f_action_matrix(g)
-    idx = {name: n for n, name in enumerate(F_NAMES)}
-    out = {}
-    for fname, (cname, scale) in _CUBIC_OF_F.items():
-        n = idx[fname]
-        acc = Polynomial.zero(QQ, CUBIC_VARS)
-        for gname, (dname, dscale) in _CUBIC_OF_F.items():
-            m = idx[gname]
-            coeff = mat[n][m] * Fraction(dscale, scale)
-            if coeff:
-                acc = acc + Polynomial.variable(QQ, CUBIC_VARS, dname) * coeff
-        out[cname] = acc
-    return out
-

@@ -34,9 +34,9 @@ products that generators.H_CORRECTIONS and Q_CORRECTIONS list, and the test
 suite compares them against the coefficients of those tables.  For each
 candidate beta the derivation equations hold iff the transvections fix the
 corrected polynomial, so the solution set is that of the fixedness equations.  Group
-substitution (generators.act_on_function) remains in diagonal_action_weight,
-in the verification of the induced f-span action, and in the tests as an
-independent oracle.
+substitution (generators.act_on_function) remains in the verification of the
+induced f-span action, and in the tests as an independent oracle (the
+diagonal-torus weight cross-check among them).
 """
 
 from __future__ import annotations
@@ -59,29 +59,6 @@ def multidegree(F: Polynomial) -> tuple | None:
     must include the 27 triple coordinates."""
     degrees = F.degrees(gen.BLOCK_WEIGHTS)
     return degrees.pop() if len(degrees) == 1 else None
-
-
-def diagonal_action_weight(F: Polynomial) -> tuple | None:
-    """Weight read off from the symbolic diagonal substitution, kept as an
-    independent cross-check of the multidegree route: the substituted
-    polynomial must equal z1^a1 z2^a2 z3^a3 times the original."""
-    zvars = gen.TRIPLE_VARS.extend(("z1", "z2", "z3"))
-    ring = F.ring
-    zero = Polynomial.zero(ring, zvars)
-    diag = [[zero] * 3 for _ in range(3)]
-    for i in range(3):
-        diag[i][i] = Polynomial.variable(ring, zvars, f"z{i+1}")
-    acted = gen.act_on_function(diag, F, vars=zvars)
-    alphas = acted.degrees({"z1": (1, 0, 0), "z2": (0, 1, 0), "z3": (0, 0, 1)})
-    if len(alphas) != 1:
-        return None
-    alpha = alphas.pop()
-    scale = Polynomial.monomial(
-        ring, zvars, {"z1": alpha[0], "z2": alpha[1], "z3": alpha[2]}
-    )
-    if acted == scale.mul(F.convert(zvars)):
-        return alpha
-    return None
 
 
 # -- Lie-algebra derivations ----------------------------------------------------

@@ -97,11 +97,6 @@ class PolyMatrix:
     def map_entries(self, fn) -> "PolyMatrix":
         return PolyMatrix([[fn(e) for e in r] for r in self.rows])
 
-    def swap_rows(self, i: int, j: int) -> "PolyMatrix":
-        rows = list(self.rows)
-        rows[i], rows[j] = rows[j], rows[i]
-        return PolyMatrix(rows)
-
     def determinant(self) -> Polynomial:
         """Exact determinant by minor expansion with dynamic programming over
         column subsets; division-free and skipping zero entries, so sparse

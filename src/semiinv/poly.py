@@ -18,6 +18,7 @@ values can be shared freely.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -381,33 +382,66 @@ class Polynomial:
         """Re-express over another variable set, matching variables by name."""
         if new_vars == self.vars:
             return self
-        old = self.vars
-        moves = []
-        for i, name in enumerate(old.names):
-            sh_old = old._shifts[i]
-            if name in new_vars:
-                moves.append((sh_old, new_vars.shift(name)))
-            else:
-                moves.append((sh_old, None))
-        out: dict = {}
-        for k, c in self.terms.items():
-            nk = 0
-            for sh_old, sh_new in moves:
-                e = (k >> sh_old) & _FIELD_MASK
-                if not e:
-                    continue
-                if sh_new is None:
-                    name = old.names[old._shifts.index(sh_old)]
-                    raise VariableMismatch(
-                        f"variable {name!r} used but absent from target set"
-                    )
-                nk |= e << sh_new
-            out[nk] = c
-        if len(out) != len(self.terms):
-            raise PolyError("variable conversion collapsed distinct monomials")
-        return Polynomial(self.ring, new_vars, out, self.maxexp)
+        for name in self.vars.names:
+            if name not in new_vars and self.max_exponent(name):
+                raise VariableMismatch(f"variable {name!r} used but absent from target set")
+        return self._repacked(new_vars, self.terms.items())
 
-    # -- extraction, substitution, evaluation --------------------------------
+    def _repacked(self, vars: VariableSet, terms: Iterable[tuple]) -> "Polynomial":
+        """(key, coefficient) pairs of this polynomial, re-packed over `vars`:
+        the exponent of each name that `vars` shares moves to its field there,
+        every other field is dropped, and coefficients that meet on one key
+        add up.  The callers have accounted for the dropped fields: convert
+        checks they are 0, restrict has multiplied them out, coefficient_of
+        has matched them."""
+        # (old shift, new shift, mask) per run of names adjacent in both sets
+        moves: list = []
+        for n in vars.names:
+            if n not in self.vars:
+                continue
+            old, new = self.vars.shift(n), vars.shift(n)
+            if moves and moves[-1][:2] == (old + _FIELD_BITS, new + _FIELD_BITS):
+                moves[-1] = (old, new, (moves[-1][2] << _FIELD_BITS) | _FIELD_MASK)
+            else:
+                moves.append((old, new, _FIELD_MASK))
+        out: dict = {}
+        get = out.get
+        for k, c in terms:
+            nk = 0
+            for old, new, mask in moves:
+                nk |= ((k >> old) & mask) << new
+            c0 = get(nk)
+            out[nk] = c if c0 is None else c0 + c
+        return Polynomial(self.ring, vars, {k: c for k, c in out.items() if c}, self.maxexp)
+
+    def _without(self, names) -> VariableSet:
+        """This polynomial's variables minus `names`, in order."""
+        return VariableSet(n for n in self.vars.names if n not in names)
+
+    # -- restriction, extraction, substitution, evaluation ----------------------
+
+    def restrict(self, values: Mapping[str, Coeff]) -> "Polynomial":
+        """Fix some variables to ints or Fractions: the polynomial in the
+        variables that remain, in their order.  A non-integral value moves a
+        ZZ polynomial to QQ."""
+        if self.ring != QQ and any(
+            isinstance(v, Fraction) and v.denominator != 1 for v in values.values()
+        ):
+            return self.to_ring(QQ).restrict(values)
+        fixed = []
+        for name, v in values.items():
+            v = self.ring.normalize(v)
+            # an integral value multiplies as an int, which is faster than a Fraction
+            fixed.append((self.vars.shift(name), v.numerator if v.denominator == 1 else v))
+        terms = []
+        for k, c in self.terms.items():
+            for sh, v in fixed:
+                e = (k >> sh) & _FIELD_MASK
+                if e:
+                    c = c * v ** e
+            if c:
+                terms.append((k, c))
+        return self._repacked(self._without(values), terms)
 
     def coefficient_of(self, exps: Mapping[str, int], subset: Iterable[str]) -> "Polynomial":
         """The polynomial in the remaining variables multiplying exactly the
@@ -417,7 +451,6 @@ class Polynomial:
         polynomial free of the subset variables.
         """
         subset = tuple(subset)
-        sub_idx = {self.vars.index(n) for n in subset}
         for name in exps:
             if name not in subset:
                 raise VariableMismatch(f"{name!r} is not in the designated subset")
@@ -429,9 +462,8 @@ class Polynomial:
             if not 0 <= e <= _MAX_EXP:
                 raise PolyError(f"exponent {e} outside [0, {_MAX_EXP}]")
             required |= e << self.vars.shift(name)
-        inv = ~mask
-        out = {k & inv: c for k, c in self.terms.items() if k & mask == required}
-        return Polynomial(self.ring, self.vars, out, self.maxexp)
+        terms = ((k, c) for k, c in self.terms.items() if k & mask == required)
+        return self._repacked(self._without(subset), terms)
 
     def polarize(self, pairs: Iterable[tuple]) -> "Polynomial":
         """The derivation sum(src * d/d dst) over (src, dst) name pairs.
@@ -457,46 +489,29 @@ class Polynomial:
         out = {k: c for k, c in out.items() if c}
         return Polynomial(self.ring, self.vars, out, self.maxexp + 1)
 
-    def substitute(self, bindings: Mapping[str, object], budget: int | None = None) -> "Polynomial":
-        """Exact simultaneous substitution of variables by polynomials or scalars.
-
-        Unbound variables pass through by name into the target variable set
-        (the binding polynomials' set, or this polynomial's set if every
-        binding is a scalar).
-        """
-        poly_bindings = {}
-        scalar_bindings = {}
+    def substitute(self, bindings: Mapping[str, "Polynomial"], budget: int | None = None) -> "Polynomial":
+        """Exact composition: every variable this polynomial uses is replaced
+        by its binding, and the result lives in the variable set that all the
+        binding polynomials share.  An unbound used variable raises
+        VariableMismatch; variables are fixed to scalars with restrict.
+        `budget` caps the intermediate term count.  An empty binding map
+        returns the polynomial unchanged."""
+        if not bindings:
+            return self
         for name, v in bindings.items():
             self.vars.index(name)
-            if isinstance(v, Polynomial):
-                poly_bindings[name] = v
-            else:
-                scalar_bindings[name] = v
-        ring = self.ring
-        target = self.vars
-        for v in poly_bindings.values():
-            ring = unify_rings(ring, v.ring)
-            target = v.vars
-        for v in poly_bindings.values():
-            if v.vars != target:
-                raise VariableMismatch("binding polynomials use different variable sets")
-        for c in scalar_bindings.values():
-            if isinstance(c, Fraction) and c.denominator != 1 and ring.kind == "ZZ":
-                ring = QQ
-        scalar_bindings = {n: ring.normalize(c) for n, c in scalar_bindings.items()}
-        poly_bindings = {n: v.to_ring(ring) for n, v in poly_bindings.items()}
-
-        bound_shifts = {n: self.vars.shift(n) for n in bindings}
-        passthrough = []  # (old shift, new shift) for unbound variables
-        for i, name in enumerate(self.vars.names):
-            if name in bindings:
-                continue
-            sh_old = self.vars._shifts[i]
-            if any((k >> sh_old) & _FIELD_MASK for k in self.terms):
-                passthrough.append((sh_old, target.shift(name)))
-
+            if not isinstance(v, Polynomial):
+                raise PolyError(f"scalar binding for {name!r}: fix variables with restrict")
+        for name in self.vars.names:
+            if name not in bindings and self.max_exponent(name):
+                raise VariableMismatch(f"variable {name!r} is used but not bound")
+        target = next(iter(bindings.values())).vars
+        if any(v.vars != target for v in bindings.values()):
+            raise VariableMismatch("binding polynomials use different variable sets")
+        ring = reduce(unify_rings, (v.ring for v in bindings.values()), self.ring)
         one = Polynomial.constant(ring, target, 1)
-        powers: dict = {n: [one, p] for n, p in poly_bindings.items()}
+        powers: dict = {n: [one, v.to_ring(ring)] for n, v in bindings.items()}
+        shifts = [(n, self.vars.shift(n)) for n in bindings]
 
         def power(name: str, e: int) -> Polynomial:
             lst = powers[name]
@@ -505,79 +520,34 @@ class Polynomial:
             return lst[e]
 
         out: dict = {}
+        get = out.get
         maxexp_out = 0
         for k, c in self.terms.items():
-            if isinstance(c, int) and ring.kind == "QQ":
-                c = Fraction(c)
-            residual = 0
-            res_max = 0
-            for sh_old, sh_new in passthrough:
-                e = (k >> sh_old) & _FIELD_MASK
-                if e:
-                    residual |= e << sh_new
-                    if e > res_max:
-                        res_max = e
-            factor = None
-            for name, sh in bound_shifts.items():
+            factor = one
+            for name, sh in shifts:
                 e = (k >> sh) & _FIELD_MASK
-                if not e:
-                    continue
-                if name in scalar_bindings:
-                    c = c * scalar_bindings[name] ** e
-                else:
+                if e:
                     q = power(name, e)
-                    factor = q if factor is None else factor.mul(q, budget=budget)
-            if not c:
-                continue
-            if factor is None:
-                c0 = out.get(residual)
-                c0 = c if c0 is None else c0 + c
-                if c0:
-                    out[residual] = c0
+                    factor = q if factor is one else factor.mul(q, budget=budget)
+            maxexp_out = max(maxexp_out, factor.maxexp)
+            for k2, c2 in factor.terms.items():
+                cc = get(k2, 0) + c * c2
+                if cc:
+                    out[k2] = cc
                 else:
-                    out.pop(residual, None)
-                if res_max > maxexp_out:
-                    maxexp_out = res_max
-            else:
-                if res_max + factor.maxexp > _MAX_EXP:
-                    raise PolyError("substitution exceeds the exponent bound 255")
-                if res_max + factor.maxexp > maxexp_out:
-                    maxexp_out = res_max + factor.maxexp
-                get = out.get
-                for k2, c2 in factor.terms.items():
-                    kk = k2 + residual
-                    cc = c * c2
-                    c0 = get(kk)
-                    cc = cc if c0 is None else c0 + cc
-                    if cc:
-                        out[kk] = cc
-                    else:
-                        out.pop(kk, None)
+                    out.pop(k2, None)
             if budget is not None and len(out) > budget:
                 raise BudgetExceeded(f"substitution grew past {budget} terms")
         return Polynomial(ring, target, out, maxexp_out)
 
     def evaluate(self, point: Mapping[str, Coeff]) -> Coeff:
-        """Exact value at a fully specified point (ints or Fractions)."""
-        vals = []
+        """Exact value at a point that binds every variable to an int or a
+        Fraction (names that are not variables are ignored): the constant
+        term of the restriction to the point."""
         for name in self.vars.names:
             if name not in point:
                 raise PolyError(f"missing binding for {name!r}")
-            vals.append(point[name])
-        shifts = self.vars._shifts
-        total = 0
-        for k, c in self.terms.items():
-            v = c
-            kk = k
-            i = len(shifts) - 1
-            while kk:
-                e = kk & _FIELD_MASK
-                if e:
-                    v = v * vals[i] ** e
-                kk >>= _FIELD_BITS
-                i -= 1
-            total = total + v
-        return total
+        return self.restrict({n: point[n] for n in self.vars.names}).coefficient({})
 
     # -- rendering -----------------------------------------------------------
 

@@ -104,13 +104,11 @@ def derive_st() -> tuple:
         raise PolyError("derivation failed: residual q-dependence")
     if any(dh > 1 for _, dh in q_h_degrees):
         raise PolyError("derivation failed: residual h-degree above 1")
-    f_only = ABSTRACT12_NAMES[2:]
-    s4_12 = E.coefficient_of({"h": 1}, ("q", "h")) * Fraction(1, 27)
+    # the coefficients of h^1 and h^0 are polynomials in F_VARS
+    s4 = E.coefficient_of({"h": 1}, ("q", "h")) * Fraction(1, 27)
     e0 = E.coefficient_of({}, ("q", "h"))
     c0 = (abstract_H() - _var12("h")).coefficient_of({}, ("q", "h"))
-    t6_12 = (e0 - c0.mul(s4_12) * 27) * Fraction(-4, 27)
-    s4 = s4_12.convert(gen.F_VARS)
-    t6 = t6_12.convert(gen.F_VARS)
+    t6 = (e0 - c0.mul(s4) * 27) * Fraction(-4, 27)
     if s4.total_degree() != 4 or s4.degrees(gen.F_WEIGHTS) != {(4, 4, 4)}:
         raise PolyError("quartic invariant is not multihomogeneous of weight (4,4,4)")
     if t6.total_degree() != 6 or t6.degrees(gen.F_WEIGHTS) != {(6, 6, 6)}:

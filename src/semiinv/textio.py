@@ -193,10 +193,6 @@ def to_json_obj(p: Polynomial) -> dict:
     }
 
 
-def to_json(p: Polynomial) -> str:
-    return json.dumps(to_json_obj(p), separators=(",", ":"), sort_keys=True)
-
-
 def _json_coefficient(c) -> int | Fraction:
     if isinstance(c, str):
         try:

@@ -299,9 +299,7 @@ def run_slice_proof(
         ]
         if not notes:
             multidegrees = sorted(
-                expr.outer.degrees(
-                    {leaf: d.pop() for leaf, d in degrees.items() if leaf in expr.outer.vars}
-                )
+                expr.outer.degrees({leaf: d.pop() for leaf, d in degrees.items()})
             )
             if len(multidegrees) == 1:
                 details["block_multidegree"] = list(multidegrees[0])

@@ -87,6 +87,21 @@ def test_emissions_and_solve_hwv_match_pinned_digests(capsys):
     assert got == pinned
 
 
+def test_reports_match_pinned_digests(capsys):
+    """The JSON reports of verify all (3 trials, seed 0) and of the exact
+    main-relation slice proof, with every elapsed_s removed and the rest
+    dumped with indent 2 and sorted keys, hash to the SHA-256 digests in
+    report_digests.json, keyed by the command line."""
+    pinned = json.loads((Path(__file__).parent / "report_digests.json").read_text())
+    got = {}
+    for command in pinned:
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0, command
+        report = json.dumps(_strip_timing(json.loads(out)), indent=2, sort_keys=True)
+        got[command] = hashlib.sha256(report.encode()).hexdigest()
+    assert got == pinned
+
+
 def test_emit_unknown_name_exits_2(capsys):
     code, _, err = run_cli(capsys, "emit", "nosuch")
     assert code == 2

@@ -146,15 +146,16 @@ def test_s_ab_at_identity_pair():
 
 
 def test_s_ab_with_identity_a_reduces_to_s_b(gens18):
-    """Both sides become s(B) after substituting A = I."""
+    """Both sides become s(B) after fixing A = I."""
     a, b = cj.generic_pair()
     _, s_ab, _ = cj.char_coefficients(a * b)
     ident_bindings = {
         f"x1_{i}{j}": (1 if i == j else 0) for i in (1, 2, 3) for j in (1, 2, 3)
     }
     s2 = gens18["s2"]
-    lhs = s_ab.substitute(ident_bindings)
-    assert lhs == s2.substitute(ident_bindings)
+    lhs = s_ab.restrict(ident_bindings)
+    assert lhs == s2.restrict(ident_bindings)
+    assert lhs.vars.names == cj.PAIR_NAMES[9:]
 
 
 # -- the dictionary and the defining relation ------------------------------------------

@@ -143,6 +143,18 @@ def test_leaves_over_two_variable_sets_rejected():
     assert Composition(u * v, {"u": x, "v": x ** 2}).vars == VS
 
 
+def test_leaf_the_outer_polynomial_does_not_name_rejected():
+    """A spare leaf is refused when the composition is built: modular
+    evaluation would ignore it while exact expansion could not bind it, so
+    the two modes would disagree on one identity."""
+    a = Polynomial.variable(ZZ, VariableSet(("a",)), "a")
+    x = Polynomial.variable(ZZ, VS, "x")
+    y = Polynomial.variable(ZZ, VS, "y")
+    with pytest.raises(VariableMismatch, match="leaf 'b'"):
+        Composition(a - a, {"a": x, "b": y})
+    assert Composition(a - a, {"a": x}).expand().is_zero()
+
+
 def test_block_determinant_extract_vs_evaluate_10_points():
     """Extract-then-evaluate equals evaluate-then-extract for the 6x6 and 9x9
     block determinants, cross-checked against the exact integer path.  The

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from semiinv import generators as gen, relations
-from semiinv.linalg import rank
+from semiinv.linalg import rank, solve_unique
+from semiinv.matrix import PolyMatrix
 from semiinv.poly import QQ, ZZ, Polynomial, VariableSet
 from semiinv.textio import parse_text
 
@@ -24,11 +25,17 @@ def as_const(p):
     return p.coefficient({})
 
 
+def scalar_triple(a1, a2, a3):
+    """A triple of plain 3x3 scalar arrays, over a one-variable set."""
+    vs = VariableSet(("u",))
+    return gen.MatrixTriple(*(PolyMatrix.from_scalars(ZZ, vs, a) for a in (a1, a2, a3)))
+
+
 # -- the ten pencil coefficients ------------------------------------------------
 
 
 def test_f_on_identity_zero_zero():
-    T = gen.scalar_triple(I3, Z3, Z3)
+    T = scalar_triple(I3, Z3, Z3)
     fs = gen.f_all(T)
     assert as_const(fs[(3, 0, 0)]) == 1
     for ijk in gen.F_INDEX:
@@ -39,7 +46,7 @@ def test_f_on_identity_zero_zero():
 def test_f_on_identity_triple_multinomials():
     import math
 
-    T = gen.scalar_triple(I3, I3, I3)
+    T = scalar_triple(I3, I3, I3)
     fs = gen.f_all(T)
     for (i, j, k), p in fs.items():
         expected = math.factorial(3) // (
@@ -69,8 +76,7 @@ def test_f_via_rowexpansion_oracle(table):
         pencil = part if pencil is None else pencil + part
     det = oracles.rowexp_determinant_package(pencil)
     for (i, j, k), p in table.f_by_ijk.items():
-        coeff = det.coefficient_of({"t1": i, "t2": j, "t3": k}, gen.T_NAMES)
-        assert coeff.convert(gen.TRIPLE_VARS) == p
+        assert det.coefficient_of({"t1": i, "t2": j, "t3": k}, gen.T_NAMES) == p
 
 
 # -- h and q ---------------------------------------------------------------------
@@ -80,7 +86,7 @@ def test_h_on_identity_triple_is_minus_three():
     # commuting blocks give det([[I, t1*I], [I, I]]) = (1 - t1)^3, whose t1
     # coefficient is -3 (and (t2*t3 - t1^2)^3 in the definition's three
     # variables, whose t1^2 t2^2 t3^2 coefficient is -3)
-    T = gen.scalar_triple(I3, I3, I3)
+    T = scalar_triple(I3, I3, I3)
     assert as_const(gen.h_poly(T)) == -3
 
 
@@ -106,7 +112,7 @@ def test_h_identity_triple_rowexpansion_oracle():
 def test_q_on_identity_triple_is_three():
     # commuting blocks give det([[0, t1*I, I], [I, 0, I], [I, I, 0]]) =
     # (t1 + 1)^3, whose t1^2 coefficient is 3
-    T = gen.scalar_triple(I3, I3, I3)
+    T = scalar_triple(I3, I3, I3)
     assert as_const(gen.q_poly(T)) == 3
 
 
@@ -174,7 +180,7 @@ def test_weierstrass_H_Q_values():
 
 def test_H_on_identity_triple_is_zero():
     # h = -3 and the multinomial f-values give -3 -3 -3 + 6 + 3 = 0
-    T = gen.scalar_triple(I3, I3, I3)
+    T = scalar_triple(I3, I3, I3)
     assert gen.generators_of(T).H.is_zero()
 
 
@@ -212,6 +218,19 @@ def test_act_on_function_identity(table):
     assert gen.act_on_function(I3, F) == F
 
 
+def decompose_in_f_span(F):
+    """Exact coordinates of F in the basis f1..f10; raises
+    linalg.InconsistentSystem if F is outside the span."""
+    fs = [p.to_ring(QQ) for p in gen.generator_table().f]
+    target = F.convert(gen.TRIPLE_VARS).to_ring(QQ)
+    keys = set(target.terms).union(*(p.terms for p in fs))
+    rows = [
+        (tuple(p.terms.get(key, 0) for p in fs), target.terms.get(key, 0))
+        for key in sorted(keys)
+    ]
+    return solve_unique(rows, 10)
+
+
 def test_action_on_f_span_membership(table):
     """Transvection images of every f decompose exactly in the f-basis, and
     the decomposition matches the matrix induced on the pencil variables."""
@@ -219,7 +238,7 @@ def test_action_on_f_span_membership(table):
         mat = gen.f_action_matrix(g)
         for n in range(10):
             acted = gen.act_on_function(g, table.f[n])
-            coords = gen.decompose_in_f_span(acted)
+            coords = decompose_in_f_span(acted)
             assert coords == mat[n]
 
 
@@ -249,9 +268,19 @@ def test_unipotent_composition(table):
         assert via_product == stepwise
 
 
+def group_element_determinant(g):
+    """Determinant of a scalar 3x3 group element."""
+    m = [[Fraction(e) for e in row] for row in g]
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
 def test_transvections_have_determinant_one():
     for g in gen.ELEMENTARY_TRANSVECTIONS.values():
-        assert gen.group_element_determinant(g) == 1
+        assert group_element_determinant(g) == 1
 
 
 # -- classical cubic invariants ------------------------------------------------------
@@ -295,10 +324,25 @@ def test_cubic_invariants_on_weierstrass_pencil(cubic_invariants):
     assert t_cubic.substitute(point) == a.mul(a) * Fraction(-4, 27)
 
 
+def cubic_action_substitution(g):
+    """The unipotent action transported to the cubic-coefficient variables."""
+    mat = gen.f_action_matrix(g)
+    idx = {name: n for n, name in enumerate(gen.F_NAMES)}
+    out = {}
+    for fname, (cname, scale) in gen._CUBIC_OF_F.items():
+        acc = Polynomial.zero(QQ, gen.CUBIC_VARS)
+        for gname, (dname, dscale) in gen._CUBIC_OF_F.items():
+            coeff = mat[idx[fname]][idx[gname]] * Fraction(dscale, scale)
+            if coeff:
+                acc = acc + Polynomial.variable(QQ, gen.CUBIC_VARS, dname) * coeff
+        out[cname] = acc
+    return out
+
+
 def test_cubic_invariants_fixed_by_unipotent_actions(cubic_invariants):
     s_cubic, t_cubic = cubic_invariants
     for g in (gen.U12, gen.U23):
-        subst = gen.cubic_action_substitution(g)
+        subst = cubic_action_substitution(g)
         assert s_cubic.substitute(subst) == s_cubic
         assert t_cubic.substitute(subst) == t_cubic
 

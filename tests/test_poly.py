@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -56,7 +57,7 @@ def test_coefficient_of_t_monomial():
     t2 = Polynomial.variable(ZZ, tv, "t2")
     p = (t1 + t2) ** 2
     c = p.coefficient_of({"t1": 1, "t2": 1}, ("t1", "t2"))
-    assert c == Polynomial.constant(ZZ, tv, 2)
+    assert c == Polynomial.constant(ZZ, VariableSet(()), 2)
 
 
 def test_coefficient_of_partial():
@@ -65,9 +66,13 @@ def test_coefficient_of_partial():
     x = Polynomial.variable(ZZ, tv, "x")
     y = Polynomial.variable(ZZ, tv, "y")
     p = t1 ** 2 * x + t1 * y
-    assert p.coefficient_of({"t1": 2}, ("t1",)) == x
+    # the subset leaves the variable set; the rest keep their order
+    xy = VariableSet(("x", "y"))
+    assert p.coefficient_of({"t1": 2}, ("t1",)) == Polynomial.variable(ZZ, xy, "x")
+    assert p.coefficient_of({"t1": 1}, ("t1",)) == Polynomial.variable(ZZ, xy, "y")
     # the zero exponent vector returns the part free of the subset
-    assert p.coefficient_of({}, ("t1",)).is_zero()
+    free = p.coefficient_of({}, ("t1",))
+    assert free.is_zero() and free.vars == xy
 
 
 def test_coefficient_of_rejects_outside_subset():
@@ -81,7 +86,8 @@ def test_substitute_square():
     a = Polynomial.variable(ZZ, av, "a")
     b = Polynomial.variable(ZZ, av, "b")
     p = var("x") ** 2
-    out = p.substitute({"x": a + b, "y": 0, "z": 0})
+    # y and z are unused, so they need no binding
+    out = p.substitute({"x": a + b})
     assert out == a ** 2 + 2 * a * b + b ** 2
 
 
@@ -92,8 +98,39 @@ def test_substitute_identity_bindings():
 
 
 def test_substitute_scalar():
+    """A scalar is not a composition: substitute refuses it and restrict
+    fixes the variable, which leaves the variable set."""
     p = var("x")
-    assert p.substitute({"x": 1}) == Polynomial.constant(ZZ, VS, 1)
+    with pytest.raises(PolyError, match="restrict"):
+        p.substitute({"x": 1})
+    assert p.restrict({"x": 1}) == Polynomial.constant(ZZ, VariableSet(("y", "z")), 1)
+
+
+def test_substitute_refuses_an_unbound_used_variable():
+    av = VariableSet(("a",))
+    a = Polynomial.variable(ZZ, av, "a")
+    p = var("x") * var("y")
+    with pytest.raises(VariableMismatch, match="'y'"):
+        p.substitute({"x": a})
+    assert p.substitute({}) is p
+    assert p.substitute({"x": a, "y": a}) == a ** 2
+
+
+def test_restrict_examples():
+    x, y = var("x"), var("y")
+    p = x ** 2 * y + 3 * y - 1
+    xz = VariableSet(("x", "z"))
+    assert p.restrict({"y": 2}) == Polynomial.from_terms(ZZ, xz, {(2, 0): 2, (0, 0): 5})
+    half = p.restrict({"x": Fraction(1, 2)})
+    assert half.ring == QQ and half.vars.names == ("y", "z")
+    assert half == Polynomial.from_terms(QQ, half.vars, {(1, 0): Fraction(13, 4), (0, 0): -1})
+    # an integral Fraction keeps ZZ; a value of 0 kills the terms it touches
+    assert p.restrict({"x": Fraction(2, 1), "y": 0}).ring == ZZ
+    assert p.restrict({"x": 5, "y": 0}) == Polynomial.constant(ZZ, VariableSet(("z",)), -1)
+    with pytest.raises(VariableMismatch):
+        p.restrict({"w": 1})
+    with pytest.raises(PolyError, match="missing binding for 'x'"):
+        var("x").evaluate({"y": 1, "z": 1})
 
 
 def test_ring_mismatch_raises():
@@ -273,4 +310,28 @@ def test_polarize_is_a_derivation(p, q):
     t = Polynomial.variable(ZZ, VariableSet(("x", "y", "z", "t")), "t")
     v = {n: Polynomial.variable(ZZ, t.vars, n) for n in ("x", "y", "z")}
     shifted = p.substitute({"x": v["x"] + t.mul(v["y"]), "y": v["y"] + t.mul(v["z"]), "z": v["z"]})
-    assert shifted.coefficient_of({"t": 1}, ("t",)) == p.polarize(D).convert(t.vars)
+    assert shifted.coefficient_of({"t": 1}, ("t",)) == p.polarize(D)
+
+
+@given(
+    packaged_polys(),
+    st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=4), min_size=3, max_size=3
+    ),
+    st.lists(st.booleans(), min_size=3, max_size=3),
+)
+@settings(max_examples=300)
+def test_restrict_then_evaluate_is_evaluate(p, values, fixed):
+    """Fixing part of a point and then the rest gives the value at the whole
+    point, which is the naive term-by-term sum; the unfixed names remain, in
+    order."""
+    part = {n: v for n, v, f in zip(VS.names, values, fixed) if f}
+    rest = {n: v for n, v, f in zip(VS.names, values, fixed) if not f}
+    naive = oracles.from_package(p)
+    want = sum(
+        (c * math.prod(v ** e for v, e in zip(values, exps)) for exps, c in naive.items()),
+        Fraction(0),
+    )
+    restricted = p.restrict(part)
+    assert restricted.vars.names == tuple(rest)
+    assert restricted.evaluate(rest) == p.evaluate(part | rest) == want

@@ -221,7 +221,8 @@ def test_restriction_uses_the_leaves_it_is_given():
         assert restricted.vars == free
         assert restricted.outer is composition.outer
         for name, leaf in composition.leaves.items():
-            assert restricted.leaves[name] == leaf.substitute(bindings).convert(free)
+            assert restricted.leaves[name] == leaf.restrict(bindings)
+            assert restricted.leaves[name].vars == free
     assert other.restrict(bindings).leaves["h"] != expr.restrict(bindings).leaves["h"]
 
 

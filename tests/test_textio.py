@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -52,7 +53,7 @@ def test_text_roundtrip_random():
 def test_json_roundtrip():
     x = Polynomial.variable(QQ, VS, "x")
     p = x ** 3 * Fraction(-7, 2) + 5
-    assert textio.from_json(textio.to_json(p)) == p
+    assert textio.from_json(json.dumps(textio.to_json_obj(p))) == p
 
 
 def test_json_rejects_a_prime_field_ring_tag():
@@ -131,4 +132,4 @@ def test_roundtrip_every_emitted_generator():
     for name, p in corpus.items():
         text = p.text()
         assert textio.parse_text(text, p.vars, p.ring) == p, name
-        assert textio.from_json(textio.to_json(p)) == p, name
+        assert textio.from_json(json.dumps(textio.to_json_obj(p))) == p, name
