@@ -7,14 +7,13 @@ invariants of matrix pairs, with every identity machine-verified either by
 exact expansion or by randomized evaluation over prime fields.
 """
 
-from .poly import QQ, ZZ, BudgetExceeded, Polynomial, PolyError, Ring, VariableSet
+from .poly import QQ, ZZ, Polynomial, PolyError, Ring, VariableSet
 from .matrix import PolyMatrix, block_matrix
 from .verify import CheckResult, RunConfig
 
 __all__ = [
     "QQ",
     "ZZ",
-    "BudgetExceeded",
     "CheckResult",
     "Polynomial",
     "PolyError",

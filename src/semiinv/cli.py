@@ -2,8 +2,7 @@
 suites, and produce machine-readable reports.
 
 Exit codes: 0 all checks passed, 1 an identity was violated or a slice
-proof's gate failed, 2 usage error (including a budget below 1 and exact runs
-that overflow their term budget).
+proof's gate failed, 2 usage error.
 """
 
 from __future__ import annotations
@@ -79,7 +78,6 @@ def _config_from(args) -> RunConfig:
         trials=args.trials,
         primes=primes,
         seed=args.seed,
-        budget=args.budget,
         allow_small_char=args.allow_small_char,
     )
 
@@ -147,8 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the main-relation suite additionally spot-checks 5 and 7)",
     )
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--budget", type=int, default=None,
-                          help="term cap for exact expansions")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--allow-small-char", action="store_true",
                           help="permit characteristic 3")

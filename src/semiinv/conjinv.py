@@ -16,7 +16,7 @@ full 18-variable expansion stays in the tests as the oracle.
 from __future__ import annotations
 
 import time
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from . import generators as gen
 from . import hwv, textio
@@ -267,10 +267,6 @@ PAIR_SLICE = Slice(
     certify=hwv.conjugation_invariance_certificate,
 )
 
-# exact composition is attempted under this intermediate-term budget before
-# falling back to the modular protocol
-NAKAMOTO_EXACT_BUDGET = 10**7
-
 
 def verify_nakamoto_composed(cfg: RunConfig, trace_relation: Polynomial | None = None) -> CheckResult:
     """The trace relation composed with the actual trace generators vanishes
@@ -278,16 +274,14 @@ def verify_nakamoto_composed(cfg: RunConfig, trace_relation: Polynomial | None =
 
     Proved on PAIR_SLICE by run_slice_proof: each of the eleven generators
     passes hwv.conjugation_invariance_certificate, or the check FAILs naming
-    it; then the composition restricted to the slice is expanded under the
-    budget, with a fallback to the modular protocol on the slice that the
-    report notes (never in exact mode)."""
-    budget = NAKAMOTO_EXACT_BUDGET if cfg.budget is None else cfg.budget
+    it; then the composition restricted to the slice is expanded exactly, in
+    either mode."""
     return run_slice_proof(
         "trace relation vanishes on the trace generators",
         nakamoto_composed_expr(trace_relation),
         cfg,
         PAIR_SLICE,
-        partial(run_identity_exact_else_modular, attempt_budget=budget),
+        run_identity_exact_else_modular,
     )
 
 

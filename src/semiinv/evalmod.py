@@ -215,8 +215,8 @@ class Composition:
         weights = {name: (leaf.total_degree(),) for name, leaf in self.leaves.items()}
         return max((sum(d) for d in self.outer.degrees(weights)), default=0)
 
-    def expand(self, budget: int | None = None) -> Polynomial:
-        return self.outer.substitute(self.leaves, budget=budget)
+    def expand(self) -> Polynomial:
+        return self.outer.substitute(self.leaves)
 
     def restrict(self, bindings: Mapping[str, int]) -> "Composition":
         """The same outer polynomial at this composition's own leaves, each

@@ -353,18 +353,18 @@ def act_on_triple(g: Sequence[Sequence], T: MatrixTriple) -> MatrixTriple:
     return MatrixTriple(*comps)
 
 
-def act_on_function(g: Sequence[Sequence], F: Polynomial, vars: VariableSet | None = None) -> Polynomial:
+def act_on_function(g: Sequence[Sequence], F: Polynomial) -> Polynomial:
     """g.F maps a triple T to F(T.g); computed by substituting the entries of
-    the generic triple acted on by g."""
-    target = vars if vars is not None else F.vars
-    generic = MatrixTriple(*(_lift(m, target) for m in generic_triple().components()))
+    the generic triple acted on by g.  The result is over the variables of F,
+    which polynomial entries of g must share."""
+    generic = MatrixTriple(*(_lift(m, F.vars) for m in generic_triple().components()))
     acted = act_on_triple(g, generic)
     bindings = {
         name: m.rows[k // 3][k % 3]
         for names, m in zip(BLOCK_NAMES, acted.components())
         for k, name in enumerate(names)
     }
-    return F.convert(target).substitute(bindings)
+    return F.substitute(bindings)
 
 
 def transvection(i: int, j: int) -> list:

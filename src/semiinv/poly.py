@@ -40,10 +40,6 @@ class VariableMismatch(PolyError):
     pass
 
 
-class BudgetExceeded(PolyError):
-    """An exact expansion grew past the configured term budget."""
-
-
 class Ring:
     """Coefficient ring tag: ZZ or QQ.  These are the only rings, so every
     polynomial lives in characteristic 0."""
@@ -336,8 +332,8 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def mul(self, other: "Polynomial", budget: int | None = None) -> "Polynomial":
-        """Product; `budget` caps the intermediate term count."""
+    def mul(self, other: "Polynomial") -> "Polynomial":
+        """Exact product."""
         self._check_compatible(other)
         if not self.terms or not other.terms:
             return Polynomial.zero(self.ring, self.vars)
@@ -353,8 +349,6 @@ class Polynomial:
                 k = k1 + k2
                 c0 = get(k)
                 out[k] = c1 * c2 if c0 is None else c0 + c1 * c2
-            if budget is not None and len(out) > budget:
-                raise BudgetExceeded(f"product grew past {budget} terms")
         out = {k: c for k, c in out.items() if c}
         return Polynomial(self.ring, self.vars, out, self.maxexp + other.maxexp)
 
@@ -489,13 +483,12 @@ class Polynomial:
         out = {k: c for k, c in out.items() if c}
         return Polynomial(self.ring, self.vars, out, self.maxexp + 1)
 
-    def substitute(self, bindings: Mapping[str, "Polynomial"], budget: int | None = None) -> "Polynomial":
+    def substitute(self, bindings: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Exact composition: every variable this polynomial uses is replaced
         by its binding, and the result lives in the variable set that all the
         binding polynomials share.  An unbound used variable raises
-        VariableMismatch; variables are fixed to scalars with restrict.
-        `budget` caps the intermediate term count.  An empty binding map
-        returns the polynomial unchanged."""
+        VariableMismatch; variables are fixed to scalars with restrict.  An
+        empty binding map returns the polynomial unchanged."""
         if not bindings:
             return self
         for name, v in bindings.items():
@@ -516,7 +509,7 @@ class Polynomial:
         def power(name: str, e: int) -> Polynomial:
             lst = powers[name]
             while len(lst) <= e:
-                lst.append(lst[-1].mul(lst[1], budget=budget))
+                lst.append(lst[-1].mul(lst[1]))
             return lst[e]
 
         out: dict = {}
@@ -528,7 +521,7 @@ class Polynomial:
                 e = (k >> sh) & _FIELD_MASK
                 if e:
                     q = power(name, e)
-                    factor = q if factor is one else factor.mul(q, budget=budget)
+                    factor = q if factor is one else factor.mul(q)
             maxexp_out = max(maxexp_out, factor.maxexp)
             for k2, c2 in factor.terms.items():
                 cc = get(k2, 0) + c * c2
@@ -536,8 +529,6 @@ class Polynomial:
                     out[k2] = cc
                 else:
                     out.pop(k2, None)
-            if budget is not None and len(out) > budget:
-                raise BudgetExceeded(f"substitution grew past {budget} terms")
         return Polynomial(ring, target, out, maxexp_out)
 
     def evaluate(self, point: Mapping[str, Coeff]) -> Coeff:

@@ -24,7 +24,8 @@ from .verify import (
     RunConfig,
     Slice,
     boolean_check,
-    run_identity,
+    run_identity_exact,
+    run_identity_modular,
     run_slice_proof,
 )
 
@@ -186,8 +187,8 @@ def _run_triple_identity(name: str, expr: Composition, cfg: RunConfig) -> CheckR
     on the leaves' SL3 x SL3 certificates and the composite's block
     multihomogeneity); modular mode evaluates it in all 27 coordinates."""
     if cfg.mode == "exact":
-        return run_slice_proof(name, expr, cfg, TRIPLE_SLICE, run_identity)
-    return run_identity(name, expr, cfg)
+        return run_slice_proof(name, expr, cfg, TRIPLE_SLICE, run_identity_exact)
+    return run_identity_modular(name, expr, cfg)
 
 
 def verify_main_relation(cfg: RunConfig, relation: Polynomial | None = None) -> CheckResult:

@@ -6,7 +6,7 @@ import pytest
 
 from semiinv import cli, conjinv, relations
 from semiinv.poly import ZZ, Polynomial
-from semiinv.verify import RunConfig, VerifyUsageError
+from semiinv.verify import RunConfig
 
 
 def run_cli(capsys, *argv):
@@ -88,10 +88,11 @@ def test_emissions_and_solve_hwv_match_pinned_digests(capsys):
 
 
 def test_reports_match_pinned_digests(capsys):
-    """The JSON reports of verify all (3 trials, seed 0) and of the exact
-    main-relation slice proof, with every elapsed_s removed and the rest
-    dumped with indent 2 and sorted keys, hash to the SHA-256 digests in
-    report_digests.json, keyed by the command line."""
+    """The JSON reports of verify all (3 trials, seed 0) in modular and in
+    exact mode and of the exact main-relation slice proof, with every
+    elapsed_s removed and the rest dumped with indent 2 and sorted keys, hash
+    to the SHA-256 digests in report_digests.json, keyed by the command
+    line."""
     pinned = json.loads((Path(__file__).parent / "report_digests.json").read_text())
     got = {}
     for command in pinned:
@@ -159,30 +160,6 @@ def test_verify_empty_prime_list_exits_2(capsys):
     assert err == "error: the prime list is empty\n"
 
 
-def test_verify_exact_nakamoto_over_budget_exits_2(capsys):
-    """An exact run never falls back to modular evaluation."""
-    code, out, err = run_cli(
-        capsys, "verify", "nakamoto", "--mode", "exact", "--budget", "1000"
-    )
-    assert code == 2
-    assert out == ""
-    assert "exceeded the term budget (1000)" in err
-
-
-@pytest.mark.parametrize("budget", [0, -5])
-def test_a_budget_below_one_is_refused(capsys, budget):
-    """No expansion fits under such a budget: it used to abort the exact
-    attempt at once and report a fallback to modular."""
-    with pytest.raises(VerifyUsageError, match="^budget must be >= 1$"):
-        RunConfig(budget=budget, trials=1)
-    code, out, err = run_cli(
-        capsys, "verify", "nakamoto", "--budget", str(budget), "--trials", "1"
-    )
-    assert code == 2
-    assert out == ""
-    assert err == "error: budget must be >= 1\n"
-
-
 def test_verify_main_relation_small(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "main-relation", "--trials", "4", "--seed", "1",
@@ -214,6 +191,15 @@ def test_jobs_option_is_gone(capsys):
         cli.main(["verify", "main-relation", "--trials", "2", "--jobs", "2"])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_budget_option_is_gone(capsys):
+    """Exact expansions run to the end: no term cap, no fallback."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "nakamoto", "--mode", "exact", "--budget", "10"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+    assert "budget" not in RunConfig().to_json()
 
 
 def test_negative_control_corrupted_relation_via_cli(capsys, monkeypatch):

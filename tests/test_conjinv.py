@@ -5,7 +5,7 @@ import pytest
 
 from semiinv import conjinv as cj, generators as gen, hwv, relations as rel
 from semiinv.poly import ZZ, Polynomial, VariableSet
-from semiinv.verify import RunConfig, VerifyUsageError
+from semiinv.verify import RunConfig
 
 import oracles
 
@@ -264,24 +264,6 @@ def test_a_leaf_that_is_not_conjugation_invariant_fails_the_gate(monkeypatch, ge
         ]
         assert result.details["certified_leaves"] == 10
         assert "expanded_terms" not in result.details
-
-
-def test_composed_relation_modular_fallback():
-    cfg = RunConfig(trials=6, primes=(2147483629, 5), seed=2, budget=1000)
-    result = cj.verify_nakamoto_composed(cfg)
-    assert result.passed
-    assert result.mode == "modular"
-    assert result.notes[-1] == (
-        "exact expansion exceeded the 1000-term budget; fell back to modular"
-    )
-    assert result.details["slice_variables"] == 12
-    assert result.details["evaluations"] == 12
-
-
-def test_composed_relation_exact_mode_does_not_fall_back():
-    cfg = RunConfig(mode="exact", trials=6, primes=(2147483629,), budget=1000)
-    with pytest.raises(VerifyUsageError, match="exceeded the term budget"):
-        cj.verify_nakamoto_composed(cfg)
 
 
 def test_composed_relation_at_identity_pair(gens18):

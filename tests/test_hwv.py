@@ -38,7 +38,7 @@ def diagonal_action_weight(F: Polynomial) -> tuple | None:
     diag = [[zero] * 3 for _ in range(3)]
     for i in range(3):
         diag[i][i] = Polynomial.variable(ring, zvars, f"z{i+1}")
-    acted = gen.act_on_function(diag, F, vars=zvars)
+    acted = gen.act_on_function(diag, F.convert(zvars))
     alphas = acted.degrees({"z1": (1, 0, 0), "z2": (0, 1, 0), "z3": (0, 0, 1)})
     if len(alphas) != 1:
         return None

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from semiinv import generators as gen, relations as rel
-from semiinv.evalmod import Composition, sample_point
+from semiinv.evalmod import DEFAULT_PRIMES, Composition, sample_point
 from semiinv.poly import QQ, ZZ, Polynomial, PolyError, VariableSet
 from semiinv.verify import (
     BATCH_TRIALS,
@@ -182,13 +182,6 @@ def test_theorem1_composition_matches_an_independent_evaluation(prime):
         wrong_values.append(wrong.eval_mod(point, prime))
         assert wrong_values[-1] == (expected + c * fs["f5"] ** 6) % prime
     assert any(wrong_values)
-
-
-def test_exact_mode_small_budget_aborts():
-    with pytest.raises(VerifyUsageError):
-        rel.verify_main_relation(
-            RunConfig(mode="exact", budget=1000, primes=(5,), trials=1)
-        )
 
 
 # -- exact mode: slice proofs ---------------------------------------------------
@@ -372,12 +365,29 @@ def test_batched_run_matches_a_per_point_loop():
         pytest.param({"mode": "Exact"}, "unknown mode 'Exact'", id="mode=Exact"),
         pytest.param({"seed": -1}, "seed must fit in 64 bits", id="seed=-1"),
         pytest.param({"seed": 2**64}, "seed must fit in 64 bits", id="seed=2**64"),
+        pytest.param({"seed": 1.5}, "seed must be an int, not 1.5", id="seed=1.5"),
+        pytest.param({"seed": False}, "seed must be an int, not False", id="seed=False"),
+        pytest.param({"trials": True}, "trials must be an int, not True", id="trials=True"),
+        pytest.param({"trials": 2.5}, "trials must be an int, not 2.5", id="trials=2.5"),
+        pytest.param(
+            {"primes": (2147483647.0,)},
+            r"primes must be a tuple of ints, not \(2147483647.0,\)",
+            id="primes=(float,)",
+        ),
+        pytest.param(
+            {"primes": list(DEFAULT_PRIMES)},
+            r"primes must be a tuple of ints, not \[2147483647, .*\]",
+            id="primes=list",
+        ),
     ],
 )
 def test_a_bad_config_is_refused_without_validated(kwargs, message):
     """A config that would have skipped validated() could pass a mutated
     relation: with no trials it makes no evaluation, and a bad mode or seed
-    would run something other than what was asked."""
+    would run something other than what was asked.  Only ints reproduce from
+    the command line: seed=1.5 used to run and PASS, trials=True ran one
+    trial, a float trial count or prime crashed with TypeError, and a list of
+    the default primes dropped main-relation's spot checks at 5 and 7."""
     with pytest.raises(VerifyUsageError, match=f"^{message}$"):
         rel.verify_main_relation(RunConfig(**kwargs), relation=_mutated_relation())
     with pytest.raises(VerifyUsageError, match=f"^{message}$"):
