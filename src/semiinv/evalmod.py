@@ -1,26 +1,31 @@
-"""Modular evaluation of polynomials and of compositions for identity testing.
+"""Modular evaluation of polynomials, determinants and compositions for
+identity testing.
 
 Identities too large to expand symbolically are checked by evaluating both
 sides at random points over prime fields.  A nonzero polynomial of total
 degree d vanishes at a uniformly random point of Z_p^n with probability at
 most d/p (Schwartz-Zippel), so N independent points bound the chance of a
-missed nonzero identity by (d/p)^N per prime.  This kernel is the only
+missed nonzero identity by (d/p)^N per prime.  This module is the only
 modular arithmetic in the package: polynomials carry ZZ or QQ coefficients,
-which are reduced mod p here.
+which are reduced mod p here, and det_mod takes numeric determinants by
+Gaussian elimination mod p.
 
 Points are drawn from a counter-based SHA-256 stream keyed by
 (seed, prime, trial), so a point does not depend on the batch it is evaluated
 in and any trial can be reproduced in isolation.  A point's values may be ints
 or equal-length int64 arrays; an array holds one value per trial of a batch,
-and numpy broadcasting carries the batch through the leaves and the outer
-polynomial of a composition.
+and numpy broadcasting carries the batch through a composition.  A
+composition either evaluates its leaf polynomials at the point or, when it
+has a definition, takes the leaf values from it: the generators of the triple
+identities are computed from their determinant definitions
+(generators.generator_values_mod), never from their expansions.
 """
 
 from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -178,6 +183,59 @@ def poly_eval_mod(p: Polynomial, point: Mapping[str, int], prime: int):
     return int(total) if total.ndim == 0 else total
 
 
+# -- numeric determinants over Z_p ----------------------------------------------
+
+
+def _inverse_mod(a: np.ndarray, prime: int) -> np.ndarray:
+    """a^(p-2) mod p entrywise, by square and multiply: the inverse of every
+    nonzero entry (Fermat)."""
+    result = np.ones_like(a)
+    e = prime - 2
+    while e:
+        if e & 1:
+            result = result * a % prime
+        a = a * a % prime
+        e >>= 1
+    return result
+
+
+def det_mod(mats, prime: int) -> np.ndarray:
+    """Determinants mod p of a stack of n x n integer matrices, shape
+    (..., n, n) -> (...), by Gaussian elimination over Z_p.
+
+    Each matrix gets its own pivot: at step k the first row at or below k
+    with a nonzero entry in column k, swapped into row k (which negates the
+    determinant).  With no such row the matrix is singular mod p and its
+    determinant stays 0.  The pivot is inverted by Fermat, so the rows below
+    are cleared with no division.  The result is the determinant of the
+    integer matrix reduced mod p, in any odd characteristic, 3 included.
+
+    Entries are reduced into [0, p) first and stay there, with p < 2**31:
+    every product of two entries or of an entry and an inverse is below
+    2**62, and it is reduced before the next operation, so nothing
+    overflows int64."""
+    m = np.array(mats, dtype=np.int64) % prime
+    n = m.shape[-1]
+    shape = m.shape[:-2]
+    m = m.reshape(-1, n, n)
+    which = np.arange(len(m))
+    det = np.ones(len(m), dtype=np.int64)
+    for k in range(n):
+        nonzero = m[:, k:, k] != 0
+        pivot_row = k + nonzero.argmax(axis=1)  # k where the column is zero
+        row_k = m[which, k].copy()
+        m[which, k] = m[which, pivot_row]
+        m[which, pivot_row] = row_k
+        pivot = m[:, k, k]
+        det = np.where(pivot_row != k, prime - det, det) * pivot % prime
+        inv = _inverse_mod(np.where(pivot != 0, pivot, 1), prime)
+        factors = m[:, k + 1 :, k] * inv[:, None] % prime
+        m[:, k + 1 :, k:] = (
+            m[:, k + 1 :, k:] - factors[:, :, None] * m[:, None, k, k:] % prime
+        ) % prime
+    return det.reshape(shape)
+
+
 # -- identities: an outer polynomial at named leaf polynomials ---------------
 
 
@@ -186,11 +244,24 @@ class Composition:
     bound to a leaf polynomial over the one variable set all leaves share.
     Every used name needs a leaf and every leaf is a name of outer, so exact
     expansion and modular evaluation read the same identity.  Modular
-    evaluation evaluates every leaf once and the outer polynomial at their
-    values, so the composite is never expanded unless expand() is called.
-    eval_mod returns an int, or an int64 array for a batch of points."""
+    evaluation takes the value of every leaf once and evaluates the outer
+    polynomial at those values, so the composite is never expanded unless
+    expand() is called.  eval_mod accepts a point of ints or of int64
+    batches and returns an int, or an int64 array for a batch.
 
-    def __init__(self, outer: Polynomial, leaves: Mapping[str, Polynomial]):
+    A definition, when given, is a function (point, prime, names) -> values
+    that returns, for each leaf name, its leaf's value at the point mod p
+    computed from another definition of the same polynomial; eval_mod then
+    reads the leaf values from it and evaluates no leaf polynomial.  restrict
+    drops the definition: a restricted composition reads its restricted
+    leaves only."""
+
+    def __init__(
+        self,
+        outer: Polynomial,
+        leaves: Mapping[str, Polynomial],
+        definition: Callable[[Mapping, int, tuple], Mapping] | None = None,
+    ):
         for name in outer.vars.names:
             if outer.max_exponent(name) and name not in leaves:
                 raise PolyError(f"unbound abstract variable {name!r}")
@@ -203,11 +274,16 @@ class Composition:
         self.outer = outer
         self.leaves = dict(leaves)
         self.vars = sets.pop() if sets else VariableSet(())
+        self.definition = definition
 
     def eval_mod(self, point: Mapping[str, int], prime: int):
-        values = {
-            name: poly_eval_mod(leaf, point, prime) for name, leaf in self.leaves.items()
-        }
+        if self.definition is None:
+            values = {
+                name: poly_eval_mod(leaf, point, prime) for name, leaf in self.leaves.items()
+            }
+        else:
+            defined = self.definition(point, prime, tuple(self.leaves))
+            values = {name: defined[name] for name in self.leaves}
         return poly_eval_mod(self.outer, values, prime)
 
     def degree_bound(self) -> int:

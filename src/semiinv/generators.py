@@ -6,7 +6,9 @@ in which only one block carries the grading variable t1 (see h_poly and
 q_poly for why one variable suffices).  H and Q are the rational corrections
 of h and q that are fixed by the unipotent upper-triangular subgroup (highest
 weight vectors of weights (2,2,2) and (3,3,3)).  Everything is built exactly,
-as polynomials in the 27 coordinate functions of the generic triple.
+as polynomials in the 27 coordinate functions of the generic triple;
+generator_values_mod computes f1..f10, h and q at points mod p from the same
+determinant definitions, with no expansion, for the modular runs.
 
 Gradings are data next to the names they weigh, for Polynomial.degrees:
 BLOCK_WEIGHTS gives the degree in the entries of (A1, A2, A3), and F_WEIGHTS
@@ -15,11 +17,15 @@ gives f_n the exponent triple (i, j, k) it is the coefficient of.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Mapping, Sequence
 
+import numpy as np
+
+from .evalmod import det_mod
 from .matrix import PolyMatrix, block_matrix
 from .poly import QQ, ZZ, Polynomial, PolyError, Ring, VariableSet, unify_rings
 
@@ -225,6 +231,37 @@ def f_all(T: MatrixTriple) -> dict:
     }
 
 
+# h and q are t1-coefficients of block determinants (h_poly, q_poly): the
+# layout of the 3x3 blocks, in which "t1*A1" is A1 times t1 and None is zero,
+# and the power of t1.  The polynomials and the values mod p
+# (generator_values_mod) are both read from here.
+BLOCK_DEFINITIONS = {
+    "h": ((("A2", "t1*A1"), ("A1", "A3")), 1),
+    "q": (((None, "t1*A1", "A2"), ("A1", None, "A3"), ("A2", "A3", None)), 2),
+}
+
+
+def _block_spec(spec: str) -> tuple:
+    """"t1*A2" -> (1, True): the component index and whether t1 scales it."""
+    return int(spec[-1]) - 1, spec.startswith("t1*")
+
+
+def _block_coefficient(T: MatrixTriple, name: str) -> Polynomial:
+    layout, degree = BLOCK_DEFINITIONS[name]
+    w = _pencil_vars(T.vars)
+    t1 = Polynomial.variable(T.ring, w, "t1")
+    comps = [_lift(m, w) for m in T.components()]
+
+    def block(spec):
+        if spec is None:
+            return None
+        r, scaled = _block_spec(spec)
+        return comps[r].scale(t1) if scaled else comps[r]
+
+    m = block_matrix([[block(spec) for spec in row] for row in layout])
+    return m.determinant().coefficient_of({"t1": degree}, T_NAMES)
+
+
 def h_poly(T: MatrixTriple) -> Polynomial:
     """Coefficient of t1 in the 6x6 block determinant [[A2, t1*A1], [A1, A3]].
 
@@ -235,15 +272,7 @@ def h_poly(T: MatrixTriple) -> Polynomial:
     is the sum of the terms with a = 2, which is the coefficient of
     t1^2 t2^2 t3^2 in [[t2*A2, t1*A1], [t1*A1, t3*A3]], the definition of
     h."""
-    w = _pencil_vars(T.vars)
-    a1 = _lift(T.a1, w)
-    m = block_matrix(
-        [
-            [_lift(T.a2, w), a1.scale(Polynomial.variable(T.ring, w, "t1"))],
-            [a1, _lift(T.a3, w)],
-        ]
-    )
-    return m.determinant().coefficient_of({"t1": 1}, T_NAMES)
+    return _block_coefficient(T, "h")
 
 
 def q_poly(T: MatrixTriple) -> Polynomial:
@@ -257,18 +286,70 @@ def q_poly(T: MatrixTriple) -> Polynomial:
     a = 2, which is the coefficient of t1^2 t2 t3^2 t4 t5^2 t6 in
     [[0, t1*A1, t2*A2], [t4*A1, 0, t3*A3], [t5*A2, t6*A3, 0]], the
     definition of q."""
-    w = _pencil_vars(T.vars)
-    a1 = _lift(T.a1, w)
-    a2 = _lift(T.a2, w)
-    a3 = _lift(T.a3, w)
-    m = block_matrix(
-        [
-            [None, a1.scale(Polynomial.variable(T.ring, w, "t1")), a2],
-            [a1, None, a3],
-            [a2, a3, None],
-        ]
+    return _block_coefficient(T, "q")
+
+
+# the mixed determinants of the pencil: choice c takes row i from component
+# _ROW_CHOICES[c][i]
+_ROW_CHOICES = tuple(itertools.product(range(3), repeat=3))
+
+
+def _block_coefficient_mod(comps: np.ndarray, name: str, prime: int) -> np.ndarray:
+    """_block_coefficient at numeric components, shape (..., 3, 3, 3)."""
+    layout, degree = BLOCK_DEFINITIONS[name]
+    n = 3 * len(layout)
+    m0 = np.zeros(comps.shape[:-3] + (n, n), dtype=np.int64)
+    m1 = np.zeros_like(m0)
+    t1_rows = set()
+    for bi, row in enumerate(layout):
+        for bj, spec in enumerate(row):
+            if spec is not None:
+                r, scaled = _block_spec(spec)
+                target = m1 if scaled else m0
+                target[..., 3 * bi : 3 * bi + 3, 3 * bj : 3 * bj + 3] = comps[..., r, :, :]
+                if scaled:
+                    t1_rows.update(range(3 * bi, 3 * bi + 3))
+    mats = [
+        np.where(np.isin(np.arange(n), rows)[:, None], m1, m0)
+        for rows in itertools.combinations(sorted(t1_rows), degree)
+    ]
+    return det_mod(np.stack(mats, axis=-3), prime).sum(axis=-1) % prime
+
+
+def generator_values_mod(point: Mapping, prime: int) -> dict:
+    """f1..f10, h and q at a point of the 27 coordinates mod p, computed
+    from their determinant definitions with evalmod.det_mod, not from their
+    expansions.  The values of the point are ints, or int64 arrays of one
+    shape for a batch of points; each result is an int64 array of that
+    shape.
+
+    A determinant is linear in each row.  Row i of t1*A1 + t2*A2 + t3*A3 is
+    the sum over r of t_r times row i of A_r, so the pencil determinant is
+    the sum over the 27 choices (r1, r2, r3) of t_r1*t_r2*t_r3 times the
+    mixed determinant that takes row i from A_ri; f_ijk sums the choices
+    that take i rows from A1, j from A2 and k from A3.  In a block matrix
+    M0 + t1*M1 (BLOCK_DEFINITIONS) only the rows of the t1 blocks carry t1,
+    so the coefficient of t1^d is the sum over the d-subsets S of those rows
+    of the determinant that takes the rows in S from M1 and the others from
+    M0: 3 determinants of size 6 for h (d = 1) and 3 of size 9 for q
+    (d = 2).  Each determinant is an integer determinant reduced mod p, so
+    each value is the polynomial's value mod p in any odd characteristic,
+    with no interpolation and no denominator.  A value sums at most 6
+    determinants in [0, p), p < 2**31, before its reduction, far inside
+    int64 (det_mod gives the bound for the eliminations)."""
+    x = np.stack(
+        [np.asarray(point[name], dtype=np.int64) % prime for name in TRIPLE_NAMES], axis=-1
     )
-    return m.determinant().coefficient_of({"t1": 2}, T_NAMES)
+    comps = x.reshape(x.shape[:-1] + (3, 3, 3))  # (..., component, row, column)
+    mixed = det_mod(comps[..., np.array(_ROW_CHOICES), np.arange(3), :], prime)
+    counts = np.array([[rows.count(r) for r in range(3)] for rows in _ROW_CHOICES])
+    values = {
+        name: mixed[..., (counts == ijk).all(axis=1)].sum(axis=-1) % prime
+        for name, ijk in zip(F_NAMES, F_INDEX)
+    }
+    for name in BLOCK_DEFINITIONS:
+        values[name] = _block_coefficient_mod(comps, name, prime)
+    return values
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from . import generators as gen
 from . import hwv, textio
-from .evalmod import Composition
+from .evalmod import Composition, poly_eval_mod
 from .poly import QQ, ZZ, Polynomial, PolyError, VariableSet
 from .verify import (
     CheckResult,
@@ -130,12 +130,30 @@ def evaluate_f_form_on_triple(p_f: Polynomial, T) -> Polynomial:
 # -- the two big identities -----------------------------------------------------
 
 
+def generator_definition_mod(point, prime: int, names) -> dict:
+    """The definition of the generator leaves for Composition: f1..f10, h and q
+    from their determinants (gen.generator_values_mod), and H and Q, where
+    names asks for them, as abstract_H and abstract_Q at those values, which
+    is how generators_of builds them.  H and Q have coefficients with the
+    denominators 2, 3 and 12, so they are evaluated only for an identity
+    that names them: at p = 3 the main relation, which has no denominator,
+    must not be refused for one of H's."""
+    values = gen.generator_values_mod(point, prime)
+    abstract = {"H": abstract_H, "Q": abstract_Q}
+    for name in names:
+        if name in abstract:
+            values[name] = poly_eval_mod(abstract[name](), values, prime)
+    return values
+
+
 def main_relation_expr(relation: Polynomial | None = None) -> Composition:
-    """relation(q, h, f1..f10) with the actual generator polynomials bound in."""
+    """relation(q, h, f1..f10) with the actual generator polynomials bound in;
+    modular evaluation reads the generators from their definitions."""
     table = gen.generator_table()
     return Composition(
         relation if relation is not None else defining_relation(),
         dict(zip(gen.F_NAMES, table.f), q=table.q, h=table.h),
+        generator_definition_mod,
     )
 
 
@@ -146,7 +164,8 @@ def theorem1_expr(s4: Polynomial | None = None, t6: Polynomial | None = None) ->
     """Q^2 - H^3 - 27*H*S + (27/4)*T over the 27 coordinates.  The f-ring
     invariants S and T are composed exactly into one rational outer
     polynomial over (Q, H, f1..f10), whose leaves are the generator
-    polynomials; every outer term has weighted degree 18, the degree bound."""
+    polynomials; every outer term has weighted degree 18, the degree bound.
+    Modular evaluation reads the generators from their definitions."""
     table = gen.generator_table()
     if s4 is None or t6 is None:
         s4, t6 = derive_st()
@@ -155,6 +174,7 @@ def theorem1_expr(s4: Polynomial | None = None, t6: Polynomial | None = None) ->
     return Composition(
         Qv.mul(Qv) - Hv ** 3 - Hv.mul(S) * 27 + T * Fraction(27, 4),
         dict(zip(gen.F_NAMES, table.f), Q=table.Q, H=table.H),
+        generator_definition_mod,
     )
 
 
@@ -185,7 +205,8 @@ TRIPLE_SLICE = Slice(
 def _run_triple_identity(name: str, expr: Composition, cfg: RunConfig) -> CheckResult:
     """Exact mode proves the identity on TRIPLE_SLICE (run_slice_proof, gated
     on the leaves' SL3 x SL3 certificates and the composite's block
-    multihomogeneity); modular mode evaluates it in all 27 coordinates."""
+    multihomogeneity); modular mode evaluates it in all 27 coordinates, with
+    the generators taken from their definitions."""
     if cfg.mode == "exact":
         return run_slice_proof(name, expr, cfg, TRIPLE_SLICE, run_identity_exact)
     return run_identity_modular(name, expr, cfg)

@@ -5,9 +5,11 @@ named leaf polynomials.  It either expands the identity exactly to the zero
 polynomial or evaluates it at pseudo-random points over a list of prime
 fields.  run_slice_proof does either on a slice of the variables, after an
 exact gate certifies that the identity is invariant.  Modular runs are
-reproducible from (seed, primes, trials); each prime's trials are evaluated
-in one process, in batches of BATCH_TRIALS points per evaluation of the
-composition, and a trial's point and value do not depend on its batch.  A
+reproducible from (seed, primes, trials); all of a prime's trials are
+evaluated in one process by one evaluation of the composition, and a
+trial's point and value do not depend on the others.  The two triple
+identities read their generators from the determinant definitions there
+(relations.generator_definition_mod), not from the expanded leaves.  A
 RunConfig validates itself when it is constructed.
 """
 
@@ -70,6 +72,11 @@ class RunConfig:
             raise VerifyUsageError(f"unknown mode {self.mode!r}")
         if self.trials < 1:
             raise VerifyUsageError("trials must be >= 1")
+        if not isinstance(self.allow_small_char, bool):
+            # the CLI sets it only by a flag, so only a bool reproduces
+            raise VerifyUsageError(
+                f"allow_small_char must be a bool, not {self.allow_small_char!r}"
+            )
         if len(set(self.primes)) != len(self.primes):
             # points are keyed by (seed, prime, trial): a repeat re-evaluates them
             raise VerifyUsageError(f"repeated prime in {list(self.primes)}")
@@ -127,18 +134,14 @@ def boolean_check(name: str, fn: Callable[[], bool], mode: str = "exact", **deta
 
 # -- modular identity runs ----------------------------------------------------
 
-# trials per evaluation of a composition; larger batches buy little speed for a
-# peak memory that grows with the batch
-BATCH_TRIALS = 8
-
 
 def run_identity_modular(name: str, expr: Composition, cfg: RunConfig) -> CheckResult:
     """Evaluate the expression at cfg.trials points per prime; PASS iff every
     evaluation is zero.  Reports the Schwartz-Zippel failure bound per prime,
     or None for a prime p <= degree, where d/p >= 1 bounds nothing.
 
-    The points of a batch are drawn one by one with sample_point and stacked
-    into int64 arrays, so one eval_mod call evaluates the whole batch."""
+    A prime's points are drawn one by one with sample_point and stacked into
+    int64 arrays, so one eval_mod call evaluates all of its trials."""
     t0 = time.perf_counter()
     names = expr.vars.names
     degree = expr.degree_bound()
@@ -151,22 +154,16 @@ def run_identity_modular(name: str, expr: Composition, cfg: RunConfig) -> CheckR
         )
     failures = []
     for prime in cfg.primes:
-        for start in range(0, cfg.trials, BATCH_TRIALS):
-            trials = range(start, min(start + BATCH_TRIALS, cfg.trials))
-            points = [sample_point(names, cfg.seed, prime, t) for t in trials]
-            batch = {
-                n: np.array([pt[n] for pt in points], dtype=np.int64) for n in names
-            }
-            try:
-                values = expr.eval_mod(batch, prime)
-            except DenominatorNotInvertible as exc:
-                raise VerifyUsageError(f"{name}: {exc}") from None
-            values = np.broadcast_to(values, len(points))
-            failures.extend(
-                (prime, t, int(v), pt)
-                for t, v, pt in zip(trials, values, points)
-                if v
-            )
+        points = [sample_point(names, cfg.seed, prime, t) for t in range(cfg.trials)]
+        batch = {n: np.array([pt[n] for pt in points], dtype=np.int64) for n in names}
+        try:
+            values = expr.eval_mod(batch, prime)
+        except DenominatorNotInvertible as exc:
+            raise VerifyUsageError(f"{name}: {exc}") from None
+        values = np.broadcast_to(values, len(points))
+        failures.extend(
+            (prime, t, int(v), pt) for t, (v, pt) in enumerate(zip(values, points)) if v
+        )
 
     failures.sort(key=lambda f: (f[0], f[1]))
     counterexample = None

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from semiinv.evalmod import (
     poly_eval_mod,
     sample_point,
 )
-from semiinv.matrix import block_matrix
+from semiinv.matrix import PolyMatrix, block_matrix
 from semiinv.poly import QQ, ZZ, Polynomial, PolyError, VariableMismatch, VariableSet
 
 import oracles
@@ -235,3 +236,84 @@ def test_batch_evaluation_equals_per_point(prime):
         expected = [evaluate(pt) for pt in points]
         assert all(type(v) is int for v in expected)
         assert values.tolist() == expected
+
+
+# -- determinants and generator values from their definitions -----------------
+
+
+def _exact_det_mod(rows, prime):
+    m = PolyMatrix.from_scalars(ZZ, VS, rows)
+    return m.determinant().evaluate(dict.fromkeys(VS.names, 0)) % prime
+
+
+def _det_mod_cases():
+    rng = random.Random(12)
+    cases = [
+        [[0, 1, 2], [3, 4, 5], [6, 7, 9]],  # zero leading pivot
+        [[5, 1, 2], [3, 4, 5], [6, 7, 9]],  # zero leading pivot mod 5 only
+        [[1, 2, 3], [2, 4, 7], [1, 1, 1]],  # a zero pivot after the first step
+        [[1, 2], [3, 11]],  # det 5: singular mod 5, not over ZZ
+        [[7, 0], [0, 5]],  # det 35: singular mod 5 and mod 7
+        [[-3, 4, -1], [2, -8, 6], [0, -5, 7]],
+        [[0]],
+        [[-4]],
+    ]
+    for perm in itertools.permutations(range(3)):
+        cases.append([[int(perm[i] == j) for j in range(3)] for i in range(3)])
+    for n in (6, 9):
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            cases.append([[int(perm[i] == j) for j in range(n)] for i in range(n)])
+        for _ in range(3):
+            cases.append([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        sparse = [[rng.choice((0, 0, 0, rng.randint(-3, 3))) for _ in range(n)] for _ in range(n)]
+        cases.append(sparse)
+    return cases
+
+
+@pytest.mark.parametrize("prime", [2147483647, 5, 7, 3])
+def test_det_mod_equals_the_exact_determinant(prime):
+    """det_mod is the subset-DP determinant over ZZ reduced mod p: with zero
+    pivots that need a row swap, matrices singular mod p but not over ZZ,
+    and permutation matrices, whose sign is the whole determinant."""
+    cases = _det_mod_cases()
+    for rows in cases:
+        expected = _exact_det_mod(rows, prime)
+        assert int(evalmod.det_mod(rows, prime)) == expected
+    for n in (3, 6, 9):
+        same = [rows for rows in cases if len(rows) == n]
+        stacked = np.array(same[: len(same) // 2 * 2]).reshape(2, -1, n, n)
+        values = evalmod.det_mod(stacked, prime)
+        assert values.shape == stacked.shape[:2]
+        assert values.ravel().tolist() == [
+            _exact_det_mod(rows, prime) for rows in stacked.reshape(-1, n, n).tolist()
+        ]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("prime", [2147483647, 5, 7, 3])
+def test_definition_values_equal_the_expanded_leaves(prime, seed):
+    """f1..f10, h and q from their determinant definitions, and H and Q
+    from those values, equal poly_eval_mod of the expanded generator
+    polynomials, for a batch of points and for scalar points.  H has the
+    denominator 3, so at p = 3 both ways refuse it alike."""
+    table = gen.generator_table()
+    leaves = dict(zip(gen.F_NAMES, table.f), h=table.h, q=table.q, Q=table.Q, H=table.H)
+    points = [sample_point(gen.TRIPLE_NAMES, seed, prime, t) for t in range(12)]
+    batch = {n: np.array([pt[n] for pt in points], dtype=np.int64) for n in gen.TRIPLE_NAMES}
+    names = tuple(n for n in leaves if not (prime == 3 and n == "H"))
+    values = rel.generator_definition_mod(batch, prime, names)
+    for name in names:
+        assert values[name].tolist() == poly_eval_mod(leaves[name], batch, prime).tolist()
+    for point in points[:2]:
+        scalar = rel.generator_definition_mod(point, prime, names)
+        for name in names:
+            assert int(scalar[name]) == poly_eval_mod(leaves[name], point, prime)
+    if prime == 3:
+        for evaluate in (
+            lambda: poly_eval_mod(table.H, batch, prime),
+            lambda: rel.generator_definition_mod(batch, prime, ("H",)),
+        ):
+            with pytest.raises(evalmod.DenominatorNotInvertible, match="^denominator 3 "):
+                evaluate()

@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from semiinv import generators as gen, relations as rel
+from semiinv import cli, evalmod, generators as gen, relations as rel
 from semiinv.evalmod import DEFAULT_PRIMES, Composition, sample_point
 from semiinv.poly import QQ, ZZ, Polynomial, PolyError, VariableSet
 from semiinv.verify import (
-    BATCH_TRIALS,
     RunConfig,
     VerifyUsageError,
     run_identity_modular,
@@ -184,6 +183,59 @@ def test_theorem1_composition_matches_an_independent_evaluation(prime):
     assert any(wrong_values)
 
 
+@pytest.mark.parametrize("verify", [rel.verify_main_relation, rel.verify_theorem1])
+def test_modular_runs_evaluate_no_expanded_leaf(monkeypatch, verify):
+    """The modular runs of the triple identities take the generators from
+    their definitions: poly_eval_mod only ever sees the outer polynomial and
+    abstract_H/abstract_Q, never a 27-variable leaf (q has 5748 terms)."""
+    sizes = []
+    real = evalmod.poly_eval_mod
+
+    def recording(p, point, prime):
+        sizes.append(len(p))
+        return real(p, point, prime)
+
+    monkeypatch.setattr(evalmod, "poly_eval_mod", recording)
+    monkeypatch.setattr(rel, "poly_eval_mod", recording)
+    assert verify(RunConfig(trials=4, primes=(2147483647, 5), seed=0)).passed
+    assert sizes and max(sizes) <= 170
+
+
+def test_main_relation_fails_when_the_definition_of_q_is_off_by_one(monkeypatch):
+    """The modular verdict reads the kernel's values: q + 1 in place of q
+    leaves q^2 - q*h*f5 + ... nonzero, and the run must FAIL."""
+    real = gen.generator_values_mod
+
+    def shifted(point, prime):
+        values = real(point, prime)
+        values["q"] = (values["q"] + 1) % prime
+        return values
+
+    monkeypatch.setattr(gen, "generator_values_mod", shifted)
+    result = rel.verify_main_relation(RunConfig(trials=3, primes=(2147483647,), seed=0))
+    assert not result.passed
+    assert result.details["nonzero_evaluations"] == 3
+
+
+@pytest.mark.parametrize(
+    "suite, code, err",
+    [
+        ("main-relation", 0, ""),
+        ("theorem1", 2, "error: theorem1: denominator 3 not invertible mod 3\n"),
+    ],
+)
+def test_characteristic_three_from_the_definitions(capsys, suite, code, err):
+    """The determinant definitions hold in characteristic 3: the main
+    relation PASSes there, and theorem 1, whose H has the denominator 3,
+    is still a usage error."""
+    argv = ["verify", suite, "--primes", "3", "--allow-small-char", "--trials", "3"]
+    assert cli.main(argv) == code
+    out = capsys.readouterr()
+    assert out.err == err
+    if code == 0:
+        assert "ALL CHECKS PASSED (main-relation)" in out.out
+
+
 # -- exact mode: slice proofs ---------------------------------------------------
 
 EXACT = RunConfig(mode="exact")
@@ -202,7 +254,9 @@ def test_exact_mode_is_a_slice_proof(verify):
 
 def test_restriction_uses_the_leaves_it_is_given():
     """Each restricted leaf is the given leaf restricted, for a passed
-    relation and for a composition with a replaced leaf alike."""
+    relation and for a composition with a replaced leaf alike; the
+    definition of the full-space leaves is dropped, so a slice proof reads
+    its restricted leaves only."""
     bindings = rel.TRIPLE_SLICE.bindings
     free = VariableSet(n for n in gen.TRIPLE_NAMES if n not in bindings)
     assert len(free) == 12
@@ -213,6 +267,7 @@ def test_restriction_uses_the_leaves_it_is_given():
         restricted = composition.restrict(bindings)
         assert restricted.vars == free
         assert restricted.outer is composition.outer
+        assert restricted.definition is None
         for name, leaf in composition.leaves.items():
             assert restricted.leaves[name] == leaf.restrict(bindings)
             assert restricted.leaves[name].vars == free
@@ -332,9 +387,9 @@ def test_parallel_run_evaluates_the_expression_it_is_given(monkeypatch, method):
 
 
 def test_batched_run_matches_a_per_point_loop():
-    """13 trials are one full batch and a partial one; the report equals a
-    reference loop of sample_point and scalar eval_mod, point by point."""
-    assert 13 % BATCH_TRIALS
+    """The report of a run, which evaluates each prime's 13 trials as one
+    batch, equals a reference loop of sample_point and scalar eval_mod,
+    point by point."""
     cfg = RunConfig(trials=13, primes=(2147483647, 5, 7), seed=4)
     expr = rel.main_relation_expr(_mutated_relation())
     names = expr.vars.names
@@ -379,6 +434,11 @@ def test_batched_run_matches_a_per_point_loop():
             r"primes must be a tuple of ints, not \[2147483647, .*\]",
             id="primes=list",
         ),
+        pytest.param(
+            {"primes": (3,), "trials": 2, "allow_small_char": "no"},
+            "allow_small_char must be a bool, not 'no'",
+            id="allow_small_char=no",
+        ),
     ],
 )
 def test_a_bad_config_is_refused_without_validated(kwargs, message):
@@ -386,8 +446,9 @@ def test_a_bad_config_is_refused_without_validated(kwargs, message):
     relation: with no trials it makes no evaluation, and a bad mode or seed
     would run something other than what was asked.  Only ints reproduce from
     the command line: seed=1.5 used to run and PASS, trials=True ran one
-    trial, a float trial count or prime crashed with TypeError, and a list of
-    the default primes dropped main-relation's spot checks at 5 and 7."""
+    trial, a float trial count or prime crashed with TypeError, a list of
+    the default primes dropped main-relation's spot checks at 5 and 7, and
+    allow_small_char="no" ran and PASSed in characteristic 3."""
     with pytest.raises(VerifyUsageError, match=f"^{message}$"):
         rel.verify_main_relation(RunConfig(**kwargs), relation=_mutated_relation())
     with pytest.raises(VerifyUsageError, match=f"^{message}$"):
