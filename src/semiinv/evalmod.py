@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .poly import Polynomial, PolyError, VariableMismatch, VariableSet, _FIELD_MASK
+from .poly import Polynomial, PolyError, VariableMismatch, VariableSet
 
 DEFAULT_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563)
 SMALL_CHAR_PRIMES = (5, 7)
@@ -102,20 +102,11 @@ def _compiled(p: Polynomial):
     cache = p._cache
     comp = cache.get("evalmod")
     if comp is None:
-        nvars = len(p.vars)
-        keys = list(p.terms)
-        exps = np.zeros((len(keys), nvars), dtype=np.int64)
-        shifts = p.vars._shifts
-        for t, k in enumerate(keys):
-            for i, sh in enumerate(shifts):
-                e = (k >> sh) & _FIELD_MASK
-                if e:
-                    exps[t, i] = e
-        used = [i for i in range(nvars) if exps[:, i].any()]
+        exps = p.exponents()
+        used = np.flatnonzero(exps.any(axis=0)).tolist()
         nums = []
         dens = []
-        for k in keys:
-            c = p.terms[k]
+        for c in p.terms.values():
             if isinstance(c, Fraction):
                 nums.append(c.numerator)
                 dens.append(c.denominator)

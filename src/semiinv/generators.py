@@ -21,13 +21,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import lcm
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .evalmod import det_mod
 from .matrix import PolyMatrix, block_matrix
-from .poly import QQ, ZZ, Polynomial, PolyError, Ring, VariableSet, unify_rings
+from .poly import QQ, ZZ, Polynomial, PolyError, Ring, VariableMismatch, VariableSet, unify_rings
 
 # Coordinate functions of the generic triple: entry (i,j) of matrix r is x{r}_{ij}.
 TRIPLE_NAMES = tuple(
@@ -110,13 +111,26 @@ def correction_products(table, factors: Mapping):
 def combine_correction(base: Polynomial, factors: Mapping, table, coeffs=None) -> Polynomial:
     """base + sum(c * product) over the entries of a correction table, in QQ.
     coeffs, when given, replaces the table's coefficients (a solved
-    correction)."""
+    correction).
+
+    The sum is taken fraction-free: base and every coefficient are scaled by
+    den, the lcm of their denominators, the products are added in ints, and
+    each output coefficient becomes Fraction(v, den) once."""
     if coeffs is None:
         coeffs = [c for c, _ in table]
-    acc = base.to_ring(QQ)
+    coeffs = [QQ.normalize(c) for c in coeffs]
+    den = lcm(*(c.denominator for c in [*base.terms.values(), *coeffs]))
+    acc = {k: int(c * den) for k, c in base.terms.items()}
+    get = acc.get
+    maxexp = base.maxexp
     for c, prod in zip(coeffs, correction_products(table, factors), strict=True):
-        acc = acc + prod.to_ring(QQ) * c
-    return acc
+        if prod.vars != base.vars:
+            raise VariableMismatch("correction products and base use different variable sets")
+        c = int(c * den)
+        for k, v in prod.terms.items():
+            acc[k] = get(k, 0) + c * v
+        maxexp = max(maxexp, prod.maxexp)
+    return Polynomial(QQ, base.vars, {k: Fraction(v, den) for k, v in acc.items() if v}, maxexp)
 
 
 # the name the benchmark workloads call, with int keys and a table of H's shape

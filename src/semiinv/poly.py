@@ -4,12 +4,17 @@ Coefficients are Python ints (ring ZZ) or fractions.Fraction (ring QQ); there
 is no other ring, so the layer works in characteristic 0 and modular
 arithmetic lives only in the evaluation kernel of `evalmod`.  A monomial is an
 exponent vector over a fixed, ordered variable set; internally it is packed
-into a single integer at 8 bits per variable.  Packed keys compare
-lexicographically exactly like the exponent vectors they encode, so the
-canonical graded-lex term order reduces to integer comparisons, and monomial
-multiplication is a single big-int addition.  Per-variable exponents are
-bounded by 255; every object built in this project has total degree <= 54, and
-products guard the bound through a conservative per-polynomial exponent cap.
+into a single integer at 8 bits per variable, the first variable in the most
+significant byte.  Packed keys compare lexicographically exactly like the
+exponent vectors they encode, so the canonical graded-lex term order reduces
+to integer comparisons, and monomial multiplication is a single big-int
+addition.  Per-variable exponents are bounded by 255; every object built in
+this project has total degree <= 54, and products guard the bound through a
+conservative per-polynomial exponent cap.
+
+Invariant: the big-endian bytes of a key, key.to_bytes(len(vars), "big"), are
+its exponent vector.  Polynomial.exponents builds its uint8 matrix from them,
+and polarize reads one exponent with one byte index.
 
 Polynomials are immutable after construction and every operation is pure, so
 values can be shared freely.
@@ -20,6 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 Coeff = Union[int, Fraction]
 
@@ -141,16 +148,6 @@ class VariableSet:
         return f"VariableSet({list(self.names)!r})"
 
 
-def _max_field(key: int) -> int:
-    m = 0
-    while key:
-        f = key & _FIELD_MASK
-        if f > m:
-            m = f
-        key >>= _FIELD_BITS
-    return m
-
-
 class Polynomial:
     """A canonical sparse polynomial: packed monomial -> nonzero coefficient.
 
@@ -165,7 +162,8 @@ class Polynomial:
         self.vars = vars
         self.terms = terms
         if maxexp is None:
-            maxexp = max((_max_field(k) for k in terms), default=0)
+            n = len(vars)
+            maxexp = max((max(k.to_bytes(n, "big"), default=0) for k in terms), default=0)
         self.maxexp = maxexp
         self._cache: dict = {}
 
@@ -235,40 +233,47 @@ class Polynomial:
             and self.terms == other.terms
         )
 
+    def exponents(self) -> np.ndarray:
+        """The exponent vectors as a read-only (terms, vars) uint8 matrix, one
+        row per key of `terms` in its order; built once from the keys' bytes
+        and cached."""
+        m = self._cache.get("exponents")
+        if m is None:
+            n = len(self.vars)
+            raw = b"".join(k.to_bytes(n, "big") for k in self.terms)
+            m = self._cache["exponents"] = np.frombuffer(raw, np.uint8).reshape(len(self.terms), n)
+        return m
+
     def sorted_terms(self) -> list:
         """Terms as (exponent tuple, coefficient), graded-lex descending."""
-        unpack = self.vars.unpack
-        items = [(sum(t := unpack(k)), t, k) for k in self.terms]
-        items.sort(key=lambda x: (x[0], x[2]), reverse=True)
-        return [(t, self.terms[k]) for _, t, k in items]
+        rows = self.exponents().tolist()
+        items = sorted(zip(map(sum, rows), self.terms, rows), key=lambda x: x[:2], reverse=True)
+        return [(tuple(row), self.terms[k]) for _, k, row in items]
 
     def total_degree(self) -> int:
-        unpack = self.vars.unpack
-        return max((sum(unpack(k)) for k in self.terms), default=0)
+        return int(self.exponents().sum(axis=1, dtype=np.int64).max(initial=0))
 
     def degrees(self, weights: Mapping[str, Sequence[int]]) -> set:
         """The set of weighted degree vectors of the terms: a term x^e has
-        degree sum(e[name] * weights[name]).  Weights are keyed by variable
-        name and share one length; an unlisted variable weighs 0, and a
-        weighted name that is not one of the variables raises
+        degree sum(e[name] * weights[name]).  Weights are int vectors keyed by
+        variable name and share one length; an unlisted variable weighs 0, and
+        a weighted name that is not one of the variables raises
         VariableMismatch.  One vector means the polynomial is homogeneous
-        under the grading; the zero polynomial has none."""
+        under the grading; the zero polynomial has none.  The int64 sums
+        cannot overflow: a weight must lie below 2**32 in magnitude, and a term
+        has total degree at most 255 * len(vars), so a sum stays below 2**62
+        for any set of fewer than 2**22 variables."""
         if len({len(w) for w in weights.values()}) > 1:
             raise PolyError("weight vectors of different lengths")
-        shifts = [self.vars.shift(name) for name in weights]
-        # per component, the (shift, weight) pairs of the names that weigh in it
-        columns = [
-            [(sh, w) for sh, w in zip(shifts, ws) if w]
-            for ws in zip(*weights.values())
-        ]
-        return {
-            tuple(sum(((k >> sh) & _FIELD_MASK) * w for sh, w in col) for col in columns)
-            for k in self.terms
-        }
+        if any(abs(w) >= 2**32 for ws in weights.values() for w in ws):
+            raise PolyError("weights must lie below 2**32 in magnitude")
+        columns = [self.vars.index(name) for name in weights]
+        width = len(next(iter(weights.values()), ()))
+        w = np.array(list(weights.values()), dtype=np.int64).reshape(len(weights), width)
+        return set(map(tuple, (self.exponents()[:, columns].astype(np.int64) @ w).tolist()))
 
     def max_exponent(self, name: str) -> int:
-        sh = self.vars.shift(name)
-        return max(((k >> sh) & _FIELD_MASK for k in self.terms), default=0)
+        return int(self.exponents()[:, self.vars.index(name)].max(initial=0))
 
     def coefficient(self, exps: Mapping[str, int] | Sequence[int]) -> Coeff:
         """Coefficient of one full monomial (zero if absent)."""
@@ -467,15 +472,18 @@ class Polynomial:
         """
         if self.maxexp >= _MAX_EXP:
             raise PolyError("polarization exceeds the per-variable exponent bound 255")
-        moves = []
-        for src, dst in pairs:
-            sh = self.vars.shift(dst)
-            moves.append((sh, (1 << self.vars.shift(src)) - (1 << sh)))
+        # (byte index of dst, key change moving one unit from dst to src)
+        moves = [
+            (self.vars.index(dst), (1 << self.vars.shift(src)) - (1 << self.vars.shift(dst)))
+            for src, dst in pairs
+        ]
+        n = len(self.vars)
         out: dict = {}
         get = out.get
         for k, c in self.terms.items():
-            for sh, delta in moves:
-                e = (k >> sh) & _FIELD_MASK
+            exps = k.to_bytes(n, "big")
+            for i, delta in moves:
+                e = exps[i]
                 if e:
                     kk = k + delta
                     c0 = get(kk)

@@ -3,11 +3,15 @@
 Everything here is deliberately naive and shares no code with the package:
 polynomials are dicts mapping exponent tuples to coefficients, determinants
 expand recursively along the first row, and modular evaluation is a direct
-term-by-term sum.
+term-by-term sum.  The oracles named *_package, and qq_combine_correction,
+take package polynomials and use only their plain ring operations.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
+
+from semiinv.poly import QQ
 
 
 def naive_add(a, b):
@@ -78,6 +82,19 @@ def rowexp_determinant_package(m):
         return acc
 
     return det([list(r) for r in m.rows])
+
+
+def qq_combine_correction(base, factors, table, coeffs=None):
+    """base + sum(c * product) over a correction table, accumulated one
+    polynomial addition at a time in QQ, every coefficient a Fraction
+    throughout; generators.combine_correction clears denominators instead."""
+    if coeffs is None:
+        coeffs = [c for c, _ in table]
+    acc = base.to_ring(QQ)
+    for c, (_, keys) in zip(coeffs, table, strict=True):
+        prod = reduce(lambda a, b: a.mul(b), [factors[k] for k in keys])
+        acc = acc + prod.to_ring(QQ) * c
+    return acc
 
 
 def naive_eval_mod(p, point, prime):

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from semiinv import generators as gen, relations
+from semiinv import generators as gen, hwv, relations
 from semiinv.linalg import rank, solve_unique
 from semiinv.matrix import PolyMatrix
-from semiinv.poly import QQ, ZZ, Polynomial, VariableSet
+from semiinv.poly import QQ, ZZ, Polynomial, VariableMismatch, VariableSet
 from semiinv.textio import parse_text
 
 import oracles
@@ -182,6 +182,81 @@ def test_H_on_identity_triple_is_zero():
     # h = -3 and the multinomial f-values give -3 -3 -3 + 6 + 3 = 0
     T = scalar_triple(I3, I3, I3)
     assert gen.generators_of(T).H.is_zero()
+
+
+# -- the fraction-free correction sum against its QQ oracle ----------------------
+
+ABSTRACT = VariableSet(("q", "h") + gen.F_NAMES)
+PINNED_H = [c for c, _ in gen.H_CORRECTIONS]
+PINNED_Q = [c for c, _ in gen.Q_CORRECTIONS]
+# the benchmark's planted mutant: -1/3 doubled, denominators 3 and 12
+WRONG_H = [Fraction(-2, 3)] + PINNED_H[1:]
+
+
+def assert_same_correction(got, want):
+    """Same QQ polynomial, every coefficient a Fraction, same exponent cap."""
+    assert got == want
+    assert got.ring == QQ and all(type(c) is Fraction for c in got.terms.values())
+    assert got.maxexp == want.maxexp
+
+
+def abstract_variables(ring):
+    return {n: Polynomial.variable(ring, ABSTRACT, n) for n in ABSTRACT.names}
+
+
+def test_combine_correction_matches_the_oracle_on_the_pinned_and_solved_tables(table):
+    """H and Q of the generic triple, and the same sums at the solved
+    coefficients, which equal the pinned ones."""
+    factors = gen.correction_factors(table.f, table.h)
+    want_H = oracles.qq_combine_correction(table.h, factors, gen.H_CORRECTIONS)
+    want_Q = oracles.qq_combine_correction(table.q, factors, gen.Q_CORRECTIONS)
+    assert_same_correction(table.H, want_H)
+    assert_same_correction(table.Q, want_Q)
+    beta_h, beta_q = hwv.solve_h_correction(), hwv.solve_q_correction()
+    assert beta_h == PINNED_H and beta_q == PINNED_Q
+    assert_same_correction(gen.combine_correction(table.h, factors, gen.H_CORRECTIONS, beta_h), want_H)
+    assert_same_correction(gen.combine_correction(table.q, factors, gen.Q_CORRECTIONS, beta_q), want_Q)
+
+
+@pytest.mark.parametrize(
+    "coeffs, base_scale",
+    [(WRONG_H, 1), ([1, -2, 0, 3], 1), (PINNED_H, Fraction(5, 7)), ([2, 0, 0, 0], Fraction(1, 2))],
+    ids=["wrong_h-mutant", "int-coefficients", "QQ-base", "int-coefficient-QQ-base"],
+)
+def test_combine_correction_matches_the_oracle_on_h(table, coeffs, base_scale):
+    factors = gen.correction_factors(table.f, table.h)
+    base = table.h.to_ring(QQ) * base_scale if base_scale != 1 else table.h
+    got = gen.combine_correction(base, factors, gen.H_CORRECTIONS, coeffs)
+    assert_same_correction(got, oracles.qq_combine_correction(base, factors, gen.H_CORRECTIONS, coeffs))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=["ZZ", "QQ"])
+def test_combine_correction_matches_the_oracle_in_the_abstract_ring(ring):
+    v = abstract_variables(ring)
+    factors = gen.correction_factors([v[n] for n in gen.F_NAMES], v["h"])
+    for base, table_ in ((v["h"], gen.H_CORRECTIONS), (v["q"], gen.Q_CORRECTIONS)):
+        got = gen.combine_correction(base, factors, table_)
+        assert_same_correction(got, oracles.qq_combine_correction(base, factors, table_))
+    assert gen.combine_correction(v["q"], factors, gen.Q_CORRECTIONS) == relations.abstract_Q()
+
+
+def test_combine_correction_drops_a_term_that_cancels_the_base():
+    v = abstract_variables(QQ)
+    factors = gen.correction_factors([v[n] for n in gen.F_NAMES], v["h"])
+    # base holds -1/12 * f5^2, which the table's +1/12 * f5^2 cancels exactly
+    base = v["h"] + v["f5"].mul(v["f5"]) * Fraction(-1, 12)
+    got = gen.combine_correction(base, factors, gen.H_CORRECTIONS)
+    assert_same_correction(got, oracles.qq_combine_correction(base, factors, gen.H_CORRECTIONS))
+    assert got.coefficient({"f5": 2}) == 0 and len(got) == 4
+    assert 0 not in got.terms.values()
+    only = ((Fraction(-1, 3), (2, 9)),)
+    assert gen.combine_correction(v["f2"].mul(v["f9"]) * Fraction(1, 3), factors, only).is_zero()
+
+
+def test_combine_correction_refuses_mixed_variable_sets(table):
+    v = abstract_variables(ZZ)
+    with pytest.raises(VariableMismatch):
+        gen.combine_correction(v["h"], gen.correction_factors(table.f, table.h), gen.H_CORRECTIONS)
 
 
 # -- the group action --------------------------------------------------------------

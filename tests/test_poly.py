@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -189,6 +190,12 @@ def test_degrees_examples():
         p.degrees({"w": (1,)})
     with pytest.raises(PolyError):
         p.degrees({"x": (1,), "y": (1, 0)})
+    # weights below 2**32 in magnitude keep the int64 sums from overflowing
+    top = x ** 255
+    assert top.degrees({"x": (2**32 - 1,)}) == {(255 * (2**32 - 1),)}
+    for w in (2**32, -(2**32)):
+        with pytest.raises(PolyError):
+            top.degrees({"x": (w,)})
 
 
 def test_convert_roundtrip_and_missing_variable():
@@ -335,3 +342,62 @@ def test_restrict_then_evaluate_is_evaluate(p, values, fixed):
     restricted = p.restrict(part)
     assert restricted.vars.names == tuple(rest)
     assert restricted.evaluate(rest) == p.evaluate(part | rest) == want
+
+
+# -- the exponent matrix -------------------------------------------------------
+
+
+@st.composite
+def wide_polys(draw):
+    """Polynomials over 1 to 4 variables, exponents anywhere in [0, 255]."""
+    vs = VariableSet(f"v{i}" for i in range(draw(st.integers(1, 4))))
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 255)] * len(vs)), st.integers(-5, 5), max_size=5
+        )
+    )
+    return Polynomial.from_terms(ZZ, vs, terms)
+
+
+@given(st.lists(st.integers(0, 255), min_size=1, max_size=30))
+def test_key_bytes_are_the_exponent_vector(exps):
+    vs = VariableSet(f"v{i}" for i in range(len(exps)))
+    assert vs.pack(exps).to_bytes(len(vs), "big") == bytes(vs.unpack(vs.pack(exps)))
+
+
+@given(wide_polys())
+@settings(max_examples=300)
+def test_exponents_match_unpack(p):
+    """Row t of exponents() is unpack of the t-th key, and total_degree and
+    max_exponent agree with the unpacked vectors; the matrix is built once."""
+    m = p.exponents()
+    assert m.dtype == np.uint8 and m.shape == (len(p), len(p.vars))
+    unpacked = [p.vars.unpack(k) for k in p.terms]
+    assert [tuple(row) for row in m.tolist()] == unpacked
+    assert p.total_degree() == max(map(sum, unpacked), default=0)
+    for i, name in enumerate(p.vars.names):
+        assert p.max_exponent(name) == max((e[i] for e in unpacked), default=0)
+    assert p.exponents() is m
+
+
+def test_exponents_edge_cases():
+    one = VariableSet(("x",))
+    top = Polynomial.monomial(ZZ, one, {"x": 255}, 3) + 1
+    assert top.exponents().tolist() == [[255], [0]]
+    assert top.total_degree() == top.max_exponent("x") == top.maxexp == 255
+    zero = Polynomial.zero(ZZ, VS)
+    assert zero.exponents().shape == (0, 3)
+    assert zero.total_degree() == zero.max_exponent("y") == 0
+    assert Polynomial.constant(ZZ, VariableSet(()), 4).exponents().shape == (1, 0)
+
+
+def test_exponents_cannot_be_written():
+    """The cached matrix is read-only, so no caller can corrupt it."""
+    p = var("x") * 2 + var("y") ** 3
+    m = p.exponents()
+    with pytest.raises(ValueError):
+        m[0, 0] = 7
+    with pytest.raises(ValueError):
+        m.setflags(write=True)
+    assert p.exponents().tolist() == [list(VS.unpack(k)) for k in p.terms]
+    assert p.total_degree() == 3

@@ -110,6 +110,40 @@ def test_theorem1_modular():
     assert result.details["degree_bound"] == 18
 
 
+class _CountedTerms(dict):
+    """A terms dict that counts the passes over its keys or items."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+    def items(self):
+        self.passes += 1
+        return super().items()
+
+
+def test_degree_bound_reuses_each_leafs_cached_exponents():
+    """A second degree_bound reads every leaf's total degree from the matrix
+    the first one cached, the same object, without another pass over the
+    leaf's terms."""
+    expr = rel.main_relation_expr()
+    leaves = {
+        name: Polynomial(leaf.ring, leaf.vars, _CountedTerms(leaf.terms), leaf.maxexp)
+        for name, leaf in expr.leaves.items()
+    }
+    counted = Composition(expr.outer, leaves)
+    assert counted.degree_bound() == 18
+    matrices = {name: leaf.exponents() for name, leaf in leaves.items()}
+    passes = {name: leaf.terms.passes for name, leaf in leaves.items()}
+    assert all(passes.values())
+    assert counted.degree_bound() == 18
+    for name, leaf in leaves.items():
+        assert leaf.exponents() is matrices[name]
+        assert leaf.terms.passes == passes[name]
+
+
 def test_theorem1_weierstrass_arithmetic():
     """At a = b = 1: Q^2 = 1 and H^3 + 27*H*S - 27/4*T = -1 + 1 + 1 = 1."""
     s4, t6 = rel.derive_st()
