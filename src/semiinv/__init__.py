@@ -8,7 +8,7 @@ exact expansion or by randomized evaluation over prime fields.
 """
 
 from .poly import QQ, ZZ, Polynomial, PolyError, Ring, VariableSet
-from .matrix import PolyMatrix, block_matrix
+from .matrix import PolyMatrix
 from .verify import CheckResult, RunConfig
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "Ring",
     "RunConfig",
     "VariableSet",
-    "block_matrix",
 ]
 
 __version__ = "0.1.0"

@@ -17,8 +17,9 @@ or equal-length int64 arrays; an array holds one value per trial of a batch,
 and numpy broadcasting carries the batch through a composition.  A
 composition either evaluates its leaf polynomials at the point or, when it
 has a definition, takes the leaf values from it: the generators of the triple
-identities are computed from their determinant definitions
-(generators.generator_values_mod), never from their expansions.
+identities are computed from the determinant table that defines them
+(generators.GENERATOR_DETERMINANTS, read by generator_values_mod with
+det_mod), never from their expansions.
 """
 
 from __future__ import annotations

@@ -1,14 +1,16 @@
 """The generating invariants of 3x3 matrix triples and the GL3 action.
 
 The ten cubic generators are the coefficients of det(t1*A1 + t2*A2 + t3*A3);
-h and q are the t1 and t1^2 coefficients of 6x6 and 9x9 block determinants
-in which only one block carries the grading variable t1 (see h_poly and
-q_poly for why one variable suffices).  H and Q are the rational corrections
-of h and q that are fixed by the unipotent upper-triangular subgroup (highest
-weight vectors of weights (2,2,2) and (3,3,3)).  Everything is built exactly,
-as polynomials in the 27 coordinate functions of the generic triple;
-generator_values_mod computes f1..f10, h and q at points mod p from the same
-determinant definitions, with no expansion, for the modular runs.
+h and q are coefficients of 6x6 and 9x9 block determinants in t1..t3 and
+t1..t6.  By row multilinearity each of the twelve is a sum of plain
+determinants in the 27 entries: GENERATOR_DETERMINANTS is that one integer
+table, with the argument next to it.  determinant_sum reads it as exact
+polynomials (f_all, h_poly, q_poly, generators_of) and generator_values_mod
+as values at points mod p, with no expansion, for the modular runs.  H and
+Q are the rational corrections of h and q that are fixed by the unipotent
+upper-triangular subgroup (highest weight vectors of weights (2,2,2) and
+(3,3,3)), built exactly as polynomials in the 27 coordinate functions of the
+generic triple.
 
 Gradings are data next to the names they weigh, for Polynomial.degrees:
 BLOCK_WEIGHTS gives the degree in the entries of (A1, A2, A3), and F_WEIGHTS
@@ -27,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .evalmod import det_mod
-from .matrix import PolyMatrix, block_matrix
+from .matrix import PolyMatrix
 from .poly import QQ, ZZ, Polynomial, PolyError, Ring, VariableMismatch, VariableSet, unify_rings
 
 # Coordinate functions of the generic triple: entry (i,j) of matrix r is x{r}_{ij}.
@@ -215,155 +217,132 @@ def weierstrass_triple() -> MatrixTriple:
     return MatrixTriple(m1, m2, m3)
 
 
-# -- pencil machinery ---------------------------------------------------------
+# -- the twelve generators as sums of determinants ------------------------------
+#
+# GENERATOR_DETERMINANTS is the one definition of f1..f10, h and q.  It maps
+# each name to a stack of index matrices into the 27 coordinates of a triple,
+# in TRIPLE_NAMES order (entry (i, j) of A_r at 9*(r-1) + 3*(i-1) + (j-1)), and
+# ZERO_SLOT, which stands for 0; the generator is the sum of the determinants
+# of the stack.  determinant_sum reads it over the polynomial entries of a
+# triple, generator_values_mod over the values of a point mod p.
+#
+# Why these sums are the paper's definitions.  A determinant is linear in each
+# row: if row i of M is u + v, then det M = det M_u + det M_v, where M_u and M_v
+# have row i replaced by u and by v.
+# - f_ijk is the coefficient of t1^i t2^j t3^k in det(t1*A1 + t2*A2 + t3*A3).
+#   Row i of the pencil is the sum over r of t_r times row i of A_r, so the
+#   pencil determinant is the sum over the 27 choices (r1, r2, r3) of
+#   t_r1*t_r2*t_r3 times the mixed determinant that takes row i from A_ri.
+#   f_ijk sums the choices that take i rows from A1, j from A2 and k from A3:
+#   1, 3 or 6 mixed 3x3 determinants.
+# - h is the coefficient of t1^2 t2^2 t3^2 in
+#   det([[t2*A2, t1*A1], [t1*A1, t3*A3]]), and q that of
+#   t1^2 t2 t3^2 t4 t5^2 t6 in
+#   det([[0, t1*A1, t2*A2], [t4*A1, 0, t3*A3], [t5*A2, t6*A3, 0]]).  A Leibniz
+#   term takes one entry from each row and each column, and every block row
+#   and block column has 3 of them.  So in h, a term that takes a entries from
+#   block (1, 2) takes 3 - a from block (1, 1), 3 - a from (2, 2) and a from
+#   (2, 1): its t-monomial is t1^(2a) t2^(3-a) t3^(3-a), and h is the sum of
+#   the Leibniz terms of M = [[A2, A1], [A1, A3]] with a = 1.  In q, a entries
+#   from block (1, 2) force 3 - a from (1, 3), a from (2, 3), 3 - a from (2, 1),
+#   a from (3, 1) and 3 - a from (3, 2): the monomial is
+#   t1^a t2^(3-a) t3^a t4^(3-a) t5^a t6^(3-a), and q is the sum of the terms of
+#   M = [[0, A1, A2], [A1, 0, A3], [A2, A3, 0]] with a = 2.
+#   Split each of the first three rows of M into its part in block (1, 2) plus
+#   the rest.  By linearity det M is the sum over the subsets S of these rows
+#   of det M_S, where a row in S keeps only its block (1, 2) part and the
+#   other two keep only the rest.  A Leibniz term of M_S is either 0 or the
+#   term of M that takes its block (1, 2) entries from exactly the rows in S.
+#   So the terms with a given a sum to the det M_S with |S| = a: three 6x6
+#   determinants for h and three 9x9 ones for q.
+# Each determinant is a determinant of integers at an integer point, so its
+# value mod p is the generator's value mod p in any odd characteristic, with
+# no interpolation and no denominator.
+
+ZERO_SLOT = len(TRIPLE_NAMES)
 
 
-def _pencil_vars(vars: VariableSet) -> VariableSet:
-    return vars.extend(T_NAMES)
+def _pencil_terms(ijk: tuple) -> list:
+    """The mixed determinants of f_ijk: row i from A_(r_i), for the choices
+    (r1, r2, r3) that take i rows from A1, j from A2 and k from A3."""
+    return [
+        [[9 * r + 3 * i + j for j in range(3)] for i, r in enumerate(rows)]
+        for rows in itertools.product(range(3), repeat=3)
+        if tuple(rows.count(r) for r in range(3)) == ijk
+    ]
 
 
-def _lift(m: PolyMatrix, vars: VariableSet) -> PolyMatrix:
-    return m.map_entries(lambda e: e.convert(vars))
+def _block_terms(layout: tuple, a: int) -> list:
+    """The matrices M_S, |S| = a, of the block matrix M of layout, whose
+    blocks are components 0, 1, 2 (A1, A2, A3) or None (zero)."""
+    rows = [
+        [ZERO_SLOT if r is None else 9 * r + 3 * i + j for r in block_row for j in range(3)]
+        for block_row in layout
+        for i in range(3)
+    ]
+    in_block = [[k if 3 <= c < 6 else ZERO_SLOT for c, k in enumerate(row)] for row in rows[:3]]
+    rest = [[ZERO_SLOT if 3 <= c < 6 else k for c, k in enumerate(row)] for row in rows[:3]]
+    return [
+        [in_block[i] if i in S else rest[i] for i in range(3)] + rows[3:]
+        for S in itertools.combinations(range(3), a)
+    ]
 
 
-def pencil_determinant(T: MatrixTriple) -> Polynomial:
-    """det(t1*A1 + t2*A2 + t3*A3) over the triple's variables extended by T_NAMES."""
-    w = _pencil_vars(T.vars)
-    acc = None
-    for t_name, m in zip(T_NAMES, T.components()):
-        part = _lift(m, w).scale(Polynomial.variable(m.ring, w, t_name))
-        acc = part if acc is None else acc + part
-    return acc.determinant()
+GENERATOR_DETERMINANTS = {
+    **{name: np.array(_pencil_terms(ijk)) for name, ijk in zip(F_NAMES, F_INDEX)},
+    "h": np.array(_block_terms(((1, 0), (0, 2)), 1)),
+    "q": np.array(_block_terms(((None, 0, 1), (0, None, 2), (1, 2, None)), 2)),
+}
+for _stack in GENERATOR_DETERMINANTS.values():
+    _stack.setflags(write=False)
+
+
+def determinant_sum(T: MatrixTriple, name: str) -> Polynomial:
+    """The generator name of GENERATOR_DETERMINANTS as a polynomial in the
+    variables of the triple: the sum of its determinants over T's entries."""
+    entries = [e for m in T.components() for row in m.rows for e in row]
+    entries.append(Polynomial.zero(T.ring, T.vars))
+    return reduce(
+        Polynomial.__add__,
+        (
+            PolyMatrix([[entries[k] for k in row] for row in idx]).determinant()
+            for idx in GENERATOR_DETERMINANTS[name].tolist()
+        ),
+    )
 
 
 def f_all(T: MatrixTriple) -> dict:
     """All ten pencil coefficients, keyed by the exponent triple (i, j, k)."""
-    det = pencil_determinant(T)
-    return {
-        (i, j, k): det.coefficient_of({"t1": i, "t2": j, "t3": k}, T_NAMES)
-        for (i, j, k) in F_INDEX
-    }
-
-
-# h and q are t1-coefficients of block determinants (h_poly, q_poly): the
-# layout of the 3x3 blocks, in which "t1*A1" is A1 times t1 and None is zero,
-# and the power of t1.  The polynomials and the values mod p
-# (generator_values_mod) are both read from here.
-BLOCK_DEFINITIONS = {
-    "h": ((("A2", "t1*A1"), ("A1", "A3")), 1),
-    "q": (((None, "t1*A1", "A2"), ("A1", None, "A3"), ("A2", "A3", None)), 2),
-}
-
-
-def _block_spec(spec: str) -> tuple:
-    """"t1*A2" -> (1, True): the component index and whether t1 scales it."""
-    return int(spec[-1]) - 1, spec.startswith("t1*")
-
-
-def _block_coefficient(T: MatrixTriple, name: str) -> Polynomial:
-    layout, degree = BLOCK_DEFINITIONS[name]
-    w = _pencil_vars(T.vars)
-    t1 = Polynomial.variable(T.ring, w, "t1")
-    comps = [_lift(m, w) for m in T.components()]
-
-    def block(spec):
-        if spec is None:
-            return None
-        r, scaled = _block_spec(spec)
-        return comps[r].scale(t1) if scaled else comps[r]
-
-    m = block_matrix([[block(spec) for spec in row] for row in layout])
-    return m.determinant().coefficient_of({"t1": degree}, T_NAMES)
+    return {ijk: determinant_sum(T, name) for name, ijk in zip(F_NAMES, F_INDEX)}
 
 
 def h_poly(T: MatrixTriple) -> Polynomial:
-    """Coefficient of t1 in the 6x6 block determinant [[A2, t1*A1], [A1, A3]].
-
-    A Leibniz term takes one entry from each row and each column.  Every
-    block row and block column has 3 of them, so if a term takes a entries
-    from the A2 block, it takes 3 - a from each A1 block and a from the A3
-    block: its t1 exponent 3 - a fixes all four counts.  So the t1 coefficient
-    is the sum of the terms with a = 2, which is the coefficient of
-    t1^2 t2^2 t3^2 in [[t2*A2, t1*A1], [t1*A1, t3*A3]], the definition of
-    h."""
-    return _block_coefficient(T, "h")
+    """h: the t1^2 t2^2 t3^2 coefficient of
+    det([[t2*A2, t1*A1], [t1*A1, t3*A3]])."""
+    return determinant_sum(T, "h")
 
 
 def q_poly(T: MatrixTriple) -> Polynomial:
-    """Coefficient of t1^2 in the 9x9 block determinant
-    [[0, t1*A1, A2], [A1, 0, A3], [A2, A3, 0]].
-
-    As in h_poly, every block row and block column has 3 rows or columns.  A
-    Leibniz term that takes a entries from the t1*A1 block (block (1, 2)) then
-    takes 3 - a from blocks (1, 3), (2, 1) and (3, 2), and a from blocks
-    (2, 3) and (3, 1).  So the t1^2 coefficient is the sum of the terms with
-    a = 2, which is the coefficient of t1^2 t2 t3^2 t4 t5^2 t6 in
-    [[0, t1*A1, t2*A2], [t4*A1, 0, t3*A3], [t5*A2, t6*A3, 0]], the
-    definition of q."""
-    return _block_coefficient(T, "q")
-
-
-# the mixed determinants of the pencil: choice c takes row i from component
-# _ROW_CHOICES[c][i]
-_ROW_CHOICES = tuple(itertools.product(range(3), repeat=3))
-
-
-def _block_coefficient_mod(comps: np.ndarray, name: str, prime: int) -> np.ndarray:
-    """_block_coefficient at numeric components, shape (..., 3, 3, 3)."""
-    layout, degree = BLOCK_DEFINITIONS[name]
-    n = 3 * len(layout)
-    m0 = np.zeros(comps.shape[:-3] + (n, n), dtype=np.int64)
-    m1 = np.zeros_like(m0)
-    t1_rows = set()
-    for bi, row in enumerate(layout):
-        for bj, spec in enumerate(row):
-            if spec is not None:
-                r, scaled = _block_spec(spec)
-                target = m1 if scaled else m0
-                target[..., 3 * bi : 3 * bi + 3, 3 * bj : 3 * bj + 3] = comps[..., r, :, :]
-                if scaled:
-                    t1_rows.update(range(3 * bi, 3 * bi + 3))
-    mats = [
-        np.where(np.isin(np.arange(n), rows)[:, None], m1, m0)
-        for rows in itertools.combinations(sorted(t1_rows), degree)
-    ]
-    return det_mod(np.stack(mats, axis=-3), prime).sum(axis=-1) % prime
+    """q: the t1^2 t2 t3^2 t4 t5^2 t6 coefficient of
+    det([[0, t1*A1, t2*A2], [t4*A1, 0, t3*A3], [t5*A2, t6*A3, 0]])."""
+    return determinant_sum(T, "q")
 
 
 def generator_values_mod(point: Mapping, prime: int) -> dict:
-    """f1..f10, h and q at a point of the 27 coordinates mod p, computed
-    from their determinant definitions with evalmod.det_mod, not from their
-    expansions.  The values of the point are ints, or int64 arrays of one
-    shape for a batch of points; each result is an int64 array of that
-    shape.
-
-    A determinant is linear in each row.  Row i of t1*A1 + t2*A2 + t3*A3 is
-    the sum over r of t_r times row i of A_r, so the pencil determinant is
-    the sum over the 27 choices (r1, r2, r3) of t_r1*t_r2*t_r3 times the
-    mixed determinant that takes row i from A_ri; f_ijk sums the choices
-    that take i rows from A1, j from A2 and k from A3.  In a block matrix
-    M0 + t1*M1 (BLOCK_DEFINITIONS) only the rows of the t1 blocks carry t1,
-    so the coefficient of t1^d is the sum over the d-subsets S of those rows
-    of the determinant that takes the rows in S from M1 and the others from
-    M0: 3 determinants of size 6 for h (d = 1) and 3 of size 9 for q
-    (d = 2).  Each determinant is an integer determinant reduced mod p, so
-    each value is the polynomial's value mod p in any odd characteristic,
-    with no interpolation and no denominator.  A value sums at most 6
-    determinants in [0, p), p < 2**31, before its reduction, far inside
-    int64 (det_mod gives the bound for the eliminations)."""
+    """f1..f10, h and q at a point of the 27 coordinates mod p: the sums of
+    GENERATOR_DETERMINANTS taken with evalmod.det_mod, with no expansion.
+    The values of the point are ints, or int64 arrays of one shape for a
+    batch of points; each result is an int64 array of that shape.  A value
+    sums at most 6 determinants in [0, p), p < 2**31, before its reduction,
+    far inside int64 (det_mod gives the bound for the eliminations)."""
     x = np.stack(
         [np.asarray(point[name], dtype=np.int64) % prime for name in TRIPLE_NAMES], axis=-1
     )
-    comps = x.reshape(x.shape[:-1] + (3, 3, 3))  # (..., component, row, column)
-    mixed = det_mod(comps[..., np.array(_ROW_CHOICES), np.arange(3), :], prime)
-    counts = np.array([[rows.count(r) for r in range(3)] for rows in _ROW_CHOICES])
-    values = {
-        name: mixed[..., (counts == ijk).all(axis=1)].sum(axis=-1) % prime
-        for name, ijk in zip(F_NAMES, F_INDEX)
+    x = np.concatenate([x, np.zeros_like(x[..., :1])], axis=-1)  # ZERO_SLOT
+    return {
+        name: det_mod(x[..., idx], prime).sum(axis=-1) % prime
+        for name, idx in GENERATOR_DETERMINANTS.items()
     }
-    for name in BLOCK_DEFINITIONS:
-        values[name] = _block_coefficient_mod(comps, name, prime)
-    return values
 
 
 @dataclass(frozen=True)
@@ -452,7 +431,9 @@ def act_on_function(g: Sequence[Sequence], F: Polynomial) -> Polynomial:
     """g.F maps a triple T to F(T.g); computed by substituting the entries of
     the generic triple acted on by g.  The result is over the variables of F,
     which polynomial entries of g must share."""
-    generic = MatrixTriple(*(_lift(m, F.vars) for m in generic_triple().components()))
+    generic = MatrixTriple(
+        *(m.map_entries(lambda e: e.convert(F.vars)) for m in generic_triple().components())
+    )
     acted = act_on_triple(g, generic)
     bindings = {
         name: m.rows[k // 3][k % 3]

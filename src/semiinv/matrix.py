@@ -136,24 +136,3 @@ class PolyMatrix:
 
     def __repr__(self):
         return f"PolyMatrix({self.n}x{self.n} over {self.ring})"
-
-
-def block_matrix(blocks: Sequence[Sequence[PolyMatrix | None]]) -> PolyMatrix:
-    """Assemble a square matrix from a grid of equal-size square blocks;
-    None stands for a zero block."""
-    proto = next((b for row in blocks for b in row if b is not None), None)
-    if proto is None:
-        raise PolyError("block grid needs at least one non-zero block")
-    m = proto.n
-    zero = Polynomial.zero(proto.ring, proto.vars)
-    rows = []
-    for brow in blocks:
-        for i in range(m):
-            row = []
-            for b in brow:
-                if b is None:
-                    row.extend([zero] * m)
-                else:
-                    row.extend(b.rows[i])
-            rows.append(row)
-    return PolyMatrix(rows)

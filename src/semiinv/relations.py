@@ -132,7 +132,8 @@ def evaluate_f_form_on_triple(p_f: Polynomial, T) -> Polynomial:
 
 def generator_definition_mod(point, prime: int, names) -> dict:
     """The definition of the generator leaves for Composition: f1..f10, h and q
-    from their determinants (gen.generator_values_mod), and H and Q, where
+    from the determinant table that also builds their polynomials
+    (gen.generator_values_mod), and H and Q, where
     names asks for them, as abstract_H and abstract_Q at those values, which
     is how generators_of builds them.  H and Q have coefficients with the
     denominators 2, 3 and 12, so they are evaluated only for an identity
@@ -253,12 +254,18 @@ def special_triple_checks() -> list:
     )
 
     w = gen.weierstrass_triple()
-    pencil = gen.pencil_determinant(w)
-    expected = textio.parse_text(
-        "t3^3 + t2^2*t1 - b^2*t1^2*t3 - a^2*t1^3", pencil.vars, ZZ
+    cubic = textio.parse_text(
+        "t3^3 + t2^2*t1 - b^2*t1^2*t3 - a^2*t1^3", w.vars.extend(gen.T_NAMES), ZZ
     )
     checks.append(
-        boolean_check("weierstrass: pencil determinant", lambda: pencil == expected)
+        boolean_check(
+            "weierstrass: pencil determinant",
+            lambda: gen.f_all(w)
+            == {
+                (i, j, k): cubic.coefficient_of({"t1": i, "t2": j, "t3": k}, gen.T_NAMES)
+                for (i, j, k) in gen.F_INDEX
+            },
+        )
     )
     a_var = Polynomial.variable(QQ, gen.WEIERSTRASS_VARS, "a")
     b_var = Polynomial.variable(QQ, gen.WEIERSTRASS_VARS, "b")

@@ -155,7 +155,11 @@ def parse_text(text: str, vars: VariableSet, ring: Ring = ZZ) -> Polynomial:
         if t is None:
             fail("expected a term")
         coeff, exps = parse_term()
-        acc = acc + Polynomial.monomial(ring, vars, exps, sign * coeff)
+        try:
+            term = Polynomial.monomial(ring, vars, exps, sign * coeff)
+        except PolyError as exc:  # an exponent out of range, a fraction in ZZ
+            fail(str(exc), t)
+        acc = acc + term
         t = peek()
         if t is None:
             break
@@ -204,7 +208,9 @@ def _json_coefficient(c) -> int | Fraction:
 
 def from_json_obj(obj: dict) -> Polynomial:
     """Read the JSON format; raises JSONFormatError on a malformed document,
-    including two terms with the same exponent vector."""
+    including two terms with the same exponent vector, a bad variable list,
+    an exponent vector of the wrong length or out of range, and a
+    non-integral coefficient in a ZZ document."""
     if not isinstance(obj, dict):
         raise JSONFormatError(f"expected a JSON object, got {type(obj).__name__}")
     missing = [key for key in ("ring", "variables", "terms") if key not in obj]
@@ -213,7 +219,10 @@ def from_json_obj(obj: dict) -> Polynomial:
     ring = _ring_from_tag(obj["ring"])
     if not isinstance(obj["variables"], list) or not isinstance(obj["terms"], list):
         raise JSONFormatError("'variables' and 'terms' must be lists")
-    vars = VariableSet(obj["variables"])
+    try:
+        vars = VariableSet(obj["variables"])
+    except PolyError as exc:
+        raise JSONFormatError(f"bad variables: {exc}") from None
     terms = {}
     for t in obj["terms"]:
         if not isinstance(t, dict) or set(t) != {"c", "e"}:
@@ -224,7 +233,10 @@ def from_json_obj(obj: dict) -> Polynomial:
         if tuple(e) in terms:
             raise JSONFormatError(f"repeated exponent vector {e}")
         terms[tuple(e)] = _json_coefficient(t["c"])
-    return Polynomial.from_terms(ring, vars, terms)
+    try:
+        return Polynomial.from_terms(ring, vars, terms)
+    except PolyError as exc:
+        raise JSONFormatError(str(exc)) from None
 
 
 def from_json(text: str) -> Polynomial:

@@ -3,15 +3,18 @@
 Everything here is deliberately naive and shares no code with the package:
 polynomials are dicts mapping exponent tuples to coefficients, determinants
 expand recursively along the first row, and modular evaluation is a direct
-term-by-term sum.  The oracles named *_package, and qq_combine_correction,
-take package polynomials and use only their plain ring operations.
+term-by-term sum.  The oracles named *_package, qq_combine_correction,
+block_matrix and pencil_determinant take package polynomials and matrices and
+use only their plain ring operations; the last two build the paper's
+t-graded definitions of the generators, which the package does not.
 """
 
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
 
-from semiinv.poly import QQ
+from semiinv.matrix import PolyMatrix
+from semiinv.poly import QQ, Polynomial
 
 
 def naive_add(a, b):
@@ -82,6 +85,33 @@ def rowexp_determinant_package(m):
         return acc
 
     return det([list(r) for r in m.rows])
+
+
+def block_matrix(blocks):
+    """Assemble a square PolyMatrix from a grid of equal-size square blocks;
+    None stands for a zero block."""
+    proto = next(b for row in blocks for b in row if b is not None)
+    zero = Polynomial.zero(proto.ring, proto.vars)
+    rows = []
+    for brow in blocks:
+        for i in range(proto.n):
+            row = []
+            for b in brow:
+                row.extend([zero] * proto.n if b is None else b.rows[i])
+            rows.append(row)
+    return PolyMatrix(rows)
+
+
+def pencil_determinant(T):
+    """det(t1*A1 + t2*A2 + t3*A3) of a MatrixTriple, over its variables
+    extended by t1, t2, t3."""
+    t_names = ("t1", "t2", "t3")
+    w = T.vars.extend(t_names)
+    pencil = None
+    for name, m in zip(t_names, T.components()):
+        part = m.map_entries(lambda e: e.convert(w)).scale(Polynomial.variable(m.ring, w, name))
+        pencil = part if pencil is None else pencil + part
+    return pencil.determinant()
 
 
 def qq_combine_correction(base, factors, table, coeffs=None):

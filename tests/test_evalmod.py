@@ -14,7 +14,7 @@ from semiinv.evalmod import (
     poly_eval_mod,
     sample_point,
 )
-from semiinv.matrix import PolyMatrix, block_matrix
+from semiinv.matrix import PolyMatrix
 from semiinv.poly import QQ, ZZ, Polynomial, PolyError, VariableMismatch, VariableSet
 
 import oracles
@@ -157,24 +157,22 @@ def test_leaf_the_outer_polynomial_does_not_name_rejected():
 
 
 def test_block_determinant_extract_vs_evaluate_10_points():
-    """Extract-then-evaluate equals evaluate-then-extract for the 6x6 and 9x9
-    block determinants, cross-checked against the exact integer path.  The
-    blocks hold the point's residues as integers and one t per block, as in
-    the definitions of h and q (the package reads both off the single
-    variable t1); only the extracted coefficient is reduced mod p."""
+    """Extract-then-evaluate equals evaluate-then-extract for h and q, and
+    both equal the exact integer path.  The reference is the paper's
+    definitions, built here without the package's determinant table: h is
+    the t1^2 t2^2 t3^2 coefficient of det([[t2*A2, t1*A1], [t1*A1, t3*A3]])
+    and q the t1^2 t2 t3^2 t4 t5^2 t6 coefficient of
+    det([[0, t1*A1, t2*A2], [t4*A1, 0, t3*A3], [t5*A2, t6*A3, 0]]), with the
+    blocks holding the point's residues as integers and only the extracted
+    coefficient reduced mod p."""
     prime = 2147483629
     table = gen.generator_table()
-    q27 = table.q
     tvars = VariableSet(("t1", "t2", "t3", "t4", "t5", "t6"))
     ring = ZZ
     for trial in range(10):
         point = sample_point(gen.TRIPLE_NAMES, seed=99, prime=prime, trial=trial)
-        # path 1: evaluate the stored 27-variable polynomial
-        v1 = poly_eval_mod(q27, point, prime)
-        # path 2: numeric blocks, symbolic t's, then coefficient extraction
-        def fmat(r):
-            from semiinv.matrix import PolyMatrix
 
+        def fmat(r):
             return PolyMatrix.from_scalars(
                 ring,
                 tvars,
@@ -185,29 +183,31 @@ def test_block_determinant_extract_vs_evaluate_10_points():
             return m.scale(Polynomial.variable(ring, tvars, name))
 
         a1, a2, a3 = fmat(1), fmat(2), fmat(3)
-        big = block_matrix(
+        q_block = oracles.block_matrix(
             [
                 [None, tscale(a1, "t1"), tscale(a2, "t2")],
                 [tscale(a1, "t4"), None, tscale(a3, "t3")],
                 [tscale(a2, "t5"), tscale(a3, "t6"), None],
             ]
         )
-        det = big.determinant()
-        coeff = det.coefficient(
+        q_coeff = q_block.determinant().coefficient(
             {"t1": 2, "t2": 1, "t3": 2, "t4": 1, "t5": 2, "t6": 1}
         )
-        assert v1 == coeff % prime
-        # path 3: exact integer evaluation reduced mod p
-        assert v1 == q27.evaluate(point) % prime
-        # the same for h and its 6x6 block determinant in t1, t2, t3
-        h_block = block_matrix(
+        h_block = oracles.block_matrix(
             [
                 [tscale(a2, "t2"), tscale(a1, "t1")],
                 [tscale(a1, "t1"), tscale(a3, "t3")],
             ]
         )
         h_coeff = h_block.determinant().coefficient({"t1": 2, "t2": 2, "t3": 2})
-        assert poly_eval_mod(table.h, point, prime) == h_coeff % prime
+        values = gen.generator_values_mod(point, prime)
+        for name, coeff in (("h", h_coeff), ("q", q_coeff)):
+            poly = getattr(table, name)
+            # the stored 27-variable polynomial, mod p and over the integers
+            assert poly_eval_mod(poly, point, prime) == coeff % prime
+            assert poly.evaluate(point) % prime == coeff % prime
+            # the determinant table mod p
+            assert values[name] == coeff % prime
 
 
 @pytest.mark.parametrize("prime", [2147483647, 5, 7])

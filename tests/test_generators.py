@@ -79,6 +79,22 @@ def test_f_via_rowexpansion_oracle(table):
         assert det.coefficient_of({"t1": i, "t2": j, "t3": k}, gen.T_NAMES) == p
 
 
+def test_generator_determinants_table():
+    """27 mixed 3x3 determinants for f1..f10, three 6x6 for h and three 9x9
+    for q, indexing the 27 coordinates and the zero slot; the table is
+    read-only, so no reader can change the definitions."""
+    stacks = gen.GENERATOR_DETERMINANTS
+    assert list(stacks) == [*gen.F_NAMES, "h", "q"]
+    assert [len(stacks[name]) for name in gen.F_NAMES] == [1, 3, 3, 3, 6, 3, 1, 3, 3, 1]
+    assert all(stacks[name].shape[1:] == (3, 3) for name in gen.F_NAMES)
+    assert stacks["h"].shape == (3, 6, 6)
+    assert stacks["q"].shape == (3, 9, 9)
+    for idx in stacks.values():
+        assert 0 <= idx.min() and idx.max() <= gen.ZERO_SLOT == len(gen.TRIPLE_NAMES)
+        with pytest.raises(ValueError):
+            idx[0, 0, 0] = 0
+
+
 # -- h and q ---------------------------------------------------------------------
 
 
@@ -96,10 +112,8 @@ def test_h_identity_triple_rowexpansion_oracle():
     def tpoly(name):
         return Polynomial.variable(ZZ, tv, name)
 
-    from semiinv.matrix import PolyMatrix, block_matrix
-
     ident = PolyMatrix.identity(ZZ, tv, 3)
-    big = block_matrix(
+    big = oracles.block_matrix(
         [
             [ident.scale(tpoly("t2")), ident.scale(tpoly("t1"))],
             [ident.scale(tpoly("t1")), ident.scale(tpoly("t3"))],
@@ -164,7 +178,7 @@ def test_skew_identity_parameters():
 
 def test_weierstrass_pencil():
     w = gen.weierstrass_triple()
-    det = gen.pencil_determinant(w)
+    det = oracles.pencil_determinant(w)
     expected = parse_text("t3^3 + t2^2*t1 - b^2*t1^2*t3 - a^2*t1^3", det.vars, ZZ)
     assert det == expected
 

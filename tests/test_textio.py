@@ -5,7 +5,7 @@ import pytest
 
 from semiinv import textio
 from semiinv.poly import QQ, ZZ, Polynomial, PolyError, VariableSet
-from semiinv.textio import ParseError
+from semiinv.textio import JSONFormatError, ParseError
 
 VS = VariableSet(("x", "y"))
 
@@ -81,16 +81,24 @@ def test_json_rejects_a_prime_field_ring_tag():
         '{"ring":"ZZ","terms":{},"variables":["x","y"]}',
         '{"ring":"ZZ","terms":[],"variables":3}',
         '{"ring":"ZZ",',
+        '{"ring":"ZZ","terms":[{"c":"1","e":[1,0,0]}],"variables":["x","y"]}',
+        '{"ring":"ZZ","terms":[],"variables":["x","x"]}',
+        '{"ring":"ZZ","terms":[],"variables":["x",1]}',
+        '{"ring":"ZZ","terms":[{"c":"1","e":[256,0]}],"variables":["x","y"]}',
+        '{"ring":"ZZ","terms":[{"c":"1","e":[-1,0]}],"variables":["x","y"]}',
+        '{"ring":"ZZ","terms":[{"c":"1/2","e":[1,0]}],"variables":["x","y"]}',
     ],
     ids=[
         "repeated-exponent-vector", "missing-terms", "missing-ring", "not-an-object",
         "a-string", "non-numeric-c", "zero-denominator", "c-not-a-string", "missing-e",
         "string-exponent", "short-exponent-vector", "terms-not-a-list",
-        "variables-not-a-list", "not-json",
+        "variables-not-a-list", "not-json", "long-exponent-vector",
+        "repeated-variable", "non-string-variable", "exponent-above-255",
+        "negative-exponent", "fraction-in-ZZ",
     ],
 )
 def test_json_rejects_malformed_input(text):
-    with pytest.raises(PolyError):
+    with pytest.raises(JSONFormatError):
         textio.from_json(text)
 
 
@@ -110,6 +118,14 @@ def test_parse_error_reports_position():
         textio.parse_text("", VS, ZZ)
     with pytest.raises(ParseError):
         textio.parse_text("x ^", VS, ZZ)
+    # errors of the polynomial layer are reported at the term that caused them
+    with pytest.raises(ParseError) as err:
+        textio.parse_text("y + x^300", VS, ZZ)
+    assert (err.value.line, err.value.column) == (1, 5)
+    with pytest.raises(ParseError) as err:
+        textio.parse_text("y -\n 1/2*x", VS, ZZ)
+    assert (err.value.line, err.value.column) == (2, 2)
+    assert textio.parse_text("1/2*x", VS, QQ) == Polynomial.variable(QQ, VS, "x") * Fraction(1, 2)
 
 
 def test_roundtrip_every_emitted_generator():
