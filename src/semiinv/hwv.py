@@ -5,8 +5,9 @@ iff it is multihomogeneous of multidegree alpha, its one degree vector under
 generators.BLOCK_WEIGHTS; multidegree reads it.  Fixedness under the
 elementary transvections is certified with Lie-algebra derivations instead of
 group substitution, over the coefficient ring of F (ZZ for the generators;
-QQ for the corrected H and Q, whose denominators are cleared first).  Both
-rings have characteristic 0, which the argument below needs:
+QQ for the corrected H and Q, read as integer numerators over one common
+denominator).  Both rings have characteristic 0, which the argument below
+needs:
 
 * The right action of I + t*E_ij adds t*A_i to A_j, and by Taylor expansion
   F(T.(I + t*E_ij)) = sum_k t^k/k! * D_ij^k F, where D_ij = sum_ab x{i}_ab
@@ -28,26 +29,38 @@ invariance under SL3 x SL3 acting by (g, h).A = g A h^-1, and with the row
 minus the column operation on the components of a pair, invariance under
 simultaneous conjugation.
 
+Every derivation runs through one integer kernel, derivation_images: it
+reads the cached exponent matrices of a stack of polynomials, forms all image
+terms at once under mixed-radix int64 monomial keys, and adds up the terms
+that share a monomial; its exactness argument (injective keys, overflow-free
+sums, one common denominator) is written next to it.  The certificates ask
+that every image coefficient be 0; solve_hwv_correction reads the same
+images as one linear equation per distinct row.  The tests check it against
+a term-by-term reference in tests/oracles.py.
+
 The correction coefficients attached to h and q are recomputed here from
 scratch by exact elimination on the derivation equations, in the bases of
 products that generators.H_CORRECTIONS and Q_CORRECTIONS list, and the test
 suite compares them against the coefficients of those tables.  For each
 candidate beta the derivation equations hold iff the transvections fix the
-corrected polynomial, so the solution set is that of the fixedness equations.  Group
-substitution (generators.act_on_function) remains in the verification of the
-induced f-span action, and in the tests as an independent oracle (the
-diagonal-torus weight cross-check among them).
+corrected polynomial, so the solution set is that of the fixedness
+equations.  Group substitution (generators.act_on_function) remains in the
+verification of the induced f-span action, and in the tests as an
+independent oracle (the diagonal-torus weight cross-check among them).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from math import lcm
 from typing import Sequence
 
+import numpy as np
+
 from . import generators as gen
 from . import linalg
-from .poly import QQ, ZZ, Polynomial
+from .poly import _MAX_EXP, QQ, Polynomial, PolyError, VariableMismatch
 
 InconsistentSystem = linalg.InconsistentSystem
 UnderdeterminedSystem = linalg.UnderdeterminedSystem
@@ -93,23 +106,146 @@ def column_derivation(i: int, j: int, components=(1, 2, 3)) -> tuple:
     )
 
 
-def _integral(F: Polynomial) -> Polynomial:
-    """F over ZZ, denominators cleared: D(c*F) = c*D(F), so a derivation
-    kills F iff it kills its integral multiple, and every derivation runs in
-    ints.  The fixedness equivalences need characteristic 0, which always
-    holds: ZZ and QQ are the only coefficient rings."""
-    if F.ring != QQ:
-        return F
-    den = lcm(*(c.denominator for c in F.terms.values()))
-    return Polynomial(
-        ZZ, F.vars, {k: (c * den).numerator for k, c in F.terms.items()}, F.maxexp
+# -- the derivation kernel --------------------------------------------------------
+#
+# A derivation D = sum(src * d/d dst) over (src, dst) name pairs maps a term
+# c * x^e to c * e_dst * x^(e + u_src - u_dst) for each pair with e_dst > 0.
+# derivation_images computes every image term of a stack of polynomials at once
+# from their cached exponent matrices and adds up the terms that land on one
+# monomial.  It is exact:
+#
+# * Keys.  A term's key is mixed-radix in its exponents, column j with radix
+#   r_j = (column max) + 1, plus 1 when j is the src of some pair, and a last
+#   digit, the index of its polynomial in the stack.  Every image exponent
+#   lies in [0, r_j): dst columns only fall, and a src column rises by at
+#   most 1.  So a key determines its monomial and polynomial, and an image
+#   key is the base key + w[src] - w[dst].  The digits are cut into words
+#   whose radix products, computed in Python ints, stay below 2**63, so no
+#   key overflows int64; one lexsort over the words groups the terms (one
+#   word for every polynomial the package certifies: radix 5 on 27 columns,
+#   times at most 9 polynomials).
+# * Coefficients.  For one pair at most one term maps onto a given monomial
+#   (x^e -> x^(e + u_src - u_dst) is injective), so every partial sum of a group
+#   is bounded by (number of pairs) * (max exponent) * max|c|, and every
+#   stored coefficient by max|c|.  When the larger bound, in Python ints, is
+#   below 2**63 the sums run in int64; otherwise in Python ints (dtype
+#   object).  Every value is an integer.
+# * Rings.  QQ coefficients are read as integer numerators over one common
+#   denominator L of all the stacked polynomials: D(L*P) = L*D(P), and one L
+#   for all of them turns base + sum(beta_i * basis_i) into its L-multiple
+#   without rescaling the unknowns beta.  ZZ and QQ both have characteristic 0,
+#   which the fixedness equivalences above need.
+
+_WORD_LIMIT = 2**63
+
+
+def _integer_coefficients(polys: Sequence[Polynomial]) -> list:
+    """Each polynomial's coefficients, in the order of its terms, times the
+    lcm of every denominator of the stack."""
+    den = lcm(*(c.denominator for p in polys if p.ring == QQ for c in p.terms.values()))
+    return [
+        [c.numerator * (den // c.denominator) for c in p.terms.values()]
+        if p.ring == QQ
+        else [c * den for c in p.terms.values()]
+        for p in polys
+    ]
+
+
+def _changes(keys: np.ndarray) -> np.ndarray:
+    """Mask of the rows of sorted keys that differ from the row before."""
+    mask = np.ones(len(keys), dtype=bool)
+    mask[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    return mask
+
+
+def derivation_images(polys: Sequence[Polynomial], derivations) -> list:
+    """D(P) for every polynomial P of `polys` and every derivation D.
+
+    A derivation is a pair (plus, minus) of (src, dst) name sequences and
+    stands for sum(src * d/d dst over plus) - sum(src * d/d dst over minus).
+    For each derivation the result is a (rows, len(polys)) integer matrix
+    with one row per distinct image monomial, the monomials in increasing
+    lexicographic order of their exponent vectors, and column k holding
+    D(polys[k]) times the common denominator of the stack
+    (_integer_coefficients).  A row is 0 where image terms cancel.
+    The polynomials share one variable set.  An exponent of 255 raises
+    PolyError, since an image exponent would then not fit the 8-bit fields of
+    a Polynomial, and an unknown name raises VariableMismatch."""
+    vars = polys[0].vars
+    if any(p.vars != vars for p in polys):
+        raise VariableMismatch("polynomials over different variable sets")
+    signed = [
+        [
+            (vars.index(src), vars.index(dst), sign)
+            for sign, pairs in ((1, plus), (-1, minus))
+            for src, dst in pairs
+        ]
+        for plus, minus in derivations
+    ]
+    exps = np.concatenate([p.exponents() for p in polys])
+    top = int(exps.max(initial=0))
+    if top >= _MAX_EXP:
+        raise PolyError(f"derivation exceeds the per-variable exponent bound {_MAX_EXP}")
+
+    coeffs = _integer_coefficients(polys)
+    largest = max((max(max(col), -min(col)) for col in coeffs if col), default=0)
+    bound = max(max(map(len, signed), default=0) * top, 1) * largest
+    dtype = np.int64 if bound < _WORD_LIMIT else object
+    values = np.array(list(chain.from_iterable(coeffs)), dtype=dtype)
+
+    # digits: the columns, then the index of the polynomial a term belongs to
+    srcs = {src for moves in signed for src, _, _ in moves}
+    radix = [int(m) + 1 + (j in srcs) for j, m in enumerate(exps.max(axis=0, initial=0))]
+    radix.append(len(polys))
+    places, word, span = [], 0, 1  # (word, weight) of each digit, last digit first
+    for r in reversed(radix):
+        if span * r >= _WORD_LIMIT:
+            word, span = word + 1, 1
+        places.append((word, span))
+        span *= r
+    weights = np.zeros((len(radix), word + 1), dtype=np.int64)
+    for j, (w, v) in enumerate(reversed(places)):
+        weights[j, w] = v
+    owner = np.repeat(np.arange(len(polys)), [len(col) for col in coeffs])
+    # one matrix-vector product per word: numpy's integer matmul is far slower
+    # on a matrix than on a vector
+    base = np.stack(
+        [exps @ weights[:-1, w] + owner * weights[-1, w] for w in range(word + 1)], axis=1
     )
+    # in key order, the image keys of one pair are a sorted run (a constant is
+    # added to a subsequence), and lexsort merges sorted runs fast
+    rank = np.lexsort(base.T)
+    exps, values, base = exps[rank], values[rank], base[rank]
+
+    out = []
+    for moves in signed:
+        keys, terms = [base[:0]], [values[:0]]
+        for src, dst, sign in moves:
+            rows = np.flatnonzero(exps[:, dst])
+            keys.append(base[rows] + (weights[src] - weights[dst]))
+            terms.append(values[rows] * (sign * exps[rows, dst].astype(np.int64)))
+        keys, terms = np.concatenate(keys), np.concatenate(terms)
+        # the highest word holds the first digits, and lexsort's last key is primary
+        order = np.lexsort(keys.T)
+        keys = keys[order]
+        runs = np.flatnonzero(_changes(keys))
+        sums = np.add.reduceat(terms[order], runs)
+        # one key per (monomial, polynomial) run; the polynomial's digit is
+        # the lowest of word 0, with weight 1
+        keys = keys[runs]
+        which = keys[:, 0] % len(polys)
+        keys[:, 0] //= len(polys)
+        new = _changes(keys)
+        matrix = np.zeros((int(new.sum()), len(polys)), dtype=dtype)
+        matrix[np.cumsum(new) - 1, which] = sums
+        out.append(matrix)
+    return out
 
 
 def _killed_by(F: Polynomial, derivations) -> bool:
-    """True iff every derivation, given by its (src, dst) pairs, kills F."""
-    F = _integral(F)
-    return all(F.polarize(d).is_zero() for d in derivations)
+    """True iff every derivation, a (plus, minus) pair as in
+    derivation_images, kills F: the image terms on each monomial sum to 0."""
+    return not any(image.any() for image in derivation_images([F], derivations))
 
 
 def is_fixed_by_unipotents(F: Polynomial) -> bool:
@@ -119,7 +255,7 @@ def is_fixed_by_unipotents(F: Polynomial) -> bool:
     every root subgroup I + t*E_ij with i < j; these generate the unipotent
     upper triangulars.  Together with being a weight vector this makes F a
     highest weight vector."""
-    return _killed_by(F, [block_derivation(i, j) for i, j in UPPER_ROOTS])
+    return _killed_by(F, [(block_derivation(i, j), ()) for i, j in UPPER_ROOTS])
 
 
 def sl3_invariance_certificate(F: Polynomial) -> bool:
@@ -127,15 +263,15 @@ def sl3_invariance_certificate(F: Polynomial) -> bool:
 
     These four generate sl3, so every D_ij (i != j) kills F, F is fixed by
     every root subgroup I + t*E_ij, and the root subgroups generate SL3."""
-    return _killed_by(F, [block_derivation(i, j) for i, j in SL3_ROOTS])
+    return _killed_by(F, [(block_derivation(i, j), ()) for i, j in SL3_ROOTS])
 
 
 def sl3_sl3_invariance_certificate(F: Polynomial) -> bool:
     """Invariance under (g, h).A = g A h^-1 on every component: the row and
     column derivations of E12, E23, E21, E32 all kill F (same argument as
     sl3_invariance_certificate, once for each factor)."""
-    derivations = [row_derivation(i, j) for i, j in SL3_ROOTS]
-    derivations += [column_derivation(i, j) for i, j in SL3_ROOTS]
+    derivations = [(row_derivation(i, j), ()) for i, j in SL3_ROOTS]
+    derivations += [(column_derivation(i, j), ()) for i, j in SL3_ROOTS]
     return _killed_by(F, derivations)
 
 
@@ -150,12 +286,11 @@ def conjugation_invariance_certificate(F: Polynomial, components=(1, 2)) -> bool
     generate sl3, so F is fixed by every root subgroup and invariant under
     SL3.  Scalars conjugate trivially and GL3 = scalars * SL3 over an
     algebraically closed field, so F is invariant under GL3 conjugation."""
-    F = _integral(F)
-    return all(
-        F.polarize(row_derivation(i, j, components))
-        == F.polarize(column_derivation(i, j, components))
+    derivations = [
+        (row_derivation(i, j, components), column_derivation(i, j, components))
         for i, j in SL3_ROOTS
-    )
+    ]
+    return _killed_by(F, derivations)
 
 
 # -- certificates for polynomials given in the f-variables ---------------------
@@ -199,29 +334,15 @@ def sl3_certificate_for_f_polynomial(p_f: Polynomial) -> bool:
 # -- exact recomputation of the correction coefficients -------------------------
 
 
-def _derivation_rows(base: Polynomial, basis: list, pairs) -> list:
-    """Linear equations on the basis coefficients from D(base + sum(beta_i *
-    basis_i)) = 0 for one derivation D, one row per monomial."""
-    d_base = base.polarize(pairs)
-    d_basis = [m.polarize(pairs) for m in basis]
-    keys = set(d_base.terms)
-    for d in d_basis:
-        keys.update(d.terms)
-    rows = []
-    for key in keys:
-        rows.append(
-            (
-                tuple(d.terms.get(key, 0) for d in d_basis),
-                -d_base.terms.get(key, 0),
-            )
-        )
-    return rows
-
-
 def solve_hwv_correction(base: Polynomial, basis: Sequence[Polynomial]) -> list:
     """Solve for the unique rational coefficients beta with base + sum(beta_i
     * basis_i) fixed by both elementary upper transvections, i.e. killed by
-    D12 and D23.  The rows are integer when the inputs are.
+    D12 and D23.
+
+    derivation_images gives, per derivation, one integer matrix with a row
+    per image monomial and the columns D(base), D(basis_1), ...; a row r
+    states sum(beta_i * r[i]) = -r[0].  The distinct rows of both matrices,
+    in sorted order, are the whole system.
 
     Raises InconsistentSystem when no correction in the span works and
     UnderdeterminedSystem when several do.
@@ -234,16 +355,16 @@ def solve_hwv_correction(base: Polynomial, basis: Sequence[Polynomial]) -> list:
     for m in basis:
         if multidegree(m) != md:
             raise linalg.LinAlgError("basis element of different multidegree")
-    rows = []
-    for i, j in UPPER_ROOTS:
-        rows.extend(_derivation_rows(base, basis, block_derivation(i, j)))
+    derivations = [(block_derivation(i, j), ()) for i, j in UPPER_ROOTS]
+    rows = np.concatenate(derivation_images([base, *basis], derivations))
+    rows = rows[np.lexsort(rows.T[::-1])]
+    rows = rows[_changes(rows)].tolist()
     if not basis:
         # no unknowns: the system is consistent iff every row is 0 = 0
-        for _, rhs in rows:
-            if rhs:
-                raise InconsistentSystem("base is not fixed and no basis was given")
+        if any(rhs for rhs, in rows):
+            raise InconsistentSystem("base is not fixed and no basis was given")
         return []
-    return linalg.solve_unique(rows, len(basis))
+    return linalg.solve_unique([(row[1:], -row[0]) for row in rows], len(basis))
 
 
 def h_correction_basis(table=None) -> list:

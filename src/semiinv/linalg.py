@@ -1,10 +1,11 @@
-"""Exact rational Gaussian elimination for small dense systems.
+"""Exact Gaussian elimination for small dense systems.
 
-Systems here have at most a dozen unknowns but can have tens of thousands of
-equations (one per monomial of a polynomial identity), most of them repeated
-up to scale.  Rows are therefore normalized to coprime integers and
-deduplicated before elimination, which runs in Fractions; no floating point
-anywhere.
+Systems here have at most a dozen unknowns and a few hundred equations: the
+correction solves of hwv hand over the distinct rows of their derivation
+images (495 for q), some of them still equal up to scale.  Rows are therefore
+normalized to coprime integers and deduplicated, then eliminated
+fraction-free in ints; only the back substitution, one division per unknown,
+takes Fractions.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -59,42 +60,43 @@ def solve_unique(rows: Iterable[tuple], nunknowns: int) -> list:
         if norm is None or norm in seen:
             continue
         seen.add(norm)
-        unique.append([Fraction(v) for v in norm])
+        unique.append(norm)
 
-    pivots: dict = {}  # column -> reduced row
+    # column -> integer row whose first nonzero entry is in that column; a
+    # pivot row has zeros in every pivot column that existed when it was added,
+    # so reducing in increasing column order clears each pivot column for good
+    pivots: dict = {}
     width = nunknowns + 1
     for row in unique:
         if len(row) != width:
             raise LinAlgError(f"row of length {len(row)}, expected {width}")
         for col in range(nunknowns):
             if row[col] and col in pivots:
-                factor = row[col]
                 prow = pivots[col]
-                for j in range(col, width):
-                    row[j] -= factor * prow[j]
+                a, b = prow[col], row[col]
+                row = [a * x - b * y for x, y in zip(row, prow)]
         lead = next((c for c in range(nunknowns) if row[c]), None)
         if lead is None:
             if row[nunknowns]:
                 raise InconsistentSystem("0 = nonzero after reduction")
             continue
-        inv = 1 / row[lead]
-        row = [c * inv for c in row]
-        pivots[lead] = row
+        g = gcd(*row)
+        pivots[lead] = [v // g for v in row]
 
     if len(pivots) < nunknowns:
         raise UnderdeterminedSystem(
             f"rank {len(pivots)} < {nunknowns} unknowns"
         )
 
-    # back substitution
+    # back substitution: a full-rank pivot row for col has zeros before col
     solution = [Fraction(0)] * nunknowns
     for col in sorted(pivots, reverse=True):
         row = pivots[col]
-        val = row[nunknowns]
+        val = Fraction(row[nunknowns])
         for j in range(col + 1, nunknowns):
             if row[j]:
                 val -= row[j] * solution[j]
-        solution[col] = val
+        solution[col] = val / row[col]
     return solution
 
 

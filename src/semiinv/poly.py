@@ -13,8 +13,7 @@ this project has total degree <= 54, and products guard the bound through a
 conservative per-polynomial exponent cap.
 
 Invariant: the big-endian bytes of a key, key.to_bytes(len(vars), "big"), are
-its exponent vector.  Polynomial.exponents builds its uint8 matrix from them,
-and polarize reads one exponent with one byte index.
+its exponent vector.  Polynomial.exponents builds its uint8 matrix from them.
 
 Polynomials are immutable after construction and every operation is pure, so
 values can be shared freely.
@@ -463,33 +462,6 @@ class Polynomial:
             required |= e << self.vars.shift(name)
         terms = ((k, c) for k, c in self.terms.items() if k & mask == required)
         return self._repacked(self._without(subset), terms)
-
-    def polarize(self, pairs: Iterable[tuple]) -> "Polynomial":
-        """The derivation sum(src * d/d dst) over (src, dst) name pairs.
-
-        Each term x^e contributes e_dst * x^e * src / dst per pair, so the
-        cost is linear in the term count and no coefficient leaves the ring.
-        """
-        if self.maxexp >= _MAX_EXP:
-            raise PolyError("polarization exceeds the per-variable exponent bound 255")
-        # (byte index of dst, key change moving one unit from dst to src)
-        moves = [
-            (self.vars.index(dst), (1 << self.vars.shift(src)) - (1 << self.vars.shift(dst)))
-            for src, dst in pairs
-        ]
-        n = len(self.vars)
-        out: dict = {}
-        get = out.get
-        for k, c in self.terms.items():
-            exps = k.to_bytes(n, "big")
-            for i, delta in moves:
-                e = exps[i]
-                if e:
-                    kk = k + delta
-                    c0 = get(kk)
-                    out[kk] = c * e if c0 is None else c0 + c * e
-        out = {k: c for k, c in out.items() if c}
-        return Polynomial(self.ring, self.vars, out, self.maxexp + 1)
 
     def substitute(self, bindings: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Exact composition: every variable this polynomial uses is replaced

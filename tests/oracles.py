@@ -4,9 +4,10 @@ Everything here is deliberately naive and shares no code with the package:
 polynomials are dicts mapping exponent tuples to coefficients, determinants
 expand recursively along the first row, and modular evaluation is a direct
 term-by-term sum.  The oracles named *_package, qq_combine_correction,
-block_matrix and pencil_determinant take package polynomials and matrices and
-use only their plain ring operations; the last two build the paper's
-t-graded definitions of the generators, which the package does not.
+polarize, block_matrix and pencil_determinant take package polynomials and
+matrices and use only their plain ring operations or their packed terms; the
+last two build the paper's t-graded definitions of the generators, which the
+package does not.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ from functools import reduce
 from itertools import permutations
 
 from semiinv.matrix import PolyMatrix
-from semiinv.poly import QQ, Polynomial
+from semiinv.poly import QQ, Polynomial, PolyError
 
 
 def naive_add(a, b):
@@ -85,6 +86,30 @@ def rowexp_determinant_package(m):
         return acc
 
     return det([list(r) for r in m.rows])
+
+
+def polarize(p, pairs):
+    """The derivation sum(src * d/d dst) over (src, dst) name pairs, applied
+    term by term to the packed keys: each term x^e contributes
+    e_dst * x^e * src / dst per pair, so no coefficient leaves the ring.  The
+    reference for hwv.derivation_images."""
+    if p.maxexp >= 255:
+        raise PolyError("polarization exceeds the per-variable exponent bound 255")
+    # (byte index of dst, key change moving one unit from dst to src)
+    moves = [
+        (p.vars.index(dst), (1 << p.vars.shift(src)) - (1 << p.vars.shift(dst)))
+        for src, dst in pairs
+    ]
+    n = len(p.vars)
+    out = {}
+    for k, c in p.terms.items():
+        exps = k.to_bytes(n, "big")
+        for i, delta in moves:
+            e = exps[i]
+            if e:
+                out[k + delta] = out.get(k + delta, 0) + c * e
+    out = {k: c for k, c in out.items() if c}
+    return Polynomial(p.ring, p.vars, out, p.maxexp + 1)
 
 
 def block_matrix(blocks):

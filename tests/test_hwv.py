@@ -1,10 +1,16 @@
+import random
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from semiinv import generators as gen, hwv, relations
-from semiinv.poly import QQ, ZZ, Polynomial
+from semiinv import conjinv, generators as gen, hwv, relations
+from semiinv.poly import QQ, ZZ, Polynomial, PolyError, VariableMismatch, VariableSet
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +186,7 @@ def test_derivation_verdict_matches_group_substitution(oracle_cases, root):
     g = TRANSVECTIONS[root]
     verdicts = set()
     for name, F in oracle_cases.items():
-        killed = F.polarize(hwv.block_derivation(*root)).is_zero()
+        killed = oracles.polarize(F, hwv.block_derivation(*root)).is_zero()
         G = _integral(F)
         assert killed == (gen.act_on_function(g, G) == G), name
         verdicts.add(killed)
@@ -237,13 +243,13 @@ def test_left_and_right_derivations_match_matrix_multiplication(table):
                     )
         # det(g) = 1, so both actions fix F and both derivations kill it
         assert F.substitute(left) == F and F.substitute(right) == F
-        assert F.polarize(hwv.row_derivation(i, j)).is_zero()
-        assert F.polarize(hwv.column_derivation(i, j)).is_zero()
+        assert oracles.polarize(F, hwv.row_derivation(i, j)).is_zero()
+        assert oracles.polarize(F, hwv.column_derivation(i, j)).is_zero()
         # on each coordinate the derivation is the t-linear part of the action
         for x in gen.TRIPLE_NAMES:
             var = Polynomial.variable(ZZ, gen.TRIPLE_VARS, x)
-            assert var.polarize(hwv.row_derivation(i, j)) == left[x] - var
-            assert var.polarize(hwv.column_derivation(i, j)) == right[x] - var
+            assert oracles.polarize(var, hwv.row_derivation(i, j)) == left[x] - var
+            assert oracles.polarize(var, hwv.column_derivation(i, j)) == right[x] - var
 
 
 def test_row_normalization_integer_and_rational_paths_agree():
@@ -253,3 +259,180 @@ def test_row_normalization_integer_and_rational_paths_agree():
     assert norm((Fraction(1, 2), -1), Fraction(3, 2)) == (1, -2, 3)
     assert norm((0, -3), 0) == (0, 1, 0)
     assert norm((0, 0), 0) is None
+
+
+# -- the derivation kernel against oracles.polarize ------------------------------
+
+KV = VariableSet(("x", "y", "z"))
+KV_PAIRS = st.lists(st.tuples(st.sampled_from(KV.names), st.sampled_from(KV.names)), max_size=4)
+
+
+@st.composite
+def kernel_polys(draw):
+    """ZZ or QQ polynomials in x, y, z, with coefficients and denominators
+    both small and far beyond 2**63."""
+    ints = st.one_of(st.integers(-20, 20), st.integers(-(2**70), 2**70))
+    ring = draw(st.sampled_from((ZZ, QQ)))
+    if ring == QQ:
+        ints = st.builds(Fraction, ints, st.one_of(st.integers(1, 12), st.integers(1, 2**66)))
+    monomials = st.tuples(*[st.integers(0, 4)] * 3)
+    return Polynomial.from_terms(ring, KV, draw(st.dictionaries(monomials, ints, max_size=5)))
+
+
+def _oracle_rows(polys, plus, minus):
+    """The images from oracles.polarize laid out as the kernel lays them out:
+    a row per monomial of some image, in increasing lexicographic order, a
+    column per polynomial, scaled by the common denominator of the stack."""
+    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    images = [
+        dict((oracles.polarize(p, plus) - oracles.polarize(p, minus)).sorted_terms()) for p in polys
+    ]
+    return [[image.get(m, 0) * den for image in images] for m in sorted(set().union(*images))]
+
+
+def _nonzero_rows(matrix):
+    """The kernel's rows without those where every image cancels."""
+    return [row for row in matrix.tolist() if any(row)]
+
+
+@given(
+    st.lists(kernel_polys(), min_size=1, max_size=3),
+    st.lists(st.tuples(KV_PAIRS, KV_PAIRS), max_size=3),
+)
+@settings(max_examples=300)
+def test_kernel_matches_the_polarize_oracle(polys, derivations):
+    """Mixed ZZ/QQ stacks, src == dst pairs, empty pair lists, the zero
+    polynomial and coefficients past int64 all give the oracle's images."""
+    images = hwv.derivation_images(polys, derivations)
+    assert len(images) == len(derivations)
+    for (plus, minus), image in zip(derivations, images):
+        assert image.shape[1] == len(polys)
+        assert _nonzero_rows(image) == _oracle_rows(polys, plus, minus)
+
+
+def test_kernel_edge_cases_match_the_oracle():
+    x, y, z = (Polynomial.variable(ZZ, KV, n) for n in KV.names)
+    F = x.mul(x).mul(y) * 3 + z
+    zero = Polynomial.zero(ZZ, KV)
+    for polys, plus in [
+        ([F], [("x", "x")]),  # the Euler operator x*d/dx
+        ([F], []),
+        ([zero], [("y", "x")]),
+        ([zero, F], [("z", "x"), ("x", "y")]),
+    ]:
+        (image,) = hwv.derivation_images(polys, [(plus, ())])
+        assert _nonzero_rows(image) == _oracle_rows(polys, plus, ())
+    (image,) = hwv.derivation_images([zero, zero], [((), ())])
+    assert image.shape == (0, 2)
+    assert hwv.derivation_images([F], []) == []
+
+
+def test_kernel_exponent_bound_and_unknown_names():
+    at_254 = Polynomial.monomial(ZZ, KV, {"x": 254, "y": 1}, 5)
+    (image,) = hwv.derivation_images([at_254], [([("x", "y"), ("y", "x")], ())])
+    assert _nonzero_rows(image) == _oracle_rows([at_254], [("x", "y"), ("y", "x")], ())
+    at_255 = Polynomial.monomial(ZZ, KV, {"x": 255})
+    with pytest.raises(PolyError):
+        hwv.derivation_images([at_255], [([("y", "x")], ())])
+    with pytest.raises(PolyError):
+        oracles.polarize(at_255, [("y", "x")])
+    for pairs in ([("w", "x")], [("x", "w")]):
+        with pytest.raises(VariableMismatch):
+            hwv.derivation_images([at_254], [(pairs, ())])
+        with pytest.raises(VariableMismatch):
+            oracles.polarize(at_254, pairs)
+
+
+@pytest.mark.parametrize("c, dtype", [(2**62 - 1, np.int64), (2**62, object)])
+def test_kernel_leaves_int64_when_a_sum_could_overflow(c, dtype):
+    """y*d/dx + y*d/dz maps c*x + c*z to 2*c*y; the bound 2 pairs * exponent
+    1 * |c| decides the dtype, and 2**63 is exact in Python ints."""
+    F = Polynomial.from_terms(ZZ, KV, {(1, 0, 0): c, (0, 0, 1): c})
+    (image,) = hwv.derivation_images([F], [([("y", "x"), ("y", "z")], ())])
+    assert image.dtype == dtype and image.tolist() == [[2 * c]]
+
+
+def test_kernel_keys_span_several_words():
+    """Ten columns with exponents up to 254 need a radix product of about
+    255**10 > 2**63, so the keys take more than one int64 word."""
+    names = [f"v{i}" for i in range(10)]
+    vs = VariableSet(names)
+    rng = random.Random(15)
+    terms = {tuple(rng.choice((0, 1, 253, 254)) for _ in names): rng.randint(-9, 9) for _ in range(40)}
+    F = Polynomial.from_terms(ZZ, vs, terms)
+    pairs = [(rng.choice(names), rng.choice(names)) for _ in range(12)]
+    (image,) = hwv.derivation_images([F, F * 2], [(pairs, pairs[:3])])
+    assert _nonzero_rows(image) == _oracle_rows([F, F * 2], pairs, pairs[:3])
+
+
+def test_certificate_verdicts_match_the_oracle(oracle_cases):
+    """Each certificate says True exactly when oracles.polarize kills F under
+    all of its derivations."""
+
+    def killed(F, derivations):
+        return all(oracles.polarize(F, d).is_zero() for d in derivations)
+
+    upper = [hwv.block_derivation(i, j) for i, j in hwv.UPPER_ROOTS]
+    sl3 = [hwv.block_derivation(i, j) for i, j in hwv.SL3_ROOTS]
+    sides = [hwv.row_derivation(i, j) for i, j in hwv.SL3_ROOTS]
+    sides += [hwv.column_derivation(i, j) for i, j in hwv.SL3_ROOTS]
+    verdicts = set()
+    for name, F in oracle_cases.items():
+        assert hwv.is_fixed_by_unipotents(F) == killed(F, upper), name
+        assert hwv.sl3_invariance_certificate(F) == killed(F, sl3), name
+        assert hwv.sl3_sl3_invariance_certificate(F) == killed(F, sides), name
+        verdicts.add(killed(F, upper))
+    assert verdicts == {True, False}
+
+
+def test_conjugation_verdicts_match_the_oracle():
+    gens = conjinv.trace_generators()
+    x12 = Polynomial.variable(ZZ, conjinv.PAIR_VARS, "x1_12")
+    cases = [*gens.values(), x12.mul(x12), gens["k"] + x12]
+    verdicts = set()
+    for F in cases:
+        want = all(
+            oracles.polarize(F, hwv.row_derivation(i, j, (1, 2)))
+            == oracles.polarize(F, hwv.column_derivation(i, j, (1, 2)))
+            for i, j in hwv.SL3_ROOTS
+        )
+        assert hwv.conjugation_invariance_certificate(F) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_rescaled_qq_basis_rescales_the_solution(table):
+    """One common denominator for the base and the whole basis: with the
+    first three products scaled by 1/3 and the last by 1/12 over QQ, the
+    pinned (-1/3, -1/3, 2/3, 1/12) comes back times 3 and 12."""
+    scales = (Fraction(1, 3),) * 3 + (Fraction(1, 12),)
+    basis = [b.to_ring(QQ) * s for b, s in zip(hwv.h_correction_basis(table), scales)]
+    assert hwv.solve_hwv_correction(table.h, basis) == [-1, -1, 2, 1]
+
+
+def test_q_correction_hands_solve_unique_its_distinct_rows(monkeypatch, table):
+    """Guard: the q solve passes fewer than 1000 rows (495 distinct ones, of
+    about 33000 image monomials) to the elimination."""
+    sizes = []
+    real = hwv.linalg.solve_unique
+
+    def recording(rows, nunknowns):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return real(rows, nunknowns)
+
+    monkeypatch.setattr(hwv.linalg, "solve_unique", recording)
+    assert hwv.solve_hwv_correction(table.q, hwv.q_correction_basis(table)) == [
+        c for c, _ in gen.Q_CORRECTIONS
+    ]
+    assert sizes and max(sizes) < 1000
+
+
+def test_the_package_has_one_derivation_path():
+    """Guard: polarize lives only in tests/oracles.py, so no check of the
+    package, verify all included, can reach it; nor does the package weight
+    a bincount."""
+    assert not hasattr(Polynomial, "polarize")
+    for path in Path(hwv.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert "polarize" not in text and "bincount" not in text, path.name
