@@ -242,10 +242,11 @@ def derivation_images(polys: Sequence[Polynomial], derivations) -> list:
     return out
 
 
-def _killed_by(F: Polynomial, derivations) -> bool:
+def _killed_by(polys: Sequence[Polynomial], derivations) -> bool:
     """True iff every derivation, a (plus, minus) pair as in
-    derivation_images, kills F: the image terms on each monomial sum to 0."""
-    return not any(image.any() for image in derivation_images([F], derivations))
+    derivation_images, kills every polynomial of the stack: the image terms
+    on each monomial sum to 0 in each column."""
+    return not any(image.any() for image in derivation_images(polys, derivations))
 
 
 def is_fixed_by_unipotents(F: Polynomial) -> bool:
@@ -255,7 +256,7 @@ def is_fixed_by_unipotents(F: Polynomial) -> bool:
     every root subgroup I + t*E_ij with i < j; these generate the unipotent
     upper triangulars.  Together with being a weight vector this makes F a
     highest weight vector."""
-    return _killed_by(F, [(block_derivation(i, j), ()) for i, j in UPPER_ROOTS])
+    return _killed_by([F], [(block_derivation(i, j), ()) for i, j in UPPER_ROOTS])
 
 
 def sl3_invariance_certificate(F: Polynomial) -> bool:
@@ -263,16 +264,19 @@ def sl3_invariance_certificate(F: Polynomial) -> bool:
 
     These four generate sl3, so every D_ij (i != j) kills F, F is fixed by
     every root subgroup I + t*E_ij, and the root subgroups generate SL3."""
-    return _killed_by(F, [(block_derivation(i, j), ()) for i, j in SL3_ROOTS])
+    return _killed_by([F], [(block_derivation(i, j), ()) for i, j in SL3_ROOTS])
 
 
-def sl3_sl3_invariance_certificate(F: Polynomial) -> bool:
+def sl3_sl3_invariance_certificate(*polys: Polynomial) -> bool:
     """Invariance under (g, h).A = g A h^-1 on every component: the row and
-    column derivations of E12, E23, E21, E32 all kill F (same argument as
-    sl3_invariance_certificate, once for each factor)."""
+    column derivations of E12, E23, E21, E32 all kill each of the polynomials
+    (same argument as sl3_invariance_certificate, once for each factor).  The
+    polynomials are certified as one stack, one kernel call: a column of an
+    image matrix is the image of one polynomial, so the stack passes iff
+    every member does."""
     derivations = [(row_derivation(i, j), ()) for i, j in SL3_ROOTS]
     derivations += [(column_derivation(i, j), ()) for i, j in SL3_ROOTS]
-    return _killed_by(F, derivations)
+    return _killed_by(polys, derivations)
 
 
 def conjugation_invariance_certificate(F: Polynomial, components=(1, 2)) -> bool:
@@ -290,7 +294,7 @@ def conjugation_invariance_certificate(F: Polynomial, components=(1, 2)) -> bool
         (row_derivation(i, j, components), column_derivation(i, j, components))
         for i, j in SL3_ROOTS
     ]
-    return _killed_by(F, derivations)
+    return _killed_by([F], derivations)
 
 
 # -- certificates for polynomials given in the f-variables ---------------------

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import groupby
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -145,6 +147,37 @@ class VariableSet:
 
     def __repr__(self):
         return f"VariableSet({list(self.names)!r})"
+
+
+def _numerators(p: "Polynomial") -> tuple:
+    """(L, [c * L for each coefficient c in term order]), L the lcm of the
+    coefficients' denominators (1 over ZZ)."""
+    coeffs = p.terms.values()
+    if p.ring != QQ:
+        return 1, list(coeffs)
+    L = lcm(*(c.denominator for c in coeffs))
+    return L, [c.numerator * (L // c.denominator) for c in coeffs]
+
+
+def _accumulate(acc: dict, terms: dict, a: int = 1):
+    """acc += a * terms, key by key; a key whose sum is 0 stays in acc."""
+    if not acc:
+        acc.update(terms if a == 1 else {k: a * c for k, c in terms.items()})
+        return
+    get = acc.get
+    for k, c in terms.items():
+        acc[k] = get(k, 0) + a * c
+
+
+def _scaled(v: "Polynomial", D: int) -> "Polynomial":
+    """D * v over ZZ, for a D that every denominator of v divides."""
+    if v.ring == QQ:
+        terms = {k: c.numerator * (D // c.denominator) for k, c in v.terms.items()}
+    elif D == 1:
+        return v
+    else:
+        terms = {k: c * D for k, c in v.terms.items()}
+    return Polynomial(ZZ, v.vars, terms, v.maxexp)
 
 
 class Polynomial:
@@ -468,7 +501,28 @@ class Polynomial:
         by its binding, and the result lives in the variable set that all the
         binding polynomials share.  An unbound used variable raises
         VariableMismatch; variables are fixed to scalars with restrict.  An
-        empty binding map returns the polynomial unchanged."""
+        empty binding map returns the polynomial unchanged.
+
+        The composition is one fraction-free multivariate Horner evaluation,
+        and it is exact.  Let D be the lcm of the denominators of the
+        bindings the terms use, L that of this polynomial's coefficients, |e|
+        the degree of a term c*x^e and dmax the largest |e|.  Since
+        prod((D*v)^e) = D^|e| * prod(v^e),
+
+            sum c * prod(v^e) = sum (c*L) * D^(dmax-|e|) * prod((D*v)^e) / (L * D^dmax),
+
+        and every c*L, every power of D and every D*v is integral: the
+        numerator is a ZZ polynomial built from ZZ products only, and each of
+        its coefficients is divided once, by L * D^dmax (1 over ZZ).  The
+        numerator is summed as sum_e (D*v1)^e * inner_e, grouping the terms
+        by their exponent of the first bound variable, and each inner_e the
+        same way in the variables after it.  That only reassociates a finite
+        sum of the same products.  The bound variables are taken largest
+        binding first, so the largest powers multiply once per exponent.  A group of one term is its product of
+        cached powers.  Each product goes through mul with an exponent bound
+        at least that of its factors, so mul's guard refuses a composition
+        whose terms' bounds, sum(e_i * maxexp(v_i)), exceed 255 as the
+        term-by-term product would."""
         if not bindings:
             return self
         for name, v in bindings.items():
@@ -482,34 +536,64 @@ class Polynomial:
         if any(v.vars != target for v in bindings.values()):
             raise VariableMismatch("binding polynomials use different variable sets")
         ring = reduce(unify_rings, (v.ring for v in bindings.values()), self.ring)
-        one = Polynomial.constant(ring, target, 1)
-        powers: dict = {n: [one, v.to_ring(ring)] for n, v in bindings.items()}
-        shifts = [(n, self.vars.shift(n)) for n in bindings]
 
-        def power(name: str, e: int) -> Polynomial:
-            lst = powers[name]
+        # the bound variables the terms use, largest binding first (ties in
+        # variable order), and each term as (its exponents in them, its
+        # numerator over L * D^dmax)
+        exps = self.exponents()
+        cols = [i for i, n in enumerate(self.vars.names) if n in bindings and exps[:, i].any()]
+        cols.sort(key=lambda i: -len(bindings[self.vars.names[i]]))
+        leaves = [bindings[self.vars.names[i]] for i in cols]
+        D = lcm(*(c.denominator for v in leaves if v.ring == QQ for c in v.terms.values()))
+        L, numerators = _numerators(self)
+        rows = exps[:, cols].tolist()
+        dmax = max(map(sum, rows), default=0)
+        terms = sorted(zip(rows, (a * D ** (dmax - sum(row)) for row, a in zip(rows, numerators))))
+        # each term's exponent bound sum(e_i * maxexp(v_i)) from variable j on,
+        # which is the bound the term-by-term product of its powers carries
+        caps = [v.maxexp for v in leaves]
+
+        def cap(group: list, j: int) -> int:
+            return max((sum(e * m for e, m in zip(row[j:], caps[j:])) for row, _ in group), default=0)
+
+        powers = [[None, _scaled(v, D)] for v in leaves]
+
+        def power(j: int, e: int) -> Polynomial:
+            lst = powers[j]
             while len(lst) <= e:
                 lst.append(lst[-1].mul(lst[1]))
             return lst[e]
 
-        out: dict = {}
-        get = out.get
-        maxexp_out = 0
-        for k, c in self.terms.items():
-            factor = one
-            for name, sh in shifts:
-                e = (k >> sh) & _FIELD_MASK
-                if e:
-                    q = power(name, e)
-                    factor = q if factor is one else factor.mul(q)
-            maxexp_out = max(maxexp_out, factor.maxexp)
-            for k2, c2 in factor.terms.items():
-                cc = get(k2, 0) + c * c2
-                if cc:
-                    out[k2] = cc
-                else:
-                    out.pop(k2, None)
-        return Polynomial(ring, target, out, maxexp_out)
+        def horner(terms: list, j: int, acc: dict):
+            """Add sum(a * prod(power(i, e_i) for i >= j)) over the terms into
+            acc; the terms share their exponents before j and are sorted."""
+            if len(terms) == 1:
+                (row, a), = terms
+                product = None
+                for i in range(j, len(cols)):
+                    if row[i]:
+                        q = power(i, row[i])
+                        product = q if product is None else product.mul(q)
+                _accumulate(acc, {0: 1} if product is None else product.terms, a)
+                return
+            for e, group in groupby(terms, key=lambda t: t[0][j]):
+                group = list(group)
+                if not e:
+                    horner(group, j + 1, acc)
+                    continue
+                inner: dict = {}
+                horner(group, j + 1, inner)
+                inner = Polynomial(ZZ, target, {k: c for k, c in inner.items() if c}, cap(group, j + 1))
+                _accumulate(acc, power(j, e).mul(inner).terms)
+
+        acc: dict = {}
+        horner(terms, 0, acc)
+        den = L * D ** dmax
+        if ring == QQ:
+            out = {k: Fraction(c, den) for k, c in acc.items() if c}
+        else:
+            out = {k: c for k, c in acc.items() if c}
+        return Polynomial(ring, target, out, cap(terms, 0))
 
     def evaluate(self, point: Mapping[str, Coeff]) -> Coeff:
         """Exact value at a point that binds every variable to an int or a

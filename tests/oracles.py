@@ -4,7 +4,7 @@ Everything here is deliberately naive and shares no code with the package:
 polynomials are dicts mapping exponent tuples to coefficients, determinants
 expand recursively along the first row, and modular evaluation is a direct
 term-by-term sum.  The oracles named *_package, qq_combine_correction,
-polarize, block_matrix and pencil_determinant take package polynomials and
+polarize, substitute, block_matrix and pencil_determinant take package polynomials and
 matrices and use only their plain ring operations or their packed terms; the
 last two build the paper's t-graded definitions of the generators, which the
 package does not.
@@ -15,7 +15,7 @@ from functools import reduce
 from itertools import permutations
 
 from semiinv.matrix import PolyMatrix
-from semiinv.poly import QQ, Polynomial, PolyError
+from semiinv.poly import QQ, Polynomial, PolyError, unify_rings
 
 
 def naive_add(a, b):
@@ -110,6 +110,37 @@ def polarize(p, pairs):
                 out[k + delta] = out.get(k + delta, 0) + c * e
     out = {k: c for k, c in out.items() if c}
     return Polynomial(p.ring, p.vars, out, p.maxexp + 1)
+
+
+def substitute(p, bindings):
+    """The composition p(bindings), term by term: each term's product of
+    cached powers of its bindings, in the ring both coefficient sets coerce
+    into, Fractions throughout over QQ.  The reference for
+    Polynomial.substitute, which takes the same bindings (every variable p
+    uses bound, all over one variable set) and checks them."""
+    ring = reduce(unify_rings, (v.ring for v in bindings.values()), p.ring)
+    target = next(iter(bindings.values())).vars
+    one = Polynomial.constant(ring, target, 1)
+    powers = {n: [one, v.to_ring(ring)] for n, v in bindings.items()}
+
+    def power(name, e):
+        lst = powers[name]
+        while len(lst) <= e:
+            lst.append(lst[-1].mul(lst[1]))
+        return lst[e]
+
+    out = {}
+    maxexp = 0
+    for k, c in p.terms.items():
+        factor = one
+        for name, e in zip(p.vars.names, k.to_bytes(len(p.vars), "big")):
+            if e:
+                q = power(name, e)
+                factor = q if factor is one else factor.mul(q)
+        maxexp = max(maxexp, factor.maxexp)
+        for k2, c2 in factor.terms.items():
+            out[k2] = out.get(k2, 0) + c * c2
+    return Polynomial(ring, target, {k: c for k, c in out.items() if c}, maxexp)
 
 
 def block_matrix(blocks):

@@ -223,6 +223,48 @@ def test_sl3_x_sl3_negative_control(table):
     assert not hwv.sl3_sl3_invariance_certificate(table.q + bump)
 
 
+def _bumped(F):
+    """F plus a diagonal monomial of its block multidegree: still a weight
+    vector, no longer SL3 x SL3-invariant."""
+    i, j, k = hwv.multidegree(F)
+    return F + Polynomial.monomial(ZZ, gen.TRIPLE_VARS, {"x1_11": i, "x2_22": j, "x3_33": k})
+
+
+def test_stacked_sl3_x_sl3_certificate_fails_on_any_one_bad_member(table):
+    stack = [*table.f, table.h, table.q]
+    assert hwv.sl3_sl3_invariance_certificate(*stack)
+    for n in range(len(stack)):
+        bad = [_bumped(F) if m == n else F for m, F in enumerate(stack)]
+        assert not hwv.sl3_sl3_invariance_certificate(*bad), n
+
+
+def test_hwv_suite_certifies_the_twelve_in_one_kernel_call(table, monkeypatch):
+    """The SL3 x SL3 check is one derivation_images call over the stack of
+    f1..f10, h, q, and it FAILs when one member of the stack is not
+    invariant; no other check of the suite changes its verdict."""
+    from dataclasses import replace
+
+    from semiinv import suites
+    from semiinv.verify import RunConfig
+
+    name = "f1..f10, h and q are SL3 x SL3-invariant (row and column derivations)"
+    assert all(r.passed for r in suites.hwv_suite(RunConfig()))  # warms the caches
+    calls = []
+    kernel = hwv.derivation_images
+
+    def counting(polys, derivations):
+        calls.append(len(polys))
+        return kernel(polys, derivations)
+
+    monkeypatch.setattr(hwv, "derivation_images", counting)
+    (check,) = [r for r in suites.hwv_suite(RunConfig()) if r.name == name]
+    assert check.passed and 12 in calls and calls.count(12) == 1
+    monkeypatch.setattr(gen, "generator_table", lambda: replace(table, q=_bumped(table.q)))
+    verdicts = {r.name: r.passed for r in suites.hwv_suite(RunConfig())}
+    assert verdicts.pop(name) is False
+    assert all(verdicts.values())
+
+
 def test_left_and_right_derivations_match_matrix_multiplication(table):
     """Row and column derivations are the t-derivatives of g A_r and A_r g for
     g = I + t*E_ij, checked against the group substitution on det(A1)*f111."""

@@ -117,6 +117,141 @@ def test_substitute_refuses_an_unbound_used_variable():
     assert p.substitute({"x": a, "y": a}) == a ** 2
 
 
+# -- substitute against the term-by-term reference ---------------------------
+
+BV = VariableSet(("a", "b"))
+
+
+def _coefficients(ring):
+    """Small and large integers, or fractions with small and large
+    denominators, so that D = lcm of the binding denominators exceeds 1."""
+    ints = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
+    if ring == ZZ:
+        return ints
+    return st.builds(Fraction, ints, st.one_of(st.integers(1, 12), st.integers(1, 2**66)))
+
+
+@st.composite
+def outers_and_bindings(draw):
+    """A ZZ or QQ polynomial in x, y, z whose terms may differ in degree
+    (zero and constant ones included), and bindings in a, b, each ZZ or QQ,
+    for every variable it uses and maybe for ones it does not."""
+    ring = draw(st.sampled_from((ZZ, QQ)))
+    monomials = st.tuples(*[st.integers(0, 3)] * 3)
+    outer = Polynomial.from_terms(
+        ring, VS, draw(st.dictionaries(monomials, _coefficients(ring), max_size=6))
+    )
+    bindings = {}
+    for name in VS.names:
+        if outer.max_exponent(name) or draw(st.booleans()):
+            vring = draw(st.sampled_from((ZZ, QQ)))
+            terms = draw(
+                st.dictionaries(
+                    st.tuples(*[st.integers(0, 2)] * 2), _coefficients(vring), max_size=4
+                )
+            )
+            bindings[name] = Polynomial.from_terms(vring, BV, terms)
+    if not bindings:
+        bindings["x"] = Polynomial.variable(ZZ, BV, "a")
+    return outer, bindings
+
+
+def _same_composition(outer, bindings):
+    got = outer.substitute(bindings)
+    want = oracles.substitute(outer, bindings)
+    assert got == want  # ring, variables and terms
+    # the exponent bound is the reference's, sum(e_i * maxexp(v_i)) over the
+    # terms; the reference drops to 0 on a product with a zero binding
+    assert got.maxexp >= want.maxexp
+    if all(bindings.values()):
+        assert got.maxexp == want.maxexp
+    return got
+
+
+@given(outers_and_bindings())
+@settings(max_examples=200)
+def test_substitute_matches_the_term_by_term_oracle(case):
+    _same_composition(*case)
+
+
+def test_substitute_cases_match_the_oracle():
+    """The cases the Horner evaluation treats apart, each named."""
+    x, y, z = var("x"), var("y"), var("z")
+    a, b = (Polynomial.variable(ZZ, BV, n) for n in BV.names)
+    half_a = a.to_ring(QQ) * Fraction(1, 2)
+    third_b = b.to_ring(QQ) * Fraction(2, 3) + 1
+    cases = {
+        "zero outer": (Polynomial.zero(QQ, VS), {"x": half_a}),
+        "constant ZZ outer": (Polynomial.constant(ZZ, VS, -7), {"y": a}),
+        "constant QQ outer, QQ binding": (Polynomial.constant(QQ, VS, Fraction(5, 4)), {"z": half_a}),
+        "ZZ outer, QQ bindings with D = 6": (x * y * 3 - z ** 2, {"x": half_a, "y": third_b, "z": a + b}),
+        "QQ outer, mixed degrees": (
+            var("x", QQ) ** 3 * Fraction(1, 5) + var("y", QQ) + 2,
+            {"x": third_b, "y": half_a},
+        ),
+        "unused bound names": (x * 4 + 1, {"x": a, "y": half_a, "z": b}),
+        "one group per exponent": (
+            x ** 2 * y + x ** 2 * z + x * y + x * y * z + y ** 3,
+            {"x": a - b, "y": half_a + b.to_ring(QQ), "z": third_b},
+        ),
+        "a zero binding": (x * y + y, {"x": a - a, "y": third_b}),
+    }
+    for name, (outer, bindings) in cases.items():
+        got = _same_composition(outer, bindings)
+        assert got.vars == BV, name
+    assert _same_composition(*cases["zero outer"]).is_zero()
+    assert _same_composition(*cases["constant ZZ outer"]) == Polynomial.constant(ZZ, BV, -7)
+    got = _same_composition(*cases["constant QQ outer, QQ binding"])
+    assert got == Polynomial.constant(QQ, BV, Fraction(5, 4))
+
+
+def test_substitute_exponent_bound():
+    """x^127 -> (a^2)^127 reaches exponent 254 and passes; x^128 and a term
+    whose bounds sum past 255 raise PolyError, as the reference does."""
+    x, y = var("x"), var("y")
+    a = Polynomial.variable(ZZ, BV, "a")
+    sq = a.mul(a).to_ring(QQ) * Fraction(1, 3)
+    assert _same_composition(x ** 127, {"x": sq}).max_exponent("a") == 254
+    for outer, bindings in ((x ** 128, {"x": sq}), (x ** 100 * y ** 100 + x, {"x": sq, "y": a})):
+        with pytest.raises(PolyError):
+            outer.substitute(bindings)
+        with pytest.raises(PolyError):
+            oracles.substitute(outer, bindings)
+
+
+def test_qq_substitution_multiplies_only_over_zz(monkeypatch):
+    """Single-path guard: a QQ composition clears its denominators first, so
+    every product formed inside substitute has ZZ operands."""
+    from semiinv import hwv, relations
+
+    s4, _ = relations.derive_st()
+    inside, rings = [], []
+    mul, substitute = Polynomial.mul, Polynomial.substitute
+
+    def recording_mul(self, other):
+        if inside:
+            rings.append((self.ring, other.ring))
+        return mul(self, other)
+
+    def flagged_substitute(self, bindings):
+        inside.append(True)
+        try:
+            return substitute(self, bindings)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Polynomial, "mul", recording_mul)
+    monkeypatch.setattr(Polynomial, "substitute", flagged_substitute)
+    x, y, z = (var(n, QQ) for n in VS.names)
+    a, b = (Polynomial.variable(QQ, BV, n) for n in BV.names)
+    outer = x ** 2 * y * Fraction(1, 3) + x * z ** 2 + y ** 3 * Fraction(-2, 7)
+    got = outer.substitute({"x": a * Fraction(1, 2) + b, "y": a - b * Fraction(3, 4), "z": b})
+    assert got.ring == QQ and rings
+    assert hwv.sl3_certificate_for_f_polynomial(s4)
+    assert len(rings) > 10
+    assert set(rings) == {(ZZ, ZZ)}
+
+
 def test_restrict_examples():
     x, y = var("x"), var("y")
     p = x ** 2 * y + 3 * y - 1
