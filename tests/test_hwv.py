@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semiinv import conjinv, generators as gen, hwv, relations
+from semiinv import conjinv, generators as gen, hwv, relations, suites
 from semiinv.poly import QQ, ZZ, Polynomial, PolyError, VariableMismatch, VariableSet
+from semiinv.verify import RunConfig
 
 import oracles
 
@@ -242,11 +244,6 @@ def test_hwv_suite_certifies_the_twelve_in_one_kernel_call(table, monkeypatch):
     """The SL3 x SL3 check is one derivation_images call over the stack of
     f1..f10, h, q, and it FAILs when one member of the stack is not
     invariant; no other check of the suite changes its verdict."""
-    from dataclasses import replace
-
-    from semiinv import suites
-    from semiinv.verify import RunConfig
-
     name = "f1..f10, h and q are SL3 x SL3-invariant (row and column derivations)"
     assert all(r.passed for r in suites.hwv_suite(RunConfig()))  # warms the caches
     calls = []

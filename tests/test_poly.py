@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semiinv import hwv, relations
 from semiinv.poly import (
     QQ,
     ZZ,
@@ -222,8 +223,6 @@ def test_substitute_exponent_bound():
 def test_qq_substitution_multiplies_only_over_zz(monkeypatch):
     """Single-path guard: a QQ composition clears its denominators first, so
     every product formed inside substitute has ZZ operands."""
-    from semiinv import hwv, relations
-
     s4, _ = relations.derive_st()
     inside, rings = [], []
     mul, substitute = Polynomial.mul, Polynomial.substitute
