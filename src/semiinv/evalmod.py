@@ -7,24 +7,27 @@ degree d vanishes at a uniformly random point of Z_p^n with probability at
 most d/p (Schwartz-Zippel), so N independent points bound the chance of a
 missed nonzero identity by (d/p)^N per prime.  This module is the only
 modular arithmetic in the package: polynomials carry ZZ or QQ coefficients,
-which are reduced mod p here, and det_mod takes numeric determinants by
-Gaussian elimination mod p.
+which are reduced mod p here, and det_mod takes numeric determinants of a
+whole stack of matrices by division-free elimination mod p, with one Fermat
+inverse per call for the product of the pivot scalings.
 
 Points are drawn from a counter-based SHA-256 stream keyed by
 (seed, prime, trial), so a point does not depend on the batch it is evaluated
 in and any trial can be reproduced in isolation.  A point's values may be ints
-or equal-length int64 arrays; an array holds one value per trial of a batch,
+(of any size: residues reduces them before they become int64) or equal-length
+int64 arrays; an array holds one value per trial of a batch,
 and numpy broadcasting carries the batch through a composition.  A
 composition either evaluates its leaf polynomials at the point or, when it
 has a definition, takes the leaf values from it: the generators of the triple
 identities are computed from the determinant table that defines them
-(generators.GENERATOR_DETERMINANTS, read by generator_values_mod with
-det_mod), never from their expansions.
+(generators.GENERATOR_DETERMINANTS, read by generator_values_mod with one
+det_mod call per matrix size), never from their expansions.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -77,22 +80,41 @@ def check_prime(p: int, allow_small_char: bool = False) -> int:
     return p
 
 
+_DIGEST_WORDS = struct.Struct(">4Q")
+
+
 def sample_point(names: Sequence[str], seed: int, prime: int, trial: int) -> dict:
-    """Deterministic uniform point in Z_p^n keyed by (seed, prime, trial)."""
-    key = f"semiinv-v1|{seed}|{prime}|{trial}".encode()
-    limit = (2**64 // prime) * prime  # rejection bound for uniformity
+    """Deterministic uniform point in Z_p^n keyed by (seed, prime, trial).
+
+    The stream is SHA-256 of "semiinv-v1|seed|prime|trial|counter" for
+    counter = 0, 1, ...; each digest is read as four big-endian 64-bit words,
+    and a word below the largest multiple of p under 2**64 gives the next
+    value, w mod p (rejection keeps the values uniform)."""
+    prefix = hashlib.sha256(f"semiinv-v1|{seed}|{prime}|{trial}|".encode())
+    limit = (2**64 // prime) * prime
     values = []
     counter = 0
     while len(values) < len(names):
-        digest = hashlib.sha256(key + b"|" + str(counter).encode()).digest()
+        digest = prefix.copy()
+        digest.update(str(counter).encode())
         counter += 1
-        for i in range(0, 32, 8):
-            w = int.from_bytes(digest[i : i + 8], "big")
+        for w in _DIGEST_WORDS.unpack(digest.digest()):
             if w < limit:
                 values.append(w % prime)
                 if len(values) == len(names):
                     break
     return dict(zip(names, values))
+
+
+def residues(values, prime: int) -> np.ndarray:
+    """values mod p as an int64 array of the same shape, entries in [0, p).
+    A numpy integer array or scalar is reduced as it is; anything else (a
+    Python int, a nested list) is reduced over the Python integers first, so
+    a value outside int64, 2**64 or -2**70 say, has its residue like any
+    other."""
+    if not (isinstance(values, (np.ndarray, np.generic)) and values.dtype.kind in "iu"):
+        values = np.array(values, dtype=object) % prime
+    return np.asarray(values % prime, dtype=np.int64)
 
 
 # -- vectorized polynomial evaluation over Z_p ------------------------------
@@ -163,7 +185,7 @@ def poly_eval_mod(p: Polynomial, point: Mapping[str, int], prime: int):
         name = p.vars.names[i]
         if name not in point:
             raise PolyError(f"missing binding for {name!r}")
-        v = np.asarray(point[name] % prime, dtype=np.int64)
+        v = residues(point[name], prime)
         col = exps[:, i]
         maxdeg = int(col.max())
         table = np.empty(v.shape + (maxdeg + 1,), dtype=np.int64)
@@ -193,39 +215,61 @@ def _inverse_mod(a: np.ndarray, prime: int) -> np.ndarray:
 
 def det_mod(mats, prime: int) -> np.ndarray:
     """Determinants mod p of a stack of n x n integer matrices, shape
-    (..., n, n) -> (...), by Gaussian elimination over Z_p.
+    (..., n, n) -> (...), by division-free elimination over Z_p with one
+    inverse per call.
 
-    Each matrix gets its own pivot: at step k the first row at or below k
-    with a nonzero entry in column k, swapped into row k (which negates the
-    determinant).  With no such row the matrix is singular mod p and its
-    determinant stays 0.  The pivot is inverted by Fermat, so the rows below
-    are cleared with no division.  The result is the determinant of the
-    integer matrix reduced mod p, in any odd characteristic, 3 included.
+    Step k takes each matrix's own pivot: the first row at or below k with a
+    nonzero entry in column k.  Where that is not row k, the two rows are
+    swapped, which negates the determinant; the other matrices are left as
+    they are.  Then every row i below k becomes pivot*row_i - a_ik*row_k,
+    which clears a_ik.  This is sound for every odd prime, 3 included:
+    - scaling row i by a nonzero pivot multiplies the determinant by the
+      pivot, so step k multiplies it by pivot^(n-k-1), one factor per row
+      below k;
+    - subtracting a multiple of row k from row i leaves it unchanged;
+    - with no nonzero entry at or below k in column k, the matrix reduced so
+      far is singular mod p, so its determinant, and the original's, is 0.
+      The pivot, 0, enters the numerator, which stays 0; 1 stands in for it
+      in the scale, and the rows below are left as they are.
+    The matrix ends upper triangular with the pivots on its diagonal, so
+        det = (-1)^swaps * prod_k pivot_k / prod_k pivot_k^(n-k-1),
+    and the denominator, a product of nonzero residues, is inverted once by
+    Fermat.  It is accumulated as prod_{k<n-1} (pivot_0 * ... * pivot_k),
+    which has pivot_k in n-k-1 of its factors.
 
-    Entries are reduced into [0, p) first and stay there, with p < 2**31:
-    every product of two entries or of an entry and an inverse is below
-    2**62, and it is reduced before the next operation, so nothing
-    overflows int64."""
-    m = np.array(mats, dtype=np.int64) % prime
+    Entries are reduced into [0, p) first (residues, so Python ints of any
+    size are accepted) and stay there, with p < 2**31: pivot*a_ij and
+    a_ik*a_kj are each below 2**62, their difference lies in
+    (-2**62, 2**62), and one reduction brings it back, so nothing overflows
+    int64."""
+    m = residues(mats, prime)
     n = m.shape[-1]
     shape = m.shape[:-2]
     m = m.reshape(-1, n, n)
-    which = np.arange(len(m))
-    det = np.ones(len(m), dtype=np.int64)
+    num = np.ones(len(m), dtype=np.int64)
+    prefix = np.ones(len(m), dtype=np.int64)
+    scale = np.ones(len(m), dtype=np.int64)
     for k in range(n):
-        nonzero = m[:, k:, k] != 0
-        pivot_row = k + nonzero.argmax(axis=1)  # k where the column is zero
-        row_k = m[which, k].copy()
-        m[which, k] = m[which, pivot_row]
-        m[which, pivot_row] = row_k
+        pivot_row = k + (m[:, k:, k] != 0).argmax(axis=1)  # k where the column is zero
+        swap = np.flatnonzero(pivot_row != k)
+        if len(swap):
+            rows = pivot_row[swap]
+            row_k = m[swap, k].copy()
+            m[swap, k] = m[swap, rows]
+            m[swap, rows] = row_k
+            num[swap] = prime - num[swap]
         pivot = m[:, k, k]
-        det = np.where(pivot_row != k, prime - det, det) * pivot % prime
-        inv = _inverse_mod(np.where(pivot != 0, pivot, 1), prime)
-        factors = m[:, k + 1 :, k] * inv[:, None] % prime
-        m[:, k + 1 :, k:] = (
-            m[:, k + 1 :, k:] - factors[:, :, None] * m[:, None, k, k:] % prime
+        num = num * pivot % prime
+        if k == n - 1:
+            break
+        pivot = np.where(pivot != 0, pivot, 1)
+        prefix = prefix * pivot % prime
+        scale = scale * prefix % prime
+        m[:, k + 1 :, k + 1 :] = (
+            pivot[:, None, None] * m[:, k + 1 :, k + 1 :]
+            - m[:, k + 1 :, k, None] * m[:, None, k, k + 1 :]
         ) % prime
-    return det.reshape(shape)
+    return (num * _inverse_mod(scale, prime) % prime).reshape(shape)
 
 
 # -- identities: an outer polynomial at named leaf polynomials ---------------

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .evalmod import det_mod
+from .evalmod import det_mod, residues
 from .matrix import PolyMatrix
 from .poly import QQ, ZZ, Polynomial, PolyError, Ring, VariableMismatch, VariableSet, unify_rings
 
@@ -328,21 +328,41 @@ def q_poly(T: MatrixTriple) -> Polynomial:
     return determinant_sum(T, "q")
 
 
+def _stacks_by_size() -> tuple:
+    """GENERATOR_DETERMINANTS grouped by matrix size, for one det_mod call per
+    size: (names, their index stacks concatenated in table order, the offset
+    of each name's segment), for the 27 3x3, 3 6x6 and 3 9x9 determinants."""
+    groups = {}
+    for name, stack in GENERATOR_DETERMINANTS.items():
+        groups.setdefault(stack.shape[-1], []).append((name, stack))
+    return tuple(
+        (
+            tuple(name for name, _ in members),
+            np.concatenate([stack for _, stack in members]),
+            np.cumsum([0] + [len(stack) for _, stack in members[:-1]]),
+        )
+        for members in groups.values()
+    )
+
+
+_STACKS_BY_SIZE = _stacks_by_size()
+
+
 def generator_values_mod(point: Mapping, prime: int) -> dict:
     """f1..f10, h and q at a point of the 27 coordinates mod p: the sums of
-    GENERATOR_DETERMINANTS taken with evalmod.det_mod, with no expansion.
-    The values of the point are ints, or int64 arrays of one shape for a
-    batch of points; each result is an int64 array of that shape.  A value
-    sums at most 6 determinants in [0, p), p < 2**31, before its reduction,
-    far inside int64 (det_mod gives the bound for the eliminations)."""
-    x = np.stack(
-        [np.asarray(point[name], dtype=np.int64) % prime for name in TRIPLE_NAMES], axis=-1
-    )
+    GENERATOR_DETERMINANTS taken with evalmod.det_mod, with no expansion, in
+    one det_mod call per matrix size.  The values of the point are ints of
+    any size, or int arrays of one shape for a batch of points; each result
+    is an int64 of that shape.  A value sums at most 6 determinants in
+    [0, p), p < 2**31, before its reduction, far inside int64 (det_mod gives
+    the bound for the eliminations)."""
+    x = np.stack([residues(point[name], prime) for name in TRIPLE_NAMES], axis=-1)
     x = np.concatenate([x, np.zeros_like(x[..., :1])], axis=-1)  # ZERO_SLOT
-    return {
-        name: det_mod(x[..., idx], prime).sum(axis=-1) % prime
-        for name, idx in GENERATOR_DETERMINANTS.items()
-    }
+    values = {}
+    for names, idx, starts in _STACKS_BY_SIZE:
+        sums = np.add.reduceat(det_mod(x[..., idx], prime), starts, axis=-1) % prime
+        values.update(zip(names, np.moveaxis(sums, -1, 0)))
+    return {name: values[name] for name in GENERATOR_DETERMINANTS}
 
 
 @dataclass(frozen=True)

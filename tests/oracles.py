@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive and shares no code with the package:
 polynomials are dicts mapping exponent tuples to coefficients, determinants
-expand recursively along the first row, and modular evaluation is a direct
-term-by-term sum.  The oracles named *_package, qq_combine_correction,
+expand recursively along the first row (of plain integer matrices: Fraction
+elimination), and modular evaluation is a direct term-by-term sum.  The oracles named *_package, qq_combine_correction,
 polarize, substitute, block_matrix and pencil_determinant take package polynomials and
 matrices and use only their plain ring operations or their packed terms; the
 last two build the paper's t-graded definitions of the generators, which the
@@ -195,6 +195,26 @@ def naive_eval_mod(p, point, prime):
                 v = v * pow(point[name] % prime, e, prime) % prime
         total = (total + v) % prime
     return total
+
+
+def fraction_determinant(rows):
+    """Determinant of a plain integer matrix by Gaussian elimination over
+    the rationals, with a row swap at a zero pivot; an int."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            factor = m[i][k] / m[k][k]
+            m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
+    return int(det)
 
 
 def mat_mul_int(a, b):

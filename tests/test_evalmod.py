@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from semiinv import evalmod, generators as gen, relations as rel
 from semiinv.evalmod import (
@@ -91,6 +93,23 @@ def test_sample_point_determinism_and_range():
     d = sample_point(names, seed=1, prime=101, trial=3)
     assert a != c and a != d
     assert all(0 <= v < 101 for v in a.values())
+
+
+def test_sample_point_stream_is_pinned():
+    """Every report is reproducible from its seed only while sample_point
+    draws the same points: the sha256 of its points at seeds 0, 1 and
+    2**64 - 1, primes 3, 5 and 2**31 - 1 and trials 0..49, one line of
+    values per point in TRIPLE_NAMES order, is pinned."""
+    digest = hashlib.sha256()
+    for seed in (0, 1, 2**64 - 1):
+        for prime in (3, 5, 2147483647):
+            for trial in range(50):
+                point = sample_point(gen.TRIPLE_NAMES, seed, prime, trial)
+                assert tuple(point) == gen.TRIPLE_NAMES
+                digest.update((" ".join(map(str, point.values())) + "\n").encode())
+    assert digest.hexdigest() == (
+        "9ad25583f3d571cc6b4ad2451045986875c7373e609b69c17f4f59a68801efa3"
+    )
 
 
 def test_composition_binds_one_leaf_to_two_names():
@@ -289,6 +308,121 @@ def test_det_mod_equals_the_exact_determinant(prime):
         assert values.ravel().tolist() == [
             _exact_det_mod(rows, prime) for rows in stacked.reshape(-1, n, n).tolist()
         ]
+
+
+DET_PRIMES = (3, 5, 7, 2147483647)
+
+
+@st.composite
+def det_stacks(draw):
+    """(prime, stack, mats): a stack of shape (n, n) or (b1, b2, n, n), n in
+    1..9, as an int64 array or, when an entry is outside int64, as nested
+    lists, and its matrices as a flat list.  The draws lean towards the cases
+    elimination mod p must get right: zero pivots that force a swap, repeated
+    rows (singular over ZZ), a row congruent to another mod p only (singular
+    mod p), entries near p - 1, negative entries and entries outside int64."""
+    prime = draw(st.sampled_from(DET_PRIMES))
+    n = draw(st.integers(1, 9))
+    batch = draw(st.sampled_from(((), (1, 1), (2, 1), (1, 3), (2, 2))))
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-3, 3),
+        st.integers(prime - 3, prime + 1),
+        st.integers(-(2**40), 2**40),
+        st.integers(2**63, 2**66) | st.integers(-(2**66), -(2**63) - 1),
+    )
+    mats = []
+    for _ in range(int(np.prod(batch, dtype=int))):
+        rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+        shape = draw(st.sampled_from(("plain", "zero pivot", "repeated", "mod p")))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if shape == "zero pivot":
+            for row in rows[: i + 1]:
+                row[: j + 1] = [0] * (j + 1)
+        elif shape == "repeated" and i != j:
+            rows[j] = list(rows[i])
+        elif shape == "mod p" and i != j:
+            c = draw(st.integers(1, 3))
+            rows[j] = [v + c * prime for v in rows[i]]
+        mats.append(rows)
+    flat = [v for rows in mats for row in rows for v in row]
+    if all(-(2**63) <= v < 2**63 for v in flat):
+        stack = np.array(flat, dtype=np.int64).reshape(batch + (n, n))
+    else:
+        stack = np.array(flat, dtype=object).reshape(batch + (n, n)).tolist()
+    return prime, stack, mats
+
+
+@given(det_stacks())
+@settings(max_examples=100)
+def test_det_mod_matches_the_fraction_oracle(case):
+    """det_mod, on int64 stacks and on nested lists of Python ints, is the
+    exact integer determinant reduced mod p, for single matrices and stacks."""
+    prime, stack, mats = case
+    values = evalmod.det_mod(stack, prime)
+    assert values.shape == np.shape(stack)[:-2]
+    assert values.ravel().tolist() == [
+        oracles.fraction_determinant(rows) % prime for rows in mats
+    ]
+
+
+def test_one_det_mod_call_per_size_and_one_inverse_per_call(monkeypatch):
+    """generator_values_mod takes its 27 3x3, 3 6x6 and 3 9x9 determinants
+    in one det_mod call per size, and det_mod inverts once per call."""
+    prime = 2147483647
+    points = [sample_point(gen.TRIPLE_NAMES, 8, prime, t) for t in range(4)]
+    batch = {n: np.array([pt[n] for pt in points], dtype=np.int64) for n in gen.TRIPLE_NAMES}
+    real_det, real_inverse = evalmod.det_mod, evalmod._inverse_mod
+    shapes, inverses = [], []
+
+    def det_mod(mats, p):
+        shapes.append(np.shape(mats))
+        return real_det(mats, p)
+
+    def inverse_mod(a, p):
+        inverses.append(a.shape)
+        return real_inverse(a, p)
+
+    monkeypatch.setattr(gen, "det_mod", det_mod)
+    monkeypatch.setattr(evalmod, "_inverse_mod", inverse_mod)
+    values = gen.generator_values_mod(batch, prime)
+    assert sorted(shapes) == [(4, 3, 6, 6), (4, 3, 9, 9), (4, 27, 3, 3)]
+    assert inverses == [(4 * 27,), (4 * 3,), (4 * 3,)]
+    for t, point in enumerate(points[:2]):
+        inverses.clear()
+        scalar = gen.generator_values_mod(point, prime)
+        assert len(inverses) == 3
+        assert {name: int(v) for name, v in scalar.items()} == {
+            name: int(v[t]) for name, v in values.items()
+        }
+
+
+def test_definition_path_accepts_integers_outside_int64():
+    """A point whose coordinates lie outside int64, or are negative, has the
+    same generator values from the determinant definitions as from the
+    expanded polynomials, as at its residues; det_mod reduces Python ints
+    before it converts them."""
+    prime = 2147483647
+    table = gen.generator_table()
+    leaves = dict(zip(gen.F_NAMES, table.f), h=table.h, q=table.q)
+    base = sample_point(gen.TRIPLE_NAMES, 6, prime, 0)
+    point = {
+        name: v + 2**64 + k if k % 2 else -v - 2**70 * k
+        for k, (name, v) in enumerate(base.items())
+    }
+    assert min(point.values()) < 0 and max(point.values()) >= 2**64
+    residues = {name: v % prime for name, v in point.items()}
+    values = gen.generator_values_mod(point, prime)
+    at_residues = gen.generator_values_mod(residues, prime)
+    for name, leaf in leaves.items():
+        assert int(values[name]) == poly_eval_mod(leaf, point, prime)
+        assert int(values[name]) == int(at_residues[name])
+    expr = rel.main_relation_expr()
+    assert expr.eval_mod(point, prime) == 0
+    mutant = rel.main_relation_expr(rel.defining_relation() + 1)
+    assert mutant.eval_mod(point, prime) == 1
+    big = [[2**64, 1], [-3, -(2**70)]]
+    assert int(evalmod.det_mod(big, prime)) == (-(2**134) + 3) % prime
 
 
 @pytest.mark.parametrize("seed", [0, 1])
