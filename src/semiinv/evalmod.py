@@ -7,8 +7,9 @@ degree d vanishes at a uniformly random point of Z_p^n with probability at
 most d/p (Schwartz-Zippel), so N independent points bound the chance of a
 missed nonzero identity by (d/p)^N per prime.  This module is the only
 modular arithmetic in the package: polynomials carry ZZ or QQ coefficients,
-which are reduced mod p here, and det_mod takes numeric determinants of a
-whole stack of matrices by division-free elimination mod p, with one Fermat
+which poly_eval_mod reads through their cached exponents() and numerators()
+and reduces mod p here, and det_mod takes numeric determinants of a whole
+stack of matrices by division-free elimination mod p, with one Fermat
 inverse per call for the product of the pivot scalings.
 
 Points are drawn from a counter-based SHA-256 stream keyed by
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from fractions import Fraction
+from math import gcd
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -120,54 +121,11 @@ def residues(values, prime: int) -> np.ndarray:
 # -- vectorized polynomial evaluation over Z_p ------------------------------
 
 
-def _compiled(p: Polynomial):
-    """Exponent matrix and coefficient data, cached on the polynomial."""
-    cache = p._cache
-    comp = cache.get("evalmod")
-    if comp is None:
-        exps = p.exponents()
-        used = np.flatnonzero(exps.any(axis=0)).tolist()
-        nums = []
-        dens = []
-        for c in p.terms.values():
-            if isinstance(c, Fraction):
-                nums.append(c.numerator)
-                dens.append(c.denominator)
-            else:
-                nums.append(c)
-                dens.append(1)
-        comp = {
-            "exps": exps,
-            "used": used,
-            "nums": nums,
-            "dens": dens,
-            "coeffs_mod": {},
-        }
-        cache["evalmod"] = comp
-    return comp
-
-
-def _coeffs_mod(comp, prime: int) -> np.ndarray:
-    arr = comp["coeffs_mod"].get(prime)
-    if arr is None:
-        vals = []
-        for num, den in zip(comp["nums"], comp["dens"]):
-            if den == 1:
-                vals.append(num % prime)
-            else:
-                if den % prime == 0:
-                    raise DenominatorNotInvertible(
-                        f"denominator {den} not invertible mod {prime}"
-                    )
-                vals.append(num * pow(den, -1, prime) % prime)
-        arr = np.array(vals, dtype=np.int64)
-        comp["coeffs_mod"][prime] = arr
-    return arr
-
-
 def poly_eval_mod(p: Polynomial, point: Mapping[str, int], prime: int):
-    """Value of p at the point over Z_p; coefficients are reduced mod p
-    (rational coefficients via modular inverse of the denominator).
+    """Value of p at the point over Z_p, from p.exponents() and
+    p.numerators() = (L, nums): the coefficients mod p are residues(nums)
+    times L^-1, one inverse per call.  p divides L iff it divides some
+    denominator; DenominatorNotInvertible then names the first in term order.
 
     A value of the point may be an int or an int64 array of shape (B,), one
     entry per trial of a batch; the result is then an int64 array of shape
@@ -175,13 +133,16 @@ def poly_eval_mod(p: Polynomial, point: Mapping[str, int], prime: int):
     product of two entries is below 2**62, and the sum over the terms (at most
     2**32 of them, each below 2**31) stays below 2**63: nothing overflows
     int64 before its reduction."""
-    comp = _compiled(p)
-    if not len(comp["nums"]):
+    L, nums = p.numerators()
+    if not nums:
         return 0
+    if L % prime == 0:
+        den = next(d for d in (L // gcd(n, L) for n in nums) if d % prime == 0)
+        raise DenominatorNotInvertible(f"denominator {den} not invertible mod {prime}")
     # acc has the terms on its last axis and the batch, if any, in front
-    acc = _coeffs_mod(comp, prime)
-    exps = comp["exps"]
-    for i in comp["used"]:
+    acc = residues(nums, prime) * pow(L, -1, prime) % prime
+    exps = p.exponents()
+    for i in np.flatnonzero(exps.any(axis=0)).tolist():
         name = p.vars.names[i]
         if name not in point:
             raise PolyError(f"missing binding for {name!r}")

@@ -115,14 +115,17 @@ def combine_correction(base: Polynomial, factors: Mapping, table, coeffs=None) -
     coeffs, when given, replaces the table's coefficients (a solved
     correction).
 
-    The sum is taken fraction-free: base and every coefficient are scaled by
-    den, the lcm of their denominators, the products are added in ints, and
-    each output coefficient becomes Fraction(v, den) once."""
+    The sum is taken fraction-free: base, read as numerators() over L, and
+    every coefficient are scaled by den, the lcm of L and their denominators,
+    the products are added in ints, and each output coefficient becomes
+    Fraction(v, den) once."""
     if coeffs is None:
         coeffs = [c for c, _ in table]
     coeffs = [QQ.normalize(c) for c in coeffs]
-    den = lcm(*(c.denominator for c in [*base.terms.values(), *coeffs]))
-    acc = {k: int(c * den) for k, c in base.terms.items()}
+    L, nums = base.numerators()
+    den = lcm(L, *(c.denominator for c in coeffs))
+    scale = den // L
+    acc = {k: n * scale for k, n in zip(base.terms, nums)}
     get = acc.get
     maxexp = base.maxexp
     for c, prod in zip(coeffs, correction_products(table, factors), strict=True):

@@ -130,25 +130,21 @@ def column_derivation(i: int, j: int, components=(1, 2, 3)) -> tuple:
 #   stored coefficient by max|c|.  When the larger bound, in Python ints, is
 #   below 2**63 the sums run in int64; otherwise in Python ints (dtype
 #   object).  Every value is an integer.
-# * Rings.  QQ coefficients are read as integer numerators over one common
-#   denominator L of all the stacked polynomials: D(L*P) = L*D(P), and one L
-#   for all of them turns base + sum(beta_i * basis_i) into its L-multiple
-#   without rescaling the unknowns beta.  ZZ and QQ both have characteristic 0,
-#   which the fixedness equivalences above need.
+# * Rings.  Each polynomial's numerators(), ints over its own denominator
+#   (1 over ZZ), are rescaled to one common denominator L of the stack:
+#   D(L*P) = L*D(P), and one L for all of them turns base + sum(beta_i *
+#   basis_i) into its L-multiple without rescaling the unknowns beta.  ZZ and
+#   QQ both have characteristic 0, which the fixedness equivalences need.
 
 _WORD_LIMIT = 2**63
 
 
 def _integer_coefficients(polys: Sequence[Polynomial]) -> list:
     """Each polynomial's coefficients, in the order of its terms, times the
-    lcm of every denominator of the stack."""
-    den = lcm(*(c.denominator for p in polys if p.ring == QQ for c in p.terms.values()))
-    return [
-        [c.numerator * (den // c.denominator) for c in p.terms.values()]
-        if p.ring == QQ
-        else [c * den for c in p.terms.values()]
-        for p in polys
-    ]
+    lcm of the stack's numerators() denominators."""
+    forms = [p.numerators() for p in polys]
+    den = lcm(*(L for L, _ in forms))
+    return [nums if L == den else [n * (den // L) for n in nums] for L, nums in forms]
 
 
 def _changes(keys: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ correction solves of hwv hand over the distinct rows of their derivation
 images (495 for q), some of them still equal up to scale.  Rows are therefore
 normalized to coprime integers and deduplicated, then eliminated
 fraction-free in ints; only the back substitution, one division per unknown,
-takes Fractions.  No floating point anywhere.
+takes Fractions.  rank counts the pivots of the same reduction.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -45,13 +46,10 @@ def _normalize_row(coeffs: Sequence, rhs) -> tuple | None:
     return tuple(v // g for v in row)
 
 
-def solve_unique(rows: Iterable[tuple], nunknowns: int) -> list:
-    """Solve for the unique exact solution of `coeffs . x = rhs` rows.
-
-    Each row is a pair (coefficient sequence, rhs).  Raises
-    InconsistentSystem or UnderdeterminedSystem when the system has no or
-    several solutions.
-    """
+def _echelon(rows: Iterable[tuple], nunknowns: int) -> dict:
+    """Fraction-free reduction of (coefficients, rhs) rows: column -> the
+    integer row whose first nonzero entry is in that column.  Raises
+    InconsistentSystem for a row that reduces to 0 = nonzero."""
     seen = set()
     unique = []
     # exact repeats are dropped before the (costlier) normalization
@@ -62,9 +60,9 @@ def solve_unique(rows: Iterable[tuple], nunknowns: int) -> list:
         seen.add(norm)
         unique.append(norm)
 
-    # column -> integer row whose first nonzero entry is in that column; a
-    # pivot row has zeros in every pivot column that existed when it was added,
-    # so reducing in increasing column order clears each pivot column for good
+    # a pivot row has zeros in every pivot column that existed when it was
+    # added, so reducing in increasing column order clears each pivot column
+    # for good
     pivots: dict = {}
     width = nunknowns + 1
     for row in unique:
@@ -82,7 +80,17 @@ def solve_unique(rows: Iterable[tuple], nunknowns: int) -> list:
             continue
         g = gcd(*row)
         pivots[lead] = [v // g for v in row]
+    return pivots
 
+
+def solve_unique(rows: Iterable[tuple], nunknowns: int) -> list:
+    """Solve for the unique exact solution of `coeffs . x = rhs` rows.
+
+    Each row is a pair (coefficient sequence, rhs).  Raises
+    InconsistentSystem or UnderdeterminedSystem when the system has no or
+    several solutions.
+    """
+    pivots = _echelon(rows, nunknowns)
     if len(pivots) < nunknowns:
         raise UnderdeterminedSystem(
             f"rank {len(pivots)} < {nunknowns} unknowns"
@@ -101,18 +109,10 @@ def solve_unique(rows: Iterable[tuple], nunknowns: int) -> list:
 
 
 def rank(vectors: Iterable[Sequence]) -> int:
-    """Rank over QQ of a family of vectors (exact elimination)."""
-    pivots: dict = {}
-    for vec in vectors:
-        row = [Fraction(v) for v in vec]
-        for col, prow in pivots.items():
-            if row[col]:
-                factor = row[col]
-                for j in range(len(row)):
-                    row[j] -= factor * prow[j]
-        lead = next((i for i, c in enumerate(row) if c), None)
-        if lead is None:
-            continue
-        inv = 1 / row[lead]
-        pivots[lead] = [c * inv for c in row]
-    return len(pivots)
+    """Rank over QQ of a family of equal-length vectors of ints and
+    Fractions: the number of pivots of the same integer reduction, run on
+    the rows (vector, 0), whose right-hand side 0 never makes a row
+    inconsistent."""
+    vectors = [tuple(v) for v in vectors]
+    width = len(vectors[0]) if vectors else 0
+    return len(_echelon(((v, 0) for v in vectors), width))

@@ -13,7 +13,14 @@ this project has total degree <= 54, and products guard the bound through a
 conservative per-polynomial exponent cap.
 
 Invariant: the big-endian bytes of a key, key.to_bytes(len(vars), "big"), are
-its exponent vector.  Polynomial.exponents builds its uint8 matrix from them.
+its exponent vector.
+
+Kernels read a polynomial through two views, built once and cached, both in
+term order: exponents(), the (terms, vars) uint8 matrix built from the keys'
+bytes, and numerators(), the coefficients as the ints c * L over their least
+common denominator L (1 over ZZ).  Every integer reading of a coefficient
+goes through numerators(): substitute, hwv's derivation kernel, evalmod and
+the base of generators.combine_correction.
 
 Polynomials are immutable after construction and every operation is pure, so
 values can be shared freely.
@@ -149,16 +156,6 @@ class VariableSet:
         return f"VariableSet({list(self.names)!r})"
 
 
-def _numerators(p: "Polynomial") -> tuple:
-    """(L, [c * L for each coefficient c in term order]), L the lcm of the
-    coefficients' denominators (1 over ZZ)."""
-    coeffs = p.terms.values()
-    if p.ring != QQ:
-        return 1, list(coeffs)
-    L = lcm(*(c.denominator for c in coeffs))
-    return L, [c.numerator * (L // c.denominator) for c in coeffs]
-
-
 def _accumulate(acc: dict, terms: dict, a: int = 1):
     """acc += a * terms, key by key; a key whose sum is 0 stays in acc."""
     if not acc:
@@ -171,13 +168,13 @@ def _accumulate(acc: dict, terms: dict, a: int = 1):
 
 def _scaled(v: "Polynomial", D: int) -> "Polynomial":
     """D * v over ZZ, for a D that every denominator of v divides."""
-    if v.ring == QQ:
-        terms = {k: c.numerator * (D // c.denominator) for k, c in v.terms.items()}
-    elif D == 1:
+    if v.ring == ZZ and D == 1:
         return v
-    else:
-        terms = {k: c * D for k, c in v.terms.items()}
-    return Polynomial(ZZ, v.vars, terms, v.maxexp)
+    L, nums = v.numerators()
+    scale = D // L
+    if scale != 1:
+        nums = (n * scale for n in nums)
+    return Polynomial(ZZ, v.vars, dict(zip(v.terms, nums)), v.maxexp)
 
 
 class Polynomial:
@@ -275,6 +272,21 @@ class Polynomial:
             raw = b"".join(k.to_bytes(n, "big") for k in self.terms)
             m = self._cache["exponents"] = np.frombuffer(raw, np.uint8).reshape(len(self.terms), n)
         return m
+
+    def numerators(self) -> tuple:
+        """(L, nums): L the lcm of the coefficients' denominators (1 over ZZ)
+        and nums the tuple of the Python ints c * L, one per key of `terms` in
+        its order; built once and cached.  Every coefficient is nums[i] / L."""
+        form = self._cache.get("numerators")
+        if form is None:
+            coeffs = self.terms.values()
+            if self.ring == QQ:
+                L = lcm(*(c.denominator for c in coeffs))
+                form = L, tuple(c.numerator * (L // c.denominator) for c in coeffs)
+            else:
+                form = 1, tuple(coeffs)
+            self._cache["numerators"] = form
+        return form
 
     def sorted_terms(self) -> list:
         """Terms as (exponent tuple, coefficient), graded-lex descending."""
@@ -544,8 +556,8 @@ class Polynomial:
         cols = [i for i, n in enumerate(self.vars.names) if n in bindings and exps[:, i].any()]
         cols.sort(key=lambda i: -len(bindings[self.vars.names[i]]))
         leaves = [bindings[self.vars.names[i]] for i in cols]
-        D = lcm(*(c.denominator for v in leaves if v.ring == QQ for c in v.terms.values()))
-        L, numerators = _numerators(self)
+        D = lcm(*(v.numerators()[0] for v in leaves))
+        L, numerators = self.numerators()
         rows = exps[:, cols].tolist()
         dmax = max(map(sum, rows), default=0)
         terms = sorted(zip(rows, (a * D ** (dmax - sum(row)) for row, a in zip(rows, numerators))))

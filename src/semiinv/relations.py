@@ -166,10 +166,13 @@ def theorem1_expr(s4: Polynomial | None = None, t6: Polynomial | None = None) ->
     invariants S and T are composed exactly into one rational outer
     polynomial over (Q, H, f1..f10), whose leaves are the generator
     polynomials; every outer term has weighted degree 18, the degree bound.
-    Modular evaluation reads the generators from their definitions."""
+    Modular evaluation reads the generators from their definitions.  An
+    invariant that is not passed is the derived one, each on its own."""
     table = gen.generator_table()
     if s4 is None or t6 is None:
-        s4, t6 = derive_st()
+        derived = derive_st()
+        s4 = derived[0] if s4 is None else s4
+        t6 = derived[1] if t6 is None else t6
     Qv, Hv = (Polynomial.variable(QQ, THEOREM1_VARS, name) for name in ("Q", "H"))
     S, T = (p.to_ring(QQ).convert(THEOREM1_VARS) for p in (s4, t6))
     return Composition(

@@ -3,7 +3,8 @@
 Everything here is deliberately naive and shares no code with the package:
 polynomials are dicts mapping exponent tuples to coefficients, determinants
 expand recursively along the first row (of plain integer matrices: Fraction
-elimination), and modular evaluation is a direct term-by-term sum.  The oracles named *_package, qq_combine_correction,
+elimination), ranks come from Fraction elimination, and modular evaluation
+is a direct term-by-term sum.  The oracles named *_package, qq_combine_correction,
 polarize, substitute, block_matrix and pencil_determinant take package polynomials and
 matrices and use only their plain ring operations or their packed terms; the
 last two build the paper's t-graded definitions of the generators, which the
@@ -215,6 +216,23 @@ def fraction_determinant(rows):
             factor = m[i][k] / m[k][k]
             m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
     return int(det)
+
+
+def fraction_rank(vectors):
+    """Rank of a family of int or Fraction vectors by Gaussian elimination
+    over the rationals, each pivot row scaled to a leading 1."""
+    pivots = {}
+    for vec in vectors:
+        row = [Fraction(v) for v in vec]
+        for col, prow in pivots.items():
+            if row[col]:
+                factor = row[col]
+                row = [a - factor * b for a, b in zip(row, prow)]
+        lead = next((i for i, c in enumerate(row) if c), None)
+        if lead is None:
+            continue
+        pivots[lead] = [c / row[lead] for c in row]
+    return len(pivots)
 
 
 def mat_mul_int(a, b):

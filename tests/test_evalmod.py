@@ -75,13 +75,21 @@ def test_exact_vs_modular_500_cases():
 
 
 def test_rational_coefficients_mod_p():
-    x = Polynomial.variable(QQ, VS, "x")
+    """A prime that divides denominators of later terms, not of the first,
+    is refused with the first such denominator: 15, not 5 or their lcm 30."""
+    x, y, z = (Polynomial.variable(QQ, VS, n) for n in VS.names)
     p = x * Fraction(1, 2)
     # 1/2 mod 7 is 4
     assert poly_eval_mod(p, {"x": 1, "y": 0, "z": 0}, 7) == 4
     bad = x * Fraction(1, 7)
     with pytest.raises(PolyError):
         poly_eval_mod(bad, {"x": 1, "y": 0, "z": 0}, 7)
+    p = p + y * Fraction(2, 15) + z * Fraction(1, 5)
+    assert [c.denominator for c in p.terms.values()] == [2, 15, 5]
+    with pytest.raises(evalmod.DenominatorNotInvertible, match="^denominator 15 not invertible mod 5$"):
+        poly_eval_mod(p, {"x": 1, "y": 1, "z": 1}, 5)
+    # 1/2 + 2/15 + 1/5 = 5/6, and 5 * 6^-1 = 5 * 6 = 30 = 2 mod 7
+    assert poly_eval_mod(p, {"x": 1, "y": 1, "z": 1}, 7) == 2
 
 
 def test_sample_point_determinism_and_range():

@@ -1,11 +1,14 @@
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import semiinv
 from semiinv import hwv, relations
 from semiinv.poly import (
     QQ,
@@ -535,3 +538,48 @@ def test_exponents_cannot_be_written():
         m.setflags(write=True)
     assert p.exponents().tolist() == [list(VS.unpack(k)) for k in p.terms]
     assert p.total_degree() == 3
+
+
+# -- the integer numerators ----------------------------------------------------
+
+
+@st.composite
+def zz_or_qq_polys(draw):
+    ring = draw(st.sampled_from([ZZ, QQ]))
+    coeff = st.integers(-30, 30)
+    if ring == QQ:
+        coeff = st.fractions(max_denominator=60).filter(lambda c: abs(c.numerator) <= 60)
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), coeff, max_size=6))
+    return Polynomial.from_terms(ring, VS, terms)
+
+
+@given(zz_or_qq_polys())
+@settings(max_examples=100)
+def test_numerators_are_the_coefficients_over_the_least_common_denominator(p):
+    """nums[i] / L is the i-th coefficient in term order, L is the least
+    common denominator (no factor of L divides every numerator), ZZ reads
+    as (1, its coefficients), and the pair is built once."""
+    L, nums = p.numerators()
+    coeffs = list(p.terms.values())
+    assert isinstance(nums, tuple) and all(type(n) is int for n in nums)
+    assert [Fraction(n, L) for n in nums] == coeffs
+    assert L == math.lcm(*(Fraction(c).denominator for c in coeffs))
+    assert math.gcd(L, *nums) == 1
+    if p.ring == ZZ:
+        assert (L, nums) == (1, tuple(coeffs))
+    assert p.numerators() is p.numerators()
+
+
+def test_only_the_polynomial_module_touches_its_cache():
+    """The cached views are read through exponents() and numerators(): no
+    other module of the package names Polynomial._cache."""
+    package = Path(semiinv.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "poly.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr == "_cache")
+        or (isinstance(node, ast.Constant) and node.value == "_cache")
+    ]
+    assert not offenders

@@ -217,6 +217,20 @@ def test_theorem1_composition_matches_an_independent_evaluation(prime):
     assert any(wrong_values)
 
 
+@pytest.mark.parametrize("which", ["s4", "t6"])
+def test_theorem1_expr_keeps_the_one_invariant_it_is_passed(which):
+    """An invariant passed alone is used, and only the other one is derived:
+    S + f5^4, or T + f5^6, passed with the other argument omitted makes the
+    identity fail."""
+    s4, t6 = rel.derive_st()
+    f5 = Polynomial.variable(s4.ring, s4.vars, "f5")
+    derived = {"s4": s4, "t6": t6}[which]
+    mutant = derived + {"s4": f5 ** 4, "t6": f5 ** 6}[which]
+    cfg = RunConfig(trials=4, primes=(2147483647,), seed=0)
+    assert run_identity_modular("theorem1", rel.theorem1_expr(**{which: derived}), cfg).passed
+    assert not run_identity_modular("theorem1", rel.theorem1_expr(**{which: mutant}), cfg).passed
+
+
 @pytest.mark.parametrize("verify", [rel.verify_main_relation, rel.verify_theorem1])
 def test_modular_runs_evaluate_no_expanded_leaf(monkeypatch, verify):
     """The modular runs of the triple identities take the generators from
