@@ -60,7 +60,7 @@ import numpy as np
 
 from . import generators as gen
 from . import linalg
-from .poly import _MAX_EXP, QQ, Polynomial, PolyError, VariableMismatch
+from .poly import _MAX_EXP, QQ, ZZ, Polynomial, PolyError, VariableMismatch
 
 InconsistentSystem = linalg.InconsistentSystem
 UnderdeterminedSystem = linalg.UnderdeterminedSystem
@@ -305,12 +305,8 @@ def _span_action_verified(which: str) -> dict:
     table = gen.generator_table()
     mat = gen.f_action_matrix(g)
     for n in range(10):
-        acted = gen.act_on_function(g, table.f[n].to_ring(QQ))
-        combo = Polynomial.zero(QQ, gen.TRIPLE_VARS)
-        for m in range(10):
-            if mat[n][m]:
-                combo = combo + table.f[m].to_ring(QQ) * mat[n][m]
-        if acted != combo:
+        combo = sum((f * c for f, c in zip(table.f, mat[n])), Polynomial.zero(ZZ, gen.TRIPLE_VARS))
+        if gen.act_on_function(g, table.f[n]) != combo:
             raise linalg.LinAlgError(
                 f"span action of {which} failed exact verification"
             )

@@ -68,24 +68,15 @@ class PolyMatrix:
             return self.scale(other)
         if self.n != other.n:
             raise PolyError("dimension mismatch")
-        n = self.n
-        cols = [[other.rows[k][j] for k in range(n)] for j in range(n)]
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = Polynomial.zero(self.ring, self.vars)
-                for a, b in zip(self.rows[i], cols[j]):
-                    if a.terms and b.terms:
-                        acc = acc + a.mul(b)
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
+
+        def entry(row, col) -> Polynomial:
+            return Polynomial.sum_of_products(self.ring, self.vars, [(1, a, b) for a, b in zip(row, col)])
+
+        cols = list(zip(*other.rows))
+        return PolyMatrix([[entry(row, col) for col in cols] for row in self.rows])
 
     def scale(self, c) -> "PolyMatrix":
         """Multiply every entry by a scalar or a polynomial."""
-        if isinstance(c, Polynomial):
-            return PolyMatrix([[e.mul(c) if e.terms else e for e in r] for r in self.rows])
         return PolyMatrix([[e * c for e in r] for r in self.rows])
 
     def trace(self) -> Polynomial:
@@ -98,41 +89,28 @@ class PolyMatrix:
         return PolyMatrix([[fn(e) for e in r] for r in self.rows])
 
     def determinant(self) -> Polynomial:
-        """Exact determinant by minor expansion with dynamic programming over
-        column subsets; division-free and skipping zero entries, so sparse
-        block matrices cost far less than n! Leibniz terms."""
+        """Exact, division-free determinant by minor expansion with dynamic
+        programming over column subsets, skipping zero entries (far fewer than
+        n! Leibniz terms on sparse blocks).  The minor of rows 0..k on a column
+        subset is one sum_of_products over its (sign, minor of rows 0..k-1 on
+        the subset minus column j, entry (k, j)) triples, all exponent-guarded."""
         n = self.n
         if n > _DET_DIM_LIMIT:
             raise PolyError(f"determinant supports n <= {_DET_DIM_LIMIT}, got {n}")
         ring, vs = self.ring, self.vars
-        # states: column subset (bitmask) -> raw term dict for the minor of
-        # the first popcount(mask) rows on those columns
-        states = {0: {0: ring.normalize(1)}}
-        for k in range(n):
-            row = self.rows[k]
-            new_states: dict = {}
-            for mask, terms in states.items():
-                for j in range(n):
+        # column subset (bitmask) -> the minor of the first popcount(mask) rows
+        states = {0: Polynomial.constant(ring, vs, 1)}
+        for k, row in enumerate(self.rows):
+            triples: dict = {}
+            for mask, minor in states.items():
+                for j, entry in enumerate(row):
                     bit = 1 << j
-                    if mask & bit:
-                        continue
-                    entry = row[j]
-                    if not entry.terms:
+                    if mask & bit or not entry:
                         continue
                     sign = -1 if (k + (mask & (bit - 1)).bit_count()) & 1 else 1
-                    acc = new_states.setdefault(mask | bit, {})
-                    get = acc.get
-                    for k1, c1 in terms.items():
-                        for k2, c2 in entry.terms.items():
-                            kk = k1 + k2
-                            cc = sign * c1 * c2
-                            c0 = get(kk)
-                            acc[kk] = cc if c0 is None else c0 + cc
-            states = {
-                m: {k: c for k, c in t.items() if c} for m, t in new_states.items()
-            }
-        final = states.get((1 << n) - 1, {})
-        return Polynomial(ring, vs, final)
+                    triples.setdefault(mask | bit, []).append((sign, minor, entry))
+            states = {m: Polynomial.sum_of_products(ring, vs, t) for m, t in triples.items()}
+        return states.get((1 << n) - 1) or Polynomial.zero(ring, vs)
 
     def __repr__(self):
         return f"PolyMatrix({self.n}x{self.n} over {self.ring})"

@@ -13,14 +13,19 @@ this project has total degree <= 54, and products guard the bound through a
 conservative per-polynomial exponent cap.
 
 Invariant: the big-endian bytes of a key, key.to_bytes(len(vars), "big"), are
-its exponent vector.
+its exponent vector.  The packed key is known only to this module: no other
+module reads `terms` or calls the constructor.
 
-Kernels read a polynomial through two views, built once and cached, both in
-term order: exponents(), the (terms, vars) uint8 matrix built from the keys'
-bytes, and numerators(), the coefficients as the ints c * L over their least
-common denominator L (1 over ZZ).  Every integer reading of a coefficient
-goes through numerators(): substitute, hwv's derivation kernel, evalmod and
-the base of generators.combine_correction.
+One product kernel, _add_products, is the only loop over pairs of terms.
+mul, sum_of_products and the Horner steps of substitute add through it, and
+through them every determinant, matrix product and H/Q correction sum.
+
+Kernels read a polynomial through two views, built once and cached, both
+in term order: exponents(), the (terms, vars) uint8 matrix built from the
+keys' bytes, and numerators(), the coefficients as the ints c * L over their
+least common denominator L (1 over ZZ).  Every integer reading of a
+coefficient goes through numerators(): substitute, sum_of_products, hwv's
+derivation kernel and evalmod.
 
 Polynomials are immutable after construction and every operation is pure, so
 values can be shared freely.
@@ -156,14 +161,33 @@ class VariableSet:
         return f"VariableSet({list(self.names)!r})"
 
 
-def _accumulate(acc: dict, terms: dict, a: int = 1):
-    """acc += a * terms, key by key; a key whose sum is 0 stays in acc."""
-    if not acc:
-        acc.update(terms if a == 1 else {k: a * c for k, c in terms.items()})
-        return
+_UNIT = ((0, 1),)  # the constant 1 as (key, int) pairs
+
+
+def _add_products(acc: dict, m: int, a, b, maxexp: int):
+    """acc[k1 + k2] += m * c1 * c2 over every pair of terms (k1, c1) of a and
+    (k2, c2) of b, both sized and re-iterable collections of (key, int)
+    pairs; a key whose sum is 0 stays in acc.  maxexp bounds every exponent
+    of the products, and a product of nonzero operands past 255 raises.  The
+    one loop over pairs of terms: mul, sum_of_products and substitute add
+    their products here, the smaller operand outside."""
+    if a and b and maxexp > _MAX_EXP:
+        raise PolyError("product exceeds the per-variable exponent bound 255")
+    if len(a) > len(b):
+        a, b = b, a
     get = acc.get
-    for k, c in terms.items():
-        acc[k] = get(k, 0) + a * c
+    for k1, c1 in a:
+        c1 *= m
+        if not k1:
+            # a constant term keeps b's key objects (k2 + 0 is a new big int)
+            for k2, c2 in b:
+                c0 = get(k2)
+                acc[k2] = c1 * c2 if c0 is None else c0 + c1 * c2
+            continue
+        for k2, c2 in b:
+            k = k1 + k2
+            c0 = get(k)
+            acc[k] = c1 * c2 if c0 is None else c0 + c1 * c2
 
 
 def _scaled(v: "Polynomial", D: int) -> "Polynomial":
@@ -382,24 +406,50 @@ class Polynomial:
     __rmul__ = __mul__
 
     def mul(self, other: "Polynomial") -> "Polynomial":
-        """Exact product."""
+        """Exact product of two polynomials over one ring and variable set."""
         self._check_compatible(other)
-        if not self.terms or not other.terms:
-            return Polynomial.zero(self.ring, self.vars)
-        if self.maxexp + other.maxexp > _MAX_EXP:
-            raise PolyError("product exceeds the per-variable exponent bound 255")
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        get = out.get
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = k1 + k2
-                c0 = get(k)
-                out[k] = c1 * c2 if c0 is None else c0 + c1 * c2
-        out = {k: c for k, c in out.items() if c}
-        return Polynomial(self.ring, self.vars, out, self.maxexp + other.maxexp)
+        return Polynomial.sum_of_products(self.ring, self.vars, ((1, self, other),))
+
+    @classmethod
+    def sum_of_products(cls, ring: Ring, vars: VariableSet, triples: Iterable[tuple]) -> "Polynomial":
+        """The exact sum of c * a * b over (c, a, b) triples, accumulated in
+        one dict: c is a scalar of ring, and a and b live over vars, in ring
+        or in ZZ.  A triple with c = 0 or a zero operand adds nothing; every
+        other one passes mul's guard, a.maxexp + b.maxexp <= 255, and the
+        result's bound is the largest such sum.
+
+        Fraction-free: with La, Lb the denominators of the operands'
+        numerators() (1 over ZZ) and den the lcm of the denominators of the
+        weights w = c / (La * Lb), the sums of na * nb run in ints, weighted
+        by den * w, and each output coefficient becomes Fraction(v, den) once."""
+        work = []
+        for c, a, b in triples:
+            c = ring.normalize(c)
+            for p in (a, b):
+                if p.vars != vars:
+                    raise VariableMismatch("operands live over different variable sets")
+                if p.ring != ring and p.ring != ZZ:
+                    raise RingMismatch(f"{p.ring} operand in a {ring} sum")
+            if c and a.terms and b.terms:
+                (La, a_items), (Lb, b_items) = a._int_form(), b._int_form()
+                # an int over ZZ, where La = Lb = 1; a Fraction over QQ
+                w = c if La * Lb == 1 else c / (La * Lb)
+                work.append((w, a_items, b_items, a.maxexp + b.maxexp))
+        den = lcm(*(w.denominator for w, *_ in work))
+        acc: dict = {}
+        for w, a, b, maxexp in work:
+            _add_products(acc, w.numerator * (den // w.denominator), a, b, maxexp)
+        out = {k: v for k, v in acc.items() if v}
+        if ring == QQ:
+            out = {k: Fraction(v, den) for k, v in out.items()}
+        return cls(ring, vars, out, max((m for *_, m in work), default=0))
+
+    def _int_form(self) -> tuple:
+        """(L, the terms as (key, int) pairs): numerators() over QQ."""
+        if self.ring == ZZ:
+            return 1, self.terms.items()
+        L, nums = self.numerators()
+        return L, list(zip(self.terms, nums))
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -530,11 +580,13 @@ class Polynomial:
         by their exponent of the first bound variable, and each inner_e the
         same way in the variables after it.  That only reassociates a finite
         sum of the same products.  The bound variables are taken largest
-        binding first, so the largest powers multiply once per exponent.  A group of one term is its product of
-        cached powers.  Each product goes through mul with an exponent bound
-        at least that of its factors, so mul's guard refuses a composition
-        whose terms' bounds, sum(e_i * maxexp(v_i)), exceed 255 as the
-        term-by-term product would."""
+        binding first, so the largest powers multiply once per exponent.
+        Each (D*v1)^e * inner_e is added straight into the sum by the product
+        kernel; a group of one term adds its product of cached powers.  Every
+        product passes mul's guard with an exponent bound at least that of
+        its factors, so a composition whose terms' bounds,
+        sum(e_i * maxexp(v_i)), exceed 255 is refused as the term-by-term
+        product would be."""
         if not bindings:
             return self
         for name, v in bindings.items():
@@ -581,12 +633,9 @@ class Polynomial:
             acc; the terms share their exponents before j and are sorted."""
             if len(terms) == 1:
                 (row, a), = terms
-                product = None
-                for i in range(j, len(cols)):
-                    if row[i]:
-                        q = power(i, row[i])
-                        product = q if product is None else product.mul(q)
-                _accumulate(acc, {0: 1} if product is None else product.terms, a)
+                factors = [power(i, row[i]) for i in range(j, len(cols)) if row[i]]
+                product = reduce(Polynomial.mul, factors).terms.items() if factors else _UNIT
+                _add_products(acc, a, product, _UNIT, 0)  # mul guarded the product
                 return
             for e, group in groupby(terms, key=lambda t: t[0][j]):
                 group = list(group)
@@ -595,8 +644,9 @@ class Polynomial:
                     continue
                 inner: dict = {}
                 horner(group, j + 1, inner)
-                inner = Polynomial(ZZ, target, {k: c for k, c in inner.items() if c}, cap(group, j + 1))
-                _accumulate(acc, power(j, e).mul(inner).terms)
+                inner = [(k, c) for k, c in inner.items() if c]
+                outer = power(j, e)
+                _add_products(acc, 1, outer.terms.items(), inner, outer.maxexp + cap(group, j + 1))
 
         acc: dict = {}
         horner(terms, 0, acc)

@@ -7,12 +7,14 @@ suite catch it.
 
 from __future__ import annotations
 
+import time
 from dataclasses import replace
 
 from . import conjinv, generators as gen, hwv, relations
 from .evalmod import SMALL_CHAR_PRIMES
 from .linalg import rank
-from .verify import RunConfig, boolean_check
+from .poly import PolyError
+from .verify import CheckResult, RunConfig, boolean_check
 
 
 def generators_suite(cfg: RunConfig) -> list:
@@ -33,14 +35,9 @@ def generators_suite(cfg: RunConfig) -> list:
     checks.append(boolean_check("generator multidegrees", multidegrees_ok))
 
     def rank_ten():
-        keys = sorted({k for p in table.f for k in p.terms})
-        index = {k: i for i, k in enumerate(keys)}
-        vectors = []
-        for p in table.f:
-            vec = [0] * len(keys)
-            for k, c in p.terms.items():
-                vec[index[k]] = c
-            vectors.append(vec)
+        terms = [dict(p.sorted_terms()) for p in table.f]
+        keys = sorted(set().union(*terms))
+        vectors = [[t.get(k, 0) for k in keys] for t in terms]
         return rank(vectors) == 10
 
     checks.append(boolean_check("the ten pencil coefficients are linearly independent", rank_ten))
@@ -193,10 +190,18 @@ SUITES = {
 SUITE_ORDER = tuple(SUITES)
 
 
+def _checked(name: str, cfg: RunConfig) -> list:
+    """The checks of one suite, or, when it raises PolyError (derive_st
+    refusing a relation, say), one FAIL named after the suite with the error
+    as its note, so the run ends with a report and exit 1."""
+    t0 = time.perf_counter()
+    try:
+        return SUITES[name](cfg)
+    except PolyError as exc:
+        return [CheckResult(name, False, "exact", time.perf_counter() - t0, notes=[f"PolyError: {exc}"])]
+
+
 def run_suite(name: str, cfg: RunConfig) -> list:
     if name == "all":
-        results = []
-        for key in SUITE_ORDER:
-            results.extend(SUITES[key](cfg))
-        return results
-    return SUITES[name](cfg)
+        return [check for key in SUITE_ORDER for check in _checked(key, cfg)]
+    return _checked(name, cfg)

@@ -11,7 +11,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from semiinv import conjinv
+from semiinv import conjinv, generators as gen, hwv, relations
 from semiinv.verify import RunConfig
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
@@ -80,5 +80,29 @@ def test_the_traced_layers_of_the_exact_trace_relation_record_calls():
         "verify.run_identity_exact",
         "poly.substitute",
         "conjinv.trace_generators",
+    ):
+        assert summary[name][0] > 0, name
+
+
+def test_the_layers_the_product_kernel_serves_still_record_calls():
+    """The determinant, Horner's steps and the correction sums add their
+    products through Polynomial.sum_of_products, not mul.  The coverage
+    guard still predicts calls to these names on certify-default and
+    exact-algebra, which build the generator table and certify the derived
+    invariants with a cold f-span action."""
+    tracer = _load("tracing").Tracer("t")
+    tracer.install()
+    try:
+        gen.generators_of(gen.generic_triple())
+        hwv._span_action_verified.cache_clear()
+        assert hwv.sl3_certificate_for_f_polynomial(relations.derive_st()[0])
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    for name in (
+        "matrix.determinant",
+        "poly.mul",
+        "poly.substitute",
+        "generators.act_on_function",
     ):
         assert summary[name][0] > 0, name

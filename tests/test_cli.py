@@ -215,6 +215,31 @@ def test_negative_control_corrupted_relation_via_cli(capsys, monkeypatch):
     assert "counterexample" in out
 
 
+@pytest.mark.parametrize("suite", ["derive-st", "all"])
+def test_a_relation_derive_st_refuses_fails_verify_with_a_report(capsys, monkeypatch, suite):
+    """An extra q*h*f5 term leaves a q-dependent residual, so derive_st raises
+    PolyError.  verify turns that into one FAIL per suite that hit it, named
+    after the suite with the error as its note, and exits 1 with its report.
+    derive_st is lru_cached; its uncached body reads the mutated relation."""
+    mutated = relations.defining_relation() + Polynomial.monomial(
+        ZZ, relations.ABSTRACT12, {"q": 1, "h": 1, "f5": 1}, 1
+    )
+    monkeypatch.setattr(relations, "defining_relation", lambda: mutated)
+    monkeypatch.setattr(relations, "derive_st", relations.derive_st.__wrapped__)
+    code, out, _ = run_cli(
+        capsys, "verify", suite, "--trials", "3", "--primes", "2147483647", "--format", "json"
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert not report["passed"]
+    note = ["PolyError: derivation failed: residual q-dependence"]
+    refused = [c for c in report["checks"] if c.get("notes") == note]
+    assert all(not c["passed"] and c["mode"] == "exact" for c in refused)
+    # every suite that reads derive_st
+    expected = {"hwv", "theorem1", "special-triples", "derive-st"}
+    assert {c["name"] for c in refused} == (expected if suite == "all" else {suite})
+
+
 def test_negative_control_corrupted_trace_relation_via_cli(capsys, monkeypatch):
     mutated = conjinv.nakamoto_polynomial() + Polynomial.monomial(
         ZZ, conjinv.TRACE_VARS, {"r": 2}, 3

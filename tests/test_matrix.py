@@ -84,6 +84,17 @@ def test_det_dimension_bound():
         m.determinant()
 
 
+def test_det_refuses_a_product_past_the_exponent_bound():
+    """x^200 * x^100 would carry out of x's 8-bit field into a's and read as
+    a*x^44; the determinant raises PolyError, as mul does."""
+    vs = VariableSet(("a", "x"))
+    x = Polynomial.variable(ZZ, vs, "x")
+    zero = Polynomial.zero(ZZ, vs)
+    with pytest.raises(PolyError):
+        PolyMatrix([[x ** 200, zero], [zero, x ** 100]]).determinant()
+    assert PolyMatrix([[x ** 200, zero], [zero, x ** 55]]).determinant() == x ** 255
+
+
 def test_non_square_rejected():
     vs = VariableSet(("u",))
     one = Polynomial.constant(ZZ, vs, 1)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semiinv
-from semiinv import hwv, relations
+from semiinv import hwv, poly, relations
 from semiinv.poly import (
     QQ,
     ZZ,
@@ -225,10 +225,16 @@ def test_substitute_exponent_bound():
 
 def test_qq_substitution_multiplies_only_over_zz(monkeypatch):
     """Single-path guard: a QQ composition clears its denominators first, so
-    every product formed inside substitute has ZZ operands."""
+    every product formed inside substitute has ZZ operands, both the powers
+    built with mul and the sums the product kernel adds in place."""
     s4, _ = relations.derive_st()
-    inside, rings = [], []
-    mul, substitute = Polynomial.mul, Polynomial.substitute
+    inside, rings, kernel_types = [], [], set()
+    mul, substitute, kernel = Polynomial.mul, Polynomial.substitute, poly._add_products
+
+    def recording_kernel(acc, m, a, b, maxexp):
+        if inside:
+            kernel_types.update(type(c) for _, c in [*a, *b, (0, m)])
+        return kernel(acc, m, a, b, maxexp)
 
     def recording_mul(self, other):
         if inside:
@@ -244,6 +250,7 @@ def test_qq_substitution_multiplies_only_over_zz(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "mul", recording_mul)
     monkeypatch.setattr(Polynomial, "substitute", flagged_substitute)
+    monkeypatch.setattr(poly, "_add_products", recording_kernel)
     x, y, z = (var(n, QQ) for n in VS.names)
     a, b = (Polynomial.variable(QQ, BV, n) for n in BV.names)
     outer = x ** 2 * y * Fraction(1, 3) + x * z ** 2 + y ** 3 * Fraction(-2, 7)
@@ -252,6 +259,7 @@ def test_qq_substitution_multiplies_only_over_zz(monkeypatch):
     assert hwv.sl3_certificate_for_f_polynomial(s4)
     assert len(rings) > 10
     assert set(rings) == {(ZZ, ZZ)}
+    assert kernel_types == {int}
 
 
 def test_restrict_examples():
@@ -583,3 +591,90 @@ def test_only_the_polynomial_module_touches_its_cache():
         or (isinstance(node, ast.Constant) and node.value == "_cache")
     ]
     assert not offenders
+
+
+def test_only_the_polynomial_module_reads_terms_or_builds_polynomials():
+    """The packed key is known only to poly.py: no other module of the
+    package reads Polynomial.terms or calls the Polynomial constructor."""
+    package = Path(semiinv.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "poly.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr == "terms")
+        or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "Polynomial"
+        )
+    ]
+    assert not offenders
+
+
+# -- the product kernel against the naive oracle ---------------------------------
+
+
+@st.composite
+def product_sums(draw):
+    """A ring and (c, a, b) triples over VS: operands in the ring or, in a QQ
+    sum, in ZZ; zero scalars and zero operands included, and sometimes a
+    triple that cancels the one before it."""
+    ring = draw(st.sampled_from((ZZ, QQ)))
+    ints = st.integers(-9, 9)
+    fractions = st.builds(Fraction, ints, st.integers(1, 12))
+
+    def operand():
+        oring = draw(st.sampled_from((ZZ, QQ))) if ring == QQ else ZZ
+        coeffs = ints if oring == ZZ else fractions
+        terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), coeffs, max_size=4))
+        return Polynomial.from_terms(oring, VS, terms)
+
+    scalars = ints if ring == ZZ else st.one_of(ints, fractions)
+    triples = []
+    for _ in range(draw(st.integers(0, 4))):
+        triples.append((draw(scalars), operand(), operand()))
+        if draw(st.booleans()):
+            c, a, b = triples[-1]
+            triples.append((-c, b, a))
+    return ring, triples
+
+
+@given(product_sums())
+@settings(max_examples=200)
+def test_sum_of_products_matches_the_naive_oracle(case):
+    ring, triples = case
+    got = Polynomial.sum_of_products(ring, VS, triples)
+    want = {}
+    for c, a, b in triples:
+        product = oracles.naive_mul(oracles.from_package(a), oracles.from_package(b))
+        want = oracles.naive_add(want, oracles.naive_scale(product, c))
+    assert (got.ring, got.vars) == (ring, VS)
+    assert oracles.from_package(got) == want
+    assert all(type(c) is (int if ring == ZZ else Fraction) for c in got.terms.values())
+    assert got.maxexp == max(
+        (a.maxexp + b.maxexp for c, a, b in triples if c and a and b), default=0
+    )
+
+
+def test_sum_of_products_cases():
+    """The empty sum, full cancellation, the exponent guard and the operand
+    checks."""
+    x, y = var("x"), var("y")
+    assert Polynomial.sum_of_products(QQ, VS, []) == Polynomial.zero(QQ, VS)
+    half = var("x", QQ) * Fraction(1, 2)
+    cancelled = Polynomial.sum_of_products(QQ, VS, [(2, half, y), (-1, x, y)])
+    assert cancelled.is_zero() and cancelled.ring == QQ
+    top, over = x ** 200, x ** 56
+    assert Polynomial.sum_of_products(ZZ, VS, [(1, top, x ** 55)]) == x ** 255
+    with pytest.raises(PolyError):
+        Polynomial.sum_of_products(ZZ, VS, [(1, top, over)])
+    # a triple that adds nothing is not checked against the guard
+    zero = Polynomial.zero(ZZ, VS)
+    assert Polynomial.sum_of_products(ZZ, VS, [(0, top, over), (1, top, zero)]).is_zero()
+    with pytest.raises(RingMismatch):
+        Polynomial.sum_of_products(ZZ, VS, [(1, half, y)])
+    with pytest.raises(RingMismatch):
+        Polynomial.sum_of_products(ZZ, VS, [(Fraction(1, 2), x, y)])
+    with pytest.raises(VariableMismatch):
+        Polynomial.sum_of_products(ZZ, VS, [(1, x, Polynomial.variable(ZZ, BV, "a"))])
