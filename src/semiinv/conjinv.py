@@ -15,7 +15,6 @@ full 18-variable expansion stays in the tests as the oracle.
 
 from __future__ import annotations
 
-import time
 from functools import lru_cache
 
 from . import generators as gen
@@ -136,36 +135,35 @@ def phi_image_forms() -> dict:
 
 def phi_image_checks() -> list:
     """Exact verification of all twelve dictionary entries in 18 variables."""
-    table = gen.generator_table()
-    gens18 = trace_generators()
-    forms = phi_image_forms()
-    named = {f"f{n}": table.f[n - 1] for n in range(1, 11)}
-    named["h"] = table.h
-    named["q"] = table.q
-    checks = []
-    for name in ("f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9", "f10", "h", "q"):
-        lhs = phi(named[name])
-        rhs = forms[name].substitute({k: gens18[k] for k in TRACE_NAMES})
-        checks.append(
-            boolean_check(f"phi({name}) matches its trace formula", lambda l=lhs, r=rhs: l == r)
-        )
-    return checks
+
+    def matches(name):
+        gens18 = trace_generators()
+        rhs = phi_image_forms()[name].substitute({k: gens18[k] for k in TRACE_NAMES})
+        return phi(gen.generator_table().by_name()[name]) == rhs
+
+    return [
+        boolean_check(f"phi({name}) matches its trace formula", lambda n=name: matches(n))
+        for name in _PHI_IMAGE_TEXT
+    ]
 
 
 def s_of_product_check() -> CheckResult:
     """s(AB) = t(A^2B^2) + t(AB)t(A)t(B) - t(A^2B)t(B) - t(AB^2)t(A) - s(A)s(B),
     exactly in 18 variables."""
-    a, b = generic_pair()
-    g = trace_generators()
-    _, s_ab, _ = char_coefficients(a * b)
-    rhs = (
-        g["k"]
-        + g["z"].mul(g["t1"]).mul(g["t2"])
-        - g["w1"].mul(g["t2"])
-        - g["w2"].mul(g["t1"])
-        - g["s1"].mul(g["s2"])
-    )
-    return boolean_check("s(AB) trace identity", lambda: s_ab == rhs)
+
+    def holds():
+        a, b = generic_pair()
+        g = trace_generators()
+        _, s_ab, _ = char_coefficients(a * b)
+        return s_ab == (
+            g["k"]
+            + g["z"].mul(g["t1"]).mul(g["t2"])
+            - g["w1"].mul(g["t2"])
+            - g["w2"].mul(g["t1"])
+            - g["s1"].mul(g["s2"])
+        )
+
+    return boolean_check("s(AB) trace identity", holds)
 
 
 # -- the defining relation among the trace generators ---------------------------
@@ -229,22 +227,18 @@ def nakamoto_structural_check(
     """Term-for-term equality of the rewritten triple relation with the
     transcribed trace relation; on failure the symmetric difference of the
     term sets is reported."""
-    t0 = time.perf_counter()
-    nak = trace_relation if trace_relation is not None else nakamoto_polynomial()
-    rewritten = rewrite_relation_through_phi(relation)
-    ok = rewritten == nak
-    details: dict = {"terms": len(nak)}
-    if not ok:
-        diff = rewritten - nak
-        details["symmetric_difference_terms"] = len(diff)
-        details["symmetric_difference"] = diff.text()[:2000]
-    return CheckResult(
-        "trace relation matches the rewritten triple relation",
-        ok,
-        "exact",
-        time.perf_counter() - t0,
-        details,
-    )
+
+    def matches():
+        nak = trace_relation if trace_relation is not None else nakamoto_polynomial()
+        rewritten = rewrite_relation_through_phi(relation)
+        details: dict = {"terms": len(nak)}
+        if rewritten != nak:
+            diff = rewritten - nak
+            details["symmetric_difference_terms"] = len(diff)
+            details["symmetric_difference"] = diff.text()[:2000]
+        return rewritten == nak, details
+
+    return boolean_check("trace relation matches the rewritten triple relation", matches)
 
 
 def nakamoto_composed_expr(trace_relation: Polynomial | None = None) -> Composition:
@@ -312,20 +306,22 @@ def trace_values_at(a, b) -> dict:
 
 
 def nonvanishing_pair_checks() -> list:
-    a, b = nonvanishing_pair()
-    values = trace_values_at(a, b)
-    first_nine = TRACE_NAMES[:9]
-    checks = [
+    def values(names) -> dict:
+        at = trace_values_at(*nonvanishing_pair())
+        return {name: at[name] for name in names}
+
+    def first_nine_vanish():
+        first_nine = values(TRACE_NAMES[:9])
+        return all(v == 0 for v in first_nine.values()), {"values": first_nine}
+
+    def r_is_minus_one():
+        r = values(("r",))
+        return r["r"] == -1, {"values": r}
+
+    return [
         boolean_check(
-            "first nine trace generators vanish on the distinguished pair",
-            lambda: all(values[name] == 0 for name in first_nine),
-            values={name: values[name] for name in first_nine},
+            "first nine trace generators vanish on the distinguished pair", first_nine_vanish
         ),
-        boolean_check(
-            "r = -1 on the distinguished pair",
-            lambda: values["r"] == -1,
-            values={"r": values["r"]},
-        ),
+        boolean_check("r = -1 on the distinguished pair", r_is_minus_one),
     ]
-    return checks
 

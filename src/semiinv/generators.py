@@ -518,4 +518,4 @@ def cubic_invariants_from_f_forms(s4_f: Polynomial, t6_f: Polynomial) -> tuple:
         fname: Polynomial.variable(QQ, CUBIC_VARS, cname) * scale
         for fname, (cname, scale) in _CUBIC_OF_F.items()
     }
-    return s4_f.to_ring(QQ).substitute(bindings), t6_f.to_ring(QQ).substitute(bindings)
+    return s4_f.substitute(bindings), t6_f.substitute(bindings)

@@ -1,27 +1,28 @@
 """Named verification suites driven by the CLI and the acceptance tests.
 
-Suites call the providing functions at run time (not at import), so a test
-can substitute a mutated relation or a wrong correction table and watch the
-suite catch it.
+Every check is a boolean_check (or an identity run) whose predicate reads the
+builds it needs -- gen.generator_table, the two correction solves,
+relations.derive_st, conjinv.trace_generators, ... -- through their module
+attributes when it runs, not when the suite is assembled.  So a test can
+substitute a mutated relation or a wrong correction table and watch the
+suite catch it; a build's time lands in the elapsed_s of the first check
+that reads it; and a build that refuses its input (PolyError, LinAlgError)
+fails only the checks that read it, while the others still report.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 
 from . import conjinv, generators as gen, hwv, relations
 from .evalmod import SMALL_CHAR_PRIMES
 from .linalg import rank
-from .poly import PolyError
-from .verify import CheckResult, RunConfig, boolean_check
+from .verify import RunConfig, boolean_check
 
 
 def generators_suite(cfg: RunConfig) -> list:
-    table = gen.generator_table()
-    checks = []
-
     def multidegrees_ok():
+        table = gen.generator_table()
         for n, ijk in enumerate(gen.F_INDEX):
             if hwv.multidegree(table.f[n]) != ijk:
                 return False
@@ -32,96 +33,79 @@ def generators_suite(cfg: RunConfig) -> list:
             and hwv.multidegree(table.Q) == (3, 3, 3)
         )
 
-    checks.append(boolean_check("generator multidegrees", multidegrees_ok))
-
     def rank_ten():
-        terms = [dict(p.sorted_terms()) for p in table.f]
+        terms = [dict(p.sorted_terms()) for p in gen.generator_table().f]
         keys = sorted(set().union(*terms))
         vectors = [[t.get(k, 0) for k in keys] for t in terms]
         return rank(vectors) == 10
 
-    checks.append(boolean_check("the ten pencil coefficients are linearly independent", rank_ten))
-    return checks
+    return [
+        boolean_check("generator multidegrees", multidegrees_ok),
+        boolean_check("the ten pencil coefficients are linearly independent", rank_ten),
+    ]
+
+
+def _correction(x: str) -> tuple:
+    """(solved, pinned) coefficients of the correction of x ("h" or "q")."""
+    pinned = [c for c, _ in getattr(gen, f"{x.upper()}_CORRECTIONS")]
+    return getattr(hwv, f"solve_{x}_correction")(), pinned
 
 
 def hwv_suite(cfg: RunConfig) -> list:
-    table = gen.generator_table()
-    factors = gen.correction_factors(table.f, table.h)
     checks = []
+    for x, degree in (("h", "quadratic"), ("q", "cubic")):
 
-    beta_h = hwv.solve_h_correction()
-    pinned_h = [c for c, _ in gen.H_CORRECTIONS]
-    checks.append(
-        boolean_check(
-            "quadratic correction of h solves to the pinned coefficients",
-            lambda: beta_h == pinned_h,
-            solved=[str(b) for b in beta_h],
-        )
-    )
-    # table.H is combine_correction(table.h, factors, H_CORRECTIONS), the sum
-    # at the pinned coefficients, so when the solve returns them the solved H
-    # is table.H and is certified without being rebuilt; likewise for Q
-    solved_h = (
-        table.H
-        if beta_h == pinned_h
-        else gen.combine_correction(table.h, factors, gen.H_CORRECTIONS, beta_h)
-    )
-    checks.append(
-        boolean_check(
-            "solved H is fixed by both upper transvections",
-            lambda: hwv.is_fixed_by_unipotents(solved_h),
-        )
-    )
+        def solves(x=x):
+            beta, pinned = _correction(x)
+            return beta == pinned, {"solved": [str(b) for b in beta]}
 
-    beta_q = hwv.solve_q_correction()
-    pinned_q = [c for c, _ in gen.Q_CORRECTIONS]
-    checks.append(
-        boolean_check(
-            "cubic correction of q solves to the pinned coefficients",
-            lambda: beta_q == pinned_q,
-            solved=[str(b) for b in beta_q],
-        )
-    )
-    solved_q = (
-        table.Q
-        if beta_q == pinned_q
-        else gen.combine_correction(table.q, factors, gen.Q_CORRECTIONS, beta_q)
-    )
-    checks.append(
-        boolean_check(
-            "solved Q is fixed by both upper transvections",
-            lambda: hwv.is_fixed_by_unipotents(solved_q),
-        )
-    )
+        def fixed(x=x):
+            table = gen.generator_table()
+            beta, pinned = _correction(x)
+            # table.H is combine_correction(table.h, factors, H_CORRECTIONS),
+            # the sum at the pinned coefficients, so when the solve returns
+            # them the solved H is table.H and is certified without being
+            # rebuilt; likewise for Q
+            solved = (
+                getattr(table, x.upper())
+                if beta == pinned
+                else gen.combine_correction(
+                    getattr(table, x),
+                    gen.correction_factors(table.f, table.h),
+                    getattr(gen, f"{x.upper()}_CORRECTIONS"),
+                    beta,
+                )
+            )
+            return hwv.is_fixed_by_unipotents(solved)
 
-    checks.append(
+        checks += [
+            boolean_check(f"{degree} correction of {x} solves to the pinned coefficients", solves),
+            boolean_check(f"solved {x.upper()} is fixed by both upper transvections", fixed),
+        ]
+
+    def twelve_invariant():
+        table = gen.generator_table()
+        return hwv.sl3_sl3_invariance_certificate(*table.f, table.h, table.q)
+
+    return checks + [
         boolean_check(
             "H and Q are SL3-invariant (all four transvections)",
-            lambda: hwv.sl3_invariance_certificate(table.H)
-            and hwv.sl3_invariance_certificate(table.Q),
-        )
-    )
-    s4, t6 = relations.derive_st()
-    checks.append(
+            lambda: hwv.sl3_invariance_certificate(gen.generator_table().H)
+            and hwv.sl3_invariance_certificate(gen.generator_table().Q),
+        ),
         boolean_check(
             "quartic and sextic invariants are SL3-invariant",
-            lambda: hwv.sl3_certificate_for_f_polynomial(s4)
-            and hwv.sl3_certificate_for_f_polynomial(t6),
-        )
-    )
-    checks.append(
+            lambda: all(map(hwv.sl3_certificate_for_f_polynomial, relations.derive_st())),
+        ),
         boolean_check(
             "h alone is not a highest weight vector",
-            lambda: not hwv.is_fixed_by_unipotents(table.h),
-        )
-    )
-    checks.append(
+            lambda: not hwv.is_fixed_by_unipotents(gen.generator_table().h),
+        ),
         boolean_check(
             "f1..f10, h and q are SL3 x SL3-invariant (row and column derivations)",
-            lambda: hwv.sl3_sl3_invariance_certificate(*table.f, table.h, table.q),
-        )
-    )
-    return checks
+            twelve_invariant,
+        ),
+    ]
 
 
 def main_relation_suite(cfg: RunConfig) -> list:
@@ -153,21 +137,20 @@ def s_ab_suite(cfg: RunConfig) -> list:
 
 
 def nakamoto_suite(cfg: RunConfig) -> list:
-    relation = conjinv.nakamoto_polynomial()
-    checks = [
+    return [
         boolean_check(
             f"trace relation transcription: {conjinv.TRACE_RELATION_TERM_COUNT} terms, pinned digest",
-            lambda: len(relation) == conjinv.TRACE_RELATION_TERM_COUNT
-            and relations.relation_digest(relation) == conjinv.TRACE_RELATION_DIGEST,
+            lambda: len(conjinv.nakamoto_polynomial()) == conjinv.TRACE_RELATION_TERM_COUNT
+            and relations.relation_digest(conjinv.nakamoto_polynomial())
+            == conjinv.TRACE_RELATION_DIGEST,
         ),
         boolean_check(
             "trace relation terms all have bidegree (6,6)",
-            lambda: relation.degrees(conjinv.TRACE_BIDEGREES) == {(6, 6)},
+            lambda: conjinv.nakamoto_polynomial().degrees(conjinv.TRACE_BIDEGREES) == {(6, 6)},
         ),
         conjinv.nakamoto_structural_check(),
         conjinv.verify_nakamoto_composed(cfg),
     ]
-    return checks
 
 
 def nonvanishing_suite(cfg: RunConfig) -> list:
@@ -190,18 +173,6 @@ SUITES = {
 SUITE_ORDER = tuple(SUITES)
 
 
-def _checked(name: str, cfg: RunConfig) -> list:
-    """The checks of one suite, or, when it raises PolyError (derive_st
-    refusing a relation, say), one FAIL named after the suite with the error
-    as its note, so the run ends with a report and exit 1."""
-    t0 = time.perf_counter()
-    try:
-        return SUITES[name](cfg)
-    except PolyError as exc:
-        return [CheckResult(name, False, "exact", time.perf_counter() - t0, notes=[f"PolyError: {exc}"])]
-
-
 def run_suite(name: str, cfg: RunConfig) -> list:
-    if name == "all":
-        return [check for key in SUITE_ORDER for check in _checked(key, cfg)]
-    return _checked(name, cfg)
+    keys = SUITE_ORDER if name == "all" else (name,)
+    return [check for key in keys for check in SUITES[key](cfg)]

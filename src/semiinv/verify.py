@@ -9,8 +9,10 @@ reproducible from (seed, primes, trials); all of a prime's trials are
 evaluated in one process by one evaluation of the composition, and a
 trial's point and value do not depend on the others.  The two triple
 identities read their generators from the determinant definitions there
-(relations.generator_definition_mod), not from the expanded leaves.  A
-RunConfig validates itself when it is constructed.
+(relations.generator_definition_mod), not from the expanded leaves.  Every
+other check runs through boolean_check, which times its predicate and makes
+a refused build that check's FAIL.  A RunConfig validates itself when it is
+constructed.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .evalmod import (
     check_prime,
     sample_point,
 )
+from .linalg import LinAlgError
 from .poly import Polynomial, PolyError
 
 REPORT_SCHEMA = "semiinv-report/1"
@@ -126,10 +129,21 @@ class CheckResult:
         return out
 
 
-def boolean_check(name: str, fn: Callable[[], bool], mode: str = "exact", **details) -> CheckResult:
+def boolean_check(name: str, fn: Callable[[], object]) -> CheckResult:
+    """Run one exact check: fn() returns a verdict, or (verdict, details).
+
+    fn reads the builds it needs itself, so elapsed_s includes every build it
+    is the first to trigger.  A PolyError or LinAlgError raised inside fn (a
+    build refusing its input, say) is this check's FAIL with
+    "<ErrorType>: <message>" as its note; the other checks still run."""
     t0 = time.perf_counter()
-    ok = bool(fn())
-    return CheckResult(name, ok, mode, time.perf_counter() - t0, dict(details))
+    notes = []
+    try:
+        out = fn()
+    except (PolyError, LinAlgError) as exc:
+        out, notes = False, [f"{type(exc).__name__}: {exc}"]
+    ok, details = out if isinstance(out, tuple) else (out, {})
+    return CheckResult(name, bool(ok), "exact", time.perf_counter() - t0, details, notes=notes)
 
 
 # -- modular identity runs ----------------------------------------------------

@@ -11,7 +11,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from semiinv import conjinv, generators as gen, hwv, relations
+from semiinv import conjinv, generators as gen, hwv, relations, suites
 from semiinv.verify import RunConfig
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
@@ -106,3 +106,23 @@ def test_the_layers_the_product_kernel_serves_still_record_calls():
         "generators.act_on_function",
     ):
         assert summary[name][0] > 0, name
+
+
+def test_a_cold_verify_all_records_every_certify_default_prediction(cold_builds):
+    """certify-default runs verify all in a fresh interpreter.  With cold
+    builds under the tracer, every name the coverage guard predicts calls to
+    on certify-default records one, every suite included; a check that stops
+    reading a build (the correction solves, the f-span action) would
+    otherwise show only as exit 3 on a traced benchmark run."""
+    tracing = _load("tracing")
+    tracer = tracing.Tracer("t")
+    tracer.install()
+    try:
+        results = suites.run_suite("all", RunConfig())
+    finally:
+        tracer.uninstall()
+    assert all(r.passed for r in results)
+    summary = tracer.summary()
+    predicted = [name for name, _, _, where in tracing.TRACED if tracing.CERTIFY in where]
+    predicted += [f"suites.{key}" for key in tracing.SUITE_NAMES]
+    assert [name for name in predicted if summary[name][0] == 0] == []

@@ -1,10 +1,11 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from semiinv import cli, conjinv, relations
+from semiinv import cli, conjinv, generators as gen, hwv, relations, suites
 from semiinv.poly import ZZ, Polynomial
 from semiinv.verify import RunConfig
 
@@ -215,12 +216,26 @@ def test_negative_control_corrupted_relation_via_cli(capsys, monkeypatch):
     assert "counterexample" in out
 
 
-@pytest.mark.parametrize("suite", ["derive-st", "all"])
+# the checks that read derive_st, by suite
+READ_DERIVE_ST = {
+    "hwv": {"quartic and sextic invariants are SL3-invariant"},
+    "theorem1": {"theorem1"},
+    "special-triples": {
+        "weierstrass: quartic invariant = -b^2/27",
+        "weierstrass: sextic invariant = -4*a^2/27",
+        "skew: quartic and sextic invariants vanish",
+    },
+    "derive-st": {"derivation: residual is h-linear, q-free; degrees 4 and 6"},
+}
+
+
+@pytest.mark.parametrize("suite", ["derive-st", "hwv", "all"])
 def test_a_relation_derive_st_refuses_fails_verify_with_a_report(capsys, monkeypatch, suite):
     """An extra q*h*f5 term leaves a q-dependent residual, so derive_st raises
-    PolyError.  verify turns that into one FAIL per suite that hit it, named
-    after the suite with the error as its note, and exits 1 with its report.
-    derive_st is lru_cached; its uncached body reads the mutated relation."""
+    PolyError.  verify turns that into a FAIL of each check that reads
+    derive_st, with the error as its note; every other check still runs and
+    reports, and verify exits 1.  derive_st is lru_cached; its uncached body
+    reads the mutated relation."""
     mutated = relations.defining_relation() + Polynomial.monomial(
         ZZ, relations.ABSTRACT12, {"q": 1, "h": 1, "f5": 1}, 1
     )
@@ -235,9 +250,45 @@ def test_a_relation_derive_st_refuses_fails_verify_with_a_report(capsys, monkeyp
     note = ["PolyError: derivation failed: residual q-dependence"]
     refused = [c for c in report["checks"] if c.get("notes") == note]
     assert all(not c["passed"] and c["mode"] == "exact" for c in refused)
-    # every suite that reads derive_st
-    expected = {"hwv", "theorem1", "special-triples", "derive-st"}
-    assert {c["name"] for c in refused} == (expected if suite == "all" else {suite})
+    expected = set().union(*READ_DERIVE_ST.values()) if suite == "all" else READ_DERIVE_ST[suite]
+    assert {c["name"] for c in refused} == expected
+    if suite == "hwv":
+        assert [c["passed"] for c in report["checks"]].count(True) == 7
+    assert len(report["checks"]) == {"derive-st": 3, "hwv": 8, "all": 43}[suite]
+
+
+def test_an_inconsistent_correction_solve_fails_its_checks_with_a_report(capsys, monkeypatch):
+    """Without its last product the Q correction basis cannot make q highest
+    weight, so the solve raises InconsistentSystem.  The two checks that read
+    the solve FAIL with that note, the other six pass, and verify exits 1
+    with its report.  solve_q_correction is lru_cached; its uncached body
+    reads the shortened table, and the generator table stays the full one."""
+    gen.generator_table()
+    monkeypatch.setattr(gen, "Q_CORRECTIONS", gen.Q_CORRECTIONS[:-1])
+    monkeypatch.setattr(hwv, "solve_q_correction", hwv.solve_q_correction.__wrapped__)
+    code, out, _ = run_cli(capsys, "verify", "hwv", "--format", "json")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    q_checks = (
+        "cubic correction of q solves to the pinned coefficients",
+        "solved Q is fixed by both upper transvections",
+    )
+    for name in q_checks:
+        check = checks.pop(name)
+        assert not check["passed"]
+        assert [note.partition(": ")[0] for note in check["notes"]] == ["InconsistentSystem"]
+    assert len(checks) == 6 and all(c["passed"] for c in checks.values())
+
+
+def test_check_times_cover_a_cold_verify_all(cold_builds):
+    """Each check reads and times the builds it is the first to trigger, so
+    with cold builds the elapsed_s of the checks add up to nearly all of an
+    in-process verify all."""
+    t0 = time.perf_counter()
+    results = suites.run_suite("all", RunConfig())
+    total = time.perf_counter() - t0
+    assert all(r.passed for r in results)
+    assert sum(r.elapsed_s for r in results) >= 0.85 * total
 
 
 def test_negative_control_corrupted_trace_relation_via_cli(capsys, monkeypatch):
