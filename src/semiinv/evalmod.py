@@ -9,15 +9,18 @@ missed nonzero identity by (d/p)^N per prime.  This module is the only
 modular arithmetic in the package: polynomials carry ZZ or QQ coefficients,
 which poly_eval_mod reads through their cached exponents() and numerators()
 and reduces mod p here, and det_mod takes numeric determinants of a whole
-stack of matrices by division-free elimination mod p, with one Fermat
-inverse per call for the product of the pivot scalings.
+stack of matrices, batch-last: by the Leibniz expansion up to 3 x 3, with no
+inverse, and by division-free elimination mod p above, with one Fermat
+inverse per call for the product of the pivot scalings (its docstring
+gives the int64 bounds of both).
 
 Points are drawn from a counter-based SHA-256 stream keyed by
 (seed, prime, trial), so a point does not depend on the batch it is evaluated
 in and any trial can be reproduced in isolation.  A point's values may be ints
 (of any size: residues reduces them before they become int64) or equal-length
-int64 arrays; an array holds one value per trial of a batch,
-and numpy broadcasting carries the batch through a composition.  A
+int64 arrays; an array holds one value per trial of a batch, as
+sample_point draws it for a range of trials, and numpy broadcasting carries
+the batch through a composition.  A
 composition either evaluates its leaf polynomials at the point or, when it
 has a definition, takes the leaf values from it: the generators of the triple
 identities are computed from the determinant table that defines them
@@ -84,27 +87,60 @@ def check_prime(p: int, allow_small_char: bool = False) -> int:
 _DIGEST_WORDS = struct.Struct(">4Q")
 
 
-def sample_point(names: Sequence[str], seed: int, prime: int, trial: int) -> dict:
+def _word_limit(prime: int) -> int:
+    """The largest multiple of p under 2**64: a word below it gives a value."""
+    return (2**64 // prime) * prime
+
+
+def sample_point(names: Sequence[str], seed: int, prime: int, trial: int | range) -> dict:
     """Deterministic uniform point in Z_p^n keyed by (seed, prime, trial).
 
     The stream is SHA-256 of "semiinv-v1|seed|prime|trial|counter" for
     counter = 0, 1, ...; each digest is read as four big-endian 64-bit words,
     and a word below the largest multiple of p under 2**64 gives the next
-    value, w mod p (rejection keeps the values uniform)."""
+    value, w mod p (rejection keeps the values uniform).
+
+    For an int trial the point is a dict of ints.  For a range of trials it
+    is the batch point of those trials, one int64 array per name whose entry
+    k is the value of trial[k]'s point: the first ceil(n/4) digests of every
+    trial are read at once, and a trial that rejects one of its first n words
+    is drawn again from its own stream, so each entry equals the int drawn
+    for that trial alone."""
+    if not isinstance(trial, range):
+        return dict(zip(names, _trial_values(len(names), seed, prime, trial)))
+    n, limit = len(names), _word_limit(prime)
+    counters = [str(c).encode() for c in range(-(-n // 4))]  # ceil(n/4) digests
+    digests = []
+    for t in trial:
+        prefix = hashlib.sha256(f"semiinv-v1|{seed}|{prime}|{t}|".encode())
+        for counter in counters:
+            digest = prefix.copy()
+            digest.update(counter)
+            digests.append(digest.digest())
+    words = np.frombuffer(b"".join(digests), dtype=">u8")
+    words = words.reshape(len(trial), 4 * len(counters))[:, :n]
+    values = np.array((words % np.uint64(prime)).T, dtype=np.int64, order="C")
+    for row in np.flatnonzero((words >= np.uint64(limit)).any(axis=1)).tolist():
+        values[:, row] = _trial_values(n, seed, prime, trial[row])
+    return dict(zip(names, values))
+
+
+def _trial_values(n: int, seed: int, prime: int, trial: int) -> list:
+    """The first n values of trial's stream, word by word."""
     prefix = hashlib.sha256(f"semiinv-v1|{seed}|{prime}|{trial}|".encode())
-    limit = (2**64 // prime) * prime
+    limit = _word_limit(prime)
     values = []
     counter = 0
-    while len(values) < len(names):
+    while len(values) < n:
         digest = prefix.copy()
         digest.update(str(counter).encode())
         counter += 1
         for w in _DIGEST_WORDS.unpack(digest.digest()):
             if w < limit:
                 values.append(w % prime)
-                if len(values) == len(names):
+                if len(values) == n:
                     break
-    return dict(zip(names, values))
+    return values
 
 
 def residues(values, prime: int) -> np.ndarray:
@@ -176,18 +212,35 @@ def _inverse_mod(a: np.ndarray, prime: int) -> np.ndarray:
 
 def det_mod(mats, prime: int) -> np.ndarray:
     """Determinants mod p of a stack of n x n integer matrices, shape
-    (..., n, n) -> (...), by division-free elimination over Z_p with one
-    inverse per call.
+    (..., n, n) -> (...).
 
-    Step k takes each matrix's own pivot: the first row at or below k with a
-    nonzero entry in column k.  Where that is not row k, the two rows are
-    swapped, which negates the determinant; the other matrices are left as
-    they are.  Then every row i below k becomes pivot*row_i - a_ik*row_k,
-    which clears a_ik.  This is sound for every odd prime, 3 included:
+    Entries are reduced into [0, p) first (residues, so Python ints of any
+    size are accepted) and stay there, with p < 2**31, so a product of two
+    entries is below 2**62.  The work is batch-last: the stack is read as an
+    (n, n, ...) array, whose entry (i, j) is one contiguous row over the
+    matrices, so every step works on whole rows of the batch.  A stack whose
+    memory is already laid out that way (a moved-axis view of an (n, n, ...)
+    array, as generator_values_mod passes) is not copied for it.
+
+    For n <= 3 the determinant is its Leibniz expansion along the first row,
+    with no division and no inverse.  Each 2 x 2 minor, a difference of two
+    products, lies in (-2**62, 2**62) and is reduced once.  The three signed
+    products a*m0 - b*m1 + c*m2 then lie in (-2**62, 2**63), inside int64,
+    and are reduced once.
+
+    For n >= 4 it is division-free elimination over Z_p with one inverse per
+    call.  Step k takes each matrix's own pivot: the first row at or below k
+    with a nonzero entry in column k.  Where that is not row k, the two rows
+    are swapped, which negates the determinant; the other matrices are left
+    as they are.  Then every row i below k becomes
+    pivot*row_i + (p - a_ik)*row_k, which clears a_ik mod p; both products
+    lie in [0, 2**62), so their sum lies in [0, 2**63), and one reduction of
+    a nonnegative int64 brings it back into [0, p).  This is sound for every
+    odd prime, 3 included:
     - scaling row i by a nonzero pivot multiplies the determinant by the
       pivot, so step k multiplies it by pivot^(n-k-1), one factor per row
       below k;
-    - subtracting a multiple of row k from row i leaves it unchanged;
+    - adding a multiple of row k to row i leaves it unchanged;
     - with no nonzero entry at or below k in column k, the matrix reduced so
       far is singular mod p, so its determinant, and the original's, is 0.
       The pivot, 0, enters the numerator, which stays 0; 1 stands in for it
@@ -196,41 +249,50 @@ def det_mod(mats, prime: int) -> np.ndarray:
         det = (-1)^swaps * prod_k pivot_k / prod_k pivot_k^(n-k-1),
     and the denominator, a product of nonzero residues, is inverted once by
     Fermat.  It is accumulated as prod_{k<n-1} (pivot_0 * ... * pivot_k),
-    which has pivot_k in n-k-1 of its factors.
-
-    Entries are reduced into [0, p) first (residues, so Python ints of any
-    size are accepted) and stay there, with p < 2**31: pivot*a_ij and
-    a_ik*a_kj are each below 2**62, their difference lies in
-    (-2**62, 2**62), and one reduction brings it back, so nothing overflows
-    int64."""
-    m = residues(mats, prime)
-    n = m.shape[-1]
-    shape = m.shape[:-2]
-    m = m.reshape(-1, n, n)
-    num = np.ones(len(m), dtype=np.int64)
-    prefix = np.ones(len(m), dtype=np.int64)
-    scale = np.ones(len(m), dtype=np.int64)
+    which has pivot_k in n-k-1 of its factors."""
+    m = np.moveaxis(residues(mats, prime), (-2, -1), (0, 1))
+    n, shape = len(m), m.shape[2:]
+    if n <= 3:
+        return np.reshape(_leibniz_mod(m, prime), shape)
+    m = np.ascontiguousarray(m).reshape(n, n, -1)  # residues made it: ours to overwrite
+    num = np.ones(m.shape[-1], dtype=np.int64)
+    prefix = np.ones_like(num)
+    scale = np.ones_like(num)
     for k in range(n):
-        pivot_row = k + (m[:, k:, k] != 0).argmax(axis=1)  # k where the column is zero
-        swap = np.flatnonzero(pivot_row != k)
-        if len(swap):
-            rows = pivot_row[swap]
-            row_k = m[swap, k].copy()
-            m[swap, k] = m[swap, rows]
-            m[swap, rows] = row_k
+        zero = np.flatnonzero(m[k, k] == 0)
+        if len(zero):
+            below = k + (m[k:, k, zero] != 0).argmax(axis=0)  # k where the column is zero
+            swap, rows = zero[below != k], below[below != k]
+            row_k = m[k][:, swap]
+            m[k][:, swap] = m[rows, :, swap].T
+            m[rows, :, swap] = row_k.T
             num[swap] = prime - num[swap]
-        pivot = m[:, k, k]
+        pivot = m[k, k]
         num = num * pivot % prime
         if k == n - 1:
             break
         pivot = np.where(pivot != 0, pivot, 1)
         prefix = prefix * pivot % prime
         scale = scale * prefix % prime
-        m[:, k + 1 :, k + 1 :] = (
-            pivot[:, None, None] * m[:, k + 1 :, k + 1 :]
-            - m[:, k + 1 :, k, None] * m[:, None, k, k + 1 :]
-        ) % prime
+        rest = m[k + 1 :, k + 1 :]
+        rest *= pivot
+        rest += (prime - m[k + 1 :, k, None]) * m[k, k + 1 :]
+        rest %= prime
     return (num * _inverse_mod(scale, prime) % prime).reshape(shape)
+
+
+def _leibniz_mod(m: np.ndarray, prime: int) -> np.ndarray:
+    """det_mod's expansion for an (n, n, ...) stack of residues, n <= 3."""
+    if len(m) == 1:
+        return m[0, 0]
+    if len(m) == 2:
+        return (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) % prime
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return (
+        a * ((e * i - f * h) % prime)
+        - b * ((d * i - f * g) % prime)
+        + c * ((d * h - e * g) % prime)
+    ) % prime
 
 
 # -- identities: an outer polynomial at named leaf polynomials ---------------

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .evalmod import det_mod, residues
+from .evalmod import det_mod, residues, sample_point
 from .matrix import PolyMatrix
 from .poly import QQ, ZZ, Polynomial, PolyError, Ring, VariableSet, unify_rings
 
@@ -321,40 +321,80 @@ def q_poly(T: MatrixTriple) -> Polynomial:
     return determinant_sum(T, "q")
 
 
+def _pivot_order(rows: list, prime: int) -> tuple:
+    """A row order of an integer matrix mod p, and its sign, in which
+    det_mod's elimination finds every pivot in place: the rows that its
+    first-nonzero search picks, step by step, at these entries."""
+    m = [list(row) for row in rows]
+    order, sign = list(range(len(m))), 1
+    for k in range(len(m)):
+        r = next((i for i in range(k, len(m)) if m[i][k]), k)
+        if r != k:
+            m[k], m[r] = m[r], m[k]
+            order[k], order[r] = order[r], order[k]
+            sign = -sign
+        for row in m[k + 1 :]:
+            if row[k]:  # else the step only scales the row by the pivot
+                row[k:] = [(m[k][k] * a - row[k] * b) % prime for a, b in zip(row[k:], m[k][k:])]
+    return order, sign
+
+
 def _stacks_by_size() -> tuple:
     """GENERATOR_DETERMINANTS grouped by matrix size, for one det_mod call per
-    size: (names, their index stacks concatenated in table order, the offset
-    of each name's segment), for the 27 3x3, 3 6x6 and 3 9x9 determinants."""
+    size: (names, their index stacks concatenated in table order and laid out
+    (n, n, count), a (names, count) matrix of signs), for the 27 3x3, 3 6x6
+    and 3 9x9 determinants.  A generator's value is the sum of its matrices'
+    determinants, each times its sign; the sign matrix is 0 off a name's own
+    matrices.
+
+    The h and q matrices put the zero blocks of their layouts on the
+    diagonal, so elimination in table order would swap rows at every point.
+    Their rows are reordered here, each matrix with its sign, by
+    _pivot_order at one sampled point of the 27 coordinates.  At that point
+    every leading principal minor of a reordered matrix is nonzero, so each
+    is a nonzero polynomial in the coordinates, and det_mod swaps rows only
+    at the points where one of them vanishes.  The 3x3 determinants are
+    expanded, not eliminated, and keep their order."""
+    prime = 2**31 - 1
+    x = list(sample_point(TRIPLE_NAMES, 0, prime, 0).values()) + [0]  # ZERO_SLOT
     groups = {}
     for name, stack in GENERATOR_DETERMINANTS.items():
         groups.setdefault(stack.shape[-1], []).append((name, stack))
-    return tuple(
-        (
-            tuple(name for name, _ in members),
-            np.concatenate([stack for _, stack in members]),
-            np.cumsum([0] + [len(stack) for _, stack in members[:-1]]),
-        )
-        for members in groups.values()
-    )
+    out = []
+    for n, members in groups.items():
+        idx = np.concatenate([stack for _, stack in members])
+        owner = np.repeat(np.arange(len(members)), [len(stack) for _, stack in members])
+        signs = np.zeros((len(members), len(idx)), dtype=np.int64)
+        signs[owner, np.arange(len(idx))] = 1
+        if n > 3:
+            for s, rows in enumerate(idx.tolist()):
+                order, signs[owner[s], s] = _pivot_order([[x[k] for k in row] for row in rows], prime)
+                idx[s] = idx[s, order]
+        out.append((tuple(name for name, _ in members), np.moveaxis(idx, 0, -1).copy(), signs))
+    return tuple(out)
 
 
 _STACKS_BY_SIZE = _stacks_by_size()
 
 
 def generator_values_mod(point: Mapping, prime: int) -> dict:
-    """f1..f10, h and q at a point of the 27 coordinates mod p: the sums of
-    GENERATOR_DETERMINANTS taken with evalmod.det_mod, with no expansion, in
-    one det_mod call per matrix size.  The values of the point are ints of
-    any size, or int arrays of one shape for a batch of points; each result
-    is an int64 of that shape.  A value sums at most 6 determinants in
-    [0, p), p < 2**31, before its reduction, far inside int64 (det_mod gives
-    the bound for the eliminations)."""
-    x = np.stack([residues(point[name], prime) for name in TRIPLE_NAMES], axis=-1)
-    x = np.concatenate([x, np.zeros_like(x[..., :1])], axis=-1)  # ZERO_SLOT
+    """f1..f10, h and q at a point of the 27 coordinates mod p: the signed
+    sums of the determinants of GENERATOR_DETERMINANTS, taken with
+    evalmod.det_mod in one call per matrix size, with no expansion (the h and
+    q rows reordered, each matrix with its sign).  The coordinates are
+    stacked first, so that indexing them with a table laid out
+    (n, n, count) gives the stack batch-last, as det_mod works on it.  The
+    values of the point are ints of any size, or int arrays of one shape for
+    a batch of points; each result is an int64 of that shape.  A value sums
+    at most 6 signed determinants in (-p, p), p < 2**31, before its
+    reduction, far inside int64 (det_mod gives the bounds of the
+    determinants)."""
+    x = np.stack([residues(point[name], prime) for name in TRIPLE_NAMES])
+    x = np.concatenate([x, np.zeros_like(x[:1])])  # ZERO_SLOT
     values = {}
-    for names, idx, starts in _STACKS_BY_SIZE:
-        sums = np.add.reduceat(det_mod(x[..., idx], prime), starts, axis=-1) % prime
-        values.update(zip(names, np.moveaxis(sums, -1, 0)))
+    for names, idx, signs in _STACKS_BY_SIZE:
+        dets = det_mod(np.moveaxis(x[idx], (0, 1), (-2, -1)), prime)
+        values.update(zip(names, np.tensordot(signs, dets, axes=1) % prime))
     return {name: values[name] for name in GENERATOR_DETERMINANTS}
 
 

@@ -330,7 +330,8 @@ class Polynomial:
         under the grading; the zero polynomial has none.  The int64 sums
         cannot overflow: a weight must lie below 2**32 in magnitude, and a term
         has total degree at most 255 * len(vars), so a sum stays below 2**62
-        for any set of fewer than 2**22 variables."""
+        for any set of fewer than 2**22 variables.  A homogeneous polynomial,
+        every row equal to the first, makes one tuple, not one per term."""
         if len({len(w) for w in weights.values()}) > 1:
             raise PolyError("weight vectors of different lengths")
         if any(abs(w) >= 2**32 for ws in weights.values() for w in ws):
@@ -338,7 +339,10 @@ class Polynomial:
         columns = [self.vars.index(name) for name in weights]
         width = len(next(iter(weights.values()), ()))
         w = np.array(list(weights.values()), dtype=np.int64).reshape(len(weights), width)
-        return set(map(tuple, (self.exponents()[:, columns].astype(np.int64) @ w).tolist()))
+        d = self.exponents()[:, columns].astype(np.int64) @ w
+        if len(d) and (d == d[0]).all():
+            return {tuple(d[0].tolist())}
+        return set(map(tuple, d.tolist()))
 
     def max_exponent(self, name: str) -> int:
         return int(self.exponents()[:, self.vars.index(name)].max(initial=0))

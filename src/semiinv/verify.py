@@ -154,8 +154,10 @@ def run_identity_modular(name: str, expr: Composition, cfg: RunConfig) -> CheckR
     evaluation is zero.  Reports the Schwartz-Zippel failure bound per prime,
     or None for a prime p <= degree, where d/p >= 1 bounds nothing.
 
-    A prime's points are drawn one by one with sample_point and stacked into
-    int64 arrays, so one eval_mod call evaluates all of its trials."""
+    One sample_point call per prime draws the batch point of all its trials,
+    one int64 array per name, and one eval_mod call evaluates it.  The point
+    of the first failing trial, in (prime, trial) order, is drawn again as a
+    dict of ints for the counterexample."""
     t0 = time.perf_counter()
     names = expr.vars.names
     degree = expr.degree_bound()
@@ -168,26 +170,22 @@ def run_identity_modular(name: str, expr: Composition, cfg: RunConfig) -> CheckR
         )
     failures = []
     for prime in cfg.primes:
-        points = [sample_point(names, cfg.seed, prime, t) for t in range(cfg.trials)]
-        batch = {n: np.array([pt[n] for pt in points], dtype=np.int64) for n in names}
+        batch = sample_point(names, cfg.seed, prime, range(cfg.trials))
         try:
             values = expr.eval_mod(batch, prime)
         except DenominatorNotInvertible as exc:
             raise VerifyUsageError(f"{name}: {exc}") from None
-        values = np.broadcast_to(values, len(points))
-        failures.extend(
-            (prime, t, int(v), pt) for t, (v, pt) in enumerate(zip(values, points)) if v
-        )
+        values = np.broadcast_to(values, cfg.trials)
+        failures.extend((prime, t, int(values[t])) for t in np.flatnonzero(values).tolist())
 
-    failures.sort(key=lambda f: (f[0], f[1]))
     counterexample = None
     if failures:
-        prime, trial, value, point = failures[0]
+        prime, trial, value = min(failures)
         counterexample = {
             "prime": prime,
             "trial": trial,
             "value": value,
-            "point": point,
+            "point": sample_point(names, cfg.seed, prime, trial),
         }
     details = {
         "degree_bound": degree,

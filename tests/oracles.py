@@ -198,6 +198,20 @@ def naive_eval_mod(p, point, prime):
     return total
 
 
+def weighted_degrees(p, weights):
+    """The set of rows sum(e * weights[name]) over the terms of a package
+    polynomial, one row per term; an unlisted variable weighs 0."""
+    width = len(next(iter(weights.values()), ()))
+    zero = (0,) * width
+    return {
+        tuple(
+            sum(e * weights.get(name, zero)[i] for name, e in zip(p.vars.names, exps))
+            for i in range(width)
+        )
+        for exps in from_package(p)
+    }
+
+
 def fraction_determinant(rows):
     """Determinant of a plain integer matrix by Gaussian elimination over
     the rationals, with a row swap at a zero pivot; an int."""

@@ -120,6 +120,45 @@ def test_sample_point_stream_is_pinned():
     )
 
 
+def _batch_equals_per_trial(names, seed, prime, trials):
+    batch = sample_point(names, seed, prime, trials)
+    assert tuple(batch) == tuple(names)
+    assert all(v.dtype == np.int64 and v.shape == (len(trials),) for v in batch.values())
+    for k, trial in enumerate(trials):
+        assert {n: int(batch[n][k]) for n in names} == sample_point(names, seed, prime, trial)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("prime", [3, 5, 2147483647])
+def test_sample_point_batch_equals_the_per_trial_points(seed, prime):
+    """A range of trials gives the batch point whose entry k is, name by
+    name, the int that trial trials[k] draws alone."""
+    _batch_equals_per_trial(gen.TRIPLE_NAMES, seed, prime, range(40))
+    _batch_equals_per_trial(gen.TRIPLE_NAMES, seed, prime, range(7, 9))
+    _batch_equals_per_trial(tuple("abcde"), seed, prime, range(3))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("prime", [3, 5, 2147483647])
+def test_sample_point_batch_redraws_the_trials_that_reject_a_word(monkeypatch, seed, prime):
+    """With the word limit at 2**63, about half of the words are rejected,
+    so every trial of the batch rejects one of its first 27 words and is
+    drawn again word by word; the batch still equals the per-trial points.
+    With the real limit a word is rejected with probability p / 2**64 at
+    most, about 1e-10, so no other test reaches this path."""
+    monkeypatch.setattr(evalmod, "_word_limit", lambda p: 2**63)
+    real, redrawn = evalmod._trial_values, []
+
+    def trial_values(n, seed, prime, trial):
+        redrawn.append(trial)
+        return real(n, seed, prime, trial)
+
+    monkeypatch.setattr(evalmod, "_trial_values", trial_values)
+    _batch_equals_per_trial(gen.TRIPLE_NAMES, seed, prime, range(30))
+    # the batch redraws each of its trials, then each trial is drawn alone
+    assert redrawn == list(range(30)) * 2
+
+
 def test_composition_binds_one_leaf_to_two_names():
     x = Polynomial.variable(ZZ, VS, "x")
     leaf = x ** 2 + 1
@@ -372,14 +411,19 @@ def test_det_mod_matches_the_fraction_oracle(case):
     assert values.ravel().tolist() == [
         oracles.fraction_determinant(rows) % prime for rows in mats
     ]
+    if isinstance(stack, np.ndarray):
+        # the same stack stored batch-last, as generator_values_mod passes it
+        batch_last = np.moveaxis(np.moveaxis(stack, (-2, -1), (0, 1)).copy(), (0, 1), (-2, -1))
+        assert evalmod.det_mod(batch_last, prime).tolist() == values.tolist()
 
 
-def test_one_det_mod_call_per_size_and_one_inverse_per_call(monkeypatch):
+def test_one_det_mod_call_per_size_and_one_inverse_per_elimination(monkeypatch):
     """generator_values_mod takes its 27 3x3, 3 6x6 and 3 9x9 determinants
-    in one det_mod call per size, and det_mod inverts once per call."""
+    in one det_mod call per size, each a stack of (matrices, points).  The
+    3x3 call expands and inverts nothing; the 6x6 and 9x9 calls eliminate
+    and invert once each."""
     prime = 2147483647
-    points = [sample_point(gen.TRIPLE_NAMES, 8, prime, t) for t in range(4)]
-    batch = {n: np.array([pt[n] for pt in points], dtype=np.int64) for n in gen.TRIPLE_NAMES}
+    batch = sample_point(gen.TRIPLE_NAMES, 8, prime, range(4))
     real_det, real_inverse = evalmod.det_mod, evalmod._inverse_mod
     shapes, inverses = [], []
 
@@ -394,15 +438,52 @@ def test_one_det_mod_call_per_size_and_one_inverse_per_call(monkeypatch):
     monkeypatch.setattr(gen, "det_mod", det_mod)
     monkeypatch.setattr(evalmod, "_inverse_mod", inverse_mod)
     values = gen.generator_values_mod(batch, prime)
-    assert sorted(shapes) == [(4, 3, 6, 6), (4, 3, 9, 9), (4, 27, 3, 3)]
-    assert inverses == [(4 * 27,), (4 * 3,), (4 * 3,)]
-    for t, point in enumerate(points[:2]):
+    assert sorted(shapes) == [(3, 4, 6, 6), (3, 4, 9, 9), (27, 4, 3, 3)]
+    assert inverses == [(3 * 4,), (3 * 4,)]
+    for t in range(2):
         inverses.clear()
-        scalar = gen.generator_values_mod(point, prime)
-        assert len(inverses) == 3
+        scalar = gen.generator_values_mod(sample_point(gen.TRIPLE_NAMES, 8, prime, t), prime)
+        assert inverses == [(3,), (3,)]
         assert {name: int(v) for name, v in scalar.items()} == {
             name: int(v[t]) for name, v in values.items()
         }
+
+
+def _leading_minor_zeros(stacks, point, prime):
+    """For each eliminated size, the number of (matrix, point) pairs of the
+    index stacks whose k x k leading principal minor is 0 mod p while the
+    smaller ones are not, for k = 1..n.  Such a pair is exactly one at which
+    det_mod, having swapped nothing before, meets a zero pivot at step k - 1
+    and searches the rows below for one to swap in (pivot_row != k - 1 unless
+    the matrix is singular mod p)."""
+    x = np.stack([point[name] for name in gen.TRIPLE_NAMES] + [np.zeros_like(point["x1_11"])])
+    counts = {}
+    for idx in stacks:
+        mats = np.moveaxis(x[idx], (0, 1), (-2, -1))  # (matrices, points, n, n)
+        n = mats.shape[-1]
+        earlier = np.zeros(mats.shape[:-2], dtype=bool)
+        counts[n] = []
+        for k in range(1, n + 1):
+            zero = (evalmod.det_mod(mats[..., :k, :k], prime) == 0) & ~earlier
+            counts[n].append(int(zero.sum()))
+            earlier |= zero
+    return counts
+
+
+@pytest.mark.parametrize("prime", [2147483647, 2147483629])
+def test_reordered_h_and_q_rows_need_no_swap_at_sampled_points(prime):
+    """The h and q index stacks of generator_values_mod are row-reordered,
+    each matrix with its sign, so that det_mod swaps no rows at 200 sampled
+    points: no leading principal minor vanishes there.  In table order the
+    zero blocks on the diagonal force a swap at step 0 of one h matrix and of
+    every q matrix."""
+    point = sample_point(gen.TRIPLE_NAMES, 3, prime, range(200))
+    eliminated = [idx for _, idx, _ in gen._STACKS_BY_SIZE if len(idx) > 3]
+    assert [len(idx) for idx in eliminated] == [6, 9]
+    assert _leading_minor_zeros(eliminated, point, prime) == {6: [0] * 6, 9: [0] * 9}
+    table_order = [np.moveaxis(gen.GENERATOR_DETERMINANTS[name], 0, -1) for name in ("h", "q")]
+    before = _leading_minor_zeros(table_order, point, prime)
+    assert (before[6][0], before[9][0]) == (200, 3 * 200)
 
 
 def test_definition_path_accepts_integers_outside_int64():

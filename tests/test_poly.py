@@ -440,17 +440,36 @@ def test_degrees_matches_a_per_term_sum(p, weights, unknown):
     """degrees is the set of per-term sums of exponent * weight over the
     naive terms, an unlisted variable weighing 0; a weighted name that is
     not one of the variables raises."""
-    width = 2 if weights else 0  # no weights, no components
-    want = {
-        tuple(
-            sum(e * weights.get(name, (0, 0))[i] for name, e in zip(VS.names, exps))
-            for i in range(width)
-        )
-        for exps in oracles.from_package(p)
-    }
-    assert p.degrees(weights) == want
+    assert p.degrees(weights) == oracles.weighted_degrees(p, weights)
     with pytest.raises(VariableMismatch):
         p.degrees({**weights, unknown: (1, 1)})
+
+
+@given(
+    st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=8),
+    st.dictionaries(
+        st.sampled_from(VS.names),
+        st.tuples(st.integers(-3, 5), st.integers(-3, 5)),
+        min_size=1,
+    ),
+    st.booleans(),
+)
+@settings(max_examples=300)
+def test_degrees_equals_the_set_of_rows(monomials, weights, homogeneous):
+    """degrees is the set-of-rows reference on polynomials kept homogeneous
+    under the weights (one row, however many terms), on inhomogeneous ones
+    and on the zero polynomial (no rows)."""
+
+    def row(mono):
+        return oracles.weighted_degrees(Polynomial.from_terms(ZZ, VS, {mono: 1}), weights).pop()
+
+    if homogeneous:
+        monomials = [m for m in monomials if row(m) == row(monomials[0])]
+    p = Polynomial.from_terms(ZZ, VS, {m: k + 1 for k, m in enumerate(monomials)})
+    want = oracles.weighted_degrees(p, weights)
+    assert p.degrees(weights) == want
+    if homogeneous:
+        assert len(want) == (0 if p.is_zero() else 1)
 
 
 @given(packaged_polys(), packaged_polys())
