@@ -78,7 +78,6 @@ def _config_from(args) -> RunConfig:
         trials=args.trials,
         primes=primes,
         seed=args.seed,
-        allow_small_char=args.allow_small_char,
     )
 
 
@@ -146,8 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.add_argument("--allow-small-char", action="store_true",
-                          help="permit characteristic 3")
     p_verify.set_defaults(func=cmd_verify)
 
     p_derive = sub.add_parser("derive-st", help="print the derived quartic and sextic f-invariants")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import generators as gen
-from . import hwv, textio
+from . import hwv, relations, textio
 from .evalmod import Composition
 from .matrix import PolyMatrix
 from .poly import ZZ, Polynomial, VariableSet
@@ -210,27 +210,23 @@ def nakamoto_polynomial() -> Polynomial:
     return textio.parse_text(_TRACE_RELATION_TEXT, TRACE_VARS, ZZ)
 
 
-def rewrite_relation_through_phi(relation: Polynomial | None = None) -> Polynomial:
-    """The triple relation with the trace-ring images substituted for the
-    twelve generator variables (and the last one set to 1)."""
-    from .relations import defining_relation
-
-    rel = relation if relation is not None else defining_relation()
+def rewrite_relation_through_phi() -> Polynomial:
+    """relations.defining_relation() with the trace-ring images substituted
+    for the twelve generator variables (and the last one set to 1)."""
+    rel = relations.defining_relation()
     forms = phi_image_forms()
     return rel.substitute({name: forms[name] for name in rel.vars.names})
 
 
-def nakamoto_structural_check(
-    relation: Polynomial | None = None,
-    trace_relation: Polynomial | None = None,
-) -> CheckResult:
+def nakamoto_structural_check() -> CheckResult:
     """Term-for-term equality of the rewritten triple relation with the
-    transcribed trace relation; on failure the symmetric difference of the
-    term sets is reported."""
+    transcribed trace relation, both read through their module attributes
+    when the check runs; on failure the symmetric difference of the term
+    sets is reported."""
 
     def matches():
-        nak = trace_relation if trace_relation is not None else nakamoto_polynomial()
-        rewritten = rewrite_relation_through_phi(relation)
+        nak = nakamoto_polynomial()
+        rewritten = rewrite_relation_through_phi()
         details: dict = {"terms": len(nak)}
         if rewritten != nak:
             diff = rewritten - nak
@@ -241,9 +237,8 @@ def nakamoto_structural_check(
     return boolean_check("trace relation matches the rewritten triple relation", matches)
 
 
-def nakamoto_composed_expr(trace_relation: Polynomial | None = None) -> Composition:
-    nak = trace_relation if trace_relation is not None else nakamoto_polynomial()
-    return Composition(nak, trace_generators())
+def nakamoto_composed_expr() -> Composition:
+    return Composition(nakamoto_polynomial(), trace_generators())
 
 
 # The slice A = diag(x1_11, x1_22, x1_33), B generic, in 12 of the 18 entries.
@@ -262,9 +257,11 @@ PAIR_SLICE = Slice(
 )
 
 
-def verify_nakamoto_composed(cfg: RunConfig, trace_relation: Polynomial | None = None) -> CheckResult:
+def verify_nakamoto_composed(cfg: RunConfig) -> CheckResult:
     """The trace relation composed with the actual trace generators vanishes
-    in the 18 entry variables.
+    in the 18 entry variables.  Both are read when the check runs, through
+    nakamoto_polynomial and trace_generators, so a test substitutes a mutant
+    there.
 
     Proved on PAIR_SLICE by run_slice_proof: each of the eleven generators
     passes hwv.conjugation_invariance_certificate, or the check FAILs naming
@@ -272,7 +269,7 @@ def verify_nakamoto_composed(cfg: RunConfig, trace_relation: Polynomial | None =
     either mode."""
     return run_slice_proof(
         "trace relation vanishes on the trace generators",
-        nakamoto_composed_expr(trace_relation),
+        nakamoto_composed_expr(),
         cfg,
         PAIR_SLICE,
         run_identity_exact_else_modular,

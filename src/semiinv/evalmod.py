@@ -74,13 +74,12 @@ def _is_prime_u32(n: int) -> bool:
     return True
 
 
-def check_prime(p: int, allow_small_char: bool = False) -> int:
-    """Validate a verification prime: odd, < 2**31, prime, and not 2 or 3
-    unless small characteristics are explicitly allowed."""
+def check_prime(p: int) -> int:
+    """Validate a verification prime: odd, < 2**31 and prime.  What a small
+    prime allows follows from the identity: a denominator it divides is a
+    DenominatorNotInvertible, and p <= degree bounds nothing."""
     if p % 2 == 0 or p >= _PRIME_LIMIT or not _is_prime_u32(p):
         raise PolyError(f"{p} is not an odd prime below 2**31")
-    if p == 3 and not allow_small_char:
-        raise PolyError("characteristic 3 requires allow_small_char")
     return p
 
 

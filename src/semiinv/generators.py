@@ -505,17 +505,18 @@ ELEMENTARY_TRANSVECTIONS = {"u12": U12, "u23": U23, "u21": U21, "u32": U32}
 _T3_VARS = VariableSet(T_NAMES)
 
 
-def _linear_forms(rows, ring: Ring, vars: VariableSet) -> list:
-    """The linear forms sum_m row[m] * (variable m of vars), one per row."""
+def _linear_forms(rows, vars: VariableSet) -> list:
+    """The linear forms sum_m row[m] * (variable m of vars) over ZZ, one per
+    row."""
     units = [tuple(int(i == m) for i in range(len(vars))) for m in range(len(vars))]
-    return [Polynomial.from_terms(ring, vars, dict(zip(units, row))) for row in rows]
+    return [Polynomial.from_terms(ZZ, vars, dict(zip(units, row))) for row in rows]
 
 
 def f_action_matrix(g: Sequence[Sequence]) -> list:
     """10x10 integer matrix M with g.f_n = sum_m M[n][m] f_m for an integer
     matrix g, computed by expanding the substituted pencil monomials as ZZ
     polynomials in the t-variables."""
-    lin = _linear_forms(g, ZZ, _T3_VARS)
+    lin = _linear_forms(g, _T3_VARS)
     rows = [[0] * 10 for _ in F_INDEX]
     for m_idx, (l, m, n) in enumerate(F_INDEX):
         prod = lin[0] ** l * lin[1] ** m * lin[2] ** n
@@ -524,10 +525,10 @@ def f_action_matrix(g: Sequence[Sequence]) -> list:
     return rows
 
 
-def f_span_substitution(g: Sequence[Sequence], ring: Ring = ZZ) -> dict:
+def f_span_substitution(g: Sequence[Sequence]) -> dict:
     """Bindings on the abstract f-ring realizing the action on f-polynomials:
-    f_n -> sum_m M[n][m] f_m."""
-    return dict(zip(F_NAMES, _linear_forms(f_action_matrix(g), ring, F_VARS)))
+    f_n -> sum_m M[n][m] f_m, over ZZ."""
+    return dict(zip(F_NAMES, _linear_forms(f_action_matrix(g), F_VARS)))
 
 
 # -- classical cubic invariants through the coefficient dictionary ------------

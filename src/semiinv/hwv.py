@@ -275,10 +275,10 @@ def sl3_sl3_invariance_certificate(*polys: Polynomial) -> bool:
     return _killed_by(polys, derivations)
 
 
-def conjugation_invariance_certificate(F: Polynomial, components=(1, 2)) -> bool:
-    """Invariance under simultaneous conjugation A_r -> g A_r g^-1 of the
-    components: row_derivation(i, j) - column_derivation(i, j) kills F for
-    E12, E23, E21, E32.
+def conjugation_invariance_certificate(F: Polynomial) -> bool:
+    """Invariance under simultaneous conjugation (A, B) -> (g A g^-1, g B g^-1)
+    of the pair in components 1 and 2: row_derivation(i, j) -
+    column_derivation(i, j) kills F for E12, E23, E21, E32.
 
     The t-derivative at 0 of (I + t*E_ij) A (I + t*E_ij)^-1 = (I + t*E_ij) A
     (I - t*E_ij) is E_ij A - A E_ij, whose derivation on F is the row minus
@@ -287,7 +287,7 @@ def conjugation_invariance_certificate(F: Polynomial, components=(1, 2)) -> bool
     SL3.  Scalars conjugate trivially and GL3 = scalars * SL3 over an
     algebraically closed field, so F is invariant under GL3 conjugation."""
     derivations = [
-        (row_derivation(i, j, components), column_derivation(i, j, components))
+        (row_derivation(i, j, (1, 2)), column_derivation(i, j, (1, 2)))
         for i, j in SL3_ROOTS
     ]
     return _killed_by([F], derivations)
@@ -363,15 +363,13 @@ def solve_hwv_correction(base: Polynomial, basis: Sequence[Polynomial]) -> list:
     return linalg.solve_unique([(row[1:], -row[0]) for row in rows], len(basis))
 
 
-def h_correction_basis(table=None) -> list:
+def h_correction_basis(table) -> list:
     """The products of gen.H_CORRECTIONS over a generator table, in ZZ."""
-    table = table or gen.generator_table()
     return list(gen.correction_products(gen.H_CORRECTIONS, gen.correction_factors(table.f, table.h)))
 
 
-def q_correction_basis(table=None) -> list:
+def q_correction_basis(table) -> list:
     """The products of gen.Q_CORRECTIONS over a generator table, in ZZ."""
-    table = table or gen.generator_table()
     return list(gen.correction_products(gen.Q_CORRECTIONS, gen.correction_factors(table.f, table.h)))
 
 

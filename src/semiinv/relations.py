@@ -160,20 +160,18 @@ def main_relation_expr(relation: Polynomial | None = None) -> Composition:
 THEOREM1_VARS = VariableSet(("Q", "H") + gen.F_NAMES)
 
 
-def theorem1_expr(s4: Polynomial | None = None, t6: Polynomial | None = None) -> Composition:
+def theorem1_expr() -> Composition:
     """Q^2 - H^3 - 27*H*S + (27/4)*T over the 27 coordinates.  The f-ring
-    invariants S and T are composed exactly into one rational outer
-    polynomial over (Q, H, f1..f10), whose leaves are the generator
-    polynomials; every outer term has weighted degree 18, the degree bound.
-    Modular evaluation reads the generators from their definitions.  An
-    invariant that is not passed is the derived one, each on its own."""
+    invariants S and T are the pair derive_st returns, read through this
+    module's attribute when the expression is built, so a substituted
+    derive_st is the one composed.  They are composed exactly into one
+    rational outer polynomial over (Q, H, f1..f10), whose leaves are the
+    generator polynomials; every outer term has weighted degree 18, the
+    degree bound.  Modular evaluation reads the generators from their
+    definitions."""
     table = gen.generator_table()
-    if s4 is None or t6 is None:
-        derived = derive_st()
-        s4 = derived[0] if s4 is None else s4
-        t6 = derived[1] if t6 is None else t6
     Qv, Hv = (Polynomial.variable(QQ, THEOREM1_VARS, name) for name in ("Q", "H"))
-    S, T = (p.to_ring(QQ).convert(THEOREM1_VARS) for p in (s4, t6))
+    S, T = (p.to_ring(QQ).convert(THEOREM1_VARS) for p in derive_st())
     return Composition(
         Qv.mul(Qv) - Hv ** 3 - Hv.mul(S) * 27 + T * Fraction(27, 4),
         dict(zip(gen.F_NAMES, table.f), Q=table.Q, H=table.H),

@@ -2,12 +2,14 @@
 
 Every check is a boolean_check (or an identity run) whose predicate reads the
 builds it needs -- gen.generator_table, the two correction solves,
-relations.derive_st, conjinv.trace_generators, ... -- through their module
-attributes when it runs, not when the suite is assembled.  So a test can
-substitute a mutated relation or a wrong correction table and watch the
-suite catch it; a build's time lands in the elapsed_s of the first check
-that reads it; and a build that refuses its input (PolyError, LinAlgError)
-fails only the checks that read it, while the others still report.
+relations.defining_relation, relations.derive_st, conjinv.nakamoto_polynomial,
+... -- through their module attributes when it runs.  A suite passes its
+checks only the RunConfig, so a test substitutes a mutated relation or a
+wrong correction table by monkeypatching the module attribute.  A build's
+time lands in the elapsed_s of the first check that reads it, and a build
+that refuses its input (PolyError, LinAlgError) fails only the checks that
+read it.  Any odd prime is accepted: mod 3 the main relation runs, and
+theorem 1, whose H has the denominator 3, is a usage error.
 """
 
 from __future__ import annotations

@@ -5,21 +5,21 @@ named leaf polynomials.  It either expands the identity exactly to the zero
 polynomial or evaluates it at pseudo-random points over a list of prime
 fields.  run_slice_proof does either on a slice of the variables, after an
 exact gate certifies that the identity is invariant.  Modular runs are
-reproducible from (seed, primes, trials); all of a prime's trials are
-evaluated in one process by one evaluation of the composition, and a
-trial's point and value do not depend on the others.  The two triple
-identities read their generators from the determinant definitions there
-(relations.generator_definition_mod), not from the expanded leaves.  Every
-other check runs through boolean_check, which times its predicate and makes
-a refused build that check's FAIL.  A RunConfig validates itself when it is
-constructed.
+reproducible from (seed, primes, trials); a prime's trials are evaluated in
+one process, TRIAL_CHUNK at a time, by one evaluation of the composition per
+chunk, and a trial's point and value do not depend on the others.  The two
+triple identities read their generators from the determinant definitions
+there (relations.generator_definition_mod), not from the expanded leaves.
+Every other check runs through boolean_check, which times its predicate and
+makes a refused build that check's FAIL.  A RunConfig validates itself when
+it is constructed.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -48,12 +48,16 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """What a verify run does, as its report records it (to_json has every
+    field).  The verify option of the same name sets each field but jobs.
+    Any odd prime below 2**31 is accepted; what a small one allows follows
+    from the identity (see run_identity_modular)."""
+
     mode: str = "modular"  # "exact" | "modular"
     trials: int = 100
     primes: tuple = DEFAULT_PRIMES
     seed: int = 0
     jobs: int = 1  # runs are in-process; kept, pinned to 1, for callers and reports
-    allow_small_char: bool = False
 
     def __post_init__(self):
         # every check runs at construction: a config that could skip one could
@@ -75,17 +79,12 @@ class RunConfig:
             raise VerifyUsageError(f"unknown mode {self.mode!r}")
         if self.trials < 1:
             raise VerifyUsageError("trials must be >= 1")
-        if not isinstance(self.allow_small_char, bool):
-            # the CLI sets it only by a flag, so only a bool reproduces
-            raise VerifyUsageError(
-                f"allow_small_char must be a bool, not {self.allow_small_char!r}"
-            )
         if len(set(self.primes)) != len(self.primes):
             # points are keyed by (seed, prime, trial): a repeat re-evaluates them
             raise VerifyUsageError(f"repeated prime in {list(self.primes)}")
         try:
             for p in self.primes:
-                check_prime(p, allow_small_char=self.allow_small_char)
+                check_prime(p)
         except PolyError as exc:
             raise VerifyUsageError(str(exc)) from None
 
@@ -94,14 +93,7 @@ class RunConfig:
         return self
 
     def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "trials": self.trials,
-            "primes": list(self.primes),
-            "seed": self.seed,
-            "jobs": self.jobs,
-            "allow_small_char": self.allow_small_char,
-        }
+        return dict(asdict(self), primes=list(self.primes))
 
 
 @dataclass
@@ -148,16 +140,23 @@ def boolean_check(name: str, fn: Callable[[], object]) -> CheckResult:
 
 # -- modular identity runs ----------------------------------------------------
 
+# trials per batch of a modular run: memory grows with the chunk, not with
+# cfg.trials (about 6.5 KB per trial of the 27-coordinate identities)
+TRIAL_CHUNK = 1000
+
 
 def run_identity_modular(name: str, expr: Composition, cfg: RunConfig) -> CheckResult:
     """Evaluate the expression at cfg.trials points per prime; PASS iff every
     evaluation is zero.  Reports the Schwartz-Zippel failure bound per prime,
-    or None for a prime p <= degree, where d/p >= 1 bounds nothing.
+    or None for a prime p <= degree, where d/p >= 1 bounds nothing.  A prime
+    that divides a denominator of the identity is a VerifyUsageError.
 
-    One sample_point call per prime draws the batch point of all its trials,
-    one int64 array per name, and one eval_mod call evaluates it.  The point
-    of the first failing trial, in (prime, trial) order, is drawn again as a
-    dict of ints for the counterexample."""
+    Each prime's trials are taken in consecutive ranges of TRIAL_CHUNK: one
+    sample_point call draws a range's batch point, one int64 array per name,
+    and one eval_mod call evaluates it.  Points are keyed by (seed, prime,
+    trial), so the chunking changes no value.  The point of the first failing
+    trial, in (prime, trial) order, is drawn again as a dict of ints for the
+    counterexample."""
     t0 = time.perf_counter()
     names = expr.vars.names
     degree = expr.degree_bound()
@@ -168,19 +167,26 @@ def run_identity_modular(name: str, expr: Composition, cfg: RunConfig) -> CheckR
             if degree == 0 or p <= degree
             else round(cfg.trials * math.log10(degree / p), 2)
         )
-    failures = []
+    first, nonzero = None, 0
     for prime in cfg.primes:
-        batch = sample_point(names, cfg.seed, prime, range(cfg.trials))
-        try:
-            values = expr.eval_mod(batch, prime)
-        except DenominatorNotInvertible as exc:
-            raise VerifyUsageError(f"{name}: {exc}") from None
-        values = np.broadcast_to(values, cfg.trials)
-        failures.extend((prime, t, int(values[t])) for t in np.flatnonzero(values).tolist())
+        for start in range(0, cfg.trials, TRIAL_CHUNK):
+            chunk = range(start, min(start + TRIAL_CHUNK, cfg.trials))
+            batch = sample_point(names, cfg.seed, prime, chunk)
+            try:
+                values = expr.eval_mod(batch, prime)
+            except DenominatorNotInvertible as exc:
+                raise VerifyUsageError(f"{name}: {exc}") from None
+            values = np.broadcast_to(values, len(chunk))
+            failing = np.flatnonzero(values)
+            nonzero += failing.size
+            if failing.size:
+                t = int(failing[0])
+                found = (prime, chunk[t], int(values[t]))
+                first = found if first is None else min(first, found)
 
     counterexample = None
-    if failures:
-        prime, trial, value = min(failures)
+    if first is not None:
+        prime, trial, value = first
         counterexample = {
             "prime": prime,
             "trial": trial,
@@ -194,7 +200,7 @@ def run_identity_modular(name: str, expr: Composition, cfg: RunConfig) -> CheckR
         "seed": cfg.seed,
         "log10_failure_bound_per_prime": bounds,
         "evaluations": cfg.trials * len(cfg.primes),
-        "nonzero_evaluations": len(failures),
+        "nonzero_evaluations": nonzero,
     }
     notes = []
     small = [str(p) for p in cfg.primes if degree and p <= degree]
@@ -205,7 +211,7 @@ def run_identity_modular(name: str, expr: Composition, cfg: RunConfig) -> CheckR
         )
     return CheckResult(
         name,
-        not failures,
+        first is None,
         "modular",
         time.perf_counter() - t0,
         details,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import time
@@ -123,14 +124,15 @@ def test_verify_bad_prime_exits_2(capsys):
 
 
 def test_verify_characteristic_three_gate(capsys):
-    code, _, err = run_cli(
-        capsys, "verify", "nonvanishing", "--primes", "3"
-    )
-    assert code == 2
-    code, out, _ = run_cli(
-        capsys, "verify", "nonvanishing", "--primes", "3", "--allow-small-char"
-    )
-    assert code == 0
+    """Characteristic 3 is let through like 5 and 7, with no flag: what it
+    allows follows from the identity.  --allow-small-char is an unknown
+    option."""
+    code, _, err = run_cli(capsys, "verify", "nonvanishing", "--primes", "3")
+    assert code == 0 and err == ""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "nonvanishing", "--primes", "3", "--allow-small-char"])
+    assert exc.value.code == 2
+    assert "--allow-small-char" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite", ["theorem1", "all"])
@@ -138,7 +140,7 @@ def test_verify_characteristic_three_with_a_denominator_three_exits_2(capsys, su
     """Theorem 1's identity has a coefficient with denominator 3, so it has
     no value mod 3: a usage error naming the identity and the prime."""
     code, out, err = run_cli(
-        capsys, "verify", suite, "--primes", "3", "--allow-small-char", "--trials", "1"
+        capsys, "verify", suite, "--primes", "3", "--trials", "1"
     )
     assert code == 2
     assert out == ""
@@ -192,6 +194,25 @@ def test_jobs_option_is_gone(capsys):
         cli.main(["verify", "main-relation", "--trials", "2", "--jobs", "2"])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_every_verify_option_sets_a_reported_config_field():
+    """The report's config is the whole RunConfig, and each verify option but
+    the suite and --format sets the field of its name, so a knob cannot live
+    in one place only.  jobs is the one field with no option."""
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    assert list(RunConfig().to_json()) == names
+    parser = cli.build_parser()
+    options = set(vars(parser.parse_args(["verify", "all"])))
+    options -= {"command", "func", "suite", "format"}
+    assert options == set(names) - {"jobs"}
+    given = {"mode": "exact", "trials": "7", "primes": "5,7", "seed": "3"}
+    assert set(given) == options
+    default = RunConfig()
+    for name, value in given.items():
+        cfg = cli._config_from(parser.parse_args(["verify", "all", f"--{name}", value]))
+        assert getattr(cfg, name) != getattr(default, name)
+        assert dataclasses.replace(cfg, **{name: getattr(default, name)}) == default
 
 
 def test_budget_option_is_gone(capsys):

@@ -47,9 +47,7 @@ def test_prime_validation():
         check_prime(9)
     with pytest.raises(PolyError):
         check_prime(2)
-    with pytest.raises(PolyError):
-        check_prime(3)
-    check_prime(3, allow_small_char=True)
+    check_prime(3)  # what characteristic 3 allows follows from the identity
     with pytest.raises(PolyError):
         check_prime(2**31 + 11)
 

@@ -1,3 +1,4 @@
+import json
 import math
 import multiprocessing
 from dataclasses import replace
@@ -192,17 +193,18 @@ def test_negative_control_mutated_relation():
 
 
 @pytest.mark.parametrize("prime", [2147483647, 5, 7])
-def test_theorem1_composition_matches_an_independent_evaluation(prime):
+def test_theorem1_composition_matches_an_independent_evaluation(monkeypatch, prime):
     """The composed outer polynomial of theorem 1 takes the value of
     Q^2 - H^3 - 27*H*S + (27/4)*T, with Q, H and f1..f10 evaluated term by
-    term by the oracle and S, T evaluated at those f-values.  With T
-    replaced by T + f5^6 the values differ by (27/4)*f5^6, nonzero at some
-    of the points."""
+    term by the oracle and S, T evaluated at those f-values.  With derive_st
+    returning T + f5^6 in place of T the values differ by (27/4)*f5^6,
+    nonzero at some of the points."""
     table = gen.generator_table()
     s4, t6 = rel.derive_st()
     f5 = Polynomial.variable(t6.ring, t6.vars, "f5")
-    expr = rel.theorem1_expr(s4, t6)
-    wrong = rel.theorem1_expr(s4, t6 + f5 ** 6)
+    expr = rel.theorem1_expr()
+    monkeypatch.setattr(rel, "derive_st", lambda: (s4, t6 + f5 ** 6))
+    wrong = rel.theorem1_expr()
     c = 27 * pow(4, -1, prime)
     wrong_values = []
     for trial in range(6):
@@ -215,20 +217,6 @@ def test_theorem1_composition_matches_an_independent_evaluation(prime):
         wrong_values.append(wrong.eval_mod(point, prime))
         assert wrong_values[-1] == (expected + c * fs["f5"] ** 6) % prime
     assert any(wrong_values)
-
-
-@pytest.mark.parametrize("which", ["s4", "t6"])
-def test_theorem1_expr_keeps_the_one_invariant_it_is_passed(which):
-    """An invariant passed alone is used, and only the other one is derived:
-    S + f5^4, or T + f5^6, passed with the other argument omitted makes the
-    identity fail."""
-    s4, t6 = rel.derive_st()
-    f5 = Polynomial.variable(s4.ring, s4.vars, "f5")
-    derived = {"s4": s4, "t6": t6}[which]
-    mutant = derived + {"s4": f5 ** 4, "t6": f5 ** 6}[which]
-    cfg = RunConfig(trials=4, primes=(2147483647,), seed=0)
-    assert run_identity_modular("theorem1", rel.theorem1_expr(**{which: derived}), cfg).passed
-    assert not run_identity_modular("theorem1", rel.theorem1_expr(**{which: mutant}), cfg).passed
 
 
 @pytest.mark.parametrize("verify", [rel.verify_main_relation, rel.verify_theorem1])
@@ -274,14 +262,21 @@ def test_main_relation_fails_when_the_definition_of_q_is_off_by_one(monkeypatch)
 )
 def test_characteristic_three_from_the_definitions(capsys, suite, code, err):
     """The determinant definitions hold in characteristic 3: the main
-    relation PASSes there, and theorem 1, whose H has the denominator 3,
-    is still a usage error."""
-    argv = ["verify", suite, "--primes", "3", "--allow-small-char", "--trials", "3"]
+    relation PASSes there with no flag, as a spot-check with a null bound
+    (3 <= 18, the degree bound) and the note that says so, and theorem 1,
+    whose H has the denominator 3, is still a usage error."""
+    argv = ["verify", suite, "--primes", "3", "--trials", "3", "--format", "json"]
     assert cli.main(argv) == code
     out = capsys.readouterr()
     assert out.err == err
     if code == 0:
-        assert "ALL CHECKS PASSED (main-relation)" in out.out
+        (check,) = json.loads(out.out)["checks"]
+        assert check["passed"] and check["details"]["evaluations"] == 3
+        assert check["details"]["log10_failure_bound_per_prime"] == {"3": None}
+        assert check["notes"] == [
+            "primes 3 do not exceed the degree bound 18: "
+            "spot-checks of an identity over ZZ that bound nothing"
+        ]
 
 
 # -- exact mode: slice proofs ---------------------------------------------------
@@ -334,10 +329,14 @@ def test_exact_mode_catches_a_mutated_relation():
     assert result.details["expanded_terms"] == 324
 
 
-def test_exact_mode_catches_a_mutated_sextic(monkeypatch):
+@pytest.mark.parametrize("which", ["s4", "t6"])
+def test_exact_mode_catches_a_mutated_invariant(monkeypatch, which):
+    """derive_st returning S + f5^4, or T + f5^6, with the other invariant
+    as derived: theorem 1 composes the pair it returns, so either FAILs."""
     s4, t6 = rel.derive_st()
     f5 = Polynomial.variable(t6.ring, t6.vars, "f5")
-    monkeypatch.setattr(rel, "derive_st", lambda: (s4, t6 + f5 ** 6))
+    mutants = {"s4": (s4 + f5 ** 4, t6), "t6": (s4, t6 + f5 ** 6)}
+    monkeypatch.setattr(rel, "derive_st", lambda: mutants[which])
     result = rel.verify_theorem1(EXACT)
     assert not result.passed
     assert result.details["block_multidegree"] == [6, 6, 6]
@@ -460,6 +459,22 @@ def test_batched_run_matches_a_per_point_loop():
     assert type(result.counterexample["value"]) is int
 
 
+@pytest.mark.parametrize("trials", [1, 6, 7, 8, 26])
+def test_chunked_trials_give_the_result_of_one_batch(monkeypatch, trials):
+    """A prime's trials are evaluated TRIAL_CHUNK at a time.  Points are keyed
+    by (seed, prime, trial), so chunks of 7 give the verdict, the details and
+    the counterexample of one batch; mod 7 the mutant vanishes at some
+    points, so the count of nonzero evaluations is compared as well."""
+    expr = rel.main_relation_expr(_mutated_relation())
+    cfg = RunConfig(trials=trials, primes=(2147483647, 7), seed=3)
+    monkeypatch.setattr("semiinv.verify.TRIAL_CHUNK", trials)
+    whole = run_identity_modular("mutated", expr, cfg)
+    monkeypatch.setattr("semiinv.verify.TRIAL_CHUNK", 7)
+    chunked = run_identity_modular("mutated", expr, cfg)
+    assert not chunked.passed
+    assert replace(chunked, elapsed_s=0) == replace(whole, elapsed_s=0)
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [
@@ -482,11 +497,6 @@ def test_batched_run_matches_a_per_point_loop():
             r"primes must be a tuple of ints, not \[2147483647, .*\]",
             id="primes=list",
         ),
-        pytest.param(
-            {"primes": (3,), "trials": 2, "allow_small_char": "no"},
-            "allow_small_char must be a bool, not 'no'",
-            id="allow_small_char=no",
-        ),
     ],
 )
 def test_a_bad_config_is_refused_without_validated(kwargs, message):
@@ -495,8 +505,7 @@ def test_a_bad_config_is_refused_without_validated(kwargs, message):
     would run something other than what was asked.  Only ints reproduce from
     the command line: seed=1.5 used to run and PASS, trials=True ran one
     trial, a float trial count or prime crashed with TypeError, a list of
-    the default primes dropped main-relation's spot checks at 5 and 7, and
-    allow_small_char="no" ran and PASSed in characteristic 3."""
+    the default primes dropped main-relation's spot checks at 5 and 7."""
     with pytest.raises(VerifyUsageError, match=f"^{message}$"):
         rel.verify_main_relation(RunConfig(**kwargs), relation=_mutated_relation())
     with pytest.raises(VerifyUsageError, match=f"^{message}$"):
@@ -522,7 +531,7 @@ def test_an_empty_prime_list_is_refused():
 
 
 def test_only_a_non_invertible_denominator_becomes_a_usage_error(monkeypatch):
-    cfg = RunConfig(trials=1, primes=(3,), allow_small_char=True)
+    cfg = RunConfig(trials=1, primes=(3,))
     with pytest.raises(VerifyUsageError, match="^theorem1: denominator 3 not invertible mod 3$"):
         rel.verify_theorem1(cfg)
     expr = rel.theorem1_expr()
