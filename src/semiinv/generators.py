@@ -398,6 +398,13 @@ def generator_values_mod(point: Mapping, prime: int) -> dict:
     return {name: values[name] for name in GENERATOR_DETERMINANTS}
 
 
+# The names GeneratorTable.by_name gives its polynomials, in its order: f{i}{j}{k}
+# and f{n} name one cubic.
+GENERATOR_NAMES = tuple(
+    name for n, (i, j, k) in enumerate(F_INDEX, start=1) for name in (f"f{i}{j}{k}", f"f{n}")
+) + ("h", "q", "HH", "QQ")
+
+
 @dataclass(frozen=True)
 class GeneratorTable:
     """The named invariants of a triple as explicit polynomials."""
@@ -410,16 +417,8 @@ class GeneratorTable:
     Q: Polynomial
 
     def by_name(self) -> dict:
-        out = {}
-        for n, ijk in enumerate(F_INDEX, start=1):
-            p = self.f[n - 1]
-            out[f"f{ijk[0]}{ijk[1]}{ijk[2]}"] = p
-            out[f"f{n}"] = p
-        out["h"] = self.h
-        out["q"] = self.q
-        out["HH"] = self.H
-        out["QQ"] = self.Q
-        return out
+        polys = [p for p in self.f for _ in range(2)] + [self.h, self.q, self.H, self.Q]
+        return dict(zip(GENERATOR_NAMES, polys))
 
 
 def generators_of(T: MatrixTriple) -> GeneratorTable:

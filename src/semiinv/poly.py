@@ -13,8 +13,11 @@ this project has total degree <= 54, and products guard the bound through a
 conservative per-polynomial exponent cap.
 
 Invariant: the big-endian bytes of a key, key.to_bytes(len(vars), "big"), are
-its exponent vector.  The packed key is known only to this module: no other
-module reads `terms` or calls the constructor.
+its exponent vector.  exponents() is the one decoder of keys (the
+constructor's maxexp default only takes the largest byte), and _reindexed,
+the one kernel behind restrict, coefficient_of and convert, reads its keys
+back from the bytes of moved exponent rows.  The packed key is known only to
+this module: no other module reads `terms` or calls the constructor.
 
 One product kernel, _add_products, is the only loop over pairs of terms.
 mul, sum_of_products and the Horner steps of substitute add through it, and
@@ -24,8 +27,8 @@ Kernels read a polynomial through two views, built once and cached, both
 in term order: exponents(), the (terms, vars) uint8 matrix built from the
 keys' bytes, and numerators(), the coefficients as the ints c * L over their
 least common denominator L (1 over ZZ).  Every integer reading of a
-coefficient goes through numerators(): substitute, sum_of_products, hwv's
-derivation kernel and evalmod.
+coefficient goes through numerators(): substitute, sum_of_products,
+_reindexed, hwv's derivation kernel and evalmod.
 
 Polynomials are immutable after construction and every operation is pure, so
 values can be shared freely.
@@ -35,8 +38,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import groupby
-from math import lcm
+from itertools import compress, groupby
+from math import lcm, prod
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -482,63 +485,58 @@ class Polynomial:
         for name in self.vars.names:
             if name not in new_vars and self.max_exponent(name):
                 raise VariableMismatch(f"variable {name!r} used but absent from target set")
-        return self._repacked(new_vars, self.terms.items())
+        return self._reindexed(self.ring, new_vars)
 
-    def _repacked(self, vars: VariableSet, terms: Iterable[tuple]) -> "Polynomial":
-        """(key, coefficient) pairs of this polynomial, re-packed over `vars`:
-        the exponent of each name that `vars` shares moves to its field there,
-        every other field is dropped, and coefficients that meet on one key
-        add up.  The callers have accounted for the dropped fields: convert
-        checks they are 0, restrict has multiplied them out, coefficient_of
-        has matched them."""
-        # (old shift, new shift, mask) per run of names adjacent in both sets
-        moves: list = []
-        for n in vars.names:
-            if n not in self.vars:
-                continue
-            old, new = self.vars.shift(n), vars.shift(n)
-            if moves and moves[-1][:2] == (old + _FIELD_BITS, new + _FIELD_BITS):
-                moves[-1] = (old, new, (moves[-1][2] << _FIELD_BITS) | _FIELD_MASK)
-            else:
-                moves.append((old, new, _FIELD_MASK))
-        out: dict = {}
-        get = out.get
-        for k, c in terms:
-            nk = 0
-            for old, new, mask in moves:
-                nk |= ((k >> old) & mask) << new
-            c0 = get(nk)
-            out[nk] = c if c0 is None else c0 + c
-        return Polynomial(self.ring, vars, {k: c for k, c in out.items() if c}, self.maxexp)
-
-    def _without(self, names) -> VariableSet:
-        """This polynomial's variables minus `names`, in order."""
-        return VariableSet(n for n in self.vars.names if n not in names)
+    def _reindexed(self, ring: Ring, vars: VariableSet, keep=None, factors=None, den: int = 1) -> "Polynomial":
+        """The rows of exponents() that the boolean mask `keep` picks (every
+        row if None), over `vars`: each column that `vars` shares moves to its
+        place there, the others are dropped, and each row becomes one key,
+        read from its bytes.  The rows' numerators(), each times its int in
+        `factors` (1 if None), add up on their key, and each sum is divided
+        once, by L * den, into `ring`.  The callers account for the dropped
+        columns: convert checks they are 0, coefficient_of matches them, and
+        restrict multiplies them into `factors` and `den`."""
+        exps = self.exponents()
+        L, nums = self.numerators()
+        if keep is not None:
+            exps, nums = exps[keep], compress(nums, keep.tolist())
+        if factors is not None:
+            nums = (c * f for c, f in zip(nums, factors))
+        old = [i for i, name in enumerate(self.vars.names) if name in vars]
+        moved = np.zeros((len(exps), len(vars)), np.uint8)
+        moved[:, [vars.index(self.vars.names[i]) for i in old]] = exps[:, old]
+        n, raw = len(vars), moved.tobytes()
+        acc: dict = {}
+        for t, c in enumerate(nums):
+            k = int.from_bytes(raw[t * n : t * n + n], "big")
+            acc[k] = acc.get(k, 0) + c
+        out = {k: Fraction(c, L * den) if ring == QQ else c for k, c in acc.items() if c}
+        return Polynomial(ring, vars, out, self.maxexp)
 
     # -- restriction, extraction, substitution, evaluation ----------------------
 
     def restrict(self, values: Mapping[str, Coeff]) -> "Polynomial":
         """Fix some variables to ints or Fractions: the polynomial in the
         variables that remain, in their order.  A non-integral value moves a
-        ZZ polynomial to QQ."""
-        if self.ring != QQ and any(
-            isinstance(v, Fraction) and v.denominator != 1 for v in values.values()
-        ):
-            return self.to_ring(QQ).restrict(values)
-        fixed = []
-        for name, v in values.items():
-            v = self.ring.normalize(v)
-            # an integral value multiplies as an int, which is faster than a Fraction
-            fixed.append((self.vars.shift(name), v.numerator if v.denominator == 1 else v))
-        terms = []
-        for k, c in self.terms.items():
-            for sh, v in fixed:
-                e = (k >> sh) & _FIELD_MASK
-                if e:
-                    c = c * v ** e
-            if c:
-                terms.append((k, c))
-        return self._repacked(self._without(values), terms)
+        ZZ polynomial to QQ.
+
+        Fraction-free, by substitute's argument with constant bindings: with
+        each value a/D over one D, a term of degree d in the fixed variables
+        has its numerator times prod(a^e) * D^(dmax-d), and each output
+        coefficient is divided once, by L * D^dmax.  The row mask drops the
+        terms that a value 0 kills, and a value 1 (a = D) multiplies nothing,
+        so it counts in no d."""
+        fixed = {self.vars.index(name): QQ.normalize(v) for name, v in values.items()}
+        exps = self.exponents()
+        keep = ~exps[:, [i for i, v in fixed.items() if not v]].any(axis=1)
+        general = {i: v for i, v in fixed.items() if v not in (0, 1)}
+        D = lcm(*(v.denominator for v in general.values()))
+        rows = exps[keep][:, list(general)].tolist() if general else []
+        dmax = max(map(sum, rows), default=0)
+        a = [v.numerator * D // v.denominator for v in general.values()]
+        factors = [prod(map(pow, a, row)) * D ** (dmax - sum(row)) for row in rows]
+        rest = VariableSet(n for n in self.vars.names if n not in values)
+        return self._reindexed(QQ if D != 1 else self.ring, rest, keep, factors if general else None, D**dmax)
 
     def coefficient_of(self, exps: Mapping[str, int], subset: Iterable[str]) -> "Polynomial":
         """The polynomial in the remaining variables multiplying exactly the
@@ -551,16 +549,13 @@ class Polynomial:
         for name in exps:
             if name not in subset:
                 raise VariableMismatch(f"{name!r} is not in the designated subset")
-        mask = 0
-        for n in subset:
-            mask |= _FIELD_MASK << self.vars.shift(n)
-        required = 0
-        for name, e in exps.items():
-            if not 0 <= e <= _MAX_EXP:
-                raise PolyError(f"exponent {e} outside [0, {_MAX_EXP}]")
-            required |= e << self.vars.shift(name)
-        terms = ((k, c) for k, c in self.terms.items() if k & mask == required)
-        return self._repacked(self._without(subset), terms)
+        columns = [self.vars.index(n) for n in subset]
+        required = [exps.get(n, 0) for n in subset]
+        if not all(0 <= e <= _MAX_EXP for e in required):
+            raise PolyError(f"exponents {required} outside [0, {_MAX_EXP}]")
+        keep = (self.exponents()[:, columns] == np.array(required, np.uint8)).all(axis=1)
+        rest = VariableSet(n for n in self.vars.names if n not in subset)
+        return self._reindexed(self.ring, rest, keep)
 
     def substitute(self, bindings: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Exact composition: every variable this polynomial uses is replaced

@@ -5,9 +5,10 @@ polynomials are dicts mapping exponent tuples to coefficients, determinants
 expand recursively along the first row (of plain integer matrices: Fraction
 elimination), ranks come from Fraction elimination, and modular evaluation
 is a direct term-by-term sum.  The oracles named *_package, qq_combine_correction,
-polarize, substitute, block_matrix and pencil_determinant take package polynomials and
-matrices and use only their plain ring operations or their packed terms; the
-last two build the paper's t-graded definitions of the generators, which the
+polarize, substitute, restrict, coefficient_of, convert, block_matrix and
+pencil_determinant take package polynomials and matrices and use only their
+plain ring operations or their packed terms, one key at a time; the last two
+build the paper's t-graded definitions of the generators, which the
 package does not.
 """
 
@@ -16,7 +17,7 @@ from functools import reduce
 from itertools import permutations
 
 from semiinv.matrix import PolyMatrix
-from semiinv.poly import QQ, Polynomial, PolyError, unify_rings
+from semiinv.poly import QQ, Polynomial, PolyError, VariableMismatch, VariableSet, unify_rings
 
 
 def naive_add(a, b):
@@ -142,6 +143,69 @@ def substitute(p, bindings):
         for k2, c2 in factor.terms.items():
             out[k2] = out.get(k2, 0) + c * c2
     return Polynomial(ring, target, {k: c for k, c in out.items() if c}, maxexp)
+
+
+def _repacked(p, vars, terms):
+    """(key, coefficient) pairs of p, re-packed over `vars` one key at a time:
+    the byte of each name that `vars` shares moves to its field there, every
+    other byte is dropped, and coefficients that meet on one key add up."""
+    moves = [(p.vars.shift(n), vars.shift(n)) for n in vars.names if n in p.vars]
+    out = {}
+    for k, c in terms:
+        nk = 0
+        for old, new in moves:
+            nk |= ((k >> old) & 0xFF) << new
+        out[nk] = out.get(nk, 0) + c
+    return Polynomial(p.ring, vars, {k: c for k, c in out.items() if c}, p.maxexp)
+
+
+def _without(p, names):
+    return VariableSet(n for n in p.vars.names if n not in names)
+
+
+def restrict(p, values):
+    """p with some variables fixed to ints or Fractions, term by term: each
+    coefficient times v**e per fixed variable, in the coefficient's own type,
+    after moving a ZZ polynomial to QQ for a non-integral value.  The
+    reference for Polynomial.restrict."""
+    if p.ring != QQ and any(isinstance(v, Fraction) and v.denominator != 1 for v in values.values()):
+        return restrict(p.to_ring(QQ), values)
+    fixed = [(p.vars.shift(name), p.ring.normalize(v)) for name, v in values.items()]
+    terms = []
+    for k, c in p.terms.items():
+        for sh, v in fixed:
+            c = c * v ** ((k >> sh) & 0xFF)
+        if c:
+            terms.append((k, c))
+    return _repacked(p, _without(p, values), terms)
+
+
+def coefficient_of(p, exps, subset):
+    """The terms of p whose keys carry exactly `exps` in the subset's bytes,
+    re-packed without them.  The reference for Polynomial.coefficient_of."""
+    subset = tuple(subset)
+    if any(name not in subset for name in exps):
+        raise VariableMismatch("exponent outside the designated subset")
+    mask = 0
+    for n in subset:
+        mask |= 0xFF << p.vars.shift(n)
+    required = 0
+    for name, e in exps.items():
+        if not 0 <= e <= 255:
+            raise PolyError(f"exponent {e} outside [0, 255]")
+        required |= e << p.vars.shift(name)
+    terms = [(k, c) for k, c in p.terms.items() if k & mask == required]
+    return _repacked(p, _without(p, subset), terms)
+
+
+def convert(p, new_vars):
+    """p re-packed over another variable set, refusing a used variable that
+    the set lacks.  The reference for Polynomial.convert."""
+    for name in p.vars.names:
+        sh = p.vars.shift(name)
+        if name not in new_vars and any((k >> sh) & 0xFF for k in p.terms):
+            raise VariableMismatch(f"variable {name!r} used but absent from target set")
+    return _repacked(p, new_vars, p.terms.items())
 
 
 def block_matrix(blocks):

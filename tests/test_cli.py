@@ -54,6 +54,15 @@ def test_emit_relation_term_count(capsys):
     assert out.count(" + ") + out.count(" - ") + 1 == 76
 
 
+def test_emitting_the_relation_builds_no_generator_table(cold_builds, capsys):
+    """emit A parses and prints the pinned relation; listing the emission
+    names reads generators.GENERATOR_NAMES, so the 27-variable table is not
+    built."""
+    code, out, _ = run_cli(capsys, "emit", "A")
+    assert code == 0 and out
+    assert gen.generator_table.cache_info().currsize == 0
+
+
 def test_emit_json_parses_back(capsys):
     from semiinv import textio
 

@@ -513,14 +513,15 @@ def test_restrict_then_evaluate_is_evaluate(p, values, fixed):
 
 @st.composite
 def wide_polys(draw):
-    """Polynomials over 1 to 4 variables, exponents anywhere in [0, 255]."""
+    """ZZ or QQ polynomials over 1 to 4 variables, exponents anywhere in
+    [0, 255]."""
     vs = VariableSet(f"v{i}" for i in range(draw(st.integers(1, 4))))
-    terms = draw(
-        st.dictionaries(
-            st.tuples(*[st.integers(0, 255)] * len(vs)), st.integers(-5, 5), max_size=5
-        )
-    )
-    return Polynomial.from_terms(ZZ, vs, terms)
+    ring = draw(st.sampled_from((ZZ, QQ)))
+    coeffs = st.integers(-5, 5)
+    if ring == QQ:
+        coeffs = st.fractions(-5, 5, max_denominator=6)
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 255)] * len(vs)), coeffs, max_size=5))
+    return Polynomial.from_terms(ring, vs, terms)
 
 
 @given(st.lists(st.integers(0, 255), min_size=1, max_size=30))
@@ -565,6 +566,95 @@ def test_exponents_cannot_be_written():
         m.setflags(write=True)
     assert p.exponents().tolist() == [list(VS.unpack(k)) for k in p.terms]
     assert p.total_degree() == 3
+
+
+# -- re-indexing against the term-by-term references ------------------------------
+
+BINDING_VALUES = st.one_of(
+    st.sampled_from((0, 1, -1, 2**70)),
+    st.builds(Fraction, st.integers(-9, 9)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(2, 12)).filter(lambda v: v.denominator != 1),
+)
+
+
+def assert_same_polynomial(got, want):
+    """Equal terms, ring, variables in order and exponent bound, and each
+    coefficient an int over ZZ, a Fraction over QQ."""
+    assert got == want
+    assert got.vars.names == want.vars.names and got.maxexp == want.maxexp
+    assert all(type(c) is (int if got.ring == ZZ else Fraction) for c in got.terms.values())
+
+
+@given(wide_polys(), st.data())
+@settings(max_examples=300)
+def test_restrict_coefficient_of_and_convert_match_the_term_by_term_references(p, data):
+    """The re-indexing kernel behind restrict, coefficient_of and convert
+    agrees with the one-key-at-a-time references of tests/oracles.py: over
+    ZZ and QQ, bindings to 0, 1, -1, 2**70 and integral and non-integral
+    Fractions, an exponent map read off a term or drawn anywhere, and target
+    sets that permute, add or drop variables."""
+    names = p.vars.names
+    fixed = data.draw(st.lists(st.sampled_from(names), unique=True))
+    values = {n: data.draw(BINDING_VALUES) for n in fixed}
+    restricted = p.restrict(values)
+    assert_same_polynomial(restricted, oracles.restrict(p, values))
+    assert restricted.vars.names == tuple(n for n in names if n not in values)
+    fractional = any(v.denominator != 1 for v in values.values() if isinstance(v, Fraction))
+    assert restricted.ring == (QQ if fractional else p.ring)
+
+    rows = [e for e, _ in p.sorted_terms()]
+    source = data.draw(st.sampled_from(rows)) if rows and data.draw(st.booleans()) else None
+    exps = {
+        n: source[names.index(n)] if source is not None else data.draw(st.integers(0, 255))
+        for n in fixed
+        if data.draw(st.booleans())
+    }
+    assert_same_polynomial(p.coefficient_of(exps, fixed), oracles.coefficient_of(p, exps, fixed))
+
+    order = data.draw(st.permutations(names + ("w",)))
+    target = VariableSet(order[: data.draw(st.integers(0, len(order)))])
+    try:
+        want = oracles.convert(p, target)
+    except VariableMismatch:
+        with pytest.raises(VariableMismatch):
+            p.convert(target)
+    else:
+        assert_same_polynomial(p.convert(target), want)
+
+    with pytest.raises(RingMismatch):
+        p.restrict({names[0]: 0.5})
+    with pytest.raises(VariableMismatch):
+        p.restrict({"w": 1})
+
+
+def test_only_the_key_layout_shifts_or_converts_keys():
+    """The packed layout lives in a few places of poly.py: the constructor's
+    maxexp default, Polynomial.variable, Polynomial.exponents (the one
+    decoder of keys), VariableSet, and the re-indexing kernel
+    Polynomial._reindexed.  Nothing else there shifts bits or converts a key
+    to or from bytes."""
+    allowed = {
+        "Polynomial.__init__",
+        "Polynomial.variable",
+        "Polynomial.exponents",
+        "Polynomial._reindexed",
+    }
+    offenders = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = (*scope, node.name)
+        shifts = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+            node.op, (ast.LShift, ast.RShift)
+        )
+        converts = isinstance(node, ast.Attribute) and node.attr in {"to_bytes", "from_bytes", "shift"}
+        if (shifts or converts) and scope[:1] != ("VariableSet",) and ".".join(scope[:2]) not in allowed:
+            offenders.append(f"{'.'.join(scope)}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(Path(poly.__file__).read_text()), ())
+    assert not offenders
 
 
 # -- the integer numerators ----------------------------------------------------
