@@ -8,11 +8,11 @@ most d/p (Schwartz-Zippel), so N independent points bound the chance of a
 missed nonzero identity by (d/p)^N per prime.  This module is the only
 modular arithmetic in the package: polynomials carry ZZ or QQ coefficients,
 which poly_eval_mod reads through their cached exponents() and numerators()
-and reduces mod p here, and det_mod takes numeric determinants of a whole
-stack of matrices, batch-last: by the Leibniz expansion up to 3 x 3, with no
-inverse, and by division-free elimination mod p above, with one Fermat
-inverse per call for the product of the pivot scalings (its docstring
-gives the int64 bounds of both).
+and reduces mod p here.  Linear algebra mod p works on whole stacks of
+integer matrices, batch-last, through one division-free elimination step,
+_eliminate_column, whose docstring gives its argument and int64 bounds:
+det_mod takes determinants with it above 3 x 3 (by Leibniz below), and
+echelon_mod takes ranks and the row order that its swaps apply.
 
 Points are drawn from a counter-based SHA-256 stream keyed by
 (seed, prime, trial), so a point does not depend on the batch it is evaluated
@@ -25,7 +25,7 @@ composition either evaluates its leaf polynomials at the point or, when it
 has a definition, takes the leaf values from it: the generators of the triple
 identities are computed from the determinant table that defines them
 (generators.GENERATOR_DETERMINANTS, read by generator_values_mod with one
-det_mod call per matrix size), never from their expansions.
+det_residues call per matrix size), never from their expansions.
 """
 
 from __future__ import annotations
@@ -193,12 +193,12 @@ def poly_eval_mod(p: Polynomial, point: Mapping[str, int], prime: int):
     return int(total) if total.ndim == 0 else total
 
 
-# -- numeric determinants over Z_p ----------------------------------------------
+# -- linear algebra over Z_p ----------------------------------------------------
 
 
 def _inverse_mod(a: np.ndarray, prime: int) -> np.ndarray:
     """a^(p-2) mod p entrywise, by square and multiply: the inverse of every
-    nonzero entry (Fermat)."""
+    nonzero entry (Fermat), and 0 for 0."""
     result = np.ones_like(a)
     e = prime - 2
     while e:
@@ -209,75 +209,104 @@ def _inverse_mod(a: np.ndarray, prime: int) -> np.ndarray:
     return result
 
 
+_NO_SWAP = (np.zeros(0, dtype=np.intp), np.zeros((2, 0), dtype=np.intp))
+_PAIR = np.array([[0], [1]])
+
+
+def _eliminate_column(m: np.ndarray, k: int, prime: int) -> tuple:
+    """Step k of the package's one elimination mod p, division-free and in
+    place, on an (rows, cols, B) stack of residues in [0, p), p < 2**31,
+    batch-last (entry (i, j) is one contiguous row over the B matrices),
+    whose rows k.. earlier steps left 0 in the columns before k.
+
+    Each matrix takes its own pivot, the first nonzero entry of column k at
+    or below row k, and swaps its row with row k; a matrix with none there
+    first swaps column k with the first later column that has one.  Every
+    row i below k then becomes pivot*row_i + (p - a_ik)*row_k in the columns
+    after k, clearing a_ik.  Both products lie in [0, 2**62), their sum in
+    [0, 2**63), and one reduction brings it back into [0, p).  Sound for
+    every odd prime: swaps keep the rank and a row swap negates the
+    determinant; scaling a row by a nonzero pivot keeps the rank and
+    multiplies the determinant by it; adding a multiple of row k keeps both.
+    Only a matrix singular mod p swaps a column, and a pivot stays 0 only
+    where the rows k.. are 0, which the step leaves 0.  Returns the matrices
+    whose row k was swapped and a (2, swapped) array of the two rows; the
+    pivots are m[k, k], which no later step writes."""
+    swapped, pairs = _NO_SWAP
+    if not m[k, k].all():
+        if not m[k:, k].any(axis=0).all():
+            first = m[k:, k:].any(axis=0).argmax(axis=0)  # 0 if column k has a pivot, or none does
+            moved = first.nonzero()[0]
+            cols = k + _PAIR * first[moved]
+            m[:, cols, moved] = m[:, cols[::-1], moved]
+        below = (m[k:, k] != 0).argmax(axis=0)  # 0 where the pivot is in place, or there is none
+        swapped = below.nonzero()[0]
+        pairs = k + _PAIR * below[swapped]
+        m[pairs, :, swapped] = m[pairs[::-1], :, swapped]
+    rest = m[k + 1 :, k + 1 :]
+    rest *= m[k, k]
+    rest += (prime - m[k + 1 :, k, None]) * m[k, k + 1 :]
+    rest %= prime
+    return swapped, pairs
+
+
 def det_mod(mats, prime: int) -> np.ndarray:
-    """Determinants mod p of a stack of n x n integer matrices, shape
-    (..., n, n) -> (...).
+    """Determinants mod p of a stack of integer matrices, (..., n, n) -> (...):
+    det_residues of the entries reduced by residues (ints of any size too)."""
+    return det_residues(np.moveaxis(residues(mats, prime), (-2, -1), (0, 1)), prime)
 
-    Entries are reduced into [0, p) first (residues, so Python ints of any
-    size are accepted) and stay there, with p < 2**31, so a product of two
-    entries is below 2**62.  The work is batch-last: the stack is read as an
-    (n, n, ...) array, whose entry (i, j) is one contiguous row over the
-    matrices, so every step works on whole rows of the batch.  A stack whose
-    memory is already laid out that way (a moved-axis view of an (n, n, ...)
-    array, as generator_values_mod passes) is not copied for it.
 
-    For n <= 3 the determinant is its Leibniz expansion along the first row,
-    with no division and no inverse.  Each 2 x 2 minor, a difference of two
-    products, lies in (-2**62, 2**62) and is reduced once.  The three signed
-    products a*m0 - b*m1 + c*m2 then lie in (-2**62, 2**63), inside int64,
-    and are reduced once.
+def det_residues(m: np.ndarray, prime: int) -> np.ndarray:
+    """Determinants mod p of a batch-last (n, n, ...) stack of residues in
+    [0, p), p < 2**31, shape (n, n, ...) -> (...), reducing nothing again;
+    for n >= 4 it overwrites the stack, so a caller passes one it owns.
 
-    For n >= 4 it is division-free elimination over Z_p with one inverse per
-    call.  Step k takes each matrix's own pivot: the first row at or below k
-    with a nonzero entry in column k.  Where that is not row k, the two rows
-    are swapped, which negates the determinant; the other matrices are left
-    as they are.  Then every row i below k becomes
-    pivot*row_i + (p - a_ik)*row_k, which clears a_ik mod p; both products
-    lie in [0, 2**62), so their sum lies in [0, 2**63), and one reduction of
-    a nonnegative int64 brings it back into [0, p).  This is sound for every
-    odd prime, 3 included:
-    - scaling row i by a nonzero pivot multiplies the determinant by the
-      pivot, so step k multiplies it by pivot^(n-k-1), one factor per row
-      below k;
-    - adding a multiple of row k to row i leaves it unchanged;
-    - with no nonzero entry at or below k in column k, the matrix reduced so
-      far is singular mod p, so its determinant, and the original's, is 0.
-      The pivot, 0, enters the numerator, which stays 0; 1 stands in for it
-      in the scale, and the rows below are left as they are.
-    The matrix ends upper triangular with the pivots on its diagonal, so
-        det = (-1)^swaps * prod_k pivot_k / prod_k pivot_k^(n-k-1),
-    and the denominator, a product of nonzero residues, is inverted once by
-    Fermat.  It is accumulated as prod_{k<n-1} (pivot_0 * ... * pivot_k),
-    which has pivot_k in n-k-1 of its factors."""
-    m = np.moveaxis(residues(mats, prime), (-2, -1), (0, 1))
+    For n <= 3 it is the Leibniz expansion along the first row: each 2 x 2
+    minor lies in (-2**62, 2**62) and is reduced once, and then
+    a*m0 - b*m1 + c*m2 lies in (-2**62, 2**63) and is reduced once.  For
+    n >= 4 it is n steps of _eliminate_column.  A matrix singular mod p ends
+    with a pivot of 0, which makes the numerator below, and the result, 0.
+    Any other swaps no column, and step k scales the n-k-1 rows below k by
+    its pivot, so, the matrix ending triangular,
+        det = (-1)^(row swaps) * prod_k pivot_k / prod_k pivot_k^(n-k-1).
+    The denominator is accumulated as prod_k (pivot_0 * ... * pivot_(k-1)),
+    with pivot_k in n-k-1 factors, and is inverted once, by Fermat."""
     n, shape = len(m), m.shape[2:]
     if n <= 3:
         return np.reshape(_leibniz_mod(m, prime), shape)
-    m = np.ascontiguousarray(m).reshape(n, n, -1)  # residues made it: ours to overwrite
-    num = np.ones(m.shape[-1], dtype=np.int64)
-    prefix = np.ones_like(num)
-    scale = np.ones_like(num)
+    m = np.ascontiguousarray(m).reshape(n, n, -1)
+    sign, pivots, scale = np.ones((3, m.shape[-1]), dtype=np.int64)
     for k in range(n):
-        zero = np.flatnonzero(m[k, k] == 0)
-        if len(zero):
-            below = k + (m[k:, k, zero] != 0).argmax(axis=0)  # k where the column is zero
-            swap, rows = zero[below != k], below[below != k]
-            row_k = m[k][:, swap]
-            m[k][:, swap] = m[rows, :, swap].T
-            m[rows, :, swap] = row_k.T
-            num[swap] = prime - num[swap]
-        pivot = m[k, k]
-        num = num * pivot % prime
-        if k == n - 1:
-            break
-        pivot = np.where(pivot != 0, pivot, 1)
-        prefix = prefix * pivot % prime
-        scale = scale * prefix % prime
-        rest = m[k + 1 :, k + 1 :]
-        rest *= pivot
-        rest += (prime - m[k + 1 :, k, None]) * m[k, k + 1 :]
-        rest %= prime
-    return (num * _inverse_mod(scale, prime) % prime).reshape(shape)
+        swapped, _ = _eliminate_column(m, k, prime)
+        sign[swapped] *= -1
+        scale = scale * pivots % prime
+        pivots = pivots * m[k, k] % prime
+    return (sign * pivots % prime * _inverse_mod(scale, prime) % prime).reshape(shape)
+
+
+def echelon_mod(rows, prime: int) -> tuple:
+    """Rank mod p of a stack of r x c integer matrices, shape (..., r, c),
+    with the row order that the elimination's swaps applied and its sign:
+    (rank (...), order (..., r), sign (...)), the entries reduced by
+    residues.  Each of its min(r, c) steps of _eliminate_column finds a
+    nonzero pivot unless the rows k.. are 0, so the rank is the number of
+    nonzero pivots.  Column swaps are not reported; a square matrix of full
+    rank mod p needs none, and then every leading principal minor of
+    rows[order] is nonzero mod p and det(rows[order]) = sign * det(rows).
+    Soundness over Q: a nonzero minor mod p is a nonzero integer minor, so
+    the rank over Q of an integer matrix is at least its rank mod p.  Full
+    rank mod p proves full rank over Q; a deficit mod p proves nothing."""
+    rows = residues(rows, prime)
+    *shape, r, c = rows.shape
+    m = np.ascontiguousarray(rows.reshape(-1, r, c).transpose(1, 2, 0))
+    order = np.repeat(np.arange(r)[:, None], m.shape[-1], axis=1)
+    sign = np.ones(m.shape[-1], dtype=np.int64)
+    for k in range(min(r, c)):
+        swapped, pairs = _eliminate_column(m, k, prime)
+        order[pairs, swapped] = order[pairs[::-1], swapped]
+        sign[swapped] *= -1
+    rank = np.count_nonzero(m[range(min(r, c)), range(min(r, c))], axis=0)
+    return rank.reshape(shape), order.T.reshape(*shape, r), sign.reshape(shape)
 
 
 def _leibniz_mod(m: np.ndarray, prime: int) -> np.ndarray:

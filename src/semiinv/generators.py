@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .evalmod import det_mod, residues, sample_point
+from .evalmod import det_residues, echelon_mod, residues, sample_point
 from .matrix import PolyMatrix
 from .poly import QQ, ZZ, Polynomial, PolyError, Ring, VariableSet, unify_rings
 
@@ -321,56 +321,48 @@ def q_poly(T: MatrixTriple) -> Polynomial:
     return determinant_sum(T, "q")
 
 
-def _pivot_order(rows: list, prime: int) -> tuple:
-    """A row order of an integer matrix mod p, and its sign, in which
-    det_mod's elimination finds every pivot in place: the rows that its
-    first-nonzero search picks, step by step, at these entries."""
-    m = [list(row) for row in rows]
-    order, sign = list(range(len(m))), 1
-    for k in range(len(m)):
-        r = next((i for i in range(k, len(m)) if m[i][k]), k)
-        if r != k:
-            m[k], m[r] = m[r], m[k]
-            order[k], order[r] = order[r], order[k]
-            sign = -sign
-        for row in m[k + 1 :]:
-            if row[k]:  # else the step only scales the row by the pivot
-                row[k:] = [(m[k][k] * a - row[k] * b) % prime for a, b in zip(row[k:], m[k][k:])]
-    return order, sign
-
-
 def _stacks_by_size() -> tuple:
-    """GENERATOR_DETERMINANTS grouped by matrix size, for one det_mod call per
-    size: (names, their index stacks concatenated in table order and laid out
-    (n, n, count), a (names, count) matrix of signs), for the 27 3x3, 3 6x6
-    and 3 9x9 determinants.  A generator's value is the sum of its matrices'
-    determinants, each times its sign; the sign matrix is 0 off a name's own
-    matrices.
+    """GENERATOR_DETERMINANTS grouped by matrix size, for one det_residues
+    call per size: (names, their index stacks concatenated in table order and
+    laid out (n, n, count), a (names, count) matrix of signs), for the 27 3x3,
+    3 6x6 and 3 9x9 determinants.  A generator's value is the sum of its
+    matrices' determinants, each times its sign; the sign matrix is 0 off a
+    name's own matrices.
 
     The h and q matrices put the zero blocks of their layouts on the
     diagonal, so elimination in table order would swap rows at every point.
-    Their rows are reordered here, each matrix with its sign, by
-    _pivot_order at one sampled point of the 27 coordinates.  At that point
-    every leading principal minor of a reordered matrix is nonzero, so each
-    is a nonzero polynomial in the coordinates, and det_mod swaps rows only
-    at the points where one of them vanishes.  The 3x3 determinants are
-    expanded, not eliminated, and keep their order."""
+    Their rows are reordered, each matrix with its sign, as echelon_mod's
+    swaps order them at one sampled point, where each has full rank: every
+    leading principal minor is then nonzero there, so det_residues swaps
+    rows only where one vanishes.  One echelon_mod call takes each n x n M as
+    diag(M, I) of the largest size: M's steps pivot in M's rows, as the rows
+    below n stay 0 in M's columns, and the steps of I swap nothing."""
     prime = 2**31 - 1
-    x = list(sample_point(TRIPLE_NAMES, 0, prime, 0).values()) + [0]  # ZERO_SLOT
+    x = np.array([*sample_point(TRIPLE_NAMES, 0, prime, 0).values(), 0])  # ZERO_SLOT
+    stacks = dict(GENERATOR_DETERMINANTS)
+    signs = {name: np.ones(len(stack), dtype=np.int64) for name, stack in stacks.items()}
+    eliminated = [name for name, stack in stacks.items() if stack.shape[-1] > 3]
+    size = max(stacks[name].shape[-1] for name in eliminated)
+    blocks = []
+    for name in eliminated:
+        count, n = stacks[name].shape[:2]
+        blocks.append(np.tile(np.eye(size, dtype=np.int64), (count, 1, 1)))
+        blocks[-1][:, :n, :n] = x[stacks[name]]
+    _, order, sign = echelon_mod(np.concatenate(blocks), prime)
+    for name in eliminated:
+        count, n = stacks[name].shape[:2]
+        stacks[name] = stacks[name][np.arange(count)[:, None], order[:count, :n]]
+        signs[name], order, sign = sign[:count], order[count:], sign[count:]
     groups = {}
-    for name, stack in GENERATOR_DETERMINANTS.items():
-        groups.setdefault(stack.shape[-1], []).append((name, stack))
+    for name, stack in stacks.items():
+        groups.setdefault(stack.shape[-1], []).append(name)
     out = []
-    for n, members in groups.items():
-        idx = np.concatenate([stack for _, stack in members])
-        owner = np.repeat(np.arange(len(members)), [len(stack) for _, stack in members])
-        signs = np.zeros((len(members), len(idx)), dtype=np.int64)
-        signs[owner, np.arange(len(idx))] = 1
-        if n > 3:
-            for s, rows in enumerate(idx.tolist()):
-                order, signs[owner[s], s] = _pivot_order([[x[k] for k in row] for row in rows], prime)
-                idx[s] = idx[s, order]
-        out.append((tuple(name for name, _ in members), np.moveaxis(idx, 0, -1).copy(), signs))
+    for names in groups.values():
+        idx = np.concatenate([stacks[name] for name in names])
+        owner = np.repeat(np.arange(len(names)), [len(stacks[name]) for name in names])
+        matrix = np.zeros((len(names), len(idx)), dtype=np.int64)
+        matrix[owner, np.arange(len(idx))] = np.concatenate([signs[name] for name in names])
+        out.append((tuple(names), np.moveaxis(idx, 0, -1).copy(), matrix))
     return tuple(out)
 
 
@@ -380,20 +372,18 @@ _STACKS_BY_SIZE = _stacks_by_size()
 def generator_values_mod(point: Mapping, prime: int) -> dict:
     """f1..f10, h and q at a point of the 27 coordinates mod p: the signed
     sums of the determinants of GENERATOR_DETERMINANTS, taken with
-    evalmod.det_mod in one call per matrix size, with no expansion (the h and
-    q rows reordered, each matrix with its sign).  The coordinates are
-    stacked first, so that indexing them with a table laid out
-    (n, n, count) gives the stack batch-last, as det_mod works on it.  The
-    values of the point are ints of any size, or int arrays of one shape for
-    a batch of points; each result is an int64 of that shape.  A value sums
-    at most 6 signed determinants in (-p, p), p < 2**31, before its
-    reduction, far inside int64 (det_mod gives the bounds of the
-    determinants)."""
+    evalmod.det_residues in one call per size (the h and q rows reordered,
+    each matrix with its sign).  The coordinates are reduced once and
+    stacked, so that indexing them with a table laid out (n, n, count) gives
+    the stack of residues batch-last, as det_residues takes it.  The values
+    of the point are ints of any size, or int arrays of one shape for a
+    batch of points; each result is an int64 of that shape.  A value sums
+    at most 6 signed determinants in (-p, p), p < 2**31, far inside int64."""
     x = np.stack([residues(point[name], prime) for name in TRIPLE_NAMES])
     x = np.concatenate([x, np.zeros_like(x[:1])])  # ZERO_SLOT
     values = {}
     for names, idx, signs in _STACKS_BY_SIZE:
-        dets = det_mod(np.moveaxis(x[idx], (0, 1), (-2, -1)), prime)
+        dets = det_residues(x[idx], prime)
         values.update(zip(names, np.tensordot(signs, dets, axes=1) % prime))
     return {name: values[name] for name in GENERATOR_DETERMINANTS}
 

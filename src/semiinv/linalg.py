@@ -5,8 +5,8 @@ correction solves of hwv hand over the distinct rows of their derivation
 images (495 for q), some of them still equal up to scale.  Rows are therefore
 normalized to coprime integers and deduplicated, then eliminated
 fraction-free in ints; only the back substitution, one division per unknown,
-takes Fractions.  rank counts the pivots of the same reduction.  No floating
-point anywhere.
+takes Fractions.  No floating point anywhere.  This module only solves:
+ranks are taken mod p, by evalmod.echelon_mod.
 """
 
 from __future__ import annotations
@@ -46,23 +46,24 @@ def _normalize_row(coeffs: Sequence, rhs) -> tuple | None:
     return tuple(v // g for v in row)
 
 
-def _echelon(rows: Iterable[tuple], nunknowns: int) -> dict:
-    """Fraction-free reduction of (coefficients, rhs) rows: column -> the
-    integer row whose first nonzero entry is in that column.  Raises
-    InconsistentSystem for a row that reduces to 0 = nonzero."""
-    seen = set()
-    unique = []
+def solve_unique(rows: Iterable[tuple], nunknowns: int) -> list:
+    """Solve for the unique exact solution of `coeffs . x = rhs` rows.
+
+    Each row is a pair (coefficient sequence, rhs).  Raises
+    InconsistentSystem or UnderdeterminedSystem when the system has no or
+    several solutions.
+    """
+    unique = {}
     # exact repeats are dropped before the (costlier) normalization
     for coeffs, rhs in dict.fromkeys((tuple(c), r) for c, r in rows):
         norm = _normalize_row(coeffs, rhs)
-        if norm is None or norm in seen:
-            continue
-        seen.add(norm)
-        unique.append(norm)
+        if norm is not None:
+            unique[norm] = None
 
-    # a pivot row has zeros in every pivot column that existed when it was
-    # added, so reducing in increasing column order clears each pivot column
-    # for good
+    # fraction-free reduction: pivots maps a column to the integer row whose
+    # first nonzero entry is in it.  A pivot row has zeros in every pivot
+    # column that existed when it was added, so reducing in increasing
+    # column order clears each pivot column for good
     pivots: dict = {}
     width = nunknowns + 1
     for row in unique:
@@ -80,21 +81,8 @@ def _echelon(rows: Iterable[tuple], nunknowns: int) -> dict:
             continue
         g = gcd(*row)
         pivots[lead] = [v // g for v in row]
-    return pivots
-
-
-def solve_unique(rows: Iterable[tuple], nunknowns: int) -> list:
-    """Solve for the unique exact solution of `coeffs . x = rhs` rows.
-
-    Each row is a pair (coefficient sequence, rhs).  Raises
-    InconsistentSystem or UnderdeterminedSystem when the system has no or
-    several solutions.
-    """
-    pivots = _echelon(rows, nunknowns)
     if len(pivots) < nunknowns:
-        raise UnderdeterminedSystem(
-            f"rank {len(pivots)} < {nunknowns} unknowns"
-        )
+        raise UnderdeterminedSystem(f"rank {len(pivots)} < {nunknowns} unknowns")
 
     # back substitution: a full-rank pivot row for col has zeros before col
     solution = [Fraction(0)] * nunknowns
@@ -107,12 +95,3 @@ def solve_unique(rows: Iterable[tuple], nunknowns: int) -> list:
         solution[col] = val / row[col]
     return solution
 
-
-def rank(vectors: Iterable[Sequence]) -> int:
-    """Rank over QQ of a family of equal-length vectors of ints and
-    Fractions: the number of pivots of the same integer reduction, run on
-    the rows (vector, 0), whose right-hand side 0 never makes a row
-    inconsistent."""
-    vectors = [tuple(v) for v in vectors]
-    width = len(vectors[0]) if vectors else 0
-    return len(_echelon(((v, 0) for v in vectors), width))

@@ -3,7 +3,8 @@
 Everything here is deliberately naive and shares no code with the package:
 polynomials are dicts mapping exponent tuples to coefficients, determinants
 expand recursively along the first row (of plain integer matrices: Fraction
-elimination), ranks come from Fraction elimination, and modular evaluation
+elimination), ranks come from Fraction elimination (over GF(p): elimination
+with pow(a, -1, p) inverses), and modular evaluation
 is a direct term-by-term sum.  The oracles named *_package, qq_combine_correction,
 polarize, substitute, restrict, coefficient_of, convert, block_matrix and
 pencil_determinant take package polynomials and matrices and use only their
@@ -311,6 +312,26 @@ def fraction_rank(vectors):
             continue
         pivots[lead] = [c / row[lead] for c in row]
     return len(pivots)
+
+
+def rank_mod(rows, prime):
+    """Rank over GF(p) of a plain integer matrix by Gaussian elimination,
+    each pivot row scaled to a leading 1 with pow(a, -1, p)."""
+    m = [[v % prime for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, prime)
+        m[rank] = [v * inv % prime for v in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                factor = m[i][col]
+                m[i] = [(a - factor * b) % prime for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
 
 
 def mat_mul_int(a, b):

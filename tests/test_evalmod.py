@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -417,26 +419,26 @@ def test_det_mod_matches_the_fraction_oracle(case):
 
 def test_one_det_mod_call_per_size_and_one_inverse_per_elimination(monkeypatch):
     """generator_values_mod takes its 27 3x3, 3 6x6 and 3 9x9 determinants
-    in one det_mod call per size, each a stack of (matrices, points).  The
-    3x3 call expands and inverts nothing; the 6x6 and 9x9 calls eliminate
-    and invert once each."""
+    in one det_residues call per size, each a batch-last stack of
+    (matrices, points).  The 3x3 call expands and inverts nothing; the 6x6
+    and 9x9 calls eliminate and invert once each."""
     prime = 2147483647
     batch = sample_point(gen.TRIPLE_NAMES, 8, prime, range(4))
-    real_det, real_inverse = evalmod.det_mod, evalmod._inverse_mod
+    real_det, real_inverse = evalmod.det_residues, evalmod._inverse_mod
     shapes, inverses = [], []
 
-    def det_mod(mats, p):
-        shapes.append(np.shape(mats))
-        return real_det(mats, p)
+    def det_residues(m, p):
+        shapes.append(np.shape(m))
+        return real_det(m, p)
 
     def inverse_mod(a, p):
         inverses.append(a.shape)
         return real_inverse(a, p)
 
-    monkeypatch.setattr(gen, "det_mod", det_mod)
+    monkeypatch.setattr(gen, "det_residues", det_residues)
     monkeypatch.setattr(evalmod, "_inverse_mod", inverse_mod)
     values = gen.generator_values_mod(batch, prime)
-    assert sorted(shapes) == [(3, 4, 6, 6), (3, 4, 9, 9), (27, 4, 3, 3)]
+    assert sorted(shapes) == [(3, 3, 27, 4), (6, 6, 3, 4), (9, 9, 3, 4)]
     assert inverses == [(3 * 4,), (3 * 4,)]
     for t in range(2):
         inverses.clear()
@@ -445,6 +447,25 @@ def test_one_det_mod_call_per_size_and_one_inverse_per_elimination(monkeypatch):
         assert {name: int(v) for name, v in scalar.items()} == {
             name: int(v[t]) for name, v in values.items()
         }
+
+
+def test_generator_values_reduce_each_coordinate_once(monkeypatch):
+    """generator_values_mod reduces the 27 coordinates of a batch of 5
+    points once each and hands the stacks gathered from them to the
+    determinants without reducing them again: 27 reductions of 5 entries."""
+    prime = 2147483647
+    batch = sample_point(gen.TRIPLE_NAMES, 8, prime, range(5))
+    real = evalmod.residues
+    reduced = []
+
+    def residues(values, p):
+        reduced.append(np.size(values))
+        return real(values, p)
+
+    monkeypatch.setattr(evalmod, "residues", residues)
+    monkeypatch.setattr(gen, "residues", residues)
+    gen.generator_values_mod(batch, prime)
+    assert reduced == [5] * 27
 
 
 def _leading_minor_zeros(stacks, point, prime):
@@ -466,6 +487,153 @@ def _leading_minor_zeros(stacks, point, prime):
             counts[n].append(int(zero.sum()))
             earlier |= zero
     return counts
+
+
+# -- ranks and row orders mod p ----------------------------------------------
+
+
+def _as_stack(mats, batch, r, c):
+    """mats as an int64 array of shape batch + (r, c), or as nested lists
+    when an entry is outside int64."""
+    flat = [v for rows in mats for row in rows for v in row]
+    if all(-(2**63) <= v < 2**63 for v in flat):
+        return np.array(flat, dtype=np.int64).reshape(batch + (r, c))
+    return np.array(flat, dtype=object).reshape(batch + (r, c)).tolist()
+
+
+def _entries(prime):
+    return st.one_of(
+        st.just(0),
+        st.integers(-3, 3),
+        st.integers(prime - 2, prime + 1),
+        st.integers(-(2**40), 2**40),
+        st.integers(2**64, 2**66) | st.integers(-(2**66), -(2**64)),
+    )
+
+
+@st.composite
+def rank_stacks(draw):
+    """(prime, stack, mats): r x c matrices, r and c in 1..7, singly or in a
+    stack, leaning towards rank deficits: leading zero columns (a step with
+    no pivot in its column), a row that is a combination of two others
+    (a deficit over Q), a row congruent to another mod p only (a deficit mod
+    p alone), negative entries and entries beyond 2**64."""
+    prime = draw(st.sampled_from(DET_PRIMES))
+    r, c = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    batch = draw(st.sampled_from(((), (2,), (1, 3))))
+    mats = []
+    for _ in range(int(np.prod(batch, dtype=int))):
+        rows = [draw(st.lists(_entries(prime), min_size=c, max_size=c)) for _ in range(r)]
+        shape = draw(st.sampled_from(("plain", "zero columns", "combination", "mod p")))
+        i, j, k = (draw(st.integers(0, r - 1)) for _ in range(3))
+        if shape == "zero columns":
+            zeros = draw(st.integers(1, c))
+            for row in rows:
+                row[:zeros] = [0] * zeros
+        elif shape == "combination" and len({i, j, k}) == 3:
+            rows[k] = [a - 2 * b for a, b in zip(rows[i], rows[j])]
+        elif shape == "mod p" and i != j:
+            rows[j] = [v + draw(st.integers(1, 3)) * prime for v in rows[i]]
+        mats.append(rows)
+    return prime, _as_stack(mats, batch, r, c), mats
+
+
+def _parity(order):
+    return (-1) ** sum(a > b for a, b in itertools.combinations(order, 2))
+
+
+@given(rank_stacks())
+@settings(max_examples=100)
+def test_echelon_mod_rank_matches_the_gf_p_oracle(case):
+    """echelon_mod's rank is oracles.rank_mod's, matrix by matrix; it is at
+    most the rank over Q, which is what makes full rank mod p a proof of
+    full rank over Q.  The order is a permutation of the rows and the sign
+    is its parity."""
+    prime, stack, mats = case
+    rank, order, sign = evalmod.echelon_mod(stack, prime)
+    batch = np.shape(stack)[:-2]
+    assert rank.shape == sign.shape == batch
+    assert order.shape == batch + (len(mats[0]),)
+    orders = order.reshape(-1, len(mats[0])).tolist()
+    for rows, got, row_order, s in zip(mats, rank.ravel().tolist(), orders, sign.ravel().tolist()):
+        assert got == oracles.rank_mod(rows, prime) <= oracles.fraction_rank(rows)
+        assert sorted(row_order) == list(range(len(rows)))
+        assert s == _parity(row_order)
+
+
+@st.composite
+def full_rank_squares(draw):
+    """(prime, rows): P * L * U mod p with P a permutation, L unit lower
+    triangular and U upper triangular with a diagonal nonzero mod p, so full
+    rank mod p, with entries moved by multiples of p, some beyond 2**64."""
+    prime = draw(st.sampled_from(DET_PRIMES))
+    n = draw(st.integers(1, 8))
+    small = st.integers(-3, 3)
+    perm = draw(st.permutations(range(n)))
+    lower = [[1 if i == j else draw(small) if j < i else 0 for j in range(n)] for i in range(n)]
+    upper = [
+        [draw(st.integers(1, prime - 1)) if i == j else draw(small) if j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    lu = oracles.mat_mul_int(lower, upper)
+    shift = st.sampled_from((0, 0, -1, 2, 2**64 // prime + 1))
+    return prime, [[v + draw(shift) * prime for v in lu[perm[i]]] for i in range(n)]
+
+
+@given(full_rank_squares())
+@settings(max_examples=100)
+def test_echelon_mod_order_puts_every_pivot_in_place(case):
+    """On a square matrix of full rank mod p, the rows in echelon_mod's order
+    have every leading principal minor nonzero mod p, so det_mod's
+    elimination swaps nothing on them, and their determinant is the sign
+    times the matrix's."""
+    prime, rows = case
+    n = len(rows)
+    rank, order, sign = evalmod.echelon_mod(rows, prime)
+    assert int(rank) == n
+    reordered = [rows[i] for i in order.tolist()]
+    for k in range(1, n + 1):
+        assert oracles.fraction_determinant([row[:k] for row in reordered[:k]]) % prime != 0
+    assert int(evalmod.det_mod(reordered, prime)) == int(sign) * int(evalmod.det_mod(rows, prime)) % prime
+
+
+def test_det_mod_and_echelon_mod_run_one_elimination_step(monkeypatch):
+    """The package has one elimination mod p: the row update
+    pivot*row_i + (p - a_ik)*row_k is written once in evalmod, in
+    _eliminate_column, and det_mod (above 3 x 3) and echelon_mod take every
+    step through it."""
+    tree = ast.parse(inspect.getsource(evalmod))
+    owners = [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and any(
+            isinstance(side, ast.BinOp)
+            and isinstance(side.op, ast.Sub)
+            and isinstance(side.left, ast.Name)
+            and side.left.id == "prime"
+            for side in (node.left, node.right)
+        )
+    ]
+    assert owners == ["_eliminate_column"]
+    real = evalmod._eliminate_column
+    steps = []
+
+    def step(m, k, p):
+        steps.append((m.shape, k))
+        return real(m, k, p)
+
+    monkeypatch.setattr(evalmod, "_eliminate_column", step)
+    rng = random.Random(25)
+    mats = [[[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)] for _ in range(2)]
+    evalmod.det_mod(mats, 7)
+    assert steps == [((6, 6, 2), k) for k in range(6)]
+    steps.clear()
+    evalmod.echelon_mod([row[:5] for row in mats[0][:4]], 7)
+    assert steps == [((4, 5, 1), k) for k in range(4)]
 
 
 @pytest.mark.parametrize("prime", [2147483647, 2147483629])

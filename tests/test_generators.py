@@ -1,13 +1,15 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from semiinv import generators as gen, hwv, relations
-from semiinv.linalg import rank, solve_unique
+from semiinv import generators as gen, hwv, relations, suites
+from semiinv.linalg import solve_unique
 from semiinv.matrix import PolyMatrix
 from semiinv.poly import QQ, ZZ, Polynomial, VariableMismatch, VariableSet
 from semiinv.textio import parse_text
+from semiinv.verify import RunConfig
 
 import oracles
 
@@ -148,7 +150,23 @@ def test_f_span_rank_ten(table):
         for k, c in p.terms.items():
             vec[index[k]] = c
         vectors.append(vec)
-    assert rank(vectors) == 10
+    assert oracles.fraction_rank(vectors) == 10
+
+
+RANK_CHECK = "the ten pencil coefficients are linearly independent"
+
+
+def test_rank_check_fails_when_f10_is_f1_plus_f2(monkeypatch, table):
+    """The rank check takes echelon_mod mod 2^31-1: it passes on the ten
+    pencil coefficients and FAILs when f10 is replaced by f1 + f2."""
+
+    def verdict():
+        return {r.name: r.passed for r in suites.generators_suite(RunConfig())}[RANK_CHECK]
+
+    assert verdict()
+    wrong = replace(table, f=table.f[:9] + (table.f[0] + table.f[1],))
+    monkeypatch.setattr(gen, "generator_table", lambda: wrong)
+    assert not verdict()
 
 
 # -- special triples --------------------------------------------------------------

@@ -300,28 +300,6 @@ def test_row_normalization_integer_and_rational_paths_agree():
     assert norm((0, 0), 0) is None
 
 
-@st.composite
-def small_matrices(draw):
-    """Up to 6 rows of width 0 to 5, int or Fraction entries, with repeated
-    rows and scalar multiples of earlier rows mixed in."""
-    width = draw(st.integers(0, 5))
-    entry = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4))
-    rows = []
-    for _ in range(draw(st.integers(0, 6))):
-        if rows and draw(st.booleans()):
-            scale = draw(st.sampled_from([1, -2, Fraction(1, 3)]))
-            rows.append([scale * v for v in draw(st.sampled_from(rows))])
-        else:
-            rows.append(draw(st.lists(entry, min_size=width, max_size=width)))
-    return rows
-
-
-@given(small_matrices())
-@settings(max_examples=100)
-def test_rank_matches_the_fraction_elimination_oracle(rows):
-    assert hwv.linalg.rank(rows) == oracles.fraction_rank(rows)
-
-
 # -- the derivation kernel against oracles.polarize ------------------------------
 
 KV = VariableSet(("x", "y", "z"))

@@ -219,6 +219,31 @@ def test_theorem1_composition_matches_an_independent_evaluation(monkeypatch, pri
     assert any(wrong_values)
 
 
+def test_theorem1_reduces_to_the_defining_relation(monkeypatch):
+    """Theorem 1's outer polynomial over (Q, H, f1..f10), composed with
+    abstract_Q, abstract_H and the f-variables of the 12-variable ring, is
+    the defining relation term for term, 76 terms: theorem 1 holds at the
+    generators because the relation does.  With derive_st returning
+    T + f5^6 the composite is off by exactly (27/4)*f5^6."""
+
+    def reduced():
+        bindings = {name: Polynomial.variable(QQ, rel.ABSTRACT12, name) for name in gen.F_NAMES}
+        return rel.theorem1_expr().outer.substitute(
+            {"Q": rel.abstract_Q(), "H": rel.abstract_H(), **bindings}
+        )
+
+    relation = rel.defining_relation().to_ring(QQ)
+    got = reduced()
+    assert got.sorted_terms() == relation.sorted_terms()
+    assert len(got) == rel.RELATION_TERM_COUNT == 76
+    s4, t6 = rel.derive_st()
+    f5 = Polynomial.variable(t6.ring, t6.vars, "f5")
+    monkeypatch.setattr(rel, "derive_st", lambda: (s4, t6 + f5 ** 6))
+    difference = reduced() - relation
+    f5 = Polynomial.variable(QQ, rel.ABSTRACT12, "f5")
+    assert difference.sorted_terms() == (f5 ** 6 * Fraction(27, 4)).sorted_terms()
+
+
 @pytest.mark.parametrize("verify", [rel.verify_main_relation, rel.verify_theorem1])
 def test_modular_runs_evaluate_no_expanded_leaf(monkeypatch, verify):
     """The modular runs of the triple identities take the generators from
