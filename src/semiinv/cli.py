@@ -20,7 +20,7 @@ from .verify import RunConfig, VerifyUsageError, build_report, render_text
 
 def _emissions() -> dict:
     """Registered emission names -> zero-argument polynomial providers."""
-    out = {name: (lambda n=name: gen.generator_table().by_name()[n]) for name in gen.GENERATOR_NAMES}
+    out = {name: (lambda n=name: gen.generator_table().by_name(n)) for name in gen.GENERATOR_NAMES}
     out["Stilde"] = lambda: relations.derive_st()[0]
     out["Ttilde"] = lambda: relations.derive_st()[1]
     out["S_cubic"] = lambda: gen.cubic_invariants_from_f_forms(*relations.derive_st())[0]

@@ -139,7 +139,7 @@ def phi_image_checks() -> list:
     def matches(name):
         gens18 = trace_generators()
         rhs = phi_image_forms()[name].substitute({k: gens18[k] for k in TRACE_NAMES})
-        return phi(gen.generator_table().by_name()[name]) == rhs
+        return phi(gen.generator_table().by_name(name)) == rhs
 
     return [
         boolean_check(f"phi({name}) matches its trace formula", lambda n=name: matches(n))

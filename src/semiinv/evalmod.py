@@ -22,18 +22,19 @@ int64 arrays; an array holds one value per trial of a batch, as
 sample_point draws it for a range of trials, and numpy broadcasting carries
 the batch through a composition.  A
 composition either evaluates its leaf polynomials at the point or, when it
-has a definition, takes the leaf values from it: the generators of the triple
-identities are computed from the determinant table that defines them
-(generators.GENERATOR_DETERMINANTS, read by generator_values_mod with one
-det_residues call per matrix size), never from their expansions.
+has a Definition, takes the leaf values and degree bounds from it: the
+generators of the triple identities come from the determinant table that
+defines them (generators.GENERATOR_DETERMINANTS, read by
+generator_values_mod), never from their expansions.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from functools import cached_property
 from math import gcd
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -326,6 +327,17 @@ def _leibniz_mod(m: np.ndarray, prime: int) -> np.ndarray:
 # -- identities: an outer polynomial at named leaf polynomials ---------------
 
 
+class Definition(NamedTuple):
+    """A Composition's leaves by another definition: the points' variables, a
+    bound on each leaf's total degree, values(point, prime, names) -> their
+    values mod p, and leaves(names) -> their polynomials, built when asked."""
+
+    vars: VariableSet
+    degrees: Mapping[str, int]
+    values: Callable[[Mapping, int, tuple], Mapping]
+    leaves: Callable[[tuple], Mapping]
+
+
 class Composition:
     """An identity outer(leaves): a polynomial over abstract names, each name
     bound to a leaf polynomial over the one variable set all leaves share.
@@ -336,46 +348,49 @@ class Composition:
     expand() is called.  eval_mod accepts a point of ints or of int64
     batches and returns an int, or an int64 array for a batch.
 
-    A definition, when given, is a function (point, prime, names) -> values
-    that returns, for each leaf name, its leaf's value at the point mod p
-    computed from another definition of the same polynomial; eval_mod then
-    reads the leaf values from it and evaluates no leaf polynomial.  restrict
-    drops the definition: a restricted composition reads its restricted
-    leaves only."""
+    With a Definition in place of the leaves, the leaves are the names of
+    outer it defines; eval_mod and degree_bound read it and no leaf
+    polynomial, and it builds the leaves on the first read of .leaves (an
+    exact expansion, a restriction, a slice proof).  restrict drops the
+    definition: a restricted composition reads its restricted leaves only."""
 
-    def __init__(
-        self,
-        outer: Polynomial,
-        leaves: Mapping[str, Polynomial],
-        definition: Callable[[Mapping, int, tuple], Mapping] | None = None,
-    ):
+    def __init__(self, outer: Polynomial, leaves: Mapping[str, Polynomial] | Definition):
+        self.outer = outer
+        self.definition = leaves if isinstance(leaves, Definition) else None
+        if self.definition is not None:
+            self.vars = leaves.vars
+            self.names = tuple(n for n in outer.vars.names if n in leaves.degrees)
+        else:
+            self.leaves, self.names = dict(leaves), tuple(leaves)
+            sets = {leaf.vars for leaf in self.leaves.values()}
+            if len(sets) > 1:
+                raise VariableMismatch("leaves use different variable sets")
+            self.vars = sets.pop() if sets else VariableSet(())
         for name in outer.vars.names:
-            if outer.max_exponent(name) and name not in leaves:
+            if outer.max_exponent(name) and name not in self.names:
                 raise PolyError(f"unbound abstract variable {name!r}")
-        for name in leaves:
+        for name in self.names:
             if name not in outer.vars:
                 raise VariableMismatch(f"leaf {name!r} is not a variable of the outer polynomial")
-        sets = {leaf.vars for leaf in leaves.values()}
-        if len(sets) > 1:
-            raise VariableMismatch("leaves use different variable sets")
-        self.outer = outer
-        self.leaves = dict(leaves)
-        self.vars = sets.pop() if sets else VariableSet(())
-        self.definition = definition
+
+    @cached_property
+    def leaves(self) -> dict:  # set in __init__ unless a definition builds it
+        return dict(self.definition.leaves(self.names))
 
     def eval_mod(self, point: Mapping[str, int], prime: int):
-        if self.definition is None:
-            values = {
-                name: poly_eval_mod(leaf, point, prime) for name, leaf in self.leaves.items()
-            }
-        else:
-            defined = self.definition(point, prime, tuple(self.leaves))
-            values = {name: defined[name] for name in self.leaves}
+        if self.definition is not None:  # outer reads its own names only
+            return poly_eval_mod(self.outer, self.definition.values(point, prime, self.names), prime)
+        values = {name: poly_eval_mod(leaf, point, prime) for name, leaf in self.leaves.items()}
         return poly_eval_mod(self.outer, values, prime)
 
     def degree_bound(self) -> int:
-        """Max over the outer terms of sum(exponent * leaf total degree)."""
-        weights = {name: (leaf.total_degree(),) for name, leaf in self.leaves.items()}
+        """Max over the outer terms of sum(exponent * leaf degree), which bounds
+        the composite's total degree (a product's degree is at most the sum of
+        its factors', a sum's at most its largest), with each leaf's total
+        degree, or the definition's bound for it, so no leaf is built or read."""
+        degrees = self.definition.degrees if self.definition is not None else {
+            name: leaf.total_degree() for name, leaf in self.leaves.items()}
+        weights = {name: (degrees[name],) for name in self.names}
         return max((sum(d) for d in self.outer.degrees(weights)), default=0)
 
     def expand(self) -> Polynomial:

@@ -9,8 +9,7 @@ polynomials (f_all, h_poly, q_poly, generators_of) and generator_values_mod
 as values at points mod p, with no expansion, for the modular runs.  H and
 Q are the rational corrections of h and q that are fixed by the unipotent
 upper-triangular subgroup (highest weight vectors of weights (2,2,2) and
-(3,3,3)), built exactly as polynomials in the 27 coordinate functions of the
-generic triple.
+(3,3,3)), built exactly in the 27 coordinates on their first read only.
 
 Gradings are data next to the names they weigh, for Polynomial.degrees:
 BLOCK_WEIGHTS gives the degree in the entries of (A1, A2, A3), and F_WEIGHTS
@@ -22,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -116,8 +115,8 @@ def combine_correction(base: Polynomial, factors: Mapping, table, coeffs=None) -
 
     One fraction-free sum_of_products over (1, base, 1) and, per entry,
     (c, first factor, product of the other factors): no full correction
-    product is built.  Passing the full products raised the peak RSS of
-    building generator_table() in a fresh interpreter from 36.0 to 38.6 MB."""
+    product is built.  Passing the full products raised the peak RSS of a
+    fresh interpreter building the table with H and Q from 36.0 to 38.6 MB."""
     if coeffs is None:
         coeffs = [c for c, _ in table]
     one = Polynomial.constant(ZZ, base.vars, 1)
@@ -388,8 +387,8 @@ def generator_values_mod(point: Mapping, prime: int) -> dict:
     return {name: values[name] for name in GENERATOR_DETERMINANTS}
 
 
-# The names GeneratorTable.by_name gives its polynomials, in its order: f{i}{j}{k}
-# and f{n} name one cubic.
+# The names GeneratorTable.by_name reads, in its order: f{i}{j}{k} and f{n} name
+# one cubic, so name i < 20 is f[i // 2]; then h, q, H (HH) and Q (QQ).
 GENERATOR_NAMES = tuple(
     name for n, (i, j, k) in enumerate(F_INDEX, start=1) for name in (f"f{i}{j}{k}", f"f{n}")
 ) + ("h", "q", "HH", "QQ")
@@ -397,35 +396,32 @@ GENERATOR_NAMES = tuple(
 
 @dataclass(frozen=True)
 class GeneratorTable:
-    """The named invariants of a triple as explicit polynomials."""
+    """The named invariants of a triple as explicit polynomials; H and Q (1152
+    and 9216 QQ terms in the generic triple) are built on first read."""
 
     f_by_ijk: dict
     f: tuple  # f1..f10 in the fixed numbering
     h: Polynomial
     q: Polynomial
-    H: Polynomial
-    Q: Polynomial
 
-    def by_name(self) -> dict:
-        polys = [p for p in self.f for _ in range(2)] + [self.h, self.q, self.H, self.Q]
-        return dict(zip(GENERATOR_NAMES, polys))
+    @cached_property
+    def H(self) -> Polynomial:
+        return combine_correction(self.h, correction_factors(self.f, self.h), H_CORRECTIONS)
+
+    @cached_property
+    def Q(self) -> Polynomial:
+        return combine_correction(self.q, correction_factors(self.f, self.h), Q_CORRECTIONS)
+
+    def by_name(self, name: str) -> Polynomial:
+        """The polynomial of one of GENERATOR_NAMES; only HH and QQ build H and Q."""
+        i = GENERATOR_NAMES.index(name)
+        return self.f[i // 2] if i < 20 else getattr(self, ("h", "q", "H", "Q")[i - 20])
 
 
 def generators_of(T: MatrixTriple) -> GeneratorTable:
-    """The named invariants of a triple, H and Q included, in its variables."""
+    """The named invariants of a triple in its variables, H and Q on first read."""
     fs = f_all(T)
-    f_list = tuple(fs[ijk] for ijk in F_INDEX)
-    h = h_poly(T)
-    q = q_poly(T)
-    factors = correction_factors(f_list, h)
-    return GeneratorTable(
-        f_by_ijk=fs,
-        f=f_list,
-        h=h,
-        q=q,
-        H=combine_correction(h, factors, H_CORRECTIONS),
-        Q=combine_correction(q, factors, Q_CORRECTIONS),
-    )
+    return GeneratorTable(fs, tuple(fs[ijk] for ijk in F_INDEX), h_poly(T), q_poly(T))
 
 
 @lru_cache(maxsize=1)

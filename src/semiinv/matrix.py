@@ -89,28 +89,10 @@ class PolyMatrix:
         return PolyMatrix([[fn(e) for e in r] for r in self.rows])
 
     def determinant(self) -> Polynomial:
-        """Exact, division-free determinant by minor expansion with dynamic
-        programming over column subsets, skipping zero entries (far fewer than
-        n! Leibniz terms on sparse blocks).  The minor of rows 0..k on a column
-        subset is one sum_of_products over its (sign, minor of rows 0..k-1 on
-        the subset minus column j, entry (k, j)) triples, all exponent-guarded."""
-        n = self.n
-        if n > _DET_DIM_LIMIT:
-            raise PolyError(f"determinant supports n <= {_DET_DIM_LIMIT}, got {n}")
-        ring, vs = self.ring, self.vars
-        # column subset (bitmask) -> the minor of the first popcount(mask) rows
-        states = {0: Polynomial.constant(ring, vs, 1)}
-        for k, row in enumerate(self.rows):
-            triples: dict = {}
-            for mask, minor in states.items():
-                for j, entry in enumerate(row):
-                    bit = 1 << j
-                    if mask & bit or not entry:
-                        continue
-                    sign = -1 if (k + (mask & (bit - 1)).bit_count()) & 1 else 1
-                    triples.setdefault(mask | bit, []).append((sign, minor, entry))
-            states = {m: Polynomial.sum_of_products(ring, vs, t) for m, t in triples.items()}
-        return states.get((1 << n) - 1) or Polynomial.zero(ring, vs)
+        """Exact, division-free determinant (Polynomial.determinant)."""
+        if self.n > _DET_DIM_LIMIT:
+            raise PolyError(f"determinant supports n <= {_DET_DIM_LIMIT}, got {self.n}")
+        return Polynomial.determinant(self.ring, self.vars, self.rows)
 
     def __repr__(self):
         return f"PolyMatrix({self.n}x{self.n} over {self.ring})"

@@ -20,8 +20,8 @@ back from the bytes of moved exponent rows.  The packed key is known only to
 this module: no other module reads `terms` or calls the constructor.
 
 One product kernel, _add_products, is the only loop over pairs of terms.
-mul, sum_of_products and the Horner steps of substitute add through it, and
-through them every determinant, matrix product and H/Q correction sum.
+mul, sum_of_products, determinant and the Horner steps of substitute add
+through it, and through them every matrix product and H/Q correction sum.
 
 Kernels read a polynomial through two views, built once and cached, both
 in term order: exponents(), the (terms, vars) uint8 matrix built from the
@@ -450,6 +450,37 @@ class Polynomial:
         if ring == QQ:
             out = {k: Fraction(v, den) for k, v in out.items()}
         return cls(ring, vars, out, max((m for *_, m in work), default=0))
+
+    @classmethod
+    def determinant(cls, ring: Ring, vars: VariableSet, rows: Sequence[Sequence["Polynomial"]]) -> "Polynomial":
+        """Exact determinant of a square matrix over ring and vars, by dynamic
+        programming over column subsets: the minor of rows 0..k on a subset
+        sums sign * entry (k, j) * the minor of rows 0..k-1 on the subset
+        without j.  Each minor is one int dict that _add_products adds into in
+        sum_of_products' order, zero terms then dropped: the terms keep that
+        order, and no Polynomial is built per subset.  Row k is scaled by the
+        lcm L_k of its denominators, the result divided by prod(L_k).  Exponent
+        bounds add along the nonzero products, each guarded as in mul."""
+        dens = [lcm(*(e._int_form()[0] for e in row)) for row in rows]
+        scaled = [[(_scaled(e, L).terms.items(), e.maxexp) for e in row] for row, L in zip(rows, dens)]
+        states = {0: (_UNIT, 0)}  # column subset (bitmask) -> (minor's terms, bound)
+        for k, row in enumerate(scaled):
+            sums: dict = {}
+            for mask, (minor, bound) in states.items():
+                for j, (entry, cap) in enumerate(row):
+                    bit = 2**j
+                    if mask & bit or not entry:
+                        continue
+                    acc = sums.setdefault(mask | bit, [{}, 0])
+                    if minor:
+                        sign = -1 if (k + (mask & (bit - 1)).bit_count()) & 1 else 1
+                        _add_products(acc[0], sign, minor, entry, bound + cap)
+                        acc[1] = max(acc[1], bound + cap)
+            states = {m: ([(key, c) for key, c in acc.items() if c], cap) for m, (acc, cap) in sums.items()}
+        minor, cap = states.get(2 ** len(rows) - 1, ((), 0))
+        den = prod(dens)
+        out = {key: Fraction(c, den) for key, c in minor} if ring == QQ else dict(minor)
+        return cls(ring, vars, out, cap if out else 0)
 
     def _int_form(self) -> tuple:
         """(L, the terms as (key, int) pairs): numerators() over QQ."""

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from . import generators as gen
 from . import hwv, textio
-from .evalmod import Composition, poly_eval_mod
+from .evalmod import Composition, Definition, poly_eval_mod
 from .poly import QQ, ZZ, Polynomial, PolyError, VariableSet
 from .verify import (
     CheckResult,
@@ -91,6 +91,9 @@ def abstract_Q() -> Polynomial:
     return gen.combine_correction(_var12("q"), _FACTORS12, gen.Q_CORRECTIONS)
 
 
+_ABSTRACT = {"H": abstract_H, "Q": abstract_Q}
+
+
 # -- derivation of the quartic and sextic invariants ---------------------------
 
 
@@ -130,31 +133,39 @@ def evaluate_f_form_on_triple(p_f: Polynomial, T) -> Polynomial:
 
 
 def generator_definition_mod(point, prime: int, names) -> dict:
-    """The definition of the generator leaves for Composition: f1..f10, h and q
-    from the determinant table that also builds their polynomials
-    (gen.generator_values_mod), and H and Q, where
-    names asks for them, as abstract_H and abstract_Q at those values, which
-    is how generators_of builds them.  H and Q have coefficients with the
-    denominators 2, 3 and 12, so they are evaluated only for an identity
-    that names them: at p = 3 the main relation, which has no denominator,
-    must not be refused for one of H's."""
+    """The generator values mod p of generator_definition: f1..f10, h and q
+    by gen.generator_values_mod, and H and Q where names asks for them, as
+    abstract_H and abstract_Q at those values, as the table builds them.
+    Their denominators 2, 3 and 12 are read only for an identity that names
+    them: at p = 3 the main relation, with none, must not be refused."""
     values = gen.generator_values_mod(point, prime)
-    abstract = {"H": abstract_H, "Q": abstract_Q}
     for name in names:
-        if name in abstract:
-            values[name] = poly_eval_mod(abstract[name](), values, prime)
+        if name in _ABSTRACT:
+            values[name] = poly_eval_mod(_ABSTRACT[name](), values, prime)
     return values
 
 
+def generator_definition() -> Definition:
+    """f1..f10, h, q, H and Q, the leaves of the triple identities, by their
+    definitions, the polynomials read from the table when asked for.  Degree
+    bounds: a matrix of GENERATOR_DETERMINANTS has entries of degree <= 1, so
+    n x n ones sum to degree <= n (3, 6 and 9 for f, h and q), and H and Q
+    are bounded as in Composition.degree_bound by abstract_H and abstract_Q."""
+    degrees = {name: stack.shape[-1] for name, stack in gen.GENERATOR_DETERMINANTS.items()}
+    weights = {name: (d,) for name, d in degrees.items()}
+    degrees.update({x: max(map(sum, form().degrees(weights))) for x, form in _ABSTRACT.items()})
+
+    def leaves(names) -> dict:
+        table = gen.generator_table()
+        return {n: table.f[gen.F_NAMES.index(n)] if n in gen.F_NAMES else getattr(table, n) for n in names}
+
+    return Definition(gen.TRIPLE_VARS, degrees, generator_definition_mod, leaves)
+
+
 def main_relation_expr(relation: Polynomial | None = None) -> Composition:
-    """relation(q, h, f1..f10) with the actual generator polynomials bound in;
-    modular evaluation reads the generators from their definitions."""
-    table = gen.generator_table()
-    return Composition(
-        relation if relation is not None else defining_relation(),
-        dict(zip(gen.F_NAMES, table.f), q=table.q, h=table.h),
-        generator_definition_mod,
-    )
+    """relation(q, h, f1..f10) at the twelve generators, by their Definition:
+    a modular run reads no generator polynomial."""
+    return Composition(defining_relation() if relation is None else relation, generator_definition())
 
 
 THEOREM1_VARS = VariableSet(("Q", "H") + gen.F_NAMES)
@@ -165,17 +176,12 @@ def theorem1_expr() -> Composition:
     invariants S and T are the pair derive_st returns, read through this
     module's attribute when the expression is built, so a substituted
     derive_st is the one composed.  They are composed exactly into one
-    rational outer polynomial over (Q, H, f1..f10), whose leaves are the
-    generator polynomials; every outer term has weighted degree 18, the
-    degree bound.  Modular evaluation reads the generators from their
-    definitions."""
-    table = gen.generator_table()
+    rational outer polynomial over (Q, H, f1..f10), at generator_definition:
+    only an exact slice proof builds the leaves, Q and H included."""
     Qv, Hv = (Polynomial.variable(QQ, THEOREM1_VARS, name) for name in ("Q", "H"))
     S, T = (p.to_ring(QQ).convert(THEOREM1_VARS) for p in derive_st())
     return Composition(
-        Qv.mul(Qv) - Hv ** 3 - Hv.mul(S) * 27 + T * Fraction(27, 4),
-        dict(zip(gen.F_NAMES, table.f), Q=table.Q, H=table.H),
-        generator_definition_mod,
+        Qv.mul(Qv) - Hv ** 3 - Hv.mul(S) * 27 + T * Fraction(27, 4), generator_definition()
     )
 
 

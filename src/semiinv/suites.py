@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from . import conjinv, generators as gen, hwv, relations
-from .evalmod import SMALL_CHAR_PRIMES, echelon_mod
+from .evalmod import SMALL_CHAR_PRIMES
 from .verify import RunConfig, boolean_check
 
 
@@ -35,13 +35,12 @@ def generators_suite(cfg: RunConfig) -> list:
         )
 
     def rank_ten():
-        # rank over Q >= rank mod p (a nonzero minor mod p is a nonzero
-        # integer minor): rank 10 mod 2^31-1 proves rank 10 over Q, and a
-        # deficit seen only mod p can FAIL a true claim, never PASS a false one
-        terms = [dict(p.sorted_terms()) for p in gen.generator_table().f]
-        keys = sorted(set().union(*terms))
-        vectors = [[t.get(k, 0) for k in keys] for t in terms]
-        return int(echelon_mod(vectors, 2**31 - 1)[0]) == 10
+        # Nonzero multihomogeneous polynomials of distinct multidegrees are
+        # linearly independent: a vanishing combination vanishes in each
+        # multidegree, where one of them alone has terms.  So ten distinct
+        # multidegrees, none None (zero or not multihomogeneous), prove it.
+        degrees = [hwv.multidegree(p) for p in gen.generator_table().f]
+        return None not in degrees and len(set(degrees)) == 10
 
     return [
         boolean_check("generator multidegrees", multidegrees_ok),
@@ -66,10 +65,10 @@ def hwv_suite(cfg: RunConfig) -> list:
         def fixed(x=x):
             table = gen.generator_table()
             beta, pinned = _correction(x)
-            # table.H is combine_correction(table.h, factors, H_CORRECTIONS),
-            # the sum at the pinned coefficients, so when the solve returns
-            # them the solved H is table.H and is certified without being
-            # rebuilt; likewise for Q
+            # table.H, built on first read, is combine_correction(table.h,
+            # factors, H_CORRECTIONS), the sum at the pinned coefficients, so
+            # when the solve returns them the solved H is table.H and is
+            # certified without another build; likewise for Q
             solved = (
                 getattr(table, x.upper())
                 if beta == pinned

@@ -8,8 +8,8 @@ exact gate certifies that the identity is invariant.  Modular runs are
 reproducible from (seed, primes, trials); a prime's trials are evaluated in
 one process, TRIAL_CHUNK at a time, by one evaluation of the composition per
 chunk, and a trial's point and value do not depend on the others.  The two
-triple identities read their generators from the determinant definitions
-there (relations.generator_definition_mod), not from the expanded leaves.
+triple identities read their generators and degree bounds from the
+definitions there (relations.generator_definition), not from the leaves.
 Every other check runs through boolean_check, which times its predicate and
 makes a refused build that check's FAIL.  A RunConfig validates itself when
 it is constructed.

@@ -72,19 +72,19 @@ def leibniz_determinant_package(m):
 
 def rowexp_determinant_package(m):
     """Recursive first-row expansion skipping zero entries; independent of
-    the package's subset-DP and cheap on sparse block matrices."""
+    the package's subset-DP and cheap on sparse block matrices.  A minor
+    whose first row is zero is the zero polynomial."""
     n = m.n
 
     def det(rows):
         if len(rows) == 1:
             return rows[0][0]
-        acc = None
+        acc = Polynomial.zero(m.ring, m.vars)
         sign = 1
         for j, e in enumerate(rows[0]):
             if e.terms:
                 minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-                part = e.mul(det(minor)) * sign
-                acc = part if acc is None else acc + part
+                acc = acc + e.mul(det(minor)) * sign
             sign = -sign
         return acc
 

@@ -63,6 +63,18 @@ def test_emitting_the_relation_builds_no_generator_table(cold_builds, capsys):
     assert gen.generator_table.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("name", ["f1", "q"])
+def test_emitting_a_generator_builds_neither_H_nor_Q(cold_builds, capsys, name):
+    """emit f1 and emit q build the table, whose H and Q are built only on
+    their first read, by emit HH or QQ."""
+    code, out, _ = run_cli(capsys, "emit", name)
+    table = gen.generator_table()
+    assert code == 0 and out.strip() == table.by_name(name).text()
+    assert "H" not in vars(table) and "Q" not in vars(table)
+    code, out, _ = run_cli(capsys, "emit", "QQ")
+    assert code == 0 and out.strip() == table.Q.text() and "H" not in vars(table)
+
+
 def test_emit_json_parses_back(capsys):
     from semiinv import textio
 

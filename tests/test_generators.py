@@ -156,17 +156,24 @@ def test_f_span_rank_ten(table):
 RANK_CHECK = "the ten pencil coefficients are linearly independent"
 
 
+def _rank_verdict():
+    return {r.name: r.passed for r in suites.generators_suite(RunConfig())}[RANK_CHECK]
+
+
 def test_rank_check_fails_when_f10_is_f1_plus_f2(monkeypatch, table):
-    """The rank check takes echelon_mod mod 2^31-1: it passes on the ten
-    pencil coefficients and FAILs when f10 is replaced by f1 + f2."""
-
-    def verdict():
-        return {r.name: r.passed for r in suites.generators_suite(RunConfig())}[RANK_CHECK]
-
-    assert verdict()
+    """The rank check reads the ten multidegrees: it passes on the ten pencil
+    coefficients and FAILs when f10 is replaced by f1 + f2, which has two."""
+    assert _rank_verdict()
     wrong = replace(table, f=table.f[:9] + (table.f[0] + table.f[1],))
     monkeypatch.setattr(gen, "generator_table", lambda: wrong)
-    assert not verdict()
+    assert not _rank_verdict()
+
+
+def test_rank_check_fails_on_a_repeated_multidegree(monkeypatch, table):
+    """f10 replaced by f1: ten multihomogeneous polynomials, nine distinct
+    multidegrees, rank nine; the check FAILs."""
+    monkeypatch.setattr(gen, "generator_table", lambda: replace(table, f=table.f[:9] + table.f[:1]))
+    assert not _rank_verdict()
 
 
 # -- special triples --------------------------------------------------------------

@@ -256,7 +256,9 @@ def test_hwv_suite_certifies_the_twelve_in_one_kernel_call(table, monkeypatch):
     monkeypatch.setattr(hwv, "derivation_images", counting)
     (check,) = [r for r in suites.hwv_suite(RunConfig()) if r.name == name]
     assert check.passed and 12 in calls and calls.count(12) == 1
-    monkeypatch.setattr(gen, "generator_table", lambda: replace(table, q=_bumped(table.q)))
+    bumped = replace(table, q=_bumped(table.q))
+    vars(bumped).update(H=table.H, Q=table.Q)  # the cached H and Q of the table, kept
+    monkeypatch.setattr(gen, "generator_table", lambda: bumped)
     verdicts = {r.name: r.passed for r in suites.hwv_suite(RunConfig())}
     assert verdicts.pop(name) is False
     assert all(verdicts.values())

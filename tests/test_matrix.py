@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semiinv.matrix import PolyMatrix
-from semiinv.poly import ZZ, Polynomial, PolyError, VariableSet
+from semiinv.poly import QQ, ZZ, Polynomial, PolyError, VariableSet
 
 import oracles
 
@@ -59,6 +61,49 @@ def test_det_agrees_with_leibniz(n):
             assert got.is_zero()
         else:
             assert got == want
+
+
+VS3 = VariableSet(("x", "y", "z"))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A square matrix, n <= 6, over ZZ or QQ (denominators 2, 3 and 12):
+    about a third of its entries 0, the others of one to three terms, and
+    sometimes a zero row or a zero column."""
+    n = draw(st.integers(1, 6))
+    ring = draw(st.sampled_from((ZZ, QQ)))
+    ints = st.integers(-5, 5)
+    coeffs = ints if ring == ZZ else st.builds(Fraction, ints, st.sampled_from((1, 2, 3, 12)))
+    entry = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), coeffs, min_size=1, max_size=3)
+    rows = [[draw(st.just({}) | entry | entry) for _ in range(n)] for _ in range(n)]
+    zero_row, zero_col = draw(st.none() | st.integers(0, n - 1)), draw(st.none() | st.integers(0, n - 1))
+    return PolyMatrix([
+        [Polynomial.from_terms(ring, VS3, {} if zero_row == i or zero_col == j else t)
+         for j, t in enumerate(row)]
+        for i, row in enumerate(rows)
+    ])
+
+
+@settings(max_examples=80)
+@given(sparse_matrices(), st.randoms(use_true_random=False))
+def test_det_of_sparse_matrices_agrees_with_the_oracles(m, rnd):
+    """The subset DP against first-row expansion (and the Leibniz sum for
+    n <= 4), over ZZ and QQ; its exponent bound holds its exponents, and a
+    permutation whose entries multiply past 255 in one variable raises."""
+    det = m.determinant()
+    assert det == oracles.rowexp_determinant_package(m)
+    if m.n <= 4:
+        assert det == oracles.leibniz_determinant_package(m)
+    assert int(det.exponents().max(initial=0)) <= det.maxexp
+    if m.n >= 2:
+        sigma = rnd.sample(range(m.n), m.n)
+        rows = [list(r) for r in m.rows]
+        for i, j in enumerate(sigma):
+            e = {0: 200, 1: 100}.get(i, 0)
+            rows[i][j] = Polynomial.monomial(m.ring, VS3, {"x": e})
+        with pytest.raises(PolyError):
+            PolyMatrix(rows).determinant()
 
 
 def swap_rows(m, i, j):

@@ -111,38 +111,53 @@ def test_theorem1_modular():
     assert result.details["degree_bound"] == 18
 
 
-class _CountedTerms(dict):
-    """A terms dict that counts the passes over its keys or items."""
-
-    passes = 0
-
-    def __iter__(self):
-        self.passes += 1
-        return super().__iter__()
-
-    def items(self):
-        self.passes += 1
-        return super().items()
+def _sweep_mutant():
+    """The relation plus h^2*f2*f9, of the same weighted degree 18."""
+    return rel.defining_relation() + Polynomial.monomial(ZZ, rel.ABSTRACT12, {"h": 2, "f2": 1, "f9": 1})
 
 
-def test_degree_bound_reuses_each_leafs_cached_exponents():
-    """A second degree_bound reads every leaf's total degree from the matrix
-    the first one cached, the same object, without another pass over the
-    leaf's terms."""
-    expr = rel.main_relation_expr()
-    leaves = {
-        name: Polynomial(leaf.ring, leaf.vars, _CountedTerms(leaf.terms), leaf.maxexp)
-        for name, leaf in expr.leaves.items()
-    }
-    counted = Composition(expr.outer, leaves)
-    assert counted.degree_bound() == 18
-    matrices = {name: leaf.exponents() for name, leaf in leaves.items()}
-    passes = {name: leaf.terms.passes for name, leaf in leaves.items()}
-    assert all(passes.values())
-    assert counted.degree_bound() == 18
-    for name, leaf in leaves.items():
-        assert leaf.exponents() is matrices[name]
-        assert leaf.terms.passes == passes[name]
+def test_the_definition_degree_bounds_are_the_expanded_leaves_degrees():
+    """Each degree the generator Definition gives is its leaf's total degree,
+    so the degree bound read from the definitions equals the one read from
+    the expanded leaves, 18, for both identities and the mutant."""
+    definition = rel.generator_definition()
+    table = gen.generator_table()
+    leaves = dict(zip(gen.F_NAMES, table.f), h=table.h, q=table.q, H=table.H, Q=table.Q)
+    assert definition.degrees == {name: leaf.total_degree() for name, leaf in leaves.items()}
+    for expr in (rel.main_relation_expr(), rel.theorem1_expr(), rel.main_relation_expr(_sweep_mutant())):
+        assert expr.degree_bound() == Composition(expr.outer, expr.leaves).degree_bound() == 18
+
+
+def test_modular_runs_build_no_corrected_leaf_and_read_no_leaf(cold_builds, monkeypatch):
+    """After generator_table(), as a benchmark set-up builds it, the modular
+    main relation, theorem 1 and the mutant leave H and Q unbuilt: no
+    combine_correction over the 27 coordinates, and no exponents() of a
+    polynomial in them, leaf or other."""
+    table = gen.generator_table()
+    read, corrected = [], []
+    exponents, combine = Polynomial.exponents, gen.combine_correction
+
+    def recording_exponents(p):
+        read.append(p.vars)
+        return exponents(p)
+
+    def recording_combine(base, *args):
+        corrected.append(base.vars)
+        return combine(base, *args)
+
+    monkeypatch.setattr(Polynomial, "exponents", recording_exponents)
+    monkeypatch.setattr(gen, "combine_correction", recording_combine)
+    mutant = _sweep_mutant()
+    results = [
+        rel.verify_main_relation(SMALL),
+        rel.verify_theorem1(RunConfig(trials=4, primes=(2147483647,))),
+        rel.verify_main_relation(RunConfig(trials=2, primes=(2147483647,)), relation=mutant),
+    ]
+    assert [r.passed for r in results] == [True, True, False]
+    assert [r.details["degree_bound"] for r in results] == [18, 18, 18]
+    assert "H" not in vars(table) and "Q" not in vars(table)
+    assert read and corrected  # outer polynomials, abstract_H and abstract_Q
+    assert gen.TRIPLE_VARS not in read and gen.TRIPLE_VARS not in corrected
 
 
 def test_theorem1_weierstrass_arithmetic():

@@ -133,7 +133,7 @@ def test_roundtrip_every_emitted_generator():
 
     table = gen.generator_table()
     corpus = {}
-    corpus.update(table.by_name())
+    corpus.update({name: table.by_name(name) for name in gen.GENERATOR_NAMES})
     s4, t6 = relations.derive_st()
     corpus["Stilde"] = s4
     corpus["Ttilde"] = t6
