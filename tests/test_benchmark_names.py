@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from semiinv import generators as gen
+from semiinv import conjinv, generators as gen, hwv, relations
+from semiinv.verify import RunConfig
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 
@@ -63,6 +64,50 @@ def test_every_package_name_the_workloads_use_exists():
         if not hasattr(modules[node.value.id], node.attr)
     ]
     assert not missing
+
+
+def test_the_traced_layers_of_the_exact_trace_relation_record_calls():
+    """The coverage guard predicts calls to these names on the workloads that
+    run verify_nakamoto_composed; a refactor that routes around one would
+    otherwise show only as exit 3 on a traced benchmark run."""
+    tracer = _load("tracing").Tracer("t")
+    tracer.install()
+    try:
+        assert conjinv.verify_nakamoto_composed(RunConfig(mode="exact")).passed
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    for name in (
+        "verify.exact_else_modular",
+        "verify.run_identity_exact",
+        "poly.substitute",
+        "conjinv.trace_generators",
+    ):
+        assert summary[name][0] > 0, name
+
+
+def test_the_layers_the_product_kernel_serves_still_record_calls():
+    """The determinant, Horner's steps and the correction sums add their
+    products through Polynomial.sum_of_products, not mul.  The coverage
+    guard still predicts calls to these names on certify-default and
+    exact-algebra, which build the generator table and certify the derived
+    invariants with a cold f-span action."""
+    tracer = _load("tracing").Tracer("t")
+    tracer.install()
+    try:
+        gen.generators_of(gen.generic_triple())
+        hwv._span_action_verified.cache_clear()
+        assert hwv.sl3_certificate_for_f_polynomial(relations.derive_st()[0])
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    for name in (
+        "matrix.determinant",
+        "poly.mul",
+        "poly.substitute",
+        "generators.act_on_function",
+    ):
+        assert summary[name][0] > 0, name
 
 
 WORKLOADS = _load("workloads")
