@@ -34,19 +34,19 @@ reads the cached exponent matrices of a stack of polynomials, forms all image
 terms at once under mixed-radix int64 monomial keys, and adds up the terms
 that share a monomial; its exactness argument (injective keys, overflow-free
 sums, one common denominator) is written next to it.  The certificates ask
-that every image coefficient be 0; solve_hwv_correction reads the same
-images as one linear equation per distinct row.  The tests check it against
-a term-by-term reference in tests/oracles.py.
+that every image coefficient be 0; solve_hwv_correction reads the images
+of two 15-variable slices as one linear equation per distinct row.  The
+tests check it against a term-by-term reference in tests/oracles.py.
 
 The correction coefficients attached to h and q are recomputed here from
-scratch by exact elimination on the derivation equations, in the bases of
-products that generators.H_CORRECTIONS and Q_CORRECTIONS list, and the test
-suite compares them against the coefficients of those tables.  For each
-candidate beta the derivation equations hold iff the transvections fix the
-corrected polynomial, so the solution set is that of the fixedness
-equations.  Group substitution (generators.act_on_function) remains in the
-verification of the induced f-span action, and in the tests as an
-independent oracle (the diagonal-torus weight cross-check among them).
+scratch, in the bases of products that generators.H_CORRECTIONS and
+Q_CORRECTIONS list: solved on two slices, verified exactly in 27
+coordinates.  The test suite compares them against the coefficients of those
+tables.  The verified beta makes D12 and D23 kill the corrected polynomial,
+so the transvections fix it; the soundness argument, uniqueness included, is
+at solve_hwv_correction.  Group substitution (generators.act_on_function)
+remains in the verification of the induced f-span action, and in the tests
+as an independent oracle (the diagonal-torus weight cross-check among them).
 """
 
 from __future__ import annotations
@@ -330,15 +330,59 @@ def sl3_certificate_for_f_polynomial(p_f: Polynomial) -> bool:
 # -- exact recomputation of the correction coefficients -------------------------
 
 
+# The correction solve takes its equations on one slice per upper root (i, j):
+# every component but A_j is diagonal (its off-diagonal entries are 0), so 15
+# coordinates remain, and D_ij keeps its three diagonal pairs there.
+def _root_slice(i: int, j: int) -> tuple:
+    """(zeros, pairs): the restriction to the slice of root (i, j), and D_ij's
+    (src, dst) pairs on it."""
+    zeros = {
+        f"x{r}_{a}{b}": 0
+        for r in (1, 2, 3) if r != j
+        for a in (1, 2, 3) for b in (1, 2, 3) if a != b
+    }
+    return zeros, tuple((f"x{i}_{a}{a}", f"x{j}_{a}{a}") for a in (1, 2, 3))
+
+
+CORRECTION_SLICES = tuple(_root_slice(i, j) for i, j in UPPER_ROOTS)
+
+
 def solve_hwv_correction(base: Polynomial, basis: Sequence[Polynomial]) -> list:
     """Solve for the unique rational coefficients beta with base + sum(beta_i
     * basis_i) fixed by both elementary upper transvections, i.e. killed by
     D12 and D23.
 
-    derivation_images gives, per derivation, one integer matrix with a row
-    per image monomial and the columns D(base), D(basis_1), ...; a row r
-    states sum(beta_i * r[i]) = -r[0].  The distinct rows of both matrices,
-    in sorted order, are the whole system.
+    Equations from two slices: base and basis are restricted to the slice of
+    each upper root (CORRECTION_SLICES; x1_ab = x3_ab = 0 for a != b for D12,
+    x1_ab = x2_ab = 0 for D23), and derivation_images gives, per slice, one
+    integer matrix with a row per image monomial and the columns D(base),
+    D(basis_1), ...; a row r states sum(beta_i * r[i]) = -r[0].  The
+    distinct rows of both matrices, in sorted order, go to
+    linalg.solve_unique (6 rows for h, 25 for q).  The solution is then
+    checked exactly: with d the lcm of beta's denominators, D12 and D23 must
+    kill d*base + sum((d*beta_i) * basis_i), one polynomial in all 27
+    coordinates (over ZZ when the inputs are).  An empty basis checks base.
+
+    Soundness, with no probabilistic step:
+
+    * Restriction is a ring homomorphism.  A slice fixes no dst variable of
+      its derivation (A_j stays whole), and each src it fixes is set to 0,
+      which kills that pair's terms.  So the restriction of D_ij(P) is the
+      slice derivation of the restricted P, and every solution of the full
+      equations solves the slice equations.
+    * So an inconsistent slice system means an inconsistent full one.  When
+      the slice system has rank n = len(basis), the full system has at most
+      its one solution beta, and the exact check decides whether beta is
+      one: the check passes iff beta is the unique full solution.
+    * Rank.  D_ij commutes with the action of SL3 x SL3 on every component,
+      so for SL3 x SL3-invariant base and basis (h, q and the correction
+      products) every sum(gamma_i * D_ij(basis_i)) is invariant.  An
+      invariant that vanishes on a slice is 0: on a dense set some (g, h)
+      takes the triple to one with A_i = mu*I and, after a conjugation that
+      fixes mu*I, the third component diagonal (the density argument at
+      relations.TRIPLE_SLICE).  So the slice rank is the full rank, and
+      UnderdeterminedSystem is faithful for such inputs; for other inputs it
+      means that the slice equations leave several solutions.
 
     Raises InconsistentSystem when no correction in the span works and
     UnderdeterminedSystem when several do.
@@ -351,16 +395,27 @@ def solve_hwv_correction(base: Polynomial, basis: Sequence[Polynomial]) -> list:
     for m in basis:
         if multidegree(m) != md:
             raise linalg.LinAlgError("basis element of different multidegree")
-    derivations = [(block_derivation(i, j), ()) for i, j in UPPER_ROOTS]
-    rows = np.concatenate(derivation_images([base, *basis], derivations))
-    rows = rows[np.lexsort(rows.T[::-1])]
-    rows = rows[_changes(rows)].tolist()
-    if not basis:
-        # no unknowns: the system is consistent iff every row is 0 = 0
-        if any(rhs for rhs, in rows):
-            raise InconsistentSystem("base is not fixed and no basis was given")
-        return []
-    return linalg.solve_unique([(row[1:], -row[0]) for row in rows], len(basis))
+    beta = []
+    if basis:
+        images = [
+            derivation_images([p.restrict(zeros) for p in (base, *basis)], [(pairs, ())])[0]
+            for zeros, pairs in CORRECTION_SLICES
+        ]
+        rows = np.concatenate(images)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        rows = rows[_changes(rows)].tolist()
+        beta = linalg.solve_unique([(row[1:], -row[0]) for row in rows], len(basis))
+    d = lcm(*(b.denominator for b in beta))
+    ring = ZZ if all(p.ring == ZZ for p in (base, *basis)) else QQ
+    one = Polynomial.constant(ZZ, gen.TRIPLE_VARS, 1)
+    corrected = Polynomial.sum_of_products(
+        ring, gen.TRIPLE_VARS, [(d, base, one), *((d * b, p, one) for b, p in zip(beta, basis))]
+    )
+    # the certificate's kernel call, not is_fixed_by_unipotents itself, which
+    # benchmark/tracing.py counts as a certificate of its own
+    if not _killed_by([corrected], [(block_derivation(i, j), ()) for i, j in UPPER_ROOTS]):
+        raise InconsistentSystem("the corrected polynomial is not fixed in all 27 coordinates")
+    return beta
 
 
 def h_correction_basis(table) -> list:

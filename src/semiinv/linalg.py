@@ -1,8 +1,9 @@
 """Exact Gaussian elimination for small dense systems.
 
-Systems here have at most a dozen unknowns and a few hundred equations: the
-correction solves of hwv hand over the distinct rows of their derivation
-images (495 for q), some of them still equal up to scale.  Rows are therefore
+Systems here have at most a dozen unknowns and a few dozen equations: the
+correction solves of hwv are solved on two slices, verified exactly in 27
+coordinates, and hand over the distinct rows of their slice derivation
+images (25 for q), some of them still equal up to scale.  Rows are therefore
 normalized to coprime integers and deduplicated, then eliminated
 fraction-free in ints; only the back substitution, one division per unknown,
 takes Fractions.  No floating point anywhere.  This module only solves:

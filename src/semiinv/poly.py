@@ -457,10 +457,12 @@ class Polynomial:
         programming over column subsets: the minor of rows 0..k on a subset
         sums sign * entry (k, j) * the minor of rows 0..k-1 on the subset
         without j.  Each minor is one int dict that _add_products adds into in
-        sum_of_products' order, zero terms then dropped: the terms keep that
-        order, and no Polynomial is built per subset.  Row k is scaled by the
-        lcm L_k of its denominators, the result divided by prod(L_k).  Exponent
-        bounds add along the nonzero products, each guarded as in mul."""
+        sum_of_products' order, read as its items() view: no Polynomial is
+        built per subset, a term that cancels stays as a 0 that adds nothing
+        to the next minors, and the zero terms are dropped once, from the
+        full determinant.  Row k is scaled by the lcm L_k of its denominators,
+        the result divided by prod(L_k).  Exponent bounds add along the
+        products of nonempty minors, each guarded as in mul."""
         dens = [lcm(*(e._int_form()[0] for e in row)) for row in rows]
         scaled = [[(_scaled(e, L).terms.items(), e.maxexp) for e in row] for row, L in zip(rows, dens)]
         states = {0: (_UNIT, 0)}  # column subset (bitmask) -> (minor's terms, bound)
@@ -476,10 +478,12 @@ class Polynomial:
                         sign = -1 if (k + (mask & (bit - 1)).bit_count()) & 1 else 1
                         _add_products(acc[0], sign, minor, entry, bound + cap)
                         acc[1] = max(acc[1], bound + cap)
-            states = {m: ([(key, c) for key, c in acc.items() if c], cap) for m, (acc, cap) in sums.items()}
+            states = {m: (acc.items(), cap) for m, (acc, cap) in sums.items()}
         minor, cap = states.get(2 ** len(rows) - 1, ((), 0))
         den = prod(dens)
-        out = {key: Fraction(c, den) for key, c in minor} if ring == QQ else dict(minor)
+        out = {key: c for key, c in minor if c}
+        if ring == QQ:
+            out = {key: Fraction(c, den) for key, c in out.items()}
         return cls(ring, vars, out, cap if out else 0)
 
     def _int_form(self) -> tuple:

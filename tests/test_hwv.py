@@ -452,8 +452,8 @@ def test_rescaled_qq_basis_rescales_the_solution(table):
 
 
 def test_q_correction_hands_solve_unique_its_distinct_rows(monkeypatch, table):
-    """Guard: the q solve passes fewer than 1000 rows (495 distinct ones, of
-    about 33000 image monomials) to the elimination."""
+    """Guard: the q solve passes fewer than 100 rows to the elimination: the
+    25 distinct rows of the images of its two 15-variable slices."""
     sizes = []
     real = hwv.linalg.solve_unique
 
@@ -466,7 +466,69 @@ def test_q_correction_hands_solve_unique_its_distinct_rows(monkeypatch, table):
     assert hwv.solve_hwv_correction(table.q, hwv.q_correction_basis(table)) == [
         c for c, _ in gen.Q_CORRECTIONS
     ]
-    assert sizes and max(sizes) < 1000
+    assert sizes and max(sizes) < 100
+
+
+def test_the_solve_stacks_polynomials_only_on_the_slices(monkeypatch, table):
+    """Guard: derivation_images receives a stack of more than one polynomial
+    only in the 15 slice coordinates (one stack per slice); the check in all
+    27 coordinates takes the one corrected polynomial."""
+    calls = []
+    real = hwv.derivation_images
+
+    def recording(polys, derivations):
+        calls.append((len(polys), len(polys[0].vars)))
+        return real(polys, derivations)
+
+    monkeypatch.setattr(hwv, "derivation_images", recording)
+    hwv.solve_hwv_correction(table.h, hwv.h_correction_basis(table))
+    hwv.solve_hwv_correction(table.q, hwv.q_correction_basis(table))
+    assert all(n == 1 or width == 15 for n, width in calls)
+    assert calls.count((5, 15)) == calls.count((9, 15)) == 2
+
+
+def test_a_term_invisible_on_both_slices_fails_the_exact_check(monkeypatch, table):
+    """Negative control: x1_12*x3_12*x1_11^2*x2_11^3*x3_11^2 is 0 on both
+    slices (x1_12 = 0 on each), so with it added to the first q product the
+    slice equations still give the pinned coefficients; D12 does not kill it,
+    and only the check in all 27 coordinates sees that."""
+    basis = hwv.q_correction_basis(table)
+    basis[0] = basis[0] + Polynomial.monomial(
+        ZZ, gen.TRIPLE_VARS, {"x1_12": 1, "x3_12": 1, "x1_11": 2, "x2_11": 3, "x3_11": 2}
+    )
+    solved = []
+    real = hwv.linalg.solve_unique
+
+    def recording(rows, nunknowns):
+        solved.append(real(rows, nunknowns))
+        return solved[-1]
+
+    monkeypatch.setattr(hwv.linalg, "solve_unique", recording)
+    with pytest.raises(hwv.InconsistentSystem):
+        hwv.solve_hwv_correction(table.q, basis)
+    assert solved == [[c for c, _ in gen.Q_CORRECTIONS]]
+
+
+@given(
+    gammas=st.lists(
+        st.builds(Fraction, st.integers(-24, 24), st.sampled_from([1, 2, 3, 12])),
+        min_size=4,
+        max_size=4,
+    ),
+    qq=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_a_shifted_base_shifts_the_h_correction(table, gammas, qq):
+    """solve_hwv_correction(h + sum(gamma_i * b_i), the H basis) is the pinned
+    beta - gamma, for gamma with denominators 1, 2, 3 and 12; the inputs are
+    over ZZ when gamma is integral and qq is False, over QQ otherwise."""
+    ring = QQ if qq or any(g.denominator != 1 for g in gammas) else ZZ
+    basis = [b.to_ring(ring) for b in hwv.h_correction_basis(table)]
+    base = table.h.to_ring(ring)
+    for g, b in zip(gammas, basis):
+        base = base + b * g
+    pinned = [c for c, _ in gen.H_CORRECTIONS]
+    assert hwv.solve_hwv_correction(base, basis) == [c - g for c, g in zip(pinned, gammas)]
 
 
 def test_the_package_has_one_derivation_path():
