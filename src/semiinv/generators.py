@@ -100,31 +100,27 @@ def correction_label(keys: Sequence) -> str:
     )
 
 
-def correction_products(table, factors: Mapping):
-    """Yield the monomials of a correction table, one per entry, multiplied
-    out in the ring of the factor polynomials; one at a time, so a caller
-    never holds them all."""
-    for _, keys in table:
-        yield reduce(Polynomial.mul, [factors[k] for k in keys])
+def correction_sum(ring: Ring, vars: VariableSet, terms) -> Polynomial:
+    """sum(c * product of the factors) over (c, factors) pairs, each with at
+    least one factor over vars, in ring.
+
+    One fraction-free sum_of_products over (c, first factor, product of the
+    other factors), the constant 1 for a lone factor: no term's full product
+    is built.  Passing the full products raised the peak RSS of a fresh
+    interpreter building the table with H and Q from 36.0 to 38.6 MB."""
+    one = Polynomial.constant(ZZ, vars, 1)
+    triples = [(c, first, reduce(Polynomial.mul, rest) if rest else one) for c, (first, *rest) in terms]
+    return Polynomial.sum_of_products(ring, vars, triples)
 
 
 def combine_correction(base: Polynomial, factors: Mapping, table, coeffs=None) -> Polynomial:
-    """base + sum(c * product) over the entries of a correction table, in QQ.
-    coeffs, when given, replaces the table's coefficients (a solved
-    correction).
-
-    One fraction-free sum_of_products over (1, base, 1) and, per entry,
-    (c, first factor, product of the other factors): no full correction
-    product is built.  Passing the full products raised the peak RSS of a
-    fresh interpreter building the table with H and Q from 36.0 to 38.6 MB."""
+    """base + sum(c * product) over the entries of a correction table, in QQ,
+    as one correction_sum.  coeffs, when given, replaces the table's
+    coefficients (a solved correction)."""
     if coeffs is None:
         coeffs = [c for c, _ in table]
-    one = Polynomial.constant(ZZ, base.vars, 1)
-    triples = [(1, base, one)]
-    for c, (_, keys) in zip(coeffs, table, strict=True):
-        first, *rest = (factors[k] for k in keys)
-        triples.append((c, first, reduce(Polynomial.mul, rest)))
-    return Polynomial.sum_of_products(QQ, base.vars, triples)
+    terms = [(c, [factors[k] for k in keys]) for c, (_, keys) in zip(coeffs, table, strict=True)]
+    return correction_sum(QQ, base.vars, [(1, (base,)), *terms])
 
 
 # the name the benchmark workloads call, with int keys and a table of H's shape

@@ -29,29 +29,37 @@ invariance under SL3 x SL3 acting by (g, h).A = g A h^-1, and with the row
 minus the column operation on the components of a pair, invariance under
 simultaneous conjugation.
 
-Every derivation runs through one integer kernel, derivation_images: it
-reads the cached exponent matrices of a stack of polynomials, forms all image
-terms at once under mixed-radix int64 monomial keys, and adds up the terms
-that share a monomial; its exactness argument (injective keys, overflow-free
-sums, one common denominator) is written next to it.  The certificates ask
-that every image coefficient be 0; solve_hwv_correction reads the images
-of two 15-variable slices as one linear equation per distinct row.  The
-tests check it against a term-by-term reference in tests/oracles.py.
+Every derivation runs through one integer kernel, derivation_stream: it
+reads the cached exponent matrices of a stack of polynomials, keys and sorts
+their terms once under mixed-radix int64 monomial keys, and then, one
+derivation at a time, forms its image terms and adds up those that share a
+monomial; its exactness argument (injective keys, overflow-free sums, one
+common denominator) is written next to it.  derivation_images lists the
+images.  The certificates ask that every image coefficient be 0, and read
+the stream: they keep no list of images and form none after the first that
+is not 0.  solve_hwv_correction reads the images of two 15-variable slices
+as one linear equation per distinct row.  The tests check the kernel
+against a term-by-term reference in tests/oracles.py.
 
 The correction coefficients attached to h and q are recomputed here from
 scratch, in the bases of products that generators.H_CORRECTIONS and
-Q_CORRECTIONS list: solved on two slices, verified exactly in 27
+Q_CORRECTIONS list, each product given by its factors and never multiplied
+out in the 27 coordinates: solved on two slices, verified exactly in 27
 coordinates.  The test suite compares them against the coefficients of those
 tables.  The verified beta makes D12 and D23 kill the corrected polynomial,
-so the transvections fix it; the soundness argument, uniqueness included, is
-at solve_hwv_correction.  Group substitution (generators.act_on_function)
-remains in the verification of the induced f-span action, and in the tests
-as an independent oracle (the diagonal-torus weight cross-check among them).
+so the transvections fix it; at the balanced weights (2,2,2) and (3,3,3) the
+same check applies D21 and D32, and so certifies that H and Q are nonzero,
+of their weight and SL3-invariant (an sl2 argument shows that this changes
+no verdict).  The soundness argument, uniqueness and the sl2 argument
+included, is at solve_hwv_correction.  Group substitution
+(generators.act_on_function) remains in the verification of the induced
+f-span action, and in the tests as an independent oracle (the
+diagonal-torus weight cross-check among them).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
 from math import lcm
 from typing import Sequence
@@ -155,7 +163,8 @@ def _changes(keys: np.ndarray) -> np.ndarray:
 
 
 def derivation_images(polys: Sequence[Polynomial], derivations) -> list:
-    """D(P) for every polynomial P of `polys` and every derivation D.
+    """D(P) for every polynomial P of `polys` and every derivation D: the
+    images of derivation_stream, as a list.
 
     A derivation is a pair (plus, minus) of (src, dst) name sequences and
     stands for sum(src * d/d dst over plus) - sum(src * d/d dst over minus).
@@ -167,6 +176,15 @@ def derivation_images(polys: Sequence[Polynomial], derivations) -> list:
     The polynomials share one variable set.  An exponent of 255 raises
     PolyError, since an image exponent would then not fit the 8-bit fields of
     a Polynomial, and an unknown name raises VariableMismatch."""
+    return list(derivation_stream(polys, derivations))
+
+
+def derivation_stream(polys: Sequence[Polynomial], derivations):
+    """Yield derivation_images' matrices one derivation at a time.  The
+    set-up (exponents, keys, one sort of the stack) runs once, at the first
+    request; each image is formed only when it is asked for, so a reader that
+    stops early forms no later image, and one that drops each image after
+    reading it keeps no list of them."""
     vars = polys[0].vars
     if any(p.vars != vars for p in polys):
         raise VariableMismatch("polynomials over different variable sets")
@@ -213,7 +231,6 @@ def derivation_images(polys: Sequence[Polynomial], derivations) -> list:
     rank = np.lexsort(base.T)
     exps, values, base = exps[rank], values[rank], base[rank]
 
-    out = []
     for moves in signed:
         keys, terms = [base[:0]], [values[:0]]
         for src, dst, sign in moves:
@@ -234,15 +251,15 @@ def derivation_images(polys: Sequence[Polynomial], derivations) -> list:
         new = _changes(keys)
         matrix = np.zeros((int(new.sum()), len(polys)), dtype=dtype)
         matrix[np.cumsum(new) - 1, which] = sums
-        out.append(matrix)
-    return out
+        yield matrix
 
 
 def _killed_by(polys: Sequence[Polynomial], derivations) -> bool:
     """True iff every derivation, a (plus, minus) pair as in
     derivation_images, kills every polynomial of the stack: the image terms
-    on each monomial sum to 0 in each column."""
-    return not any(image.any() for image in derivation_images(polys, derivations))
+    on each monomial sum to 0 in each column.  The images are streamed and
+    the first nonzero one decides: no later derivation is imaged."""
+    return not any(image.any() for image in derivation_stream(polys, derivations))
 
 
 def is_fixed_by_unipotents(F: Polynomial) -> bool:
@@ -347,25 +364,57 @@ def _root_slice(i: int, j: int) -> tuple:
 CORRECTION_SLICES = tuple(_root_slice(i, j) for i, j in UPPER_ROOTS)
 
 
-def solve_hwv_correction(base: Polynomial, basis: Sequence[Polynomial]) -> list:
+def _factors(element) -> tuple:
+    """A basis element as the tuple of its factors: a Polynomial is a
+    product of one factor."""
+    return (element,) if isinstance(element, Polynomial) else tuple(element)
+
+
+def _product_multidegree(factors: Sequence[Polynomial], what: str) -> tuple:
+    """The multidegree of a product, the sum of its factors' multidegrees
+    (Q[x] is a domain, so the product of nonzero multihomogeneous factors is
+    nonzero and multihomogeneous); LinAlgError naming `what` when the product
+    is zero or not multihomogeneous."""
+    if any(p.is_zero() for p in factors):
+        raise linalg.LinAlgError(f"{what} is zero")
+    degrees = [multidegree(p) for p in factors]
+    if None in degrees:
+        raise linalg.LinAlgError(f"{what} is not multihomogeneous")
+    return tuple(map(sum, zip(*degrees)))
+
+
+def solve_hwv_correction(base: Polynomial, basis: Sequence) -> list:
     """Solve for the unique rational coefficients beta with base + sum(beta_i
     * basis_i) fixed by both elementary upper transvections, i.e. killed by
     D12 and D23.
 
+    A basis element is a product given by its factors, a sequence of
+    polynomials; a lone Polynomial is a product of one factor.  Base and
+    every element must be nonzero and multihomogeneous of one multidegree
+    (a product's is the sum of its factors'), or LinAlgError names the
+    element and the case.  No product of all of an element's factors is
+    formed in the 27 coordinates.
+
     Equations from two slices: base and basis are restricted to the slice of
     each upper root (CORRECTION_SLICES; x1_ab = x3_ab = 0 for a != b for D12,
-    x1_ab = x2_ab = 0 for D23), and derivation_images gives, per slice, one
-    integer matrix with a row per image monomial and the columns D(base),
-    D(basis_1), ...; a row r states sum(beta_i * r[i]) = -r[0].  The
-    distinct rows of both matrices, in sorted order, go to
-    linalg.solve_unique (6 rows for h, 25 for q).  The solution is then
-    checked exactly: with d the lcm of beta's denominators, D12 and D23 must
-    kill d*base + sum((d*beta_i) * basis_i), one polynomial in all 27
-    coordinates (over ZZ when the inputs are).  An empty basis checks base.
+    x1_ab = x2_ab = 0 for D23), a product as the product of its restricted
+    factors, and derivation_images gives, per slice, one integer matrix with
+    a row per image monomial and the columns D(base), D(basis_1), ...; a row
+    r states sum(beta_i * r[i]) = -r[0].  The distinct rows of both
+    matrices, in sorted order, go to linalg.solve_unique (6 rows for h, 25
+    for q).  The solution is then checked exactly on the one corrected
+    polynomial d*base + sum((d*beta_i) * basis_i) in all 27 coordinates, d
+    the lcm of beta's denominators, built by gen.correction_sum, the sum
+    that gen.combine_correction builds (over ZZ when the inputs are): its
+    multidegree must be the base's, so it is not 0, or LinAlgError; and
+    D12 and D23 must kill it, together with D21 and D32 when the
+    multidegree is balanced, (k, k, k), in one streamed kernel call, or
+    InconsistentSystem.  An empty basis checks base.
 
     Soundness, with no probabilistic step:
 
-    * Restriction is a ring homomorphism.  A slice fixes no dst variable of
+    * Restriction is a ring homomorphism, so a product restricts to the
+      product of its restricted factors.  A slice fixes no dst variable of
       its derivation (A_j stays whole), and each src it fixes is set to 0,
       which kills that pair's terms.  So the restriction of D_ij(P) is the
       slice derivation of the restricted P, and every solution of the full
@@ -383,22 +432,38 @@ def solve_hwv_correction(base: Polynomial, basis: Sequence[Polynomial]) -> list:
       relations.TRIPLE_SLICE).  So the slice rank is the full rank, and
       UnderdeterminedSystem is faithful for such inputs; for other inputs it
       means that the slice equations leave several solutions.
+    * D21 and D32 change no verdict at weight (k, k, k), so the check
+      certifies SL3-invariance (sl3_invariance_certificate) at no cost to
+      the contract.  Coordinate by coordinate [x1 d/dx2, x2 d/dx1] = x1
+      d/dx1 - x2 d/dx2, so e = D12, f = D21 and h = D11 - D22 satisfy
+      [e, f] = h, [h, e] = 2e and [h, f] = -2f: an sl2-triple acting on the
+      finite-dimensional space of polynomials of total degree 3k.  D_ii is
+      the Euler operator of the block A_i, so h multiplies F of multidegree
+      (k, k, k) by k - k = 0.  In a finite-dimensional sl2-module over a
+      field of characteristic 0 a vector with e v = 0 and h v = 0 has
+      f v = 0 (f v would have e f v = h v = 0 and weight -2, a highest
+      weight below 0).  So D12 F = 0 gives D21 F = 0, and likewise D23 F = 0
+      gives D32 F = 0.  Unbalanced inputs such as det(A1), of weight
+      (3, 0, 0), keep the upper roots alone.
 
     Raises InconsistentSystem when no correction in the span works and
     UnderdeterminedSystem when several do.
     """
     base = base.convert(gen.TRIPLE_VARS)
-    basis = [m.convert(gen.TRIPLE_VARS) for m in basis]
-    md = multidegree(base)
-    if md is None:
-        raise linalg.LinAlgError("base is not multihomogeneous")
-    for m in basis:
-        if multidegree(m) != md:
-            raise linalg.LinAlgError("basis element of different multidegree")
+    basis = [tuple(p.convert(gen.TRIPLE_VARS) for p in _factors(m)) for m in basis]
+    md = _product_multidegree((base,), "base")
+    for i, factors in enumerate(basis):
+        other = _product_multidegree(factors, f"basis element {i}")
+        if other != md:
+            raise linalg.LinAlgError(f"basis element {i} has multidegree {other}, not the base's {md}")
     beta = []
     if basis:
         images = [
-            derivation_images([p.restrict(zeros) for p in (base, *basis)], [(pairs, ())])[0]
+            derivation_images(
+                [base.restrict(zeros)]
+                + [reduce(Polynomial.mul, [p.restrict(zeros) for p in factors]) for factors in basis],
+                [(pairs, ())],
+            )[0]
             for zeros, pairs in CORRECTION_SLICES
         ]
         rows = np.concatenate(images)
@@ -406,26 +471,35 @@ def solve_hwv_correction(base: Polynomial, basis: Sequence[Polynomial]) -> list:
         rows = rows[_changes(rows)].tolist()
         beta = linalg.solve_unique([(row[1:], -row[0]) for row in rows], len(basis))
     d = lcm(*(b.denominator for b in beta))
-    ring = ZZ if all(p.ring == ZZ for p in (base, *basis)) else QQ
-    one = Polynomial.constant(ZZ, gen.TRIPLE_VARS, 1)
-    corrected = Polynomial.sum_of_products(
-        ring, gen.TRIPLE_VARS, [(d, base, one), *((d * b, p, one) for b, p in zip(beta, basis))]
+    ring = ZZ if all(p.ring == ZZ for p in chain((base,), *basis)) else QQ
+    corrected = gen.correction_sum(
+        ring, gen.TRIPLE_VARS, [(d, (base,)), *((d * b, factors) for b, factors in zip(beta, basis))]
     )
-    # the certificate's kernel call, not is_fixed_by_unipotents itself, which
-    # benchmark/tracing.py counts as a certificate of its own
-    if not _killed_by([corrected], [(block_derivation(i, j), ()) for i, j in UPPER_ROOTS]):
+    if multidegree(corrected) != md:
+        raise linalg.LinAlgError(f"the corrected polynomial is not of the base's multidegree {md}")
+    # the certificates' kernel call, not sl3_invariance_certificate itself,
+    # which benchmark/tracing.py counts as a certificate of its own
+    roots = SL3_ROOTS if len(set(md)) == 1 else UPPER_ROOTS
+    if not _killed_by([corrected], [(block_derivation(i, j), ()) for i, j in roots]):
         raise InconsistentSystem("the corrected polynomial is not fixed in all 27 coordinates")
     return beta
 
 
+def _correction_basis(table, corrections) -> list:
+    factors = gen.correction_factors(table.f, table.h)
+    return [tuple(factors[k] for k in keys) for _, keys in corrections]
+
+
 def h_correction_basis(table) -> list:
-    """The products of gen.H_CORRECTIONS over a generator table, in ZZ."""
-    return list(gen.correction_products(gen.H_CORRECTIONS, gen.correction_factors(table.f, table.h)))
+    """The products of gen.H_CORRECTIONS over a generator table, each as its
+    tuple of factors, in ZZ."""
+    return _correction_basis(table, gen.H_CORRECTIONS)
 
 
 def q_correction_basis(table) -> list:
-    """The products of gen.Q_CORRECTIONS over a generator table, in ZZ."""
-    return list(gen.correction_products(gen.Q_CORRECTIONS, gen.correction_factors(table.f, table.h)))
+    """The products of gen.Q_CORRECTIONS over a generator table, each as its
+    tuple of factors, in ZZ."""
+    return _correction_basis(table, gen.Q_CORRECTIONS)
 
 
 @lru_cache(maxsize=1)

@@ -295,31 +295,40 @@ def test_a_relation_derive_st_refuses_fails_verify_with_a_report(capsys, monkeyp
     expected = set().union(*READ_DERIVE_ST.values()) if suite == "all" else READ_DERIVE_ST[suite]
     assert {c["name"] for c in refused} == expected
     if suite == "hwv":
-        assert [c["passed"] for c in report["checks"]].count(True) == 7
-    assert len(report["checks"]) == {"derive-st": 3, "hwv": 8, "all": 43}[suite]
+        assert [c["passed"] for c in report["checks"]].count(True) == 4
+    assert len(report["checks"]) == {"derive-st": 3, "hwv": 5, "all": 40}[suite]
 
 
 def test_an_inconsistent_correction_solve_fails_its_checks_with_a_report(capsys, monkeypatch):
     """Without its last product the Q correction basis cannot make q highest
-    weight, so the solve raises InconsistentSystem.  The two checks that read
-    the solve FAIL with that note, the other six pass, and verify exits 1
-    with its report.  solve_q_correction is lru_cached; its uncached body
-    reads the shortened table, and the generator table stays the full one."""
+    weight, so the solve raises InconsistentSystem.  The check that reads the
+    solve, merged with the certificate of Q, FAILs with that note, the other
+    four pass, and verify exits 1 with its report.  solve_q_correction is
+    lru_cached; its uncached body reads the shortened table, and the
+    generator table stays the full one."""
     gen.generator_table()
     monkeypatch.setattr(gen, "Q_CORRECTIONS", gen.Q_CORRECTIONS[:-1])
     monkeypatch.setattr(hwv, "solve_q_correction", hwv.solve_q_correction.__wrapped__)
     code, out, _ = run_cli(capsys, "verify", "hwv", "--format", "json")
     assert code == 1
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
-    q_checks = (
-        "cubic correction of q solves to the pinned coefficients",
-        "solved Q is fixed by both upper transvections",
-    )
+    q_checks = ("cubic correction of q solves to the pinned coefficients, and Q is SL3-invariant",)
     for name in q_checks:
         check = checks.pop(name)
         assert not check["passed"]
         assert [note.partition(": ")[0] for note in check["notes"]] == ["InconsistentSystem"]
-    assert len(checks) == 6 and all(c["passed"] for c in checks.values())
+    assert len(checks) == 4 and all(c["passed"] for c in checks.values())
+
+
+def test_a_default_verify_all_builds_neither_H_nor_Q(cold_builds, capsys):
+    """The correction solves certify H and Q on their own corrected sums, so
+    a cold default verify all never reads table.H or table.Q; the exact
+    theorem-1 proof of --mode exact still builds both."""
+    code, _, _ = run_cli(capsys, "verify", "all", "--trials", "3")
+    table = gen.generator_table()
+    assert code == 0 and "H" not in vars(table) and "Q" not in vars(table)
+    code, _, _ = run_cli(capsys, "verify", "all", "--mode", "exact", "--trials", "3")
+    assert code == 0 and "H" in vars(table) and "Q" in vars(table)
 
 
 def test_check_times_cover_a_cold_verify_all(cold_builds):

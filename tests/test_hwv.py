@@ -1,7 +1,9 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -241,19 +243,20 @@ def test_stacked_sl3_x_sl3_certificate_fails_on_any_one_bad_member(table):
 
 
 def test_hwv_suite_certifies_the_twelve_in_one_kernel_call(table, monkeypatch):
-    """The SL3 x SL3 check is one derivation_images call over the stack of
-    f1..f10, h, q, and it FAILs when one member of the stack is not
-    invariant; no other check of the suite changes its verdict."""
+    """The SL3 x SL3 check is one derivation kernel call (derivation_stream,
+    behind derivation_images too) over the stack of f1..f10, h, q, and it
+    FAILs when one member of the stack is not invariant; no other check of
+    the suite changes its verdict."""
     name = "f1..f10, h and q are SL3 x SL3-invariant (row and column derivations)"
     assert all(r.passed for r in suites.hwv_suite(RunConfig()))  # warms the caches
     calls = []
-    kernel = hwv.derivation_images
+    kernel = hwv.derivation_stream
 
     def counting(polys, derivations):
         calls.append(len(polys))
         return kernel(polys, derivations)
 
-    monkeypatch.setattr(hwv, "derivation_images", counting)
+    monkeypatch.setattr(hwv, "derivation_stream", counting)
     (check,) = [r for r in suites.hwv_suite(RunConfig()) if r.name == name]
     assert check.passed and 12 in calls and calls.count(12) == 1
     bumped = replace(table, q=_bumped(table.q))
@@ -447,7 +450,7 @@ def test_rescaled_qq_basis_rescales_the_solution(table):
     first three products scaled by 1/3 and the last by 1/12 over QQ, the
     pinned (-1/3, -1/3, 2/3, 1/12) comes back times 3 and 12."""
     scales = (Fraction(1, 3),) * 3 + (Fraction(1, 12),)
-    basis = [b.to_ring(QQ) * s for b, s in zip(hwv.h_correction_basis(table), scales)]
+    basis = [reduce(mul, b).to_ring(QQ) * s for b, s in zip(hwv.h_correction_basis(table), scales)]
     assert hwv.solve_hwv_correction(table.h, basis) == [-1, -1, 2, 1]
 
 
@@ -470,17 +473,18 @@ def test_q_correction_hands_solve_unique_its_distinct_rows(monkeypatch, table):
 
 
 def test_the_solve_stacks_polynomials_only_on_the_slices(monkeypatch, table):
-    """Guard: derivation_images receives a stack of more than one polynomial
-    only in the 15 slice coordinates (one stack per slice); the check in all
-    27 coordinates takes the one corrected polynomial."""
+    """Guard: the derivation kernel (derivation_stream, behind
+    derivation_images too) receives a stack of more than one polynomial only
+    in the 15 slice coordinates (one stack per slice); the check in all 27
+    coordinates takes the one corrected polynomial."""
     calls = []
-    real = hwv.derivation_images
+    real = hwv.derivation_stream
 
     def recording(polys, derivations):
         calls.append((len(polys), len(polys[0].vars)))
         return real(polys, derivations)
 
-    monkeypatch.setattr(hwv, "derivation_images", recording)
+    monkeypatch.setattr(hwv, "derivation_stream", recording)
     hwv.solve_hwv_correction(table.h, hwv.h_correction_basis(table))
     hwv.solve_hwv_correction(table.q, hwv.q_correction_basis(table))
     assert all(n == 1 or width == 15 for n, width in calls)
@@ -493,7 +497,7 @@ def test_a_term_invisible_on_both_slices_fails_the_exact_check(monkeypatch, tabl
     slice equations still give the pinned coefficients; D12 does not kill it,
     and only the check in all 27 coordinates sees that."""
     basis = hwv.q_correction_basis(table)
-    basis[0] = basis[0] + Polynomial.monomial(
+    basis[0] = reduce(mul, basis[0]) + Polynomial.monomial(
         ZZ, gen.TRIPLE_VARS, {"x1_12": 1, "x3_12": 1, "x1_11": 2, "x2_11": 3, "x3_11": 2}
     )
     solved = []
@@ -507,6 +511,106 @@ def test_a_term_invisible_on_both_slices_fails_the_exact_check(monkeypatch, tabl
     with pytest.raises(hwv.InconsistentSystem):
         hwv.solve_hwv_correction(table.q, basis)
     assert solved == [[c for c, _ in gen.Q_CORRECTIONS]]
+
+
+def test_the_q_solve_multiplies_out_no_product_of_three_factors(table, monkeypatch):
+    """Guard: a cold q solve builds, in the 27 coordinates, no polynomial of
+    multidegree (3,3,3) but its one corrected sum 2*Q (9216 terms): no
+    product of three factors, nor h*f5, is multiplied out, and the slices
+    restrict the factors, not the products.  Every product goes through
+    Polynomial.sum_of_products."""
+    built = []
+    real = Polynomial.sum_of_products
+
+    def recording(ring, vars, triples):
+        out = real(ring, vars, triples)
+        if vars == gen.TRIPLE_VARS and hwv.multidegree(out) == (3, 3, 3):
+            built.append(len(out))
+        return out
+
+    monkeypatch.setattr(Polynomial, "sum_of_products", staticmethod(recording))
+    hwv.solve_q_correction.cache_clear()
+    assert hwv.solve_q_correction() == [c for c, _ in gen.Q_CORRECTIONS]
+    assert built == [9216]
+
+
+def test_factor_form_and_multiplied_out_bases_solve_alike(table):
+    """A basis element is a product given by its factors; the same products
+    multiplied out, each passed as a lone Polynomial, give the same beta."""
+    for base, basis in (
+        (table.h, hwv.h_correction_basis(table)),
+        (table.q, hwv.q_correction_basis(table)),
+    ):
+        assert all(isinstance(b, tuple) and len(b) > 1 for b in basis)
+        full = [reduce(mul, b) for b in basis]
+        assert hwv.solve_hwv_correction(base, full) == hwv.solve_hwv_correction(base, basis)
+
+
+def test_a_bad_input_is_named_with_its_case(table):
+    """The solve names the element it refuses (its index in the basis) and
+    says whether it is zero, not multihomogeneous or of another multidegree
+    than the base; a correction that cancels the base is refused too."""
+    f = table.f
+    zero = Polynomial.zero(ZZ, gen.TRIPLE_VARS)
+    good = (f[1], f[8])
+    for base, basis, message in [
+        (zero, [], "base is zero"),
+        (f[0] + f[6], [], "base is not multihomogeneous"),
+        (table.h, [good, (f[2], zero)], "basis element 1 is zero"),
+        (table.h, [good, (f[0] + f[6], f[8])], "basis element 1 is not multihomogeneous"),
+        (table.h, [table.q], "basis element 0 has multidegree (3, 3, 3), not the base's (2, 2, 2)"),
+        (table.h, [table.h], "the corrected polynomial is not of the base's multidegree (2, 2, 2)"),
+    ]:
+        with pytest.raises(hwv.linalg.LinAlgError) as exc:
+            hwv.solve_hwv_correction(base, basis)
+        assert str(exc.value) == message
+
+
+def test_the_solve_checks_all_four_roots_only_at_a_balanced_weight(table, monkeypatch):
+    """At a multidegree (k,k,k) the 27-coordinate check is the SL3
+    certificate, D12, D23, D21 and D32 in one kernel call on the corrected
+    polynomial; det(A1), of multidegree (3,0,0), is checked by D12 and D23
+    alone, since D21 does not kill it."""
+    calls = []
+    real = hwv.derivation_stream
+
+    def recording(polys, derivations):
+        if len(polys[0].vars) == 27:
+            calls.append([plus for plus, _ in derivations])
+        return real(polys, derivations)
+
+    monkeypatch.setattr(hwv, "derivation_stream", recording)
+    hwv.solve_hwv_correction(table.h, hwv.h_correction_basis(table))
+    hwv.solve_hwv_correction(table.f_by_ijk[(3, 0, 0)], [])
+    sl3 = [hwv.block_derivation(i, j) for i, j in hwv.SL3_ROOTS]
+    upper = [hwv.block_derivation(i, j) for i, j in hwv.UPPER_ROOTS]
+    assert calls == [sl3, upper]
+    assert not hwv.sl3_invariance_certificate(table.f_by_ijk[(3, 0, 0)])
+
+
+def test_a_certificate_stops_at_the_first_nonzero_image(table, monkeypatch):
+    """_killed_by streams the images of its derivations: on h, which D12
+    does not kill, the SL3 certificate forms the first of its four images
+    and no later one.  A stack that every derivation kills forms them all,
+    and derivation_images still returns every image as a list."""
+    formed = []
+    real = hwv.derivation_stream
+
+    def counting(polys, derivations):
+        for image in real(polys, derivations):
+            formed.append(bool(image.any()))
+            yield image
+
+    monkeypatch.setattr(hwv, "derivation_stream", counting)
+    assert not hwv.sl3_invariance_certificate(table.h)
+    assert formed == [True]
+    formed.clear()
+    assert hwv.sl3_sl3_invariance_certificate(table.h)
+    assert formed == [False] * 8
+    formed.clear()
+    derivations = [(hwv.block_derivation(i, j), ()) for i, j in hwv.SL3_ROOTS]
+    images = hwv.derivation_images([table.h], derivations)
+    assert isinstance(images, list) and len(images) == 4 and formed == [True] * 4
 
 
 @given(
@@ -523,7 +627,7 @@ def test_a_shifted_base_shifts_the_h_correction(table, gammas, qq):
     beta - gamma, for gamma with denominators 1, 2, 3 and 12; the inputs are
     over ZZ when gamma is integral and qq is False, over QQ otherwise."""
     ring = QQ if qq or any(g.denominator != 1 for g in gammas) else ZZ
-    basis = [b.to_ring(ring) for b in hwv.h_correction_basis(table)]
+    basis = [reduce(mul, b).to_ring(ring) for b in hwv.h_correction_basis(table)]
     base = table.h.to_ring(ring)
     for g, b in zip(gammas, basis):
         base = base + b * g
