@@ -506,12 +506,6 @@ def f_action_matrix(g: Sequence[Sequence]) -> list:
     return rows
 
 
-def f_span_substitution(g: Sequence[Sequence]) -> dict:
-    """Bindings on the abstract f-ring realizing the action on f-polynomials:
-    f_n -> sum_m M[n][m] f_m, over ZZ."""
-    return dict(zip(F_NAMES, _linear_forms(f_action_matrix(g), F_VARS)))
-
-
 # -- classical cubic invariants through the coefficient dictionary ------------
 
 CUBIC_NAMES = ("a", "a2", "a3", "b", "b1", "b3", "c", "c1", "c2", "m")

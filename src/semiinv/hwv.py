@@ -30,8 +30,10 @@ minus the column operation on the components of a pair, invariance under
 simultaneous conjugation.
 
 Every derivation runs through one integer kernel, derivation_stream: it
-reads the cached exponent matrices of a stack of polynomials, keys and sorts
-their terms once under mixed-radix int64 monomial keys, and then, one
+reads the cached exponent matrices of a stack of polynomials (a lone
+polynomial's in place), keys and sorts their terms once under mixed-radix
+int64 monomial keys built by blocks of rows (poly.exponent_sums), so no
+int64 copy of an exponent matrix is made, and then, one
 derivation at a time, forms its image terms and adds up those that share a
 monomial; its exactness argument (injective keys, overflow-free sums, one
 common denominator) is written next to it.  derivation_images lists the
@@ -51,14 +53,21 @@ so the transvections fix it; at the balanced weights (2,2,2) and (3,3,3) the
 same check applies D21 and D32, and so certifies that H and Q are nonzero,
 of their weight and SL3-invariant (an sl2 argument shows that this changes
 no verdict).  The soundness argument, uniqueness and the sl2 argument
-included, is at solve_hwv_correction.  Group substitution
-(generators.act_on_function) remains in the verification of the induced
-f-span action, and in the tests as an independent oracle (the
-diagonal-torus weight cross-check among them).
+included, is at solve_hwv_correction.
+
+A polynomial in f1..f10, such as the quartic and sextic invariants S and T,
+is certified SL3-invariant by the derivations that the four transvections
+induce on the f-ring (sl3_certificate_for_f_polynomial, one kernel call;
+the argument is written there).  Group substitution
+(generators.act_on_function) remains only in the check of the span action
+g.f_n = sum_m M[n][m] f_m that these derivations are read from, and in the
+tests as an independent oracle (the diagonal-torus weight cross-check and
+the f-ring substitution among them).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain
 from math import lcm
@@ -68,7 +77,7 @@ import numpy as np
 
 from . import generators as gen
 from . import linalg
-from .poly import _MAX_EXP, QQ, ZZ, Polynomial, PolyError, VariableMismatch
+from .poly import _MAX_EXP, QQ, ZZ, Polynomial, PolyError, VariableMismatch, exponent_sums
 
 InconsistentSystem = linalg.InconsistentSystem
 UnderdeterminedSystem = linalg.UnderdeterminedSystem
@@ -129,9 +138,10 @@ def column_derivation(i: int, j: int, components=(1, 2, 3)) -> tuple:
 #   most 1.  So a key determines its monomial and polynomial, and an image
 #   key is the base key + w[src] - w[dst].  The digits are cut into words
 #   whose radix products, computed in Python ints, stay below 2**63, so no
-#   key overflows int64; one lexsort over the words groups the terms (one
-#   word for every polynomial the package certifies: radix 5 on 27 columns,
-#   times at most 9 polynomials).
+#   key overflows int64; one lexsort over the words groups the terms.  The
+#   stacks the package certifies have exponents at most 2, so radix at most
+#   4 on 27 columns and one word for up to 512 polynomials; at radix 5,
+#   5**27 * 12 > 2**63, so a stack of 12 leaves can need two words.
 # * Coefficients.  For one pair at most one term maps onto a given monomial
 #   (x^e -> x^(e + u_src - u_dst) is injective), so every partial sum of a group
 #   is bounded by (number of pairs) * (max exponent) * max|c|, and every
@@ -196,7 +206,8 @@ def derivation_stream(polys: Sequence[Polynomial], derivations):
         ]
         for plus, minus in derivations
     ]
-    exps = np.concatenate([p.exponents() for p in polys])
+    # a lone polynomial's cached matrix is read in place, never copied
+    exps = polys[0].exponents() if len(polys) == 1 else np.concatenate([p.exponents() for p in polys])
     top = int(exps.max(initial=0))
     if top >= _MAX_EXP:
         raise PolyError(f"derivation exceeds the per-variable exponent bound {_MAX_EXP}")
@@ -209,7 +220,8 @@ def derivation_stream(polys: Sequence[Polynomial], derivations):
 
     # digits: the columns, then the index of the polynomial a term belongs to
     srcs = {src for moves in signed for src, _, _ in moves}
-    radix = [int(m) + 1 + (j in srcs) for j, m in enumerate(exps.max(axis=0, initial=0))]
+    tops = exps.max(axis=0, initial=0)
+    radix = [int(m) + 1 + (j in srcs) for j, m in enumerate(tops)]
     radix.append(len(polys))
     places, word, span = [], 0, 1  # (word, weight) of each digit, last digit first
     for r in reversed(radix):
@@ -220,12 +232,9 @@ def derivation_stream(polys: Sequence[Polynomial], derivations):
     weights = np.zeros((len(radix), word + 1), dtype=np.int64)
     for j, (w, v) in enumerate(reversed(places)):
         weights[j, w] = v
+    # by blocks of rows (exponent_sums): no int64 copy of the whole matrix
     owner = np.repeat(np.arange(len(polys)), [len(col) for col in coeffs])
-    # one matrix-vector product per word: numpy's integer matmul is far slower
-    # on a matrix than on a vector
-    base = np.stack(
-        [exps @ weights[:-1, w] + owner * weights[-1, w] for w in range(word + 1)], axis=1
-    )
+    base = exponent_sums(exps, weights[:-1]) + owner[:, None] * weights[-1]
     # in key order, the image keys of one pair are a sorted run (a constant is
     # added to a subsequence), and lexsort merges sorted runs fast
     rank = np.lexsort(base.T)
@@ -251,6 +260,7 @@ def derivation_stream(polys: Sequence[Polynomial], derivations):
         new = _changes(keys)
         matrix = np.zeros((int(new.sum()), len(polys)), dtype=dtype)
         matrix[np.cumsum(new) - 1, which] = sums
+        del keys, terms, order, runs, sums, which, new  # not alive while the next image forms
         yield matrix
 
 
@@ -292,10 +302,12 @@ def sl3_sl3_invariance_certificate(*polys: Polynomial) -> bool:
     return _killed_by(polys, derivations)
 
 
-def conjugation_invariance_certificate(F: Polynomial) -> bool:
+def conjugation_invariance_certificate(*polys: Polynomial) -> bool:
     """Invariance under simultaneous conjugation (A, B) -> (g A g^-1, g B g^-1)
     of the pair in components 1 and 2: row_derivation(i, j) -
-    column_derivation(i, j) kills F for E12, E23, E21, E32.
+    column_derivation(i, j) kills each of the polynomials for E12, E23, E21,
+    E32, certified as one stack in one kernel call, as in
+    sl3_sl3_invariance_certificate.
 
     The t-derivative at 0 of (I + t*E_ij) A (I + t*E_ij)^-1 = (I + t*E_ij) A
     (I - t*E_ij) is E_ij A - A E_ij, whose derivation on F is the row minus
@@ -307,17 +319,48 @@ def conjugation_invariance_certificate(F: Polynomial) -> bool:
         (row_derivation(i, j, (1, 2)), column_derivation(i, j, (1, 2)))
         for i, j in SL3_ROOTS
     ]
-    return _killed_by([F], derivations)
+    return _killed_by(polys, derivations)
 
 
 # -- certificates for polynomials given in the f-variables ---------------------
 
 
+def _matmul(a: list, b: list) -> list:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _nilpotent_log(mat: list) -> list:
+    """log M = sum_k (-1)^(k+1) (M - I)^k / k for a square matrix M with
+    M - I nilpotent, a finite sum of Fractions; LinAlgError when M - I is not
+    nilpotent ((M - I)^n != 0 for n = the size of M)."""
+    n = len(mat)
+    a = [[mat[r][c] - (r == c) for c in range(n)] for r in range(n)]
+    log, power = [[Fraction(0)] * n for _ in range(n)], a
+    for k in range(1, n + 1):
+        if not any(map(any, power)):
+            return log
+        log = [[x + Fraction((-1) ** (k + 1) * y, k) for x, y in zip(lr, pr)] for lr, pr in zip(log, power)]
+        power = _matmul(power, a)
+    if any(map(any, power)):
+        raise linalg.LinAlgError("M - I is not nilpotent")
+    return log
+
+
 @lru_cache(maxsize=None)
-def _span_action_verified(which: str) -> dict:
-    """Exact identities g.f_n = sum_m M[n][m] f_m for one transvection,
-    verified by full expansion over the 27 coordinates before the induced
-    f-ring substitution is trusted."""
+def _span_action_verified(which: str) -> tuple:
+    """The f-ring derivation induced by one transvection g, as a (plus,
+    minus) pair of derivation_stream, after two exact checks.
+
+    * g.f_n = sum_m M[n][m] f_m, M = gen.f_action_matrix(g), by full
+      expansion over the 27 coordinates (gen.act_on_function).
+    * M = exp(N) for N = log M (_nilpotent_log): M - I is nilpotent, N is an
+      integer matrix, and 6M = 6I + 6N + 3N^2 + N^3 in integers, so N^4
+      adds nothing.
+
+    N is the pencil's t_j d/dt_i for g = I + E_ij.  The derivation is
+    delta_N = sum N[n][m] f_m d/df_n: N[n][m] copies of the pair (f_m, f_n),
+    in plus for a positive entry and in minus for a negative one.  Any
+    failed check raises LinAlgError."""
     g = gen.ELEMENTARY_TRANSVECTIONS[which]
     table = gen.generator_table()
     mat = gen.f_action_matrix(g)
@@ -327,21 +370,44 @@ def _span_action_verified(which: str) -> dict:
             raise linalg.LinAlgError(
                 f"span action of {which} failed exact verification"
             )
-    return gen.f_span_substitution(g)
+    N = _nilpotent_log(mat)
+    if any(x.denominator != 1 for row in N for x in row):
+        raise linalg.LinAlgError(f"the log of the span action of {which} is not integral")
+    N = [[int(x) for x in row] for row in N]
+    N2 = _matmul(N, N)
+    N3 = _matmul(N2, N)
+    entries = [(n, m) for n in range(10) for m in range(10)]
+    if any(6 * mat[n][m] != 6 * (n == m) + 6 * N[n][m] + 3 * N2[n][m] + N3[n][m] for n, m in entries):
+        raise linalg.LinAlgError(f"the span action of {which} is not the exp of its log")
+    return tuple(
+        tuple((gen.F_NAMES[m], gen.F_NAMES[n]) for n, m in entries for _ in range(sign * N[n][m]))
+        for sign in (1, -1)
+    )
 
 
 def sl3_certificate_for_f_polynomial(p_f: Polynomial) -> bool:
-    """SL3-invariance certificate for a polynomial written in the f-variables.
+    """SL3-invariance certificate for a polynomial written in the f-variables:
+    the four derivations of _span_action_verified kill p_f, in one kernel
+    call (_killed_by).
 
-    Because substitution is a ring homomorphism, equality of p_f with its
-    image under the (exactly verified) induced span action implies the full
-    27-variable fixedness identity, without expanding the composition."""
-    p_f = p_f.to_ring(QQ)
-    for which in gen.ELEMENTARY_TRANSVECTIONS:
-        subst = _span_action_verified(which)
-        if p_f.substitute(subst) != p_f:
-            return False
-    return True
+    Soundness, over QQ (characteristic 0).  Let P = p_f(f1, ..., f10) in the
+    27 coordinates, g one of the four transvections and M, N its verified
+    matrices.  Substitution is a ring homomorphism, so g.P = p_f(g.f) =
+    p_f(M f), and p_f(M y) = p_f(y) in the f-ring gives g.P = P; fixedness
+    by I + E12, I + E23, I + E21 and I + E32 gives SL3-invariance as in the
+    module docstring.  The derivation decides p_f(M y) = p_f(y) exactly:
+
+    * if p(My) = p(y), then p(M^k y) = p(y) for every k >= 0, and M^k =
+      exp(kN); N is nilpotent, so q(t) = p(exp(tN) y) - p(y) is a
+      polynomial in t with infinitely many roots, hence 0, and so is its
+      t-derivative at 0, delta_N p (the chain rule: d/dt p(exp(tN) y) =
+      (delta_N p)(exp(tN) y));
+    * if delta_N p = 0, then q'(t) = (delta_N p)(exp(tN) y) = 0 for every
+      t, so q is constant, q(1) = q(0) = 0 and p(My) = p(y).
+
+    So the verdict is that of the group substitution p_f(M y) == p_f(y),
+    which tests/oracles.py keeps as f_span_substitution."""
+    return _killed_by([p_f], [_span_action_verified(which) for which in gen.ELEMENTARY_TRANSVECTIONS])
 
 
 # -- exact recomputation of the correction coefficients -------------------------

@@ -28,7 +28,9 @@ in term order: exponents(), the (terms, vars) uint8 matrix built from the
 keys' bytes, and numerators(), the coefficients as the ints c * L over their
 least common denominator L (1 over ZZ).  Every integer reading of a
 coefficient goes through numerators(): substitute, sum_of_products,
-_reindexed, hwv's derivation kernel and evalmod.
+_reindexed, hwv's derivation kernel and evalmod.  Weighted sums of the
+exponents (degrees, the derivation kernel's keys) go through exponent_sums,
+which widens one block of rows to int64 at a time, never the whole matrix.
 
 Polynomials are immutable after construction and every operation is pure, so
 values can be shared freely.
@@ -49,6 +51,21 @@ Coeff = Union[int, Fraction]
 _FIELD_BITS = 8
 _FIELD_MASK = 0xFF
 _MAX_EXP = 0xFF
+
+
+# rows per block of exponent_sums: a block's int64 copy takes 8 KB per column
+_ROW_BLOCK = 1024
+
+
+def exponent_sums(exps: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """exps @ w in int64 for a uint8 exponent matrix and an int64 weight
+    vector or matrix, _ROW_BLOCK rows at a time: only one block is widened
+    to int64 at once, never the whole matrix (for the 9216 terms of Q that
+    copy would take 2 MB).  The caller bounds the sums below 2**63."""
+    out = np.empty((len(exps),) + w.shape[1:], dtype=np.int64)
+    for start in range(0, len(exps), _ROW_BLOCK):
+        out[start : start + _ROW_BLOCK] = exps[start : start + _ROW_BLOCK].astype(np.int64) @ w
+    return out
 
 
 class PolyError(Exception):
@@ -334,15 +351,18 @@ class Polynomial:
         cannot overflow: a weight must lie below 2**32 in magnitude, and a term
         has total degree at most 255 * len(vars), so a sum stays below 2**62
         for any set of fewer than 2**22 variables.  A homogeneous polynomial,
-        every row equal to the first, makes one tuple, not one per term."""
+        every row equal to the first, makes one tuple, not one per term.  The
+        sums are exponent_sums, taken by blocks of rows: no int64 copy of the
+        whole exponent matrix is made."""
         if len({len(w) for w in weights.values()}) > 1:
             raise PolyError("weight vectors of different lengths")
         if any(abs(w) >= 2**32 for ws in weights.values() for w in ws):
             raise PolyError("weights must lie below 2**32 in magnitude")
-        columns = [self.vars.index(name) for name in weights]
         width = len(next(iter(weights.values()), ()))
-        w = np.array(list(weights.values()), dtype=np.int64).reshape(len(weights), width)
-        d = self.exponents()[:, columns].astype(np.int64) @ w
+        w = np.zeros((len(self.vars), width), dtype=np.int64)  # 0 for an unlisted variable
+        for name, ws in weights.items():
+            w[self.vars.index(name)] = ws
+        d = exponent_sums(self.exponents(), w)
         if len(d) and (d == d[0]).all():
             return {tuple(d[0].tolist())}
         return set(map(tuple, d.tolist()))

@@ -32,7 +32,7 @@ from .evalmod import (
     sample_point,
 )
 from .linalg import LinAlgError
-from .poly import Polynomial, PolyError
+from .poly import PolyError
 
 REPORT_SCHEMA = "semiinv-report/1"
 
@@ -255,7 +255,7 @@ class Slice:
     bindings: Mapping[str, int]
     text: str  # the bindings in words, for the report
     certificate: str  # the group action certify checks, for the report
-    certify: Callable[[Polynomial], bool]
+    certify: Callable[..., bool]  # certify(*polys): True iff every one passes
     weights: Mapping[str, Sequence[int]] | None = None  # None: no rescaling
 
 
@@ -269,17 +269,22 @@ def run_slice_proof(
     """Prove expr == 0 from its restriction to a slice.
 
     The gate comes first and is exact: every leaf of expr must pass
-    slc.certify, so the composite of invariants is invariant, and with
-    slc.weights every leaf must have one block multidegree under them and
-    every outer term the same block multidegree, computed from the leaf
-    multidegrees.  A failed gate is a FAIL whose notes name the
-    leaf, never a PASS and never a fallback.  Then run(name, ...) checks
+    slc.certify, so the composite of invariants is invariant.  The leaves
+    are certified as one stack, slc.certify(*leaves), in one kernel call (a
+    stack passes iff every member does); only a failed stack is certified
+    again leaf by leaf, to name the leaves that fail.  With slc.weights
+    every leaf must have one block multidegree under them and every outer
+    term the same block multidegree, computed from the leaf multidegrees.
+    A failed gate is a FAIL whose notes name the leaf, never a PASS and
+    never a fallback.  Then run(name, ...) checks
     expr.restrict(slc.bindings), which uses the leaves of expr as given, in
     the variables the slice leaves free.  The report records the slice, the
     number of its variables and the certificate with the leaves it
     certified."""
     t0 = time.perf_counter()
-    failed = [leaf for leaf, poly in expr.leaves.items() if not slc.certify(poly)]
+    failed = []
+    if expr.leaves and not slc.certify(*expr.leaves.values()):
+        failed = [leaf for leaf, poly in expr.leaves.items() if not slc.certify(poly)]
     details = {
         "slice": slc.text,
         "slice_variables": sum(n not in slc.bindings for n in expr.vars.names),

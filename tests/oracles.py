@@ -6,8 +6,8 @@ expand recursively along the first row (of plain integer matrices: Fraction
 elimination), ranks come from Fraction elimination (over GF(p): elimination
 with pow(a, -1, p) inverses), and modular evaluation
 is a direct term-by-term sum.  The oracles named *_package, qq_combine_correction,
-polarize, substitute, restrict, coefficient_of, convert, block_matrix and
-pencil_determinant take package polynomials and matrices and use only their
+f_span_substitution, polarize, substitute, restrict, coefficient_of, convert,
+block_matrix and pencil_determinant take package polynomials and matrices and use only their
 plain ring operations or their packed terms, one key at a time; the last two
 build the paper's t-graded definitions of the generators, which the
 package does not.
@@ -17,8 +17,9 @@ from fractions import Fraction
 from functools import reduce
 from itertools import permutations
 
+from semiinv import generators as gen
 from semiinv.matrix import PolyMatrix
-from semiinv.poly import QQ, Polynomial, PolyError, VariableMismatch, VariableSet, unify_rings
+from semiinv.poly import QQ, ZZ, Polynomial, PolyError, VariableMismatch, VariableSet, unify_rings
 
 
 def naive_add(a, b):
@@ -247,6 +248,19 @@ def qq_combine_correction(base, factors, table, coeffs=None):
         prod = reduce(lambda a, b: a.mul(b), [factors[k] for k in keys])
         acc = acc + prod.to_ring(QQ) * c
     return acc
+
+
+def f_span_substitution(g):
+    """Bindings f_n -> sum_m M[n][m] f_m over ZZ, M = generators.f_action_matrix(g):
+    the group substitution by which g acts on polynomials in f1..f10, one
+    polynomial addition at a time (hwv decides the same fixedness with the
+    induced derivation)."""
+    fs = [Polynomial.variable(ZZ, gen.F_VARS, name) for name in gen.F_NAMES]
+    zero = Polynomial.zero(ZZ, gen.F_VARS)
+    return {
+        name: reduce(lambda acc, term: acc + term, (f * c for f, c in zip(fs, row)), zero)
+        for name, row in zip(gen.F_NAMES, gen.f_action_matrix(g))
+    }
 
 
 def naive_eval_mod(p, point, prime):

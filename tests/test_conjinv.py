@@ -248,16 +248,39 @@ def test_every_trace_generator_passes_the_conjugation_certificate(gens18):
     assert not hwv.conjugation_invariance_certificate(x.mul(x))
 
 
+def _counting_kernel(monkeypatch) -> list:
+    """Wrap hwv.derivation_stream; the list records the stack size of each call."""
+    calls, kernel = [], hwv.derivation_stream
+
+    def counting(polys, derivations):
+        calls.append(len(polys))
+        return kernel(polys, derivations)
+
+    monkeypatch.setattr(hwv, "derivation_stream", counting)
+    return calls
+
+
+def test_a_passing_gate_certifies_the_leaves_in_one_kernel_call(monkeypatch, gens18):
+    calls = _counting_kernel(monkeypatch)
+    result = cj.verify_nakamoto_composed(RunConfig(trials=4, primes=(2147483647,)))
+    assert result.passed and result.details["certified_leaves"] == 11
+    assert calls == [11]
+
+
 def test_a_leaf_that_is_not_conjugation_invariant_fails_the_gate(monkeypatch, gens18):
     """The gate runs on the generators the provider returns, and a failed gate
-    is a FAIL that names the leaf in every mode, never a fallback."""
+    is a FAIL that names the leaf in every mode, never a fallback: the stack
+    of eleven fails, then each leaf is certified alone."""
     bad = dict(gens18)
     x12 = Polynomial.variable(ZZ, cj.PAIR_VARS, "x1_12")
     y21 = Polynomial.variable(ZZ, cj.PAIR_VARS, "x2_21")
     bad["k"] = gens18["k"] + x12.mul(y21)
     monkeypatch.setattr(cj, "trace_generators", lambda: bad)
+    calls = _counting_kernel(monkeypatch)
     for mode in ("modular", "exact"):
+        calls.clear()
         result = cj.verify_nakamoto_composed(RunConfig(mode=mode, trials=2))
+        assert calls == [11] + [1] * 11
         assert not result.passed
         assert result.mode == "exact"
         assert result.notes == [

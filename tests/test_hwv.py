@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations_with_replacement
 from math import lcm
 from operator import mul
 from pathlib import Path
@@ -155,6 +157,130 @@ def test_sl3_certificates_for_derived_invariants():
 
     f1 = Polynomial.variable(QQ, gen.F_VARS, "f1")
     assert not hwv.sl3_certificate_for_f_polynomial(f1)
+
+
+# -- the f-ring certificate against the f-ring substitution ----------------------
+
+F_MONOMIALS = [
+    tuple(ms.count(m) for m in range(10))
+    for d in range(5)
+    for ms in combinations_with_replacement(range(10), d)
+]
+
+
+def _fixed_by_substitution(p, which):
+    """The oracle: p(M f) == p(f) for the span action M of one transvection."""
+    return p.substitute(oracles.f_span_substitution(gen.ELEMENTARY_TRANSVECTIONS[which])) == p
+
+
+def _assert_derivations_match_substitution(p):
+    """Per transvection and for the whole certificate, the derivation verdict
+    is the substitution's; returns the certificate's verdict."""
+    each = {
+        which: hwv._killed_by([p], [hwv._span_action_verified(which)])
+        for which in gen.ELEMENTARY_TRANSVECTIONS
+    }
+    for which, killed in each.items():
+        assert killed == _fixed_by_substitution(p, which), which
+    verdict = hwv.sl3_certificate_for_f_polynomial(p)
+    assert verdict == all(each.values())
+    return verdict
+
+
+@settings(max_examples=60)
+@given(st.integers(-2, 2), st.dictionaries(st.sampled_from(F_MONOMIALS), st.integers(-5, 5), max_size=4))
+def test_f_ring_derivations_match_the_substitution_oracle(s_times, terms):
+    """On polynomials of degree <= 4 in f1..f10, a multiple of S (over QQ)
+    plus a few random terms (over ZZ when alone), each derivation kills
+    exactly the polynomials that its transvection's substitution fixes."""
+    p = Polynomial.from_terms(ZZ, gen.F_VARS, terms)
+    if s_times:
+        p = p.to_ring(QQ) + relations.derive_st()[0] * s_times
+    _assert_derivations_match_substitution(p)
+
+
+def test_f_ring_certificate_verdicts_on_the_invariants_and_their_mutants():
+    s4, t6 = relations.derive_st()
+    f1, f5 = (Polynomial.variable(s4.ring, s4.vars, n) for n in ("f1", "f5"))
+    for p in (s4, t6, s4.mul(t6)):
+        assert _assert_derivations_match_substitution(p)
+    # S*f1 is not invariant: the derivations kill S but not f1, and
+    # delta(S*f1) = S*delta(f1) != 0
+    for p in (s4.mul(f1), s4 + f5 ** 4, t6 + f5 ** 6):
+        assert not _assert_derivations_match_substitution(p)
+
+
+def test_f_ring_derivations_are_read_from_verified_matrices(monkeypatch):
+    """Negative controls of _span_action_verified: one changed entry of the
+    span matrix fails the 27-coordinate check, and a log that is not the
+    span matrix's fails the exp check; both raise LinAlgError."""
+    s4, _ = relations.derive_st()
+    action, log = gen.f_action_matrix, hwv._nilpotent_log
+
+    def changed_entry(g):
+        mat = [row[:] for row in action(g)]
+        mat[1][0] += 1
+        return mat
+
+    def changed_log(mat):
+        wrong = [row[:] for row in log(mat)]
+        wrong[1][0] += 1
+        return wrong
+
+    for target, name, wrong, message in (
+        (gen, "f_action_matrix", changed_entry, "failed exact verification"),
+        (hwv, "_nilpotent_log", changed_log, "is not the exp of its log"),
+    ):
+        hwv._span_action_verified.cache_clear()
+        monkeypatch.setattr(target, name, wrong)
+        try:
+            with pytest.raises(hwv.linalg.LinAlgError, match=message):
+                hwv.sl3_certificate_for_f_polynomial(s4)
+        finally:
+            monkeypatch.undo()
+            hwv._span_action_verified.cache_clear()
+    assert hwv.sl3_certificate_for_f_polynomial(s4)
+
+
+def test_nilpotent_log():
+    """log(I + A) = A - A^2/2 + A^3/3 - ... for nilpotent A; a matrix whose
+    M - I is not nilpotent raises."""
+    assert hwv._nilpotent_log([[1, 1, 0], [0, 1, 1], [0, 0, 1]]) == [
+        [0, 1, Fraction(-1, 2)],
+        [0, 0, 1],
+        [0, 0, 0],
+    ]
+    assert hwv._nilpotent_log([[1, 0], [0, 1]]) == [[0, 0], [0, 0]]
+    with pytest.raises(hwv.linalg.LinAlgError, match="not nilpotent"):
+        hwv._nilpotent_log([[1, 1], [1, 1]])
+
+
+def _peak_bytes(fn) -> int:
+    """The tracemalloc peak of one call of fn; numpy reports its buffers."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _q_and_its_matrix_size(table):
+    """Q with its cached exponents() and numerators() built, and the bytes of
+    an int64 copy of its exponent matrix."""
+    Q = table.Q
+    Q.exponents(), Q.numerators()
+    return Q, 8 * len(Q) * len(Q.vars)
+
+
+def test_degrees_make_no_int64_copy_of_the_exponent_matrix(table):
+    Q, size = _q_and_its_matrix_size(table)
+    assert _peak_bytes(lambda: Q.degrees(gen.BLOCK_WEIGHTS)) < size
+
+
+def test_a_certificate_makes_no_int64_copy_of_the_exponent_matrix(table):
+    Q, size = _q_and_its_matrix_size(table)
+    assert _peak_bytes(lambda: hwv.is_fixed_by_unipotents(Q)) < size
 
 
 def test_wrong_correction_coefficient_is_detected(table):
