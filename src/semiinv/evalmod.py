@@ -11,8 +11,11 @@ which poly_eval_mod reads through their cached exponents() and numerators()
 and reduces mod p here.  Linear algebra mod p works on whole stacks of
 integer matrices, batch-last, through one division-free elimination step,
 _eliminate_column, whose docstring gives its argument and int64 bounds:
-det_mod takes determinants with it above 3 x 3 (by Leibniz below), and
-echelon_mod takes ranks and the row order that its swaps apply.
+det_residues takes determinants of residues with it above 3 x 3 (by
+Leibniz below), and echelon_mod takes ranks and the row order that its
+swaps apply.  The one production caller of det_residues is
+generators.generator_values_mod; the tests reach it from integer matrices
+through oracles.det_mod.
 
 Points are drawn from a counter-based SHA-256 stream keyed by
 (seed, prime, trial), so a point does not depend on the batch it is evaluated
@@ -161,7 +164,8 @@ def poly_eval_mod(p: Polynomial, point: Mapping[str, int], prime: int):
     """Value of p at the point over Z_p, from p.exponents() and
     p.numerators() = (L, nums): the coefficients mod p are residues(nums)
     times L^-1, one inverse per call.  p divides L iff it divides some
-    denominator; DenominatorNotInvertible then names the first in term order.
+    denominator; DenominatorNotInvertible then names the smallest such
+    denominator, which does not depend on the order of the terms.
 
     A value of the point may be an int or an int64 array of shape (B,), one
     entry per trial of a batch; the result is then an int64 array of shape
@@ -173,7 +177,7 @@ def poly_eval_mod(p: Polynomial, point: Mapping[str, int], prime: int):
     if not nums:
         return 0
     if L % prime == 0:
-        den = next(d for d in (L // gcd(n, L) for n in nums) if d % prime == 0)
+        den = min(d for d in (L // gcd(n, L) for n in nums) if d % prime == 0)
         raise DenominatorNotInvertible(f"denominator {den} not invertible mod {prime}")
     # acc has the terms on its last axis and the batch, if any, in front
     acc = residues(nums, prime) * pow(L, -1, prime) % prime
@@ -251,12 +255,6 @@ def _eliminate_column(m: np.ndarray, k: int, prime: int) -> tuple:
     return swapped, pairs
 
 
-def det_mod(mats, prime: int) -> np.ndarray:
-    """Determinants mod p of a stack of integer matrices, (..., n, n) -> (...):
-    det_residues of the entries reduced by residues (ints of any size too)."""
-    return det_residues(np.moveaxis(residues(mats, prime), (-2, -1), (0, 1)), prime)
-
-
 def det_residues(m: np.ndarray, prime: int) -> np.ndarray:
     """Determinants mod p of a batch-last (n, n, ...) stack of residues in
     [0, p), p < 2**31, shape (n, n, ...) -> (...), reducing nothing again;
@@ -311,7 +309,7 @@ def echelon_mod(rows, prime: int) -> tuple:
 
 
 def _leibniz_mod(m: np.ndarray, prime: int) -> np.ndarray:
-    """det_mod's expansion for an (n, n, ...) stack of residues, n <= 3."""
+    """det_residues' expansion for an (n, n, ...) stack of residues, n <= 3."""
     if len(m) == 1:
         return m[0, 0]
     if len(m) == 2:

@@ -104,13 +104,16 @@ def correction_sum(ring: Ring, vars: VariableSet, terms) -> Polynomial:
     """sum(c * product of the factors) over (c, factors) pairs, each with at
     least one factor over vars, in ring.
 
-    One fraction-free sum_of_products over (c, first factor, product of the
-    other factors), the constant 1 for a lone factor: no term's full product
-    is built.  Passing the full products raised the peak RSS of a fresh
-    interpreter building the table with H and Q from 36.0 to 38.6 MB."""
+    One fraction-free Polynomial.columnar_sum over (c, first factor, product
+    of the other factors), the constant 1 for a lone factor: no term's full
+    product is built.  Passing the full products raised the peak RSS of a
+    fresh interpreter building the table with H and Q from 36.0 to 38.6 MB.
+    The result is born columnar: its multidegree, certificates and values
+    mod p read its exponent matrix and numerators, and its dict of terms is
+    built only if something reads it."""
     one = Polynomial.constant(ZZ, vars, 1)
     triples = [(c, first, reduce(Polynomial.mul, rest) if rest else one) for c, (first, *rest) in terms]
-    return Polynomial.sum_of_products(ring, vars, triples)
+    return Polynomial.columnar_sum(ring, vars, triples)
 
 
 def combine_correction(base: Polynomial, factors: Mapping, table, coeffs=None) -> Polynomial:

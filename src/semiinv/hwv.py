@@ -32,7 +32,8 @@ simultaneous conjugation.
 Every derivation runs through one integer kernel, derivation_stream: it
 reads the cached exponent matrices of a stack of polynomials (a lone
 polynomial's in place), keys and sorts their terms once under mixed-radix
-int64 monomial keys built by blocks of rows (poly.exponent_sums), so no
+int64 monomial keys (poly.radix_weights, the key code it shares with
+Polynomial.columnar_sum) built by blocks of rows (poly.exponent_sums), so no
 int64 copy of an exponent matrix is made, and then, one
 derivation at a time, forms its image terms and adds up those that share a
 monomial; its exactness argument (injective keys, overflow-free sums, one
@@ -77,7 +78,10 @@ import numpy as np
 
 from . import generators as gen
 from . import linalg
-from .poly import _MAX_EXP, QQ, ZZ, Polynomial, PolyError, VariableMismatch, exponent_sums
+from .poly import (
+    _MAX_EXP, _WORD_LIMIT, QQ, ZZ, Polynomial, PolyError, VariableMismatch,
+    changes, exponent_sums, radix_weights,
+)
 
 InconsistentSystem = linalg.InconsistentSystem
 UnderdeterminedSystem = linalg.UnderdeterminedSystem
@@ -136,9 +140,10 @@ def column_derivation(i: int, j: int, components=(1, 2, 3)) -> tuple:
 #   digit, the index of its polynomial in the stack.  Every image exponent
 #   lies in [0, r_j): dst columns only fall, and a src column rises by at
 #   most 1.  So a key determines its monomial and polynomial, and an image
-#   key is the base key + w[src] - w[dst].  The digits are cut into words
-#   whose radix products, computed in Python ints, stay below 2**63, so no
-#   key overflows int64; one lexsort over the words groups the terms.  The
+#   key is the base key + w[src] - w[dst].  poly.radix_weights, which
+#   Polynomial.columnar_sum shares, cuts the digits into words whose radix
+#   products, computed in Python ints, stay below 2**63, so no key overflows
+#   int64; one lexsort over the words groups the terms.  The
 #   stacks the package certifies have exponents at most 2, so radix at most
 #   4 on 27 columns and one word for up to 512 polynomials; at radix 5,
 #   5**27 * 12 > 2**63, so a stack of 12 leaves can need two words.
@@ -154,22 +159,12 @@ def column_derivation(i: int, j: int, components=(1, 2, 3)) -> tuple:
 #   basis_i) into its L-multiple without rescaling the unknowns beta.  ZZ and
 #   QQ both have characteristic 0, which the fixedness equivalences need.
 
-_WORD_LIMIT = 2**63
-
-
 def _integer_coefficients(polys: Sequence[Polynomial]) -> list:
     """Each polynomial's coefficients, in the order of its terms, times the
     lcm of the stack's numerators() denominators."""
     forms = [p.numerators() for p in polys]
     den = lcm(*(L for L, _ in forms))
     return [nums if L == den else [n * (den // L) for n in nums] for L, nums in forms]
-
-
-def _changes(keys: np.ndarray) -> np.ndarray:
-    """Mask of the rows of sorted keys that differ from the row before."""
-    mask = np.ones(len(keys), dtype=bool)
-    mask[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-    return mask
 
 
 def derivation_images(polys: Sequence[Polynomial], derivations) -> list:
@@ -223,15 +218,7 @@ def derivation_stream(polys: Sequence[Polynomial], derivations):
     tops = exps.max(axis=0, initial=0)
     radix = [int(m) + 1 + (j in srcs) for j, m in enumerate(tops)]
     radix.append(len(polys))
-    places, word, span = [], 0, 1  # (word, weight) of each digit, last digit first
-    for r in reversed(radix):
-        if span * r >= _WORD_LIMIT:
-            word, span = word + 1, 1
-        places.append((word, span))
-        span *= r
-    weights = np.zeros((len(radix), word + 1), dtype=np.int64)
-    for j, (w, v) in enumerate(reversed(places)):
-        weights[j, w] = v
+    weights = radix_weights(radix)
     # by blocks of rows (exponent_sums): no int64 copy of the whole matrix
     owner = np.repeat(np.arange(len(polys)), [len(col) for col in coeffs])
     base = exponent_sums(exps, weights[:-1]) + owner[:, None] * weights[-1]
@@ -250,14 +237,14 @@ def derivation_stream(polys: Sequence[Polynomial], derivations):
         # the highest word holds the first digits, and lexsort's last key is primary
         order = np.lexsort(keys.T)
         keys = keys[order]
-        runs = np.flatnonzero(_changes(keys))
+        runs = np.flatnonzero(changes(keys))
         sums = np.add.reduceat(terms[order], runs)
         # one key per (monomial, polynomial) run; the polynomial's digit is
         # the lowest of word 0, with weight 1
         keys = keys[runs]
         which = keys[:, 0] % len(polys)
         keys[:, 0] //= len(polys)
-        new = _changes(keys)
+        new = changes(keys)
         matrix = np.zeros((int(new.sum()), len(polys)), dtype=dtype)
         matrix[np.cumsum(new) - 1, which] = sums
         del keys, terms, order, runs, sums, which, new  # not alive while the next image forms
@@ -534,7 +521,7 @@ def solve_hwv_correction(base: Polynomial, basis: Sequence) -> list:
         ]
         rows = np.concatenate(images)
         rows = rows[np.lexsort(rows.T[::-1])]
-        rows = rows[_changes(rows)].tolist()
+        rows = rows[changes(rows)].tolist()
         beta = linalg.solve_unique([(row[1:], -row[0]) for row in rows], len(basis))
     d = lcm(*(b.denominator for b in beta))
     ring = ZZ if all(p.ring == ZZ for p in chain((base,), *basis)) else QQ

@@ -16,24 +16,34 @@ Invariant: the big-endian bytes of a key, key.to_bytes(len(vars), "big"), are
 its exponent vector.  exponents() is the one decoder of keys (the
 constructor's maxexp default only takes the largest byte), and _reindexed,
 the one kernel behind restrict, coefficient_of and convert, reads its keys
-back from the bytes of moved exponent rows.  The packed key is known only to
-this module: no other module reads `terms` or calls the constructor.
+back from the bytes of moved exponent rows; it also builds the `terms` of a
+polynomial born columnar.  The packed key is known only to this module: no
+other module reads `terms` or calls the constructor.
 
-One product kernel, _add_products, is the only loop over pairs of terms.
-mul, sum_of_products, determinant and the Horner steps of substitute add
-through it, and through them every matrix product and H/Q correction sum.
+Two kernels loop over pairs of terms.  The dict kernel, _add_products, adds
+big-int keys into a dict: mul, sum_of_products, determinant and the Horner
+steps of substitute add through it, and through them every matrix product.
+columnar_sum computes sum_of_products' sum with one sort and one
+np.add.reduceat over mixed-radix int64 keys (radix_weights, which hwv's
+derivation kernel shares) and fills no dict: the H/Q correction sums
+(generators.correction_sum) are built by it, and its result is born
+columnar, from its exponents() and numerators(), its `terms` dict built only
+when read.  Every other product keeps the dict kernel, where small operands
+are cheaper.
 
 Kernels read a polynomial through two views, built once and cached, both
 in term order: exponents(), the (terms, vars) uint8 matrix built from the
 keys' bytes, and numerators(), the coefficients as the ints c * L over their
 least common denominator L (1 over ZZ).  Every integer reading of a
 coefficient goes through numerators(): substitute, sum_of_products,
-_reindexed, hwv's derivation kernel and evalmod.  Weighted sums of the
-exponents (degrees, the derivation kernel's keys) go through exponent_sums,
-which widens one block of rows to int64 at a time, never the whole matrix.
+columnar_sum, _reindexed, hwv's derivation kernel and evalmod.  Weighted
+sums of the exponents (degrees, the derivation kernel's and columnar_sum's
+keys) go through exponent_sums, which widens one block of rows to int64 at a
+time, never the whole matrix.
 
 Polynomials are immutable after construction and every operation is pure, so
-values can be shared freely.
+values can be shared freely; the one deferred build, the `terms` of a
+polynomial born columnar, changes no value.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, groupby
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -55,6 +65,9 @@ _MAX_EXP = 0xFF
 
 # rows per block of exponent_sums: a block's int64 copy takes 8 KB per column
 _ROW_BLOCK = 1024
+# pairs of terms per block of columnar_sum: one block's int64 keys take 32 KB a word
+_PAIR_BLOCK = 4096
+_WORD_LIMIT = 2**63
 
 
 def exponent_sums(exps: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -66,6 +79,35 @@ def exponent_sums(exps: np.ndarray, w: np.ndarray) -> np.ndarray:
     for start in range(0, len(exps), _ROW_BLOCK):
         out[start : start + _ROW_BLOCK] = exps[start : start + _ROW_BLOCK].astype(np.int64) @ w
     return out
+
+
+def radix_weights(radix: Sequence[int]) -> np.ndarray:
+    """The (digits, words) int64 weights of mixed-radix keys: a digit vector
+    d with 0 <= d[j] < radix[j] has the key d @ weights, one int64 per word,
+    the first digit the most significant.  The digits are cut into words,
+    the last digits in word 0, so that the product of the radices within a
+    word, computed in Python ints, stays below 2**63: every word of a key
+    lies in [0, 2**63), and distinct digit vectors have distinct keys.
+    Compared from the highest word down, keys order their digit vectors
+    lexicographically; np.lexsort(keys.T) sorts them so, its last key
+    primary."""
+    places, word, span = [], 0, 1  # (word, weight) of each digit, last digit first
+    for r in reversed(radix):
+        if span * r >= _WORD_LIMIT:
+            word, span = word + 1, 1
+        places.append((word, span))
+        span *= r
+    weights = np.zeros((len(radix), word + 1), dtype=np.int64)
+    for j, (w, v) in enumerate(reversed(places)):
+        weights[j, w] = v
+    return weights
+
+
+def changes(keys: np.ndarray) -> np.ndarray:
+    """Mask of the rows of sorted keys that differ from the row before."""
+    mask = np.ones(len(keys), dtype=bool)
+    mask[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    return mask
 
 
 class PolyError(Exception):
@@ -210,6 +252,33 @@ def _add_products(acc: dict, m: int, a, b, maxexp: int):
             acc[k] = c1 * c2 if c0 is None else c0 + c1 * c2
 
 
+def _weighted(ring: Ring, vars: VariableSet, triples: Iterable[tuple]) -> tuple:
+    """(den, [(m, a, b)]): the (c, a, b) triples of a sum of products, read
+    as sum_of_products' contract states.  c is normalized into ring, and a
+    and b must live over vars, in ring or in ZZ.  A triple with c = 0 or a
+    zero operand is dropped; every other one passes mul's guard, a.maxexp +
+    b.maxexp <= 255.  With La, Lb the denominators of the operands'
+    numerators() (1 over ZZ), den is the lcm of the denominators of the
+    weights w = c / (La * Lb), and m = den * w is an int: the sum is
+    sum(m * na * nb) / den over the operands' numerators."""
+    work = []
+    for c, a, b in triples:
+        c = ring.normalize(c)
+        for p in (a, b):
+            if p.vars != vars:
+                raise VariableMismatch("operands live over different variable sets")
+            if p.ring != ring and p.ring != ZZ:
+                raise RingMismatch(f"{p.ring} operand in a {ring} sum")
+        if c and a and b:
+            if a.maxexp + b.maxexp > _MAX_EXP:
+                raise PolyError("product exceeds the per-variable exponent bound 255")
+            La, Lb = (1 if p.ring == ZZ else p.numerators()[0] for p in (a, b))
+            # an int over ZZ, where La = Lb = 1; a Fraction over QQ
+            work.append((c if La * Lb == 1 else c / (La * Lb), a, b))
+    den = lcm(*(w.denominator for w, _, _ in work))
+    return den, [(w.numerator * (den // w.denominator), a, b) for w, a, b in work]
+
+
 def _scaled(v: "Polynomial", D: int) -> "Polynomial":
     """D * v over ZZ, for a D that every denominator of v divides."""
     if v.ring == ZZ and D == 1:
@@ -226,19 +295,45 @@ class Polynomial:
 
     `maxexp` is a conservative upper bound on any single exponent appearing in
     the polynomial; multiplication uses it to guard the packed representation.
+    A polynomial is born either from its `terms` dict or, by columnar_sum,
+    columnar: from its exponents() and numerators(), its dict built on the
+    first read of `terms`.
     """
 
-    __slots__ = ("ring", "vars", "terms", "maxexp", "_cache")
+    __slots__ = ("ring", "vars", "_terms", "maxexp", "_cache")
 
     def __init__(self, ring: Ring, vars: VariableSet, terms: dict, maxexp: int | None = None):
         self.ring = ring
         self.vars = vars
-        self.terms = terms
+        self._terms = terms
         if maxexp is None:
             n = len(vars)
             maxexp = max((max(k.to_bytes(n, "big"), default=0) for k in terms), default=0)
         self.maxexp = maxexp
         self._cache: dict = {}
+
+    @classmethod
+    def _from_columns(
+        cls, ring: Ring, vars: VariableSet, exps: np.ndarray, L: int, nums: tuple, maxexp: int
+    ) -> "Polynomial":
+        """A polynomial born columnar: exps and (L, nums) become its
+        exponents() and numerators(), which must hold their contracts (rows
+        distinct, nums nonzero, L the lcm of the coefficients'
+        denominators), and `terms` is built from them when first read."""
+        p = cls.__new__(cls)
+        p.ring, p.vars, p._terms, p.maxexp = ring, vars, None, maxexp
+        exps.flags.writeable = False
+        p._cache = {"exponents": exps, "numerators": (L, nums)}
+        return p
+
+    @property
+    def terms(self) -> dict:
+        """packed key -> nonzero coefficient; for a polynomial born columnar,
+        built once from its rows by _reindexed, the one kernel that turns
+        rows into keys."""
+        if self._terms is None:
+            self._terms = self._reindexed(self.ring, self.vars)._terms
+        return self._terms
 
     # -- construction -----------------------------------------------------
 
@@ -284,13 +379,13 @@ class Polynomial:
     # -- basic structure ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+        return not len(self)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        """The number of terms, read without building the dict of a
+        polynomial born columnar."""
+        terms = self._terms
+        return len(self._cache["exponents"]) if terms is None else len(terms)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -309,7 +404,7 @@ class Polynomial:
     def exponents(self) -> np.ndarray:
         """The exponent vectors as a read-only (terms, vars) uint8 matrix, one
         row per key of `terms` in its order; built once from the keys' bytes
-        and cached."""
+        and cached (born with the polynomial when it is columnar)."""
         m = self._cache.get("exponents")
         if m is None:
             n = len(self.vars)
@@ -448,28 +543,114 @@ class Polynomial:
         Fraction-free: with La, Lb the denominators of the operands'
         numerators() (1 over ZZ) and den the lcm of the denominators of the
         weights w = c / (La * Lb), the sums of na * nb run in ints, weighted
-        by den * w, and each output coefficient becomes Fraction(v, den) once."""
-        work = []
-        for c, a, b in triples:
-            c = ring.normalize(c)
-            for p in (a, b):
-                if p.vars != vars:
-                    raise VariableMismatch("operands live over different variable sets")
-                if p.ring != ring and p.ring != ZZ:
-                    raise RingMismatch(f"{p.ring} operand in a {ring} sum")
-            if c and a.terms and b.terms:
-                (La, a_items), (Lb, b_items) = a._int_form(), b._int_form()
-                # an int over ZZ, where La = Lb = 1; a Fraction over QQ
-                w = c if La * Lb == 1 else c / (La * Lb)
-                work.append((w, a_items, b_items, a.maxexp + b.maxexp))
-        den = lcm(*(w.denominator for w, *_ in work))
+        by den * w, and each output coefficient becomes Fraction(v, den) once
+        (_weighted reads the triples)."""
+        den, work = _weighted(ring, vars, triples)
         acc: dict = {}
-        for w, a, b, maxexp in work:
-            _add_products(acc, w.numerator * (den // w.denominator), a, b, maxexp)
+        for m, a, b in work:
+            _add_products(acc, m, a._int_form()[1], b._int_form()[1], a.maxexp + b.maxexp)
         out = {k: v for k, v in acc.items() if v}
         if ring == QQ:
             out = {k: Fraction(v, den) for k, v in out.items()}
-        return cls(ring, vars, out, max((m for *_, m in work), default=0))
+        return cls(ring, vars, out, max((a.maxexp + b.maxexp for _, a, b in work), default=0))
+
+    @classmethod
+    def columnar_sum(cls, ring: Ring, vars: VariableSet, triples: Iterable[tuple]) -> "Polynomial":
+        """sum_of_products' sum, under its contract (the same validation,
+        exponent bound and fraction-free den), built columnar: the result is
+        born from its exponents() and numerators(), in increasing
+        lexicographic order of its exponent vectors, and its `terms` dict is
+        built only when read.  No dict is filled here.  The H and Q
+        correction sums (generators.correction_sum) are its readers; every
+        other product keeps the dict kernel.
+
+        Each operand's terms are sorted by key once.  A triple's pairs of
+        terms are formed by blocks of about _PAIR_BLOCK, rows of the smaller
+        operand a against the whole larger one b: the pair (i, j) has the key
+        ka[i] + kb[j], the value m * na[i] * nb[j] and an id, its place among
+        the pairs of all triples.  A block joins the sums so far; one
+        lexsort orders the keys (the sums so far and each row of a block are
+        sorted runs, which it merges fast), and one np.add.reduceat adds up
+        each run of equal keys, which keeps the id of its first pair.  A sum
+        of 0 is dropped, and a later pair on its key starts it again.  At the
+        end each term's row is ea[i] + eb[j] of the pair its id names, so
+        no key is decoded.  Exact:
+
+        * Keys.  A term's key is mixed-radix in its exponents, column j with
+          radix r_j = max over the triples of (the column max of a) + (the
+          column max of b) + 1, cut into int64 words by radix_weights.  Every
+          exponent of a product lies in [0, r_j), so adding two keys carries
+          between no digits, the sum is the key of the product's exponents,
+          and keys are injective: equal keys are equal monomials.
+        * Sums.  Every value, and every partial sum of values, is bounded in
+          magnitude by sum over the triples of |m| * sum|na| * sum|nb|
+          (each value is a distinct term of that expansion).  When the
+          bound, in Python ints, is below 2**63 the values and sums run in
+          int64; otherwise in Python ints (dtype object).  No float is used.
+        * Coefficients.  With g = gcd(den, *sums), the coefficients are
+          sums / den, the lcm of their denominators is L = den / g, and the
+          numerators are sums / g: numerators()' contract holds."""
+        den, work = _weighted(ring, vars, triples)
+        n = len(vars)
+        tops = np.zeros(n, dtype=np.int64)  # per column, the largest exponent of a product
+        for _, a, b in work:
+            top = a.exponents().max(axis=0, initial=0) + b.exponents().max(axis=0, initial=0).astype(np.int64)
+            tops = np.maximum(tops, top)
+        weights = radix_weights((tops + 1).tolist())
+        bound = sum(
+            abs(m) * sum(map(abs, a.numerators()[1])) * sum(map(abs, b.numerators()[1])) for m, a, b in work
+        )
+        dtype = np.int64 if bound < _WORD_LIMIT else object
+
+        def by_key(p: Polynomial) -> tuple:
+            """p's keys and numerators in increasing key order, and that order."""
+            k = exponent_sums(p.exponents(), weights)
+            order = np.lexsort(k.T)
+            return k[order], np.array(p.numerators()[1], dtype=dtype)[order], order
+
+        keys = np.zeros((0, weights.shape[1]), dtype=np.int64)
+        sums = np.zeros(0, dtype=dtype)
+        ids = np.zeros(0, dtype=np.int64)  # the id of the first pair on each key
+        sources = []  # per triple: the id of its first pair, and its operands in key order
+        start = 0
+        for m, a, b in work:
+            if len(a) > len(b):
+                a, b = b, a
+            (ka, va, pa), (kb, vb, pb) = by_key(a), by_key(b)
+            va *= m
+            sources.append((start, a.exponents(), pa, b.exponents(), pb))
+            step = max(1, _PAIR_BLOCK // len(b))
+            for lo in range(0, len(a), step):
+                hi = min(lo + step, len(a))
+                keys = np.concatenate((keys, (ka[lo:hi, None] + kb).reshape(-1, len(weights[0]))))
+                order = np.lexsort(keys.T)
+                keys = keys[order]
+                runs = np.flatnonzero(changes(keys))
+                keys = keys[runs]
+                sums = np.add.reduceat(np.concatenate((sums, (va[lo:hi, None] * vb).ravel()))[order], runs)
+                order = order[runs]  # the place of each key's first pair
+                del runs
+                ids = np.concatenate((ids, np.arange(start + lo * len(b), start + hi * len(b))))[order]
+                del order  # not alive while the next block forms
+                kept = np.flatnonzero(sums)
+                if len(kept) < len(sums):
+                    keys, sums, ids = keys[kept], sums[kept], ids[kept]
+            start += len(a) * len(b)
+        del keys
+        rows = np.empty((len(ids), n), dtype=np.uint8)
+        for first, ea, pa, eb, pb in sources:
+            mine = np.flatnonzero((ids >= first) & (ids < first + len(pa) * len(pb)))
+            i, j = np.unravel_index(ids[mine] - first, (len(pa), len(pb)))
+            part = ea[pa[i]]
+            part += eb[pb[j]]
+            rows[mine] = part
+            del mine, i, j, part  # not alive while the next triple's rows form
+        nums = sums.tolist()
+        g = gcd(den, *nums) if nums else den
+        return cls._from_columns(
+            ring, vars, rows, den // g, tuple(v // g for v in nums),
+            max((a.maxexp + b.maxexp for _, a, b in work), default=0),
+        )
 
     @classmethod
     def determinant(cls, ring: Ring, vars: VariableSet, rows: Sequence[Sequence["Polynomial"]]) -> "Polynomial":
@@ -750,6 +931,6 @@ class Polynomial:
         return self.text()
 
     def __repr__(self):
-        if len(self.terms) <= 6:
+        if len(self) <= 6:
             return f"Polynomial({self.ring}, {self.text()})"
-        return f"Polynomial({self.ring}, {len(self.terms)} terms, degree {self.total_degree()})"
+        return f"Polynomial({self.ring}, {len(self)} terms, degree {self.total_degree()})"

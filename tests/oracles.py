@@ -10,14 +10,19 @@ f_span_substitution, polarize, substitute, restrict, coefficient_of, convert,
 block_matrix and pencil_determinant take package polynomials and matrices and use only their
 plain ring operations or their packed terms, one key at a time; the last two
 build the paper's t-graded definitions of the generators, which the
-package does not.
+package does not.  det_mod is the one exception to the rule above: it is
+not an oracle but the tests' entry to the package's determinant mod p,
+evalmod.det_residues, from stacks of integer matrices, which no production
+code needs.
 """
 
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
 
-from semiinv import generators as gen
+import numpy as np
+
+from semiinv import evalmod, generators as gen
 from semiinv.matrix import PolyMatrix
 from semiinv.poly import QQ, ZZ, Polynomial, PolyError, VariableMismatch, VariableSet, unify_rings
 
@@ -309,6 +314,13 @@ def fraction_determinant(rows):
             factor = m[i][k] / m[k][k]
             m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
     return int(det)
+
+
+def det_mod(mats, prime):
+    """Determinants mod p of a stack of integer matrices, (..., n, n) -> (...):
+    evalmod.det_residues of the entries reduced by evalmod.residues (ints
+    of any size too)."""
+    return evalmod.det_residues(np.moveaxis(evalmod.residues(mats, prime), (-2, -1), (0, 1)), prime)
 
 
 def fraction_rank(vectors):

@@ -76,7 +76,8 @@ def test_exact_vs_modular_500_cases():
 
 def test_rational_coefficients_mod_p():
     """A prime that divides denominators of later terms, not of the first,
-    is refused with the first such denominator: 15, not 5 or their lcm 30."""
+    is refused with the smallest such denominator: 5, not 15 or their lcm
+    30."""
     x, y, z = (Polynomial.variable(QQ, VS, n) for n in VS.names)
     p = x * Fraction(1, 2)
     # 1/2 mod 7 is 4
@@ -86,10 +87,24 @@ def test_rational_coefficients_mod_p():
         poly_eval_mod(bad, {"x": 1, "y": 0, "z": 0}, 7)
     p = p + y * Fraction(2, 15) + z * Fraction(1, 5)
     assert [c.denominator for c in p.terms.values()] == [2, 15, 5]
-    with pytest.raises(evalmod.DenominatorNotInvertible, match="^denominator 15 not invertible mod 5$"):
+    with pytest.raises(evalmod.DenominatorNotInvertible, match="^denominator 5 not invertible mod 5$"):
         poly_eval_mod(p, {"x": 1, "y": 1, "z": 1}, 5)
     # 1/2 + 2/15 + 1/5 = 5/6, and 5 * 6^-1 = 5 * 6 = 30 = 2 mod 7
     assert poly_eval_mod(p, {"x": 1, "y": 1, "z": 1}, 7) == 2
+
+
+def test_the_denominator_message_does_not_depend_on_the_term_order():
+    """One polynomial built with its terms in two orders is refused with one
+    message, naming the smallest denominator the prime divides."""
+    terms = {(1, 0, 0): Fraction(1, 9), (0, 1, 0): Fraction(1, 3), (0, 0, 1): Fraction(1, 6)}
+    messages = set()
+    for order in (list(terms), list(terms)[::-1]):
+        p = Polynomial.from_terms(QQ, VS, {mono: terms[mono] for mono in order})
+        assert [c.denominator for c in p.terms.values()] == [terms[m].denominator for m in order]
+        with pytest.raises(evalmod.DenominatorNotInvertible) as exc:
+            poly_eval_mod(p, {"x": 1, "y": 1, "z": 1}, 3)
+        messages.add(str(exc.value))
+    assert messages == {"denominator 3 not invertible mod 3"}
 
 
 def test_sample_point_determinism_and_range():
@@ -346,11 +361,11 @@ def test_det_mod_equals_the_exact_determinant(prime):
     cases = _det_mod_cases()
     for rows in cases:
         expected = _exact_det_mod(rows, prime)
-        assert int(evalmod.det_mod(rows, prime)) == expected
+        assert int(oracles.det_mod(rows, prime)) == expected
     for n in (3, 6, 9):
         same = [rows for rows in cases if len(rows) == n]
         stacked = np.array(same[: len(same) // 2 * 2]).reshape(2, -1, n, n)
-        values = evalmod.det_mod(stacked, prime)
+        values = oracles.det_mod(stacked, prime)
         assert values.shape == stacked.shape[:2]
         assert values.ravel().tolist() == [
             _exact_det_mod(rows, prime) for rows in stacked.reshape(-1, n, n).tolist()
@@ -406,7 +421,7 @@ def test_det_mod_matches_the_fraction_oracle(case):
     """det_mod, on int64 stacks and on nested lists of Python ints, is the
     exact integer determinant reduced mod p, for single matrices and stacks."""
     prime, stack, mats = case
-    values = evalmod.det_mod(stack, prime)
+    values = oracles.det_mod(stack, prime)
     assert values.shape == np.shape(stack)[:-2]
     assert values.ravel().tolist() == [
         oracles.fraction_determinant(rows) % prime for rows in mats
@@ -414,7 +429,7 @@ def test_det_mod_matches_the_fraction_oracle(case):
     if isinstance(stack, np.ndarray):
         # the same stack stored batch-last, as generator_values_mod passes it
         batch_last = np.moveaxis(np.moveaxis(stack, (-2, -1), (0, 1)).copy(), (0, 1), (-2, -1))
-        assert evalmod.det_mod(batch_last, prime).tolist() == values.tolist()
+        assert oracles.det_mod(batch_last, prime).tolist() == values.tolist()
 
 
 def test_one_det_mod_call_per_size_and_one_inverse_per_elimination(monkeypatch):
@@ -483,7 +498,7 @@ def _leading_minor_zeros(stacks, point, prime):
         earlier = np.zeros(mats.shape[:-2], dtype=bool)
         counts[n] = []
         for k in range(1, n + 1):
-            zero = (evalmod.det_mod(mats[..., :k, :k], prime) == 0) & ~earlier
+            zero = (oracles.det_mod(mats[..., :k, :k], prime) == 0) & ~earlier
             counts[n].append(int(zero.sum()))
             earlier |= zero
     return counts
@@ -594,7 +609,7 @@ def test_echelon_mod_order_puts_every_pivot_in_place(case):
     reordered = [rows[i] for i in order.tolist()]
     for k in range(1, n + 1):
         assert oracles.fraction_determinant([row[:k] for row in reordered[:k]]) % prime != 0
-    assert int(evalmod.det_mod(reordered, prime)) == int(sign) * int(evalmod.det_mod(rows, prime)) % prime
+    assert int(oracles.det_mod(reordered, prime)) == int(sign) * int(oracles.det_mod(rows, prime)) % prime
 
 
 def test_det_mod_and_echelon_mod_run_one_elimination_step(monkeypatch):
@@ -629,7 +644,7 @@ def test_det_mod_and_echelon_mod_run_one_elimination_step(monkeypatch):
     monkeypatch.setattr(evalmod, "_eliminate_column", step)
     rng = random.Random(25)
     mats = [[[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)] for _ in range(2)]
-    evalmod.det_mod(mats, 7)
+    oracles.det_mod(mats, 7)
     assert steps == [((6, 6, 2), k) for k in range(6)]
     steps.clear()
     evalmod.echelon_mod([row[:5] for row in mats[0][:4]], 7)
@@ -677,7 +692,7 @@ def test_definition_path_accepts_integers_outside_int64():
     mutant = rel.main_relation_expr(rel.defining_relation() + 1)
     assert mutant.eval_mod(point, prime) == 1
     big = [[2**64, 1], [-3, -(2**70)]]
-    assert int(evalmod.det_mod(big, prime)) == (-(2**134) + 3) % prime
+    assert int(oracles.det_mod(big, prime)) == (-(2**134) + 3) % prime
 
 
 @pytest.mark.parametrize("seed", [0, 1])

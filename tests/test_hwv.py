@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -644,20 +647,47 @@ def test_the_q_solve_multiplies_out_no_product_of_three_factors(table, monkeypat
     multidegree (3,3,3) but its one corrected sum 2*Q (9216 terms): no
     product of three factors, nor h*f5, is multiplied out, and the slices
     restrict the factors, not the products.  Every product goes through
-    Polynomial.sum_of_products."""
+    Polynomial.sum_of_products or, for the corrected sum, through
+    Polynomial.columnar_sum."""
     built = []
-    real = Polynomial.sum_of_products
 
-    def recording(ring, vars, triples):
-        out = real(ring, vars, triples)
-        if vars == gen.TRIPLE_VARS and hwv.multidegree(out) == (3, 3, 3):
-            built.append(len(out))
-        return out
+    def recording(real):
+        def kernel(ring, vars, triples):
+            out = real(ring, vars, triples)
+            if vars == gen.TRIPLE_VARS and hwv.multidegree(out) == (3, 3, 3):
+                built.append(len(out))
+            return out
 
-    monkeypatch.setattr(Polynomial, "sum_of_products", staticmethod(recording))
+        return staticmethod(kernel)
+
+    for name in ("sum_of_products", "columnar_sum"):
+        monkeypatch.setattr(Polynomial, name, recording(getattr(Polynomial, name)))
     hwv.solve_q_correction.cache_clear()
     assert hwv.solve_q_correction() == [c for c, _ in gen.Q_CORRECTIONS]
     assert built == [9216]
+
+
+def test_the_q_solve_and_the_q_certificate_build_no_dict_of_terms():
+    """In a cold interpreter, hwv.solve_q_correction() and
+    hwv.is_fixed_by_unipotents(table.Q) read the corrected sum and Q through
+    their exponent matrices and numerators only: both are born columnar,
+    and neither builds its dict of terms."""
+    script = """
+from semiinv import generators as gen, hwv
+from semiinv.poly import Polynomial
+built = []
+real = Polynomial.columnar_sum
+def recording(ring, vars, triples):
+    built.append(real(ring, vars, triples))
+    return built[-1]
+Polynomial.columnar_sum = staticmethod(recording)
+hwv.solve_q_correction()
+assert hwv.is_fixed_by_unipotents(gen.generator_table().Q)
+print([(len(p), p._terms is None) for p in built])
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(hwv.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[(9216, True), (9216, True)]"
 
 
 def test_factor_form_and_multiplied_out_bases_solve_alike(table):

@@ -787,3 +787,116 @@ def test_sum_of_products_cases():
         Polynomial.sum_of_products(ZZ, VS, [(Fraction(1, 2), x, y)])
     with pytest.raises(VariableMismatch):
         Polynomial.sum_of_products(ZZ, VS, [(1, x, Polynomial.variable(ZZ, BV, "a"))])
+
+
+# -- the columnar sum kernel against the dict kernel ------------------------------
+
+# 30 variables: a term with every exponent 2 on both operands makes radix 5 on
+# every column, and 5**30 >= 2**63, so the keys take two int64 words
+WIDE = VariableSet(f"w{i}" for i in range(30))
+
+
+@st.composite
+def columnar_cases(draw):
+    """product_sums' cases, sometimes over WIDE with an all-2 term on every
+    nonzero operand (two-word keys), and sometimes with the coefficients of
+    every operand near 2**40 (a bound past 2**63: sums in Python ints)."""
+    ring, triples = draw(product_sums())
+    wide, big = draw(st.booleans()), draw(st.booleans())
+
+    vars = WIDE if wide else VS
+
+    def widened(p):
+        if not (wide or big):
+            return p
+        scale = 2**40 + draw(st.integers(0, 9)) if big else 1
+        terms = {
+            row + (0,) * (len(vars) - len(row)): c * scale for row, c in p.sorted_terms()
+        }
+        if wide and terms:
+            terms[(2,) * len(vars)] = p.ring.normalize(draw(st.integers(1, 9)) * scale)
+        return Polynomial.from_terms(p.ring, vars, terms)
+
+    return ring, vars, [(c, widened(a), widened(b)) for c, a, b in triples]
+
+
+def _same_sum(ring, vars, triples):
+    got = Polynomial.columnar_sum(ring, vars, triples)
+    want = Polynomial.sum_of_products(ring, vars, triples)
+    assert got._terms is None
+    assert (got.ring, got.vars, got.maxexp) == (want.ring, want.vars, want.maxexp)
+    assert len(got) == len(want) and bool(got) == bool(want)
+    (L, nums), rows = got.numerators(), got.exponents().tolist()
+    assert rows == sorted(rows) and len(set(map(tuple, rows))) == len(rows)
+    assert L == want.numerators()[0]
+    assert dict(zip(map(tuple, rows), nums)) == dict(
+        zip(map(tuple, want.exponents().tolist()), want.numerators()[1])
+    )
+    assert got._terms is None
+    assert got == want
+    return got
+
+
+@given(columnar_cases())
+@settings(max_examples=200, deadline=None)
+def test_columnar_sum_matches_the_dict_kernel(case):
+    """columnar_sum is sum_of_products, the dict kernel, term for term: the
+    same ring, variables, exponent bound, terms and numerators(), with its
+    rows distinct and in increasing order, and no dict built until read."""
+    _same_sum(*case)
+
+
+def test_columnar_sum_paths_and_cases(monkeypatch):
+    """The empty sum, zero weights and zero operands, a sum that cancels to
+    0, ZZ and QQ weights, two-word keys and sums in Python ints."""
+    x, y = var("x"), var("y")
+    half = var("x", QQ) * Fraction(1, 2)
+    zero = Polynomial.zero(ZZ, VS)
+    assert _same_sum(QQ, VS, []).numerators() == (1, ())
+    assert _same_sum(ZZ, VS, [(0, x, y), (3, zero, y)]).is_zero()
+    cancelled = _same_sum(QQ, VS, [(2, half, y), (-1, x, y)])
+    assert cancelled.is_zero() and cancelled.terms == {} and cancelled.maxexp == 2
+    assert _same_sum(QQ, VS, [(Fraction(2, 3), half, half + var("y", QQ)), (5, x, y)]).numerators()[0] == 6
+    words = []
+    real = poly.changes
+    monkeypatch.setattr(poly, "changes", lambda keys: words.append(keys.shape[1]) or real(keys))
+    ones = Polynomial.from_terms(ZZ, WIDE, {(2,) * 30: 2**40, (1,) * 30: -(2**40) - 1})
+    got = _same_sum(ZZ, WIDE, [(2**20, ones, ones), (-1, ones, ones)])
+    assert set(words) == {2}
+    assert max(map(abs, got.numerators()[1])) >= 2**63  # only Python ints hold it
+    assert poly.radix_weights([5] * 30).shape == (30, 2)
+
+
+def test_columnar_sum_refuses_what_sum_of_products_refuses():
+    """Mixed variable sets, a ring mismatch and an exponent over 255 raise
+    the same exception with the same message in both kernels."""
+    x = var("x")
+    for triples in (
+        [(1, x, Polynomial.variable(ZZ, BV, "a"))],
+        [(1, var("x", QQ), x)],
+        [(Fraction(1, 2), x, x)],
+        [(1, x ** 200, x ** 56)],
+    ):
+        raised = []
+        for kernel in (Polynomial.sum_of_products, Polynomial.columnar_sum):
+            with pytest.raises(PolyError) as exc:
+                kernel(ZZ, VS, triples)
+            raised.append((type(exc.value), str(exc.value)))
+        assert raised[0] == raised[1]
+
+
+def test_a_columnar_polynomial_reads_like_a_dict_polynomial():
+    """A polynomial born columnar equals the dict-born one, prints the same,
+    restricts, converts and extracts the same, and builds its dict only on
+    the first read of terms."""
+    x, y, z = (var(n, QQ) for n in VS.names)
+    triples = [(Fraction(1, 3), x + y, y - z * 2), (2, z, x * y + 1), (-1, x, x)]
+    got = Polynomial.columnar_sum(QQ, VS, triples)
+    want = Polynomial.sum_of_products(QQ, VS, triples)
+    assert got._terms is None and len(got) == len(want)
+    assert got.text() == want.text() and repr(got) == repr(want)
+    assert got.restrict({"y": Fraction(1, 2)}) == want.restrict({"y": Fraction(1, 2)})
+    assert got.restrict({"x": 0, "z": 3}).text() == want.restrict({"x": 0, "z": 3}).text()
+    assert got.coefficient_of({"z": 1}, ("z",)) == want.coefficient_of({"z": 1}, ("z",))
+    assert got == want and got._terms is not None
+    assert got.terms is got.terms
