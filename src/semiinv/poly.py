@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, groupby
+from itertools import compress, groupby, islice
 from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -63,7 +63,8 @@ _FIELD_MASK = 0xFF
 _MAX_EXP = 0xFF
 
 
-# rows per block of exponent_sums: a block's int64 copy takes 8 KB per column
+# rows per block of exponent_sums (a block's int64 copy takes 8 KB per column)
+# and of the keys exponents() decodes at once
 _ROW_BLOCK = 1024
 # pairs of terms per block of columnar_sum: one block's int64 keys take 32 KB a word
 _PAIR_BLOCK = 4096
@@ -403,13 +404,19 @@ class Polynomial:
 
     def exponents(self) -> np.ndarray:
         """The exponent vectors as a read-only (terms, vars) uint8 matrix, one
-        row per key of `terms` in its order; built once from the keys' bytes
-        and cached (born with the polynomial when it is columnar)."""
+        row per key of `terms` in its order; built once from the keys' bytes,
+        _ROW_BLOCK keys at a time into the matrix, and cached (born with the
+        polynomial when it is columnar)."""
         m = self._cache.get("exponents")
         if m is None:
-            n = len(self.vars)
-            raw = b"".join(k.to_bytes(n, "big") for k in self.terms)
-            m = self._cache["exponents"] = np.frombuffer(raw, np.uint8).reshape(len(self.terms), n)
+            n, keys = len(self.vars), iter(self.terms)
+            m = np.empty((len(self.terms), n), np.uint8)
+            flat = m.reshape(-1)
+            for row in range(0, len(m), _ROW_BLOCK):
+                raw = b"".join(k.to_bytes(n, "big") for k in islice(keys, _ROW_BLOCK))
+                flat[row * n : row * n + len(raw)] = np.frombuffer(raw, np.uint8)
+            m.flags.writeable = False
+            m = self._cache["exponents"] = m.view()  # a view of a read-only array stays read-only
         return m
 
     def numerators(self) -> tuple:

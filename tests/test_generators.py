@@ -318,6 +318,21 @@ def test_a_cold_q_build_peaks_and_keeps_little_memory():
     assert kept <= 0.6 * 2**20
 
 
+def test_a_cold_exponent_matrix_peaks_below_three_times_its_size(table):
+    """exponents() decodes the keys of a dict-born polynomial block by block
+    into its matrix: a cold q.exponents() peaks below three times the
+    matrix, holding one block of key bytes at a time, not one per term."""
+    q = Polynomial(table.q.ring, table.q.vars, table.q.terms, table.q.maxexp)
+    tracemalloc.start()
+    try:
+        m = q.exponents()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (m == table.q.exponents()).all() and not m.flags.writeable
+    assert peak < 3 * m.nbytes
+
+
 # -- the group action --------------------------------------------------------------
 
 
