@@ -30,19 +30,21 @@ minus the column operation on the components of a pair, invariance under
 simultaneous conjugation.
 
 Every derivation runs through one integer kernel, derivation_stream: it
-reads the cached exponent matrices of a stack of polynomials (a lone
-polynomial's in place), keys and sorts their terms once under mixed-radix
-int64 monomial keys (poly.radix_weights, the key code it shares with
-Polynomial.columnar_sum) built by blocks of rows (poly.exponent_sums), so no
-int64 copy of an exponent matrix is made, and then, one
-derivation at a time, forms its image terms and adds up those that share a
-monomial; its exactness argument (injective keys, overflow-free sums, one
-common denominator) is written next to it.  derivation_images lists the
-images.  The certificates ask that every image coefficient be 0, and read
-the stream: they keep no list of images and form none after the first that
-is not 0.  solve_hwv_correction reads the images of two 15-variable slices
-as one linear equation per distinct row.  The tests check the kernel
-against a term-by-term reference in tests/oracles.py.
+reads the cached exponent matrices of a stack of polynomials in place, keys
+their terms once under mixed-radix monomial keys whose digits are fields of
+bits, built by blocks of rows (poly.exponent_sums), and sorts the keys once.
+Then, one derivation at a time, it forms the image terms and adds up those
+that share a monomial, by blocks: each block is a half-open range of image
+keys, read from one contiguous slice of the sorted keys per (src, dst) pair,
+so that no array of a block outgrows _BLOCK entries and no matrix of the
+image is built.  Its exactness argument (injective keys, sums complete
+within a block, overflow-free sums, one common denominator) is written next
+to it.  derivation_images joins the blocks into one matrix per derivation.
+The certificates ask that every image sum be 0, and read the stream block by
+block: they keep no image and form no block after the first that is not 0.
+solve_hwv_correction reads the images of two 15-variable slices as one
+linear equation per distinct row.  The tests check the kernel against a
+term-by-term reference in tests/oracles.py.
 
 The correction coefficients attached to h and q are recomputed here from
 scratch, in the bases of products that generators.H_CORRECTIONS and
@@ -80,7 +82,7 @@ from . import generators as gen
 from . import linalg
 from .poly import (
     _MAX_EXP, _WORD_LIMIT, QQ, ZZ, Polynomial, PolyError, VariableMismatch,
-    changes, exponent_sums, radix_weights,
+    changes, exponent_sums,
 )
 
 InconsistentSystem = linalg.InconsistentSystem
@@ -131,22 +133,37 @@ def column_derivation(i: int, j: int, components=(1, 2, 3)) -> tuple:
 #
 # A derivation D = sum(src * d/d dst) over (src, dst) name pairs maps a term
 # c * x^e to c * e_dst * x^(e + u_src - u_dst) for each pair with e_dst > 0.
-# derivation_images computes every image term of a stack of polynomials at once
-# from their cached exponent matrices and adds up the terms that land on one
-# monomial.  It is exact:
+# derivation_stream forms the image terms of a stack of polynomials from
+# their cached exponent matrices, block by block, and adds up the terms that
+# land on one monomial.  It is exact:
 #
 # * Keys.  A term's key is mixed-radix in its exponents, column j with radix
-#   r_j = (column max) + 1, plus 1 when j is the src of some pair, and a last
-#   digit, the index of its polynomial in the stack.  Every image exponent
-#   lies in [0, r_j): dst columns only fall, and a src column rises by at
-#   most 1.  So a key determines its monomial and polynomial, and an image
-#   key is the base key + w[src] - w[dst].  poly.radix_weights, which
-#   Polynomial.columnar_sum shares, cuts the digits into words whose radix
-#   products, computed in Python ints, stay below 2**63, so no key overflows
-#   int64; one lexsort over the words groups the terms.  The
-#   stacks the package certifies have exponents at most 2, so radix at most
-#   4 on 27 columns and one word for up to 512 polynomials; at radix 5,
-#   5**27 * 12 > 2**63, so a stack of 12 leaves can need two words.
+#   r_j, the least power of two >= (column max) + 1, plus 1 when j is the src
+#   of some pair, and a last digit, the index of its polynomial in the stack,
+#   so that every digit is a field of bits.  Every image exponent lies in
+#   [0, r_j): dst columns only fall, and a src column rises by at most 1.  So
+#   a key determines its monomial and polynomial, an image key is the base
+#   key + place[src] - place[dst] (place: the lowest bit of a field), and
+#   e_dst is the dst field of the base key.  Keys are int64 when three times
+#   their span (the product of the radices) is below 2**63, so that no key
+#   and no cut key below, a key shifted twice by less than the span, leaves
+#   int64; otherwise they are Python ints (dtype object).  The stacks the
+#   package certifies have exponents at most 2, so radix 4 on 27 columns, and
+#   int64 keys for up to 128 polynomials.
+# * Blocks.  The base keys are sorted once.  The image keys of one pair are
+#   then a sorted run, the base keys plus a constant delta, so the image
+#   terms of a half-open key range [lo, hi) are, for each pair, read from one
+#   contiguous slice of the sorted base, its keys in [lo - delta, hi - delta)
+#   (searchsorted).  Equal keys are equal monomials of one polynomial, so all
+#   the image terms of a monomial fall into the one range that holds its
+#   key: each block's sums are complete, and the blocks, in increasing key
+#   order, list the image in increasing key order, which is the
+#   lexicographic order of the monomials.  The cuts are chosen among the
+#   keys of every s-th base term, s = _BLOCK // (2 * pairs), shifted by each
+#   pair's delta: from one such cut to the next each pair's slice gains at
+#   most s terms, and each block ends at the furthest cut whose slices hold
+#   at most _BLOCK base terms (at least one step), so with 2 * pairs <=
+#   _BLOCK no array of a block outgrows _BLOCK entries.
 # * Coefficients.  For one pair at most one term maps onto a given monomial
 #   (x^e -> x^(e + u_src - u_dst) is injective), so every partial sum of a group
 #   is bounded by (number of pairs) * (max exponent) * max|c|, and every
@@ -159,6 +176,17 @@ def column_derivation(i: int, j: int, components=(1, 2, 3)) -> tuple:
 #   basis_i) into its L-multiple without rescaling the unknowns beta.  ZZ and
 #   QQ both have characteristic 0, which the fixedness equivalences need.
 
+# base terms in the slices of one block of derivation_stream: none of a
+# block's int64 arrays takes more than 128 KiB
+_BLOCK = 16384
+
+
+def _field(r: int) -> int:
+    """The least power of two >= r, the radix of a digit of r values: the
+    digit is then a field of bits of its key."""
+    return 1 << (r - 1).bit_length()
+
+
 def _integer_coefficients(polys: Sequence[Polynomial]) -> list:
     """Each polynomial's coefficients, in the order of its terms, times the
     lcm of the stack's numerators() denominators."""
@@ -169,7 +197,7 @@ def _integer_coefficients(polys: Sequence[Polynomial]) -> list:
 
 def derivation_images(polys: Sequence[Polynomial], derivations) -> list:
     """D(P) for every polynomial P of `polys` and every derivation D: the
-    images of derivation_stream, as a list.
+    blocks of derivation_stream, joined.
 
     A derivation is a pair (plus, minus) of (src, dst) name sequences and
     stands for sum(src * d/d dst over plus) - sum(src * d/d dst over minus).
@@ -178,18 +206,37 @@ def derivation_images(polys: Sequence[Polynomial], derivations) -> list:
     lexicographic order of their exponent vectors, and column k holding
     D(polys[k]) times the common denominator of the stack
     (_integer_coefficients).  A row is 0 where image terms cancel.
-    The polynomials share one variable set.  An exponent of 255 raises
-    PolyError, since an image exponent would then not fit the 8-bit fields of
-    a Polynomial, and an unknown name raises VariableMismatch."""
-    return list(derivation_stream(polys, derivations))
+    The polynomials share one variable set.  An empty stack and an exponent
+    of 255 raise PolyError, the latter since an image exponent would then
+    not fit the 8-bit fields of a Polynomial, and an unknown name raises
+    VariableMismatch."""
+    images = []
+    for blocks in derivation_stream(polys, derivations):
+        keys, sums = (np.concatenate(part) for part in zip(*blocks))
+        # the polynomial's digit is the lowest, with place 1
+        which = (keys % _field(len(polys))).astype(np.intp)
+        keys //= _field(len(polys))
+        new = changes(keys[:, None])
+        matrix = np.zeros((int(new.sum()), len(polys)), dtype=sums.dtype)
+        matrix[np.cumsum(new) - 1, which] = sums
+        images.append(matrix)
+    return images
 
 
 def derivation_stream(polys: Sequence[Polynomial], derivations):
-    """Yield derivation_images' matrices one derivation at a time.  The
-    set-up (exponents, keys, one sort of the stack) runs once, at the first
-    request; each image is formed only when it is asked for, so a reader that
-    stops early forms no later image, and one that drops each image after
-    reading it keeps no list of them."""
+    """Yield, one derivation at a time, an iterator over the blocks of its
+    image: (keys, sums), the keys (kernel comment above) of the (monomial,
+    polynomial) pairs on which image terms land, in increasing order, and
+    their sums.  A block covers a half-open range of image keys, and the
+    blocks come in increasing order.
+
+    The set-up (keys, one sort of the stack) runs once, at the first
+    request.  A block is formed only when it is read, so a reader that
+    stops early forms no later block, and none keeps more than one block's
+    arrays.  No exponent matrix is permuted, nor, for int64 keys, copied:
+    each pair reads its dst exponents off the sorted keys."""
+    if not polys:
+        raise PolyError("derivation of an empty stack of polynomials")
     vars = polys[0].vars
     if any(p.vars != vars for p in polys):
         raise VariableMismatch("polynomials over different variable sets")
@@ -201,9 +248,9 @@ def derivation_stream(polys: Sequence[Polynomial], derivations):
         ]
         for plus, minus in derivations
     ]
-    # a lone polynomial's cached matrix is read in place, never copied
-    exps = polys[0].exponents() if len(polys) == 1 else np.concatenate([p.exponents() for p in polys])
-    top = int(exps.max(initial=0))
+    # column maxima of each polynomial's cached matrix, read in place
+    tops = np.array([p.exponents().max(axis=0, initial=0) for p in polys])
+    top = int(tops.max(initial=0))
     if top >= _MAX_EXP:
         raise PolyError(f"derivation exceeds the per-variable exponent bound {_MAX_EXP}")
 
@@ -211,52 +258,73 @@ def derivation_stream(polys: Sequence[Polynomial], derivations):
     largest = max((max(max(col), -min(col)) for col in coeffs if col), default=0)
     bound = max(max(map(len, signed), default=0) * top, 1) * largest
     dtype = np.int64 if bound < _WORD_LIMIT else object
-    values = np.array(list(chain.from_iterable(coeffs)), dtype=dtype)
 
-    # digits: the columns, then the index of the polynomial a term belongs to
+    # digits: the columns, then the index of the polynomial a term belongs
+    # to; each a field of bits, `low` its lowest bit and `field` its mask
     srcs = {src for moves in signed for src, _, _ in moves}
-    tops = exps.max(axis=0, initial=0)
-    radix = [int(m) + 1 + (j in srcs) for j, m in enumerate(tops)]
-    radix.append(len(polys))
-    weights = radix_weights(radix)
-    # by blocks of rows (exponent_sums): no int64 copy of the whole matrix
-    owner = np.repeat(np.arange(len(polys)), [len(col) for col in coeffs])
-    base = exponent_sums(exps, weights[:-1]) + owner[:, None] * weights[-1]
-    # in key order, the image keys of one pair are a sorted run (a constant is
-    # added to a subsequence), and lexsort merges sorted runs fast
-    rank = np.lexsort(base.T)
-    exps, values, base = exps[rank], values[rank], base[rank]
+    radix = [_field(int(m) + 1 + (j in srcs)) for j, m in enumerate(tops.max(axis=0))]
+    radix.append(_field(len(polys)))
+    width = [r.bit_length() - 1 for r in radix]
+    low = [sum(width[j + 1 :]) for j in range(len(radix))]
+    place = [1 << b for b in low]
+    field = [p * (r - 1) for p, r in zip(place, radix)]
+    if 3 << sum(width) < _WORD_LIMIT:
+        # by blocks of rows (exponent_sums): no int64 copy of an exponent matrix
+        weights = np.array(place[:-1], np.int64)
+        keys = np.concatenate([exponent_sums(p.exponents(), weights) + k for k, p in enumerate(polys)])
+    else:
+        weights = np.array(place[:-1], object)
+        keys = np.concatenate([p.exponents().astype(object) @ weights + k for k, p in enumerate(polys)])
+    # stable sorts only, the routine behind np.lexsort (columnar_sum, the
+    # solve): numpy's default sorts would page in their own vectorized code,
+    # a few hundred KB of resident memory
+    rank = keys.argsort(kind="stable")
+    keys = keys[rank]
+    values = np.array(list(chain.from_iterable(coeffs)), dtype=dtype)[rank]
+    del rank
+
+    def blocks(moves):
+        deltas = [place[src] - place[dst] for src, dst, _ in moves]
+        # ends[c, p]: the end of pair p's slice below cut c; the first cut is
+        # below every image key, the last above them all
+        ends = np.zeros((1, len(moves)), np.intp)
+        if moves:
+            shifts = np.array(deltas, keys.dtype)
+            cuts = np.sort((keys[:: max(1, _BLOCK // (2 * len(moves))), None] + shifts).ravel(), kind="stable")
+            ends = np.concatenate([ends, np.searchsorted(keys, cuts[:, None] - shifts)])
+        ends = np.concatenate([ends, np.full((1, len(moves)), len(keys))])
+        loads = ends.sum(axis=1)
+        start = 0
+        while start < len(ends) - 1:
+            stop = max(start + 1, int(np.searchsorted(loads, loads[start] + _BLOCK, "right")) - 1)
+            image, terms = [keys[:0]], [values[:0]]
+            for (src, dst, sign), delta, a, b in zip(moves, deltas, ends[start], ends[stop]):
+                digits = keys[a:b] & field[dst]
+                rows = (digits != 0).nonzero()[0]
+                image.append(keys[a:b][rows] + delta)
+                terms.append(values[a:b][rows] * (digits[rows] >> low[dst]))
+                if sign < 0:
+                    np.negative(terms[-1], out=terms[-1])
+            image = np.concatenate(image)
+            # a stable sort merges the pairs' sorted runs fast
+            order = image.argsort(kind="stable")
+            image = image[order]
+            runs = np.flatnonzero(changes(image[:, None]))
+            sums = np.add.reduceat(np.concatenate(terms)[order], runs)
+            yield image[runs], sums.astype(dtype, copy=False)
+            start = stop
 
     for moves in signed:
-        keys, terms = [base[:0]], [values[:0]]
-        for src, dst, sign in moves:
-            rows = np.flatnonzero(exps[:, dst])
-            keys.append(base[rows] + (weights[src] - weights[dst]))
-            terms.append(values[rows] * (sign * exps[rows, dst].astype(np.int64)))
-        keys, terms = np.concatenate(keys), np.concatenate(terms)
-        # the highest word holds the first digits, and lexsort's last key is primary
-        order = np.lexsort(keys.T)
-        keys = keys[order]
-        runs = np.flatnonzero(changes(keys))
-        sums = np.add.reduceat(terms[order], runs)
-        # one key per (monomial, polynomial) run; the polynomial's digit is
-        # the lowest of word 0, with weight 1
-        keys = keys[runs]
-        which = keys[:, 0] % len(polys)
-        keys[:, 0] //= len(polys)
-        new = changes(keys)
-        matrix = np.zeros((int(new.sum()), len(polys)), dtype=dtype)
-        matrix[np.cumsum(new) - 1, which] = sums
-        del keys, terms, order, runs, sums, which, new  # not alive while the next image forms
-        yield matrix
+        yield blocks(moves)
 
 
 def _killed_by(polys: Sequence[Polynomial], derivations) -> bool:
     """True iff every derivation, a (plus, minus) pair as in
     derivation_images, kills every polynomial of the stack: the image terms
-    on each monomial sum to 0 in each column.  The images are streamed and
-    the first nonzero one decides: no later derivation is imaged."""
-    return not any(image.any() for image in derivation_stream(polys, derivations))
+    on each monomial sum to 0 in each column.  The blocks are streamed and
+    the first nonzero one decides: no later block, of this derivation or a
+    later one, is formed."""
+    return not any(sums.any() for blocks in derivation_stream(polys, derivations) for _, sums in blocks)
 
 
 def is_fixed_by_unipotents(F: Polynomial) -> bool:

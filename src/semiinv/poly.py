@@ -24,8 +24,8 @@ Two kernels loop over pairs of terms.  The dict kernel, _add_products, adds
 big-int keys into a dict: mul, sum_of_products, determinant and the Horner
 steps of substitute add through it, and through them every matrix product.
 columnar_sum computes sum_of_products' sum with one sort and one
-np.add.reduceat over mixed-radix int64 keys (radix_weights, which hwv's
-derivation kernel shares) and fills no dict: the H/Q correction sums
+np.add.reduceat over mixed-radix int64 keys (radix_weights, the digits in
+words below 2**63 each) and fills no dict: the H/Q correction sums
 (generators.correction_sum) are built by it, and its result is born
 columnar, from its exponents() and numerators(), its `terms` dict built only
 when read.  Every other product keeps the dict kernel, where small operands

@@ -45,7 +45,21 @@ def parse_text(text: str, vars: VariableSet, ring: Ring = ZZ) -> Polynomial:
     toks = [(m.lastindex, m.group(), m.start()) for m in _TOKEN.finditer(text)]
     toks.append((0, "", len(text.rstrip())))  # the end of input, just after the last token
 
+    terms: dict = {}
+    starts = []  # the first token of the first term of each monomial of `terms`
+
     def fail(message, i):
+        # the first error in the text is reported: an exponent out of range in
+        # a term before token i, checked only on this path (VariableSet.pack),
+        # comes before the error at i
+        for mono, first in zip(terms, starts):
+            if first >= i:
+                break
+            try:
+                vars.pack(mono)
+            except PolyError as exc:
+                message, i = str(exc), first
+                break
         kind, value, offset = toks[i]
         if kind == _OTHER:
             message = f"unexpected character {value!r}"
@@ -56,7 +70,6 @@ def parse_text(text: str, vars: VariableSet, ring: Ring = ZZ) -> Polynomial:
 
     if not toks[0][0]:
         fail("empty input", 0)
-    terms: dict = {}
     i = 0
     while True:
         value = toks[i][1]
@@ -95,13 +108,19 @@ def parse_text(text: str, vars: VariableSet, ring: Ring = ZZ) -> Polynomial:
                 break
             i += 1
         mono = tuple(vec)
-        try:  # an exponent out of range, a fraction in ZZ
-            vars.pack(mono)
-            terms[mono] = terms.get(mono, 0) + ring.normalize(coeff)
+        if mono not in terms:
+            terms[mono] = 0
+            starts.append(first)
+        try:  # a fraction in ZZ
+            terms[mono] += ring.normalize(coeff)
         except PolyError as exc:
             fail(str(exc), first)
         if not toks[i][0]:
-            return Polynomial.from_terms(ring, vars, terms)
+            break
+    try:  # from_terms checks the exponents
+        return Polynomial.from_terms(ring, vars, terms)
+    except PolyError as exc:
+        fail(str(exc), len(toks) - 1)
 
 
 def _ring_tag(ring: Ring) -> str:

@@ -286,6 +286,26 @@ def test_a_certificate_makes_no_int64_copy_of_the_exponent_matrix(table):
     assert _peak_bytes(lambda: hwv.is_fixed_by_unipotents(Q)) < size
 
 
+def test_the_q_certificate_peaks_below_one_mib(table):
+    """The kernel's blocks bound its temporaries: with Q's exponents() and
+    numerators() cached, is_fixed_by_unipotents(Q) allocates less than
+    1 MiB beyond what was live before the call (forming each image as one
+    matrix took about 1.6 MiB)."""
+    Q, _ = _q_and_its_matrix_size(table)
+    assert hwv.is_fixed_by_unipotents(Q)
+    assert _peak_bytes(lambda: hwv.is_fixed_by_unipotents(Q)) < 2**20
+
+
+def test_the_twelve_stack_certificate_peaks_below_one_mib(table):
+    """The same bound for the SL3 x SL3 certificate of f1..f10, h, q, their
+    views cached (forming each image as one matrix took about 2.4 MiB)."""
+    stack = [*table.f, table.h, table.q]
+    for p in stack:
+        p.exponents(), p.numerators()
+    assert hwv.sl3_sl3_invariance_certificate(*stack)
+    assert _peak_bytes(lambda: hwv.sl3_sl3_invariance_certificate(*stack)) < 2**20
+
+
 def test_wrong_correction_coefficient_is_detected(table):
     """Negative control: a single wrong coefficient breaks fixedness."""
     assert not hwv.is_fixed_by_unipotents(_wrong_h(table))
@@ -525,17 +545,93 @@ def test_kernel_leaves_int64_when_a_sum_could_overflow(c, dtype):
     assert image.dtype == dtype and image.tolist() == [[2 * c]]
 
 
-def test_kernel_keys_span_several_words():
-    """Ten columns with exponents up to 254 need a radix product of about
-    255**10 > 2**63, so the keys take more than one int64 word."""
+def _wide_stack():
+    """A stack of two polynomials in ten columns with exponents up to 254,
+    and one derivation of 12 plus and 3 minus pairs."""
     names = [f"v{i}" for i in range(10)]
     vs = VariableSet(names)
     rng = random.Random(15)
     terms = {tuple(rng.choice((0, 1, 253, 254)) for _ in names): rng.randint(-9, 9) for _ in range(40)}
     F = Polynomial.from_terms(ZZ, vs, terms)
     pairs = [(rng.choice(names), rng.choice(names)) for _ in range(12)]
-    (image,) = hwv.derivation_images([F, F * 2], [(pairs, pairs[:3])])
-    assert _nonzero_rows(image) == _oracle_rows([F, F * 2], pairs, pairs[:3])
+    return [F, F * 2], pairs, pairs[:3]
+
+
+def test_kernel_keys_span_several_words():
+    """Ten columns with exponents up to 254 take radix 256 each, a radix
+    product of 2**81 with the stack's digit, past int64: the keys are Python
+    ints (dtype object) and give the oracle's images."""
+    polys, plus, minus = _wide_stack()
+    (image,) = hwv.derivation_images(polys, [(plus, minus)])
+    assert _nonzero_rows(image) == _oracle_rows(polys, plus, minus)
+
+
+def _killed_by_oracle(polys, derivations):
+    return all(not _oracle_rows(polys, plus, minus) for plus, minus in derivations)
+
+
+@given(
+    st.lists(kernel_polys(), min_size=1, max_size=3),
+    st.lists(st.tuples(KV_PAIRS, KV_PAIRS), max_size=3),
+    st.integers(1, 7),
+)
+@settings(max_examples=120)
+def test_kernel_blocks_match_the_oracle_at_every_edge(polys, derivations, block):
+    """With blocks of 1 to 7 base terms, so that cuts fall between almost
+    every two image keys, the joined blocks give the oracle's images and the
+    certificate the oracle's verdict: mixed ZZ/QQ stacks, the zero
+    polynomial and coefficients past int64 (dtype object) included."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hwv, "_BLOCK", block)
+        images = hwv.derivation_images(polys, derivations)
+        killed = hwv._killed_by(polys, derivations)
+    for (plus, minus), image in zip(derivations, images):
+        assert _nonzero_rows(image) == _oracle_rows(polys, plus, minus)
+    assert killed == _killed_by_oracle(polys, derivations)
+
+
+@pytest.mark.parametrize("block", range(1, 8))
+def test_cancellation_straddling_cuts(block, monkeypatch):
+    """y*d/dx - x*d/dy kills F = (x^2 + y^2)^6 * (z^2 + z + 1): the two
+    terms that cancel on an image monomial come from base terms whose x
+    exponents differ by 2, apart in key order and read from two slices of
+    one block, whichever the cuts.  F + x is not killed."""
+    x, y, z = (Polynomial.variable(ZZ, KV, n) for n in KV.names)
+    F = (x * x + y * y) ** 6 * (z * z + z + 1)
+    rotation = ([("y", "x")], [("x", "y")])
+    monkeypatch.setattr(hwv, "_BLOCK", block)
+    (blocks,) = hwv.derivation_stream([F], [rotation])
+    assert len(list(blocks)) > 4
+    (image,) = hwv.derivation_images([F, F + x], [rotation])
+    assert len(image) > 0 and not image[:, 0].any()
+    assert _nonzero_rows(image) == _oracle_rows([F, F + x], *rotation)
+    assert hwv._killed_by([F], [rotation]) and not hwv._killed_by([F, F + x], [rotation])
+
+
+@pytest.mark.parametrize("block", range(1, 8))
+def test_wide_keys_are_cut_into_blocks_too(block, monkeypatch):
+    """Python-int keys are cut by the same rule as int64 ones."""
+    polys, plus, minus = _wide_stack()
+    monkeypatch.setattr(hwv, "_BLOCK", block)
+    (blocks,) = hwv.derivation_stream(polys, [(plus, minus)])
+    blocks = list(blocks)
+    assert len(blocks) > 1 and all(keys.dtype == object for keys, _ in blocks)
+    (image,) = hwv.derivation_images(polys, [(plus, minus)])
+    assert _nonzero_rows(image) == _oracle_rows(polys, plus, minus)
+    assert hwv._killed_by(polys, [(plus, minus)]) == _killed_by_oracle(polys, [(plus, minus)])
+
+
+def test_an_empty_stack_is_an_error_not_a_pass():
+    """No polynomial to certify is a PolyError, never a vacuous pass."""
+    d12 = [(hwv.block_derivation(1, 2), ())]
+    for call in (
+        lambda: hwv.derivation_images([], []),
+        lambda: hwv.derivation_images([], d12),
+        hwv.sl3_sl3_invariance_certificate,
+        hwv.conjugation_invariance_certificate,
+    ):
+        with pytest.raises(PolyError, match="empty stack"):
+            call()
 
 
 def test_certificate_verdicts_match_the_oracle(oracle_cases):
@@ -745,28 +841,38 @@ def test_the_solve_checks_all_four_roots_only_at_a_balanced_weight(table, monkey
 
 
 def test_a_certificate_stops_at_the_first_nonzero_image(table, monkeypatch):
-    """_killed_by streams the images of its derivations: on h, which D12
-    does not kill, the SL3 certificate forms the first of its four images
-    and no later one.  A stack that every derivation kills forms them all,
-    and derivation_images still returns every image as a list."""
-    formed = []
+    """_killed_by streams the blocks of its derivations' images: on h, which
+    D12 does not kill, the SL3 certificate forms blocks of the first of its
+    four images up to the first nonzero one, and nothing later.  A stack
+    that every derivation kills forms every block of every image, and
+    derivation_images still returns every image as a list."""
+    formed = []  # per image read, whether each block formed was nonzero
     real = hwv.derivation_stream
 
-    def counting(polys, derivations):
-        for image in real(polys, derivations):
-            formed.append(bool(image.any()))
-            yield image
+    def recording(blocks):
+        for keys, sums in blocks:
+            formed[-1].append(bool(sums.any()))
+            yield keys, sums
 
+    def counting(polys, derivations):
+        for blocks in real(polys, derivations):
+            formed.append([])
+            yield recording(blocks)
+
+    monkeypatch.setattr(hwv, "_BLOCK", 64)  # many blocks per image
+    d12 = [(hwv.block_derivation(1, 2), ())]
+    (every,) = [[bool(sums.any()) for _, sums in blocks] for blocks in real([table.h], d12)]
     monkeypatch.setattr(hwv, "derivation_stream", counting)
     assert not hwv.sl3_invariance_certificate(table.h)
-    assert formed == [True]
+    assert formed == [every[: every.index(True) + 1]] and len(formed[0]) < len(every)
     formed.clear()
     assert hwv.sl3_sl3_invariance_certificate(table.h)
-    assert formed == [False] * 8
+    assert [any(blocks) for blocks in formed] == [False] * 8
     formed.clear()
     derivations = [(hwv.block_derivation(i, j), ()) for i, j in hwv.SL3_ROOTS]
     images = hwv.derivation_images([table.h], derivations)
-    assert isinstance(images, list) and len(images) == 4 and formed == [True] * 4
+    assert isinstance(images, list) and len(images) == 4
+    assert [any(blocks) for blocks in formed] == [True] * 4
 
 
 @given(

@@ -91,6 +91,10 @@ def test_parse_error_reports_position():
         ("x y", 1, 3, "expected '+' or '-' between terms"),
         # errors of the polynomial layer are reported at the term that caused them
         ("y + x^300", 1, 5, "exponent 300 outside"),
+        ("x^200*x^100", 1, 1, "exponent 300 outside"),  # a repeated variable multiplies out
+        ("x^128*x^128 + y", 1, 1, "exponent 256 outside"),
+        ("x^300 + $", 1, 1, "exponent 300 outside"),  # the first error in the text
+        ("y + x^300 + 1/2*y", 1, 5, "exponent 300 outside"),
         ("y -\n 1/2*x", 2, 2, "non-integer coefficient -1/2 in ZZ"),
     ]
     for text, line, column, message in cases:
