@@ -9,7 +9,8 @@ polynomials (f_all, h_poly, q_poly, generators_of) and generator_values_mod
 as values at points mod p, with no expansion, for the modular runs.  H and
 Q are the rational corrections of h and q that are fixed by the unipotent
 upper-triangular subgroup (highest weight vectors of weights (2,2,2) and
-(3,3,3)), built exactly in the 27 coordinates on their first read only.
+(3,3,3)).  A GeneratorTable builds f1..f10 and h; q, H and Q are built
+exactly in the 27 coordinates on their first read only.
 
 Gradings are data next to the names they weigh, for Polynomial.degrees:
 BLOCK_WEIGHTS gives the degree in the entries of (A1, A2, A3), and F_WEIGHTS
@@ -28,7 +29,7 @@ import numpy as np
 
 from .evalmod import det_residues, echelon_mod, residues, sample_point
 from .matrix import PolyMatrix
-from .poly import QQ, ZZ, Polynomial, PolyError, Ring, VariableSet, unify_rings
+from .poly import QQ, ZZ, Polynomial, PolyError, Ring, VariableSet
 
 # Coordinate functions of the generic triple: entry (i,j) of matrix r is x{r}_{ij}.
 TRIPLE_NAMES = tuple(
@@ -395,13 +396,20 @@ GENERATOR_NAMES = tuple(
 
 @dataclass(frozen=True)
 class GeneratorTable:
-    """The named invariants of a triple as explicit polynomials; H and Q (1152
-    and 9216 QQ terms in the generic triple) are built on first read."""
+    """The named invariants of a triple as explicit polynomials.  f1..f10 and
+    h are built with the table; q (5748 terms in the generic triple, three
+    9x9 determinant sums) is built from the kept triple on its first read,
+    and H and Q (1152 and 9216 QQ terms) on theirs, so that a run that reads
+    none of them, such as a modular one, builds none of them."""
 
     f_by_ijk: dict
     f: tuple  # f1..f10 in the fixed numbering
     h: Polynomial
-    q: Polynomial
+    triple: MatrixTriple
+
+    @cached_property
+    def q(self) -> Polynomial:
+        return q_poly(self.triple)
 
     @cached_property
     def H(self) -> Polynomial:
@@ -412,15 +420,17 @@ class GeneratorTable:
         return combine_correction(self.q, correction_factors(self.f, self.h), Q_CORRECTIONS)
 
     def by_name(self, name: str) -> Polynomial:
-        """The polynomial of one of GENERATOR_NAMES; only HH and QQ build H and Q."""
+        """The polynomial of one of GENERATOR_NAMES; only q, HH and QQ build q,
+        H and Q."""
         i = GENERATOR_NAMES.index(name)
         return self.f[i // 2] if i < 20 else getattr(self, ("h", "q", "H", "Q")[i - 20])
 
 
 def generators_of(T: MatrixTriple) -> GeneratorTable:
-    """The named invariants of a triple in its variables, H and Q on first read."""
+    """The named invariants of a triple in its variables, q, H and Q on first
+    read."""
     fs = f_all(T)
-    return GeneratorTable(fs, tuple(fs[ijk] for ijk in F_INDEX), h_poly(T), q_poly(T))
+    return GeneratorTable(fs, tuple(fs[ijk] for ijk in F_INDEX), h_poly(T), T)
 
 
 @lru_cache(maxsize=1)
@@ -432,42 +442,22 @@ def generator_table() -> GeneratorTable:
 # -- the right GL3 action -----------------------------------------------------
 
 
-def act_on_triple(g: Sequence[Sequence], T: MatrixTriple) -> MatrixTriple:
-    """Right action: component c of the result is sum_r g[r][c] * A_r, each
-    entry one sum_of_products."""
-    coeffs = [
-        [
-            e.convert(T.vars) if isinstance(e, Polynomial)
-            else Polynomial.constant(ZZ if Fraction(e).denominator == 1 else QQ, T.vars, e)
-            for e in row
-        ]
-        for row in g
-    ]
-    ring = reduce(unify_rings, (c.ring for row in coeffs for c in row), T.ring)
-    rows = [m.rows for m in T.components()]
+def act_on_function(g: Sequence[Sequence[int]], F: Polynomial) -> Polynomial:
+    """g.F for an integer 3x3 matrix g: the function T -> F(T.g), where the
+    right action gives T.g the components sum_r g[r][c] * A_r.  Each of the
+    27 coordinates x{c}_ab is bound straight to its acted linear form
+    sum_r g[r][c] * x{r}_ab over the variables of F, and F.substitute
+    composes.  A coordinate that g fixes (column c of g is the unit vector
+    e_c) is bound to itself, a one-term binding that substitute folds into
+    each term's key, so a transvection I + E_ij leaves a Horner evaluation
+    in the 9 coordinates of A_j only."""
+    x = [Polynomial.variable(ZZ, F.vars, name) for name in TRIPLE_NAMES]
 
-    def entry(c: int, i: int, j: int) -> Polynomial:
-        return Polynomial.sum_of_products(ring, T.vars, [(1, coeffs[r][c], rows[r][i][j]) for r in range(3)])
+    def form(c: int, k: int) -> Polynomial:
+        parts = [x[9 * r + k] * g[r][c] if g[r][c] != 1 else x[9 * r + k] for r in range(3) if g[r][c]]
+        return reduce(Polynomial.__add__, parts) if parts else Polynomial.zero(ZZ, F.vars)
 
-    return MatrixTriple(
-        *(PolyMatrix([[entry(c, i, j) for j in range(3)] for i in range(3)]) for c in range(3))
-    )
-
-
-def act_on_function(g: Sequence[Sequence], F: Polynomial) -> Polynomial:
-    """g.F maps a triple T to F(T.g); computed by substituting the entries of
-    the generic triple acted on by g.  The result is over the variables of F,
-    which polynomial entries of g must share."""
-    generic = MatrixTriple(
-        *(m.map_entries(lambda e: e.convert(F.vars)) for m in generic_triple().components())
-    )
-    acted = act_on_triple(g, generic)
-    bindings = {
-        name: m.rows[k // 3][k % 3]
-        for names, m in zip(BLOCK_NAMES, acted.components())
-        for k, name in enumerate(names)
-    }
-    return F.substitute(bindings)
+    return F.substitute({TRIPLE_NAMES[9 * c + k]: form(c, k) for c in range(3) for k in range(9)})
 
 
 def transvection(i: int, j: int) -> list:

@@ -62,10 +62,12 @@ A polynomial in f1..f10, such as the quartic and sextic invariants S and T,
 is certified SL3-invariant by the derivations that the four transvections
 induce on the f-ring (sl3_certificate_for_f_polynomial, one kernel call;
 the argument is written there).  Group substitution
-(generators.act_on_function) remains only in the check of the span action
-g.f_n = sum_m M[n][m] f_m that these derivations are read from, and in the
-tests as an independent oracle (the diagonal-torus weight cross-check and
-the f-ring substitution among them).
+(generators.act_on_function, integer matrices only) remains only in the
+check of the span action g.f_n = sum_m M[n][m] f_m that these derivations
+are read from.  The tests keep an independent route as its oracle
+(oracles.act_on_function: the generic triple acted on entry by entry,
+composed term by term), which also serves the diagonal-torus weight
+cross-check, and the f-ring substitution as the oracle of the derivations.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -381,24 +384,27 @@ def conjugation_invariance_certificate(*polys: Polynomial) -> bool:
 
 
 def _matmul(a: list, b: list) -> list:
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _nilpotent_log(mat: list) -> list:
     """log M = sum_k (-1)^(k+1) (M - I)^k / k for a square matrix M with
-    M - I nilpotent, a finite sum of Fractions; LinAlgError when M - I is not
-    nilpotent ((M - I)^n != 0 for n = the size of M)."""
+    M - I nilpotent, a finite sum; LinAlgError when M - I is not nilpotent
+    ((M - I)^n != 0 for n = the size of M).  The sum runs in ints scaled by
+    S = lcm(1..n), each power weighted by the int S/k, and each entry is
+    divided once, by S, into a Fraction."""
     n = len(mat)
+    S = lcm(*range(1, n + 1))
     a = [[mat[r][c] - (r == c) for c in range(n)] for r in range(n)]
-    log, power = [[Fraction(0)] * n for _ in range(n)], a
+    log, power = [[0] * n for _ in range(n)], a
     for k in range(1, n + 1):
         if not any(map(any, power)):
-            return log
-        log = [[x + Fraction((-1) ** (k + 1) * y, k) for x, y in zip(lr, pr)] for lr, pr in zip(log, power)]
+            return [[Fraction(x, S) for x in row] for row in log]
+        w = (-1) ** (k + 1) * (S // k)
+        log = [[x + w * y for x, y in zip(lr, pr)] for lr, pr in zip(log, power)]
         power = _matmul(power, a)
-    if any(map(any, power)):
-        raise linalg.LinAlgError("M - I is not nilpotent")
-    return log
+    raise linalg.LinAlgError("M - I is not nilpotent")
 
 
 @lru_cache(maxsize=None)
@@ -407,10 +413,14 @@ def _span_action_verified(which: str) -> tuple:
     minus) pair of derivation_stream, after two exact checks.
 
     * g.f_n = sum_m M[n][m] f_m, M = gen.f_action_matrix(g), by full
-      expansion over the 27 coordinates (gen.act_on_function).
-    * M = exp(N) for N = log M (_nilpotent_log): M - I is nilpotent, N is an
-      integer matrix, and 6M = 6I + 6N + 3N^2 + N^3 in integers, so N^4
-      adds nothing.
+      expansion over the 27 coordinates (gen.act_on_function), each bound
+      to its acted linear form.  g = I + E_ij moves only the 9 coordinates
+      of A_j; the other 18 are bound to themselves, and substitute folds
+      them into keys, so the expansion is a Horner evaluation in A_j's
+      coordinates alone, and still the whole of g.f_n.
+    * M = exp(N) for N = log M (_nilpotent_log, in ints over one common
+      denominator): M - I is nilpotent, N is an integer matrix, and
+      6M = 6I + 6N + 3N^2 + N^3 in integers, so N^4 adds nothing.
 
     N is the pencil's t_j d/dt_i for g = I + E_ij.  The derivation is
     delta_N = sum N[n][m] f_m d/df_n: N[n][m] copies of the pair (f_m, f_n),
@@ -420,7 +430,7 @@ def _span_action_verified(which: str) -> tuple:
     table = gen.generator_table()
     mat = gen.f_action_matrix(g)
     for n in range(10):
-        combo = sum((f * c for f, c in zip(table.f, mat[n])), Polynomial.zero(ZZ, gen.TRIPLE_VARS))
+        combo = sum((f * c for f, c in zip(table.f, mat[n]) if c), Polynomial.zero(ZZ, gen.TRIPLE_VARS))
         if gen.act_on_function(g, table.f[n]) != combo:
             raise linalg.LinAlgError(
                 f"span action of {which} failed exact verification"

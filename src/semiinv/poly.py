@@ -48,9 +48,10 @@ polynomial born columnar, changes no value.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, groupby, islice
+from itertools import accumulate, compress, groupby, islice
 from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -63,9 +64,11 @@ _FIELD_MASK = 0xFF
 _MAX_EXP = 0xFF
 
 
-# rows per block of exponent_sums (a block's int64 copy takes 8 KB per column)
-# and of the keys exponents() decodes at once
+# keys exponents() decodes at once
 _ROW_BLOCK = 1024
+# bytes of one block's int64 copy in exponent_sums, below glibc's 128 KiB
+# mmap threshold: a block is reused from the heap, never mapped afresh
+_BLOCK_BYTES = 2**16
 # pairs of terms per block of columnar_sum: one block's int64 keys take 32 KB a word
 _PAIR_BLOCK = 4096
 _WORD_LIMIT = 2**63
@@ -73,12 +76,14 @@ _WORD_LIMIT = 2**63
 
 def exponent_sums(exps: np.ndarray, w: np.ndarray) -> np.ndarray:
     """exps @ w in int64 for a uint8 exponent matrix and an int64 weight
-    vector or matrix, _ROW_BLOCK rows at a time: only one block is widened
-    to int64 at once, never the whole matrix (for the 9216 terms of Q that
-    copy would take 2 MB).  The caller bounds the sums below 2**63."""
+    vector or matrix, by blocks of rows of at most _BLOCK_BYTES in int64
+    (303 rows on 27 columns): only one block is widened to int64 at once,
+    never the whole matrix (for the 9216 terms of Q that copy would take
+    2 MB).  The caller bounds the sums below 2**63."""
     out = np.empty((len(exps),) + w.shape[1:], dtype=np.int64)
-    for start in range(0, len(exps), _ROW_BLOCK):
-        out[start : start + _ROW_BLOCK] = exps[start : start + _ROW_BLOCK].astype(np.int64) @ w
+    step = max(1, _BLOCK_BYTES // (8 * max(1, exps.shape[1])))
+    for start in range(0, len(exps), step):
+        out[start : start + step] = exps[start : start + step].astype(np.int64) @ w
     return out
 
 
@@ -817,18 +822,23 @@ class Polynomial:
 
         and every c*L, every power of D and every D*v is integral: the
         numerator is a ZZ polynomial built from ZZ products only, and each of
-        its coefficients is divided once, by L * D^dmax (1 over ZZ).  The
-        numerator is summed as sum_e (D*v1)^e * inner_e, grouping the terms
-        by their exponent of the first bound variable, and each inner_e the
-        same way in the variables after it.  That only reassociates a finite
-        sum of the same products.  The bound variables are taken largest
-        binding first, so the largest powers multiply once per exponent.
-        Each (D*v1)^e * inner_e is added straight into the sum by the product
-        kernel; a group of one term adds its product of cached powers.  Every
-        product passes mul's guard with an exponent bound at least that of
-        its factors, so a composition whose terms' bounds,
-        sum(e_i * maxexp(v_i)), exceed 255 is refused as the term-by-term
-        product would be."""
+        its coefficients is divided once, by L * D^dmax (1 over ZZ).  A
+        one-term binding v = c*y^a (x -> x among them) has (D*v)^e =
+        (D*c)^e * y^(e*a): it enters each term as an int power in its
+        coefficient and the key multiple e * key(y^a) in its key, with no
+        Horner level, as keys add like exponent vectors while no exponent
+        passes 255.  Over the other bindings, largest first, the numerator is
+        summed as sum_e (D*v1)^e * inner_e, grouping the terms by their
+        exponent of the first, and each inner_e the same way in the bindings
+        after it: this only reassociates a finite sum of the same products,
+        and the largest powers multiply once per exponent.  Each
+        (D*v1)^e * inner_e is added straight into the sum by the product
+        kernel; a group of one term adds its product of cached powers times
+        its folded monomial.  Every addition passes mul's guard with the bound
+        sum(e_i * maxexp(v_i)) of what it multiplies, folded monomials
+        included, so a composition whose terms' bounds exceed 255 is refused
+        as the term-by-term product would be, before a carry can corrupt a
+        key."""
         if not bindings:
             return self
         for name, v in bindings.items():
@@ -843,26 +853,33 @@ class Polynomial:
             raise VariableMismatch("binding polynomials use different variable sets")
         ring = reduce(unify_rings, (v.ring for v in bindings.values()), self.ring)
 
-        # the bound variables the terms use, largest binding first (ties in
-        # variable order), and each term as (its exponents in them, its
-        # numerator over L * D^dmax)
+        # the bound variables the terms use, the Horner ones largest binding
+        # first (ties in variable order), the one-term ones from h on; each
+        # term as (its exponents in them, its numerator over L * D^dmax times
+        # its folded int powers, its folded key, its bounds from variable j on)
         exps = self.exponents()
-        cols = [i for i, n in enumerate(self.vars.names) if n in bindings and exps[:, i].any()]
-        cols.sort(key=lambda i: -len(bindings[self.vars.names[i]]))
+        size = {i: len(bindings[self.vars.names[i]]) for i in np.flatnonzero(exps.any(axis=0)).tolist()}
+        cols = sorted(size, key=lambda i: (size[i] == 1, -size[i]))
         leaves = [bindings[self.vars.names[i]] for i in cols]
+        h = sum(size[i] != 1 for i in cols)
         D = lcm(*(v.numerators()[0] for v in leaves))
+        keys = [next(iter(v.terms)) for v in leaves[h:]]
+        coeffs = [n * D // Lv for Lv, (n,) in (v.numerators() for v in leaves[h:])]
+        caps = [v.maxexp for v in reversed(leaves)]
         L, numerators = self.numerators()
         rows = exps[:, cols].tolist()
         dmax = max(map(sum, rows), default=0)
-        terms = sorted(zip(rows, (a * D ** (dmax - sum(row)) for row, a in zip(rows, numerators))))
-        # each term's exponent bound sum(e_i * maxexp(v_i)) from variable j on,
-        # which is the bound the term-by-term product of its powers carries
-        caps = [v.maxexp for v in leaves]
+        terms = sorted(
+            (row, a * D ** (dmax - sum(row)) * prod(map(pow, coeffs, row[h:])),
+             sum(map(operator.mul, keys, row[h:])),
+             [*accumulate(map(operator.mul, row[::-1], caps), initial=0)][::-1])
+            for row, a in zip(rows, numerators)
+        )
 
         def cap(group: list, j: int) -> int:
-            return max((sum(e * m for e, m in zip(row[j:], caps[j:])) for row, _ in group), default=0)
+            return max((t[3][j] for t in group), default=0)
 
-        powers = [[None, _scaled(v, D)] for v in leaves]
+        powers = [[None, _scaled(v, D)] for v in leaves[:h]]
 
         def power(j: int, e: int) -> Polynomial:
             lst = powers[j]
@@ -871,13 +888,17 @@ class Polynomial:
             return lst[e]
 
         def horner(terms: list, j: int, acc: dict):
-            """Add sum(a * prod(power(i, e_i) for i >= j)) over the terms into
-            acc; the terms share their exponents before j and are sorted."""
-            if len(terms) == 1:
-                (row, a), = terms
-                factors = [power(i, row[i]) for i in range(j, len(cols)) if row[i]]
-                product = reduce(Polynomial.mul, factors).terms.items() if factors else _UNIT
-                _add_products(acc, a, product, _UNIT, 0)  # mul guarded the product
+            """Add sum(a * x^k * prod(power(i, e_i) for j <= i < h)) over the
+            terms into acc; the terms share their exponents before j and are
+            sorted, so the last has the largest exponent at j: a column
+            where it has none adds no level."""
+            while j < h and not terms[-1][0][j]:
+                j += 1
+            if len(terms) == 1 or j == h:
+                for row, a, k, bound in terms:
+                    factors = [power(i, row[i]) for i in range(j, h) if row[i]]
+                    product = reduce(Polynomial.mul, factors).terms.items() if factors else _UNIT
+                    _add_products(acc, a, product, ((k, 1),), bound[j])
                 return
             for e, group in groupby(terms, key=lambda t: t[0][j]):
                 group = list(group)

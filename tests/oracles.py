@@ -4,16 +4,16 @@ Everything here is deliberately naive and shares no code with the package:
 polynomials are dicts mapping exponent tuples to coefficients, determinants
 expand recursively along the first row (of plain integer matrices: Fraction
 elimination), ranks come from Fraction elimination (over GF(p): elimination
-with pow(a, -1, p) inverses), and modular evaluation
-is a direct term-by-term sum.  The oracles named *_package, qq_combine_correction,
+with pow(a, -1, p) inverses), and modular evaluation is a direct
+term-by-term sum.  The oracles named *_package, qq_combine_correction,
 f_span_substitution, polarize, substitute, restrict, coefficient_of, convert,
-block_matrix and pencil_determinant take package polynomials and matrices and use only their
-plain ring operations or their packed terms, one key at a time; the last two
-build the paper's t-graded definitions of the generators, which the
-package does not.  det_mod is the one exception to the rule above: it is
-not an oracle but the tests' entry to the package's determinant mod p,
-evalmod.det_residues, from stacks of integer matrices, which no production
-code needs.
+act_on_triple, act_on_function, block_matrix and pencil_determinant take
+package polynomials and matrices and use only their plain ring operations or
+their packed terms, one key at a time; the last two build the paper's
+t-graded definitions of the generators, which the package does not.
+det_mod is the one exception to the rule above: it is not an oracle but the
+tests' entry to the package's determinant mod p, evalmod.det_residues, from
+stacks of integer matrices, which no production code needs.
 """
 
 from fractions import Fraction
@@ -240,6 +240,50 @@ def pencil_determinant(T):
         part = m.map_entries(lambda e: e.convert(w)).scale(Polynomial.variable(m.ring, w, name))
         pencil = part if pencil is None else pencil + part
     return pencil.determinant()
+
+
+def act_on_triple(g, T):
+    """The right action T.g for a 3x3 g of ints, Fractions or polynomials
+    (over T's variables, or convertible to them): component c is
+    sum_r g[r][c] * A_r, entry by entry, with plain ring operations in the
+    ring all the entries coerce into."""
+    coeffs = [
+        [
+            e.convert(T.vars) if isinstance(e, Polynomial)
+            else Polynomial.constant(ZZ if Fraction(e).denominator == 1 else QQ, T.vars, e)
+            for e in row
+        ]
+        for row in g
+    ]
+    ring = reduce(unify_rings, (c.ring for row in coeffs for c in row), T.ring)
+    coeffs = [[c.to_ring(ring) for c in row] for row in coeffs]
+    mats = [m.map_entries(lambda e: e.to_ring(ring)) for m in T.components()]
+    zero = Polynomial.zero(ring, T.vars)
+
+    def entry(c, i, j):
+        return reduce(lambda acc, r: acc + coeffs[r][c] * mats[r][i, j], range(3), zero)
+
+    return gen.MatrixTriple(
+        *(PolyMatrix([[entry(c, i, j) for j in range(3)] for i in range(3)]) for c in range(3))
+    )
+
+
+def act_on_function(g, F):
+    """g.F, the function T -> F(T.g), for a g of ints, Fractions or
+    polynomials over the variables of F: the generic triple acted on by g
+    (act_on_triple) composed into F term by term (substitute).  The reference
+    for generators.act_on_function, which takes integer matrices only, and
+    the one route for the diagonal torus with polynomial entries."""
+    generic = gen.MatrixTriple(
+        *(m.map_entries(lambda e: e.convert(F.vars)) for m in gen.generic_triple().components())
+    )
+    acted = act_on_triple(g, generic)
+    bindings = {
+        name: m.rows[k // 3][k % 3]
+        for names, m in zip(gen.BLOCK_NAMES, acted.components())
+        for k, name in enumerate(names)
+    }
+    return substitute(F, bindings)
 
 
 def qq_combine_correction(base, factors, table, coeffs=None):

@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semiinv import generators as gen, hwv, relations, suites
 from semiinv.linalg import solve_unique
@@ -305,8 +306,10 @@ def test_a_cold_q_build_peaks_and_keeps_little_memory():
     peaks at 1.6 MiB or less and keeps 0.6 MiB or less (Q's exponent matrix
     and numerators, and the views of q, h and the f's that it read).  The
     dict kernel peaked at 2.3 MiB and kept 0.95 MiB, Q's dict of 9216
-    Fractions among it."""
+    Fractions among it.  q is built on its own first read, before the
+    measurement starts: what is measured is Q's build."""
     table = gen.generators_of(gen.generic_triple())
+    table.q
     tracemalloc.start()
     try:
         Q = table.Q
@@ -336,12 +339,35 @@ def test_a_cold_exponent_matrix_peaks_below_three_times_its_size(table):
 # -- the group action --------------------------------------------------------------
 
 
+def test_q_is_built_on_first_read_only(cold_builds, monkeypatch):
+    """With cold builds, generator_table() builds f1..f10 and h, and the
+    modular runs of the main relation and of theorem 1 read values mod p
+    only: none of them calls q_poly.  The first read of table.q builds it,
+    once, and it equals the eager q_poly of the generic triple."""
+    calls = []
+    q_poly = gen.q_poly
+
+    def counting(T):
+        calls.append(T)
+        return q_poly(T)
+
+    monkeypatch.setattr(gen, "q_poly", counting)
+    table = gen.generator_table()
+    cfg = RunConfig(trials=2)
+    assert relations.verify_main_relation(cfg).passed
+    assert relations.verify_theorem1(cfg).passed
+    assert calls == [] and "q" not in vars(table)
+    assert table.q is table.q is gen.generator_table().q
+    assert calls == [table.triple] and table.triple == gen.generic_triple()
+    assert table.q == q_poly(gen.generic_triple())
+
+
 def test_act_identity_and_diag():
     T = gen.generic_triple()
-    acted = gen.act_on_triple(I3, T)
+    acted = oracles.act_on_triple(I3, T)
     assert acted.a1 == T.a1 and acted.a2 == T.a2 and acted.a3 == T.a3
     g = [[2, 0, 0], [0, 3, 0], [0, 0, 5]]
-    acted = gen.act_on_triple(g, T)
+    acted = oracles.act_on_triple(g, T)
     assert acted.a1 == T.a1.scale(2)
     assert acted.a2 == T.a2.scale(3)
     assert acted.a3 == T.a3.scale(5)
@@ -353,18 +379,49 @@ def test_right_action_composition_random():
     for _ in range(5):
         g1 = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)] for _ in range(3)]
         g2 = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)] for _ in range(3)]
-        lhs = gen.act_on_triple(g2, gen.act_on_triple(g1, T))
+        lhs = oracles.act_on_triple(g2, oracles.act_on_triple(g1, T))
         prod = [
             [sum(g1[i][k] * g2[k][j] for k in range(3)) for j in range(3)]
             for i in range(3)
         ]
-        rhs = gen.act_on_triple(prod, T)
+        rhs = oracles.act_on_triple(prod, T)
         assert lhs.components() == rhs.components()
 
 
 def test_act_on_function_identity(table):
     F = table.f_by_ijk[(1, 1, 1)]
     assert gen.act_on_function(I3, F) == F
+
+
+@st.composite
+def integer_actions(draw):
+    """An integer 3x3 matrix whose columns are unit vectors e_c (so that
+    act_on_function binds their coordinates to themselves), multiples of
+    e_c or arbitrary, and a ZZ or QQ polynomial of degree at most 4 in the
+    27 coordinates."""
+    columns = []
+    for c in range(3):
+        unit = [int(r == c) for r in range(3)]
+        scaled = st.integers(-3, 3).map(lambda a, unit=unit: [a * u for u in unit])
+        arbitrary = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+        columns.append(draw(st.one_of(st.just(unit), scaled, arbitrary)))
+    g = [[columns[c][r] for c in range(3)] for r in range(3)]
+    ring = draw(st.sampled_from((ZZ, QQ)))
+    coeffs = st.integers(-5, 5) if ring == ZZ else st.fractions(max_denominator=6)
+    monomials = st.lists(st.sampled_from(gen.TRIPLE_NAMES), max_size=4).map(
+        lambda names: tuple(names.count(n) for n in gen.TRIPLE_NAMES)
+    )
+    F = Polynomial.from_terms(ring, gen.TRIPLE_VARS, draw(st.dictionaries(monomials, coeffs, max_size=5)))
+    return g, F
+
+
+@given(integer_actions())
+@settings(max_examples=60, deadline=None)
+def test_act_on_function_matches_the_oracle_route(case):
+    """The acted linear forms composed by Polynomial.substitute agree with the
+    generic triple acted on entry by entry and composed term by term."""
+    g, F = case
+    assert gen.act_on_function(g, F) == oracles.act_on_function(g, F)
 
 
 def decompose_in_f_span(F):

@@ -53,7 +53,7 @@ def diagonal_action_weight(F: Polynomial) -> tuple | None:
     diag = [[zero] * 3 for _ in range(3)]
     for i in range(3):
         diag[i][i] = Polynomial.variable(ring, zvars, f"z{i+1}")
-    acted = gen.act_on_function(diag, F.convert(zvars))
+    acted = oracles.act_on_function(diag, F.convert(zvars))
     alphas = acted.degrees({"z1": (1, 0, 0), "z2": (0, 1, 0), "z3": (0, 0, 1)})
     if len(alphas) != 1:
         return None
@@ -215,10 +215,13 @@ def test_f_ring_certificate_verdicts_on_the_invariants_and_their_mutants():
 
 def test_f_ring_derivations_are_read_from_verified_matrices(monkeypatch):
     """Negative controls of _span_action_verified: one changed entry of the
-    span matrix fails the 27-coordinate check, and a log that is not the
-    span matrix's fails the exp check; both raise LinAlgError."""
+    span matrix fails the 27-coordinate check, and so does one wrong acted
+    binding (x1_11 bound to its acted form plus x1_12 in every composition
+    act_on_function makes); a log that is not the span matrix's fails the
+    exp check.  Each raises LinAlgError."""
     s4, _ = relations.derive_st()
-    action, log = gen.f_action_matrix, hwv._nilpotent_log
+    action, log, substitute = gen.f_action_matrix, hwv._nilpotent_log, Polynomial.substitute
+    x1_12 = Polynomial.variable(ZZ, gen.TRIPLE_VARS, "x1_12")
 
     def changed_entry(g):
         mat = [row[:] for row in action(g)]
@@ -230,8 +233,13 @@ def test_f_ring_derivations_are_read_from_verified_matrices(monkeypatch):
         wrong[1][0] += 1
         return wrong
 
+    def one_wrong_binding(F, bindings):
+        assert set(bindings) == set(gen.TRIPLE_NAMES)
+        return substitute(F, dict(bindings, x1_11=bindings["x1_11"] + x1_12))
+
     for target, name, wrong, message in (
         (gen, "f_action_matrix", changed_entry, "failed exact verification"),
+        (Polynomial, "substitute", one_wrong_binding, "failed exact verification"),
         (hwv, "_nilpotent_log", changed_log, "is not the exp of its log"),
     ):
         hwv._span_action_verified.cache_clear()
@@ -408,8 +416,10 @@ def test_hwv_suite_certifies_the_twelve_in_one_kernel_call(table, monkeypatch):
     monkeypatch.setattr(hwv, "derivation_stream", counting)
     (check,) = [r for r in suites.hwv_suite(RunConfig()) if r.name == name]
     assert check.passed and 12 in calls and calls.count(12) == 1
-    bumped = replace(table, q=_bumped(table.q))
-    vars(bumped).update(H=table.H, Q=table.Q)  # the cached H and Q of the table, kept
+    bumped = replace(table)
+    # q is built on first read: the bumped one stands in its place, and the
+    # cached H and Q of the table are kept
+    vars(bumped).update(q=_bumped(table.q), H=table.H, Q=table.Q)
     monkeypatch.setattr(gen, "generator_table", lambda: bumped)
     verdicts = {r.name: r.passed for r in suites.hwv_suite(RunConfig())}
     assert verdicts.pop(name) is False

@@ -135,28 +135,44 @@ def _coefficients(ring):
     return st.builds(Fraction, ints, st.one_of(st.integers(1, 12), st.integers(1, 2**66)))
 
 
+# a target set holding the outer variables too, for true identity bindings
+XB = VS.extend(BV.names)
+
+
 @st.composite
 def outers_and_bindings(draw):
     """A ZZ or QQ polynomial in x, y, z whose terms may differ in degree
-    (zero and constant ones included), and bindings in a, b, each ZZ or QQ,
-    for every variable it uses and maybe for ones it does not."""
+    (zero and constant ones included), and bindings over a, b (or over x, y,
+    z, a, b), each ZZ or QQ, for every variable it uses and maybe for ones
+    it does not.  A binding is an identity (x -> x, or x -> a over a, b), a
+    scaled monomial c*a^i*b^j (a large, negative or QQ c among them), zero,
+    or a random sum of terms, so that one-term bindings, which substitute
+    folds into keys, mix with the Horner ones."""
     ring = draw(st.sampled_from((ZZ, QQ)))
     monomials = st.tuples(*[st.integers(0, 3)] * 3)
     outer = Polynomial.from_terms(
         ring, VS, draw(st.dictionaries(monomials, _coefficients(ring), max_size=6))
     )
+    target = draw(st.sampled_from((BV, XB)))
     bindings = {}
     for name in VS.names:
         if outer.max_exponent(name) or draw(st.booleans()):
             vring = draw(st.sampled_from((ZZ, QQ)))
-            terms = draw(
-                st.dictionaries(
-                    st.tuples(*[st.integers(0, 2)] * 2), _coefficients(vring), max_size=4
-                )
-            )
-            bindings[name] = Polynomial.from_terms(vring, BV, terms)
+            kind = draw(st.sampled_from(("identity", "monomial", "zero", "sum")))
+            exps = st.tuples(*[st.integers(0, 2)] * len(target))
+            if kind == "identity":
+                v = Polynomial.variable(vring, target, name if name in target else "a")
+            elif kind == "monomial":
+                c = draw(_coefficients(vring).filter(bool))
+                v = Polynomial.from_terms(vring, target, {draw(exps): c})
+            elif kind == "zero":
+                v = Polynomial.zero(vring, target)
+            else:
+                terms = draw(st.dictionaries(exps, _coefficients(vring), max_size=4))
+                v = Polynomial.from_terms(vring, target, terms)
+            bindings[name] = v
     if not bindings:
-        bindings["x"] = Polynomial.variable(ZZ, BV, "a")
+        bindings["x"] = Polynomial.variable(ZZ, target, "a")
     return outer, bindings
 
 
@@ -217,6 +233,25 @@ def test_substitute_exponent_bound():
     sq = a.mul(a).to_ring(QQ) * Fraction(1, 3)
     assert _same_composition(x ** 127, {"x": sq}).max_exponent("a") == 254
     for outer, bindings in ((x ** 128, {"x": sq}), (x ** 100 * y ** 100 + x, {"x": sq, "y": a})):
+        with pytest.raises(PolyError):
+            outer.substitute(bindings)
+        with pytest.raises(PolyError):
+            oracles.substitute(outer, bindings)
+
+
+def test_substitute_exponent_bound_with_folded_one_term_bindings():
+    """One-term bindings enter a term as key multiples, and their bounds add
+    to the term's: a exponent 255 passes with no carry into b's byte, and a
+    term whose folded monomials (or folded and Horner factors) reach 256
+    raises PolyError, as the reference does."""
+    x, y, z = var("x"), var("y"), var("z")
+    a, b = (Polynomial.variable(ZZ, BV, n) for n in BV.names)
+    got = _same_composition(x ** 128 * y ** 127, {"x": a, "y": a})
+    assert got == a ** 255 and got.max_exponent("b") == 0
+    for outer, bindings in (
+        (Polynomial.monomial(ZZ, VS, {"x": 128, "y": 128}), {"x": a, "y": a}),
+        (x ** 200 * z, {"x": a * -2, "z": a ** 60 + b}),
+    ):
         with pytest.raises(PolyError):
             outer.substitute(bindings)
         with pytest.raises(PolyError):
@@ -543,6 +578,19 @@ def test_exponents_match_unpack(p):
     for i, name in enumerate(p.vars.names):
         assert p.max_exponent(name) == max((e[i] for e in unpacked), default=0)
     assert p.exponents() is m
+
+
+def test_exponent_sums_by_blocks_match_one_product():
+    """exponent_sums widens blocks of at most _BLOCK_BYTES in int64; across
+    block edges, on 27, 3 and 1 columns and for a weight vector or matrix,
+    its sums equal those of one int64 product of the whole matrix."""
+    rng = np.random.default_rng(0)
+    for cols in (27, 3, 1):
+        rows = 2 * (poly._BLOCK_BYTES // (8 * cols)) + 7
+        exps = rng.integers(0, 256, size=(rows, cols), dtype=np.uint8)
+        w = rng.integers(0, 2**20, size=(cols, 2), dtype=np.int64)
+        for weights in (w, w[:, 0]):
+            assert (poly.exponent_sums(exps, weights) == exps.astype(np.int64) @ weights).all()
 
 
 def test_exponents_edge_cases():
