@@ -31,13 +31,13 @@ simultaneous conjugation.
 
 Every derivation runs through one integer kernel, derivation_stream: it
 reads the cached exponent matrices of a stack of polynomials in place, keys
-their terms once under mixed-radix monomial keys whose digits are fields of
-bits, built by blocks of rows (poly.exponent_sums), and sorts the keys once.
-Then, one derivation at a time, it forms the image terms and adds up those
-that share a monomial, by blocks: each block is a half-open range of image
-keys, read from one contiguous slice of the sorted keys per (src, dst) pair,
-so that no array of a block outgrows _BLOCK entries and no matrix of the
-image is built.  Its exactness argument (injective keys, sums complete
+their terms once under poly.key_layout's bit-field monomial keys, built by
+blocks of rows (poly.exponent_sums), and sorts the keys once.  Then, one
+derivation at a time, it forms the image terms and adds up those that share
+a monomial (poly.sum_by_key), by blocks: each block is a half-open range of
+image keys, read from one contiguous slice of the sorted keys per (src, dst)
+pair, so that no array of a block outgrows _BLOCK entries and no matrix of
+the image is built.  Its exactness argument (injective keys, sums complete
 within a block, overflow-free sums, one common denominator) is written next
 to it.  derivation_images joins the blocks into one matrix per derivation.
 The certificates ask that every image sum be 0, and read the stream block by
@@ -85,7 +85,7 @@ from . import generators as gen
 from . import linalg
 from .poly import (
     _MAX_EXP, _WORD_LIMIT, QQ, ZZ, Polynomial, PolyError, VariableMismatch,
-    changes, exponent_sums,
+    changes, exponent_sums, key_layout, sum_by_key,
 )
 
 InconsistentSystem = linalg.InconsistentSystem
@@ -140,19 +140,15 @@ def column_derivation(i: int, j: int, components=(1, 2, 3)) -> tuple:
 # their cached exponent matrices, block by block, and adds up the terms that
 # land on one monomial.  It is exact:
 #
-# * Keys.  A term's key is mixed-radix in its exponents, column j with radix
-#   r_j, the least power of two >= (column max) + 1, plus 1 when j is the src
-#   of some pair, and a last digit, the index of its polynomial in the stack,
-#   so that every digit is a field of bits.  Every image exponent lies in
-#   [0, r_j): dst columns only fall, and a src column rises by at most 1.  So
-#   a key determines its monomial and polynomial, an image key is the base
-#   key + place[src] - place[dst] (place: the lowest bit of a field), and
-#   e_dst is the dst field of the base key.  Keys are int64 when three times
-#   their span (the product of the radices) is below 2**63, so that no key
-#   and no cut key below, a key shifted twice by less than the span, leaves
-#   int64; otherwise they are Python ints (dtype object).  The stacks the
-#   package certifies have exponents at most 2, so radix 4 on 27 columns, and
-#   int64 keys for up to 128 polynomials.
+# * Keys.  A term's key is poly.key_layout's over its exponents and a last,
+#   lowest digit, the index of its polynomial in the stack; the maximum of
+#   column j is its max over the stack, plus 1 when j is the src of some
+#   pair.  Every image exponent stays within it: dst columns only fall, and a
+#   src column rises by at most 1.  So (key_layout's argument) a key
+#   determines its monomial and polynomial, an image key is the base key +
+#   delta, delta = places[src] - places[dst], and e_dst is the dst digit of
+#   the base key.  The stacks the package certifies have exponents at most
+#   2, so 2 bits on 27 columns, and int64 keys for up to 128 polynomials.
 # * Blocks.  The base keys are sorted once.  The image keys of one pair are
 #   then a sorted run, the base keys plus a constant delta, so the image
 #   terms of a half-open key range [lo, hi) are, for each pair, read from one
@@ -184,12 +180,6 @@ def column_derivation(i: int, j: int, components=(1, 2, 3)) -> tuple:
 _BLOCK = 16384
 
 
-def _field(r: int) -> int:
-    """The least power of two >= r, the radix of a digit of r values: the
-    digit is then a field of bits of its key."""
-    return 1 << (r - 1).bit_length()
-
-
 def _integer_coefficients(polys: Sequence[Polynomial]) -> list:
     """Each polynomial's coefficients, in the order of its terms, times the
     lcm of the stack's numerators() denominators."""
@@ -213,12 +203,12 @@ def derivation_images(polys: Sequence[Polynomial], derivations) -> list:
     of 255 raise PolyError, the latter since an image exponent would then
     not fit the 8-bit fields of a Polynomial, and an unknown name raises
     VariableMismatch."""
+    stack = int(key_layout([len(polys) - 1])[1][0])  # the radix of the lowest digit, the polynomial's
     images = []
     for blocks in derivation_stream(polys, derivations):
         keys, sums = (np.concatenate(part) for part in zip(*blocks))
-        # the polynomial's digit is the lowest, with place 1
-        which = (keys % _field(len(polys))).astype(np.intp)
-        keys //= _field(len(polys))
+        which = (keys % stack).astype(np.intp)
+        keys //= stack
         new = changes(keys[:, None])
         matrix = np.zeros((int(new.sum()), len(polys)), dtype=sums.dtype)
         matrix[np.cumsum(new) - 1, which] = sums
@@ -236,8 +226,8 @@ def derivation_stream(polys: Sequence[Polynomial], derivations):
     The set-up (keys, one sort of the stack) runs once, at the first
     request.  A block is formed only when it is read, so a reader that
     stops early forms no later block, and none keeps more than one block's
-    arrays.  No exponent matrix is permuted, nor, for int64 keys, copied:
-    each pair reads its dst exponents off the sorted keys."""
+    arrays.  No exponent matrix is permuted or copied whole: each pair
+    reads its dst exponents off the sorted keys."""
     if not polys:
         raise PolyError("derivation of an empty stack of polynomials")
     vars = polys[0].vars
@@ -262,32 +252,20 @@ def derivation_stream(polys: Sequence[Polynomial], derivations):
     bound = max(max(map(len, signed), default=0) * top, 1) * largest
     dtype = np.int64 if bound < _WORD_LIMIT else object
 
-    # digits: the columns, then the index of the polynomial a term belongs
-    # to; each a field of bits, `low` its lowest bit and `field` its mask
+    # digits: the columns, then the index of the polynomial a term belongs to
     srcs = {src for moves in signed for src, _, _ in moves}
-    radix = [_field(int(m) + 1 + (j in srcs)) for j, m in enumerate(tops.max(axis=0))]
-    radix.append(_field(len(polys)))
-    width = [r.bit_length() - 1 for r in radix]
-    low = [sum(width[j + 1 :]) for j in range(len(radix))]
-    place = [1 << b for b in low]
-    field = [p * (r - 1) for p, r in zip(place, radix)]
-    if 3 << sum(width) < _WORD_LIMIT:
-        # by blocks of rows (exponent_sums): no int64 copy of an exponent matrix
-        weights = np.array(place[:-1], np.int64)
-        keys = np.concatenate([exponent_sums(p.exponents(), weights) + k for k, p in enumerate(polys)])
-    else:
-        weights = np.array(place[:-1], object)
-        keys = np.concatenate([p.exponents().astype(object) @ weights + k for k, p in enumerate(polys)])
-    # stable sorts only, the routine behind np.lexsort (columnar_sum, the
-    # solve): numpy's default sorts would page in their own vectorized code,
-    # a few hundred KB of resident memory
+    maxima = [int(m) + (j in srcs) for j, m in enumerate(tops.max(axis=0))]
+    places, radices = key_layout(maxima + [len(polys) - 1])
+    fields = places * (radices - 1)  # the bits of each digit's field
+    keys = np.concatenate([exponent_sums(p.exponents(), places[:-1]) + k for k, p in enumerate(polys)])
+    # stable, as in poly.sum_by_key
     rank = keys.argsort(kind="stable")
     keys = keys[rank]
     values = np.array(list(chain.from_iterable(coeffs)), dtype=dtype)[rank]
     del rank
 
     def blocks(moves):
-        deltas = [place[src] - place[dst] for src, dst, _ in moves]
+        deltas = [places[src] - places[dst] for src, dst, _ in moves]
         # ends[c, p]: the end of pair p's slice below cut c; the first cut is
         # below every image key, the last above them all
         ends = np.zeros((1, len(moves)), np.intp)
@@ -302,19 +280,16 @@ def derivation_stream(polys: Sequence[Polynomial], derivations):
             stop = max(start + 1, int(np.searchsorted(loads, loads[start] + _BLOCK, "right")) - 1)
             image, terms = [keys[:0]], [values[:0]]
             for (src, dst, sign), delta, a, b in zip(moves, deltas, ends[start], ends[stop]):
-                digits = keys[a:b] & field[dst]
+                digits = keys[a:b] & fields[dst]
                 rows = (digits != 0).nonzero()[0]
                 image.append(keys[a:b][rows] + delta)
-                terms.append(values[a:b][rows] * (digits[rows] >> low[dst]))
+                terms.append(values[a:b][rows] * (digits[rows] // places[dst]))
                 if sign < 0:
                     np.negative(terms[-1], out=terms[-1])
-            image = np.concatenate(image)
-            # a stable sort merges the pairs' sorted runs fast
-            order = image.argsort(kind="stable")
-            image = image[order]
-            runs = np.flatnonzero(changes(image[:, None]))
-            sums = np.add.reduceat(np.concatenate(terms)[order], runs)
-            yield image[runs], sums.astype(dtype, copy=False)
+            # its stable sort merges the pairs' sorted runs fast
+            image, terms = np.concatenate(image), np.concatenate(terms)
+            image, sums = sum_by_key(image, terms)
+            yield image, sums.astype(dtype, copy=False)
             start = stop
 
     for moves in signed:

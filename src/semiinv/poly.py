@@ -23,13 +23,13 @@ other module reads `terms` or calls the constructor.
 Two kernels loop over pairs of terms.  The dict kernel, _add_products, adds
 big-int keys into a dict: mul, sum_of_products, determinant and the Horner
 steps of substitute add through it, and through them every matrix product.
-columnar_sum computes sum_of_products' sum with one sort and one
-np.add.reduceat over mixed-radix int64 keys (radix_weights, the digits in
-words below 2**63 each) and fills no dict: the H/Q correction sums
-(generators.correction_sum) are built by it, and its result is born
-columnar, from its exponents() and numerators(), its `terms` dict built only
-when read.  Every other product keeps the dict kernel, where small operands
-are cheaper.
+columnar_sum computes sum_of_products' sum by stable sorts and
+np.add.reduceat (sum_by_key) over bit-field monomial keys (key_layout, the
+one key of the numpy kernels, hwv's derivation kernel too) and fills no
+dict: the H/Q correction sums (generators.correction_sum) are built by it,
+and its result is born columnar, its exponents() decoded from its keys
+(key_rows), its `terms` dict built only when read.  Every other product
+keeps the dict kernel, where small operands are cheaper.
 
 Kernels read a polynomial through two views, built once and cached, both
 in term order: exponents(), the (terms, vars) uint8 matrix built from the
@@ -38,8 +38,8 @@ least common denominator L (1 over ZZ).  Every integer reading of a
 coefficient goes through numerators(): substitute, sum_of_products,
 columnar_sum, _reindexed, hwv's derivation kernel and evalmod.  Weighted
 sums of the exponents (degrees, the derivation kernel's and columnar_sum's
-keys) go through exponent_sums, which widens one block of rows to int64 at a
-time, never the whole matrix.
+keys) go through exponent_sums, which widens one block of rows at a time
+(to int64, or to Python ints for wide keys), never the whole matrix.
 
 Polynomials are immutable after construction and every operation is pure, so
 values can be shared freely; the one deferred build, the `terms` of a
@@ -69,44 +69,71 @@ _ROW_BLOCK = 1024
 # bytes of one block's int64 copy in exponent_sums, below glibc's 128 KiB
 # mmap threshold: a block is reused from the heap, never mapped afresh
 _BLOCK_BYTES = 2**16
-# pairs of terms per block of columnar_sum: one block's int64 keys take 32 KB a word
+# pairs of terms per block of columnar_sum: one block's int64 keys take 32 KB
 _PAIR_BLOCK = 4096
 _WORD_LIMIT = 2**63
 
 
 def exponent_sums(exps: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """exps @ w in int64 for a uint8 exponent matrix and an int64 weight
-    vector or matrix, by blocks of rows of at most _BLOCK_BYTES in int64
-    (303 rows on 27 columns): only one block is widened to int64 at once,
-    never the whole matrix (for the 9216 terms of Q that copy would take
-    2 MB).  The caller bounds the sums below 2**63."""
-    out = np.empty((len(exps),) + w.shape[1:], dtype=np.int64)
+    """exps @ w in w's dtype, int64 or object (Python ints), for a uint8
+    exponent matrix and a weight vector or matrix, by blocks of rows of at
+    most _BLOCK_BYTES in int64 (303 rows on 27 columns): one block is
+    widened at once, never the whole matrix (2 MB in int64 for the 9216
+    terms of Q).  For int64 weights the caller bounds the sums by 2**63."""
+    out = np.empty((len(exps),) + w.shape[1:], dtype=w.dtype)
     step = max(1, _BLOCK_BYTES // (8 * max(1, exps.shape[1])))
     for start in range(0, len(exps), step):
-        out[start : start + step] = exps[start : start + step].astype(np.int64) @ w
+        out[start : start + step] = exps[start : start + step].astype(w.dtype) @ w
     return out
 
 
-def radix_weights(radix: Sequence[int]) -> np.ndarray:
-    """The (digits, words) int64 weights of mixed-radix keys: a digit vector
-    d with 0 <= d[j] < radix[j] has the key d @ weights, one int64 per word,
-    the first digit the most significant.  The digits are cut into words,
-    the last digits in word 0, so that the product of the radices within a
-    word, computed in Python ints, stays below 2**63: every word of a key
-    lies in [0, 2**63), and distinct digit vectors have distinct keys.
-    Compared from the highest word down, keys order their digit vectors
-    lexicographically; np.lexsort(keys.T) sorts them so, its last key
-    primary."""
-    places, word, span = [], 0, 1  # (word, weight) of each digit, last digit first
-    for r in reversed(radix):
-        if span * r >= _WORD_LIMIT:
-            word, span = word + 1, 1
-        places.append((word, span))
-        span *= r
-    weights = np.zeros((len(radix), word + 1), dtype=np.int64)
-    for j, (w, v) in enumerate(reversed(places)):
-        weights[j, w] = v
-    return weights
+def key_layout(maxima: Sequence[int]) -> tuple:
+    """(places, radices) of bit-field monomial keys, the one key of the
+    numpy kernels (columnar_sum, hwv's derivation kernel): a digit vector d
+    with 0 <= d[j] <= maxima[j] has the key sum(d[j] * places[j])
+    (exponent_sums), digit j a field of maxima[j].bit_length() bits,
+    radices[j] = 2**(its width), the first digit the most significant.
+
+    Exact: places[j] is the product of the radices after j and d[j] <
+    radices[j], so no field carries into the next: key // places[j] mod
+    radices[j] reads d[j] back (key_rows), keys are injective, and key
+    order is the lexicographic order of the digit vectors.  Keys are
+    linear, so a sum of keys, or a key plus a difference of places, whose
+    digits stay within the maxima is the key of those digits.  Every key
+    lies in [0, 2**bits), bits the sum of the widths; the arrays, and so
+    the keys, are int64 when 3 * 2**bits < 2**63, so that a key shifted
+    twice by less than 2**bits (hwv's cut keys) stays in int64, and Python
+    ints (dtype object) otherwise."""
+    widths = [int(m).bit_length() for m in maxima]
+    dtype = np.int64 if 3 * 2 ** sum(widths) < _WORD_LIMIT else object
+    places = [2 ** sum(widths[j + 1 :]) for j in range(len(widths))]
+    return np.array(places, dtype), np.array([2**w for w in widths], dtype)
+
+
+def key_rows(keys: np.ndarray, places: np.ndarray, radices: np.ndarray) -> np.ndarray:
+    """The uint8 digit rows (digits at most 255) of key_layout's keys, one
+    column at a time, by floor division alone: places[j - 1] = places[j] *
+    radices[j], so digit j is key // places[j] - (key // places[j - 1]) *
+    radices[j].  No temporary is wider than a column of keys."""
+    rows = np.empty((len(keys), len(places)), np.uint8)
+    above = np.zeros(len(keys), keys.dtype)  # key // places[j - 1], 0 above the first digit
+    for j, (place, radix) in enumerate(zip(places, radices)):
+        here = keys // place
+        rows[:, j] = here - above * radix
+        above = here
+    return rows
+
+
+def sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple:
+    """(the distinct keys in increasing order, the sum of the values on
+    each) by one stable sort and one np.add.reduceat over runs of equal
+    keys.  Stable sorts merge sorted runs fast, and numpy's default sorts
+    would page in their own vectorized code, a few hundred KB of RSS."""
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    runs = np.flatnonzero(changes(keys[:, None]))
+    keys = keys[runs]
+    return keys, np.add.reduceat(values[order], runs)
 
 
 def changes(keys: np.ndarray) -> np.ndarray:
@@ -497,7 +524,7 @@ class Polynomial:
             raise VariableMismatch("operands live over different variable sets")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):  # a scalar of the ring, or RingMismatch
             other = Polynomial.constant(self.ring, self.vars, other)
         self._check_compatible(other)
         a, b = self.terms, other.terms
@@ -522,15 +549,13 @@ class Polynomial:
         return Polynomial(self.ring, self.vars, {k: -c for k, c in self.terms.items()}, self.maxexp)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.ring, self.vars, other)
-        return self + (-other)
+        return self + (-other if isinstance(other, Polynomial) else -self.ring.normalize(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             c = self.ring.normalize(other)
             if not c:
                 return Polynomial.zero(self.ring, self.vars)
@@ -572,28 +597,19 @@ class Polynomial:
         exponent bound and fraction-free den), built columnar: the result is
         born from its exponents() and numerators(), in increasing
         lexicographic order of its exponent vectors, and its `terms` dict is
-        built only when read.  No dict is filled here.  The H and Q
-        correction sums (generators.correction_sum) are its readers; every
-        other product keeps the dict kernel.
+        built only when read.  No dict is filled here.
 
-        Each operand's terms are sorted by key once.  A triple's pairs of
-        terms are formed by blocks of about _PAIR_BLOCK, rows of the smaller
-        operand a against the whole larger one b: the pair (i, j) has the key
-        ka[i] + kb[j], the value m * na[i] * nb[j] and an id, its place among
-        the pairs of all triples.  A block joins the sums so far; one
-        lexsort orders the keys (the sums so far and each row of a block are
-        sorted runs, which it merges fast), and one np.add.reduceat adds up
-        each run of equal keys, which keeps the id of its first pair.  A sum
-        of 0 is dropped, and a later pair on its key starts it again.  At the
-        end each term's row is ea[i] + eb[j] of the pair its id names, so
-        no key is decoded.  Exact:
+        Each operand's keys are sorted once.  A triple's pairs of terms are
+        formed by blocks of about _PAIR_BLOCK, rows of the smaller operand a
+        against the whole larger one b, the pair (i, j) with the key ka[i] +
+        kb[j] and the value m * na[i] * nb[j]; each block joins the sums so
+        far in one sum_by_key (its stable sort merges their sorted runs
+        fast).  A sum of 0 is dropped, and a later pair on its key starts it
+        again.  The rows are decoded from the final keys (key_rows).  Exact:
 
-        * Keys.  A term's key is mixed-radix in its exponents, column j with
-          radix r_j = max over the triples of (the column max of a) + (the
-          column max of b) + 1, cut into int64 words by radix_weights.  Every
-          exponent of a product lies in [0, r_j), so adding two keys carries
-          between no digits, the sum is the key of the product's exponents,
-          and keys are injective: equal keys are equal monomials.
+        * Keys.  key_layout's, over r_j = max over the triples of (the column
+          max of a) + (the column max of b): every exponent of a product lies
+          in [0, r_j], so ka[i] + kb[j] is the key of the product's exponents.
         * Sums.  Every value, and every partial sum of values, is bounded in
           magnitude by sum over the triples of |m| * sum|na| * sum|nb|
           (each value is a distinct term of that expansion).  When the
@@ -603,64 +619,38 @@ class Polynomial:
           sums / den, the lcm of their denominators is L = den / g, and the
           numerators are sums / g: numerators()' contract holds."""
         den, work = _weighted(ring, vars, triples)
-        n = len(vars)
-        tops = np.zeros(n, dtype=np.int64)  # per column, the largest exponent of a product
+        tops = np.zeros(len(vars), dtype=np.int64)  # per column, the largest exponent of a product
         for _, a, b in work:
             top = a.exponents().max(axis=0, initial=0) + b.exponents().max(axis=0, initial=0).astype(np.int64)
             tops = np.maximum(tops, top)
-        weights = radix_weights((tops + 1).tolist())
+        places, radices = key_layout(tops.tolist())
         bound = sum(
             abs(m) * sum(map(abs, a.numerators()[1])) * sum(map(abs, b.numerators()[1])) for m, a, b in work
         )
         dtype = np.int64 if bound < _WORD_LIMIT else object
 
         def by_key(p: Polynomial) -> tuple:
-            """p's keys and numerators in increasing key order, and that order."""
-            k = exponent_sums(p.exponents(), weights)
-            order = np.lexsort(k.T)
-            return k[order], np.array(p.numerators()[1], dtype=dtype)[order], order
+            """p's keys, distinct, and numerators in increasing key order."""
+            return sum_by_key(exponent_sums(p.exponents(), places), np.array(p.numerators()[1], dtype=dtype))
 
-        keys = np.zeros((0, weights.shape[1]), dtype=np.int64)
-        sums = np.zeros(0, dtype=dtype)
-        ids = np.zeros(0, dtype=np.int64)  # the id of the first pair on each key
-        sources = []  # per triple: the id of its first pair, and its operands in key order
-        start = 0
+        keys, sums = np.zeros(0, dtype=places.dtype), np.zeros(0, dtype=dtype)
         for m, a, b in work:
             if len(a) > len(b):
                 a, b = b, a
-            (ka, va, pa), (kb, vb, pb) = by_key(a), by_key(b)
+            (ka, va), (kb, vb) = by_key(a), by_key(b)
             va *= m
-            sources.append((start, a.exponents(), pa, b.exponents(), pb))
             step = max(1, _PAIR_BLOCK // len(b))
             for lo in range(0, len(a), step):
-                hi = min(lo + step, len(a))
-                keys = np.concatenate((keys, (ka[lo:hi, None] + kb).reshape(-1, len(weights[0]))))
-                order = np.lexsort(keys.T)
-                keys = keys[order]
-                runs = np.flatnonzero(changes(keys))
-                keys = keys[runs]
-                sums = np.add.reduceat(np.concatenate((sums, (va[lo:hi, None] * vb).ravel()))[order], runs)
-                order = order[runs]  # the place of each key's first pair
-                del runs
-                ids = np.concatenate((ids, np.arange(start + lo * len(b), start + hi * len(b))))[order]
-                del order  # not alive while the next block forms
+                keys = np.concatenate((keys, (ka[lo : lo + step, None] + kb).ravel()))
+                sums = np.concatenate((sums, (va[lo : lo + step, None] * vb).ravel()))
+                keys, sums = sum_by_key(keys, sums)
                 kept = np.flatnonzero(sums)
                 if len(kept) < len(sums):
-                    keys, sums, ids = keys[kept], sums[kept], ids[kept]
-            start += len(a) * len(b)
-        del keys
-        rows = np.empty((len(ids), n), dtype=np.uint8)
-        for first, ea, pa, eb, pb in sources:
-            mine = np.flatnonzero((ids >= first) & (ids < first + len(pa) * len(pb)))
-            i, j = np.unravel_index(ids[mine] - first, (len(pa), len(pb)))
-            part = ea[pa[i]]
-            part += eb[pb[j]]
-            rows[mine] = part
-            del mine, i, j, part  # not alive while the next triple's rows form
+                    keys, sums = keys[kept], sums[kept]
         nums = sums.tolist()
         g = gcd(den, *nums) if nums else den
         return cls._from_columns(
-            ring, vars, rows, den // g, tuple(v // g for v in nums),
+            ring, vars, key_rows(keys, places, radices), den // g, tuple(v // g for v in nums),
             max((a.maxexp + b.maxexp for _, a, b in work), default=0),
         )
 

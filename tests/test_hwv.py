@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semiinv import conjinv, generators as gen, hwv, relations, suites
+from semiinv import conjinv, generators as gen, hwv, poly, relations, suites
 from semiinv.poly import QQ, ZZ, Polynomial, PolyError, VariableMismatch, VariableSet
 from semiinv.verify import RunConfig
 
@@ -629,6 +629,27 @@ def test_wide_keys_are_cut_into_blocks_too(block, monkeypatch):
     (image,) = hwv.derivation_images(polys, [(plus, minus)])
     assert _nonzero_rows(image) == _oracle_rows(polys, plus, minus)
     assert hwv._killed_by(polys, [(plus, minus)]) == _killed_by_oracle(polys, [(plus, minus)])
+
+
+def test_both_numpy_kernels_key_through_one_codec(monkeypatch):
+    """Lock on one monomial key: a cold table.Q (columnar_sum) and a
+    certificate of Q (derivation_stream) both lay out their keys with
+    poly.key_layout; a kernel that laid out its own would go uncounted."""
+    callers = []
+    real = poly.key_layout
+
+    def counting(maxima):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(maxima)
+
+    for module in (poly, hwv):
+        monkeypatch.setattr(module, "key_layout", counting)
+    table = gen.generators_of(gen.generic_triple())
+    table.q
+    Q = table.Q
+    assert callers == ["columnar_sum"]
+    assert hwv.is_fixed_by_unipotents(Q)
+    assert callers == ["columnar_sum", "derivation_stream"]
 
 
 def test_an_empty_stack_is_an_error_not_a_pass():

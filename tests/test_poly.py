@@ -323,6 +323,23 @@ def test_ring_mismatch_raises():
         p.mul(q)
 
 
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=["ZZ", "QQ"])
+@pytest.mark.parametrize("other", [1.5, "a", np.int64(3), np.float64(2.0)], ids=repr)
+def test_a_non_polynomial_operand_is_a_ring_mismatch(ring, other):
+    """+, - and * route a non-Polynomial operand, on either side, through
+    Ring.normalize: a float, a str or a numpy scalar raises RingMismatch, a
+    PolyError, never an AttributeError or a TypeError.  (np.int64(3) * x is
+    numpy's to dispatch: its object loop hands x a Python int.)"""
+    x = var("x", ring)
+    calls = [lambda: x + other, lambda: x - other, lambda: x * other]
+    if not isinstance(other, np.generic):
+        calls += [lambda: other + x, lambda: other - x, lambda: other * x]
+    for call in calls:
+        with pytest.raises(RingMismatch):
+            call()
+    assert x + 2 - Fraction(4, 2) == x and 3 * x == x * 3 == x + x + x
+
+
 def test_varset_mismatch_raises():
     p = var("x")
     q = Polynomial.variable(ZZ, VariableSet(("x", "w")), "x")
@@ -593,6 +610,42 @@ def test_exponent_sums_by_blocks_match_one_product():
             assert (poly.exponent_sums(exps, weights) == exps.astype(np.int64) @ weights).all()
 
 
+@given(st.data())
+@settings(max_examples=200)
+def test_key_layout_round_trips_and_orders_like_the_rows(data):
+    """Random uint8 rows within random digit maxima, on up to 12 columns (up
+    to 96 bits: int64 and Python-int keys): key_rows gives the rows back,
+    distinct rows have distinct keys, and sorting by key is the
+    lexicographic sort of the rows."""
+    maxima = data.draw(st.lists(st.integers(0, 255), max_size=12))
+    rows = data.draw(st.lists(st.tuples(*(st.integers(0, m) for m in maxima)), max_size=20))
+    exps = np.array(rows, np.uint8).reshape(len(rows), len(maxima))
+    places, radices = poly.key_layout(maxima)
+    keys = poly.exponent_sums(exps, places)
+    assert keys.dtype == places.dtype == radices.dtype
+    assert (poly.key_rows(keys, places, radices) == exps).all()
+    assert len(set(keys.tolist())) == len(set(rows))
+    assert exps[keys.argsort(kind="stable")].tolist() == sorted(exps.tolist())
+
+
+@pytest.mark.parametrize("bits, dtype", [(61, np.int64), (62, object)])
+def test_key_layout_leaves_int64_at_62_bits(bits, dtype):
+    """Keys are int64 while 3 * 2**bits < 2**63, so up to 61 bits: the
+    largest key and the largest shifted twice by less than 2**bits (hwv's
+    cut keys) fit.  At 62 bits they are Python ints, and stay exact."""
+    maxima = [255] * 7 + [2 ** (bits - 56) - 1]
+    places, radices = poly.key_layout(maxima)
+    assert places.dtype == radices.dtype == dtype
+    exps = np.array([maxima, [0] * 8, [1] * 8], np.uint8)
+    keys = poly.exponent_sums(exps, places)
+    assert keys.tolist() == [2**bits - 1, 0, sum(2 ** (bits - 56 + 8 * k) for k in range(7)) + 1]
+    assert (poly.key_rows(keys, places, radices) == exps).all()
+    shift = 2 * (2**bits - 1)  # int64 keys would wrap at 62 bits
+    assert (keys + shift).tolist() == [k + shift for k in keys.tolist()]
+    places, radices = poly.key_layout([])
+    assert places.dtype == np.int64 and poly.key_rows(np.zeros(2, np.int64), places, radices).shape == (2, 0)
+
+
 def test_exponents_edge_cases():
     one = VariableSet(("x",))
     top = Polynomial.monomial(ZZ, one, {"x": 255}, 3) + 1
@@ -839,15 +892,16 @@ def test_sum_of_products_cases():
 
 # -- the columnar sum kernel against the dict kernel ------------------------------
 
-# 30 variables: a term with every exponent 2 on both operands makes radix 5 on
-# every column, and 5**30 >= 2**63, so the keys take two int64 words
+# 30 variables: a term with every exponent 2 on both operands makes a column
+# maximum of 4, a field of 3 bits, on every column, and 90 bits are past
+# int64, so the keys are Python ints (dtype object)
 WIDE = VariableSet(f"w{i}" for i in range(30))
 
 
 @st.composite
 def columnar_cases(draw):
     """product_sums' cases, sometimes over WIDE with an all-2 term on every
-    nonzero operand (two-word keys), and sometimes with the coefficients of
+    nonzero operand (Python-int keys), and sometimes with the coefficients of
     every operand near 2**40 (a bound past 2**63: sums in Python ints)."""
     ring, triples = draw(product_sums())
     wide, big = draw(st.booleans()), draw(st.booleans())
@@ -896,7 +950,8 @@ def test_columnar_sum_matches_the_dict_kernel(case):
 
 def test_columnar_sum_paths_and_cases(monkeypatch):
     """The empty sum, zero weights and zero operands, a sum that cancels to
-    0, ZZ and QQ weights, two-word keys and sums in Python ints."""
+    0, ZZ and QQ weights, an empty variable set, keys and sums in Python
+    ints."""
     x, y = var("x"), var("y")
     half = var("x", QQ) * Fraction(1, 2)
     zero = Polynomial.zero(ZZ, VS)
@@ -905,14 +960,16 @@ def test_columnar_sum_paths_and_cases(monkeypatch):
     cancelled = _same_sum(QQ, VS, [(2, half, y), (-1, x, y)])
     assert cancelled.is_zero() and cancelled.terms == {} and cancelled.maxexp == 2
     assert _same_sum(QQ, VS, [(Fraction(2, 3), half, half + var("y", QQ)), (5, x, y)]).numerators()[0] == 6
-    words = []
-    real = poly.changes
-    monkeypatch.setattr(poly, "changes", lambda keys: words.append(keys.shape[1]) or real(keys))
+    none = VariableSet(())
+    three = Polynomial.constant(ZZ, none, 3)
+    assert _same_sum(ZZ, none, [(2, three, three)]).coefficient({}) == 18
+    dtypes = []
+    real = poly.sum_by_key
+    monkeypatch.setattr(poly, "sum_by_key", lambda keys, values: dtypes.append(keys.dtype) or real(keys, values))
     ones = Polynomial.from_terms(ZZ, WIDE, {(2,) * 30: 2**40, (1,) * 30: -(2**40) - 1})
     got = _same_sum(ZZ, WIDE, [(2**20, ones, ones), (-1, ones, ones)])
-    assert set(words) == {2}
+    assert set(dtypes) == {np.dtype(object)}  # WIDE keys are Python ints
     assert max(map(abs, got.numerators()[1])) >= 2**63  # only Python ints hold it
-    assert poly.radix_weights([5] * 30).shape == (30, 2)
 
 
 def test_columnar_sum_refuses_what_sum_of_products_refuses():
