@@ -11,9 +11,9 @@ which poly_eval_mod reads through their cached exponents() and numerators()
 and reduces mod p here.  Linear algebra mod p works on whole stacks of
 integer matrices, batch-last, through one division-free elimination step,
 _eliminate_column, whose docstring gives its argument and int64 bounds:
-det_residues takes determinants of residues with it above 3 x 3 (by
-Leibniz below), and echelon_mod takes ranks and the row order that its
-swaps apply.  The one production caller of det_residues is
+det_residues takes determinants of matrices that share all but three rows
+with it (by Leibniz on the rest), and echelon_mod takes ranks and the row
+order that its swaps apply.  The one production caller of det_residues is
 generators.generator_values_mod; the tests reach it from integer matrices
 through oracles.det_mod.
 
@@ -148,12 +148,16 @@ def _trial_values(n: int, seed: int, prime: int, trial: int) -> list:
 
 def residues(values, prime: int) -> np.ndarray:
     """values mod p as an int64 array of the same shape, entries in [0, p).
-    A numpy integer array or scalar is reduced as it is; anything else (a
-    Python int, a nested list) is reduced over the Python integers first, so
-    a value outside int64, 2**64 or -2**70 say, has its residue like any
-    other."""
+    A numpy integer array or scalar is reduced as it is; a Python int or a
+    nested list of ints is reduced over the Python integers first, so a
+    value outside int64, 2**64 or -2**70 say, has its residue like any
+    other.  Any other value (a float, a Fraction, a str) is a PolyError."""
     if not (isinstance(values, (np.ndarray, np.generic)) and values.dtype.kind in "iu"):
-        values = np.array(values, dtype=object) % prime
+        values = np.array(values, dtype=object)
+        for kind in set(map(type, values.flat)):
+            if not issubclass(kind, (int, np.integer)):
+                raise PolyError(f"a point value must be an integer, not {kind.__name__}")
+        values = values % prime
     return np.asarray(values % prime, dtype=np.int64)
 
 
@@ -218,33 +222,34 @@ _NO_SWAP = (np.zeros(0, dtype=np.intp), np.zeros((2, 0), dtype=np.intp))
 _PAIR = np.array([[0], [1]])
 
 
-def _eliminate_column(m: np.ndarray, k: int, prime: int) -> tuple:
+def _eliminate_column(m: np.ndarray, k: int, prime: int, rows: int) -> tuple:
     """Step k of the package's one elimination mod p, division-free and in
-    place, on an (rows, cols, B) stack of residues in [0, p), p < 2**31,
+    place, on an (r, cols, B) stack of residues in [0, p), p < 2**31,
     batch-last (entry (i, j) is one contiguous row over the B matrices),
-    whose rows k.. earlier steps left 0 in the columns before k.
+    whose rows k.. earlier steps left 0 in the columns before k.  Only the
+    rows k..rows-1 may give a pivot; every row below k is eliminated.
 
-    Each matrix takes its own pivot, the first nonzero entry of column k at
-    or below row k, and swaps its row with row k; a matrix with none there
-    first swaps column k with the first later column that has one.  Every
-    row i below k then becomes pivot*row_i + (p - a_ik)*row_k in the columns
-    after k, clearing a_ik.  Both products lie in [0, 2**62), their sum in
+    Each matrix takes its own pivot, the first nonzero entry of column k in
+    those rows, and swaps its row with row k; a matrix with none there first
+    swaps column k with the first later column that has one.  Every row i
+    below k then becomes pivot*row_i + (p - a_ik)*row_k in the columns after
+    k, clearing a_ik.  Both products lie in [0, 2**62), their sum in
     [0, 2**63), and one reduction brings it back into [0, p).  Sound for
-    every odd prime: swaps keep the rank and a row swap negates the
-    determinant; scaling a row by a nonzero pivot keeps the rank and
-    multiplies the determinant by it; adding a multiple of row k keeps both.
-    Only a matrix singular mod p swaps a column, and a pivot stays 0 only
-    where the rows k.. are 0, which the step leaves 0.  Returns the matrices
-    whose row k was swapped and a (2, swapped) array of the two rows; the
+    every odd prime: swaps keep the rank and negate the determinant;
+    scaling a row by a nonzero pivot keeps the rank and multiplies the
+    determinant by it; adding a multiple of row k keeps both.  A pivot stays
+    0 only where the rows k..rows-1 are 0 in the columns k.., which the step
+    leaves 0.  Returns the matrices whose row k was swapped, a (2, swapped)
+    array of the two rows, and the matrices whose column k was swapped; the
     pivots are m[k, k], which no later step writes."""
-    swapped, pairs = _NO_SWAP
+    (swapped, pairs), moved = _NO_SWAP, _NO_SWAP[0]
     if not m[k, k].all():
-        if not m[k:, k].any(axis=0).all():
-            first = m[k:, k:].any(axis=0).argmax(axis=0)  # 0 if column k has a pivot, or none does
+        if not m[k:rows, k].any(axis=0).all():
+            first = m[k:rows, k:].any(axis=0).argmax(axis=0)  # 0 if column k has a pivot, or none does
             moved = first.nonzero()[0]
             cols = k + _PAIR * first[moved]
             m[:, cols, moved] = m[:, cols[::-1], moved]
-        below = (m[k:, k] != 0).argmax(axis=0)  # 0 where the pivot is in place, or there is none
+        below = (m[k:rows, k] != 0).argmax(axis=0)  # 0 where the pivot is in place, or there is none
         swapped = below.nonzero()[0]
         pairs = k + _PAIR * below[swapped]
         m[pairs, :, swapped] = m[pairs[::-1], :, swapped]
@@ -252,35 +257,43 @@ def _eliminate_column(m: np.ndarray, k: int, prime: int) -> tuple:
     rest *= m[k, k]
     rest += (prime - m[k + 1 :, k, None]) * m[k, k + 1 :]
     rest %= prime
-    return swapped, pairs
+    return swapped, pairs, moved
 
 
 def det_residues(m: np.ndarray, prime: int) -> np.ndarray:
-    """Determinants mod p of a batch-last (n, n, ...) stack of residues in
-    [0, p), p < 2**31, shape (n, n, ...) -> (...), reducing nothing again;
-    for n >= 4 it overwrites the stack, so a caller passes one it owns.
+    """Determinants mod p of count n x n matrices that share all rows but
+    their first o = min(n, 3), from residues in [0, p), p < 2**31, laid out
+    batch-last as the s = n - o shared rows and then each matrix's o own
+    rows: shape (s + count*o, n, ...) -> (count, ...), a lone matrix being
+    count = 1.  For s > 0 it overwrites the stack, so pass one you own.
 
-    For n <= 3 it is the Leibniz expansion along the first row: each 2 x 2
-    minor lies in (-2**62, 2**62) and is reduced once, and then
-    a*m0 - b*m1 + c*m2 lies in (-2**62, 2**63) and is reduced once.  For
-    n >= 4 it is n steps of _eliminate_column.  A matrix singular mod p ends
-    with a pivot of 0, which makes the numerator below, and the result, 0.
-    Any other swaps no column, and step k scales the n-k-1 rows below k by
-    its pivot, so, the matrix ending triangular,
-        det = (-1)^(row swaps) * prod_k pivot_k / prod_k pivot_k^(n-k-1).
-    The denominator is accumulated as prod_k (pivot_0 * ... * pivot_(k-1)),
-    with pivot_k in n-k-1 factors, and is inverted once, by Fermat."""
-    n, shape = len(m), m.shape[2:]
-    if n <= 3:
-        return np.reshape(_leibniz_mod(m, prime), shape)
-    m = np.ascontiguousarray(m).reshape(n, n, -1)
+    The shared rows are eliminated once, by s steps of _eliminate_column
+    that take pivots from them only.  A step adds multiples of a shared row
+    to the rows below it, scales those rows by the pivot and swaps shared
+    rows or columns, so it does the same to every matrix [shared; own]: a
+    swap negates each determinant, and step k scales n-k-1 rows of each by
+    pivot_k.  Each matrix ends block triangular, with L the determinant of
+    its own rows in the last o columns, so, as o = 3 where s > 0,
+        det = (-1)^swaps * prod_k pivot_k * L / prod_k pivot_k^(n-k-1)
+            = (-1)^swaps * L / prod_k pivot_k^(s-k+1),
+    whose denominator, prod_k (pivot_0 * ... * pivot_k) times every pivot,
+    is inverted once, by Fermat.  Shared rows with no pivot are dependent
+    mod p: every matrix is singular, and the inverse, 0, gives 0."""
+    n, shape = m.shape[1], m.shape[2:]
+    shared, own = max(n - 3, 0), min(n, 3)
+    m = np.ascontiguousarray(m).reshape(len(m), n, -1)
     sign, pivots, scale = np.ones((3, m.shape[-1]), dtype=np.int64)
-    for k in range(n):
-        swapped, _ = _eliminate_column(m, k, prime)
+    for k in range(shared):
+        swapped, _, moved = _eliminate_column(m, k, prime, shared)
         sign[swapped] *= -1
-        scale = scale * pivots % prime
+        sign[moved] *= -1
         pivots = pivots * m[k, k] % prime
-    return (sign * pivots % prime * _inverse_mod(scale, prime) % prime).reshape(shape)
+        scale = scale * pivots % prime
+    block = m[shared:, shared:].reshape(-1, own, own, m.shape[-1])
+    dets = _leibniz_mod(np.moveaxis(block, 0, 2), prime)
+    if shared:
+        dets = dets * (sign * _inverse_mod(scale * pivots % prime, prime)) % prime
+    return dets.reshape(dets.shape[:1] + shape)
 
 
 def echelon_mod(rows, prime: int) -> tuple:
@@ -301,7 +314,7 @@ def echelon_mod(rows, prime: int) -> tuple:
     order = np.repeat(np.arange(r)[:, None], m.shape[-1], axis=1)
     sign = np.ones(m.shape[-1], dtype=np.int64)
     for k in range(min(r, c)):
-        swapped, pairs = _eliminate_column(m, k, prime)
+        swapped, pairs, _ = _eliminate_column(m, k, prime, r)
         order[pairs, swapped] = order[pairs[::-1], swapped]
         sign[swapped] *= -1
     rank = np.count_nonzero(m[range(min(r, c)), range(min(r, c))], axis=0)
@@ -309,7 +322,9 @@ def echelon_mod(rows, prime: int) -> tuple:
 
 
 def _leibniz_mod(m: np.ndarray, prime: int) -> np.ndarray:
-    """det_residues' expansion for an (n, n, ...) stack of residues, n <= 3."""
+    """Determinants of an (n, n, ...) stack of residues, n <= 3, along the
+    first row: each 2 x 2 minor lies in (-2**62, 2**62) and is reduced once,
+    then a*m0 - b*m1 + c*m2 lies in (-2**62, 2**63) and is reduced once."""
     if len(m) == 1:
         return m[0, 0]
     if len(m) == 2:

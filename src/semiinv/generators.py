@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .evalmod import det_residues, echelon_mod, residues, sample_point
+from .evalmod import det_residues, residues
 from .matrix import PolyMatrix
 from .poly import QQ, ZZ, Polynomial, PolyError, Ring, VariableSet
 
@@ -249,7 +249,9 @@ def weierstrass_triple() -> MatrixTriple:
 #   determinants for h and three 9x9 ones for q.
 # Each determinant is a determinant of integers at an integer point, so its
 # value mod p is the generator's value mod p in any odd characteristic, with
-# no interpolation and no denominator.
+# no interpolation and no denominator.  The three M_S of h, and of q, share
+# every row but the three that S splits, so generator_values_mod eliminates
+# their shared rows once per point (_shared_row_layouts).
 
 ZERO_SLOT = len(TRIPLE_NAMES)
 
@@ -320,68 +322,46 @@ def q_poly(T: MatrixTriple) -> Polynomial:
     return determinant_sum(T, "q")
 
 
-def _stacks_by_size() -> tuple:
-    """GENERATOR_DETERMINANTS grouped by matrix size, for one det_residues
-    call per size: (names, their index stacks concatenated in table order and
-    laid out (n, n, count), a (names, count) matrix of signs), for the 27 3x3,
-    3 6x6 and 3 9x9 determinants.  A generator's value is the sum of its
-    matrices' determinants, each times its sign; the sign matrix is 0 off a
-    name's own matrices.
-
-    The h and q matrices put the zero blocks of their layouts on the
-    diagonal, so elimination in table order would swap rows at every point.
-    Their rows are reordered, each matrix with its sign, as echelon_mod's
-    swaps order them at one sampled point, where each has full rank: every
-    leading principal minor is then nonzero there, so det_residues swaps
-    rows only where one vanishes.  One echelon_mod call takes each n x n M as
-    diag(M, I) of the largest size: M's steps pivot in M's rows, as the rows
-    below n stay 0 in M's columns, and the steps of I swap nothing."""
-    prime = 2**31 - 1
-    x = np.array([*sample_point(TRIPLE_NAMES, 0, prime, 0).values(), 0])  # ZERO_SLOT
-    stacks = dict(GENERATOR_DETERMINANTS)
-    signs = {name: np.ones(len(stack), dtype=np.int64) for name, stack in stacks.items()}
-    eliminated = [name for name, stack in stacks.items() if stack.shape[-1] > 3]
-    size = max(stacks[name].shape[-1] for name in eliminated)
-    blocks = []
-    for name in eliminated:
-        count, n = stacks[name].shape[:2]
-        blocks.append(np.tile(np.eye(size, dtype=np.int64), (count, 1, 1)))
-        blocks[-1][:, :n, :n] = x[stacks[name]]
-    _, order, sign = echelon_mod(np.concatenate(blocks), prime)
-    for name in eliminated:
-        count, n = stacks[name].shape[:2]
-        stacks[name] = stacks[name][np.arange(count)[:, None], order[:count, :n]]
-        signs[name], order, sign = sign[:count], order[count:], sign[count:]
-    groups = {}
-    for name, stack in stacks.items():
-        groups.setdefault(stack.shape[-1], []).append(name)
-    out = []
-    for names in groups.values():
-        idx = np.concatenate([stacks[name] for name in names])
-        owner = np.repeat(np.arange(len(names)), [len(stacks[name]) for name in names])
-        matrix = np.zeros((len(names), len(idx)), dtype=np.int64)
-        matrix[owner, np.arange(len(idx))] = np.concatenate([signs[name] for name in names])
-        out.append((tuple(names), np.moveaxis(idx, 0, -1).copy(), matrix))
-    return tuple(out)
+def _shared_row_layouts() -> tuple:
+    """GENERATOR_DETERMINANTS laid out for det_residues, one stack per matrix
+    size n: (names, index rows, a (names, matrices) matrix of signs, 0 off a
+    name's own matrices).  The matrices of one size share all rows but their
+    first o = min(n, 3): the 3x3 ones of f1..f10 share none, and the three
+    M_S of h, and of q, differ only in the rows that S splits.  The index
+    rows are the s = n - o shared rows, then each matrix's own rows; moving
+    these below the shared ones gives each determinant the sign (-1)^(o*s),
+    which its sign folds in."""
+    layouts = []
+    for n in dict.fromkeys(stack.shape[-1] for stack in GENERATOR_DETERMINANTS.values()):
+        names = tuple(name for name, stack in GENERATOR_DETERMINANTS.items() if stack.shape[-1] == n)
+        own = min(n, 3)
+        mats = [rows for name in names for rows in GENERATOR_DETERMINANTS[name].tolist()]
+        counts = [len(GENERATOR_DETERMINANTS[name]) for name in names]
+        signs = np.repeat(np.eye(len(names), dtype=np.int64), counts, axis=1) * (-1) ** (own * (n - own))
+        idx = np.array(mats[0][own:] + [row for rows in mats for row in rows[:own]])
+        for array in (idx, signs):
+            array.setflags(write=False)
+        layouts.append((names, idx, signs))
+    return tuple(layouts)
 
 
-_STACKS_BY_SIZE = _stacks_by_size()
+_LAYOUTS = _shared_row_layouts()
 
 
 def generator_values_mod(point: Mapping, prime: int) -> dict:
     """f1..f10, h and q at a point of the 27 coordinates mod p: the signed
     sums of the determinants of GENERATOR_DETERMINANTS, taken with
-    evalmod.det_residues in one call per size (the h and q rows reordered,
-    each matrix with its sign).  The coordinates are reduced once and
-    stacked, so that indexing them with a table laid out (n, n, count) gives
-    the stack of residues batch-last, as det_residues takes it.  The values
-    of the point are ints of any size, or int arrays of one shape for a
-    batch of points; each result is an int64 of that shape.  A value sums
-    at most 6 signed determinants in (-p, p), p < 2**31, far inside int64."""
+    evalmod.det_residues in one call per size, which eliminates the rows the
+    size's matrices share once per point.  The coordinates are reduced once
+    and stacked, so that indexing them with a layout's index rows gives the
+    stack of residues batch-last.  The values of the point are ints of any
+    size, or int arrays of one shape for a batch of points; each result is
+    an int64 of that shape.  A value sums at most 6 signed determinants in
+    [0, p), p < 2**31, far inside int64."""
     x = np.stack([residues(point[name], prime) for name in TRIPLE_NAMES])
     x = np.concatenate([x, np.zeros_like(x[:1])])  # ZERO_SLOT
     values = {}
-    for names, idx, signs in _STACKS_BY_SIZE:
+    for names, idx, signs in _LAYOUTS:
         dets = det_residues(x[idx], prime)
         values.update(zip(names, np.tensordot(signs, dets, axes=1) % prime))
     return {name: values[name] for name in GENERATOR_DETERMINANTS}

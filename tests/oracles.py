@@ -361,10 +361,14 @@ def fraction_determinant(rows):
 
 
 def det_mod(mats, prime):
-    """Determinants mod p of a stack of integer matrices, (..., n, n) -> (...):
+    """Determinants mod p of a stack of integer matrices, (..., n, n) -> (...),
+    or of count matrices sharing their last n - 3 rows, laid out as
+    det_residues takes them, (..., n - 3 + 3*count, n) -> (..., count):
     evalmod.det_residues of the entries reduced by evalmod.residues (ints
     of any size too)."""
-    return evalmod.det_residues(np.moveaxis(evalmod.residues(mats, prime), (-2, -1), (0, 1)), prime)
+    m = np.moveaxis(evalmod.residues(mats, prime), (-2, -1), (0, 1))
+    dets = np.moveaxis(evalmod.det_residues(m, prime), 0, -1)
+    return dets[..., 0] if len(m) == m.shape[1] else dets
 
 
 def fraction_rank(vectors):

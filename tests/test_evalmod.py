@@ -2,13 +2,17 @@ import ast
 import hashlib
 import inspect
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semiinv import evalmod, generators as gen, relations as rel
 from semiinv.evalmod import (
@@ -39,6 +43,19 @@ def test_missing_binding():
     x = Polynomial.variable(ZZ, VS, "x")
     with pytest.raises(PolyError):
         poly_eval_mod(x, {"y": 1}, 7)
+
+
+def test_non_integer_point_values_are_refused():
+    """A point value that is not an int, a numpy integer or a nested list of
+    ints is a PolyError, not the value at a truncated point: x = 2.5 would
+    read as x = 2, x = 1/2 as 0, a float array floored."""
+    x = Polynomial.variable(ZZ, VS, "x")
+    for value in (2.5, Fraction(1, 2), np.array([1.5, 2.0]), "5", [[1, 2], [3]]):
+        with pytest.raises(PolyError, match="must be an integer"):
+            poly_eval_mod(x**2 + 1, {"x": value}, 7)
+    with pytest.raises(PolyError, match="must be an integer"):
+        gen.generator_values_mod(dict.fromkeys(gen.TRIPLE_NAMES, 1.5), 7)
+    assert poly_eval_mod(x**2 + 1, {"x": np.int32(2)}, 7) == 5
 
 
 def test_prime_validation():
@@ -377,12 +394,13 @@ DET_PRIMES = (3, 5, 7, 2147483647)
 
 @st.composite
 def det_stacks(draw):
-    """(prime, stack, mats): a stack of shape (n, n) or (b1, b2, n, n), n in
-    1..9, as an int64 array or, when an entry is outside int64, as nested
-    lists, and its matrices as a flat list.  The draws lean towards the cases
-    elimination mod p must get right: zero pivots that force a swap, repeated
-    rows (singular over ZZ), a row congruent to another mod p only (singular
-    mod p), entries near p - 1, negative entries and entries outside int64."""
+    """(prime, stack, mats, signs): a stack of shape (n, n) or (b1, b2, n, n),
+    n in 1..9, as an int64 array or, when an entry is outside int64, as
+    nested lists, its matrices as a flat list, and a sign 1 for each.  The
+    draws lean towards the cases elimination mod p must get right: zero
+    pivots that force a swap, repeated rows (singular over ZZ), a row
+    congruent to another mod p only (singular mod p), entries near p - 1,
+    negative entries and entries outside int64."""
     prime = draw(st.sampled_from(DET_PRIMES))
     n = draw(st.integers(1, 9))
     batch = draw(st.sampled_from(((), (1, 1), (2, 1), (1, 3), (2, 2))))
@@ -412,20 +430,90 @@ def det_stacks(draw):
         stack = np.array(flat, dtype=np.int64).reshape(batch + (n, n))
     else:
         stack = np.array(flat, dtype=object).reshape(batch + (n, n)).tolist()
-    return prime, stack, mats
+    return prime, stack, mats, [1] * len(mats)
 
 
-@given(det_stacks())
-@settings(max_examples=100)
+def _shared_row_case(prime, batch, stacks):
+    """(prime, stack, mats, signs) for batch-many stacks (shared, owns): the
+    matrices own + shared, own in owns, laid out as det_residues takes them,
+    the shared rows first and then each matrix's own rows, in an int64 array
+    of shape batch + (rows, n).  Moving o own rows below s shared ones gives
+    each determinant the sign (-1)^(o*s), as generator_values_mod folds it."""
+    rows, mats = [], []
+    for shared, owns in stacks:
+        rows += shared + [row for own in owns for row in own]
+        mats += [own + shared for own in owns]
+    n = len(mats[0])
+    stack = np.array(rows, dtype=np.int64).reshape(batch + (-1, n))
+    return prime, stack, mats, [(-1) ** (min(n, 3) * (n - min(n, 3)))] * len(mats)
+
+
+@st.composite
+def shared_row_stacks(draw):
+    """_shared_row_case of 1..4 n x n matrices, n in 1..9, that share all
+    but their first o = min(n, 3) rows, singly or in a batch.  The draws
+    lean towards shared rows singular mod p (two rows congruent mod p), a
+    column the shared rows leave 0 from some row on (a column swap), and own
+    rows repeated across matrices, so that they share more than n - o rows."""
+    prime = draw(st.sampled_from(DET_PRIMES))
+    n, count = draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    own = min(n, 3)
+    batch = draw(st.sampled_from(((), (2,))))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(prime - 3, prime + 1),
+                      st.integers(-(2**40), 2**40))
+    draw_rows = lambda r: [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(r)]
+    stacks = []
+    for _ in range(int(np.prod(batch, dtype=int))):
+        shared, owns = draw_rows(n - own), [draw_rows(own) for _ in range(count)]
+        shape = draw(st.sampled_from(("plain", "singular", "column swap", "repeated")))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if shape == "singular" and len(shared) > max(i, j) and i != j:
+            shared[j] = [v + draw(st.integers(1, 3)) * prime for v in shared[i]]
+        elif shape == "column swap" and len(shared) > i:
+            for row in shared[i:]:
+                row[i] = 0
+        elif shape == "repeated" and count > 1:
+            owns[1][0] = list(owns[0][0])
+        stacks.append((shared, owns))
+    return _shared_row_case(prime, batch, stacks)
+
+
+_SINGULAR_SHARED_ROWS = _shared_row_case(3, (), [(
+    [[1, 2, 0, 1, 1, 2], [4, -1, 3, 7, 1, 2], [0, 1, 1, 2, 0, 1]],  # rows 0 and 1 agree mod 3
+    [[[1, 0, 0, 2, 1, 1], [0, 1, 2, 0, 1, 0], [2, 2, 1, 1, 0, 1]],
+     [[1, 1, 1, 0, 0, 2], [2, 0, 1, 1, 2, 0], [0, 0, 2, 1, 1, 1]]],
+)])
+_COLUMN_SWAP = _shared_row_case(7, (), [(
+    [[0, 1, 2, 3, 4, 5], [0, 2, 1, 5, 3, 1], [0, 1, 1, 1, 2, 2]],  # no pivot in column 0
+    [[[1, 0, 0, 2, 1, 1], [3, 1, 2, 0, 1, 0], [2, 2, 1, 1, 0, 1]],
+     [[5, 1, 1, 0, 0, 2], [2, 0, 1, 1, 2, 0], [1, 0, 2, 1, 1, 1]]],
+)])
+_SMALL = _shared_row_case(5, (2,), [
+    ([], [[[1, 2], [3, 4]], [[0, 1], [1, 0]], [[5, 5], [5, 5]]]),
+    ([], [[[2, -3], [7, 1]], [[0, 0], [1, 1]], [[-1, 4], [4, 9]]]),
+])
+
+
+@given(st.one_of(det_stacks(), shared_row_stacks()))
+@example(_SINGULAR_SHARED_ROWS)
+@example(_COLUMN_SWAP)
+@example(_SMALL)
+@example(_shared_row_case(3, (), [([], [[[2]], [[-4]], [[3]]])]))
+@settings(max_examples=150)
 def test_det_mod_matches_the_fraction_oracle(case):
     """det_mod, on int64 stacks and on nested lists of Python ints, is the
-    exact integer determinant reduced mod p, for single matrices and stacks."""
-    prime, stack, mats = case
+    exact integer determinant reduced mod p, for single matrices and stacks,
+    and for stacks of matrices that share all but their first <= 3 rows,
+    laid out with the shared rows first, each up to its sign; the signed
+    sum of the values is the sum of the determinants, as
+    generator_values_mod sums a generator's."""
+    prime, stack, mats, signs = case
     values = oracles.det_mod(stack, prime)
-    assert values.shape == np.shape(stack)[:-2]
-    assert values.ravel().tolist() == [
-        oracles.fraction_determinant(rows) % prime for rows in mats
-    ]
+    (r, n), own = np.shape(stack)[-2:], min(np.shape(stack)[-1], 3)
+    assert values.shape == np.shape(stack)[:-2] + (((r - n) // own + 1,) if r != n else ())
+    dets = [oracles.fraction_determinant(rows) for rows in mats]
+    assert values.ravel().tolist() == [sign * det % prime for sign, det in zip(signs, dets)]
+    assert np.dot(signs, values.ravel()) % prime == sum(dets) % prime
     if isinstance(stack, np.ndarray):
         # the same stack stored batch-last, as generator_values_mod passes it
         batch_last = np.moveaxis(np.moveaxis(stack, (-2, -1), (0, 1)).copy(), (0, 1), (-2, -1))
@@ -434,9 +522,11 @@ def test_det_mod_matches_the_fraction_oracle(case):
 
 def test_one_det_mod_call_per_size_and_one_inverse_per_elimination(monkeypatch):
     """generator_values_mod takes its 27 3x3, 3 6x6 and 3 9x9 determinants
-    in one det_residues call per size, each a batch-last stack of
-    (matrices, points).  The 3x3 call expands and inverts nothing; the 6x6
-    and 9x9 calls eliminate and invert once each."""
+    in one det_residues call per size, each a batch-last stack of the rows
+    over the points: the 3 shared rows of h and then its 3 x 3 own rows, the
+    6 of q and its 3 x 3, and the 27 x 3 rows of the 3x3 ones, which share
+    none.  The 3x3 call eliminates and inverts nothing; the h and q calls
+    eliminate their shared rows and invert once each, one entry per point."""
     prime = 2147483647
     batch = sample_point(gen.TRIPLE_NAMES, 8, prime, range(4))
     real_det, real_inverse = evalmod.det_residues, evalmod._inverse_mod
@@ -453,12 +543,12 @@ def test_one_det_mod_call_per_size_and_one_inverse_per_elimination(monkeypatch):
     monkeypatch.setattr(gen, "det_residues", det_residues)
     monkeypatch.setattr(evalmod, "_inverse_mod", inverse_mod)
     values = gen.generator_values_mod(batch, prime)
-    assert sorted(shapes) == [(3, 3, 27, 4), (6, 6, 3, 4), (9, 9, 3, 4)]
-    assert inverses == [(3 * 4,), (3 * 4,)]
+    assert sorted(shapes) == [(12, 6, 4), (15, 9, 4), (81, 3, 4)]
+    assert inverses == [(4,), (4,)]
     for t in range(2):
         inverses.clear()
         scalar = gen.generator_values_mod(sample_point(gen.TRIPLE_NAMES, 8, prime, t), prime)
-        assert inverses == [(3,), (3,)]
+        assert inverses == [(1,), (1,)]
         assert {name: int(v) for name, v in scalar.items()} == {
             name: int(v[t]) for name, v in values.items()
         }
@@ -481,27 +571,6 @@ def test_generator_values_reduce_each_coordinate_once(monkeypatch):
     monkeypatch.setattr(gen, "residues", residues)
     gen.generator_values_mod(batch, prime)
     assert reduced == [5] * 27
-
-
-def _leading_minor_zeros(stacks, point, prime):
-    """For each eliminated size, the number of (matrix, point) pairs of the
-    index stacks whose k x k leading principal minor is 0 mod p while the
-    smaller ones are not, for k = 1..n.  Such a pair is exactly one at which
-    det_mod, having swapped nothing before, meets a zero pivot at step k - 1
-    and searches the rows below for one to swap in (pivot_row != k - 1 unless
-    the matrix is singular mod p)."""
-    x = np.stack([point[name] for name in gen.TRIPLE_NAMES] + [np.zeros_like(point["x1_11"])])
-    counts = {}
-    for idx in stacks:
-        mats = np.moveaxis(x[idx], (0, 1), (-2, -1))  # (matrices, points, n, n)
-        n = mats.shape[-1]
-        earlier = np.zeros(mats.shape[:-2], dtype=bool)
-        counts[n] = []
-        for k in range(1, n + 1):
-            zero = (oracles.det_mod(mats[..., :k, :k], prime) == 0) & ~earlier
-            counts[n].append(int(zero.sum()))
-            earlier |= zero
-    return counts
 
 
 # -- ranks and row orders mod p ----------------------------------------------
@@ -615,8 +684,9 @@ def test_echelon_mod_order_puts_every_pivot_in_place(case):
 def test_det_mod_and_echelon_mod_run_one_elimination_step(monkeypatch):
     """The package has one elimination mod p: the row update
     pivot*row_i + (p - a_ik)*row_k is written once in evalmod, in
-    _eliminate_column, and det_mod (above 3 x 3) and echelon_mod take every
-    step through it."""
+    _eliminate_column, and det_mod (on the rows its matrices share) and
+    echelon_mod take every step through it, det_mod with the pivots bounded
+    to the shared rows: the first n - 3 of a lone n x n matrix."""
     tree = ast.parse(inspect.getsource(evalmod))
     owners = [
         fn.name
@@ -637,34 +707,85 @@ def test_det_mod_and_echelon_mod_run_one_elimination_step(monkeypatch):
     real = evalmod._eliminate_column
     steps = []
 
-    def step(m, k, p):
-        steps.append((m.shape, k))
-        return real(m, k, p)
+    def step(m, k, p, rows):
+        steps.append((m.shape, k, rows))
+        return real(m, k, p, rows)
 
     monkeypatch.setattr(evalmod, "_eliminate_column", step)
     rng = random.Random(25)
     mats = [[[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)] for _ in range(2)]
     oracles.det_mod(mats, 7)
-    assert steps == [((6, 6, 2), k) for k in range(6)]
+    assert steps == [((6, 6, 2), k, 3) for k in range(3)]
     steps.clear()
     evalmod.echelon_mod([row[:5] for row in mats[0][:4]], 7)
-    assert steps == [((4, 5, 1), k) for k in range(4)]
+    assert steps == [((4, 5, 1), k, 4) for k in range(4)]
+
+
+def _record_steps(monkeypatch):
+    """Wrap evalmod._eliminate_column; each step appends (the stack's
+    shape, its pivots m[k, k] after the step, its swapped rows and columns)."""
+    real, steps = evalmod._eliminate_column, []
+
+    def step(m, k, p, rows):
+        swapped, pairs, moved = real(m, k, p, rows)
+        steps.append((m.shape[:2], m[k, k].copy(), len(swapped) + len(moved)))
+        return swapped, pairs, moved
+
+    monkeypatch.setattr(evalmod, "_eliminate_column", step)
+    return steps
 
 
 @pytest.mark.parametrize("prime", [2147483647, 2147483629])
-def test_reordered_h_and_q_rows_need_no_swap_at_sampled_points(prime):
-    """The h and q index stacks of generator_values_mod are row-reordered,
-    each matrix with its sign, so that det_mod swaps no rows at 200 sampled
-    points: no leading principal minor vanishes there.  In table order the
-    zero blocks on the diagonal force a swap at step 0 of one h matrix and of
-    every q matrix."""
-    point = sample_point(gen.TRIPLE_NAMES, 3, prime, range(200))
-    eliminated = [idx for _, idx, _ in gen._STACKS_BY_SIZE if len(idx) > 3]
-    assert [len(idx) for idx in eliminated] == [6, 9]
-    assert _leading_minor_zeros(eliminated, point, prime) == {6: [0] * 6, 9: [0] * 9}
-    table_order = [np.moveaxis(gen.GENERATOR_DETERMINANTS[name], 0, -1) for name in ("h", "q")]
-    before = _leading_minor_zeros(table_order, point, prime)
-    assert (before[6][0], before[9][0]) == (200, 3 * 200)
+def test_reordered_h_and_q_rows_need_no_swap_at_sampled_points(monkeypatch, prime):
+    """generator_values_mod lays out each size's stack with its shared rows
+    first, then each matrix's own rows, read-only, and eliminates the shared
+    rows of h and q once per point.  The diagonal of the shared rows holds
+    distinct coordinates, of A1 for h and of A1 and A3 for q, so no step
+    swaps a row or a column at 200 sampled points."""
+    for names, idx, _ in gen._LAYOUTS:
+        n = idx.shape[1]
+        shared, own = idx[: n - 3], idx[n - 3 :].reshape(-1, 3, n)
+        mats = np.concatenate([gen.GENERATOR_DETERMINANTS[name] for name in names])
+        assert (mats[:, :3] == own).all() and (mats[:, 3:] == shared).all()
+        assert not idx.flags.writeable
+        diagonal = [shared[k, k] for k in range(n - 3)]
+        assert gen.ZERO_SLOT not in diagonal and len(set(diagonal)) == n - 3
+    steps = _record_steps(monkeypatch)
+    gen.generator_values_mod(sample_point(gen.TRIPLE_NAMES, 3, prime, range(200)), prime)
+    assert [(shape, swaps) for shape, _, swaps in steps] == [((12, 6), 0)] * 3 + [((15, 9), 0)] * 6
+
+
+def test_singular_shared_rows_give_zero_mod_3(monkeypatch):
+    """At p = 3 the shared rows of h, and of q, are singular at some of 300
+    sampled points: an elimination step finds no pivot there.  Every matrix
+    of the stack is then singular, so h, or q, is 0, which the expanded
+    polynomial confirms."""
+    prime, table = 3, gen.generator_table()
+    steps = _record_steps(monkeypatch)
+    batch = sample_point(gen.TRIPLE_NAMES, 0, prime, range(300))
+    values = gen.generator_values_mod(batch, prime)
+    for name, shape, leaf in (("h", (12, 6), table.h), ("q", (15, 9), table.q)):
+        singular = np.any([pivots == 0 for got, pivots, _ in steps if got == shape], axis=0)
+        assert singular.any()
+        assert not values[name][singular].any()
+        assert values[name].tolist() == poly_eval_mod(leaf, batch, prime).tolist()
+
+
+def test_importing_generators_samples_and_eliminates_nothing():
+    """The layout generator_values_mod reads is built from
+    GENERATOR_DETERMINANTS alone: importing generators in a fresh
+    interpreter draws no point and runs no elimination."""
+    script = """
+from semiinv import evalmod
+calls = []
+for name in ("sample_point", "echelon_mod", "det_residues", "_eliminate_column"):
+    setattr(evalmod, name, lambda *args, name=name: calls.append(name))
+from semiinv import generators
+print(calls)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(evalmod.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_definition_path_accepts_integers_outside_int64():
