@@ -28,7 +28,11 @@ composition either evaluates its leaf polynomials at the point or, when it
 has a Definition, takes the leaf values and degree bounds from it: the
 generators of the triple identities come from the determinant table that
 defines them (generators.GENERATOR_DETERMINANTS, read by
-generator_values_mod), never from their expansions.
+generator_values_mod), never from their expansions.  Since a batch point is
+a function of (seed, prime, range of trials) alone, a Definition may
+remember the leaf values of a batch by that key (Composition.eval_sampled):
+the key is every input of the values, and the outer polynomial, the
+identity itself, is evaluated on every call.
 """
 
 from __future__ import annotations
@@ -173,32 +177,40 @@ def poly_eval_mod(p: Polynomial, point: Mapping[str, int], prime: int):
 
     A value of the point may be an int or an int64 array of shape (B,), one
     entry per trial of a batch; the result is then an int64 array of shape
-    (B,), else an int.  Every entry lies in [0, p) with p < 2**31, so each
-    product of two entries is below 2**62, and the sum over the terms (at most
-    2**32 of them, each below 2**31) stays below 2**63: nothing overflows
-    int64 before its reduction."""
+    (B,), else an int.  The accumulator holds one row per term (the batch
+    after it), and each used variable's powers multiply only the rows of
+    the terms whose exponent of it is nonzero, which is the same product
+    as multiplying the others by its power 0, 1.  Every entry lies in
+    [0, p) with p < 2**31, so each product of two entries is below 2**62,
+    and the sum over the terms (at most 2**32 of them, each below 2**31)
+    stays below 2**63: nothing overflows int64 before its reduction."""
     L, nums = p.numerators()
     if not nums:
         return 0
     if L % prime == 0:
         den = min(d for d in (L // gcd(n, L) for n in nums) if d % prime == 0)
         raise DenominatorNotInvertible(f"denominator {den} not invertible mod {prime}")
-    # acc has the terms on its last axis and the batch, if any, in front
-    acc = residues(nums, prime) * pow(L, -1, prime) % prime
     exps = p.exponents()
-    for i in np.flatnonzero(exps.any(axis=0)).tolist():
+    used = np.flatnonzero(exps.any(axis=0)).tolist()
+    values = []
+    for i in used:
         name = p.vars.names[i]
         if name not in point:
             raise PolyError(f"missing binding for {name!r}")
-        v = residues(point[name], prime)
+        values.append(residues(point[name], prime))
+    batch = np.broadcast_shapes(*(v.shape for v in values))
+    # acc has the terms on its first axis and the batch, if any, after them
+    acc = np.empty((len(nums),) + batch, dtype=np.int64)
+    acc.T[...] = residues(nums, prime) * pow(L, -1, prime) % prime
+    for i, v in zip(used, values):
         col = exps[:, i]
-        maxdeg = int(col.max())
-        table = np.empty(v.shape + (maxdeg + 1,), dtype=np.int64)
-        table[..., 0] = 1
-        for e in range(1, maxdeg + 1):
-            table[..., e] = table[..., e - 1] * v % prime
-        acc = acc * table[..., col] % prime
-    total = acc.sum(axis=-1) % prime
+        rows = np.flatnonzero(col)
+        table = np.empty((int(col[rows].max()) + 1,) + batch, dtype=np.int64)
+        table[0] = 1
+        for e in range(1, len(table)):
+            table[e] = table[e - 1] * v % prime
+        acc[rows] = acc[rows] * table[col[rows]] % prime
+    total = acc.sum(axis=0) % prime
     return int(total) if total.ndim == 0 else total
 
 
@@ -343,11 +355,14 @@ def _leibniz_mod(m: np.ndarray, prime: int) -> np.ndarray:
 class Definition(NamedTuple):
     """A Composition's leaves by another definition: the points' variables, a
     bound on each leaf's total degree, values(point, prime, names) -> their
-    values mod p, and leaves(names) -> their polynomials, built when asked."""
+    values mod p, sampled(seed, prime, trials, names) -> their values at
+    sample_point(vars.names, seed, prime, trials), which may be remembered
+    by that key, and leaves(names) -> their polynomials, built when asked."""
 
     vars: VariableSet
     degrees: Mapping[str, int]
     values: Callable[[Mapping, int, tuple], Mapping]
+    sampled: Callable[[int, int, range, tuple], Mapping]
     leaves: Callable[[tuple], Mapping]
 
 
@@ -395,6 +410,15 @@ class Composition:
             return poly_eval_mod(self.outer, self.definition.values(point, prime, self.names), prime)
         values = {name: poly_eval_mod(leaf, point, prime) for name, leaf in self.leaves.items()}
         return poly_eval_mod(self.outer, values, prime)
+
+    def eval_sampled(self, seed: int, prime: int, trials: range):
+        """eval_mod at the batch point sample_point(self.vars.names, seed,
+        prime, trials); with a definition, the leaf values come from its
+        sampled(...) by that key, and the outer polynomial is evaluated here
+        on every call."""
+        if self.definition is None:
+            return self.eval_mod(sample_point(self.vars.names, seed, prime, trials), prime)
+        return poly_eval_mod(self.outer, self.definition.sampled(seed, prime, trials, self.names), prime)
 
     def degree_bound(self) -> int:
         """Max over the outer terms of sum(exponent * leaf degree), which bounds

@@ -7,6 +7,13 @@ for the variables.  Subtracting it from Q^2 - H^3 (with Q, H the abstract
 highest-weight combinations) leaves an expression linear in h whose two
 h-components determine the quartic and sextic invariants exactly; their
 normalization is pinned by the values they take on the Weierstrass family.
+
+Both triple identities, the relation and theorem 1, are checked in modular
+mode at the same points, keyed by (seed, prime, trial), through one
+generator Definition.  Its memo, sampled_generator_values, computes the
+twelve generator values of a batch once per (seed, prime, range of trials),
+which is every input they depend on; it holds no outer polynomial and no
+value of an identity.
 """
 
 from __future__ import annotations
@@ -15,10 +22,12 @@ import hashlib
 import time
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from . import generators as gen
 from . import hwv, textio
-from .evalmod import Composition, Definition, poly_eval_mod
+from .evalmod import Composition, Definition, poly_eval_mod, sample_point
 from .poly import QQ, ZZ, Polynomial, PolyError, VariableSet
 from .verify import (
     CheckResult,
@@ -132,17 +141,40 @@ def evaluate_f_form_on_triple(p_f: Polynomial, T) -> Polynomial:
 # -- the two big identities -----------------------------------------------------
 
 
-def generator_definition_mod(point, prime: int, names) -> dict:
-    """The generator values mod p of generator_definition: f1..f10, h and q
-    by gen.generator_values_mod, and H and Q where names asks for them, as
+def _with_abstract(values, prime: int, names) -> dict:
+    """The generator values, plus H and Q where names asks for them, as
     abstract_H and abstract_Q at those values, as the table builds them.
     Their denominators 2, 3 and 12 are read only for an identity that names
     them: at p = 3 the main relation, with none, must not be refused."""
-    values = gen.generator_values_mod(point, prime)
+    values = dict(values)
     for name in names:
         if name in _ABSTRACT:
             values[name] = poly_eval_mod(_ABSTRACT[name](), values, prime)
     return values
+
+
+def generator_definition_mod(point, prime: int, names) -> dict:
+    """The generator values mod p of generator_definition at a point: f1..f10,
+    h and q by gen.generator_values_mod, and H and Q where names asks for
+    them (_with_abstract)."""
+    return _with_abstract(gen.generator_values_mod(point, prime), prime, names)
+
+
+@lru_cache(maxsize=7)
+def sampled_generator_values(seed: int, prime: int, trials: range) -> Mapping:
+    """f1..f10, h and q mod p, a read-only map of read-only int64 arrays,
+    at the batch point sample_point(TRIPLE_VARS.names, seed, prime, trials):
+    computed once per key and shared by the runs of main-relation and
+    theorem1, which draw the same points.  The key is every input of the
+    values (the names are fixed), and the memo holds generator values only;
+    an identity's outer polynomial, and H and Q, are evaluated on every run.
+    maxsize 7 holds the chunks of verify all's main relation at the default
+    protocol, its five default primes and 5 and 7: at most
+    7 * 12 * verify.TRIAL_CHUNK int64s."""
+    values = gen.generator_values_mod(sample_point(gen.TRIPLE_VARS.names, seed, prime, trials), prime)
+    for array in values.values():
+        array.setflags(write=False)
+    return MappingProxyType(values)
 
 
 def generator_definition() -> Definition:
@@ -159,7 +191,10 @@ def generator_definition() -> Definition:
         table = gen.generator_table()
         return {n: table.f[gen.F_NAMES.index(n)] if n in gen.F_NAMES else getattr(table, n) for n in names}
 
-    return Definition(gen.TRIPLE_VARS, degrees, generator_definition_mod, leaves)
+    def sampled(seed, prime, trials, names) -> dict:
+        return _with_abstract(sampled_generator_values(seed, prime, trials), prime, names)
+
+    return Definition(gen.TRIPLE_VARS, degrees, generator_definition_mod, sampled, leaves)
 
 
 def main_relation_expr(relation: Polynomial | None = None) -> Composition:

@@ -10,6 +10,9 @@ one process, TRIAL_CHUNK at a time, by one evaluation of the composition per
 chunk, and a trial's point and value do not depend on the others.  The two
 triple identities read their generators and degree bounds from the
 definitions there (relations.generator_definition), not from the leaves.
+They share the generator values of a chunk, remembered by (seed, prime,
+chunk), which is every input those values depend on; no identity's value
+is remembered.
 Every other check runs through boolean_check, which times its predicate and
 makes a refused build that check's FAIL.  A RunConfig validates itself when
 it is constructed.
@@ -151,12 +154,15 @@ def run_identity_modular(name: str, expr: Composition, cfg: RunConfig) -> CheckR
     or None for a prime p <= degree, where d/p >= 1 bounds nothing.  A prime
     that divides a denominator of the identity is a VerifyUsageError.
 
-    Each prime's trials are taken in consecutive ranges of TRIAL_CHUNK: one
-    sample_point call draws a range's batch point, one int64 array per name,
-    and one eval_mod call evaluates it.  Points are keyed by (seed, prime,
-    trial), so the chunking changes no value.  The point of the first failing
-    trial, in (prime, trial) order, is drawn again as a dict of ints for the
-    counterexample."""
+    Each prime's trials are taken in consecutive ranges of TRIAL_CHUNK, and
+    one eval_sampled call evaluates a range's batch point, drawn by
+    sample_point as one int64 array per name.  Points are keyed by (seed,
+    prime, trial), so the chunking changes no value.  An expression with a
+    Definition reads its leaf values from it by (seed, prime, range), so two
+    identities over one definition share them (the triple identities:
+    relations.sampled_generator_values); the outer polynomial is evaluated
+    on every run.  The point of the first failing trial, in (prime, trial)
+    order, is drawn again as a dict of ints for the counterexample."""
     t0 = time.perf_counter()
     names = expr.vars.names
     degree = expr.degree_bound()
@@ -171,9 +177,8 @@ def run_identity_modular(name: str, expr: Composition, cfg: RunConfig) -> CheckR
     for prime in cfg.primes:
         for start in range(0, cfg.trials, TRIAL_CHUNK):
             chunk = range(start, min(start + TRIAL_CHUNK, cfg.trials))
-            batch = sample_point(names, cfg.seed, prime, chunk)
             try:
-                values = expr.eval_mod(batch, prime)
+                values = expr.eval_sampled(cfg.seed, prime, chunk)
             except DenominatorNotInvertible as exc:
                 raise VerifyUsageError(f"{name}: {exc}") from None
             values = np.broadcast_to(values, len(chunk))

@@ -24,3 +24,13 @@ def cold_builds():
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_sampled_generator_values():
+    """Clear the memo of sampled generator values before every test, so
+    that a test that patches gen.generator_values_mod reads its own values
+    and no other test reads them."""
+    from semiinv.relations import sampled_generator_values
+
+    sampled_generator_values.cache_clear()

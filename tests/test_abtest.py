@@ -1,9 +1,12 @@
-"""The pure parts of tools/abtest.py: its statistics, its result schema and
-the commands its dry run prints.  Nothing here runs the benchmark."""
+"""The pure parts of tools/abtest.py: its statistics, its result schema, the
+comparison of outputs and the commands its dry run prints.  Nothing here
+runs the benchmark, the tests or the CLI."""
 
 import contextlib
+import hashlib
 import importlib.util
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -62,15 +65,56 @@ def test_dry_run_prints_the_alternating_schedule_and_runs_nothing(abtest, monkey
         "git archive abc123 | tar -x -C TMP/parent",
         "git archive HEAD | tar -x -C TMP/change",
     ]
-    runs = lines[2:]
     seeds = list(abtest.SEEDS) + [abtest.HELD_OUT_SEED]
     assert seeds == list(range(1, 11)) + [9001]
-    assert len(runs) == 2 * len(seeds) * len(abtest.WORKLOADS)
+    runs = lines[2 : 2 + 2 * len(seeds) * len(abtest.WORKLOADS)]
+    assert all("benchmark/run.py" in line for line in runs)
+    rest = lines[2 + len(runs) :]
+    tier1 = "PYTHONPATH=src python3 -m pytest -q -p no:cacheprovider --continue-on-collection-errors"
+    assert rest[:6] == [f"cd TMP/{side} && {tier1}" for side in
+                        ("parent", "change", "change", "parent", "parent", "change")]
+    commands = abtest.output_commands(TOOL.parent.parent)
+    assert ["emit", "A"] in commands and ["solve-hwv"] in commands
+    assert commands[-4:] == [["derive-st"], ["derive-st", "--format", "json"],
+                             ["verify", "all", "--format", "json"],
+                             ["verify", "all", "--mode", "exact", "--format", "json"]]
+    assert rest[6:] == [f"cd TMP/{side} && PYTHONPATH=src python3 -m semiinv.cli " + " ".join(c)
+                        for side in ("parent", "change") for c in commands]
     for i, seed in enumerate(seeds):
         first, second = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         command = f"python3 benchmark/run.py --workload certify-default --seed {seed} --seconds 5"
         assert runs[2 * i : 2 * i + 2] == [f"cd TMP/{first} && {command}", f"cd TMP/{second} && {command}"]
     assert abtest.ENV == {"PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1"}
+
+
+def test_output_digests_drop_the_timing_of_a_report_only(abtest):
+    report = {"checks": [{"name": "a", "elapsed_s": 0.5, "details": {"elapsed_s": 1}}], "passed": True}
+    bare = {"checks": [{"name": "a", "details": {}}], "passed": True}
+    assert abtest.strip_timing(report) == bare
+    slower = json.dumps({"passed": True, "checks": [{"details": {"elapsed_s": 2}, "elapsed_s": 9.0, "name": "a"}]})
+    verify = ["verify", "all", "--format", "json"]
+    assert abtest.output_digest(verify, json.dumps(report)) == abtest.output_digest(verify, slower)
+    assert abtest.output_digest(verify, json.dumps(report)) == hashlib.sha256(
+        (json.dumps(bare, indent=2, sort_keys=True) + "\n").encode()).hexdigest()
+    assert abtest.output_digest(verify, "error: x\n") == hashlib.sha256(b"error: x\n").hexdigest()
+    # an emission is hashed as printed, as tests/emission_digests.json pins it
+    text = '{"elapsed_s": 1}\n'
+    assert abtest.output_digest(["emit", "A", "--format", "json"], text) == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_outputs_are_identical_only_with_equal_digests_and_exit_codes(abtest):
+    digests = {side: {"emit A": "d1", "verify all": "d2"} for side in abtest.SIDES}
+    exits = {side: {"emit A": 0, "verify all": 1} for side in abtest.SIDES}
+    same = abtest.compare_outputs(digests, exits)
+    assert same["outputs_identical"] and same["differ"] == []
+    assert same["sha256"] == {"emit A": {"parent": "d1", "change": "d1"},
+                              "verify all": {"parent": "d2", "change": "d2"}}
+    assert same["nonzero_exits"] == {"parent": {"verify all": 1}, "change": {"verify all": 1}}
+    changed = {**digests, "change": {"emit A": "d3", "verify all": "d2"}}
+    assert abtest.compare_outputs(changed, exits)["differ"] == ["emit A"]
+    failed = {**exits, "change": {"emit A": 0, "verify all": 0}}
+    result = abtest.compare_outputs(digests, failed)
+    assert result["differ"] == ["verify all"] and not result["outputs_identical"]
 
 
 def test_the_package_does_not_import_the_tool():

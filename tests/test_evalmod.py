@@ -124,6 +124,62 @@ def test_the_denominator_message_does_not_depend_on_the_term_order():
     assert messages == {"denominator 3 not invertible mod 3"}
 
 
+EVAL_VARS = VariableSet(("a", "b", "c", "d"))
+
+
+@st.composite
+def eval_cases(draw):
+    """(prime, p, point, batch): a polynomial over EVAL_VARS with up to 8
+    terms, exponents up to 12 and ZZ or QQ coefficients, whose variable d
+    and sometimes others no term uses, at a point that binds every name of
+    EVAL_VARS and one it lacks, each to an int (of any size) or to an int64
+    array of the batch's length."""
+    prime = draw(st.sampled_from((3, 5, 7, 2**31 - 1)))
+    ring = draw(st.sampled_from((ZZ, QQ)))
+    coeff = st.integers(-(2**70), 2**70)
+    if ring is QQ:
+        coeff = st.fractions(max_denominator=30).filter(bool) | coeff
+    exps = st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12), st.just(0))
+    p = Polynomial.from_terms(ring, EVAL_VARS, draw(st.dictionaries(exps, coeff, max_size=8)))
+    batch = draw(st.integers(1, 4))
+    value = st.integers(-(2**80), 2**80) | st.builds(
+        lambda v: np.array(v, dtype=np.int64),
+        st.lists(st.integers(-(2**63), 2**63 - 1), min_size=batch, max_size=batch),
+    )
+    point = {name: draw(value) for name in EVAL_VARS.names + ("unused",)}
+    return prime, p, point, batch
+
+
+@given(eval_cases())
+@settings(max_examples=150)
+def test_poly_eval_mod_matches_the_naive_oracle(case):
+    """poly_eval_mod, which multiplies a variable's power into only the terms
+    that use it, gives the oracle's term-by-term value at each trial of a
+    batch that mixes int and array bindings, and an int when no binding it
+    reads is an array; so does the constant term alone, and the zero
+    polynomial is 0.  A prime dividing a denominator is refused with the
+    smallest such denominator."""
+    prime, p, point, batch = case
+    constant = Polynomial.from_terms(p.ring, EVAL_VARS, {(0,) * 4: p.coefficient({})})
+    assert poly_eval_mod(Polynomial.zero(p.ring, EVAL_VARS), point, prime) == 0
+    for poly in (p, constant):
+        bad = sorted(c.denominator for c in poly.terms.values() if c.denominator % prime == 0)
+        if bad:
+            with pytest.raises(evalmod.DenominatorNotInvertible, match=f"^denominator {bad[0]} not invertible mod {prime}$"):
+                poly_eval_mod(poly, point, prime)
+            continue
+        got = poly_eval_mod(poly, point, prime)
+        used = [name for name in EVAL_VARS.names if poly.max_exponent(name)]
+        if not any(isinstance(point[name], np.ndarray) for name in used):
+            assert type(got) is int
+            assert got == oracles.naive_eval_mod(poly, point, prime)
+            continue
+        assert got.dtype == np.int64 and got.shape == (batch,)
+        for k in range(batch):
+            trial = {name: int(np.broadcast_to(v, (batch,))[k]) for name, v in point.items()}
+            assert int(got[k]) == oracles.naive_eval_mod(poly, trial, prime)
+
+
 def test_sample_point_determinism_and_range():
     names = tuple(f"v{i}" for i in range(40))
     a = sample_point(names, seed=0, prime=101, trial=3)

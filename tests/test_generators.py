@@ -424,6 +424,27 @@ def test_act_on_function_matches_the_oracle_route(case):
     assert gen.act_on_function(g, F) == oracles.act_on_function(g, F)
 
 
+def test_acted_forms_are_built_once_per_matrix_and_variable_set(table, monkeypatch):
+    """The span checks' 40 actions, four transvections on each of f1..f10,
+    build the 27 acted forms four times and still compose each with one
+    substitute call."""
+    substitute, calls = Polynomial.substitute, []
+
+    def counted(F, bindings):
+        calls.append(F)
+        return substitute(F, bindings)
+
+    monkeypatch.setattr(Polynomial, "substitute", counted)
+    gen._acted_forms.cache_clear()
+    cases = [(g, f) for g in gen.ELEMENTARY_TRANSVECTIONS.values() for f in table.f]
+    acted = [gen.act_on_function(g, f) for g, f in cases]
+    assert calls == [f for _, f in cases]
+    info = gen._acted_forms.cache_info()
+    assert (info.misses, info.hits) == (4, 36)
+    monkeypatch.undo()
+    assert acted == [oracles.act_on_function(g, f) for g, f in cases]
+
+
 def decompose_in_f_span(F):
     """Exact coordinates of F in the basis f1..f10; raises
     linalg.InconsistentSystem if F is outside the span."""

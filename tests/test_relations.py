@@ -499,6 +499,70 @@ def test_batched_run_matches_a_per_point_loop():
     assert type(result.counterexample["value"]) is int
 
 
+def _counted_generator_values(monkeypatch) -> list:
+    """Patch gen.generator_values_mod to log each call's prime."""
+    real, calls = gen.generator_values_mod, []
+
+    def counted(point, prime):
+        calls.append(prime)
+        return real(point, prime)
+
+    monkeypatch.setattr(gen, "generator_values_mod", counted)
+    return calls
+
+
+def test_verify_all_computes_each_chunks_generator_values_once(monkeypatch, capsys):
+    """main-relation draws 100 points on each of 7 primes, the default five
+    and 5 and 7, and theorem1 the same points on the default five: the
+    generator values of each (seed, prime, chunk) are computed once, 7 times
+    in all, not 12."""
+    calls = _counted_generator_values(monkeypatch)
+    assert cli.main(["verify", "all", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    assert sorted(calls) == sorted(DEFAULT_PRIMES + evalmod.SMALL_CHAR_PRIMES)
+
+
+def test_shared_generator_values_change_no_report(monkeypatch):
+    """main-relation then theorem1 on one config of 5 primes x 200 trials
+    computes the generator values 5 times, not 10, and both reports equal
+    those of a run that clears the memo between the two identities.  A
+    mutated relation read from the shared values gives the counterexample,
+    prime, trial, value and point, of a run that computes its own."""
+    cfg = RunConfig(trials=200, primes=DEFAULT_PRIMES, seed=11)
+    calls = _counted_generator_values(monkeypatch)
+    shared = [rel.verify_main_relation(cfg), rel.verify_theorem1(cfg)]
+    mutant = rel.verify_main_relation(cfg, relation=_mutated_relation())
+    assert calls == list(DEFAULT_PRIMES)
+    fresh = []
+    for run in (rel.verify_main_relation, rel.verify_theorem1):
+        rel.sampled_generator_values.cache_clear()
+        fresh.append(run(cfg))
+    rel.sampled_generator_values.cache_clear()
+    fresh_mutant = rel.verify_main_relation(cfg, relation=_mutated_relation())
+    assert calls == 4 * list(DEFAULT_PRIMES)
+    assert all(r.passed for r in shared) and not mutant.passed
+    for a, b in zip(shared + [mutant], fresh + [fresh_mutant]):
+        assert a.to_json() | {"elapsed_s": 0} == b.to_json() | {"elapsed_s": 0}
+    assert mutant.counterexample == fresh_mutant.counterexample
+    assert set(mutant.counterexample) == {"prime", "trial", "value", "point"}
+
+
+def test_sampled_generator_values_are_read_only_and_keyed_by_every_input():
+    """The memo's arrays cannot be written through, and each of seed, prime
+    and the range of trials gives its own values, those of the batch point
+    sample_point draws for that key."""
+    prime = DEFAULT_PRIMES[0]
+    values = rel.sampled_generator_values(0, prime, range(0, 4))
+    with pytest.raises(ValueError):
+        values["q"][0] = 0
+    for key in ((1, prime, range(0, 4)), (0, DEFAULT_PRIMES[1], range(0, 4)), (0, prime, range(1, 5))):
+        point = sample_point(gen.TRIPLE_NAMES, *key)
+        other = rel.sampled_generator_values(*key)
+        expected = gen.generator_values_mod(point, key[1])
+        assert all((other[name] == expected[name]).all() for name in expected)
+        assert any((other[name] != values[name]).any() for name in values)
+
+
 @pytest.mark.parametrize("trials", [1, 6, 7, 8, 26])
 def test_chunked_trials_give_the_result_of_one_batch(monkeypatch, trials):
     """A prime's trials are evaluated TRIAL_CHUNK at a time.  Points are keyed
@@ -579,7 +643,7 @@ def test_only_a_non_invertible_denominator_becomes_a_usage_error(monkeypatch):
     def broken(*args):
         raise PolyError("some other failure")
 
-    monkeypatch.setattr(expr, "eval_mod", broken)
+    monkeypatch.setattr(expr, "eval_sampled", broken)
     with pytest.raises(PolyError, match="some other failure"):
         run_identity_modular("theorem1", expr, replace(cfg, primes=(2147483647,)))
 
