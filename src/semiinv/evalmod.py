@@ -209,7 +209,10 @@ def poly_eval_mod(p: Polynomial, point: Mapping[str, int], prime: int):
         table[0] = 1
         for e in range(1, len(table)):
             table[e] = table[e - 1] * v % prime
-        acc[rows] = acc[rows] * table[col[rows]] % prime
+        factor = acc[rows]  # a copy, multiplied and reduced in place
+        factor *= table[col[rows]]
+        factor %= prime
+        acc[rows] = factor
     total = acc.sum(axis=0) % prime
     return int(total) if total.ndim == 0 else total
 
