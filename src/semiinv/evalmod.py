@@ -24,15 +24,16 @@ in and any trial can be reproduced in isolation.  A point's values may be ints
 int64 arrays; an array holds one value per trial of a batch, as
 sample_point draws it for a range of trials, and numpy broadcasting carries
 the batch through a composition.  A
-composition either evaluates its leaf polynomials at the point or, when it
-has a Definition, takes the leaf values and degree bounds from it: the
-generators of the triple identities come from the determinant table that
-defines them (generators.GENERATOR_DETERMINANTS, read by
-generator_values_mod), never from their expansions.  Since a batch point is
-a function of (seed, prime, range of trials) alone, a Definition may
-remember the leaf values of a batch by that key (Composition.eval_sampled):
-the key is every input of the values, and the outer polynomial, the
-identity itself, is evaluated on every call.
+composition's eval_mod evaluates its leaf polynomials at a given point;
+eval_sampled evaluates it at the batch point of (seed, prime, range of
+trials), and a composition with a Definition takes the leaf values and
+degree bounds there from the definition: the generators of the triple
+identities come from the determinant table that defines them
+(generators.GENERATOR_DETERMINANTS, read by generator_values_mod), never
+from their expansions.  Since a batch point is a function of that key
+alone, a Definition may remember the leaf values of a batch by it: the key
+is every input of the values, and the outer polynomial, the identity
+itself, is evaluated on every call.
 """
 
 from __future__ import annotations
@@ -357,14 +358,13 @@ def _leibniz_mod(m: np.ndarray, prime: int) -> np.ndarray:
 
 class Definition(NamedTuple):
     """A Composition's leaves by another definition: the points' variables, a
-    bound on each leaf's total degree, values(point, prime, names) -> their
-    values mod p, sampled(seed, prime, trials, names) -> their values at
-    sample_point(vars.names, seed, prime, trials), which may be remembered
-    by that key, and leaves(names) -> their polynomials, built when asked."""
+    bound on each leaf's total degree, sampled(seed, prime, trials, names)
+    -> their values mod p at sample_point(vars.names, seed, prime, trials),
+    which may be remembered by that key, and leaves(names) -> their
+    polynomials, built when asked."""
 
     vars: VariableSet
     degrees: Mapping[str, int]
-    values: Callable[[Mapping, int, tuple], Mapping]
     sampled: Callable[[int, int, range, tuple], Mapping]
     leaves: Callable[[tuple], Mapping]
 
@@ -377,13 +377,15 @@ class Composition:
     evaluation takes the value of every leaf once and evaluates the outer
     polynomial at those values, so the composite is never expanded unless
     expand() is called.  eval_mod accepts a point of ints or of int64
-    batches and returns an int, or an int64 array for a batch.
+    batches and returns an int, or an int64 array for a batch; eval_sampled
+    takes the key of a sampled batch point in place of the point.
 
     With a Definition in place of the leaves, the leaves are the names of
-    outer it defines; eval_mod and degree_bound read it and no leaf
+    outer it defines; eval_sampled and degree_bound read it and no leaf
     polynomial, and it builds the leaves on the first read of .leaves (an
-    exact expansion, a restriction, a slice proof).  restrict drops the
-    definition: a restricted composition reads its restricted leaves only."""
+    exact expansion, a restriction, a slice proof, eval_mod at a given
+    point).  restrict drops the definition: a restricted composition reads
+    its restricted leaves only."""
 
     def __init__(self, outer: Polynomial, leaves: Mapping[str, Polynomial] | Definition):
         self.outer = outer
@@ -409,16 +411,14 @@ class Composition:
         return dict(self.definition.leaves(self.names))
 
     def eval_mod(self, point: Mapping[str, int], prime: int):
-        if self.definition is not None:  # outer reads its own names only
-            return poly_eval_mod(self.outer, self.definition.values(point, prime, self.names), prime)
         values = {name: poly_eval_mod(leaf, point, prime) for name, leaf in self.leaves.items()}
         return poly_eval_mod(self.outer, values, prime)
 
     def eval_sampled(self, seed: int, prime: int, trials: range):
-        """eval_mod at the batch point sample_point(self.vars.names, seed,
-        prime, trials); with a definition, the leaf values come from its
-        sampled(...) by that key, and the outer polynomial is evaluated here
-        on every call."""
+        """The composite mod p at the batch point sample_point(self.vars.names,
+        seed, prime, trials): eval_mod at that point, or, with a definition,
+        the outer polynomial, evaluated here on every call, at the leaf
+        values its sampled(...) gives for that key."""
         if self.definition is None:
             return self.eval_mod(sample_point(self.vars.names, seed, prime, trials), prime)
         return poly_eval_mod(self.outer, self.definition.sampled(seed, prime, trials, self.names), prime)

@@ -23,7 +23,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -423,31 +422,28 @@ def generator_table() -> GeneratorTable:
 # -- the right GL3 action -----------------------------------------------------
 
 
-def act_on_function(g: Sequence[Sequence[int]], F: Polynomial) -> Polynomial:
+def act_on_function(g: Sequence[Sequence[int]], F: Polynomial, forms: Mapping | None = None) -> Polynomial:
     """g.F for an integer 3x3 matrix g: the function T -> F(T.g), where the
     right action gives T.g the components sum_r g[r][c] * A_r.  Each of the
     27 coordinates x{c}_ab is bound straight to its acted linear form
-    sum_r g[r][c] * x{r}_ab over the variables of F (_acted_forms), and
-    F.substitute composes.  A coordinate that g fixes (column c of g is the
-    unit vector e_c) is bound to itself, a one-term binding that substitute
-    folds into each term's key, so a transvection I + E_ij leaves a Horner
-    evaluation in the 9 coordinates of A_j only."""
-    return F.substitute(_acted_forms(tuple(map(tuple, g)), F.vars))
+    sum_r g[r][c] * x{r}_ab over the variables of F, and F.substitute
+    composes.  A coordinate that g fixes (column c of g is the unit vector
+    e_c) is bound to itself, a one-term binding that substitute folds into
+    each term's key, so a transvection I + E_ij leaves a Horner evaluation
+    in the 9 coordinates of A_j only.  forms, if given, is acted_forms(g,
+    F.vars), built once by a caller that acts with one g on many F."""
+    return F.substitute(acted_forms(g, F.vars) if forms is None else forms)
 
 
-@lru_cache(maxsize=8)
-def _acted_forms(g: tuple, vars: VariableSet) -> Mapping:
-    """The 27 bindings of act_on_function for g, given as a tuple of row
-    tuples, over vars, as a read-only map built once per key: the
-    certificates act with the four ELEMENTARY_TRANSVECTIONS on the generic
-    triple's variables only."""
+def acted_forms(g: Sequence[Sequence[int]], vars: VariableSet) -> dict:
+    """The 27 bindings of act_on_function for g over vars."""
     x = [Polynomial.variable(ZZ, vars, name) for name in TRIPLE_NAMES]
 
     def form(c: int, k: int) -> Polynomial:
         parts = [x[9 * r + k] * g[r][c] if g[r][c] != 1 else x[9 * r + k] for r in range(3) if g[r][c]]
         return reduce(Polynomial.__add__, parts) if parts else Polynomial.zero(ZZ, vars)
 
-    return MappingProxyType({TRIPLE_NAMES[9 * c + k]: form(c, k) for c in range(3) for k in range(9)})
+    return {TRIPLE_NAMES[9 * c + k]: form(c, k) for c in range(3) for k in range(9)}
 
 
 def transvection(i: int, j: int) -> list:

@@ -389,10 +389,11 @@ def _span_action_verified(which: str) -> tuple:
 
     * g.f_n = sum_m M[n][m] f_m, M = gen.f_action_matrix(g), by full
       expansion over the 27 coordinates (gen.act_on_function), each bound
-      to its acted linear form.  g = I + E_ij moves only the 9 coordinates
-      of A_j; the other 18 are bound to themselves, and substitute folds
-      them into keys, so the expansion is a Horner evaluation in A_j's
-      coordinates alone, and still the whole of g.f_n.
+      to its acted linear form (gen.acted_forms, built once for the ten).
+      g = I + E_ij moves only the 9 coordinates of A_j; the other 18 are
+      bound to themselves, and substitute folds them into keys, so the
+      expansion is a Horner evaluation in A_j's coordinates alone, and still
+      the whole of g.f_n.
     * M = exp(N) for N = log M (_nilpotent_log, in ints over one common
       denominator): M - I is nilpotent, N is an integer matrix, and
       6M = 6I + 6N + 3N^2 + N^3 in integers, so N^4 adds nothing.
@@ -404,9 +405,10 @@ def _span_action_verified(which: str) -> tuple:
     g = gen.ELEMENTARY_TRANSVECTIONS[which]
     table = gen.generator_table()
     mat = gen.f_action_matrix(g)
+    forms = gen.acted_forms(g, gen.TRIPLE_VARS)
     for n in range(10):
         combo = sum((f * c for f, c in zip(table.f, mat[n]) if c), Polynomial.zero(ZZ, gen.TRIPLE_VARS))
-        if gen.act_on_function(g, table.f[n]) != combo:
+        if gen.act_on_function(g, table.f[n], forms) != combo:
             raise linalg.LinAlgError(
                 f"span action of {which} failed exact verification"
             )

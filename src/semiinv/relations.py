@@ -153,13 +153,6 @@ def _with_abstract(values, prime: int, names) -> dict:
     return values
 
 
-def generator_definition_mod(point, prime: int, names) -> dict:
-    """The generator values mod p of generator_definition at a point: f1..f10,
-    h and q by gen.generator_values_mod, and H and Q where names asks for
-    them (_with_abstract)."""
-    return _with_abstract(gen.generator_values_mod(point, prime), prime, names)
-
-
 @lru_cache(maxsize=7)
 def sampled_generator_values(seed: int, prime: int, trials: range) -> Mapping:
     """f1..f10, h and q mod p, a read-only map of read-only int64 arrays,
@@ -194,7 +187,7 @@ def generator_definition() -> Definition:
     def sampled(seed, prime, trials, names) -> dict:
         return _with_abstract(sampled_generator_values(seed, prime, trials), prime, names)
 
-    return Definition(gen.TRIPLE_VARS, degrees, generator_definition_mod, sampled, leaves)
+    return Definition(gen.TRIPLE_VARS, degrees, sampled, leaves)
 
 
 def main_relation_expr(relation: Polynomial | None = None) -> Composition:

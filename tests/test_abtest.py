@@ -87,6 +87,22 @@ def test_dry_run_prints_the_alternating_schedule_and_runs_nothing(abtest, monkey
     assert abtest.ENV == {"PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1"}
 
 
+def test_a_tier1_run_that_prints_nothing_keeps_its_exit_code(abtest, monkeypatch, tmp_path):
+    """A pytest that dies silently is recorded with its exit code and an
+    empty result line, so the run's JSON is still written."""
+    def silent(*args, **kwargs):
+        return abtest.subprocess.CompletedProcess(args, 3, stdout="")
+
+    monkeypatch.setattr(abtest.subprocess, "run", silent)
+    got = abtest.run_tier1(tmp_path)
+    assert (got["exit"], got["result"]) == (3, "")
+    def passed(*args, **kwargs):
+        return abtest.subprocess.CompletedProcess(args, 0, stdout="..\n2 passed in 1.0s\n")
+
+    monkeypatch.setattr(abtest.subprocess, "run", passed)
+    assert abtest.run_tier1(tmp_path) | {"wall_s": 0} == {"wall_s": 0, "exit": 0, "result": "2 passed in 1.0s"}
+
+
 def test_output_digests_drop_the_timing_of_a_report_only(abtest):
     report = {"checks": [{"name": "a", "elapsed_s": 0.5, "details": {"elapsed_s": 1}}], "passed": True}
     bare = {"checks": [{"name": "a", "details": {}}], "passed": True}

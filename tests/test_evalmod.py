@@ -390,6 +390,7 @@ def test_batch_evaluation_equals_per_point(prime):
         expected = [evaluate(pt) for pt in points]
         assert all(type(v) is int for v in expected)
         assert values.tolist() == expected
+    assert theorem1.eval_sampled(5, prime, range(6)).tolist() == expected
 
 
 # -- determinants and generator values from their definitions -----------------
@@ -876,25 +877,23 @@ def test_definition_path_accepts_integers_outside_int64():
 @pytest.mark.parametrize("prime", [2147483647, 5, 7, 3])
 def test_definition_values_equal_the_expanded_leaves(prime, seed):
     """f1..f10, h and q from their determinant definitions, and H and Q
-    from those values, equal poly_eval_mod of the expanded generator
-    polynomials, for a batch of points and for scalar points.  H has the
-    denominator 3, so at p = 3 both ways refuse it alike."""
+    from those values, as the triple identities' Definition gives them for
+    a sampled batch, equal poly_eval_mod of the expanded generator
+    polynomials at that batch point, and so does a batch of one trial.  H
+    has the denominator 3, so at p = 3 both ways refuse it alike."""
     table = gen.generator_table()
     leaves = dict(zip(gen.F_NAMES, table.f), h=table.h, q=table.q, Q=table.Q, H=table.H)
-    points = [sample_point(gen.TRIPLE_NAMES, seed, prime, t) for t in range(12)]
-    batch = {n: np.array([pt[n] for pt in points], dtype=np.int64) for n in gen.TRIPLE_NAMES}
+    definition = rel.generator_definition()
     names = tuple(n for n in leaves if not (prime == 3 and n == "H"))
-    values = rel.generator_definition_mod(batch, prime, names)
-    for name in names:
-        assert values[name].tolist() == poly_eval_mod(leaves[name], batch, prime).tolist()
-    for point in points[:2]:
-        scalar = rel.generator_definition_mod(point, prime, names)
+    for trials in (range(12), range(5, 6)):
+        batch = sample_point(gen.TRIPLE_NAMES, seed, prime, trials)
+        values = definition.sampled(seed, prime, trials, names)
         for name in names:
-            assert int(scalar[name]) == poly_eval_mod(leaves[name], point, prime)
+            assert values[name].tolist() == poly_eval_mod(leaves[name], batch, prime).tolist()
     if prime == 3:
         for evaluate in (
             lambda: poly_eval_mod(table.H, batch, prime),
-            lambda: rel.generator_definition_mod(batch, prime, ("H",)),
+            lambda: definition.sampled(seed, prime, trials, ("H",)),
         ):
             with pytest.raises(evalmod.DenominatorNotInvertible, match="^denominator 3 "):
                 evaluate()

@@ -424,25 +424,35 @@ def test_act_on_function_matches_the_oracle_route(case):
     assert gen.act_on_function(g, F) == oracles.act_on_function(g, F)
 
 
-def test_acted_forms_are_built_once_per_matrix_and_variable_set(table, monkeypatch):
+def test_span_checks_build_the_acted_forms_once_per_transvection(table, monkeypatch):
     """The span checks' 40 actions, four transvections on each of f1..f10,
-    build the 27 acted forms four times and still compose each with one
-    substitute call."""
-    substitute, calls = Polynomial.substitute, []
+    build the 27 acted forms four times, once per transvection, and still
+    compose each with one substitute call; an action given the forms equals
+    the oracle's."""
+    build, substitute, builds, calls = gen.acted_forms, Polynomial.substitute, [], []
+
+    def counted_build(g, vars):
+        builds.append(g)
+        return build(g, vars)
 
     def counted(F, bindings):
         calls.append(F)
         return substitute(F, bindings)
 
+    monkeypatch.setattr(gen, "acted_forms", counted_build)
     monkeypatch.setattr(Polynomial, "substitute", counted)
-    gen._acted_forms.cache_clear()
-    cases = [(g, f) for g in gen.ELEMENTARY_TRANSVECTIONS.values() for f in table.f]
-    acted = [gen.act_on_function(g, f) for g, f in cases]
-    assert calls == [f for _, f in cases]
-    info = gen._acted_forms.cache_info()
-    assert (info.misses, info.hits) == (4, 36)
-    monkeypatch.undo()
-    assert acted == [oracles.act_on_function(g, f) for g, f in cases]
+    hwv._span_action_verified.cache_clear()
+    try:
+        for which in gen.ELEMENTARY_TRANSVECTIONS:
+            hwv._span_action_verified(which)
+    finally:
+        monkeypatch.undo()
+        hwv._span_action_verified.cache_clear()
+    assert builds == list(gen.ELEMENTARY_TRANSVECTIONS.values())
+    assert calls == [f for _ in builds for f in table.f]
+    for g in builds:
+        forms = gen.acted_forms(g, gen.TRIPLE_VARS)
+        assert [gen.act_on_function(g, f, forms) for f in table.f] == [oracles.act_on_function(g, f) for f in table.f]
 
 
 def decompose_in_f_span(F):

@@ -209,8 +209,8 @@ def test_negative_control_mutated_relation():
 
 @pytest.mark.parametrize("prime", [2147483647, 5, 7])
 def test_theorem1_composition_matches_an_independent_evaluation(monkeypatch, prime):
-    """The composed outer polynomial of theorem 1 takes the value of
-    Q^2 - H^3 - 27*H*S + (27/4)*T, with Q, H and f1..f10 evaluated term by
+    """The composed outer polynomial of theorem 1, at a sampled batch as a
+    run evaluates it, takes the value of Q^2 - H^3 - 27*H*S + (27/4)*T, with Q, H and f1..f10 evaluated term by
     term by the oracle and S, T evaluated at those f-values.  With derive_st
     returning T + f5^6 in place of T the values differ by (27/4)*f5^6,
     nonzero at some of the points."""
@@ -221,17 +221,17 @@ def test_theorem1_composition_matches_an_independent_evaluation(monkeypatch, pri
     monkeypatch.setattr(rel, "derive_st", lambda: (s4, t6 + f5 ** 6))
     wrong = rel.theorem1_expr()
     c = 27 * pow(4, -1, prime)
-    wrong_values = []
+    expected, expected_wrong = [], []
     for trial in range(6):
         point = sample_point(gen.TRIPLE_NAMES, 5, prime, trial)
         Q, H = (oracles.naive_eval_mod(p, point, prime) for p in (table.Q, table.H))
         fs = {n: oracles.naive_eval_mod(f, point, prime) for n, f in zip(gen.F_NAMES, table.f)}
         S, T = (oracles.naive_eval_mod(p, fs, prime) for p in (s4, t6))
-        expected = (Q * Q - H ** 3 - 27 * H * S + c * T) % prime
-        assert expr.eval_mod(point, prime) == expected
-        wrong_values.append(wrong.eval_mod(point, prime))
-        assert wrong_values[-1] == (expected + c * fs["f5"] ** 6) % prime
-    assert any(wrong_values)
+        expected.append((Q * Q - H ** 3 - 27 * H * S + c * T) % prime)
+        expected_wrong.append((expected[-1] + c * fs["f5"] ** 6) % prime)
+    assert expr.eval_sampled(5, prime, range(6)).tolist() == expected
+    assert wrong.eval_sampled(5, prime, range(6)).tolist() == expected_wrong
+    assert any(expected_wrong)
 
 
 def test_theorem1_reduces_to_the_defining_relation(monkeypatch):

@@ -198,7 +198,8 @@ def run_tier1(tree: Path) -> dict:
     proc = subprocess.run(TIER1, cwd=tree, env=dict(os.environ, **SIDE_ENV),
                           stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     wall_s = round(time.perf_counter() - started, 2)
-    return {"wall_s": wall_s, "exit": proc.returncode, "result": proc.stdout.strip().splitlines()[-1]}
+    last = (proc.stdout.strip().splitlines() or [""])[-1]  # a run that prints nothing still counts
+    return {"wall_s": wall_s, "exit": proc.returncode, "result": last}
 
 
 def side_command(command: list) -> str:
