@@ -27,13 +27,13 @@ the batch through a composition.  A
 composition's eval_mod evaluates its leaf polynomials at a given point;
 eval_sampled evaluates it at the batch point of (seed, prime, range of
 trials), and a composition with a Definition takes the leaf values and
-degree bounds there from the definition: the generators of the triple
-identities come from the determinant table that defines them
-(generators.GENERATOR_DETERMINANTS, read by generator_values_mod), never
-from their expansions.  Since a batch point is a function of that key
-alone, a Definition may remember the leaf values of a batch by it: the key
-is every input of the values, and the outer polynomial, the identity
-itself, is evaluated on every call.
+degree bounds there from the definition: the twelve generators, the leaves
+of both triple identities, come from the determinant table that defines
+them (generators.GENERATOR_DETERMINANTS, read by generator_values_mod),
+never from their expansions.  Since a batch point is a function of that
+key alone, a Definition may remember all its leaf values of a batch by it:
+the key is every input of the values, and the outer polynomial, the
+identity itself, is evaluated on every call.
 """
 
 from __future__ import annotations
@@ -358,14 +358,14 @@ def _leibniz_mod(m: np.ndarray, prime: int) -> np.ndarray:
 
 class Definition(NamedTuple):
     """A Composition's leaves by another definition: the points' variables, a
-    bound on each leaf's total degree, sampled(seed, prime, trials, names)
-    -> their values mod p at sample_point(vars.names, seed, prime, trials),
-    which may be remembered by that key, and leaves(names) -> their
-    polynomials, built when asked."""
+    bound on each leaf's total degree, sampled(seed, prime, trials) -> the
+    values mod p of every leaf it defines at sample_point(vars.names, seed,
+    prime, trials), which may be remembered by that key, and leaves(names)
+    -> their polynomials, built when asked."""
 
     vars: VariableSet
     degrees: Mapping[str, int]
-    sampled: Callable[[int, int, range, tuple], Mapping]
+    sampled: Callable[[int, int, range], Mapping]
     leaves: Callable[[tuple], Mapping]
 
 
@@ -421,7 +421,7 @@ class Composition:
         values its sampled(...) gives for that key."""
         if self.definition is None:
             return self.eval_mod(sample_point(self.vars.names, seed, prime, trials), prime)
-        return poly_eval_mod(self.outer, self.definition.sampled(seed, prime, trials, self.names), prime)
+        return poly_eval_mod(self.outer, self.definition.sampled(seed, prime, trials), prime)
 
     def degree_bound(self) -> int:
         """Max over the outer terms of sum(exponent * leaf degree), which bounds

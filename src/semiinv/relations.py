@@ -8,12 +8,12 @@ highest-weight combinations) leaves an expression linear in h whose two
 h-components determine the quartic and sextic invariants exactly; their
 normalization is pinned by the values they take on the Weierstrass family.
 
-Both triple identities, the relation and theorem 1, are checked in modular
-mode at the same points, keyed by (seed, prime, trial), through one
-generator Definition.  Its memo, sampled_generator_values, computes the
-twelve generator values of a batch once per (seed, prime, range of trials),
-which is every input they depend on; it holds no outer polynomial and no
-value of an identity.
+Both triple identities, the relation and theorem 1, are outer polynomials
+over (q, h, f1..f10) at one generator Definition; theorem 1's is composed
+with abstract_Q and abstract_H, so no run evaluates H or Q.  In modular
+mode both read the memo sampled_generator_values, which computes the twelve
+generator values of a batch once per (seed, prime, range of trials), every
+input they depend on; it holds no outer polynomial and no identity's value.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Mapping
 
 from . import generators as gen
 from . import hwv, textio
-from .evalmod import Composition, Definition, poly_eval_mod, sample_point
+from .evalmod import Composition, Definition, sample_point
 from .poly import QQ, ZZ, Polynomial, PolyError, VariableSet
 from .verify import (
     CheckResult,
@@ -100,9 +100,6 @@ def abstract_Q() -> Polynomial:
     return gen.combine_correction(_var12("q"), _FACTORS12, gen.Q_CORRECTIONS)
 
 
-_ABSTRACT = {"H": abstract_H, "Q": abstract_Q}
-
-
 # -- derivation of the quartic and sextic invariants ---------------------------
 
 
@@ -141,29 +138,17 @@ def evaluate_f_form_on_triple(p_f: Polynomial, T) -> Polynomial:
 # -- the two big identities -----------------------------------------------------
 
 
-def _with_abstract(values, prime: int, names) -> dict:
-    """The generator values, plus H and Q where names asks for them, as
-    abstract_H and abstract_Q at those values, as the table builds them.
-    Their denominators 2, 3 and 12 are read only for an identity that names
-    them: at p = 3 the main relation, with none, must not be refused."""
-    values = dict(values)
-    for name in names:
-        if name in _ABSTRACT:
-            values[name] = poly_eval_mod(_ABSTRACT[name](), values, prime)
-    return values
-
-
 @lru_cache(maxsize=7)
 def sampled_generator_values(seed: int, prime: int, trials: range) -> Mapping:
     """f1..f10, h and q mod p, a read-only map of read-only int64 arrays,
-    at the batch point sample_point(TRIPLE_VARS.names, seed, prime, trials):
-    computed once per key and shared by the runs of main-relation and
-    theorem1, which draw the same points.  The key is every input of the
-    values (the names are fixed), and the memo holds generator values only;
-    an identity's outer polynomial, and H and Q, are evaluated on every run.
-    maxsize 7 holds the chunks of verify all's main relation at the default
-    protocol, its five default primes and 5 and 7: at most
-    7 * 12 * verify.TRIAL_CHUNK int64s."""
+    at the batch point sample_point(TRIPLE_VARS.names, seed, prime, trials),
+    computed once per key, which is every input of the values, and shared
+    by main-relation and theorem1, which draw the same points.  It holds
+    generator values only.  maxsize 7 holds the chunks of verify all's main
+    relation at the default protocol (five default primes, 5 and 7): at
+    most 7 * 12 * verify.TRIAL_CHUNK int64s.  Above TRIAL_CHUNK trials the
+    two identities share no values: main-relation fills 2 or more chunks on
+    each of its 7 primes, and theorem1's lookups miss."""
     values = gen.generator_values_mod(sample_point(gen.TRIPLE_VARS.names, seed, prime, trials), prime)
     for array in values.values():
         array.setflags(write=False)
@@ -171,23 +156,17 @@ def sampled_generator_values(seed: int, prime: int, trials: range) -> Mapping:
 
 
 def generator_definition() -> Definition:
-    """f1..f10, h, q, H and Q, the leaves of the triple identities, by their
-    definitions, the polynomials read from the table when asked for.  Degree
-    bounds: a matrix of GENERATOR_DETERMINANTS has entries of degree <= 1, so
-    n x n ones sum to degree <= n (3, 6 and 9 for f, h and q), and H and Q
-    are bounded as in Composition.degree_bound by abstract_H and abstract_Q."""
+    """f1..f10, h and q, the leaves of both triple identities, by their
+    definitions: their values mod p from sampled_generator_values, their
+    polynomials read from the table when asked for.  Degree bounds: a
+    matrix of GENERATOR_DETERMINANTS has entries of degree <= 1, so n x n
+    ones sum to degree <= n (3, 6 and 9 for f, h and q)."""
     degrees = {name: stack.shape[-1] for name, stack in gen.GENERATOR_DETERMINANTS.items()}
-    weights = {name: (d,) for name, d in degrees.items()}
-    degrees.update({x: max(map(sum, form().degrees(weights))) for x, form in _ABSTRACT.items()})
 
     def leaves(names) -> dict:
-        table = gen.generator_table()
-        return {n: table.f[gen.F_NAMES.index(n)] if n in gen.F_NAMES else getattr(table, n) for n in names}
+        return {n: gen.generator_table().by_name(n) for n in names}
 
-    def sampled(seed, prime, trials, names) -> dict:
-        return _with_abstract(sampled_generator_values(seed, prime, trials), prime, names)
-
-    return Definition(gen.TRIPLE_VARS, degrees, sampled, leaves)
+    return Definition(gen.TRIPLE_VARS, degrees, sampled_generator_values, leaves)
 
 
 def main_relation_expr(relation: Polynomial | None = None) -> Composition:
@@ -196,21 +175,19 @@ def main_relation_expr(relation: Polynomial | None = None) -> Composition:
     return Composition(defining_relation() if relation is None else relation, generator_definition())
 
 
-THEOREM1_VARS = VariableSet(("Q", "H") + gen.F_NAMES)
-
-
 def theorem1_expr() -> Composition:
-    """Q^2 - H^3 - 27*H*S + (27/4)*T over the 27 coordinates.  The f-ring
-    invariants S and T are the pair derive_st returns, read through this
+    """Q^2 - H^3 - 27*H*S + (27/4)*T over the 27 coordinates: one rational
+    outer polynomial over (q, h, f1..f10), Q and H being abstract_Q and
+    abstract_H and S and T the pair derive_st returns (read through this
     module's attribute when the expression is built, so a substituted
-    derive_st is the one composed.  They are composed exactly into one
-    rational outer polynomial over (Q, H, f1..f10), at generator_definition:
-    only an exact slice proof builds the leaves, Q and H included."""
-    Qv, Hv = (Polynomial.variable(QQ, THEOREM1_VARS, name) for name in ("Q", "H"))
-    S, T = (p.to_ring(QQ).convert(THEOREM1_VARS) for p in derive_st())
-    return Composition(
-        Qv.mul(Qv) - Hv ** 3 - Hv.mul(S) * 27 + T * Fraction(27, 4), generator_definition()
-    )
+    derive_st is the one composed), at the leaves of main_relation_expr.
+    Sound: table.Q and table.H are combine_correction over the same
+    correction tables at the generators, so the composite is theorem 1's
+    27-variable polynomial (test_relations locks this exactly), and the
+    slice proof's SL3 x SL3 gate certifies main-relation's twelve leaves."""
+    S, T = (p.to_ring(QQ).convert(ABSTRACT12) for p in derive_st())
+    H, Q = abstract_H(), abstract_Q()
+    return Composition(Q.mul(Q) - H ** 3 - H.mul(S) * 27 + T * Fraction(27, 4), generator_definition())
 
 
 # The slice (A1, A2, A3) = (I, diag(x2_11, x2_22, x2_33), A3), in 12 of the 27

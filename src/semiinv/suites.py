@@ -8,8 +8,8 @@ checks only the RunConfig, so a test substitutes a mutated relation or a
 wrong correction table by monkeypatching the module attribute.  A build's
 time lands in the elapsed_s of the first check that reads it, and a build
 that refuses its input (PolyError, LinAlgError) fails only the checks that
-read it.  Any odd prime is accepted: mod 3 the main relation runs, and
-theorem 1, whose H has the denominator 3, is a usage error.
+read it.  Any odd prime is accepted: mod 3 both triple identities, whose
+outer polynomials have integer coefficients, run as spot-checks.
 """
 
 from __future__ import annotations

@@ -8,11 +8,11 @@ exact gate certifies that the identity is invariant.  Modular runs are
 reproducible from (seed, primes, trials); a prime's trials are evaluated in
 one process, TRIAL_CHUNK at a time, by one evaluation of the composition per
 chunk, and a trial's point and value do not depend on the others.  The two
-triple identities read their generators and degree bounds from the
-definitions there (relations.generator_definition), not from the leaves.
-They share the generator values of a chunk, remembered by (seed, prime,
-chunk), which is every input those values depend on; no identity's value
-is remembered.
+triple identities are outer polynomials over the same twelve generators,
+whose values and degree bounds they read from their definitions
+(relations.generator_definition), not from the leaves.  They share the
+generator values of a chunk, remembered by (seed, prime, chunk), which is
+every input those values depend on; no identity's value is remembered.
 Every other check runs through boolean_check, which times its predicate and
 makes a refused build that check's FAIL.  A RunConfig validates itself when
 it is constructed.

@@ -158,15 +158,22 @@ def test_verify_characteristic_three_gate(capsys):
 
 
 @pytest.mark.parametrize("suite", ["theorem1", "all"])
-def test_verify_characteristic_three_with_a_denominator_three_exits_2(capsys, suite):
-    """Theorem 1's identity has a coefficient with denominator 3, so it has
-    no value mod 3: a usage error naming the identity and the prime."""
+def test_verify_characteristic_three_spot_checks_theorem1(capsys, suite):
+    """Theorem 1's outer polynomial over the twelve generators has integer
+    coefficients, so mod 3 it runs, as main-relation does: a PASS with a
+    null bound and the note that 3 does not exceed the degree bound."""
     code, out, err = run_cli(
-        capsys, "verify", suite, "--primes", "3", "--trials", "1"
+        capsys, "verify", suite, "--primes", "3", "--trials", "1", "--format", "json"
     )
-    assert code == 2
-    assert out == ""
-    assert err == "error: theorem1: denominator 3 not invertible mod 3\n"
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["passed"]
+    (check,) = (c for c in report["checks"] if c["name"] == "theorem1")
+    assert check["details"]["log10_failure_bound_per_prime"] == {"3": None}
+    assert check["notes"] == [
+        "primes 3 do not exceed the degree bound 18: "
+        "spot-checks of an identity over ZZ that bound nothing"
+    ]
 
 
 def test_verify_repeated_prime_exits_2(capsys):
@@ -322,14 +329,14 @@ def test_an_inconsistent_correction_solve_fails_its_checks_with_a_report(capsys,
 
 
 def test_a_default_verify_all_builds_neither_H_nor_Q(cold_builds, capsys):
-    """The correction solves certify H and Q on their own corrected sums, so
-    a cold default verify all never reads table.H or table.Q; the exact
-    theorem-1 proof of --mode exact still builds both."""
-    code, _, _ = run_cli(capsys, "verify", "all", "--trials", "3")
-    table = gen.generator_table()
-    assert code == 0 and "H" not in vars(table) and "Q" not in vars(table)
-    code, _, _ = run_cli(capsys, "verify", "all", "--mode", "exact", "--trials", "3")
-    assert code == 0 and "H" in vars(table) and "Q" in vars(table)
+    """The correction solves certify H and Q on their own corrected sums, and
+    theorem 1 is composed over the twelve generators with abstract_Q and
+    abstract_H, so a cold verify all, modular or exact, never reads
+    table.H or table.Q."""
+    for mode in ("modular", "exact"):
+        code, _, _ = run_cli(capsys, "verify", "all", "--mode", mode, "--trials", "3")
+        table = gen.generator_table()
+        assert code == 0 and "H" not in vars(table) and "Q" not in vars(table)
 
 
 def test_check_times_cover_a_cold_verify_all(cold_builds):

@@ -367,8 +367,9 @@ def test_block_determinant_extract_vs_evaluate_10_points():
 @pytest.mark.parametrize("prime", [2147483647, 5, 7])
 def test_batch_evaluation_equals_per_point(prime):
     """One evaluation of a batch of points gives, trial by trial, the value
-    of the per-point evaluation: for the leaves q and Q and for theorem 1's
-    composition, whose outer polynomial has coefficients with denominator 4."""
+    of the per-point evaluation: for the leaves q and Q, the latter with
+    coefficients of denominator 2, and for theorem 1's composition over the
+    twelve generators of the Definition."""
     table = gen.generator_table()
     points = [sample_point(gen.TRIPLE_NAMES, 5, prime, t) for t in range(6)]
     batch = {
@@ -376,10 +377,7 @@ def test_batch_evaluation_equals_per_point(prime):
         for n in gen.TRIPLE_NAMES
     }
     theorem1 = rel.theorem1_expr()
-    assert any(
-        isinstance(c, Fraction) and c.denominator == 4
-        for c in theorem1.outer.terms.values()
-    )
+    assert theorem1.names == rel.ABSTRACT12_NAMES
     for evaluate in (
         lambda pt: poly_eval_mod(table.q, pt, prime),
         lambda pt: poly_eval_mod(table.Q, pt, prime),
@@ -876,24 +874,17 @@ def test_definition_path_accepts_integers_outside_int64():
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("prime", [2147483647, 5, 7, 3])
 def test_definition_values_equal_the_expanded_leaves(prime, seed):
-    """f1..f10, h and q from their determinant definitions, and H and Q
-    from those values, as the triple identities' Definition gives them for
-    a sampled batch, equal poly_eval_mod of the expanded generator
-    polynomials at that batch point, and so does a batch of one trial.  H
-    has the denominator 3, so at p = 3 both ways refuse it alike."""
+    """f1..f10, h and q from their determinant definitions, as the triple
+    identities' Definition gives them for a sampled batch, equal
+    poly_eval_mod of the expanded generator polynomials at that batch point,
+    and so does a batch of one trial, in characteristic 3 as elsewhere."""
     table = gen.generator_table()
-    leaves = dict(zip(gen.F_NAMES, table.f), h=table.h, q=table.q, Q=table.Q, H=table.H)
+    leaves = dict(zip(gen.F_NAMES, table.f), h=table.h, q=table.q)
     definition = rel.generator_definition()
-    names = tuple(n for n in leaves if not (prime == 3 and n == "H"))
+    assert set(definition.degrees) == set(leaves)
     for trials in (range(12), range(5, 6)):
         batch = sample_point(gen.TRIPLE_NAMES, seed, prime, trials)
-        values = definition.sampled(seed, prime, trials, names)
-        for name in names:
-            assert values[name].tolist() == poly_eval_mod(leaves[name], batch, prime).tolist()
-    if prime == 3:
-        for evaluate in (
-            lambda: poly_eval_mod(table.H, batch, prime),
-            lambda: definition.sampled(seed, prime, trials, ("H",)),
-        ):
-            with pytest.raises(evalmod.DenominatorNotInvertible, match="^denominator 3 "):
-                evaluate()
+        values = definition.sampled(seed, prime, trials)
+        assert set(values) == set(leaves)
+        for name, leaf in leaves.items():
+            assert values[name].tolist() == poly_eval_mod(leaf, batch, prime).tolist()

@@ -118,11 +118,12 @@ def _sweep_mutant():
 
 def test_the_definition_degree_bounds_are_the_expanded_leaves_degrees():
     """Each degree the generator Definition gives is its leaf's total degree,
-    so the degree bound read from the definitions equals the one read from
-    the expanded leaves, 18, for both identities and the mutant."""
+    for each of the twelve generators, so the degree bound read from the
+    definitions equals the one read from the expanded leaves, 18, for both
+    identities and the mutant."""
     definition = rel.generator_definition()
     table = gen.generator_table()
-    leaves = dict(zip(gen.F_NAMES, table.f), h=table.h, q=table.q, H=table.H, Q=table.Q)
+    leaves = dict(zip(gen.F_NAMES, table.f), h=table.h, q=table.q)
     assert definition.degrees == {name: leaf.total_degree() for name, leaf in leaves.items()}
     for expr in (rel.main_relation_expr(), rel.theorem1_expr(), rel.main_relation_expr(_sweep_mutant())):
         assert expr.degree_bound() == Composition(expr.outer, expr.leaves).degree_bound() == 18
@@ -235,35 +236,38 @@ def test_theorem1_composition_matches_an_independent_evaluation(monkeypatch, pri
 
 
 def test_theorem1_reduces_to_the_defining_relation(monkeypatch):
-    """Theorem 1's outer polynomial over (Q, H, f1..f10), composed with
-    abstract_Q, abstract_H and the f-variables of the 12-variable ring, is
-    the defining relation term for term, 76 terms: theorem 1 holds at the
-    generators because the relation does.  With derive_st returning
-    T + f5^6 the composite is off by exactly (27/4)*f5^6."""
-
-    def reduced():
-        bindings = {name: Polynomial.variable(QQ, rel.ABSTRACT12, name) for name in gen.F_NAMES}
-        return rel.theorem1_expr().outer.substitute(
-            {"Q": rel.abstract_Q(), "H": rel.abstract_H(), **bindings}
-        )
-
+    """Theorem 1's outer polynomial over (q, h, f1..f10), composed with
+    abstract_Q and abstract_H, is the defining relation term for term, 76
+    terms: theorem 1 holds at the generators because the relation does.
+    With derive_st returning T + f5^6 it is off by exactly (27/4)*f5^6."""
     relation = rel.defining_relation().to_ring(QQ)
-    got = reduced()
+    got = rel.theorem1_expr().outer
     assert got.sorted_terms() == relation.sorted_terms()
     assert len(got) == rel.RELATION_TERM_COUNT == 76
     s4, t6 = rel.derive_st()
     f5 = Polynomial.variable(t6.ring, t6.vars, "f5")
     monkeypatch.setattr(rel, "derive_st", lambda: (s4, t6 + f5 ** 6))
-    difference = reduced() - relation
+    difference = rel.theorem1_expr().outer - relation
     f5 = Polynomial.variable(QQ, rel.ABSTRACT12, "f5")
     assert difference.sorted_terms() == (f5 ** 6 * Fraction(27, 4)).sorted_terms()
+
+
+def test_abstract_H_and_Q_at_the_generators_are_the_table_H_and_Q():
+    """abstract_H and abstract_Q with the generator polynomials substituted
+    for q, h and f1..f10 are table.H and table.Q exactly, so theorem 1's
+    outer polynomial over (q, h, f1..f10) at the twelve generators is its
+    polynomial in the 27 coordinates."""
+    table = gen.generator_table()
+    bindings = {name: table.by_name(name) for name in rel.ABSTRACT12_NAMES}
+    assert rel.abstract_H().substitute(bindings) == table.H
+    assert rel.abstract_Q().substitute(bindings) == table.Q
 
 
 @pytest.mark.parametrize("verify", [rel.verify_main_relation, rel.verify_theorem1])
 def test_modular_runs_evaluate_no_expanded_leaf(monkeypatch, verify):
     """The modular runs of the triple identities take the generators from
-    their definitions: poly_eval_mod only ever sees the outer polynomial and
-    abstract_H/abstract_Q, never a 27-variable leaf (q has 5748 terms)."""
+    their definitions: poly_eval_mod only ever sees the outer polynomial,
+    never a 27-variable leaf (q has 5748 terms)."""
     sizes = []
     real = evalmod.poly_eval_mod
 
@@ -272,7 +276,6 @@ def test_modular_runs_evaluate_no_expanded_leaf(monkeypatch, verify):
         return real(p, point, prime)
 
     monkeypatch.setattr(evalmod, "poly_eval_mod", recording)
-    monkeypatch.setattr(rel, "poly_eval_mod", recording)
     assert verify(RunConfig(trials=4, primes=(2147483647, 5), seed=0)).passed
     assert sizes and max(sizes) <= 170
 
@@ -293,30 +296,23 @@ def test_main_relation_fails_when_the_definition_of_q_is_off_by_one(monkeypatch)
     assert result.details["nonzero_evaluations"] == 3
 
 
-@pytest.mark.parametrize(
-    "suite, code, err",
-    [
-        ("main-relation", 0, ""),
-        ("theorem1", 2, "error: theorem1: denominator 3 not invertible mod 3\n"),
-    ],
-)
-def test_characteristic_three_from_the_definitions(capsys, suite, code, err):
-    """The determinant definitions hold in characteristic 3: the main
-    relation PASSes there with no flag, as a spot-check with a null bound
-    (3 <= 18, the degree bound) and the note that says so, and theorem 1,
-    whose H has the denominator 3, is still a usage error."""
+@pytest.mark.parametrize("suite", ["main-relation", "theorem1"])
+def test_characteristic_three_from_the_definitions(capsys, suite):
+    """The determinant definitions hold in characteristic 3, and both triple
+    identities are outer polynomials with integer coefficients over the
+    twelve generators: each PASSes there with no flag, as a spot-check with
+    a null bound (3 <= 18, the degree bound) and the note that says so."""
     argv = ["verify", suite, "--primes", "3", "--trials", "3", "--format", "json"]
-    assert cli.main(argv) == code
+    assert cli.main(argv) == 0
     out = capsys.readouterr()
-    assert out.err == err
-    if code == 0:
-        (check,) = json.loads(out.out)["checks"]
-        assert check["passed"] and check["details"]["evaluations"] == 3
-        assert check["details"]["log10_failure_bound_per_prime"] == {"3": None}
-        assert check["notes"] == [
-            "primes 3 do not exceed the degree bound 18: "
-            "spot-checks of an identity over ZZ that bound nothing"
-        ]
+    assert out.err == ""
+    (check,) = json.loads(out.out)["checks"]
+    assert check["passed"] and check["details"]["evaluations"] == 3
+    assert check["details"]["log10_failure_bound_per_prime"] == {"3": None}
+    assert check["notes"] == [
+        "primes 3 do not exceed the degree bound 18: "
+        "spot-checks of an identity over ZZ that bound nothing"
+    ]
 
 
 # -- exact mode: slice proofs ---------------------------------------------------
@@ -635,9 +631,13 @@ def test_an_empty_prime_list_is_refused():
 
 
 def test_only_a_non_invertible_denominator_becomes_a_usage_error(monkeypatch):
+    """A relation with a coefficient 1/3 has no value mod 3: a usage error
+    naming the identity and the prime.  Any other PolyError propagates."""
     cfg = RunConfig(trials=1, primes=(3,))
-    with pytest.raises(VerifyUsageError, match="^theorem1: denominator 3 not invertible mod 3$"):
-        rel.verify_theorem1(cfg)
+    h = Polynomial.variable(QQ, rel.ABSTRACT12, "h")
+    third = rel.defining_relation().to_ring(QQ) + h ** 3 * Fraction(1, 3)
+    with pytest.raises(VerifyUsageError, match="^main-relation: denominator 3 not invertible mod 3$"):
+        rel.verify_main_relation(cfg, relation=third)
     expr = rel.theorem1_expr()
 
     def broken(*args):
