@@ -164,7 +164,8 @@ def generator_definition() -> Definition:
     degrees = {name: stack.shape[-1] for name, stack in gen.GENERATOR_DETERMINANTS.items()}
 
     def leaves(names) -> dict:
-        return {n: gen.generator_table().by_name(n) for n in names}
+        table = gen.generator_table()
+        return {n: table.by_name(n) for n in names}
 
     return Definition(gen.TRIPLE_VARS, degrees, sampled_generator_values, leaves)
 
