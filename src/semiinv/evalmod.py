@@ -1,5 +1,5 @@
-"""Modular evaluation of polynomials, determinants and compositions for
-identity testing.
+"""Modular evaluation of polynomials and determinants for identity testing,
+and the composed form of an identity.
 
 Identities too large to expand symbolically are checked by evaluating both
 sides at random points over prime fields.  A nonzero polynomial of total
@@ -23,26 +23,23 @@ in and any trial can be reproduced in isolation.  A point's values may be ints
 (of any size: residues reduces them before they become int64) or equal-length
 int64 arrays; an array holds one value per trial of a batch, as
 sample_point draws it for a range of trials, and numpy broadcasting carries
-the batch through a composition.  A
-composition's eval_mod evaluates its leaf polynomials at a given point;
-eval_sampled evaluates it at the batch point of (seed, prime, range of
-trials), and a composition with a Definition takes the leaf values and
-degree bounds there from the definition: the twelve generators, the leaves
-of both triple identities, come from the determinant table that defines
-them (generators.GENERATOR_DETERMINANTS, read by generator_values_mod),
-never from their expansions.  Since a batch point is a function of that
-key alone, a Definition may remember all its leaf values of a batch by it:
-the key is every input of the values, and the outer polynomial, the
-identity itself, is evaluated on every call.
+the batch through poly_eval_mod.
+
+A Composition is an identity as an outer polynomial at named leaf
+polynomials, for exact expansion and restriction to a slice.  Nothing here
+evaluates one mod p: the two triple identities, the only identities checked
+mod p, are outer polynomials over the twelve generators, which
+verify.run_identity_modular evaluates with poly_eval_mod at the generator
+values that generators.sampled_generator_values takes from the determinant
+table, never from the expanded leaves.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from functools import cached_property
 from math import gcd
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -356,82 +353,28 @@ def _leibniz_mod(m: np.ndarray, prime: int) -> np.ndarray:
 # -- identities: an outer polynomial at named leaf polynomials ---------------
 
 
-class Definition(NamedTuple):
-    """A Composition's leaves by another definition: the points' variables, a
-    bound on each leaf's total degree, sampled(seed, prime, trials) -> the
-    values mod p of every leaf it defines at sample_point(vars.names, seed,
-    prime, trials), which may be remembered by that key, and leaves(names)
-    -> their polynomials, built when asked."""
-
-    vars: VariableSet
-    degrees: Mapping[str, int]
-    sampled: Callable[[int, int, range], Mapping]
-    leaves: Callable[[tuple], Mapping]
-
-
 class Composition:
     """An identity outer(leaves): a polynomial over abstract names, each name
     bound to a leaf polynomial over the one variable set all leaves share.
-    Every used name needs a leaf and every leaf is a name of outer, so exact
-    expansion and modular evaluation read the same identity.  Modular
-    evaluation takes the value of every leaf once and evaluates the outer
-    polynomial at those values, so the composite is never expanded unless
-    expand() is called.  eval_mod accepts a point of ints or of int64
-    batches and returns an int, or an int64 array for a batch; eval_sampled
-    takes the key of a sampled batch point in place of the point.
+    Every used name needs a leaf and every leaf is a name of outer, so the
+    expansion reads the whole identity.  The package builds one only for an
+    exact proof: expand() substitutes the leaves into the outer polynomial,
+    and restrict() restricts the leaves first.  The modular runs of the
+    triple identities evaluate their outer polynomial at generator values
+    (verify.run_identity_modular) and build none."""
 
-    With a Definition in place of the leaves, the leaves are the names of
-    outer it defines; eval_sampled and degree_bound read it and no leaf
-    polynomial, and it builds the leaves on the first read of .leaves (an
-    exact expansion, a restriction, a slice proof, eval_mod at a given
-    point).  restrict drops the definition: a restricted composition reads
-    its restricted leaves only."""
-
-    def __init__(self, outer: Polynomial, leaves: Mapping[str, Polynomial] | Definition):
-        self.outer = outer
-        self.definition = leaves if isinstance(leaves, Definition) else None
-        if self.definition is not None:
-            self.vars = leaves.vars
-            self.names = tuple(n for n in outer.vars.names if n in leaves.degrees)
-        else:
-            self.leaves, self.names = dict(leaves), tuple(leaves)
-            sets = {leaf.vars for leaf in self.leaves.values()}
-            if len(sets) > 1:
-                raise VariableMismatch("leaves use different variable sets")
-            self.vars = sets.pop() if sets else VariableSet(())
+    def __init__(self, outer: Polynomial, leaves: Mapping[str, Polynomial]):
+        self.outer, self.leaves = outer, dict(leaves)
+        sets = {leaf.vars for leaf in self.leaves.values()}
+        if len(sets) > 1:
+            raise VariableMismatch("leaves use different variable sets")
+        self.vars = sets.pop() if sets else VariableSet(())
         for name in outer.vars.names:
-            if outer.max_exponent(name) and name not in self.names:
+            if outer.max_exponent(name) and name not in self.leaves:
                 raise PolyError(f"unbound abstract variable {name!r}")
-        for name in self.names:
+        for name in self.leaves:
             if name not in outer.vars:
                 raise VariableMismatch(f"leaf {name!r} is not a variable of the outer polynomial")
-
-    @cached_property
-    def leaves(self) -> dict:  # set in __init__ unless a definition builds it
-        return dict(self.definition.leaves(self.names))
-
-    def eval_mod(self, point: Mapping[str, int], prime: int):
-        values = {name: poly_eval_mod(leaf, point, prime) for name, leaf in self.leaves.items()}
-        return poly_eval_mod(self.outer, values, prime)
-
-    def eval_sampled(self, seed: int, prime: int, trials: range):
-        """The composite mod p at the batch point sample_point(self.vars.names,
-        seed, prime, trials): eval_mod at that point, or, with a definition,
-        the outer polynomial, evaluated here on every call, at the leaf
-        values its sampled(...) gives for that key."""
-        if self.definition is None:
-            return self.eval_mod(sample_point(self.vars.names, seed, prime, trials), prime)
-        return poly_eval_mod(self.outer, self.definition.sampled(seed, prime, trials), prime)
-
-    def degree_bound(self) -> int:
-        """Max over the outer terms of sum(exponent * leaf degree), which bounds
-        the composite's total degree (a product's degree is at most the sum of
-        its factors', a sum's at most its largest), with each leaf's total
-        degree, or the definition's bound for it, so no leaf is built or read."""
-        degrees = self.definition.degrees if self.definition is not None else {
-            name: leaf.total_degree() for name, leaf in self.leaves.items()}
-        weights = {name: (degrees[name],) for name in self.names}
-        return max((sum(d) for d in self.outer.degrees(weights)), default=0)
 
     def expand(self) -> Polynomial:
         return self.outer.substitute(self.leaves)

@@ -6,11 +6,14 @@ t1..t6.  By row multilinearity each of the twelve is a sum of plain
 determinants in the 27 entries: GENERATOR_DETERMINANTS is that one integer
 table, with the argument next to it.  determinant_sum reads it as exact
 polynomials (f_all, h_poly, q_poly, generators_of) and generator_values_mod
-as values at points mod p, with no expansion, for the modular runs.  H and
-Q are the rational corrections of h and q that are fixed by the unipotent
-upper-triangular subgroup (highest weight vectors of weights (2,2,2) and
-(3,3,3)).  A GeneratorTable builds f1..f10 and h; q, H and Q are built
-exactly in the 27 coordinates on their first read only.
+as values at points mod p, with no expansion.  The modular runs of the
+triple identities read those values at a sampled batch point through the
+memo sampled_generator_values, and the generators' degree bounds,
+GENERATOR_DEGREES, off the same table.  H and Q are the rational
+corrections of h and q that are fixed by the unipotent upper-triangular
+subgroup (highest weight vectors of weights (2,2,2) and (3,3,3)).  A
+GeneratorTable builds f1..f10 and h; q, H and Q are built exactly in the
+27 coordinates on their first read only.
 
 Gradings are data next to the names they weigh, for Polynomial.degrees:
 BLOCK_WEIGHTS gives the degree in the entries of (A1, A2, A3), and F_WEIGHTS
@@ -23,11 +26,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .evalmod import det_residues, residues
+from .evalmod import det_residues, residues, sample_point
 from .matrix import PolyMatrix
 from .poly import QQ, ZZ, Polynomial, PolyError, Ring, VariableSet
 
@@ -290,6 +294,11 @@ GENERATOR_DETERMINANTS = {
 for _stack in GENERATOR_DETERMINANTS.values():
     _stack.setflags(write=False)
 
+# A bound on each generator's total degree: an n x n matrix of the table has
+# entries of degree <= 1 (a coordinate or 0), so its determinant has degree
+# <= n: 3, 6 and 9 for f, h and q.
+GENERATOR_DEGREES = {name: stack.shape[-1] for name, stack in GENERATOR_DETERMINANTS.items()}
+
 
 def determinant_sum(T: MatrixTriple, name: str) -> Polynomial:
     """The generator name of GENERATOR_DETERMINANTS as a polynomial in the
@@ -365,6 +374,23 @@ def generator_values_mod(point: Mapping, prime: int) -> dict:
         dets = det_residues(x[idx], prime)
         values.update(zip(names, np.tensordot(signs, dets, axes=1) % prime))
     return {name: values[name] for name in GENERATOR_DETERMINANTS}
+
+
+@lru_cache(maxsize=7)
+def sampled_generator_values(seed: int, prime: int, trials: range) -> Mapping:
+    """f1..f10, h and q mod p, a read-only map of read-only int64 arrays,
+    at the batch point sample_point(TRIPLE_NAMES, seed, prime, trials),
+    computed once per key, which is every input of the values, and shared
+    by main-relation and theorem1, which draw the same points.  It holds
+    generator values only.  maxsize 7 holds the chunks of verify all's main
+    relation at the default protocol (five default primes, 5 and 7): at
+    most 7 * 12 * verify.TRIAL_CHUNK int64s.  Above TRIAL_CHUNK trials the
+    two identities share no values: main-relation fills 2 or more chunks on
+    each of its 7 primes, and theorem1's lookups miss."""
+    values = generator_values_mod(sample_point(TRIPLE_NAMES, seed, prime, trials), prime)
+    for array in values.values():
+        array.setflags(write=False)
+    return MappingProxyType(values)
 
 
 # The names GeneratorTable.by_name reads, in its order: f{i}{j}{k} and f{n} name

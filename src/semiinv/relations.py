@@ -9,11 +9,10 @@ h-components determine the quartic and sextic invariants exactly; their
 normalization is pinned by the values they take on the Weierstrass family.
 
 Both triple identities, the relation and theorem 1, are outer polynomials
-over (q, h, f1..f10) at one generator Definition; theorem 1's is composed
-with abstract_Q and abstract_H, so no run evaluates H or Q.  In modular
-mode both read the memo sampled_generator_values, which computes the twelve
-generator values of a batch once per (seed, prime, range of trials), every
-input they depend on; it holds no outer polynomial and no identity's value.
+over (q, h, f1..f10); theorem 1's is composed with abstract_Q and abstract_H,
+so no run evaluates H or Q.  A modular run evaluates the outer polynomial at
+the generator values of the determinant table; only an exact slice proof
+binds the generator polynomials to its names, as a Composition.
 """
 
 from __future__ import annotations
@@ -22,12 +21,10 @@ import hashlib
 import time
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping
 
 from . import generators as gen
 from . import hwv, textio
-from .evalmod import Composition, Definition, sample_point
+from .evalmod import Composition
 from .poly import QQ, ZZ, Polynomial, PolyError, VariableSet
 from .verify import (
     CheckResult,
@@ -138,57 +135,20 @@ def evaluate_f_form_on_triple(p_f: Polynomial, T) -> Polynomial:
 # -- the two big identities -----------------------------------------------------
 
 
-@lru_cache(maxsize=7)
-def sampled_generator_values(seed: int, prime: int, trials: range) -> Mapping:
-    """f1..f10, h and q mod p, a read-only map of read-only int64 arrays,
-    at the batch point sample_point(TRIPLE_VARS.names, seed, prime, trials),
-    computed once per key, which is every input of the values, and shared
-    by main-relation and theorem1, which draw the same points.  It holds
-    generator values only.  maxsize 7 holds the chunks of verify all's main
-    relation at the default protocol (five default primes, 5 and 7): at
-    most 7 * 12 * verify.TRIAL_CHUNK int64s.  Above TRIAL_CHUNK trials the
-    two identities share no values: main-relation fills 2 or more chunks on
-    each of its 7 primes, and theorem1's lookups miss."""
-    values = gen.generator_values_mod(sample_point(gen.TRIPLE_VARS.names, seed, prime, trials), prime)
-    for array in values.values():
-        array.setflags(write=False)
-    return MappingProxyType(values)
-
-
-def generator_definition() -> Definition:
-    """f1..f10, h and q, the leaves of both triple identities, by their
-    definitions: their values mod p from sampled_generator_values, their
-    polynomials read from the table when asked for.  Degree bounds: a
-    matrix of GENERATOR_DETERMINANTS has entries of degree <= 1, so n x n
-    ones sum to degree <= n (3, 6 and 9 for f, h and q)."""
-    degrees = {name: stack.shape[-1] for name, stack in gen.GENERATOR_DETERMINANTS.items()}
-
-    def leaves(names) -> dict:
-        table = gen.generator_table()
-        return {n: table.by_name(n) for n in names}
-
-    return Definition(gen.TRIPLE_VARS, degrees, sampled_generator_values, leaves)
-
-
-def main_relation_expr(relation: Polynomial | None = None) -> Composition:
-    """relation(q, h, f1..f10) at the twelve generators, by their Definition:
-    a modular run reads no generator polynomial."""
-    return Composition(defining_relation() if relation is None else relation, generator_definition())
-
-
-def theorem1_expr() -> Composition:
-    """Q^2 - H^3 - 27*H*S + (27/4)*T over the 27 coordinates: one rational
-    outer polynomial over (q, h, f1..f10), Q and H being abstract_Q and
-    abstract_H and S and T the pair derive_st returns (read through this
+def theorem1_expr() -> Polynomial:
+    """Q^2 - H^3 - 27*H*S + (27/4)*T over the 27 coordinates, as one rational
+    outer polynomial over (q, h, f1..f10): Q and H are abstract_Q and
+    abstract_H, and S and T the pair derive_st returns (read through this
     module's attribute when the expression is built, so a substituted
-    derive_st is the one composed), at the leaves of main_relation_expr.
-    Sound: table.Q and table.H are combine_correction over the same
-    correction tables at the generators, so the composite is theorem 1's
-    27-variable polynomial (test_relations locks this exactly), and the
-    slice proof's SL3 x SL3 gate certifies main-relation's twelve leaves."""
+    derive_st is the one composed).  The twelve generators are its leaves,
+    as they are the defining relation's.  Sound: table.Q and table.H are
+    combine_correction over the same correction tables at the generators, so
+    the composite is theorem 1's 27-variable polynomial (test_relations
+    locks this exactly), and the slice proof's SL3 x SL3 gate certifies the
+    same twelve leaves as main-relation's."""
     S, T = (p.to_ring(QQ).convert(ABSTRACT12) for p in derive_st())
     H, Q = abstract_H(), abstract_Q()
-    return Composition(Q.mul(Q) - H ** 3 - H.mul(S) * 27 + T * Fraction(27, 4), generator_definition())
+    return Q.mul(Q) - H ** 3 - H.mul(S) * 27 + T * Fraction(27, 4)
 
 
 # The slice (A1, A2, A3) = (I, diag(x2_11, x2_22, x2_33), A3), in 12 of the 27
@@ -215,35 +175,52 @@ TRIPLE_SLICE = Slice(
 )
 
 
-def _run_triple_identity(name: str, expr: Composition, cfg: RunConfig) -> CheckResult:
-    """Exact mode proves the identity on TRIPLE_SLICE (run_slice_proof, gated
-    on the leaves' SL3 x SL3 certificates and the composite's block
-    multihomogeneity); modular mode evaluates it in all 27 coordinates, with
-    the generators taken from their definitions."""
+def _run_triple_identity(name: str, outer: Polynomial, cfg: RunConfig) -> CheckResult:
+    """outer(q, h, f1..f10) vanishes at the twelve generators.  Exact mode
+    proves it on TRIPLE_SLICE (run_slice_proof, gated on the leaves' SL3 x
+    SL3 certificates and the composite's block multihomogeneity), with the
+    generator polynomials of the table as leaves; modular mode evaluates it
+    in all 27 coordinates at the generator values of the determinant table
+    and builds no generator polynomial."""
     if cfg.mode == "exact":
-        return run_slice_proof(name, expr, cfg, TRIPLE_SLICE, run_identity_exact)
-    return run_identity_modular(name, expr, cfg)
+        table = gen.generator_table()
+        leaves = {n: table.by_name(n) for n in outer.vars.names if n in gen.GENERATOR_DEGREES}
+        return run_slice_proof(name, Composition(outer, leaves), cfg, TRIPLE_SLICE, run_identity_exact)
+    return run_identity_modular(name, outer, cfg)
 
 
 def verify_main_relation(cfg: RunConfig, relation: Polynomial | None = None) -> CheckResult:
-    """The defining relation vanishes at the twelve generators: modular in all
-    27 coordinates by default, an exact slice proof in exact mode."""
-    return _run_triple_identity("main-relation", main_relation_expr(relation), cfg)
+    """The defining relation, or the relation passed, vanishes at the twelve
+    generators: modular in all 27 coordinates by default, an exact slice
+    proof in exact mode."""
+    return _run_triple_identity("main-relation", defining_relation() if relation is None else relation, cfg)
+
+
+# Every term of theorem 1 that reads S or T has a factor 27, so mod 3 the
+# check sees S and T not at all.
+THEOREM1_MOD3_NOTE = (
+    "mod 3 the terms 27*H*S and (27/4)*T vanish: "
+    "the check at p = 3 cannot see an error in S or T"
+)
 
 
 def verify_theorem1(cfg: RunConfig) -> CheckResult:
     """Q^2 - H^3 - 27*H*S + (27/4)*T vanishes: modular in all 27 coordinates by
     default, an exact slice proof in exact mode.  A PolyError while composing
     it (derive_st refusing the relation, say) is a FAIL with the error as its
-    note."""
+    note.  A modular run whose primes include 3 says that it is blind there
+    to S and T."""
     t0 = time.perf_counter()
     try:
-        expr = theorem1_expr()
+        outer = theorem1_expr()
     except PolyError as exc:
         return CheckResult(
             "theorem1", False, "exact", time.perf_counter() - t0, notes=[f"PolyError: {exc}"]
         )
-    return _run_triple_identity("theorem1", expr, cfg)
+    result = _run_triple_identity("theorem1", outer, cfg)
+    if cfg.mode == "modular" and 3 in cfg.primes:
+        result.notes.append(THEOREM1_MOD3_NOTE)
+    return result
 
 
 # -- exact special-triple evaluations -------------------------------------------

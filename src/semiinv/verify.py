@@ -1,21 +1,23 @@
 """Identity-verification runners, configuration, and machine-readable reports.
 
-A check takes an identity as an evalmod.Composition, an outer polynomial at
-named leaf polynomials.  It either expands the identity exactly to the zero
-polynomial or evaluates it at pseudo-random points over a list of prime
-fields.  run_slice_proof does either on a slice of the variables, after an
-exact gate certifies that the identity is invariant.  Modular runs are
-reproducible from (seed, primes, trials); a prime's trials are evaluated in
-one process, TRIAL_CHUNK at a time, by one evaluation of the composition per
-chunk, and a trial's point and value do not depend on the others.  The two
-triple identities are outer polynomials over the same twelve generators,
-whose values and degree bounds they read from their definitions
-(relations.generator_definition), not from the leaves.  They share the
-generator values of a chunk, remembered by (seed, prime, chunk), which is
-every input those values depend on; no identity's value is remembered.
-Every other check runs through boolean_check, which times its predicate and
-makes a refused build that check's FAIL.  A RunConfig validates itself when
-it is constructed.
+A check either expands an identity exactly to the zero polynomial or
+evaluates it at pseudo-random points over a list of prime fields.  The
+identities checked mod p are the two triple identities, outer polynomials
+over the twelve generators q, h, f1..f10: run_identity_modular evaluates
+one at the generator values of a chunk of sampled points, which
+generators.sampled_generator_values computes from the determinant table
+and remembers by (seed, prime, chunk), every input those values depend on,
+so the two identities share them; no identity's value is remembered.  The
+degree bound comes from generators.GENERATOR_DEGREES, and no leaf
+polynomial is built.  An exact check takes the identity as an
+evalmod.Composition, an outer polynomial at named leaf polynomials;
+run_slice_proof expands it on a slice of the variables, after an exact
+gate certifies that the identity is invariant.  Modular runs are
+reproducible from (seed, primes, trials); a prime's trials are evaluated
+in one process, TRIAL_CHUNK at a time, and a trial's point and value do
+not depend on the others.  Every other check runs through boolean_check,
+which times its predicate and makes a refused build that check's FAIL.  A
+RunConfig validates itself when it is constructed.
 """
 
 from __future__ import annotations
@@ -27,15 +29,17 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import generators as gen
 from .evalmod import (
     DEFAULT_PRIMES,
     Composition,
     DenominatorNotInvertible,
     check_prime,
+    poly_eval_mod,
     sample_point,
 )
 from .linalg import LinAlgError
-from .poly import PolyError
+from .poly import Polynomial, PolyError
 
 REPORT_SCHEMA = "semiinv-report/1"
 
@@ -148,24 +152,27 @@ def boolean_check(name: str, fn: Callable[[], object]) -> CheckResult:
 TRIAL_CHUNK = 1000
 
 
-def run_identity_modular(name: str, expr: Composition, cfg: RunConfig) -> CheckResult:
-    """Evaluate the expression at cfg.trials points per prime; PASS iff every
-    evaluation is zero.  Reports the Schwartz-Zippel failure bound per prime,
-    or None for a prime p <= degree, where d/p >= 1 bounds nothing.  A prime
-    that divides a denominator of the identity is a VerifyUsageError.
+def run_identity_modular(name: str, outer: Polynomial, cfg: RunConfig) -> CheckResult:
+    """Evaluate an outer polynomial over q, h, f1..f10 at the twelve
+    generators, at cfg.trials points of the 27 coordinates per prime; PASS
+    iff every evaluation is zero.  Reports the Schwartz-Zippel failure bound
+    per prime, or None for a prime p <= degree, where d/p >= 1 bounds
+    nothing.  A prime that divides a denominator of the identity is a
+    VerifyUsageError; a used name that is not a generator is a PolyError
+    that names it.
 
-    Each prime's trials are taken in consecutive ranges of TRIAL_CHUNK, and
-    one eval_sampled call evaluates a range's batch point, drawn by
-    sample_point as one int64 array per name.  Points are keyed by (seed,
-    prime, trial), so the chunking changes no value.  An expression with a
-    Definition reads its leaf values from it by (seed, prime, range), so two
-    identities over one definition share them (the triple identities:
-    relations.sampled_generator_values); the outer polynomial is evaluated
-    on every run.  The point of the first failing trial, in (prime, trial)
-    order, is drawn again as a dict of ints for the counterexample."""
+    The degree bound is the largest sum over an outer term of exponent
+    times GENERATOR_DEGREES (a product's degree is at most the sum of its
+    factors', a sum's at most its largest).  Each prime's trials are taken
+    in consecutive ranges of TRIAL_CHUNK, and one poly_eval_mod call
+    evaluates the outer polynomial at a range's generator values,
+    generators.sampled_generator_values(seed, prime, range).  Points are
+    keyed by (seed, prime, trial), so the chunking changes no value.  The
+    point of the first failing trial, in (prime, trial) order, is drawn
+    again as a dict of ints for the counterexample."""
     t0 = time.perf_counter()
-    names = expr.vars.names
-    degree = expr.degree_bound()
+    weights = {n: (d,) for n, d in gen.GENERATOR_DEGREES.items() if n in outer.vars}
+    degree = max((sum(d) for d in outer.degrees(weights)), default=0)
     bounds = {}
     for p in cfg.primes:
         bounds[str(p)] = (
@@ -178,7 +185,7 @@ def run_identity_modular(name: str, expr: Composition, cfg: RunConfig) -> CheckR
         for start in range(0, cfg.trials, TRIAL_CHUNK):
             chunk = range(start, min(start + TRIAL_CHUNK, cfg.trials))
             try:
-                values = expr.eval_sampled(cfg.seed, prime, chunk)
+                values = poly_eval_mod(outer, gen.sampled_generator_values(cfg.seed, prime, chunk), prime)
             except DenominatorNotInvertible as exc:
                 raise VerifyUsageError(f"{name}: {exc}") from None
             values = np.broadcast_to(values, len(chunk))
@@ -196,7 +203,7 @@ def run_identity_modular(name: str, expr: Composition, cfg: RunConfig) -> CheckR
             "prime": prime,
             "trial": trial,
             "value": value,
-            "point": sample_point(names, cfg.seed, prime, trial),
+            "point": sample_point(gen.TRIPLE_NAMES, cfg.seed, prime, trial),
         }
     details = {
         "degree_bound": degree,

@@ -11,9 +11,13 @@ act_on_triple, act_on_function, block_matrix and pencil_determinant take
 package polynomials and matrices and use only their plain ring operations or
 their packed terms, one key at a time; the last two build the paper's
 t-graded definitions of the generators, which the package does not.
-det_mod is the one exception to the rule above: it is not an oracle but the
-tests' entry to the package's determinant mod p, evalmod.det_residues, from
-stacks of integer matrices, which no production code needs.
+det_mod, at_generators and composition_eval_mod are the exceptions to the
+rule above.  det_mod is not an oracle but the tests' entry to the package's
+determinant mod p, evalmod.det_residues, from stacks of integer matrices,
+which no production code needs.  at_generators and composition_eval_mod are
+the per-point reference for the triple identities: they evaluate the
+expanded generator polynomials with evalmod.poly_eval_mod, where a modular
+run reads the generator values off the determinant table.
 """
 
 from fractions import Fraction
@@ -324,6 +328,21 @@ def naive_eval_mod(p, point, prime):
                 v = v * pow(point[name] % prime, e, prime) % prime
         total = (total + v) % prime
     return total
+
+
+def at_generators(outer):
+    """An outer polynomial over (q, h, f1..f10) as an evalmod.Composition
+    whose leaves are the generator table's expanded polynomials."""
+    table = gen.generator_table()
+    return evalmod.Composition(outer, {name: table.by_name(name) for name in ("q", "h") + gen.F_NAMES})
+
+
+def composition_eval_mod(expr, point, prime):
+    """An evalmod.Composition mod p at a point of its leaves' variables (ints,
+    or int64 arrays for a batch): each leaf polynomial by poly_eval_mod,
+    then the outer polynomial at those values."""
+    values = {name: evalmod.poly_eval_mod(leaf, point, prime) for name, leaf in expr.leaves.items()}
+    return evalmod.poly_eval_mod(expr.outer, values, prime)
 
 
 def weighted_degrees(p, weights):

@@ -75,9 +75,10 @@ def test_dry_run_prints_the_alternating_schedule_and_runs_nothing(abtest, monkey
                         ("parent", "change", "change", "parent", "parent", "change")]
     commands = abtest.output_commands(TOOL.parent.parent)
     assert ["emit", "A"] in commands and ["solve-hwv"] in commands
-    assert commands[-4:] == [["derive-st"], ["derive-st", "--format", "json"],
+    assert commands[-5:] == [["derive-st"], ["derive-st", "--format", "json"],
                              ["verify", "all", "--format", "json"],
-                             ["verify", "all", "--mode", "exact", "--format", "json"]]
+                             ["verify", "all", "--mode", "exact", "--format", "json"],
+                             ["verify", "all", "--trials", "1001", "--format", "json"]]
     assert rest[6:] == [f"cd TMP/{side} && PYTHONPATH=src python3 -m semiinv.cli " + " ".join(c)
                         for side in ("parent", "change") for c in commands]
     for i, seed in enumerate(seeds):

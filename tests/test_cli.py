@@ -161,7 +161,8 @@ def test_verify_characteristic_three_gate(capsys):
 def test_verify_characteristic_three_spot_checks_theorem1(capsys, suite):
     """Theorem 1's outer polynomial over the twelve generators has integer
     coefficients, so mod 3 it runs, as main-relation does: a PASS with a
-    null bound and the note that 3 does not exceed the degree bound."""
+    null bound, the note that 3 does not exceed the degree bound, and the
+    note that mod 3 the check cannot see S or T."""
     code, out, err = run_cli(
         capsys, "verify", suite, "--primes", "3", "--trials", "1", "--format", "json"
     )
@@ -172,7 +173,9 @@ def test_verify_characteristic_three_spot_checks_theorem1(capsys, suite):
     assert check["details"]["log10_failure_bound_per_prime"] == {"3": None}
     assert check["notes"] == [
         "primes 3 do not exceed the degree bound 18: "
-        "spot-checks of an identity over ZZ that bound nothing"
+        "spot-checks of an identity over ZZ that bound nothing",
+        "mod 3 the terms 27*H*S and (27/4)*T vanish: "
+        "the check at p = 3 cannot see an error in S or T",
     ]
 
 

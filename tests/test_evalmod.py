@@ -257,8 +257,8 @@ def test_composition_binds_one_leaf_to_two_names():
     # u*v - u - v at u = v = s evaluates to s^2 - 2s
     point = {"x": 3, "y": 0, "z": 0}
     s = 10
-    assert expr.eval_mod(point, 97) == (s * s - 2 * s) % 97
-    assert expr.degree_bound() == 4
+    assert oracles.composition_eval_mod(expr, point, 97) == (s * s - 2 * s) % 97
+    assert expr.expand() == x ** 4 - 1
 
 
 def test_composition_expand_matches_eval():
@@ -270,10 +270,10 @@ def test_composition_expand_matches_eval():
     expr = Composition(u ** 2 - v, {"u": x + y, "v": x ** 2 + 2 * x * y + y ** 2})
     assert expr.expand().is_zero()
     point = {"x": 3, "y": 4, "z": 5}
-    assert expr.eval_mod(point, 97) == 0
+    assert oracles.composition_eval_mod(expr, point, 97) == 0
     mutant = Composition(u ** 2 - v, {"u": x + y, "v": x ** 2 + y ** 2})
     assert mutant.expand() == 2 * x * y
-    assert mutant.eval_mod(point, 97) == 24
+    assert oracles.composition_eval_mod(mutant, point, 97) == 24
 
 
 def test_unbound_abstract_variable_rejected():
@@ -369,7 +369,7 @@ def test_batch_evaluation_equals_per_point(prime):
     """One evaluation of a batch of points gives, trial by trial, the value
     of the per-point evaluation: for the leaves q and Q, the latter with
     coefficients of denominator 2, and for theorem 1's composition over the
-    twelve generators of the Definition."""
+    twelve generators, which a run evaluates at their sampled values."""
     table = gen.generator_table()
     points = [sample_point(gen.TRIPLE_NAMES, 5, prime, t) for t in range(6)]
     batch = {
@@ -377,18 +377,20 @@ def test_batch_evaluation_equals_per_point(prime):
         for n in gen.TRIPLE_NAMES
     }
     theorem1 = rel.theorem1_expr()
-    assert theorem1.names == rel.ABSTRACT12_NAMES
+    assert theorem1.vars.names == rel.ABSTRACT12_NAMES
+    expr = oracles.at_generators(theorem1)
     for evaluate in (
         lambda pt: poly_eval_mod(table.q, pt, prime),
         lambda pt: poly_eval_mod(table.Q, pt, prime),
-        lambda pt: theorem1.eval_mod(pt, prime),
+        lambda pt: oracles.composition_eval_mod(expr, pt, prime),
     ):
         values = evaluate(batch)
         assert values.shape == (len(points),)
         expected = [evaluate(pt) for pt in points]
         assert all(type(v) is int for v in expected)
         assert values.tolist() == expected
-    assert theorem1.eval_sampled(5, prime, range(6)).tolist() == expected
+    sampled = gen.sampled_generator_values(5, prime, range(6))
+    assert poly_eval_mod(theorem1, sampled, prime).tolist() == expected
 
 
 # -- determinants and generator values from their definitions -----------------
@@ -863,10 +865,11 @@ def test_definition_path_accepts_integers_outside_int64():
     for name, leaf in leaves.items():
         assert int(values[name]) == poly_eval_mod(leaf, point, prime)
         assert int(values[name]) == int(at_residues[name])
-    expr = rel.main_relation_expr()
-    assert expr.eval_mod(point, prime) == 0
-    mutant = rel.main_relation_expr(rel.defining_relation() + 1)
-    assert mutant.eval_mod(point, prime) == 1
+    expr = oracles.at_generators(rel.defining_relation())
+    assert oracles.composition_eval_mod(expr, point, prime) == 0
+    assert poly_eval_mod(rel.defining_relation(), values, prime) == 0
+    mutant = oracles.at_generators(rel.defining_relation() + 1)
+    assert oracles.composition_eval_mod(mutant, point, prime) == 1
     big = [[2**64, 1], [-3, -(2**70)]]
     assert int(oracles.det_mod(big, prime)) == (-(2**134) + 3) % prime
 
@@ -875,16 +878,16 @@ def test_definition_path_accepts_integers_outside_int64():
 @pytest.mark.parametrize("prime", [2147483647, 5, 7, 3])
 def test_definition_values_equal_the_expanded_leaves(prime, seed):
     """f1..f10, h and q from their determinant definitions, as the triple
-    identities' Definition gives them for a sampled batch, equal
-    poly_eval_mod of the expanded generator polynomials at that batch point,
-    and so does a batch of one trial, in characteristic 3 as elsewhere."""
+    identities' modular runs read them for a sampled batch
+    (sampled_generator_values), equal poly_eval_mod of the expanded
+    generator polynomials at that batch point, and so does a batch of one
+    trial, in characteristic 3 as elsewhere."""
     table = gen.generator_table()
     leaves = dict(zip(gen.F_NAMES, table.f), h=table.h, q=table.q)
-    definition = rel.generator_definition()
-    assert set(definition.degrees) == set(leaves)
+    assert set(gen.GENERATOR_DEGREES) == set(leaves)
     for trials in (range(12), range(5, 6)):
         batch = sample_point(gen.TRIPLE_NAMES, seed, prime, trials)
-        values = definition.sampled(seed, prime, trials)
+        values = gen.sampled_generator_values(seed, prime, trials)
         assert set(values) == set(leaves)
         for name, leaf in leaves.items():
             assert values[name].tolist() == poly_eval_mod(leaf, batch, prime).tolist()

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from semiinv import cli, evalmod, generators as gen, relations as rel
-from semiinv.evalmod import DEFAULT_PRIMES, Composition, sample_point
+from semiinv import cli, evalmod, generators as gen, relations as rel, verify as verify_module
+from semiinv.evalmod import DEFAULT_PRIMES, Composition, poly_eval_mod, sample_point
 from semiinv.poly import QQ, ZZ, Polynomial, PolyError, VariableSet
 from semiinv.verify import (
     RunConfig,
@@ -117,21 +117,23 @@ def _sweep_mutant():
 
 
 def test_the_definition_degree_bounds_are_the_expanded_leaves_degrees():
-    """Each degree the generator Definition gives is its leaf's total degree,
-    for each of the twelve generators, so the degree bound read from the
-    definitions equals the one read from the expanded leaves, 18, for both
-    identities and the mutant."""
-    definition = rel.generator_definition()
+    """Each degree of GENERATOR_DEGREES, read off the determinant table, is
+    its leaf's total degree, for each of the twelve generators, so the
+    degree bound a modular run reports equals the one read from the
+    expanded leaves, 18, for both identities and the mutant."""
     table = gen.generator_table()
     leaves = dict(zip(gen.F_NAMES, table.f), h=table.h, q=table.q)
-    assert definition.degrees == {name: leaf.total_degree() for name, leaf in leaves.items()}
-    for expr in (rel.main_relation_expr(), rel.theorem1_expr(), rel.main_relation_expr(_sweep_mutant())):
-        assert expr.degree_bound() == Composition(expr.outer, expr.leaves).degree_bound() == 18
+    assert gen.GENERATOR_DEGREES == {name: leaf.total_degree() for name, leaf in leaves.items()}
+    weights = {name: (leaf.total_degree(),) for name, leaf in leaves.items()}
+    cfg = RunConfig(trials=1, primes=(2147483647,))
+    for outer in (rel.defining_relation(), rel.theorem1_expr(), _sweep_mutant()):
+        expanded = max(sum(d) for d in oracles.weighted_degrees(outer, weights))
+        assert run_identity_modular("bound", outer, cfg).details["degree_bound"] == expanded == 18
 
 
 def test_modular_runs_build_no_corrected_leaf_and_read_no_leaf(cold_builds, monkeypatch):
     """After generator_table(), as a benchmark set-up builds it, the modular
-    main relation, theorem 1 and the mutant leave H and Q unbuilt: no
+    main relation, theorem 1 and the mutant leave q, H and Q unbuilt: no
     combine_correction over the 27 coordinates, and no exponents() of a
     polynomial in them, leaf or other."""
     table = gen.generator_table()
@@ -156,7 +158,7 @@ def test_modular_runs_build_no_corrected_leaf_and_read_no_leaf(cold_builds, monk
     ]
     assert [r.passed for r in results] == [True, True, False]
     assert [r.details["degree_bound"] for r in results] == [18, 18, 18]
-    assert "H" not in vars(table) and "Q" not in vars(table)
+    assert "q" not in vars(table) and "H" not in vars(table) and "Q" not in vars(table)
     assert read and corrected  # outer polynomials, abstract_H and abstract_Q
     assert gen.TRIPLE_VARS not in read and gen.TRIPLE_VARS not in corrected
 
@@ -204,21 +206,22 @@ def test_negative_control_mutated_relation():
     assert result.counterexample is not None
     point = result.counterexample["point"]
     prime = result.counterexample["prime"]
-    expr = rel.main_relation_expr(mutated)
-    assert expr.eval_mod(point, prime) == result.counterexample["value"] != 0
+    expr = oracles.at_generators(mutated)
+    assert oracles.composition_eval_mod(expr, point, prime) == result.counterexample["value"] != 0
 
 
 @pytest.mark.parametrize("prime", [2147483647, 5, 7])
 def test_theorem1_composition_matches_an_independent_evaluation(monkeypatch, prime):
-    """The composed outer polynomial of theorem 1, at a sampled batch as a
-    run evaluates it, takes the value of Q^2 - H^3 - 27*H*S + (27/4)*T, with Q, H and f1..f10 evaluated term by
+    """The composed outer polynomial of theorem 1, at the generator values of
+    a sampled batch as a run evaluates it, takes the value of
+    Q^2 - H^3 - 27*H*S + (27/4)*T, with Q, H and f1..f10 evaluated term by
     term by the oracle and S, T evaluated at those f-values.  With derive_st
     returning T + f5^6 in place of T the values differ by (27/4)*f5^6,
     nonzero at some of the points."""
     table = gen.generator_table()
     s4, t6 = rel.derive_st()
     f5 = Polynomial.variable(t6.ring, t6.vars, "f5")
-    expr = rel.theorem1_expr()
+    outer = rel.theorem1_expr()
     monkeypatch.setattr(rel, "derive_st", lambda: (s4, t6 + f5 ** 6))
     wrong = rel.theorem1_expr()
     c = 27 * pow(4, -1, prime)
@@ -230,8 +233,9 @@ def test_theorem1_composition_matches_an_independent_evaluation(monkeypatch, pri
         S, T = (oracles.naive_eval_mod(p, fs, prime) for p in (s4, t6))
         expected.append((Q * Q - H ** 3 - 27 * H * S + c * T) % prime)
         expected_wrong.append((expected[-1] + c * fs["f5"] ** 6) % prime)
-    assert expr.eval_sampled(5, prime, range(6)).tolist() == expected
-    assert wrong.eval_sampled(5, prime, range(6)).tolist() == expected_wrong
+    values = gen.sampled_generator_values(5, prime, range(6))
+    assert poly_eval_mod(outer, values, prime).tolist() == expected
+    assert poly_eval_mod(wrong, values, prime).tolist() == expected_wrong
     assert any(expected_wrong)
 
 
@@ -241,13 +245,13 @@ def test_theorem1_reduces_to_the_defining_relation(monkeypatch):
     terms: theorem 1 holds at the generators because the relation does.
     With derive_st returning T + f5^6 it is off by exactly (27/4)*f5^6."""
     relation = rel.defining_relation().to_ring(QQ)
-    got = rel.theorem1_expr().outer
+    got = rel.theorem1_expr()
     assert got.sorted_terms() == relation.sorted_terms()
     assert len(got) == rel.RELATION_TERM_COUNT == 76
     s4, t6 = rel.derive_st()
     f5 = Polynomial.variable(t6.ring, t6.vars, "f5")
     monkeypatch.setattr(rel, "derive_st", lambda: (s4, t6 + f5 ** 6))
-    difference = rel.theorem1_expr().outer - relation
+    difference = rel.theorem1_expr() - relation
     f5 = Polynomial.variable(QQ, rel.ABSTRACT12, "f5")
     assert difference.sorted_terms() == (f5 ** 6 * Fraction(27, 4)).sorted_terms()
 
@@ -266,8 +270,9 @@ def test_abstract_H_and_Q_at_the_generators_are_the_table_H_and_Q():
 @pytest.mark.parametrize("verify", [rel.verify_main_relation, rel.verify_theorem1])
 def test_modular_runs_evaluate_no_expanded_leaf(monkeypatch, verify):
     """The modular runs of the triple identities take the generators from
-    their definitions: poly_eval_mod only ever sees the outer polynomial,
-    never a 27-variable leaf (q has 5748 terms)."""
+    their definitions: poly_eval_mod, under the name evalmod exports and
+    the one verify calls, only ever sees the outer polynomial, never a
+    27-variable leaf (q has 5748 terms)."""
     sizes = []
     real = evalmod.poly_eval_mod
 
@@ -276,6 +281,7 @@ def test_modular_runs_evaluate_no_expanded_leaf(monkeypatch, verify):
         return real(p, point, prime)
 
     monkeypatch.setattr(evalmod, "poly_eval_mod", recording)
+    monkeypatch.setattr(verify_module, "poly_eval_mod", recording)
     assert verify(RunConfig(trials=4, primes=(2147483647, 5), seed=0)).passed
     assert sizes and max(sizes) <= 170
 
@@ -301,7 +307,8 @@ def test_characteristic_three_from_the_definitions(capsys, suite):
     """The determinant definitions hold in characteristic 3, and both triple
     identities are outer polynomials with integer coefficients over the
     twelve generators: each PASSes there with no flag, as a spot-check with
-    a null bound (3 <= 18, the degree bound) and the note that says so."""
+    a null bound (3 <= 18, the degree bound) and the note that says so;
+    theorem 1 adds that mod 3 it cannot see S or T."""
     argv = ["verify", suite, "--primes", "3", "--trials", "3", "--format", "json"]
     assert cli.main(argv) == 0
     out = capsys.readouterr()
@@ -312,7 +319,37 @@ def test_characteristic_three_from_the_definitions(capsys, suite):
     assert check["notes"] == [
         "primes 3 do not exceed the degree bound 18: "
         "spot-checks of an identity over ZZ that bound nothing"
-    ]
+    ] + ([rel.THEOREM1_MOD3_NOTE] if suite == "theorem1" else [])
+
+
+def test_theorem1_at_3_is_blind_to_s_and_t_and_says_so(monkeypatch):
+    """With derive_st returning T + f5^6, theorem 1's outer polynomial is off
+    by (27/4)*f5^6, which is 0 mod 3: a run at p = 3 PASSes, and its note
+    says that it cannot see S or T, while a run at 2**31 - 1 FAILs.  A run
+    without 3 has no such note."""
+    s4, t6 = rel.derive_st()
+    f5 = Polynomial.variable(t6.ring, t6.vars, "f5")
+    monkeypatch.setattr(rel, "derive_st", lambda: (s4, t6 + f5 ** 6))
+    blind = rel.verify_theorem1(RunConfig(trials=20, primes=(3,)))
+    assert blind.passed and blind.details["nonzero_evaluations"] == 0
+    assert rel.THEOREM1_MOD3_NOTE in blind.notes
+    assert "cannot see an error in S or T" in rel.THEOREM1_MOD3_NOTE
+    seen = rel.verify_theorem1(RunConfig(trials=20, primes=(2147483647,)))
+    assert not seen.passed and seen.notes == []
+
+
+def test_an_outer_name_that_is_no_generator_is_refused():
+    """A relation that uses a name outside q, h, f1..f10 has no value at the
+    generators: a PolyError that names it, in modular and exact mode, and a
+    name the relation's ring has but does not use is no error."""
+    names = rel.ABSTRACT12_NAMES + ("g",)
+    wider = rel.defining_relation().convert(VariableSet(names))
+    g = Polynomial.variable(ZZ, wider.vars, "g")
+    cfg = RunConfig(trials=2, primes=(2147483647,))
+    assert rel.verify_main_relation(cfg, relation=wider).passed
+    for mode in ("modular", "exact"):
+        with pytest.raises(PolyError, match="'g'"):
+            rel.verify_main_relation(replace(cfg, mode=mode), relation=wider + g ** 18)
 
 
 # -- exact mode: slice proofs ---------------------------------------------------
@@ -333,20 +370,18 @@ def test_exact_mode_is_a_slice_proof(verify):
 
 def test_restriction_uses_the_leaves_it_is_given():
     """Each restricted leaf is the given leaf restricted, for a passed
-    relation and for a composition with a replaced leaf alike; the
-    definition of the full-space leaves is dropped, so a slice proof reads
-    its restricted leaves only."""
+    relation and for a composition with a replaced leaf alike, so a slice
+    proof reads its restricted leaves only."""
     bindings = rel.TRIPLE_SLICE.bindings
     free = VariableSet(n for n in gen.TRIPLE_NAMES if n not in bindings)
     assert len(free) == 12
-    expr = rel.main_relation_expr(_mutated_relation())
+    expr = oracles.at_generators(_mutated_relation())
     f5 = expr.leaves["f5"]
     other = Composition(expr.outer, dict(expr.leaves, h=expr.leaves["h"] + f5.mul(f5)))
     for composition in (expr, other):
         restricted = composition.restrict(bindings)
         assert restricted.vars == free
         assert restricted.outer is composition.outer
-        assert restricted.definition is None
         for name, leaf in composition.leaves.items():
             assert restricted.leaves[name] == leaf.restrict(bindings)
             assert restricted.leaves[name].vars == free
@@ -465,26 +500,25 @@ def test_parallel_run_evaluates_the_expression_it_is_given(monkeypatch, method):
     assert not rebuilt.passed and not passed.passed
     assert rebuilt.counterexample == passed.counterexample
     ce = passed.counterexample
-    fresh = rel.main_relation_expr(mutated).eval_mod(ce["point"], ce["prime"])
+    fresh = oracles.composition_eval_mod(oracles.at_generators(mutated), ce["point"], ce["prime"])
     assert fresh == ce["value"] != 0
 
 
 def test_batched_run_matches_a_per_point_loop():
     """The report of a run, which evaluates each prime's 13 trials as one
-    batch, equals a reference loop of sample_point and scalar eval_mod,
+    batch, equals a reference loop of sample_point and the scalar oracle,
     point by point."""
     cfg = RunConfig(trials=13, primes=(2147483647, 5, 7), seed=4)
-    expr = rel.main_relation_expr(_mutated_relation())
-    names = expr.vars.names
+    expr = oracles.at_generators(_mutated_relation())
     failures = []
     for prime in cfg.primes:
         for trial in range(cfg.trials):
-            point = sample_point(names, cfg.seed, prime, trial)
-            value = expr.eval_mod(point, prime)
+            point = sample_point(gen.TRIPLE_NAMES, cfg.seed, prime, trial)
+            value = oracles.composition_eval_mod(expr, point, prime)
             if value:
                 failures.append((prime, trial, value, point))
     assert failures
-    result = run_identity_modular("mutated", expr, cfg)
+    result = run_identity_modular("mutated", expr.outer, cfg)
     assert not result.passed
     assert result.details["evaluations"] == 13 * 3
     assert result.details["nonzero_evaluations"] == len(failures)
@@ -531,9 +565,9 @@ def test_shared_generator_values_change_no_report(monkeypatch):
     assert calls == list(DEFAULT_PRIMES)
     fresh = []
     for run in (rel.verify_main_relation, rel.verify_theorem1):
-        rel.sampled_generator_values.cache_clear()
+        gen.sampled_generator_values.cache_clear()
         fresh.append(run(cfg))
-    rel.sampled_generator_values.cache_clear()
+    gen.sampled_generator_values.cache_clear()
     fresh_mutant = rel.verify_main_relation(cfg, relation=_mutated_relation())
     assert calls == 4 * list(DEFAULT_PRIMES)
     assert all(r.passed for r in shared) and not mutant.passed
@@ -548,12 +582,12 @@ def test_sampled_generator_values_are_read_only_and_keyed_by_every_input():
     and the range of trials gives its own values, those of the batch point
     sample_point draws for that key."""
     prime = DEFAULT_PRIMES[0]
-    values = rel.sampled_generator_values(0, prime, range(0, 4))
+    values = gen.sampled_generator_values(0, prime, range(0, 4))
     with pytest.raises(ValueError):
         values["q"][0] = 0
     for key in ((1, prime, range(0, 4)), (0, DEFAULT_PRIMES[1], range(0, 4)), (0, prime, range(1, 5))):
         point = sample_point(gen.TRIPLE_NAMES, *key)
-        other = rel.sampled_generator_values(*key)
+        other = gen.sampled_generator_values(*key)
         expected = gen.generator_values_mod(point, key[1])
         assert all((other[name] == expected[name]).all() for name in expected)
         assert any((other[name] != values[name]).any() for name in values)
@@ -565,12 +599,12 @@ def test_chunked_trials_give_the_result_of_one_batch(monkeypatch, trials):
     by (seed, prime, trial), so chunks of 7 give the verdict, the details and
     the counterexample of one batch; mod 7 the mutant vanishes at some
     points, so the count of nonzero evaluations is compared as well."""
-    expr = rel.main_relation_expr(_mutated_relation())
+    outer = _mutated_relation()
     cfg = RunConfig(trials=trials, primes=(2147483647, 7), seed=3)
     monkeypatch.setattr("semiinv.verify.TRIAL_CHUNK", trials)
-    whole = run_identity_modular("mutated", expr, cfg)
+    whole = run_identity_modular("mutated", outer, cfg)
     monkeypatch.setattr("semiinv.verify.TRIAL_CHUNK", 7)
-    chunked = run_identity_modular("mutated", expr, cfg)
+    chunked = run_identity_modular("mutated", outer, cfg)
     assert not chunked.passed
     assert replace(chunked, elapsed_s=0) == replace(whole, elapsed_s=0)
 
@@ -638,14 +672,13 @@ def test_only_a_non_invertible_denominator_becomes_a_usage_error(monkeypatch):
     third = rel.defining_relation().to_ring(QQ) + h ** 3 * Fraction(1, 3)
     with pytest.raises(VerifyUsageError, match="^main-relation: denominator 3 not invertible mod 3$"):
         rel.verify_main_relation(cfg, relation=third)
-    expr = rel.theorem1_expr()
 
     def broken(*args):
         raise PolyError("some other failure")
 
-    monkeypatch.setattr(expr, "eval_sampled", broken)
+    monkeypatch.setattr(verify_module, "poly_eval_mod", broken)
     with pytest.raises(PolyError, match="some other failure"):
-        run_identity_modular("theorem1", expr, replace(cfg, primes=(2147483647,)))
+        run_identity_modular("theorem1", rel.theorem1_expr(), replace(cfg, primes=(2147483647,)))
 
 
 def test_jobs_other_than_one_are_refused():

@@ -13,9 +13,9 @@ even-numbered pairs and the change first in odd ones, so that a drift of the
 machine's speed does not favour a side.  Then it runs the tier-1 tests
 TIER1_RUNS times per side, alternating the same way, and last the output
 commands (output_commands: every command keyed in
-tests/emission_digests.json, derive-st in text and JSON, and verify all in
-JSON in both modes) once per side.  The protocol is fixed in the constants
-below; it has no options.
+tests/emission_digests.json, derive-st in text and JSON, verify all in JSON
+in both modes, and verify all in JSON at 1001 trials) once per side.  The
+protocol is fixed in the constants below; it has no options.
 
 The result, one JSON object, goes to standard output and progress to
 standard error.  For each workload and metric it gives each side's samples
@@ -85,12 +85,15 @@ TIER1_ORDER = tuple(side for i in range(TIER1_RUNS) for side in in_turn(i))
 
 def output_commands(tree: Path) -> list:
     """The argument lists whose output must not change: the commands keyed in
-    the tree's tests/emission_digests.json, then derive-st in text and JSON
-    and verify all in JSON in both modes."""
+    the tree's tests/emission_digests.json, then derive-st in text and JSON,
+    verify all in JSON in both modes, and verify all in JSON at 1001 trials,
+    which evaluates two chunks per prime, so that main-relation and
+    theorem1 miss the memo of generator values."""
     pinned = json.loads((tree / "tests" / "emission_digests.json").read_text())
     return [key.split() for key in pinned] + [
         ["derive-st"], ["derive-st", "--format", "json"],
         ["verify", "all", "--format", "json"], ["verify", "all", "--mode", "exact", "--format", "json"],
+        ["verify", "all", "--trials", "1001", "--format", "json"],
     ]
 
 
