@@ -26,12 +26,9 @@ sample_point draws it for a range of trials, and numpy broadcasting carries
 the batch through poly_eval_mod.
 
 A Composition is an identity as an outer polynomial at named leaf
-polynomials, for exact expansion and restriction to a slice.  Nothing here
-evaluates one mod p: the two triple identities, the only identities checked
-mod p, are outer polynomials over the twelve generators, which
-verify.run_identity_modular evaluates with poly_eval_mod at the generator
-values that generators.sampled_generator_values takes from the determinant
-table, never from the expanded leaves.
+polynomials, for exact expansion and restriction to a slice; nothing here
+evaluates one mod p (verify.run_identity_modular evaluates the triple
+identities' outer polynomials at generator values).
 """
 
 from __future__ import annotations
@@ -357,11 +354,8 @@ class Composition:
     """An identity outer(leaves): a polynomial over abstract names, each name
     bound to a leaf polynomial over the one variable set all leaves share.
     Every used name needs a leaf and every leaf is a name of outer, so the
-    expansion reads the whole identity.  The package builds one only for an
-    exact proof: expand() substitutes the leaves into the outer polynomial,
-    and restrict() restricts the leaves first.  The modular runs of the
-    triple identities evaluate their outer polynomial at generator values
-    (verify.run_identity_modular) and build none."""
+    expansion reads the whole identity.  expand() substitutes the leaves
+    into the outer polynomial, and restrict() restricts the leaves first."""
 
     def __init__(self, outer: Polynomial, leaves: Mapping[str, Polynomial]):
         self.outer, self.leaves = outer, dict(leaves)

@@ -196,8 +196,6 @@ def verify_main_relation(cfg: RunConfig, relation: Polynomial | None = None) -> 
     return _run_triple_identity("main-relation", defining_relation() if relation is None else relation, cfg)
 
 
-# Every term of theorem 1 that reads S or T has a factor 27, so mod 3 the
-# check sees S and T not at all.
 THEOREM1_MOD3_NOTE = (
     "mod 3 the terms 27*H*S and (27/4)*T vanish: "
     "the check at p = 3 cannot see an error in S or T"

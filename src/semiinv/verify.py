@@ -4,12 +4,9 @@ A check either expands an identity exactly to the zero polynomial or
 evaluates it at pseudo-random points over a list of prime fields.  The
 identities checked mod p are the two triple identities, outer polynomials
 over the twelve generators q, h, f1..f10: run_identity_modular evaluates
-one at the generator values of a chunk of sampled points, which
-generators.sampled_generator_values computes from the determinant table
-and remembers by (seed, prime, chunk), every input those values depend on,
-so the two identities share them; no identity's value is remembered.  The
-degree bound comes from generators.GENERATOR_DEGREES, and no leaf
-polynomial is built.  An exact check takes the identity as an
+one at the generator values of a chunk of sampled points
+(generators.sampled_generator_values) and builds no leaf polynomial.  An
+exact check takes the identity as an
 evalmod.Composition, an outer polynomial at named leaf polynomials;
 run_slice_proof expands it on a slice of the variables, after an exact
 gate certifies that the identity is invariant.  Modular runs are
