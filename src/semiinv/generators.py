@@ -408,7 +408,6 @@ class GeneratorTable:
     and H and Q (1152 and 9216 QQ terms) on theirs, so that a run that reads
     none of them, such as a modular one, builds none of them."""
 
-    f_by_ijk: dict
     f: tuple  # f1..f10 in the fixed numbering
     h: Polynomial
     triple: MatrixTriple
@@ -435,8 +434,7 @@ class GeneratorTable:
 def generators_of(T: MatrixTriple) -> GeneratorTable:
     """The named invariants of a triple in its variables, q, H and Q on first
     read."""
-    fs = f_all(T)
-    return GeneratorTable(fs, tuple(fs[ijk] for ijk in F_INDEX), h_poly(T), T)
+    return GeneratorTable(tuple(f_all(T).values()), h_poly(T), T)
 
 
 @lru_cache(maxsize=1)
@@ -484,31 +482,6 @@ U23 = transvection(2, 3)
 U21 = transvection(2, 1)
 U32 = transvection(3, 2)
 ELEMENTARY_TRANSVECTIONS = {"u12": U12, "u23": U23, "u21": U21, "u32": U32}
-
-
-# -- the induced linear action on the span of the ten f's ---------------------
-
-_T3_VARS = VariableSet(T_NAMES)
-
-
-def _linear_forms(rows, vars: VariableSet) -> list:
-    """The linear forms sum_m row[m] * (variable m of vars) over ZZ, one per
-    row."""
-    units = [tuple(int(i == m) for i in range(len(vars))) for m in range(len(vars))]
-    return [Polynomial.from_terms(ZZ, vars, dict(zip(units, row))) for row in rows]
-
-
-def f_action_matrix(g: Sequence[Sequence]) -> list:
-    """10x10 integer matrix M with g.f_n = sum_m M[n][m] f_m for an integer
-    matrix g, computed by expanding the substituted pencil monomials as ZZ
-    polynomials in the t-variables."""
-    lin = _linear_forms(g, _T3_VARS)
-    rows = [[0] * 10 for _ in F_INDEX]
-    for m_idx, (l, m, n) in enumerate(F_INDEX):
-        prod = lin[0] ** l * lin[1] ** m * lin[2] ** n
-        for n_idx, (i, j, k) in enumerate(F_INDEX):
-            rows[n_idx][m_idx] = prod.coefficient({"t1": i, "t2": j, "t3": k})
-    return rows
 
 
 # -- classical cubic invariants through the coefficient dictionary ------------

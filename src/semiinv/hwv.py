@@ -61,10 +61,11 @@ included, is at solve_hwv_correction.
 A polynomial in f1..f10, such as the quartic and sextic invariants S and T,
 is certified SL3-invariant by the derivations that the four transvections
 induce on the f-ring (sl3_certificate_for_f_polynomial, one kernel call;
-the argument is written there).  Group substitution
+the argument is written there).  Each is read off the pencil exponents
+gen.F_INDEX as the integer matrix N of t_j d/dt_i, and group substitution
 (generators.act_on_function, integer matrices only) remains only in the
-check of the span action g.f_n = sum_m M[n][m] f_m that these derivations
-are read from.  The tests keep an independent route as its oracle
+check that exp(N) is the span action, g.f_n = sum_m exp(N)[n][m] f_m.  The
+tests keep an independent route as its oracle
 (oracles.act_on_function: the generic triple acted on entry by entry,
 composed term by term), which also serves the diagonal-torus weight
 cross-check, and the f-ring substitution as the oracle of the derivations.
@@ -72,7 +73,6 @@ cross-check, and the f-ring substitution as the oracle of the derivations.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain
 from math import lcm
@@ -363,66 +363,59 @@ def _matmul(a: list, b: list) -> list:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _nilpotent_log(mat: list) -> list:
-    """log M = sum_k (-1)^(k+1) (M - I)^k / k for a square matrix M with
-    M - I nilpotent, a finite sum; LinAlgError when M - I is not nilpotent
-    ((M - I)^n != 0 for n = the size of M).  The sum runs in ints scaled by
-    S = lcm(1..n), each power weighted by the int S/k, and each entry is
-    divided once, by S, into a Fraction."""
-    n = len(mat)
-    S = lcm(*range(1, n + 1))
-    a = [[mat[r][c] - (r == c) for c in range(n)] for r in range(n)]
-    log, power = [[0] * n for _ in range(n)], a
-    for k in range(1, n + 1):
-        if not any(map(any, power)):
-            return [[Fraction(x, S) for x in row] for row in log]
-        w = (-1) ** (k + 1) * (S // k)
-        log = [[x + w * y for x, y in zip(lr, pr)] for lr, pr in zip(log, power)]
-        power = _matmul(power, a)
-    raise linalg.LinAlgError("M - I is not nilpotent")
+def _pencil_derivation(g: Sequence[Sequence[int]]) -> list:
+    """The 10x10 integer matrix N of t_j d/dt_i on the pencil monomials
+    t^(e_m), e = gen.F_INDEX, for the transvection g = I + E_ij, (i, j)
+    the position of its off-diagonal 1 counted from 0: N[n][m] = e_m[i]
+    when e_n = e_m - u_i + u_j (u the unit vectors), and 0 otherwise.
+
+    g.f_n is the coefficient of t^(e_n) in det(sum_r s_r A_r), s_r =
+    sum_c g[r][c] t_c, so g replaces t_i by t_i + t_j, the Taylor shift
+    exp(t_j d/dt_i), and its span matrix is exp(N)."""
+    (i, j), = [(r, c) for r in range(3) for c in range(3) if r != c and g[r][c]]
+    moved = [tuple(x - (k == i) + (k == j) for k, x in enumerate(e)) for e in gen.F_INDEX]
+    return [[e_m[i] * (e_n == to) for e_m, to in zip(gen.F_INDEX, moved)]
+            for e_n in gen.F_INDEX]
 
 
 @lru_cache(maxsize=None)
 def _span_action_verified(which: str) -> tuple:
     """The f-ring derivation induced by one transvection g, as a (plus,
-    minus) pair of derivation_stream, after two exact checks.
+    minus) pair of derivation_stream, after exact checks.
 
-    * g.f_n = sum_m M[n][m] f_m, M = gen.f_action_matrix(g), by full
-      expansion over the 27 coordinates (gen.act_on_function), each bound
-      to its acted linear form (gen.acted_forms, built once for the ten).
-      g = I + E_ij moves only the 9 coordinates of A_j; the other 18 are
-      bound to themselves, and substitute folds them into keys, so the
-      expansion is a Horner evaluation in A_j's coordinates alone, and still
-      the whole of g.f_n.
-    * M = exp(N) for N = log M (_nilpotent_log, in ints over one common
-      denominator): M - I is nilpotent, N is an integer matrix, and
-      6M = 6I + 6N + 3N^2 + N^3 in integers, so N^4 adds nothing.
+    * N = _pencil_derivation(g) is nilpotent: N^4 = 0 in integers.
+    * M = exp(N) = (6I + 6N + 3N^2 + N^3) / 6 is an integer matrix: 6
+      divides every entry.
+    * g.f_n = sum_m M[n][m] f_m, by full expansion over the 27 coordinates
+      (gen.act_on_function), each bound to its acted linear form
+      (gen.acted_forms, built once for the ten).  g = I + E_ij moves only
+      the 9 coordinates of A_j; the other 18 are bound to themselves, and
+      substitute folds them into keys, so the expansion is a Horner
+      evaluation in A_j's coordinates alone, and still the whole of g.f_n.
 
-    N is the pencil's t_j d/dt_i for g = I + E_ij.  The derivation is
-    delta_N = sum N[n][m] f_m d/df_n: N[n][m] copies of the pair (f_m, f_n),
-    in plus for a positive entry and in minus for a negative one.  Any
-    failed check raises LinAlgError."""
+    The derivation is delta_N = sum N[n][m] f_m d/df_n: N[n][m] copies of
+    the pair (f_m, f_n), in plus for a positive entry and in minus for a
+    negative one.  Any failed check raises LinAlgError."""
     g = gen.ELEMENTARY_TRANSVECTIONS[which]
+    N = _pencil_derivation(g)
+    N2 = _matmul(N, N)
+    N3 = _matmul(N2, N)
+    if any(map(any, _matmul(N3, N))):
+        raise linalg.LinAlgError(f"the pencil derivation of {which} is not nilpotent")
+    six_m = [[6 * (n == m) + 6 * a + 3 * b + c for m, (a, b, c) in enumerate(zip(*rows))]
+             for n, rows in enumerate(zip(N, N2, N3))]
+    if any(x % 6 for row in six_m for x in row):
+        raise linalg.LinAlgError(f"the exp of the pencil derivation of {which} is not integral")
+    mat = [[x // 6 for x in row] for row in six_m]
     table = gen.generator_table()
-    mat = gen.f_action_matrix(g)
     forms = gen.acted_forms(g, gen.TRIPLE_VARS)
     for n in range(10):
         combo = sum((f * c for f, c in zip(table.f, mat[n]) if c), Polynomial.zero(ZZ, gen.TRIPLE_VARS))
         if gen.act_on_function(g, table.f[n], forms) != combo:
-            raise linalg.LinAlgError(
-                f"span action of {which} failed exact verification"
-            )
-    N = _nilpotent_log(mat)
-    if any(x.denominator != 1 for row in N for x in row):
-        raise linalg.LinAlgError(f"the log of the span action of {which} is not integral")
-    N = [[int(x) for x in row] for row in N]
-    N2 = _matmul(N, N)
-    N3 = _matmul(N2, N)
-    entries = [(n, m) for n in range(10) for m in range(10)]
-    if any(6 * mat[n][m] != 6 * (n == m) + 6 * N[n][m] + 3 * N2[n][m] + N3[n][m] for n, m in entries):
-        raise linalg.LinAlgError(f"the span action of {which} is not the exp of its log")
+            raise linalg.LinAlgError(f"span action of {which} failed exact verification")
     return tuple(
-        tuple((gen.F_NAMES[m], gen.F_NAMES[n]) for n, m in entries for _ in range(sign * N[n][m]))
+        tuple((gen.F_NAMES[m], gen.F_NAMES[n])
+              for n in range(10) for m in range(10) for _ in range(sign * N[n][m]))
         for sign in (1, -1)
     )
 
@@ -433,8 +426,9 @@ def sl3_certificate_for_f_polynomial(p_f: Polynomial) -> bool:
     call (_killed_by).
 
     Soundness, over QQ (characteristic 0).  Let P = p_f(f1, ..., f10) in the
-    27 coordinates, g one of the four transvections and M, N its verified
-    matrices.  Substitution is a ring homomorphism, so g.P = p_f(g.f) =
+    27 coordinates, g one of the four transvections, N its pencil
+    derivation and M = exp(N), verified as the span action of g.
+    Substitution is a ring homomorphism, so g.P = p_f(g.f) =
     p_f(M f), and p_f(M y) = p_f(y) in the f-ring gives g.P = P; fixedness
     by I + E12, I + E23, I + E21 and I + E32 gives SL3-invariance as in the
     module docstring.  The derivation decides p_f(M y) = p_f(y) exactly:

@@ -85,9 +85,6 @@ class PolyMatrix:
             acc = acc + self.rows[i][i]
         return acc
 
-    def map_entries(self, fn) -> "PolyMatrix":
-        return PolyMatrix([[fn(e) for e in r] for r in self.rows])
-
     def determinant(self) -> Polynomial:
         """Exact, division-free determinant (Polynomial.determinant)."""
         if self.n > _DET_DIM_LIMIT:

@@ -6,8 +6,9 @@ expand recursively along the first row (of plain integer matrices: Fraction
 elimination), ranks come from Fraction elimination (over GF(p): elimination
 with pow(a, -1, p) inverses), and modular evaluation is a direct
 term-by-term sum.  The oracles named *_package, qq_combine_correction,
-f_span_substitution, polarize, substitute, restrict, coefficient_of, convert,
-act_on_triple, act_on_function, block_matrix and pencil_determinant take
+f_action_matrix, f_span_substitution, polarize, substitute, restrict,
+coefficient_of, convert, act_on_triple, act_on_function, block_matrix and
+pencil_determinant take
 package polynomials and matrices and use only their plain ring operations or
 their packed terms, one key at a time; the last two build the paper's
 t-graded definitions of the generators, which the package does not.
@@ -241,7 +242,8 @@ def pencil_determinant(T):
     w = T.vars.extend(t_names)
     pencil = None
     for name, m in zip(t_names, T.components()):
-        part = m.map_entries(lambda e: e.convert(w)).scale(Polynomial.variable(m.ring, w, name))
+        part = PolyMatrix([[e.convert(w) for e in row] for row in m.rows])
+        part = part.scale(Polynomial.variable(m.ring, w, name))
         pencil = part if pencil is None else pencil + part
     return pencil.determinant()
 
@@ -261,7 +263,7 @@ def act_on_triple(g, T):
     ]
     ring = reduce(unify_rings, (c.ring for row in coeffs for c in row), T.ring)
     coeffs = [[c.to_ring(ring) for c in row] for row in coeffs]
-    mats = [m.map_entries(lambda e: e.to_ring(ring)) for m in T.components()]
+    mats = [PolyMatrix([[e.to_ring(ring) for e in row] for row in m.rows]) for m in T.components()]
     zero = Polynomial.zero(ring, T.vars)
 
     def entry(c, i, j):
@@ -279,7 +281,8 @@ def act_on_function(g, F):
     for generators.act_on_function, which takes integer matrices only, and
     the one route for the diagonal torus with polynomial entries."""
     generic = gen.MatrixTriple(
-        *(m.map_entries(lambda e: e.convert(F.vars)) for m in gen.generic_triple().components())
+        *(PolyMatrix([[e.convert(F.vars) for e in row] for row in m.rows])
+          for m in gen.generic_triple().components())
     )
     acted = act_on_triple(g, generic)
     bindings = {
@@ -303,16 +306,39 @@ def qq_combine_correction(base, factors, table, coeffs=None):
     return acc
 
 
+_T3_VARS = VariableSet(gen.T_NAMES)
+
+
+def _linear_forms(rows, vars: VariableSet) -> list:
+    """The linear forms sum_m row[m] * (variable m of vars) over ZZ, one per
+    row."""
+    units = [tuple(int(i == m) for i in range(len(vars))) for m in range(len(vars))]
+    return [Polynomial.from_terms(ZZ, vars, dict(zip(units, row))) for row in rows]
+
+
+def f_action_matrix(g):
+    """10x10 integer matrix M with g.f_n = sum_m M[n][m] f_m for an integer
+    matrix g, computed by expanding the substituted pencil monomials as ZZ
+    polynomials in the t-variables."""
+    lin = _linear_forms(g, _T3_VARS)
+    rows = [[0] * 10 for _ in gen.F_INDEX]
+    for m_idx, (l, m, n) in enumerate(gen.F_INDEX):
+        prod = lin[0] ** l * lin[1] ** m * lin[2] ** n
+        for n_idx, (i, j, k) in enumerate(gen.F_INDEX):
+            rows[n_idx][m_idx] = prod.coefficient({"t1": i, "t2": j, "t3": k})
+    return rows
+
+
 def f_span_substitution(g):
-    """Bindings f_n -> sum_m M[n][m] f_m over ZZ, M = generators.f_action_matrix(g):
+    """Bindings f_n -> sum_m M[n][m] f_m over ZZ, M = f_action_matrix(g):
     the group substitution by which g acts on polynomials in f1..f10, one
     polynomial addition at a time (hwv decides the same fixedness with the
-    induced derivation)."""
+    derivation it reads off the pencil exponents)."""
     fs = [Polynomial.variable(ZZ, gen.F_VARS, name) for name in gen.F_NAMES]
     zero = Polynomial.zero(ZZ, gen.F_VARS)
     return {
         name: reduce(lambda acc, term: acc + term, (f * c for f, c in zip(fs, row)), zero)
-        for name, row in zip(gen.F_NAMES, gen.f_action_matrix(g))
+        for name, row in zip(gen.F_NAMES, f_action_matrix(g))
     }
 
 

@@ -1,12 +1,13 @@
 """The pure parts of tools/abtest.py: its statistics, its result schema, the
-comparison of outputs and the commands its dry run prints.  Nothing here
-runs the benchmark, the tests or the CLI."""
+comparison of outputs and the commands its dry run prints, and one run of
+its probe script.  Nothing here runs the benchmark, the tests or the CLI."""
 
 import contextlib
 import hashlib
 import importlib.util
 import io
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -79,8 +80,14 @@ def test_dry_run_prints_the_alternating_schedule_and_runs_nothing(abtest, monkey
                              ["verify", "all", "--format", "json"],
                              ["verify", "all", "--mode", "exact", "--format", "json"],
                              ["verify", "all", "--trials", "1001", "--format", "json"]]
-    assert rest[6:] == [f"cd TMP/{side} && PYTHONPATH=src python3 -m semiinv.cli " + " ".join(c)
-                        for side in ("parent", "change") for c in commands]
+    outputs = rest[6 : 6 + 2 * len(commands)]
+    assert outputs == [f"cd TMP/{side} && PYTHONPATH=src python3 -m semiinv.cli " + " ".join(c)
+                       for side in ("parent", "change") for c in commands]
+    probe = "PYTHONPATH=src python3 ../hwv.sl3_certificate_for_f_polynomial.py"
+    assert list(abtest.PROBES) == ["hwv.sl3_certificate_for_f_polynomial"]
+    assert rest[6 + len(outputs) :] == [f"cd TMP/{side} && {probe}" for side in
+                                        ("parent", "change", "change", "parent", "parent",
+                                         "change", "change", "parent", "parent", "change")]
     for i, seed in enumerate(seeds):
         first, second = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         command = f"python3 benchmark/run.py --workload certify-default --seed {seed} --seconds 5"
@@ -132,6 +139,31 @@ def test_outputs_are_identical_only_with_equal_digests_and_exit_codes(abtest):
     failed = {**exits, "change": {"emit A": 0, "verify all": 0}}
     result = abtest.compare_outputs(digests, failed)
     assert result["differ"] == ["verify all"] and not result["outputs_identical"]
+
+
+def test_a_probe_records_its_seconds_or_an_absent_name(abtest):
+    """Per side the spread of the probe's seconds, or absent with the reason
+    when a run of that side found a name missing."""
+    results = {"parent": [{"absent": "no attribute 'x'"}] * 2, "change": [{"s": v} for v in (3.0, 1.0, 2.0)]}
+    got = abtest.summarize_probe(results)
+    assert got["parent"] == {"absent": "no attribute 'x'"}
+    assert got["change"] == abtest.spread([3.0, 1.0, 2.0])
+
+
+def test_the_probe_script_times_this_tree_and_finds_a_stub_tree_lacking_its_names(abtest, tmp_path):
+    """Run as the tool runs it, the probe prints its seconds on a copy of this
+    repository's source, and absent on a tree whose modules lack its names."""
+    (name, script), = abtest.PROBES.items()
+    (tmp_path / f"{name}.py").write_text(script)
+    stub = tmp_path / "stub"
+    (stub / "src" / "semiinv").mkdir(parents=True)
+    for module in ("__init__", "generators", "hwv", "relations"):
+        (stub / "src" / "semiinv" / f"{module}.py").write_text("")
+    tree = tmp_path / "tree"
+    shutil.copytree(TOOL.parent.parent / "src", tree / "src")
+    got = {"stub": abtest.run_probe(stub, name), "tree": abtest.run_probe(tree, name)}
+    assert set(got["stub"]) == {"absent"} and "generator_table" in got["stub"]["absent"]
+    assert set(got["tree"]) == {"s"} and got["tree"]["s"] > 0
 
 
 def test_the_package_does_not_import_the_tool():

@@ -24,12 +24,12 @@ def gens18():
 
 
 def test_phi_of_f003_is_one(table):
-    p = cj.phi(table.f_by_ijk[(0, 0, 3)])
+    p = cj.phi(table.by_name("f003"))
     assert p == Polynomial.constant(ZZ, cj.PAIR_VARS, 1)
 
 
 def test_phi_of_f300_is_det_a(table, gens18):
-    assert cj.phi(table.f_by_ijk[(3, 0, 0)]) == gens18["d1"]
+    assert cj.phi(table.by_name("f300")) == gens18["d1"]
 
 
 def test_phi_is_a_ring_homomorphism(table):
@@ -168,7 +168,7 @@ def test_phi_image_formulas_exact():
 
 
 def test_phi_f111_formula(table, gens18):
-    lhs = cj.phi(table.f_by_ijk[(1, 1, 1)])
+    lhs = cj.phi(table.by_name("f111"))
     rhs = gens18["t1"].mul(gens18["t2"]) - gens18["z"]
     assert lhs == rhs
 

@@ -36,9 +36,9 @@ def _wrong_h(table):
 
 
 def test_weight_vector_examples(table):
-    assert hwv.multidegree(table.f_by_ijk[(2, 1, 0)]) == (2, 1, 0)
+    assert hwv.multidegree(table.by_name("f210")) == (2, 1, 0)
     assert hwv.multidegree(table.H) == (2, 2, 2)
-    assert hwv.multidegree(table.f_by_ijk[(2, 1, 0)]) != (1, 1, 1)
+    assert hwv.multidegree(table.by_name("f210")) != (1, 1, 1)
     assert hwv.multidegree(table.f[0] + table.f[6]) is None
     assert hwv.multidegree(Polynomial.zero(table.H.ring, table.H.vars)) is None
 
@@ -113,13 +113,13 @@ def test_unfixed_base_with_empty_basis_is_inconsistent(table):
     with pytest.raises(hwv.InconsistentSystem):
         hwv.solve_hwv_correction(table.h, [])
     with pytest.raises(hwv.InconsistentSystem):
-        hwv.solve_hwv_correction(table.f_by_ijk[(0, 0, 3)], [])
+        hwv.solve_hwv_correction(table.by_name("f003"), [])
 
 
 def test_fixed_base_with_empty_basis_solves_trivially(table):
     # det(A1) is untouched by the upper transvections, so it is already a
     # highest weight vector and the empty correction works
-    assert hwv.solve_hwv_correction(table.f_by_ijk[(3, 0, 0)], []) == []
+    assert hwv.solve_hwv_correction(table.by_name("f300"), []) == []
 
 
 def test_duplicate_basis_is_underdetermined(table):
@@ -147,7 +147,7 @@ def test_mixed_multidegree_basis_rejected(table):
 def test_sl3_certificates(table):
     assert hwv.sl3_invariance_certificate(table.H)
     assert hwv.sl3_invariance_certificate(table.Q)
-    assert not hwv.sl3_invariance_certificate(table.f_by_ijk[(1, 1, 1)].to_ring(QQ))
+    assert not hwv.sl3_invariance_certificate(table.by_name("f111").to_ring(QQ))
     assert not hwv.sl3_invariance_certificate(table.h.to_ring(QQ))
 
 
@@ -214,23 +214,20 @@ def test_f_ring_certificate_verdicts_on_the_invariants_and_their_mutants():
 
 
 def test_f_ring_derivations_are_read_from_verified_matrices(monkeypatch):
-    """Negative controls of _span_action_verified: one changed entry of the
-    span matrix fails the 27-coordinate check, and so does one wrong acted
-    binding (x1_11 bound to its acted form plus x1_12 in every composition
-    act_on_function makes); a log that is not the span matrix's fails the
-    exp check.  Each raises LinAlgError."""
+    """Negative controls of _span_action_verified: one changed entry of N
+    (by 6, so that exp(N) stays integral) fails the 27-coordinate check, and
+    so does one wrong acted binding (x1_11 bound to its acted form plus
+    x1_12 in every composition act_on_function makes); an N that is not
+    nilpotent is refused.  Each raises LinAlgError."""
     s4, _ = relations.derive_st()
-    action, log, substitute = gen.f_action_matrix, hwv._nilpotent_log, Polynomial.substitute
+    derivation, substitute = hwv._pencil_derivation, Polynomial.substitute
     x1_12 = Polynomial.variable(ZZ, gen.TRIPLE_VARS, "x1_12")
 
-    def changed_entry(g):
-        mat = [row[:] for row in action(g)]
-        mat[1][0] += 1
-        return mat
-
-    def changed_log(mat):
-        wrong = [row[:] for row in log(mat)]
-        wrong[1][0] += 1
+    def changed(n, m, by):
+        def wrong(g):
+            N = [row[:] for row in derivation(g)]
+            N[n][m] += by
+            return N
         return wrong
 
     def one_wrong_binding(F, bindings):
@@ -238,9 +235,9 @@ def test_f_ring_derivations_are_read_from_verified_matrices(monkeypatch):
         return substitute(F, dict(bindings, x1_11=bindings["x1_11"] + x1_12))
 
     for target, name, wrong, message in (
-        (gen, "f_action_matrix", changed_entry, "failed exact verification"),
+        (hwv, "_pencil_derivation", changed(1, 0, 6), "failed exact verification"),
         (Polynomial, "substitute", one_wrong_binding, "failed exact verification"),
-        (hwv, "_nilpotent_log", changed_log, "is not the exp of its log"),
+        (hwv, "_pencil_derivation", changed(0, 0, 1), "is not nilpotent"),
     ):
         hwv._span_action_verified.cache_clear()
         monkeypatch.setattr(target, name, wrong)
@@ -253,17 +250,20 @@ def test_f_ring_derivations_are_read_from_verified_matrices(monkeypatch):
     assert hwv.sl3_certificate_for_f_polynomial(s4)
 
 
-def test_nilpotent_log():
-    """log(I + A) = A - A^2/2 + A^3/3 - ... for nilpotent A; a matrix whose
-    M - I is not nilpotent raises."""
-    assert hwv._nilpotent_log([[1, 1, 0], [0, 1, 1], [0, 0, 1]]) == [
-        [0, 1, Fraction(-1, 2)],
-        [0, 0, 1],
-        [0, 0, 0],
-    ]
-    assert hwv._nilpotent_log([[1, 0], [0, 1]]) == [[0, 0], [0, 0]]
-    with pytest.raises(hwv.linalg.LinAlgError, match="not nilpotent"):
-        hwv._nilpotent_log([[1, 1], [1, 1]])
+def test_the_pencil_derivations_exponentiate_to_the_span_action():
+    """exp(N) = sum_k N^k / k!, summed in Fractions until a power vanishes,
+    equals the oracle's span matrix of each of the four transvections.  A
+    unipotent matrix has exactly one nilpotent log, so this pins N."""
+    for which, g in gen.ELEMENTARY_TRANSVECTIONS.items():
+        N = hwv._pencil_derivation(g)
+        exp = [[Fraction(int(n == m)) for m in range(10)] for n in range(10)]
+        power, k = exp, 0
+        while any(map(any, power)):
+            k += 1
+            power = [[sum(p * x for p, x in zip(row, col)) / k for col in zip(*N)] for row in power]
+            exp = [[a + b for a, b in zip(ea, pa)] for ea, pa in zip(exp, power)]
+        assert k <= 4, which
+        assert exp == oracles.f_action_matrix(g), which
 
 
 def _peak_bytes(fn) -> int:
@@ -864,11 +864,11 @@ def test_the_solve_checks_all_four_roots_only_at_a_balanced_weight(table, monkey
 
     monkeypatch.setattr(hwv, "derivation_stream", recording)
     hwv.solve_hwv_correction(table.h, hwv.h_correction_basis(table))
-    hwv.solve_hwv_correction(table.f_by_ijk[(3, 0, 0)], [])
+    hwv.solve_hwv_correction(table.by_name("f300"), [])
     sl3 = [hwv.block_derivation(i, j) for i, j in hwv.SL3_ROOTS]
     upper = [hwv.block_derivation(i, j) for i, j in hwv.UPPER_ROOTS]
     assert calls == [sl3, upper]
-    assert not hwv.sl3_invariance_certificate(table.f_by_ijk[(3, 0, 0)])
+    assert not hwv.sl3_invariance_certificate(table.by_name("f300"))
 
 
 def test_a_certificate_stops_at_the_first_nonzero_image(table, monkeypatch):

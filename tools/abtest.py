@@ -11,11 +11,13 @@ share one recorded environment.  For every workload it runs one pair per seed
 of SEEDS and then one pair at the held-out seed, the parent first in
 even-numbered pairs and the change first in odd ones, so that a drift of the
 machine's speed does not favour a side.  Then it runs the tier-1 tests
-TIER1_RUNS times per side, alternating the same way, and last the output
-commands (output_commands: every command keyed in
-tests/emission_digests.json, derive-st in text and JSON, verify all in JSON
-in both modes, and verify all in JSON at 1001 trials) once per side.  The
-protocol is fixed in the constants below; it has no options.
+TIER1_RUNS times per side, alternating the same way, the output commands
+(output_commands: every command keyed in tests/emission_digests.json,
+derive-st in text and JSON, verify all in JSON in both modes, and verify all
+in JSON at 1001 trials) once per side, and last each per-layer probe of
+PROBES PROBE_RUNS times per side, alternating, each run in a fresh
+interpreter.  The protocol is fixed in the constants below; it has no
+options.
 
 The result, one JSON object, goes to standard output and progress to
 standard error.  For each workload and metric it gives each side's samples
@@ -27,8 +29,10 @@ digest of each side's ``benchmark/``, which must agree.  Under "tier1" it
 gives each side's wall times and result lines, and under "outputs" each
 output command's sha256 per side, of its standard output with every
 "elapsed_s" of a JSON report dropped, its exit code where it is not 0, and
-``outputs_identical``.  ``--dry-run`` prints the commands, in order, and
-runs none of them.
+``outputs_identical``.  Under "probes" it gives, per probe and side, the
+median and quartiles of the probe's seconds, or ``absent`` with the reason
+when the side's tree lacks a name the probe uses.  ``--dry-run`` prints the
+commands, in order, and runs none of them.
 
 Standard library only; the package does not import this file.
 """
@@ -58,8 +62,33 @@ PACKAGE = Path("src") / "semiinv"
 TIER1_RUNS = 3
 TIER1 = ["python3", "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 CLI = ["python3", "-m", "semiinv.cli"]
-# the side's own source tree, for the tier-1 and output commands
+# the side's own source tree, for the tier-1, output and probe commands
 SIDE_ENV = {**ENV, "PYTHONPATH": "src"}
+PROBE_RUNS = 5
+# Per-layer probes: a script, run from the root of a side's tree, that prints
+# one JSON line, {"s": seconds} or {"absent": the name the tree lacks}.
+PROBES = {
+    # the S/T check: a cold sl3_certificate_for_f_polynomial of S and of T,
+    # after the generator table and derive_st are built
+    "hwv.sl3_certificate_for_f_polynomial": '''\
+import json, sys, time
+try:
+    from semiinv import generators, hwv, relations
+    build, derive = generators.generator_table, relations.derive_st
+    certify = hwv.sl3_certificate_for_f_polynomial
+except (ImportError, AttributeError) as missing:
+    print(json.dumps({"absent": str(missing)}))
+    sys.exit()
+build()
+s4, t6 = derive()
+started = time.perf_counter()
+verdicts = certify(s4), certify(t6)
+elapsed = time.perf_counter() - started
+if verdicts != (True, True):
+    sys.exit(f"the certificate refused S or T: {verdicts}")
+print(json.dumps({"s": elapsed}))
+''',
+}
 
 
 def run_command(workload: str, seed: int) -> list:
@@ -80,7 +109,19 @@ def schedule() -> list:
     return [(workload, seed, in_turn(i)) for workload in WORKLOADS for i, seed in enumerate(seeds)]
 
 
-TIER1_ORDER = tuple(side for i in range(TIER1_RUNS) for side in in_turn(i))
+def alternating(runs: int) -> tuple:
+    """The sides in run order for runs pairs, alternating as in_turn."""
+    return tuple(side for i in range(runs) for side in in_turn(i))
+
+
+TIER1_ORDER = alternating(TIER1_RUNS)
+PROBE_ORDER = alternating(PROBE_RUNS)
+
+
+def probe_command(name: str) -> list:
+    """The command of one probe run, from the root of a side's tree: the
+    probe's script is written next to the two trees."""
+    return ["python3", f"../{name}.py"]
 
 
 def output_commands(tree: Path) -> list:
@@ -144,6 +185,17 @@ def spread(samples: list) -> dict:
     return {"samples": samples, "median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def summarize_probe(results: dict) -> dict:
+    """results[side] is the list of a probe's printed results: per side,
+    the spread of its seconds, or absent with the reason when a run found
+    a name missing."""
+    out = {}
+    for side, runs in results.items():
+        absent = [r["absent"] for r in runs if "absent" in r]
+        out[side] = {"absent": absent[0]} if absent else spread([r["s"] for r in runs])
+    return out
+
+
 def summarize(runs: dict) -> dict:
     """runs[workload][side] is the list of run.py results, one per pair in
     schedule order, the held-out pair last; each result maps a metric to its
@@ -205,6 +257,12 @@ def run_tier1(tree: Path) -> dict:
     return {"wall_s": wall_s, "exit": proc.returncode, "result": last}
 
 
+def run_probe(tree: Path, name: str) -> dict:
+    proc = subprocess.run(probe_command(name), cwd=tree, env=dict(os.environ, **SIDE_ENV),
+                          stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def side_command(command: list) -> str:
     """A tier-1 or output command as a shell line, with the variable that
     SIDE_ENV adds to ENV."""
@@ -232,6 +290,9 @@ def main(argv=None) -> int:
         for side in SIDES:
             for command in output_commands(Path(".")):
                 print(f"cd TMP/{side} && " + side_command(CLI + command))
+        for name in PROBES:
+            for side in PROBE_ORDER:
+                print(f"cd TMP/{side} && " + side_command(probe_command(name)))
         return 0
     revs = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", "HEAD")}
     with tempfile.TemporaryDirectory(prefix="semiinv-abtest-") as tmp:
@@ -257,6 +318,15 @@ def main(argv=None) -> int:
                 key = " ".join(command)
                 digests[side][key], exits[side][key] = run_output(root / side, command)
         print("output commands done", file=sys.stderr)
+        probes = {}
+        for name, script in PROBES.items():
+            (root / f"{name}.py").write_text(script)
+            results = {side: [] for side in SIDES}
+            for side in PROBE_ORDER:
+                results[side].append(run_probe(root / side, name))
+            probes[name] = {"command": side_command(probe_command(name)), "order": PROBE_ORDER,
+                            **summarize_probe(results)}
+            print(f"probe {name} done", file=sys.stderr)
         run_s = round(time.time() - started, 1)
         lines = {side: line_counts(root / side) for side in SIDES}
         benchmark = {side: tree_digest(root / side / "benchmark") for side in SIDES}
@@ -283,6 +353,7 @@ def main(argv=None) -> int:
                       "exits": [r["exit"] for r in tier1[side]]} for side in SIDES},
         },
         "outputs": compare_outputs(digests, exits),
+        "probes": probes,
     }, indent=1))
     return 0
 
