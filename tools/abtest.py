@@ -264,8 +264,8 @@ def run_probe(tree: Path, name: str) -> dict:
 
 
 def side_command(command: list) -> str:
-    """A tier-1 or output command as a shell line, with the variable that
-    SIDE_ENV adds to ENV."""
+    """A tier-1, output or probe command as a shell line, with the variable
+    that SIDE_ENV adds to ENV."""
     return " ".join(["PYTHONPATH=src"] + command)
 
 
