@@ -33,13 +33,12 @@ from .verify import (
 
 PAIR_NAMES = gen.TRIPLE_NAMES[:18]
 PAIR_VARS = VariableSet(PAIR_NAMES)
-# the bidegree of each entry in (A-entries, B-entries): x1_ij (1, 0), x2_ij (0, 1)
-PAIR_WEIGHTS = {name: gen.BLOCK_WEIGHTS[name][:2] for name in PAIR_NAMES}
 
 TRACE_NAMES = ("t1", "s1", "d1", "t2", "s2", "d2", "z", "w1", "w2", "k", "r")
 TRACE_VARS = VariableSet(TRACE_NAMES)
 
-# bidegrees of the trace generators under PAIR_WEIGHTS
+# bidegrees of the trace generators in (A-entries, B-entries): x1_ij counts
+# (1, 0) and x2_ij (0, 1)
 TRACE_BIDEGREES = {
     "t1": (1, 0),
     "s1": (2, 0),
@@ -77,8 +76,8 @@ def char_coefficients(m: PolyMatrix) -> tuple:
     t1^2*t2, t1*t2^2 and t2^3 coefficients of the pencil determinant of the
     triple (I, M, 0), since det(t1*I + t2*M) = t2^3 * det((t1/t2)*I + M)."""
     identity = PolyMatrix.identity(m.ring, m.vars, 3)
-    f = gen.f_all(gen.MatrixTriple(identity, m, PolyMatrix.zero(m.ring, m.vars, 3)))
-    return f[(2, 1, 0)], f[(1, 2, 0)], f[(0, 3, 0)]
+    table = gen.generators_of(gen.MatrixTriple(identity, m, PolyMatrix.zero(m.ring, m.vars, 3)))
+    return table.by_name("f210"), table.by_name("f120"), table.by_name("f030")
 
 
 @lru_cache(maxsize=1)

@@ -5,15 +5,16 @@ h and q are coefficients of 6x6 and 9x9 block determinants in t1..t3 and
 t1..t6.  By row multilinearity each of the twelve is a sum of plain
 determinants in the 27 entries: GENERATOR_DETERMINANTS is that one integer
 table, with the argument next to it.  determinant_sum reads it as exact
-polynomials (f_all, h_poly, q_poly, generators_of) and generator_values_mod
-as values at points mod p, with no expansion.  The modular runs of the
-triple identities read those values at a sampled batch point through the
-memo sampled_generator_values, and the generators' degree bounds,
+polynomials, for a GeneratorTable, and generator_values_mod as values at
+points mod p, with no expansion.  The modular runs of the triple identities
+read those values at a sampled batch point through the memo
+sampled_generator_values, and the generators' degree bounds,
 GENERATOR_DEGREES, off the same table.  H and Q are the rational
 corrections of h and q that are fixed by the unipotent upper-triangular
-subgroup (highest weight vectors of weights (2,2,2) and (3,3,3)).  A
-GeneratorTable builds f1..f10 and h; q, H and Q are built exactly in the
-27 coordinates on their first read only.
+subgroup (highest weight vectors of weights (2,2,2) and (3,3,3)).
+generators_of(T) is the one builder of a triple's generators: its
+GeneratorTable builds f1..f10 with the table, and h, q, H and Q on their
+first read only.
 
 Gradings are data next to the names they weigh, for Polynomial.degrees:
 BLOCK_WEIGHTS gives the degree in the entries of (A1, A2, A3), and F_WEIGHTS
@@ -64,7 +65,6 @@ F_INDEX = (
     (0, 0, 3),
 )
 F_NAMES = tuple(f"f{i}" for i in range(1, 11))
-F_VARS = VariableSet(F_NAMES)
 F_WEIGHTS = dict(zip(F_NAMES, F_INDEX))
 
 # Correction coefficients making H = h + sum(c * f_i * f_j) and
@@ -314,23 +314,6 @@ def determinant_sum(T: MatrixTriple, name: str) -> Polynomial:
     )
 
 
-def f_all(T: MatrixTriple) -> dict:
-    """All ten pencil coefficients, keyed by the exponent triple (i, j, k)."""
-    return {ijk: determinant_sum(T, name) for name, ijk in zip(F_NAMES, F_INDEX)}
-
-
-def h_poly(T: MatrixTriple) -> Polynomial:
-    """h: the t1^2 t2^2 t3^2 coefficient of
-    det([[t2*A2, t1*A1], [t1*A1, t3*A3]])."""
-    return determinant_sum(T, "h")
-
-
-def q_poly(T: MatrixTriple) -> Polynomial:
-    """q: the t1^2 t2 t3^2 t4 t5^2 t6 coefficient of
-    det([[0, t1*A1, t2*A2], [t4*A1, 0, t3*A3], [t5*A2, t6*A3, 0]])."""
-    return determinant_sum(T, "q")
-
-
 def _shared_row_layouts() -> tuple:
     """GENERATOR_DETERMINANTS laid out for det_residues, one stack per matrix
     size n: (names, index rows, a (names, matrices) matrix of signs, 0 off a
@@ -402,19 +385,26 @@ GENERATOR_NAMES = tuple(
 
 @dataclass(frozen=True)
 class GeneratorTable:
-    """The named invariants of a triple as explicit polynomials.  f1..f10 and
-    h are built with the table; q (5748 terms in the generic triple, three
-    9x9 determinant sums) is built from the kept triple on its first read,
-    and H and Q (1152 and 9216 QQ terms) on theirs, so that a run that reads
-    none of them, such as a modular one, builds none of them."""
+    """The named invariants of a triple as explicit polynomials.  f1..f10 are
+    built with the table (generators_of); h and q (5748 terms in the generic
+    triple, three 9x9 determinant sums) are built from the kept triple by
+    determinant_sum on their first read, and H and Q (1152 and 9216 QQ
+    terms) on theirs, so that a run that reads none of them, such as a
+    modular one, builds none of them."""
 
-    f: tuple  # f1..f10 in the fixed numbering
-    h: Polynomial
     triple: MatrixTriple
+    f: tuple  # f1..f10 in the fixed numbering
+
+    @cached_property
+    def h(self) -> Polynomial:
+        """The t1^2 t2^2 t3^2 coefficient of det([[t2*A2, t1*A1], [t1*A1, t3*A3]])."""
+        return determinant_sum(self.triple, "h")
 
     @cached_property
     def q(self) -> Polynomial:
-        return q_poly(self.triple)
+        """The t1^2 t2 t3^2 t4 t5^2 t6 coefficient of
+        det([[0, t1*A1, t2*A2], [t4*A1, 0, t3*A3], [t5*A2, t6*A3, 0]])."""
+        return determinant_sum(self.triple, "q")
 
     @cached_property
     def H(self) -> Polynomial:
@@ -425,16 +415,16 @@ class GeneratorTable:
         return combine_correction(self.q, correction_factors(self.f, self.h), Q_CORRECTIONS)
 
     def by_name(self, name: str) -> Polynomial:
-        """The polynomial of one of GENERATOR_NAMES; only q, HH and QQ build q,
-        H and Q."""
+        """The polynomial of one of GENERATOR_NAMES; only h, q, HH and QQ
+        build h, q, H and Q."""
         i = GENERATOR_NAMES.index(name)
         return self.f[i // 2] if i < 20 else getattr(self, ("h", "q", "H", "Q")[i - 20])
 
 
 def generators_of(T: MatrixTriple) -> GeneratorTable:
-    """The named invariants of a triple in its variables, q, H and Q on first
-    read."""
-    return GeneratorTable(tuple(f_all(T).values()), h_poly(T), T)
+    """The named invariants of a triple in its variables: f1..f10 now, h, q,
+    H and Q on first read."""
+    return GeneratorTable(T, tuple(determinant_sum(T, name) for name in F_NAMES))
 
 
 @lru_cache(maxsize=1)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import time
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from . import generators as gen
 from . import hwv, textio
@@ -112,7 +112,7 @@ def derive_st() -> tuple:
         raise PolyError("derivation failed: residual q-dependence")
     if any(dh > 1 for _, dh in q_h_degrees):
         raise PolyError("derivation failed: residual h-degree above 1")
-    # the coefficients of h^1 and h^0 are polynomials in F_VARS
+    # the coefficients of h^1 and h^0 are polynomials in f1..f10
     s4 = E.coefficient_of({"h": 1}, ("q", "h")) * Fraction(1, 27)
     e0 = E.coefficient_of({}, ("q", "h"))
     c0 = (abstract_H() - _var12("h")).coefficient_of({}, ("q", "h"))
@@ -124,12 +124,11 @@ def derive_st() -> tuple:
     return s4, t6
 
 
-def evaluate_f_form_on_triple(p_f: Polynomial, T) -> Polynomial:
+def evaluate_f_form_on_triple(p_f: Polynomial, table: gen.GeneratorTable) -> Polynomial:
     """Compose an f-ring polynomial with the pencil coefficients of a
-    concrete triple; exact, in the triple's own variables (substitute unifies
-    the rings: QQ for the derived invariants)."""
-    fs = gen.f_all(T)
-    return p_f.substitute({f"f{n}": fs[ijk] for n, ijk in enumerate(gen.F_INDEX, start=1)})
+    triple's generator table; exact, in the triple's own variables
+    (substitute unifies the rings: QQ for the derived invariants)."""
+    return p_f.substitute(dict(zip(gen.F_NAMES, table.f)))
 
 
 # -- the two big identities -----------------------------------------------------
@@ -225,50 +224,53 @@ def verify_theorem1(cfg: RunConfig) -> CheckResult:
 
 
 def special_triple_checks() -> list:
-    """The exact evaluation identities on the skew and Weierstrass triples."""
-    skew, w = gen.skew_triple(), gen.weierstrass_triple()
+    """The exact evaluation identities on the skew and Weierstrass triples.
+    Each triple's generator table is built by the first check that reads it,
+    inside that check, so a build that raises fails only the checks that
+    read it; the later checks reuse the table."""
+    skew = cache(lambda: gen.generators_of(gen.skew_triple()))
+    w = cache(lambda: gen.generators_of(gen.weierstrass_triple()))
     det_p = gen.skew_parameter_matrix().determinant()
     a_var = Polynomial.variable(QQ, gen.WEIERSTRASS_VARS, "a")
     b_var = Polynomial.variable(QQ, gen.WEIERSTRASS_VARS, "b")
 
     def pencil():
         cubic = textio.parse_text(
-            "t3^3 + t2^2*t1 - b^2*t1^2*t3 - a^2*t1^3", w.vars.extend(gen.T_NAMES), ZZ
+            "t3^3 + t2^2*t1 - b^2*t1^2*t3 - a^2*t1^3", gen.WEIERSTRASS_VARS.extend(gen.T_NAMES), ZZ
         )
-        return gen.f_all(w) == {
-            (i, j, k): cubic.coefficient_of({"t1": i, "t2": j, "t3": k}, gen.T_NAMES)
-            for (i, j, k) in gen.F_INDEX
-        }
+        return w().f == tuple(
+            cubic.coefficient_of({"t1": i, "t2": j, "t3": k}, gen.T_NAMES) for (i, j, k) in gen.F_INDEX
+        )
 
     return [
         boolean_check(
             "skew: all ten pencil coefficients vanish identically",
-            lambda: all(p.is_zero() for p in gen.f_all(skew).values()),
+            lambda: all(p.is_zero() for p in skew().f),
         ),
         boolean_check(
             "skew: h equals det(P)^2 as a 9-variable identity",
-            lambda: gen.h_poly(skew) == det_p.mul(det_p),
+            lambda: skew().h == det_p.mul(det_p),
         ),
         boolean_check(
             "skew: q equals det(P)^3 as a 9-variable identity",
-            lambda: gen.q_poly(skew) == det_p.mul(det_p).mul(det_p),
+            lambda: skew().q == det_p.mul(det_p).mul(det_p),
         ),
         boolean_check("weierstrass: pencil determinant", pencil),
-        boolean_check("weierstrass: H = -b", lambda: gen.generators_of(w).H == -b_var),
-        boolean_check("weierstrass: Q = -a", lambda: gen.generators_of(w).Q == -a_var),
+        boolean_check("weierstrass: H = -b", lambda: w().H == -b_var),
+        boolean_check("weierstrass: Q = -a", lambda: w().Q == -a_var),
         boolean_check(
             "weierstrass: quartic invariant = -b^2/27",
-            lambda: evaluate_f_form_on_triple(derive_st()[0], w)
+            lambda: evaluate_f_form_on_triple(derive_st()[0], w())
             == b_var.mul(b_var) * Fraction(-1, 27),
         ),
         boolean_check(
             "weierstrass: sextic invariant = -4*a^2/27",
-            lambda: evaluate_f_form_on_triple(derive_st()[1], w)
+            lambda: evaluate_f_form_on_triple(derive_st()[1], w())
             == a_var.mul(a_var) * Fraction(-4, 27),
         ),
         boolean_check(
             "skew: quartic and sextic invariants vanish",
-            lambda: all(evaluate_f_form_on_triple(p, skew).is_zero() for p in derive_st()),
+            lambda: all(evaluate_f_form_on_triple(p, skew()).is_zero() for p in derive_st()),
         ),
     ]
 

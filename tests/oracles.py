@@ -31,6 +31,12 @@ from semiinv import evalmod, generators as gen
 from semiinv.matrix import PolyMatrix
 from semiinv.poly import QQ, ZZ, Polynomial, PolyError, VariableMismatch, VariableSet, unify_rings
 
+# the f-ring {f1..f10}, in which the derived invariants S and T live
+F_VARS = VariableSet(gen.F_NAMES)
+# the bidegree of each entry of a pair (A, B) = (A1, A2) in (A-entries,
+# B-entries): x1_ij (1, 0), x2_ij (0, 1)
+PAIR_WEIGHTS = {name: gen.BLOCK_WEIGHTS[name][:2] for name in gen.TRIPLE_NAMES[:18]}
+
 
 def naive_add(a, b):
     out = dict(a)
@@ -334,8 +340,8 @@ def f_span_substitution(g):
     the group substitution by which g acts on polynomials in f1..f10, one
     polynomial addition at a time (hwv decides the same fixedness with the
     derivation it reads off the pencil exponents)."""
-    fs = [Polynomial.variable(ZZ, gen.F_VARS, name) for name in gen.F_NAMES]
-    zero = Polynomial.zero(ZZ, gen.F_VARS)
+    fs = [Polynomial.variable(ZZ, F_VARS, name) for name in gen.F_NAMES]
+    zero = Polynomial.zero(ZZ, F_VARS)
     return {
         name: reduce(lambda acc, term: acc + term, (f * c for f, c in zip(fs, row)), zero)
         for name, row in zip(gen.F_NAMES, f_action_matrix(g))

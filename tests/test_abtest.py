@@ -70,7 +70,18 @@ def test_dry_run_prints_the_alternating_schedule_and_runs_nothing(abtest, monkey
     assert seeds == list(range(1, 11)) + [9001]
     runs = lines[2 : 2 + 2 * len(seeds) * len(abtest.WORKLOADS)]
     assert all("benchmark/run.py" in line for line in runs)
-    rest = lines[2 + len(runs) :]
+    assert abtest.MEMORY_PADS == (2, 11, 23) and abtest.MEMORY_PAIRS == 5
+    copies = lines[2 + len(runs) : 2 + len(runs) + 6]
+    assert copies == [f"cp -R TMP/{side} TMP/{side}{'_' * pad}"
+                      for pad in abtest.MEMORY_PADS for side in ("parent", "change")]
+    memory = lines[2 + len(runs) + 6 : 2 + len(runs) + 6 + 2 * 5 * 3 * len(abtest.WORKLOADS)]
+    for k, (workload, pad, i) in enumerate(
+        (w, pad, i) for w in abtest.WORKLOADS for pad in abtest.MEMORY_PADS for i in range(5)
+    ):
+        command = f"python3 benchmark/run.py --workload {workload} --seed {i + 1} --seconds 1"
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        assert memory[2 * k : 2 * k + 2] == [f"cd TMP/{side}{'_' * pad} && {command}" for side in order]
+    rest = lines[2 + len(runs) + len(copies) + len(memory) :]
     tier1 = "PYTHONPATH=src python3 -m pytest -q -p no:cacheprovider --continue-on-collection-errors"
     assert rest[:6] == [f"cd TMP/{side} && {tier1}" for side in
                         ("parent", "change", "change", "parent", "parent", "change")]
@@ -83,9 +94,10 @@ def test_dry_run_prints_the_alternating_schedule_and_runs_nothing(abtest, monkey
     outputs = rest[6 : 6 + 2 * len(commands)]
     assert outputs == [f"cd TMP/{side} && PYTHONPATH=src python3 -m semiinv.cli " + " ".join(c)
                        for side in ("parent", "change") for c in commands]
-    probe = "PYTHONPATH=src python3 ../hwv.sl3_certificate_for_f_polynomial.py"
-    assert list(abtest.PROBES) == ["hwv.sl3_certificate_for_f_polynomial"]
-    assert rest[6 + len(outputs) :] == [f"cd TMP/{side} && {probe}" for side in
+    probes = ["hwv.sl3_certificate_for_f_polynomial", "generators.generators_of"]
+    assert list(abtest.PROBES) == probes
+    assert rest[6 + len(outputs) :] == [f"cd TMP/{side} && PYTHONPATH=src python3 ../{probe}.py"
+                                        for probe in probes for side in
                                         ("parent", "change", "change", "parent", "parent",
                                          "change", "change", "parent", "parent", "change")]
     for i, seed in enumerate(seeds):
@@ -151,19 +163,37 @@ def test_a_probe_records_its_seconds_or_an_absent_name(abtest):
 
 
 def test_the_probe_script_times_this_tree_and_finds_a_stub_tree_lacking_its_names(abtest, tmp_path):
-    """Run as the tool runs it, the probe prints its seconds on a copy of this
-    repository's source, and absent on a tree whose modules lack its names."""
-    (name, script), = abtest.PROBES.items()
-    (tmp_path / f"{name}.py").write_text(script)
+    """Run as the tool runs them, the probes print their seconds on a copy of
+    this repository's source, and absent on a tree whose modules lack their
+    names."""
     stub = tmp_path / "stub"
     (stub / "src" / "semiinv").mkdir(parents=True)
     for module in ("__init__", "generators", "hwv", "relations"):
         (stub / "src" / "semiinv" / f"{module}.py").write_text("")
     tree = tmp_path / "tree"
     shutil.copytree(TOOL.parent.parent / "src", tree / "src")
-    got = {"stub": abtest.run_probe(stub, name), "tree": abtest.run_probe(tree, name)}
-    assert set(got["stub"]) == {"absent"} and "generator_table" in got["stub"]["absent"]
-    assert set(got["tree"]) == {"s"} and got["tree"]["s"] > 0
+    first_missing = {"hwv.sl3_certificate_for_f_polynomial": "generator_table",
+                     "generators.generators_of": "generic_triple"}
+    assert list(abtest.PROBES) == list(first_missing)
+    for name, script in abtest.PROBES.items():
+        (tmp_path / f"{name}.py").write_text(script)
+        got = {"stub": abtest.run_probe(stub, name), "tree": abtest.run_probe(tree, name)}
+        assert set(got["stub"]) == {"absent"} and first_missing[name] in got["stub"]["absent"]
+        assert set(got["tree"]) == {"s"} and got["tree"]["s"] > 0
+
+
+def test_memory_pairs_report_each_length_and_the_spread_across_lengths(abtest):
+    """Per workload and path length, each side's readings and the median
+    over the pairs of change minus parent; the spread is the largest minus
+    the smallest of those medians."""
+    runs = {"w": {2: {"parent": [37.0, 37.5, 37.2], "change": [37.1, 37.4, 37.5]},
+                  11: {"parent": [37.0, 37.0, 37.0], "change": [36.75, 37.0, 36.5]}}}
+    got = abtest.summarize_memory(runs, {2: 40, 11: 49})
+    assert list(got["w"]["by_length"]) == ["40", "49"]
+    assert got["w"]["by_length"]["40"]["parent"] == [37.0, 37.5, 37.2]
+    assert got["w"]["by_length"]["40"]["change_minus_parent"] == pytest.approx(0.1)
+    assert got["w"]["by_length"]["49"]["change_minus_parent"] == -0.25
+    assert got["w"]["spread"] == pytest.approx(0.35)
 
 
 def test_the_package_does_not_import_the_tool():

@@ -123,8 +123,8 @@ def test_every_prediction_of_a_workload_records_a_call(cold_builds, workload):
     call and every output matches its expected value, so a change that
     stops reading a layer shows here and not only as exit 3 on a traced
     run (matrix.determinant on modular-sweep, say, holds only while the
-    set-up builds f1..f10 and h through PolyMatrix.determinant; q is built
-    on its first read, which no modular run makes)."""
+    set-up builds f1..f10 through PolyMatrix.determinant; h and q are built
+    on their first read, which no modular run makes)."""
     tracing = _load("tracing")
     tracer = tracing.Tracer("t")
     tracer.install()

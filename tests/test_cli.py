@@ -342,6 +342,26 @@ def test_a_default_verify_all_builds_neither_H_nor_Q(cold_builds, capsys):
         assert code == 0 and "H" not in vars(table) and "Q" not in vars(table)
 
 
+def test_a_default_verify_all_builds_each_generator_of_a_triple_once(cold_builds, capsys, monkeypatch):
+    """Every exact generator polynomial is one determinant_sum of a triple's
+    table, and each special triple's table is built once and read by all of
+    its checks: a cold default verify all sums no stack twice over equal
+    triples."""
+    builds = []
+    determinant_sum = gen.determinant_sum
+
+    def counting(T, name):
+        builds.append((T, name))
+        return determinant_sum(T, name)
+
+    monkeypatch.setattr(gen, "determinant_sum", counting)
+    code, _, _ = run_cli(capsys, "verify", "all")
+    assert code == 0
+    assert [name for i, (T, name) in enumerate(builds) if (T, name) in builds[:i]] == []
+    built = {name for T, name in builds if T == gen.weierstrass_triple()}
+    assert built == {*gen.F_NAMES, "h", "q"}
+
+
 def test_check_times_cover_a_cold_verify_all(cold_builds):
     """Each check reads and times the builds it is the first to trigger, so
     with cold builds the elapsed_s of the checks add up to nearly all of an

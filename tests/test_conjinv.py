@@ -86,7 +86,7 @@ def test_char_coefficients_match_int_oracle(gens18):
 
 def test_bidegree_table(gens18):
     for name, p in gens18.items():
-        assert p.degrees(cj.PAIR_WEIGHTS) == {cj.TRACE_BIDEGREES[name]}, name
+        assert p.degrees(oracles.PAIR_WEIGHTS) == {cj.TRACE_BIDEGREES[name]}, name
 
 
 def test_conjugation_invariance_at_random_points(gens18):

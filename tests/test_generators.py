@@ -40,19 +40,17 @@ def scalar_triple(a1, a2, a3):
 
 def test_f_on_identity_zero_zero():
     T = scalar_triple(I3, Z3, Z3)
-    fs = gen.f_all(T)
-    assert as_const(fs[(3, 0, 0)]) == 1
-    for ijk in gen.F_INDEX:
-        if ijk != (3, 0, 0):
-            assert fs[ijk].is_zero()
+    fs = gen.generators_of(T).f
+    assert as_const(fs[0]) == 1
+    assert all(p.is_zero() for p in fs[1:])
 
 
 def test_f_on_identity_triple_multinomials():
     import math
 
     T = scalar_triple(I3, I3, I3)
-    fs = gen.f_all(T)
-    for (i, j, k), p in fs.items():
+    fs = gen.generators_of(T).f
+    for (i, j, k), p in zip(gen.F_INDEX, fs):
         expected = math.factorial(3) // (
             math.factorial(i) * math.factorial(j) * math.factorial(k)
         )
@@ -107,7 +105,7 @@ def test_h_on_identity_triple_is_minus_three():
     # coefficient is -3 (and (t2*t3 - t1^2)^3 in the definition's three
     # variables, whose t1^2 t2^2 t3^2 coefficient is -3)
     T = scalar_triple(I3, I3, I3)
-    assert as_const(gen.h_poly(T)) == -3
+    assert as_const(gen.generators_of(T).h) == -3
 
 
 def test_h_identity_triple_rowexpansion_oracle():
@@ -131,7 +129,7 @@ def test_q_on_identity_triple_is_three():
     # commuting blocks give det([[0, t1*I, I], [I, 0, I], [I, I, 0]]) =
     # (t1 + 1)^3, whose t1^2 coefficient is 3
     T = scalar_triple(I3, I3, I3)
-    assert as_const(gen.q_poly(T)) == 3
+    assert as_const(gen.generators_of(T).q) == 3
 
 
 def test_h_q_multidegrees(table):
@@ -182,23 +180,21 @@ def test_rank_check_fails_on_a_repeated_multidegree(monkeypatch, table):
 
 
 def test_skew_triple_kills_all_f():
-    fs = gen.f_all(gen.skew_triple())
-    assert all(p.is_zero() for p in fs.values())
+    assert all(p.is_zero() for p in gen.generators_of(gen.skew_triple()).f)
 
 
 def test_skew_triple_h_q_are_det_powers():
-    skew = gen.skew_triple()
+    skew = gen.generators_of(gen.skew_triple())
     d = gen.skew_parameter_matrix().determinant()
-    assert gen.h_poly(skew) == d.mul(d)
-    assert gen.q_poly(skew) == d.mul(d).mul(d)
+    assert skew.h == d.mul(d)
+    assert skew.q == d.mul(d).mul(d)
 
 
 def test_skew_identity_parameters():
-    skew = gen.skew_triple()
     point = {"x1": 1, "y1": 0, "z1": 0, "x2": 0, "y2": 1, "z2": 0, "x3": 0, "y3": 0, "z3": 1}
-    assert gen.h_poly(skew).evaluate(point) == 1
-    assert gen.q_poly(skew).evaluate(point) == 1
-    skew_gens = gen.generators_of(skew)
+    skew_gens = gen.generators_of(gen.skew_triple())
+    assert skew_gens.h.evaluate(point) == 1
+    assert skew_gens.q.evaluate(point) == 1
     assert skew_gens.H.evaluate(point) == 1
     assert skew_gens.Q.evaluate(point) == 1
 
@@ -340,26 +336,28 @@ def test_a_cold_exponent_matrix_peaks_below_three_times_its_size(table):
 
 
 def test_q_is_built_on_first_read_only(cold_builds, monkeypatch):
-    """With cold builds, generator_table() builds f1..f10 and h, and the
+    """With cold builds, generator_table() builds f1..f10 only, and the
     modular runs of the main relation and of theorem 1 read values mod p
-    only: none of them calls q_poly.  The first read of table.q builds it,
-    once, and it equals the eager q_poly of the generic triple."""
+    only: neither builds h or q.  The first read of table.h, and of table.q,
+    builds it once through determinant_sum, from the kept generic triple."""
     calls = []
-    q_poly = gen.q_poly
+    determinant_sum = gen.determinant_sum
 
-    def counting(T):
-        calls.append(T)
-        return q_poly(T)
+    def counting(T, name):
+        calls.append(name)
+        return determinant_sum(T, name)
 
-    monkeypatch.setattr(gen, "q_poly", counting)
+    monkeypatch.setattr(gen, "determinant_sum", counting)
     table = gen.generator_table()
     cfg = RunConfig(trials=2)
     assert relations.verify_main_relation(cfg).passed
     assert relations.verify_theorem1(cfg).passed
-    assert calls == [] and "q" not in vars(table)
+    assert calls == list(gen.F_NAMES) and "h" not in vars(table) and "q" not in vars(table)
+    assert table.h is table.h is gen.generator_table().h
     assert table.q is table.q is gen.generator_table().q
-    assert calls == [table.triple] and table.triple == gen.generic_triple()
-    assert table.q == q_poly(gen.generic_triple())
+    assert calls == [*gen.F_NAMES, "h", "q"] and table.triple == gen.generic_triple()
+    assert table.h == determinant_sum(gen.generic_triple(), "h")
+    assert table.q == determinant_sum(gen.generic_triple(), "q")
 
 
 def test_act_identity_and_diag():
@@ -589,7 +587,7 @@ def test_cubic_table_roundtrip(cubic_invariants):
     s_cubic, t_cubic = cubic_invariants
     s4, t6 = relations.derive_st()
     forward = {
-        cname: Polynomial.variable(QQ, gen.F_VARS, fname) * Fraction(1, scale)
+        cname: Polynomial.variable(QQ, oracles.F_VARS, fname) * Fraction(1, scale)
         for fname, (cname, scale) in gen._CUBIC_OF_F.items()
     }
     assert s_cubic.substitute(forward) == s4

@@ -158,7 +158,7 @@ def test_sl3_certificates_for_derived_invariants():
     # a polynomial that is not invariant fails the certificate
     from semiinv.poly import Polynomial
 
-    f1 = Polynomial.variable(QQ, gen.F_VARS, "f1")
+    f1 = Polynomial.variable(QQ, oracles.F_VARS, "f1")
     assert not hwv.sl3_certificate_for_f_polynomial(f1)
 
 
@@ -196,7 +196,7 @@ def test_f_ring_derivations_match_the_substitution_oracle(s_times, terms):
     """On polynomials of degree <= 4 in f1..f10, a multiple of S (over QQ)
     plus a few random terms (over ZZ when alone), each derivation kills
     exactly the polynomials that its transvection's substitution fixes."""
-    p = Polynomial.from_terms(ZZ, gen.F_VARS, terms)
+    p = Polynomial.from_terms(ZZ, oracles.F_VARS, terms)
     if s_times:
         p = p.to_ring(QQ) + relations.derive_st()[0] * s_times
     _assert_derivations_match_substitution(p)

@@ -84,7 +84,7 @@ def test_f_grading_is_keyed_by_name():
 
 def test_derived_invariants_on_weierstrass():
     s4, t6 = rel.derive_st()
-    w = gen.weierstrass_triple()
+    w = gen.generators_of(gen.weierstrass_triple())
     a = Polynomial.variable(QQ, gen.WEIERSTRASS_VARS, "a")
     b = Polynomial.variable(QQ, gen.WEIERSTRASS_VARS, "b")
     assert rel.evaluate_f_form_on_triple(s4, w) == b.mul(b) * Fraction(-1, 27)
@@ -93,7 +93,7 @@ def test_derived_invariants_on_weierstrass():
 
 def test_derived_invariants_vanish_on_skew():
     s4, t6 = rel.derive_st()
-    skew = gen.skew_triple()
+    skew = gen.generators_of(gen.skew_triple())
     assert rel.evaluate_f_form_on_triple(s4, skew).is_zero()
     assert rel.evaluate_f_form_on_triple(t6, skew).is_zero()
 
@@ -133,7 +133,7 @@ def test_the_definition_degree_bounds_are_the_expanded_leaves_degrees():
 
 def test_modular_runs_build_no_corrected_leaf_and_read_no_leaf(cold_builds, monkeypatch):
     """After generator_table(), as a benchmark set-up builds it, the modular
-    main relation, theorem 1 and the mutant leave q, H and Q unbuilt: no
+    main relation, theorem 1 and the mutant leave h, q, H and Q unbuilt: no
     combine_correction over the 27 coordinates, and no exponents() of a
     polynomial in them, leaf or other."""
     table = gen.generator_table()
@@ -158,7 +158,8 @@ def test_modular_runs_build_no_corrected_leaf_and_read_no_leaf(cold_builds, monk
     ]
     assert [r.passed for r in results] == [True, True, False]
     assert [r.details["degree_bound"] for r in results] == [18, 18, 18]
-    assert "q" not in vars(table) and "H" not in vars(table) and "Q" not in vars(table)
+    assert "h" not in vars(table) and "q" not in vars(table)
+    assert "H" not in vars(table) and "Q" not in vars(table)
     assert read and corrected  # outer polynomials, abstract_H and abstract_Q
     assert gen.TRIPLE_VARS not in read and gen.TRIPLE_VARS not in corrected
 
@@ -166,13 +167,12 @@ def test_modular_runs_build_no_corrected_leaf_and_read_no_leaf(cold_builds, monk
 def test_theorem1_weierstrass_arithmetic():
     """At a = b = 1: Q^2 = 1 and H^3 + 27*H*S - 27/4*T = -1 + 1 + 1 = 1."""
     s4, t6 = rel.derive_st()
-    w = gen.weierstrass_triple()
     point = {"a": 1, "b": 1}
-    w_gens = gen.generators_of(w)
+    w_gens = gen.generators_of(gen.weierstrass_triple())
     Q = w_gens.Q.evaluate(point)
     H = w_gens.H.evaluate(point)
-    S = rel.evaluate_f_form_on_triple(s4, w).evaluate(point)
-    T = rel.evaluate_f_form_on_triple(t6, w).evaluate(point)
+    S = rel.evaluate_f_form_on_triple(s4, w_gens).evaluate(point)
+    T = rel.evaluate_f_form_on_triple(t6, w_gens).evaluate(point)
     assert Q * Q == 1
     assert H ** 3 + 27 * H * S - Fraction(27, 4) * T == 1
 
@@ -181,12 +181,11 @@ def test_exact_and_modular_agree_on_theorem1_for_weierstrass_family():
     """The 2-parameter specialization of the degree-18 identity is small
     enough to expand exactly; both verdicts agree."""
     s4, t6 = rel.derive_st()
-    w = gen.weierstrass_triple()
-    w_gens = gen.generators_of(w)
+    w_gens = gen.generators_of(gen.weierstrass_triple())
     Q = w_gens.Q
     H = w_gens.H
-    S = rel.evaluate_f_form_on_triple(s4, w)
-    T = rel.evaluate_f_form_on_triple(t6, w)
+    S = rel.evaluate_f_form_on_triple(s4, w_gens)
+    T = rel.evaluate_f_form_on_triple(t6, w_gens)
     lhs = Q.mul(Q) - H ** 3 - H.mul(S) * 27 + T * Fraction(27, 4)
     assert lhs.is_zero()
 
@@ -195,6 +194,20 @@ def test_special_triple_suite_passes():
     results = rel.special_triple_checks()
     assert all(r.passed for r in results)
     assert len(results) == 9
+
+
+def test_a_refused_special_triple_build_fails_only_the_checks_that_read_it(monkeypatch):
+    """Each special triple's table is built inside the first check that
+    reads it: a Weierstrass triple that raises PolyError fails its five
+    checks, each with the error as its note, and the four skew checks still
+    pass."""
+    def refuse():
+        raise PolyError("refused")
+
+    monkeypatch.setattr(gen, "weierstrass_triple", refuse)
+    results = rel.special_triple_checks()
+    assert [r.passed for r in results] == [r.name.startswith("skew") for r in results]
+    assert [r.notes for r in results if not r.passed] == [["PolyError: refused"]] * 5
 
 
 def test_negative_control_mutated_relation():
@@ -421,7 +434,9 @@ def test_exact_mode_gate_names_a_leaf_that_is_not_invariant(monkeypatch):
     x = {n: Polynomial.variable(ZZ, gen.TRIPLE_VARS, n) for n in ("x1_11", "x2_11", "x3_11")}
     wrong = table.h + (x["x1_11"] * x["x2_11"] * x["x3_11"]) ** 2
     assert wrong.degrees(gen.BLOCK_WEIGHTS) == {(2, 2, 2)}
-    monkeypatch.setattr(gen, "generator_table", lambda: replace(table, h=wrong))
+    wrong_table = replace(table)
+    vars(wrong_table)["h"] = wrong  # h is built on first read: the wrong one stands in its place
+    monkeypatch.setattr(gen, "generator_table", lambda: wrong_table)
     result = rel.verify_main_relation(EXACT)
     assert not result.passed and result.mode == "exact"
     assert result.notes == ["leaf 'h' fails the certificate of " + rel.TRIPLE_SLICE.certificate]

@@ -10,7 +10,11 @@ and ``change`` (paths of one length) of a new temporary directory, and runs
 share one recorded environment.  For every workload it runs one pair per seed
 of SEEDS and then one pair at the held-out seed, the parent first in
 even-numbered pairs and the change first in odd ones, so that a drift of the
-machine's speed does not favour a side.  Then it runs the tier-1 tests
+machine's speed does not favour a side.  Then it copies each tree into
+sibling directories whose names are MEMORY_PADS characters longer, and in
+each pair of copies runs MEMORY_PAIRS alternating pairs per workload of
+``run.py --seconds 1`` for peak_rss_mb, whose allocator layout moves with
+the length of a tree's path.  Then it runs the tier-1 tests
 TIER1_RUNS times per side, alternating the same way, the output commands
 (output_commands: every command keyed in tests/emission_digests.json,
 derive-st in text and JSON, verify all in JSON in both modes, and verify all
@@ -22,14 +26,17 @@ options.
 The result, one JSON object, goes to standard output and progress to
 standard error.  For each workload and metric it gives each side's samples
 in seed order, their median and quartiles (inclusive method) and IQR, the
-number of pairs in which the change read lower, and the held-out pair.  It
-also records the revisions, the environment, the commands, the operations
-each side attempted and failed, ``wc -l`` of each side's package and a
-digest of each side's ``benchmark/``, which must agree.  Under "tier1" it
-gives each side's wall times and result lines, and under "outputs" each
-output command's sha256 per side, of its standard output with every
-"elapsed_s" of a JSON report dropped, its exit code where it is not 0, and
-``outputs_identical``.  Under "probes" it gives, per probe and side, the
+number of pairs in which the change read lower, and the held-out pair.
+Under "memory" it gives, per workload and path length, each side's
+peak_rss_mb in pair order and the median over the pairs of change minus
+parent, and the spread (largest minus smallest) of those medians across the
+lengths.  It also records the revisions, the environment, the commands, the
+operations each side attempted and failed, ``wc -l`` of each side's
+package and a digest of each side's ``benchmark/``, which must agree.  Under
+"tier1" it gives each side's wall times and result lines, and under
+"outputs" each output command's sha256 per side, of its standard output
+with every "elapsed_s" of a JSON report dropped, its exit code where it is
+not 0, and ``outputs_identical``.  Under "probes" it gives, per probe and side, the
 median and quartiles of the probe's seconds, or ``absent`` with the reason
 when the side's tree lacks a name the probe uses.  ``--dry-run`` prints the
 commands, in order, and runs none of them.
@@ -44,6 +51,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -65,6 +73,11 @@ CLI = ["python3", "-m", "semiinv.cli"]
 # the side's own source tree, for the tier-1, output and probe commands
 SIDE_ENV = {**ENV, "PYTHONPATH": "src"}
 PROBE_RUNS = 5
+# peak_rss_mb at several path lengths: the extra characters of the sibling
+# copies' names, and the pairs per workload and length
+MEMORY_PADS = (2, 11, 23)
+MEMORY_PAIRS = 5
+MEMORY_SECONDS = 1
 # Per-layer probes: a script, run from the root of a side's tree, that prints
 # one JSON line, {"s": seconds} or {"absent": the name the tree lacks}.
 PROBES = {
@@ -88,13 +101,30 @@ if verdicts != (True, True):
     sys.exit(f"the certificate refused S or T: {verdicts}")
 print(json.dumps({"s": elapsed}))
 ''',
+    # the generator table: a cold generators_of of the generic triple, then
+    # reads of h and q, so that a tree that builds h with the table and one
+    # that builds it on first read time the same work
+    "generators.generators_of": '''\
+import json, sys, time
+try:
+    from semiinv import generators
+    triple, build = generators.generic_triple, generators.generators_of
+    started = time.perf_counter()
+    table = build(triple())
+    table.h, table.q
+    elapsed = time.perf_counter() - started
+except (ImportError, AttributeError) as missing:
+    print(json.dumps({"absent": str(missing)}))
+    sys.exit()
+print(json.dumps({"s": elapsed}))
+''',
 }
 
 
-def run_command(workload: str, seed: int) -> list:
+def run_command(workload: str, seed: int, seconds: int = SECONDS) -> list:
     """The benchmark command for one run, from the root of a side's tree."""
     return ["python3", "benchmark/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(SECONDS)]
+            "--seed", str(seed), "--seconds", str(seconds)]
 
 
 def in_turn(i: int) -> tuple:
@@ -107,6 +137,19 @@ def schedule() -> list:
     HELD_OUT_SEED per workload, the parent first in even-numbered pairs."""
     seeds = SEEDS + (HELD_OUT_SEED,)
     return [(workload, seed, in_turn(i)) for workload in WORKLOADS for i, seed in enumerate(seeds)]
+
+
+def memory_schedule() -> list:
+    """(workload, pad, seed, sides in run order) for every memory pair: per
+    workload and pad, MEMORY_PAIRS pairs at the first seeds of SEEDS, the
+    parent first in even-numbered pairs."""
+    return [(workload, pad, SEEDS[i], in_turn(i))
+            for workload in WORKLOADS for pad in MEMORY_PADS for i in range(MEMORY_PAIRS)]
+
+
+def padded(side: str, pad: int) -> str:
+    """The name of a side's sibling copy, pad characters longer."""
+    return side + "_" * pad
 
 
 def alternating(runs: int) -> tuple:
@@ -196,6 +239,23 @@ def summarize_probe(results: dict) -> dict:
     return out
 
 
+def summarize_memory(runs: dict, lengths: dict) -> dict:
+    """runs[workload][pad][side] is the list of peak_rss_mb readings in pair
+    order, and lengths[pad] the path length of that pad's copies: per
+    workload and length, each side's readings and the median over the pairs
+    of change minus parent, and the spread of those medians across the
+    lengths."""
+    out = {}
+    for workload, pads in runs.items():
+        by_length = {}
+        for pad, sides in pads.items():
+            diffs = [c - p for p, c in zip(sides["parent"], sides["change"])]
+            by_length[str(lengths[pad])] = {**sides, "change_minus_parent": statistics.median(diffs)}
+        medians = [entry["change_minus_parent"] for entry in by_length.values()]
+        out[workload] = {"by_length": by_length, "spread": max(medians) - min(medians)}
+    return out
+
+
 def summarize(runs: dict) -> dict:
     """runs[workload][side] is the list of run.py results, one per pair in
     schedule order, the held-out pair last; each result maps a metric to its
@@ -234,8 +294,8 @@ def tree_digest(directory: Path) -> str:
     return digest.hexdigest()
 
 
-def run_once(tree: Path, workload: str, seed: int) -> dict:
-    proc = subprocess.run(run_command(workload, seed), cwd=tree, env=dict(os.environ, **ENV),
+def run_once(tree: Path, workload: str, seed: int, seconds: int = SECONDS) -> dict:
+    proc = subprocess.run(run_command(workload, seed, seconds), cwd=tree, env=dict(os.environ, **ENV),
                           stdout=subprocess.PIPE, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     values = {name: metric["value"] for name, metric in result["metrics"].items()}
@@ -285,6 +345,12 @@ def main(argv=None) -> int:
         for workload, seed, order in pairs:
             for side in order:
                 print(f"cd TMP/{side} && " + " ".join(run_command(workload, seed)))
+        for pad in MEMORY_PADS:
+            for side in SIDES:
+                print(f"cp -R TMP/{side} TMP/{padded(side, pad)}")
+        for workload, pad, seed, order in memory_schedule():
+            for side in order:
+                print(f"cd TMP/{padded(side, pad)} && " + " ".join(run_command(workload, seed, MEMORY_SECONDS)))
         for side in TIER1_ORDER:
             print(f"cd TMP/{side} && " + side_command(TIER1))
         for side in SIDES:
@@ -308,6 +374,16 @@ def main(argv=None) -> int:
             for side in order:
                 runs[workload][side].append(run_once(root / side, workload, seed))
             print(f"{workload} seed {seed} done", file=sys.stderr)
+        for pad in MEMORY_PADS:
+            for side in SIDES:
+                shutil.copytree(root / side, root / padded(side, pad))
+        lengths = {pad: len(str(root / padded("parent", pad))) for pad in MEMORY_PADS}
+        memory = {workload: {pad: {side: [] for side in SIDES} for pad in MEMORY_PADS} for workload in WORKLOADS}
+        for workload, pad, seed, order in memory_schedule():
+            for side in order:
+                result = run_once(root / padded(side, pad), workload, seed, MEMORY_SECONDS)
+                memory[workload][pad][side].append(result["peak_rss_mb"])
+        print("memory pairs done", file=sys.stderr)
         tier1 = {side: [] for side in SIDES}
         for side in TIER1_ORDER:
             tier1[side].append(run_tier1(root / side))
@@ -345,6 +421,11 @@ def main(argv=None) -> int:
         "lines": lines,
         "benchmark_sha256": benchmark,
         "workloads": summarize(runs),
+        "memory": {
+            "command": " ".join(run_command("W", "S", MEMORY_SECONDS)), "pads": MEMORY_PADS,
+            "pairs": MEMORY_PAIRS, "copies": "parent and change with pad underscores appended",
+            "workloads": summarize_memory(memory, lengths),
+        },
         "tier1": {
             "command": side_command(TIER1), "order": TIER1_ORDER,
             **{side: {"wall_s": [r["wall_s"] for r in tier1[side]],
