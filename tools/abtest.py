@@ -422,8 +422,8 @@ def main(argv=None) -> int:
         "benchmark_sha256": benchmark,
         "workloads": summarize(runs),
         "memory": {
-            "command": " ".join(run_command("W", "S", MEMORY_SECONDS)), "pads": MEMORY_PADS,
-            "pairs": MEMORY_PAIRS, "copies": "parent and change with pad underscores appended",
+            "command": " ".join(run_command("W", "S", MEMORY_SECONDS)),
+            "pads": MEMORY_PADS, "pairs": MEMORY_PAIRS,
             "workloads": summarize_memory(memory, lengths),
         },
         "tier1": {
