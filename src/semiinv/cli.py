@@ -13,7 +13,6 @@ import sys
 from fractions import Fraction
 
 from . import conjinv, generators as gen, hwv, relations, textio
-from .evalmod import DEFAULT_PRIMES
 from .suites import SUITES, run_suite
 from .verify import RunConfig, VerifyUsageError, build_report, render_text
 
@@ -70,13 +69,9 @@ def _parse_primes(text: str) -> tuple:
 
 
 def _config_from(args) -> RunConfig:
-    primes = DEFAULT_PRIMES if args.primes is None else _parse_primes(args.primes)
-    return RunConfig(
-        mode=args.mode,
-        trials=args.trials,
-        primes=primes,
-        seed=args.seed,
-    )
+    """The options as a RunConfig; a missing --primes keeps RunConfig's."""
+    primes = {} if args.primes is None else {"primes": _parse_primes(args.primes)}
+    return RunConfig(mode=args.mode, trials=args.trials, seed=args.seed, **primes)
 
 
 def cmd_verify(args) -> int:
@@ -133,15 +128,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    p_verify.add_argument("--mode", choices=("exact", "modular"), default="modular")
-    p_verify.add_argument("--trials", type=int, default=100)
+    defaults = RunConfig()
+    p_verify.add_argument("--mode", choices=("exact", "modular"), default=defaults.mode)
+    p_verify.add_argument("--trials", type=int, default=defaults.trials)
     p_verify.add_argument(
         "--primes",
         default=None,
         help="comma-separated odd primes < 2^31 (default: the five largest below 2^31; "
         "the main-relation suite additionally spot-checks 5 and 7)",
     )
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=int, default=defaults.seed)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -8,10 +8,12 @@ highest-weight combinations) leaves an expression linear in h whose two
 h-components determine the quartic and sextic invariants exactly; their
 normalization is pinned by the values they take on the Weierstrass family.
 
-Both triple identities, the relation and theorem 1, are outer polynomials
-over (q, h, f1..f10); theorem 1's is composed with abstract_Q and abstract_H,
-so no run evaluates H or Q.  A modular run evaluates the outer polynomial at
-the generator values of the determinant table; only an exact slice proof
+Theorem 1, composed over (q, h, f1..f10) with abstract_Q and abstract_H
+(theorem1_expr), is the defining relation term for term: verify_theorem1
+checks that equality exactly and then runs the relation's own check in the
+27 coordinates.  That check takes the relation as an outer polynomial over
+(q, h, f1..f10): a modular run evaluates it at the generator values of the
+determinant table, so no run evaluates H or Q; only an exact slice proof
 binds the generator polynomials to its names, as a Composition.
 """
 
@@ -135,16 +137,12 @@ def evaluate_f_form_on_triple(p_f: Polynomial, table: gen.GeneratorTable) -> Pol
 
 
 def theorem1_expr() -> Polynomial:
-    """Q^2 - H^3 - 27*H*S + (27/4)*T over the 27 coordinates, as one rational
-    outer polynomial over (q, h, f1..f10): Q and H are abstract_Q and
-    abstract_H, and S and T the pair derive_st returns (read through this
-    module's attribute when the expression is built, so a substituted
-    derive_st is the one composed).  The twelve generators are its leaves,
-    as they are the defining relation's.  Sound: table.Q and table.H are
-    combine_correction over the same correction tables at the generators, so
-    the composite is theorem 1's 27-variable polynomial (test_relations
-    locks this exactly), and the slice proof's SL3 x SL3 gate certifies the
-    same twelve leaves as main-relation's."""
+    """Q^2 - H^3 - 27*H*S + (27/4)*T as one rational polynomial over (q, h,
+    f1..f10): Q and H are abstract_Q and abstract_H, and S and T the pair
+    derive_st returns (read through this module's attribute when the
+    expression is built, so a substituted derive_st is the one composed).
+    With S and T as derived it is defining_relation() term for term;
+    verify_theorem1 checks that and writes down why it proves theorem 1."""
     S, T = (p.to_ring(QQ).convert(ABSTRACT12) for p in derive_st())
     H, Q = abstract_H(), abstract_Q()
     return Q.mul(Q) - H ** 3 - H.mul(S) * 27 + T * Fraction(27, 4)
@@ -195,28 +193,31 @@ def verify_main_relation(cfg: RunConfig, relation: Polynomial | None = None) -> 
     return _run_triple_identity("main-relation", defining_relation() if relation is None else relation, cfg)
 
 
-THEOREM1_MOD3_NOTE = (
-    "mod 3 the terms 27*H*S and (27/4)*T vanish: "
-    "the check at p = 3 cannot see an error in S or T"
-)
-
-
 def verify_theorem1(cfg: RunConfig) -> CheckResult:
-    """Q^2 - H^3 - 27*H*S + (27/4)*T vanishes: modular in all 27 coordinates by
-    default, an exact slice proof in exact mode.  A PolyError while composing
-    it (derive_st refusing the relation, say) is a FAIL with the error as its
-    note.  A modular run whose primes include 3 says that it is blind there
-    to S and T."""
+    """Theorem 1, Q^2 - H^3 - 27*H*S + (27/4)*T = 0, in two steps.  First,
+    exactly in Q[q, h, f1..f10], theorem1_expr() equals the defining
+    relation; a difference is a FAIL in mode exact whose note gives the terms
+    left, and a PolyError while composing it (derive_st refusing the
+    relation, say) a FAIL with the error as its note.  Then main-relation's
+    run of the relation, under this check's name, gives the verdict.
+
+    Sound: substituting the generators for q, h, f1..f10 is a ring
+    homomorphism that maps abstract_Q and abstract_H to table.Q and table.H
+    (test_relations locks this), so it maps theorem1_expr() to theorem 1's
+    polynomial in the 27 coordinates, which the first step makes the
+    relation at the generators.  A wrong S or T leaves -27*H*dS + (27/4)*dT,
+    whose h-part is -27*h*dS: nonzero over Q, whatever the primes."""
     t0 = time.perf_counter()
     try:
-        outer = theorem1_expr()
+        left = theorem1_expr() - defining_relation().to_ring(QQ)
     except PolyError as exc:
-        return CheckResult(
-            "theorem1", False, "exact", time.perf_counter() - t0, notes=[f"PolyError: {exc}"]
-        )
-    result = _run_triple_identity("theorem1", outer, cfg)
-    if cfg.mode == "modular" and 3 in cfg.primes:
-        result.notes.append(THEOREM1_MOD3_NOTE)
+        return CheckResult("theorem1", False, "exact", time.perf_counter() - t0, notes=[f"PolyError: {exc}"])
+    if not left.is_zero():
+        note = f"Q^2 - H^3 - 27*H*S + (27/4)*T minus the defining relation leaves {left.text()}"
+        return CheckResult("theorem1", False, "exact", time.perf_counter() - t0, {"remaining_terms": len(left)},
+                           notes=[note])
+    result = _run_triple_identity("theorem1", defining_relation(), cfg)
+    result.elapsed_s = time.perf_counter() - t0
     return result
 
 

@@ -4,13 +4,18 @@ its probe script.  Nothing here runs the benchmark, the tests or the CLI."""
 
 import contextlib
 import hashlib
+import importlib.metadata
 import importlib.util
 import io
 import json
+import os
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
+
+from semiinv import hwv
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "abtest.py"
 
@@ -96,7 +101,8 @@ def test_dry_run_prints_the_alternating_schedule_and_runs_nothing(abtest, monkey
                        for side in ("parent", "change") for c in commands]
     probes = ["hwv.sl3_certificate_for_f_polynomial", "generators.generators_of"]
     assert list(abtest.PROBES) == probes
-    assert rest[6 + len(outputs) :] == [f"cd TMP/{side} && PYTHONPATH=src python3 ../{probe}.py"
+    assert abtest.PROBE_REPEATS == 7
+    assert rest[6 + len(outputs) :] == [f"cd TMP/{side} && PYTHONPATH=src python3 ../{probe}.py 7"
                                         for probe in probes for side in
                                         ("parent", "change", "change", "parent", "parent",
                                          "change", "change", "parent", "parent", "change")]
@@ -180,6 +186,35 @@ def test_the_probe_script_times_this_tree_and_finds_a_stub_tree_lacking_its_name
         got = {"stub": abtest.run_probe(stub, name), "tree": abtest.run_probe(tree, name)}
         assert set(got["stub"]) == {"absent"} and first_missing[name] in got["stub"]["absent"]
         assert set(got["tree"]) == {"s"} and got["tree"]["s"] > 0
+
+
+def test_the_certificate_probe_times_a_cold_span_action_in_every_repeat(abtest, monkeypatch, capsys):
+    """Run in this interpreter with 3 repeats, the S/T probe clears the
+    verified span actions before each repeat, so each repeat derives the
+    four transvections' derivations again, and it prints one median."""
+    calls = []
+    derivation = hwv._pencil_derivation
+    monkeypatch.setattr(hwv, "_pencil_derivation", lambda g: calls.append(g) or derivation(g))
+    monkeypatch.setattr(sys, "argv", ["probe", "3"])
+    exec(abtest.PROBES["hwv.sl3_certificate_for_f_polynomial"], {"__name__": "__main__"})
+    hwv._span_action_verified.cache_clear()
+    assert len(calls) == 3 * 4
+    (line,) = capsys.readouterr().out.splitlines()
+    assert set(json.loads(line)) == {"s"}
+
+
+def test_the_provenance_records_the_allocator_settings(abtest, monkeypatch):
+    """numpy's and the C library's versions, and the MALLOC_* and
+    PYTHONMALLOC variables of the environment, no other."""
+    for key in [k for k in os.environ if k.startswith("MALLOC_") or k == "PYTHONMALLOC"]:
+        monkeypatch.delenv(key)
+    monkeypatch.setenv("MALLOC_ARENA_MAX", "2")
+    monkeypatch.setenv("PYTHONMALLOC", "malloc")
+    monkeypatch.setenv("NOT_MALLOC_X", "1")
+    got = abtest.allocator_provenance()
+    assert set(got) == {"numpy", "libc", "allocator_env"}
+    assert got["allocator_env"] == {"MALLOC_ARENA_MAX": "2", "PYTHONMALLOC": "malloc"}
+    assert got["numpy"] == importlib.metadata.version("numpy")
 
 
 def test_memory_pairs_report_each_length_and_the_spread_across_lengths(abtest):

@@ -161,8 +161,7 @@ def test_verify_characteristic_three_gate(capsys):
 def test_verify_characteristic_three_spot_checks_theorem1(capsys, suite):
     """Theorem 1's outer polynomial over the twelve generators has integer
     coefficients, so mod 3 it runs, as main-relation does: a PASS with a
-    null bound, the note that 3 does not exceed the degree bound, and the
-    note that mod 3 the check cannot see S or T."""
+    null bound and the one note, that 3 does not exceed the degree bound."""
     code, out, err = run_cli(
         capsys, "verify", suite, "--primes", "3", "--trials", "1", "--format", "json"
     )
@@ -174,8 +173,6 @@ def test_verify_characteristic_three_spot_checks_theorem1(capsys, suite):
     assert check["notes"] == [
         "primes 3 do not exceed the degree bound 18: "
         "spot-checks of an identity over ZZ that bound nothing",
-        "mod 3 the terms 27*H*S and (27/4)*T vanish: "
-        "the check at p = 3 cannot see an error in S or T",
     ]
 
 
@@ -245,6 +242,18 @@ def test_every_verify_option_sets_a_reported_config_field():
         cfg = cli._config_from(parser.parse_args(["verify", "all", f"--{name}", value]))
         assert getattr(cfg, name) != getattr(default, name)
         assert dataclasses.replace(cfg, **{name: getattr(default, name)}) == default
+
+
+def test_verify_with_no_option_runs_the_default_config(capsys):
+    """verify all with no option is RunConfig(): the parser takes the
+    defaults of --mode, --trials and --seed from it, and a missing --primes
+    keeps its primes.  --mode still takes only its two choices."""
+    parser = cli.build_parser()
+    assert cli._config_from(parser.parse_args(["verify", "all"])) == RunConfig()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["verify", "all", "--mode", "fast"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'fast'" in capsys.readouterr().err
 
 
 def test_budget_option_is_gone(capsys):

@@ -317,11 +317,11 @@ def test_main_relation_fails_when_the_definition_of_q_is_off_by_one(monkeypatch)
 
 @pytest.mark.parametrize("suite", ["main-relation", "theorem1"])
 def test_characteristic_three_from_the_definitions(capsys, suite):
-    """The determinant definitions hold in characteristic 3, and both triple
-    identities are outer polynomials with integer coefficients over the
-    twelve generators: each PASSes there with no flag, as a spot-check with
-    a null bound (3 <= 18, the degree bound) and the note that says so;
-    theorem 1 adds that mod 3 it cannot see S or T."""
+    """The determinant definitions hold in characteristic 3, and the
+    relation is an outer polynomial with integer coefficients over the
+    twelve generators, which both triple identities run: each PASSes there
+    with no flag, as a spot-check with a null bound (3 <= 18, the degree
+    bound) and the note that says so, and with no other note."""
     argv = ["verify", suite, "--primes", "3", "--trials", "3", "--format", "json"]
     assert cli.main(argv) == 0
     out = capsys.readouterr()
@@ -332,23 +332,60 @@ def test_characteristic_three_from_the_definitions(capsys, suite):
     assert check["notes"] == [
         "primes 3 do not exceed the degree bound 18: "
         "spot-checks of an identity over ZZ that bound nothing"
-    ] + ([rel.THEOREM1_MOD3_NOTE] if suite == "theorem1" else [])
+    ]
 
 
-def test_theorem1_at_3_is_blind_to_s_and_t_and_says_so(monkeypatch):
-    """With derive_st returning T + f5^6, theorem 1's outer polynomial is off
-    by (27/4)*f5^6, which is 0 mod 3: a run at p = 3 PASSes, and its note
-    says that it cannot see S or T, while a run at 2**31 - 1 FAILs.  A run
-    without 3 has no such note."""
+def _mutated_invariants(which):
+    """derive_st's pair with S + f5^4 or T + f5^6 in place of S or T, and
+    what theorem 1 minus the relation then leaves."""
     s4, t6 = rel.derive_st()
     f5 = Polynomial.variable(t6.ring, t6.vars, "f5")
-    monkeypatch.setattr(rel, "derive_st", lambda: (s4, t6 + f5 ** 6))
-    blind = rel.verify_theorem1(RunConfig(trials=20, primes=(3,)))
-    assert blind.passed and blind.details["nonzero_evaluations"] == 0
-    assert rel.THEOREM1_MOD3_NOTE in blind.notes
-    assert "cannot see an error in S or T" in rel.THEOREM1_MOD3_NOTE
-    seen = rel.verify_theorem1(RunConfig(trials=20, primes=(2147483647,)))
-    assert not seen.passed and seen.notes == []
+    f5_12 = Polynomial.variable(QQ, rel.ABSTRACT12, "f5")
+    if which == "s4":
+        return (s4 + f5 ** 4, t6), rel.abstract_H().mul(f5_12 ** 4) * -27
+    return (s4, t6 + f5 ** 6), f5_12 ** 6 * Fraction(27, 4)
+
+
+@pytest.mark.parametrize("which", ["s4", "t6"])
+@pytest.mark.parametrize(
+    "options", [["--primes", "3"], ["--primes", "2147483647"], ["--mode", "exact"]], ids=["p3", "p2147483647", "exact"]
+)
+def test_theorem1_sees_s_and_t_at_every_prime_and_in_exact_mode(capsys, monkeypatch, which, options):
+    """derive_st returning S + f5^4, or T + f5^6: theorem 1 minus the
+    relation leaves -27*H*f5^4, or (27/4)*f5^6, in Q[q, h, f1..f10].  The
+    exact reduction FAILs either, at p = 3, where 27 is 0, as at 2**31 - 1
+    and in exact mode, and verify exits 1 with the terms left as the
+    note."""
+    pair, left = _mutated_invariants(which)
+    monkeypatch.setattr(rel, "derive_st", lambda: pair)
+    code = cli.main(["verify", "theorem1", "--trials", "20", "--format", "json", *options])
+    assert code == 1
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert not check["passed"] and check["mode"] == "exact"
+    assert check["notes"] == [f"Q^2 - H^3 - 27*H*S + (27/4)*T minus the defining relation leaves {left.text()}"]
+    assert check["details"] == {"remaining_terms": len(left)}
+    assert (left.text() == "27/4*f5^6") == (which == "t6")
+
+
+@pytest.mark.parametrize("mode", ["modular", "exact"])
+def test_a_relation_term_that_derive_st_absorbs_fails_theorem1_through_the_triple_run(monkeypatch, mode):
+    """The relation plus f1^2*f7^2*f10^2, a term free of q and h: derive_st,
+    run uncached on the mutated relation, takes it into T, so theorem 1
+    minus that relation leaves 0, and only the run of the relation in the
+    27 coordinates can FAIL theorem 1, as it FAILs main-relation."""
+    term = Polynomial.monomial(ZZ, rel.ABSTRACT12, {"f1": 2, "f7": 2, "f10": 2})
+    mutated = rel.defining_relation() + term
+    monkeypatch.setattr(rel, "defining_relation", lambda: mutated)
+    monkeypatch.setattr(rel, "derive_st", rel.derive_st.__wrapped__)
+    assert (rel.theorem1_expr() - mutated.to_ring(QQ)).is_zero()
+    cfg = RunConfig(mode=mode, trials=4, primes=(2147483647,))
+    for result in (rel.verify_theorem1(cfg), rel.verify_main_relation(cfg)):
+        assert not result.passed and result.mode == mode and result.notes == []
+        if mode == "modular":
+            assert result.details["nonzero_evaluations"] == 4
+        else:
+            assert result.details["block_multidegree"] == [6, 6, 6]
+            assert result.details["expanded_terms"] > 0
 
 
 def test_an_outer_name_that_is_no_generator_is_refused():
@@ -416,15 +453,14 @@ def test_exact_mode_catches_a_mutated_relation():
 @pytest.mark.parametrize("which", ["s4", "t6"])
 def test_exact_mode_catches_a_mutated_invariant(monkeypatch, which):
     """derive_st returning S + f5^4, or T + f5^6, with the other invariant
-    as derived: theorem 1 composes the pair it returns, so either FAILs."""
-    s4, t6 = rel.derive_st()
-    f5 = Polynomial.variable(t6.ring, t6.vars, "f5")
-    mutants = {"s4": (s4 + f5 ** 4, t6), "t6": (s4, t6 + f5 ** 6)}
-    monkeypatch.setattr(rel, "derive_st", lambda: mutants[which])
+    as derived: theorem 1 composes the pair it returns, so either FAILs, in
+    the exact reduction and before any slice proof."""
+    pair, left = _mutated_invariants(which)
+    monkeypatch.setattr(rel, "derive_st", lambda: pair)
     result = rel.verify_theorem1(EXACT)
-    assert not result.passed
-    assert result.details["block_multidegree"] == [6, 6, 6]
-    assert result.details["expanded_terms"] > 0
+    assert not result.passed and result.mode == "exact"
+    assert result.details == {"remaining_terms": len(left)}
+    assert result.notes[0].endswith(f"leaves {left.text()}")
 
 
 def test_exact_mode_gate_names_a_leaf_that_is_not_invariant(monkeypatch):

@@ -20,8 +20,9 @@ TIER1_RUNS times per side, alternating the same way, the output commands
 derive-st in text and JSON, verify all in JSON in both modes, and verify all
 in JSON at 1001 trials) once per side, and last each per-layer probe of
 PROBES PROBE_RUNS times per side, alternating, each run in a fresh
-interpreter.  The protocol is fixed in the constants below; it has no
-options.
+interpreter that times the probe's body PROBE_REPEATS times, clearing the
+caches the body fills before each repeat, and prints their median.  The
+protocol is fixed in the constants below; it has no options.
 
 The result, one JSON object, goes to standard output and progress to
 standard error.  For each workload and metric it gives each side's samples
@@ -30,14 +31,16 @@ number of pairs in which the change read lower, and the held-out pair.
 Under "memory" it gives, per workload and path length, each side's
 peak_rss_mb in pair order and the median over the pairs of change minus
 parent, and the spread (largest minus smallest) of those medians across the
-lengths.  It also records the revisions, the environment, the commands, the
-operations each side attempted and failed, ``wc -l`` of each side's
-package and a digest of each side's ``benchmark/``, which must agree.  Under
+lengths.  It also records the revisions, the environment (with the numpy
+and C library versions and every MALLOC_* or PYTHONMALLOC variable, which
+set the allocator), the commands, the operations each side attempted and
+failed, ``wc -l`` of each side's package and a digest of each side's
+``benchmark/``, which must agree.  Under
 "tier1" it gives each side's wall times and result lines, and under
 "outputs" each output command's sha256 per side, of its standard output
 with every "elapsed_s" of a JSON report dropped, its exit code where it is
 not 0, and ``outputs_identical``.  Under "probes" it gives, per probe and side, the
-median and quartiles of the probe's seconds, or ``absent`` with the reason
+median and quartiles of the runs' medians, or ``absent`` with the reason
 when the side's tree lacks a name the probe uses.  ``--dry-run`` prints the
 commands, in order, and runs none of them.
 
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.metadata
 import json
 import os
 import platform
@@ -73,50 +77,61 @@ CLI = ["python3", "-m", "semiinv.cli"]
 # the side's own source tree, for the tier-1, output and probe commands
 SIDE_ENV = {**ENV, "PYTHONPATH": "src"}
 PROBE_RUNS = 5
+# each probe run times its body PROBE_REPEATS times in one interpreter
+PROBE_REPEATS = 7
 # peak_rss_mb at several path lengths: the extra characters of the sibling
 # copies' names, and the pairs per workload and length
 MEMORY_PADS = (2, 11, 23)
 MEMORY_PAIRS = 5
 MEMORY_SECONDS = 1
-# Per-layer probes: a script, run from the root of a side's tree, that prints
-# one JSON line, {"s": seconds} or {"absent": the name the tree lacks}.
+# Per-layer probes: a script, run from the root of a side's tree with the
+# number of repeats as its argument, that prints one JSON line: {"s": the
+# median seconds of the repeats} or {"absent": the name the tree lacks}.
+# Before each repeat it clears the caches its timed body fills.
 PROBES = {
     # the S/T check: a cold sl3_certificate_for_f_polynomial of S and of T,
-    # after the generator table and derive_st are built
+    # after the generator table and derive_st are built; the four verified
+    # span actions are cleared before each repeat
     "hwv.sl3_certificate_for_f_polynomial": '''\
-import json, sys, time
+import json, statistics, sys, time
 try:
     from semiinv import generators, hwv, relations
     build, derive = generators.generator_table, relations.derive_st
-    certify = hwv.sl3_certificate_for_f_polynomial
+    certify, clear = hwv.sl3_certificate_for_f_polynomial, hwv._span_action_verified.cache_clear
 except (ImportError, AttributeError) as missing:
     print(json.dumps({"absent": str(missing)}))
     sys.exit()
 build()
 s4, t6 = derive()
-started = time.perf_counter()
-verdicts = certify(s4), certify(t6)
-elapsed = time.perf_counter() - started
-if verdicts != (True, True):
-    sys.exit(f"the certificate refused S or T: {verdicts}")
-print(json.dumps({"s": elapsed}))
+seconds = []
+for _ in range(int(sys.argv[1])):
+    clear()
+    started = time.perf_counter()
+    verdicts = certify(s4), certify(t6)
+    seconds.append(time.perf_counter() - started)
+    if verdicts != (True, True):
+        sys.exit(f"the certificate refused S or T: {verdicts}")
+print(json.dumps({"s": statistics.median(seconds)}))
 ''',
     # the generator table: a cold generators_of of the generic triple, then
     # reads of h and q, so that a tree that builds h with the table and one
-    # that builds it on first read time the same work
+    # that builds it on first read time the same work; each repeat builds a
+    # new table, which caches nothing outside itself
     "generators.generators_of": '''\
-import json, sys, time
+import json, statistics, sys, time
 try:
     from semiinv import generators
     triple, build = generators.generic_triple, generators.generators_of
-    started = time.perf_counter()
-    table = build(triple())
-    table.h, table.q
-    elapsed = time.perf_counter() - started
+    seconds = []
+    for _ in range(int(sys.argv[1])):
+        started = time.perf_counter()
+        table = build(triple())
+        table.h, table.q
+        seconds.append(time.perf_counter() - started)
 except (ImportError, AttributeError) as missing:
     print(json.dumps({"absent": str(missing)}))
     sys.exit()
-print(json.dumps({"s": elapsed}))
+print(json.dumps({"s": statistics.median(seconds)}))
 ''',
 }
 
@@ -164,7 +179,7 @@ PROBE_ORDER = alternating(PROBE_RUNS)
 def probe_command(name: str) -> list:
     """The command of one probe run, from the root of a side's tree: the
     probe's script is written next to the two trees."""
-    return ["python3", f"../{name}.py"]
+    return ["python3", f"../{name}.py", str(PROBE_REPEATS)]
 
 
 def output_commands(tree: Path) -> list:
@@ -329,6 +344,20 @@ def side_command(command: list) -> str:
     return " ".join(["PYTHONPATH=src"] + command)
 
 
+def allocator_provenance() -> dict:
+    """The numpy version that python3 imports, the C library's version, and
+    every MALLOC_* or PYTHONMALLOC variable that the runs inherit; None
+    where a version cannot be read."""
+    try:
+        numpy = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        numpy = None
+    libc = os.confstr("CS_GNU_LIBC_VERSION") if "CS_GNU_LIBC_VERSION" in os.confstr_names else None
+    allocator = {key: value for key, value in sorted(os.environ.items())
+                 if key.startswith("MALLOC_") or key == "PYTHONMALLOC"}
+    return {"numpy": numpy, "libc": libc, "allocator_env": allocator}
+
+
 def git(*args) -> str:
     return subprocess.run(["git", *args], stdout=subprocess.PIPE, text=True, check=True).stdout.strip()
 
@@ -416,7 +445,7 @@ def main(argv=None) -> int:
         },
         "provenance": {
             "revisions": revs, "python": platform.python_version(), "machine": platform.machine(),
-            "cpus": os.cpu_count(), "run_s": run_s,
+            "cpus": os.cpu_count(), **allocator_provenance(), "run_s": run_s,
         },
         "lines": lines,
         "benchmark_sha256": benchmark,
