@@ -74,10 +74,11 @@ def generic_pair() -> tuple:
 def char_coefficients(m: PolyMatrix) -> tuple:
     """(t, s, d) with det(z*I + M) = z^3 + t*z^2 + s*z + d.  They are the
     t1^2*t2, t1*t2^2 and t2^3 coefficients of the pencil determinant of the
-    triple (I, M, 0), since det(t1*I + t2*M) = t2^3 * det((t1/t2)*I + M)."""
+    triple (I, M, 0), since det(t1*I + t2*M) = t2^3 * det((t1/t2)*I + M).
+    Only their three stacks are built, 7 determinants of the 27 of f1..f10."""
     identity = PolyMatrix.identity(m.ring, m.vars, 3)
-    table = gen.generators_of(gen.MatrixTriple(identity, m, PolyMatrix.zero(m.ring, m.vars, 3)))
-    return table.by_name("f210"), table.by_name("f120"), table.by_name("f030")
+    triple = gen.MatrixTriple(identity, m, PolyMatrix.zero(m.ring, m.vars, 3))
+    return tuple(gen.determinant_sum(triple, name) for name in ("f2", "f4", "f7"))  # f210, f120, f030
 
 
 @lru_cache(maxsize=1)

@@ -5,8 +5,11 @@ h and q are coefficients of 6x6 and 9x9 block determinants in t1..t3 and
 t1..t6.  By row multilinearity each of the twelve is a sum of plain
 determinants in the 27 entries: GENERATOR_DETERMINANTS is that one integer
 table, with the argument next to it.  determinant_sum reads it as exact
-polynomials, for a GeneratorTable, and generator_values_mod as values at
-points mod p, with no expansion.  The modular runs of the triple identities
+polynomials, for a GeneratorTable: the 3x3 and 6x6 stacks (f1..f10, h) on
+the dict DP of PolyMatrix.determinant, and the 9x9 ones (q) on
+columnar_determinant_sum, the same subset DP on numpy arrays, whose result
+is born columnar.  generator_values_mod reads it as values at points mod p,
+with no expansion.  The modular runs of the triple identities
 read those values at a sampled batch point through the memo
 sampled_generator_values, and the generators' degree bounds,
 GENERATOR_DEGREES, off the same table.  H and Q are the rational
@@ -27,6 +30,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
+from math import gcd, lcm, prod
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -34,7 +38,7 @@ import numpy as np
 
 from .evalmod import det_residues, residues, sample_point
 from .matrix import PolyMatrix
-from .poly import QQ, ZZ, Polynomial, PolyError, Ring, VariableSet
+from .poly import QQ, ZZ, Polynomial, PolyError, Ring, VariableSet, exponent_sums, key_layout, key_rows, sum_by_key
 
 # Coordinate functions of the generic triple: entry (i,j) of matrix r is x{r}_{ij}.
 TRIPLE_NAMES = tuple(
@@ -302,16 +306,144 @@ GENERATOR_DEGREES = {name: stack.shape[-1] for name, stack in GENERATOR_DETERMIN
 
 def determinant_sum(T: MatrixTriple, name: str) -> Polynomial:
     """The generator name of GENERATOR_DETERMINANTS as a polynomial in the
-    variables of the triple: the sum of its determinants over T's entries."""
+    variables of the triple: the sum of its determinants over T's entries.
+
+    The kernel is chosen by the stack's order alone.  The 9x9 stacks (q)
+    go to columnar_determinant_sum: on the generic triple a cold q takes
+    about 4-6 ms and peaks at 0.46 MiB of tracemalloc, against 9-12 ms and
+    1.02 MiB on the dict DP, and q is born columnar, so it keeps its rows
+    and numerators (0.2 MiB), never a dict of 5748 big-int keys unless
+    something reads its terms.  The 3x3 and 6x6 stacks (f1..f10, h) keep
+    PolyMatrix.determinant, the dict DP, one call per matrix, which is the
+    faster kernel there: h in about 0.9-1.1 ms against 1.4-1.6 ms, an f_n
+    in 0.05-0.4 ms against 0.6-2.5 ms (2-core VM, in-process medians)."""
     entries = [e for m in T.components() for row in m.rows for e in row]
     entries.append(Polynomial.zero(T.ring, T.vars))
+    stack = GENERATOR_DETERMINANTS[name]
+    if stack.shape[-1] == 9:
+        return columnar_determinant_sum(entries, stack)
     return reduce(
         Polynomial.__add__,
-        (
-            PolyMatrix([[entries[k] for k in row] for row in idx]).determinant()
-            for idx in GENERATOR_DETERMINANTS[name].tolist()
-        ),
+        (PolyMatrix([[entries[k] for k in row] for row in idx]).determinant() for idx in stack.tolist()),
     )
+
+
+def columnar_determinant_sum(entries: Sequence[Polynomial], stack: np.ndarray) -> Polynomial:
+    """The sum of the determinants of stack, a (count, n, n) array of indices
+    into entries, polynomials over one ring and variable set, n <= 9.  It
+    runs the column-subset DP of Polynomial.determinant on numpy arrays, one
+    whole row of the matrices at a time, and fills no dict: the result is
+    born columnar (Polynomial.from_columns), its rows in increasing
+    lexicographic order, its `terms` built only if something reads them.
+
+    A state is one term of a partial minor: the rows processed so far took
+    the columns of its mask, and it has a monomial and a coefficient.  Its
+    key is mask * 2**B + the key_layout key of the monomial, B the layout's
+    bits.  Processing row k pairs each state with each term of each entry
+    (k, j) whose column j is free, and poly.sum_by_key merges the pairs of
+    equal key; a sum of 0 is dropped.  The states of the last row have the
+    full mask, and key_rows decodes their monomials.  Exact:
+
+    * Sign.  A pair multiplies its state by the entry's term and by
+      (-1)**(k + the number of the mask's columns below j): the Laplace
+      expansion along its last row of the minor on rows 0..k and the
+      columns mask | j, as in Polynomial.determinant.
+    * Shared rows.  If the matrices agree on every row from s on (q's three
+      M_S differ only in the three rows that S splits), the rows below s
+      run per matrix, and the matrices' states are then merged: every
+      determinant is the same linear function of its states on rows 0..s-1,
+      so adding the states adds the determinants.  The shared rows then run
+      once, each next the one that makes the fewest pairs: on q, 18147
+      pairs in all and 6480 at the largest row, against 27111 and 9612 in
+      row order.  In that order the DP computes the determinant of
+      the matrices with their rows permuted, and the sum is multiplied by
+      the permutation's sign, the parity of the positions the picks took
+      among the rows left.
+    * Keys.  The exponent of a variable in any partial product is at most
+      its bound, the sum over the rows of the row's largest exponent of it
+      in an entry of any matrix.  key_layout over these bounds is injective
+      and a key plus a key whose digits stay within the bounds does not
+      carry; a mask bit is set only on a free column, so it does not carry
+      either.  State keys are int64 when n + B <= 63, Python ints (dtype
+      object) otherwise.  A bound past 255 raises PolyError, as mul's guard
+      does: key_rows decodes digits to uint8.
+    * Coefficients.  With L the lcm of the entries' denominators, L * entry
+      has int numerators and det(L * M) = L**n * det(M): the states run in
+      ints, and the sum is divided once by L**n, reduced by the gcd of the
+      sums as in columnar_sum.  A state's coefficient, and every partial sum
+      of it, sums distinct products of one term from each row processed, so
+      its magnitude is at most the sum over the matrices of the product over
+      the rows of max(1, the row's sum of |numerators|).  The coefficients
+      are int64 when that bound is below 2**63, Python ints otherwise.  No
+      float is used."""
+    ring, vars = entries[0].ring, entries[0].vars
+    if any(e.ring != ring or e.vars != vars for e in entries):
+        raise PolyError("matrix entries must share ring and variable set")
+    n = stack.shape[-1]
+    L = lcm(*(e.numerators()[0] for e in entries))
+    tops = np.array([e.exponents().max(axis=0, initial=0) for e in entries], np.int64)
+    bound = tops[stack].max(axis=(0, 2)).sum(axis=0)
+    if bound.max(initial=0) > 255:
+        raise PolyError("product exceeds the per-variable exponent bound 255")
+    places, radices = key_layout(bound.tolist())
+    B = sum(int(b).bit_length() for b in bound.tolist())
+    word = np.int64 if n + B <= 63 else object
+    l1 = [sum(map(abs, e.numerators()[1])) * (L // e.numerators()[0]) for e in entries]
+    cap = sum(prod(max(1, sum(l1[e] for e in row)) for row in m) for m in stack.tolist())
+    coeff = np.int64 if cap < 2**63 else object
+    terms = [
+        (exponent_sums(e.exponents(), places).astype(word), [c * (L // e.numerators()[0]) for c in e.numerators()[1]])
+        for e in entries
+    ]
+    bits = (np.arange(2**n)[:, None] >> np.arange(n) & 1).astype(bool)
+    free, odd = ~bits, (np.cumsum(bits, axis=1) - bits) % 2 == 1  # [mask, j]: j free, odd columns below j
+
+    def pairs(states, coefs, k, row):
+        """The keys and coefficients of row k's pairs, moves column by column."""
+        masks = (states >> B).astype(np.intp)
+        moves = [(j, np.flatnonzero(free[masks, j]), *terms[e]) for j, e in enumerate(row) if terms[e][1]]
+        new = np.empty(sum(len(sel) * len(cs) for _, sel, _, cs in moves), word)
+        vals = np.empty(len(new), coeff)
+        at = 0
+        for j, sel, keys, cs in moves:
+            flip = odd[masks[sel], j] != k % 2
+            for key, c in zip(keys, cs):
+                part = slice(at, at + len(sel))
+                np.add(states[sel], key + 2 ** (B + j), out=new[part])
+                np.multiply(coefs[sel], c, out=vals[part])
+                np.negative(vals[part], out=vals[part], where=flip)
+                at += len(sel)
+        return new, vals
+
+    def merged(keys, values):
+        keys, values = sum_by_key(keys, values)
+        kept = np.flatnonzero(values)
+        return keys[kept], values[kept]
+
+    s = n
+    while s and (stack[:, s - 1] == stack[0, s - 1]).all():
+        s -= 1
+    parts = []
+    for idx in stack.tolist():
+        states, coefs = np.zeros(1, word), np.ones(1, coeff)
+        for k in range(s):
+            states, coefs = merged(*pairs(states, coefs, k, idx[k]))
+        parts.append((states, coefs))
+    states, coefs = merged(*map(np.concatenate, zip(*parts)))
+    rest, flip, sizes = list(range(s, n)), False, np.array([len(t[1]) for t in terms])
+    for k in range(s, n):
+        free_count = free[(states >> B).astype(np.intp)].sum(axis=0)  # states with column j free
+        i = int(np.argmin(sizes[stack[0, rest]] @ free_count))
+        flip ^= i % 2 == 1
+        states, coefs = merged(*pairs(states, coefs, k, stack[0, rest.pop(i)].tolist()))
+    nums = (-coefs if flip else coefs).tolist()
+    del coefs
+    den = L**n
+    g = gcd(den, *nums)
+    nums = tuple(v // g for v in nums) if g > 1 else tuple(nums)
+    states -= (2**n - 1) * 2**B
+    exps = key_rows(states.astype(places.dtype, copy=False), places, radices)
+    return Polynomial.from_columns(ring, vars, exps, den // g, nums, int(bound.max(initial=0)) if nums else 0)
 
 
 def _shared_row_layouts() -> tuple:

@@ -18,15 +18,15 @@ constructor's maxexp default only takes the largest byte), and _reindexed,
 the one kernel behind restrict, coefficient_of and convert, reads its keys
 back from the bytes of moved exponent rows; it also builds the `terms` of a
 polynomial born columnar.  The packed key is known only to this module: no
-other module reads `terms` or calls the constructor.
+other module reads `terms` or calls the constructor (from_columns takes rows).
 
 Two kernels loop over pairs of terms.  The dict kernel, _add_products, adds
 big-int keys into a dict: mul, sum_of_products, determinant and the Horner
 steps of substitute add through it, and through them every matrix product.
 columnar_sum computes sum_of_products' sum by stable sorts and
 np.add.reduceat (sum_by_key) over bit-field monomial keys (key_layout, the
-one key of the numpy kernels, hwv's derivation kernel too) and fills no
-dict: the H/Q correction sums (generators.correction_sum) are built by it,
+one key of the numpy kernels, hwv's derivation kernel and generators' q
+kernel too) and fills no dict: the H/Q correction sums are built by it,
 and its result is born columnar, its exponents() decoded from its keys
 (key_rows), its `terms` dict built only when read.  Every other product
 keeps the dict kernel, where small operands are cheaper.
@@ -328,7 +328,7 @@ class Polynomial:
 
     `maxexp` is a conservative upper bound on any single exponent appearing in
     the polynomial; multiplication uses it to guard the packed representation.
-    A polynomial is born either from its `terms` dict or, by columnar_sum,
+    A polynomial is born either from its `terms` dict or, by from_columns,
     columnar: from its exponents() and numerators(), its dict built on the
     first read of `terms`.
     """
@@ -346,10 +346,11 @@ class Polynomial:
         self._cache: dict = {}
 
     @classmethod
-    def _from_columns(
+    def from_columns(
         cls, ring: Ring, vars: VariableSet, exps: np.ndarray, L: int, nums: tuple, maxexp: int
     ) -> "Polynomial":
-        """A polynomial born columnar: exps and (L, nums) become its
+        """A polynomial born columnar (columnar_sum, generators'
+        columnar_determinant_sum): exps and (L, nums) become its
         exponents() and numerators(), which must hold their contracts (rows
         distinct, nums nonzero, L the lcm of the coefficients'
         denominators), and `terms` is built from them when first read."""
@@ -649,7 +650,7 @@ class Polynomial:
                     keys, sums = keys[kept], sums[kept]
         nums = sums.tolist()
         g = gcd(den, *nums) if nums else den
-        return cls._from_columns(
+        return cls.from_columns(
             ring, vars, key_rows(keys, places, radices), den // g, tuple(v // g for v in nums),
             max((a.maxexp + b.maxexp for _, a, b in work), default=0),
         )

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from semiinv import generators as gen
 from semiinv import hwv
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "abtest.py"
@@ -99,13 +100,12 @@ def test_dry_run_prints_the_alternating_schedule_and_runs_nothing(abtest, monkey
     outputs = rest[6 : 6 + 2 * len(commands)]
     assert outputs == [f"cd TMP/{side} && PYTHONPATH=src python3 -m semiinv.cli " + " ".join(c)
                        for side in ("parent", "change") for c in commands]
-    probes = ["hwv.sl3_certificate_for_f_polynomial", "generators.generators_of"]
+    probes = ["hwv.sl3_certificate_for_f_polynomial", "generators.generators_of", "generators.determinant_sum"]
     assert list(abtest.PROBES) == probes
-    assert abtest.PROBE_REPEATS == 7
+    assert (abtest.PROBE_RUNS, abtest.PROBE_REPEATS) == (11, 7)
+    order = [side for i in range(11) for side in (("parent", "change") if i % 2 == 0 else ("change", "parent"))]
     assert rest[6 + len(outputs) :] == [f"cd TMP/{side} && PYTHONPATH=src python3 ../{probe}.py 7"
-                                        for probe in probes for side in
-                                        ("parent", "change", "change", "parent", "parent",
-                                         "change", "change", "parent", "parent", "change")]
+                                        for probe in probes for side in order]
     for i, seed in enumerate(seeds):
         first, second = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         command = f"python3 benchmark/run.py --workload certify-default --seed {seed} --seconds 5"
@@ -160,12 +160,14 @@ def test_outputs_are_identical_only_with_equal_digests_and_exit_codes(abtest):
 
 
 def test_a_probe_records_its_seconds_or_an_absent_name(abtest):
-    """Per side the spread of the probe's seconds, or absent with the reason
-    when a run of that side found a name missing."""
-    results = {"parent": [{"absent": "no attribute 'x'"}] * 2, "change": [{"s": v} for v in (3.0, 1.0, 2.0)]}
+    """Per side the spread of the probe's seconds and of its tracemalloc
+    peaks, or absent with the reason when a run of that side found a name
+    missing."""
+    results = {"parent": [{"absent": "no attribute 'x'"}] * 2,
+               "change": [{"s": v, "peak_mib": m} for v, m in ((3.0, 0.5), (1.0, 0.25), (2.0, 0.75))]}
     got = abtest.summarize_probe(results)
     assert got["parent"] == {"absent": "no attribute 'x'"}
-    assert got["change"] == abtest.spread([3.0, 1.0, 2.0])
+    assert got["change"] == {**abtest.spread([3.0, 1.0, 2.0]), "peak_mib": abtest.spread([0.5, 0.25, 0.75])}
 
 
 def test_the_probe_script_times_this_tree_and_finds_a_stub_tree_lacking_its_names(abtest, tmp_path):
@@ -179,28 +181,47 @@ def test_the_probe_script_times_this_tree_and_finds_a_stub_tree_lacking_its_name
     tree = tmp_path / "tree"
     shutil.copytree(TOOL.parent.parent / "src", tree / "src")
     first_missing = {"hwv.sl3_certificate_for_f_polynomial": "generator_table",
-                     "generators.generators_of": "generic_triple"}
+                     "generators.generators_of": "generic_triple",
+                     "generators.determinant_sum": "generic_triple"}
     assert list(abtest.PROBES) == list(first_missing)
-    for name, script in abtest.PROBES.items():
-        (tmp_path / f"{name}.py").write_text(script)
+    for name in abtest.PROBES:
+        (tmp_path / f"{name}.py").write_text(abtest.probe_script(name))
         got = {"stub": abtest.run_probe(stub, name), "tree": abtest.run_probe(tree, name)}
         assert set(got["stub"]) == {"absent"} and first_missing[name] in got["stub"]["absent"]
-        assert set(got["tree"]) == {"s"} and got["tree"]["s"] > 0
+        assert set(got["tree"]) == {"s", "peak_mib"} and got["tree"]["s"] > 0 and got["tree"]["peak_mib"] > 0
 
 
 def test_the_certificate_probe_times_a_cold_span_action_in_every_repeat(abtest, monkeypatch, capsys):
     """Run in this interpreter with 3 repeats, the S/T probe clears the
-    verified span actions before each repeat, so each repeat derives the
-    four transvections' derivations again, and it prints one median."""
+    verified span actions before each repeat and before its traced run, so
+    each of the four derives the four transvections' derivations again, and
+    it prints one median and one peak."""
     calls = []
     derivation = hwv._pencil_derivation
     monkeypatch.setattr(hwv, "_pencil_derivation", lambda g: calls.append(g) or derivation(g))
     monkeypatch.setattr(sys, "argv", ["probe", "3"])
-    exec(abtest.PROBES["hwv.sl3_certificate_for_f_polynomial"], {"__name__": "__main__"})
+    exec(abtest.probe_script("hwv.sl3_certificate_for_f_polynomial"), {"__name__": "__main__"})
     hwv._span_action_verified.cache_clear()
-    assert len(calls) == 3 * 4
+    assert len(calls) == (3 + 1) * 4
     (line,) = capsys.readouterr().out.splitlines()
-    assert set(json.loads(line)) == {"s"}
+    assert set(json.loads(line)) == {"s", "peak_mib"}
+
+
+def test_the_q_probe_builds_q_cold_in_every_repeat_and_traces_one_build(abtest, monkeypatch, capsys):
+    """Run in this interpreter with 2 repeats, the q probe calls
+    determinant_sum(generic_triple(), "q") twice timed and once under
+    tracemalloc, and prints the median and a peak that the build reached:
+    more than q's exponent matrix, which it returns."""
+    calls = []
+    build = gen.determinant_sum
+    monkeypatch.setattr(gen, "determinant_sum", lambda T, name: calls.append(name) or build(T, name))
+    monkeypatch.setattr(sys, "argv", ["probe", "2"])
+    exec(abtest.probe_script("generators.determinant_sum"), {"__name__": "__main__"})
+    assert calls == ["q"] * 3
+    (line,) = capsys.readouterr().out.splitlines()
+    got = json.loads(line)
+    assert set(got) == {"s", "peak_mib"} and got["s"] > 0
+    assert got["peak_mib"] * 2**20 > 5748 * 27
 
 
 def test_the_provenance_records_the_allocator_settings(abtest, monkeypatch):

@@ -1,15 +1,20 @@
+import contextlib
+import io
 import random
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd, lcm, prod
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semiinv import generators as gen, hwv, relations, suites
+from semiinv import cli, generators as gen, hwv, relations, suites
 from semiinv.linalg import solve_unique
 from semiinv.matrix import PolyMatrix
-from semiinv.poly import QQ, ZZ, Polynomial, VariableMismatch, VariableSet
+from semiinv.poly import QQ, ZZ, Polynomial, PolyError, VariableMismatch, VariableSet
 from semiinv.textio import parse_text
 from semiinv.verify import RunConfig
 
@@ -315,6 +320,144 @@ def test_a_cold_q_build_peaks_and_keeps_little_memory():
     assert len(Q) == 9216
     assert peak <= 1.6 * 2**20
     assert kept <= 0.6 * 2**20
+
+
+def dict_determinant_sum(entries, stack):
+    """The reference: PolyMatrix.determinant, the dict DP, per matrix."""
+    dets = [PolyMatrix([[entries[k] for k in row] for row in idx]).determinant() for idx in stack.tolist()]
+    return sum(dets[1:], dets[0])
+
+
+def recorded_merges(entries, stack):
+    """columnar_determinant_sum(entries, stack) and the dtypes of the keys
+    and of the coefficients of every merge it made."""
+    dtypes = []
+    merge = gen.sum_by_key
+
+    def recording(keys, values):
+        dtypes.append((keys.dtype, values.dtype))
+        return merge(keys, values)
+
+    with mock.patch.object(gen, "sum_by_key", recording):
+        return gen.columnar_determinant_sum(entries, stack), dtypes
+
+
+VS3 = VariableSet(("x", "y", "z"))
+
+
+@st.composite
+def determinant_stacks(draw):
+    """(entries, stack): 1-3 matrices of order 1-9 indexing a pool of 1-8
+    entries over x, y, z and a zero slot, over ZZ or QQ (denominators 2, 3
+    and 12).  An entry is 0, a constant or one or two terms, with
+    coefficients in [-5, 5] or, one in ten, huge (2**40 or -2**62).  A
+    third of the positions are 0; the matrices agree on their rows from a
+    drawn one on, and one stack in five has a row of zeros in every matrix.
+    The entries and the layout come from a Random seeded by a drawn int,
+    since hypothesis's own draws favour repeated indices, whose matrices
+    are singular."""
+    ring, n, count = draw(st.sampled_from((ZZ, QQ))), draw(st.integers(1, 9)), draw(st.integers(1, 3))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+
+    def coeff():
+        c = rnd.choice((2**40, -(2**62))) if rnd.random() < 0.1 else rnd.choice((-5, -3, -2, -1, 1, 2, 4, 5))
+        return c if ring == ZZ else Fraction(c, rnd.choice((1, 2, 3, 12)))
+
+    def terms():
+        kind = rnd.random()
+        if kind < 0.3:
+            return {} if kind < 0.1 else {(0, 0, 0): coeff()}
+        return {tuple(rnd.choices(range(3), k=3)): coeff() for _ in range(rnd.randint(1, 2))}
+
+    pool = [Polynomial.from_terms(ring, VS3, terms()) for _ in range(rnd.randint(1, 8))]
+    stack = np.array([[[rnd.randrange(len(pool)) if rnd.random() < 2 / 3 else len(pool) for _ in range(n)]
+                       for _ in range(n)] for _ in range(count)])
+    shared = rnd.randint(0, n)
+    stack[:, shared:] = stack[0, shared:]
+    if rnd.random() < 0.2:
+        stack[:, rnd.randrange(n)] = len(pool)  # the zero slot
+    return pool + [Polynomial.zero(ring, VS3)], stack
+
+
+@settings(max_examples=60)
+@given(determinant_stacks())
+def test_the_columnar_kernel_sums_the_dict_determinants(case):
+    """columnar_determinant_sum equals the sum of PolyMatrix.determinant over
+    the stack, 0 on a row of zeros, with rows distinct and in increasing
+    lexicographic order and numerators() in lowest terms.  Its coefficients
+    run in Python ints exactly when the bound of its docstring (the sum over
+    the matrices of the product over the rows of each row's sum of
+    |numerators| over the lcm of the denominators, at least 1) passes
+    2**63, and in int64 otherwise."""
+    entries, stack = case
+    got, dtypes = recorded_merges(entries, stack)
+    want = dict_determinant_sum(entries, stack)
+    assert got == want and len(got) == len(want)
+    if (stack == len(entries) - 1).all(axis=2).any(axis=1).all():  # a row of zeros in every matrix
+        assert got.is_zero()
+    rows = got.exponents().tolist()
+    assert rows == sorted(rows) and len(set(map(tuple, rows))) == len(rows)
+    L, nums = got.numerators()
+    assert gcd(L, *nums) == 1 and 0 not in nums
+    den = lcm(*(e.numerators()[0] for e in entries))
+    l1 = [sum(map(abs, e.numerators()[1])) * den // e.numerators()[0] for e in entries]
+    bound = sum(prod(max(1, sum(l1[k] for k in row)) for row in idx) for idx in stack.tolist())
+    assert {values for _, values in dtypes} == {np.dtype(object) if bound >= 2**63 else np.dtype(np.int64)}
+
+
+@pytest.mark.parametrize("triple", ["generic", "skew", "weierstrass"])
+def test_q_on_the_columnar_kernel_equals_the_dict_dp_term_for_term(triple):
+    """determinant_sum sends q's 9x9 stack to the columnar kernel: on the
+    generic, skew and Weierstrass triples q is born columnar and equals the
+    dict DP's q term for term."""
+    T = getattr(gen, f"{triple}_triple")()
+    entries = [e for m in T.components() for row in m.rows for e in row] + [Polynomial.zero(T.ring, T.vars)]
+    q, want = gen.determinant_sum(T, "q"), dict_determinant_sum(entries, gen.GENERATOR_DETERMINANTS["q"])
+    assert q._terms is None
+    assert q.sorted_terms() == want.sorted_terms() and len(q) == len(want)
+    assert q.numerators()[0] == 1 and int(q.exponents().max(initial=0)) <= q.maxexp
+
+
+def test_the_columnar_kernel_falls_back_to_python_ints_for_wide_keys_and_big_coefficients():
+    """On q's stack over the squares of the generic entries each variable's
+    bound is 4, so B = 81 bits and the keys are Python ints; times 2**40
+    the coefficients' bound passes 2**63 as well.  Both equal the dict DP.
+    On the generic entries keys and coefficients are int64."""
+    stack = gen.GENERATOR_DETERMINANTS["q"]
+    x = [Polynomial.variable(ZZ, gen.TRIPLE_VARS, name) for name in gen.TRIPLE_NAMES]
+    zero = [Polynomial.zero(ZZ, gen.TRIPLE_VARS)]
+    for entries, want in (
+        (x + zero, {(np.dtype(np.int64), np.dtype(np.int64))}),
+        ([e * e for e in x] + zero, {(np.dtype(object), np.dtype(np.int64))}),
+        ([e * e * 2**40 for e in x] + zero, {(np.dtype(object), np.dtype(object))}),
+    ):
+        got, dtypes = recorded_merges(entries, stack)
+        assert set(dtypes) == want
+        assert got == dict_determinant_sum(entries, stack)
+
+
+def test_the_columnar_kernel_refuses_a_bound_past_255_and_mixed_entries():
+    """A variable whose bound passes 255 raises PolyError, as mul's guard
+    does; entries over two variable sets raise too."""
+    x = Polynomial.variable(ZZ, VS3, "x")
+    zero = Polynomial.zero(ZZ, VS3)
+    with pytest.raises(PolyError, match="255"):
+        gen.columnar_determinant_sum([x**200, x**100, zero], np.array([[[0, 2], [2, 1]]]))
+    assert gen.columnar_determinant_sum([x**200, x**55, zero], np.array([[[0, 2], [2, 1]]])) == x**255
+    with pytest.raises(PolyError, match="share"):
+        gen.columnar_determinant_sum([x, Polynomial.zero(ZZ, gen.TRIPLE_VARS)], np.array([[[0]]]))
+
+
+def test_a_cold_verify_all_reads_q_without_building_its_terms(cold_builds):
+    """The memory property of the columnar q: a default verify all, in this
+    interpreter with cold builds, reads the generic table's q only through
+    exponents() and numerators(), so q's dict of 5748 big-int keys is never
+    built."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "all"]) == 0
+    table = gen.generator_table()
+    assert "q" in vars(table) and len(table.q) == 5748
+    assert table.q._terms is None
 
 
 def test_a_cold_exponent_matrix_peaks_below_three_times_its_size(table):

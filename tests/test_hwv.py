@@ -632,9 +632,10 @@ def test_wide_keys_are_cut_into_blocks_too(block, monkeypatch):
 
 
 def test_both_numpy_kernels_key_through_one_codec(monkeypatch):
-    """Lock on one monomial key: a cold table.Q (columnar_sum) and a
-    certificate of Q (derivation_stream) both lay out their keys with
-    poly.key_layout; a kernel that laid out its own would go uncounted."""
+    """Lock on one monomial key: a cold table.q (columnar_determinant_sum),
+    a cold table.Q (columnar_sum) and a certificate of Q
+    (derivation_stream) all lay out their keys with poly.key_layout; a
+    kernel that laid out its own would go uncounted."""
     callers = []
     real = poly.key_layout
 
@@ -642,14 +643,15 @@ def test_both_numpy_kernels_key_through_one_codec(monkeypatch):
         callers.append(sys._getframe(1).f_code.co_name)
         return real(maxima)
 
-    for module in (poly, hwv):
+    for module in (poly, hwv, gen):
         monkeypatch.setattr(module, "key_layout", counting)
     table = gen.generators_of(gen.generic_triple())
     table.q
+    assert callers == ["columnar_determinant_sum"]
     Q = table.Q
-    assert callers == ["columnar_sum"]
+    assert callers == ["columnar_determinant_sum", "columnar_sum"]
     assert hwv.is_fixed_by_unipotents(Q)
-    assert callers == ["columnar_sum", "derivation_stream"]
+    assert callers == ["columnar_determinant_sum", "columnar_sum", "derivation_stream"]
 
 
 def test_an_empty_stack_is_an_error_not_a_pass():

@@ -21,7 +21,8 @@ derive-st in text and JSON, verify all in JSON in both modes, and verify all
 in JSON at 1001 trials) once per side, and last each per-layer probe of
 PROBES PROBE_RUNS times per side, alternating, each run in a fresh
 interpreter that times the probe's body PROBE_REPEATS times, clearing the
-caches the body fills before each repeat, and prints their median.  The
+caches the body fills before each repeat, runs it once more under
+tracemalloc, and prints the median time and the tracemalloc peak.  The
 protocol is fixed in the constants below; it has no options.
 
 The result, one JSON object, goes to standard output and progress to
@@ -39,8 +40,9 @@ failed, ``wc -l`` of each side's package and a digest of each side's
 "tier1" it gives each side's wall times and result lines, and under
 "outputs" each output command's sha256 per side, of its standard output
 with every "elapsed_s" of a JSON report dropped, its exit code where it is
-not 0, and ``outputs_identical``.  Under "probes" it gives, per probe and side, the
-median and quartiles of the runs' medians, or ``absent`` with the reason
+not 0, and ``outputs_identical``.  Under "probes" it gives, per probe and
+side, the median and quartiles of the runs' medians and, under peak_mib,
+of their tracemalloc peaks, or ``absent`` with the reason
 when the side's tree lacks a name the probe uses.  ``--dry-run`` prints the
 commands, in order, and runs none of them.
 
@@ -76,7 +78,10 @@ TIER1 = ["python3", "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-
 CLI = ["python3", "-m", "semiinv.cli"]
 # the side's own source tree, for the tier-1, output and probe commands
 SIDE_ENV = {**ENV, "PYTHONPATH": "src"}
-PROBE_RUNS = 5
+# runs per side of each probe, alternating: a fresh interpreter runs a probe
+# in one of two speed modes (a generator table in about 11.5 or 18.5 ms),
+# and with 11 runs each side's first quartile reads the fast one
+PROBE_RUNS = 11
 # each probe run times its body PROBE_REPEATS times in one interpreter
 PROBE_REPEATS = 7
 # peak_rss_mb at several path lengths: the extra characters of the sibling
@@ -84,16 +89,19 @@ PROBE_REPEATS = 7
 MEMORY_PADS = (2, 11, 23)
 MEMORY_PAIRS = 5
 MEMORY_SECONDS = 1
-# Per-layer probes: a script, run from the root of a side's tree with the
-# number of repeats as its argument, that prints one JSON line: {"s": the
-# median seconds of the repeats} or {"absent": the name the tree lacks}.
-# Before each repeat it clears the caches its timed body fills.
+# Per-layer probes.  A probe's head imports what it uses, or prints
+# {"absent": the name the tree lacks} and exits, and defines clear(), which
+# clears the caches the body fills, and body(), the work it measures.
+# probe_script(name) appends PROBE_TAIL, which runs clear() and body() as
+# many times as its argument says, timing body(), then once more under
+# tracemalloc, and prints one JSON line: {"s": the median seconds of the
+# timed repeats, "peak_mib": the tracemalloc peak of the last body()}.
 PROBES = {
     # the S/T check: a cold sl3_certificate_for_f_polynomial of S and of T,
     # after the generator table and derive_st are built; the four verified
     # span actions are cleared before each repeat
     "hwv.sl3_certificate_for_f_polynomial": '''\
-import json, statistics, sys, time
+import json, sys
 try:
     from semiinv import generators, hwv, relations
     build, derive = generators.generator_table, relations.derive_st
@@ -103,37 +111,76 @@ except (ImportError, AttributeError) as missing:
     sys.exit()
 build()
 s4, t6 = derive()
-seconds = []
-for _ in range(int(sys.argv[1])):
-    clear()
-    started = time.perf_counter()
+
+
+def body():
     verdicts = certify(s4), certify(t6)
-    seconds.append(time.perf_counter() - started)
     if verdicts != (True, True):
         sys.exit(f"the certificate refused S or T: {verdicts}")
-print(json.dumps({"s": statistics.median(seconds)}))
 ''',
     # the generator table: a cold generators_of of the generic triple, then
     # reads of h and q, so that a tree that builds h with the table and one
     # that builds it on first read time the same work; each repeat builds a
     # new table, which caches nothing outside itself
     "generators.generators_of": '''\
-import json, statistics, sys, time
+import json, sys
 try:
     from semiinv import generators
     triple, build = generators.generic_triple, generators.generators_of
-    seconds = []
-    for _ in range(int(sys.argv[1])):
-        started = time.perf_counter()
-        table = build(triple())
-        table.h, table.q
-        seconds.append(time.perf_counter() - started)
 except (ImportError, AttributeError) as missing:
     print(json.dumps({"absent": str(missing)}))
     sys.exit()
-print(json.dumps({"s": statistics.median(seconds)}))
+
+
+def clear():
+    pass
+
+
+def body():
+    table = build(triple())
+    table.h, table.q
+''',
+    # the cold q build: the three 9x9 determinants of q on the generic
+    # triple, which caches nothing
+    "generators.determinant_sum": '''\
+import json, sys
+try:
+    from semiinv import generators
+    triple, build = generators.generic_triple, generators.determinant_sum
+except (ImportError, AttributeError) as missing:
+    print(json.dumps({"absent": str(missing)}))
+    sys.exit()
+
+
+def clear():
+    pass
+
+
+def body():
+    build(triple(), "q")
 ''',
 }
+PROBE_TAIL = '''
+import statistics, time, tracemalloc
+
+seconds = []
+for _ in range(int(sys.argv[1])):
+    clear()
+    started = time.perf_counter()
+    body()
+    seconds.append(time.perf_counter() - started)
+clear()
+tracemalloc.start()
+body()
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(json.dumps({"s": statistics.median(seconds), "peak_mib": peak / 2**20}))
+'''
+
+
+def probe_script(name: str) -> str:
+    """The script of a probe: its head, then PROBE_TAIL."""
+    return PROBES[name] + PROBE_TAIL
 
 
 def run_command(workload: str, seed: int, seconds: int = SECONDS) -> list:
@@ -245,12 +292,13 @@ def spread(samples: list) -> dict:
 
 def summarize_probe(results: dict) -> dict:
     """results[side] is the list of a probe's printed results: per side,
-    the spread of its seconds, or absent with the reason when a run found
-    a name missing."""
+    the spread of its seconds and, under peak_mib, of its tracemalloc
+    peaks, or absent with the reason when a run found a name missing."""
     out = {}
     for side, runs in results.items():
         absent = [r["absent"] for r in runs if "absent" in r]
-        out[side] = {"absent": absent[0]} if absent else spread([r["s"] for r in runs])
+        out[side] = {"absent": absent[0]} if absent else {
+            **spread([r["s"] for r in runs]), "peak_mib": spread([r["peak_mib"] for r in runs])}
     return out
 
 
@@ -424,8 +472,8 @@ def main(argv=None) -> int:
                 digests[side][key], exits[side][key] = run_output(root / side, command)
         print("output commands done", file=sys.stderr)
         probes = {}
-        for name, script in PROBES.items():
-            (root / f"{name}.py").write_text(script)
+        for name in PROBES:
+            (root / f"{name}.py").write_text(probe_script(name))
             results = {side: [] for side in SIDES}
             for side in PROBE_ORDER:
                 results[side].append(run_probe(root / side, name))
