@@ -310,13 +310,14 @@ def determinant_sum(T: MatrixTriple, name: str) -> Polynomial:
 
     The kernel is chosen by the stack's order alone.  The 9x9 stacks (q)
     go to columnar_determinant_sum: on the generic triple a cold q takes
-    about 4-6 ms and peaks at 0.46 MiB of tracemalloc, against 9-12 ms and
-    1.02 MiB on the dict DP, and q is born columnar, so it keeps its rows
-    and numerators (0.2 MiB), never a dict of 5748 big-int keys unless
+    5.2 ms and peaks at 0.46 MiB of tracemalloc, against 15.6 ms and 1.02
+    MiB on the dict DP (medians of 11 fresh interpreters on a 2-core VM,
+    BENCH_43.json), and q is born columnar, so it keeps its rows and
+    numerators (0.2 MiB), never a dict of 5748 big-int keys unless
     something reads its terms.  The 3x3 and 6x6 stacks (f1..f10, h) keep
     PolyMatrix.determinant, the dict DP, one call per matrix, which is the
     faster kernel there: h in about 0.9-1.1 ms against 1.4-1.6 ms, an f_n
-    in 0.05-0.4 ms against 0.6-2.5 ms (2-core VM, in-process medians)."""
+    in 0.05-0.4 ms against 0.6-2.5 ms (in-process medians)."""
     entries = [e for m in T.components() for row in m.rows for e in row]
     entries.append(Polynomial.zero(T.ring, T.vars))
     stack = GENERATOR_DETERMINANTS[name]
@@ -330,8 +331,8 @@ def determinant_sum(T: MatrixTriple, name: str) -> Polynomial:
 
 def columnar_determinant_sum(entries: Sequence[Polynomial], stack: np.ndarray) -> Polynomial:
     """The sum of the determinants of stack, a (count, n, n) array of indices
-    into entries, polynomials over one ring and variable set, n <= 9.  It
-    runs the column-subset DP of Polynomial.determinant on numpy arrays, one
+    into entries, polynomials over one ring and variable set.  It runs the
+    column-subset DP of Polynomial.determinant on numpy arrays, one
     whole row of the matrices at a time, and fills no dict: the result is
     born columnar (Polynomial.from_columns), its rows in increasing
     lexicographic order, its `terms` built only if something reads them.
@@ -388,13 +389,10 @@ def columnar_determinant_sum(entries: Sequence[Polynomial], stack: np.ndarray) -
     places, radices = key_layout(bound.tolist())
     B = sum(int(b).bit_length() for b in bound.tolist())
     word = np.int64 if n + B <= 63 else object
-    l1 = [sum(map(abs, e.numerators()[1])) * (L // e.numerators()[0]) for e in entries]
-    cap = sum(prod(max(1, sum(l1[e] for e in row)) for row in m) for m in stack.tolist())
+    scaled = [[c * (L // e.numerators()[0]) for c in e.numerators()[1]] for e in entries]
+    cap = sum(prod(max(1, sum(abs(c) for e in row for c in scaled[e])) for row in m) for m in stack.tolist())
     coeff = np.int64 if cap < 2**63 else object
-    terms = [
-        (exponent_sums(e.exponents(), places).astype(word), [c * (L // e.numerators()[0]) for c in e.numerators()[1]])
-        for e in entries
-    ]
+    terms = [(exponent_sums(e.exponents(), places).astype(word), cs) for e, cs in zip(entries, scaled)]
     bits = (np.arange(2**n)[:, None] >> np.arange(n) & 1).astype(bool)
     free, odd = ~bits, (np.cumsum(bits, axis=1) - bits) % 2 == 1  # [mask, j]: j free, odd columns below j
 
@@ -430,7 +428,7 @@ def columnar_determinant_sum(entries: Sequence[Polynomial], stack: np.ndarray) -
             states, coefs = merged(*pairs(states, coefs, k, idx[k]))
         parts.append((states, coefs))
     states, coefs = merged(*map(np.concatenate, zip(*parts)))
-    rest, flip, sizes = list(range(s, n)), False, np.array([len(t[1]) for t in terms])
+    rest, flip, sizes = list(range(s, n)), False, np.array([len(cs) for cs in scaled])
     for k in range(s, n):
         free_count = free[(states >> B).astype(np.intp)].sum(axis=0)  # states with column j free
         i = int(np.argmin(sizes[stack[0, rest]] @ free_count))
